@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from repro.core import QSCConfig, QuantumSpectralClustering
-from repro.core.config import SHARD_FAILURE_MODES
+from repro.core.config import SHARD_FAILURE_MODES, SPECTRAL_ENGINES
 from repro.exceptions import ReproError
 from repro.graphs import (
     cyclic_flow_sbm,
@@ -96,6 +96,18 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("analytic", "circuit"),
         default="analytic",
         help="QPE statistics engine for --method quantum",
+    )
+    cluster.add_argument(
+        "--spectral-engine",
+        choices=SPECTRAL_ENGINES,
+        default="v2",
+        help=(
+            "eigensolve of the analytic QPE engine: v2 decomposes only the "
+            "n x n graph block and appends the analytic pad eigenpairs "
+            "(default); v1 decomposes the whole power-of-two padded matrix, "
+            "the byte-stable contract the paper sweeps pin.  The two agree "
+            "to rounding, so labels match while digests differ"
+        ),
     )
     cluster.add_argument("--precision-bits", type=int, default=7)
     cluster.add_argument("--shots", type=int, default=1024)
@@ -481,6 +493,7 @@ def _cmd_cluster(args) -> int:
             )
         config = QSCConfig(
             backend=args.qpe_backend,
+            spectral_engine=args.spectral_engine,
             linalg_backend=args.backend,
             precision_bits=args.precision_bits,
             shots=args.shots,
@@ -527,11 +540,10 @@ def _cmd_cluster(args) -> int:
     if args.method == "quantum" and args.profile:
         print("stage profile:")
         for row in result.profile:
-            backend = (
-                f"  [{row['linalg_backend']}/{row['eigensolver']}]"
-                if "linalg_backend" in row
-                else ""
-            )
+            annotations = [
+                row[key] for key in ("linalg_backend", "eigensolver") if key in row
+            ]
+            backend = f"  [{'/'.join(annotations)}]" if annotations else ""
             print(
                 f"  {row['stage']:9s} {row['seconds']*1e3:9.2f} ms  "
                 f"{row['source']:10s} cache {row['cache_hits']}h/"

@@ -12,6 +12,10 @@ from repro.linalg import BACKEND_NAMES as LINALG_BACKENDS
 
 BACKENDS = ("circuit", "analytic")
 EVOLUTIONS = ("exact", "trotter")
+#: Eigensolve contracts of the analytic QPE engine (see
+#: :class:`repro.core.qpe_engine.AnalyticQPEBackend`): ``"v1"`` decomposes
+#: the padded D × D matrix, ``"v2"`` only the n × n graph block.
+SPECTRAL_ENGINES = ("v1", "v2")
 #: Failure policies of the sharded-readout supervisor (the canonical
 #: vocabulary — :mod:`repro.pipeline.supervisor` re-exports it).
 SHARD_FAILURE_MODES = ("raise", "degrade")
@@ -98,6 +102,15 @@ class QSCConfig:
     backend:
         ``"circuit"`` (full statevector QPE, n ≲ 64) or ``"analytic"``
         (closed-form QPE statistics, scales to thousands of nodes).
+    spectral_engine:
+        Eigensolve contract of the analytic QPE engine
+        (:data:`SPECTRAL_ENGINES`): ``"v2"`` (default) runs ``eigh`` on
+        the n × n graph block and appends the analytic pad eigenpairs;
+        ``"v1"`` runs ``eigh`` on the full power-of-two padded matrix, the
+        byte-stable legacy contract every paper sweep pins.  The two agree
+        to floating-point rounding, so labels match but digests differ.
+        The circuit backend ignores it.  Exposed on the CLI as
+        ``--spectral-engine``.
     linalg_backend:
         Matrix-representation backend for Laplacian construction:
         ``"auto"`` (default — dense below 256 nodes, sparse CSR with the
@@ -143,6 +156,7 @@ class QSCConfig:
     draw_threads: int | None = None
     generator_version: str = "v1"
     backend: str = "analytic"
+    spectral_engine: str = "v2"
     linalg_backend: str = "auto"
     evolution: str = "exact"
     trotter_steps: int = 4
@@ -204,6 +218,11 @@ class QSCConfig:
         if self.backend not in BACKENDS:
             raise ClusteringError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
+            )
+        if self.spectral_engine not in SPECTRAL_ENGINES:
+            raise ClusteringError(
+                f"spectral_engine must be one of {SPECTRAL_ENGINES}, "
+                f"got {self.spectral_engine!r}"
             )
         if self.linalg_backend not in LINALG_BACKENDS:
             raise ClusteringError(

@@ -25,17 +25,55 @@ from repro.spectral.kmeans import KMeansResult, kmeans_plusplus_init
 from repro.utils.rng import ensure_rng
 
 
+def _broadcast_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances by the legacy (rows, k, d) broadcast — the
+    reference :func:`noisy_assign_labels` must reproduce label for label."""
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
 def noisy_assign_labels(
     points: np.ndarray,
     centroids: np.ndarray,
     delta: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Assignment under distance estimates with additive error <= δ."""
-    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    """Assignment under distance estimates with additive error <= δ.
+
+    Distances use the expanded form ‖x‖² − 2x·c + ‖c‖² (one matmul, no
+    (n, k, d) temporary), yet the labels are bit-identical to those of the
+    ``Σ (x − c)²`` broadcast (:func:`_broadcast_distances`).  Either form
+    of a noisy distance lies within B = (d + 6)·u·((‖x‖ + max‖c‖)² + δ)
+    of its exact value (u the unit roundoff; the standard summation and
+    dot-product bounds, with |x·c| ≤ ‖x‖‖c‖).  So when a row's best
+    expanded distance beats its runner-up by more than 4B (two distances,
+    two forms), both forms pick the same unique minimum.  Rows inside that
+    margin — near-ties, duplicate centroids, non-finite input — are
+    recomputed with the broadcast.  The noise draw is the same either way.
+    """
+    count, dim = points.shape
+    x_norms = np.einsum("ij,ij->i", points, points)
+    c_norms = np.einsum("ij,ij->i", centroids, centroids)
+    distances = x_norms[:, None] - 2.0 * (points @ centroids.T) + c_norms[None, :]
     if delta > 0:
-        distances = distances + rng.uniform(-delta, delta, size=distances.shape)
-    return distances.argmin(axis=1)
+        noise = rng.uniform(-delta, delta, size=distances.shape)
+        distances = distances + noise
+    labels = distances.argmin(axis=1)
+    if centroids.shape[0] < 2:
+        return labels
+    runner_up = np.partition(distances, 1, axis=1)[:, 1]
+    margin = runner_up - distances[np.arange(count), labels]
+    reach = (np.sqrt(x_norms) + np.sqrt(c_norms.max())) ** 2
+    # eps = 2u, so this is 2B: a factor of two for the rounding of the
+    # bound and the margin themselves
+    bound = (dim + 6) * np.finfo(float).eps * (reach + delta)
+    # written so NaN margins (non-finite input) fall back too
+    unsure = np.flatnonzero(~(margin > 4.0 * bound))
+    if unsure.size:
+        legacy = _broadcast_distances(points[unsure], centroids)
+        if delta > 0:
+            legacy = legacy + noise[unsure]
+        labels[unsure] = legacy.argmin(axis=1)
+    return labels
 
 
 def perturb_centroids(
@@ -87,6 +125,8 @@ def qmeans(
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ClusteringError(f"points must be 2-D, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ClusteringError("points must be finite (found NaN or inf)")
     n = points.shape[0]
     if not 1 <= num_clusters <= n:
         raise ClusteringError(f"num_clusters must be in [1, {n}], got {num_clusters}")

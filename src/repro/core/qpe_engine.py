@@ -34,6 +34,7 @@ import hashlib
 
 import numpy as np
 
+from repro.core.config import SPECTRAL_ENGINES
 from repro.exceptions import ClusteringError
 from repro.store import DEFAULT_MEMORY_BYTES, ContentStore, get_store
 from repro.linalg import is_sparse_matrix, to_dense_array
@@ -87,6 +88,10 @@ def laplacian_fingerprint(laplacian: np.ndarray) -> str:
 
 #: Store namespace of the spectral entries (eigendecompositions, kernels).
 SPECTRAL_NAMESPACE = "spectral"
+#: Fingerprint prefix of ``spectral_engine="v2"`` entries, which are keyed
+#: by the *unpadded* Laplacian: without it a power-of-two graph (whose
+#: padded and unpadded matrices coincide) would share v1's keys.
+BLOCK_KEY_PREFIX = "block-"
 
 
 class SpectralCache:
@@ -284,6 +289,17 @@ class AnalyticQPEBackend:
         dense, so sparse input costs one conversion).
     precision_bits:
         QPE ancilla bits p.
+    spectral_engine:
+        How the padded register's spectrum is obtained
+        (:data:`~repro.core.config.SPECTRAL_ENGINES`).  ``"v1"`` (the
+        default here, byte-stable) runs ``eigh`` on the full D × D padded
+        matrix.  ``"v2"`` runs ``eigh`` on the n × n graph block only and
+        appends the analytic pad eigenpairs: eigenvalue
+        :data:`PAD_EIGENVALUE` with basis vectors e_j, j ≥ n.  The padded
+        matrix is block diagonal, so both describe the same register; v2
+        differs from v1 only by floating-point rounding (eigenvalues by
+        about 1e-15, filtered rows by about 1e-13 — the tolerance contract
+        in ``tests/core/test_spectral_engine.py``).
 
     Notes
     -----
@@ -297,39 +313,85 @@ class AnalyticQPEBackend:
     a second backend for the same Laplacian (a sweep point that varies
     only shots or threshold, or a diagnostics pass after a fit) skips the
     O(n³) eigensolve and, at equal ``precision_bits``, the kernel build.
-    The cached arrays are shared read-only; hit or miss, outputs are
+    v2 entries are keyed by the unpadded Laplacian under their own
+    prefix, so the two engines never serve each other's entries.  The
+    cached arrays are shared read-only; hit or miss, outputs are
     bit-identical.
+
+    Under v2 the hot paths (histogram, ``project_rows``, node
+    distributions) never touch the pad components: they carry no node
+    mass.  Only the D-length per-component answers add them back.
     """
 
     name = "analytic"
 
-    def __init__(self, laplacian, precision_bits: int):
+    def __init__(self, laplacian, precision_bits: int, spectral_engine: str = "v1"):
         if precision_bits < 1:
             raise ClusteringError(f"precision_bits must be >= 1, got {precision_bits}")
+        if spectral_engine not in SPECTRAL_ENGINES:
+            raise ClusteringError(
+                f"spectral_engine must be one of {SPECTRAL_ENGINES}, "
+                f"got {spectral_engine!r}"
+            )
         # read-only below (pad_laplacian copies), so skip the defensive copy
         laplacian = to_dense_array(laplacian, dtype=complex, copy=False)
         self.num_nodes = laplacian.shape[0]
         self.precision_bits = precision_bits
         self.lambda_scale = LAMBDA_SCALE
-        padded = pad_laplacian(laplacian)
-        self.dim = padded.shape[0]
-        fingerprint = laplacian_fingerprint(padded)
+        self.spectral_engine = spectral_engine
+        self.dim = next_power_of_two(max(self.num_nodes, 2))
+        if spectral_engine == "v1":
+            matrix = pad_laplacian(laplacian)
+            fingerprint = laplacian_fingerprint(matrix)
+            self.eigensolver = f"eigh(D={self.dim})"
+        else:
+            matrix = laplacian
+            fingerprint = BLOCK_KEY_PREFIX + laplacian_fingerprint(laplacian)
+            self.eigensolver = f"eigh(n={self.num_nodes})"
         self._eigenvalues, self._eigenvectors = SPECTRAL_CACHE.decomposition(
-            fingerprint, padded
+            fingerprint, matrix
         )
-        phases = self._eigenvalues / self.lambda_scale
+        # the pad components, present only in the v2 block form
+        self._pad_count = self.dim - len(self._eigenvalues)
+        kernel_values = self._eigenvalues
+        if self._pad_count:
+            kernel_values = np.append(kernel_values, PAD_EIGENVALUE)
+        phases = kernel_values / self.lambda_scale
         if phases.max() >= 1.0 or phases.min() < -1e-9:
             raise ClusteringError(
                 "Laplacian spectrum exceeds the QPE phase window; use the "
                 "symmetric normalization"
             )
-        # kernel[j, y] = Pr[readout y | eigenvector j]
-        self._kernel = SPECTRAL_CACHE.kernel(fingerprint, precision_bits, phases)
+        # kernel[j, y] = Pr[readout y | eigenvector j]; under v2 the last
+        # row is the pad eigenvalue's, shared by every pad component
+        kernel = SPECTRAL_CACHE.kernel(fingerprint, precision_bits, phases)
+        self._kernel = kernel[: len(self._eigenvalues)]
+        self._pad_kernel = kernel[len(self._eigenvalues) :]
+        if self._pad_count:
+            # graph eigenvalues may round a hair above PAD_EIGENVALUE, so
+            # the D-length spectrum is merged by sort, not concatenation
+            self._order = np.argsort(self._padded_values(), kind="stable")
+
+    def _padded_values(self) -> np.ndarray:
+        """Stored eigenvalues followed by one PAD_EIGENVALUE per pad component."""
+        return np.append(self._eigenvalues, np.full(self._pad_count, PAD_EIGENVALUE))
+
+    def _per_component(self, of_rows) -> np.ndarray:
+        """``of_rows`` applied to the kernel, one entry per component of the
+        D-dimensional register in ascending eigenvalue order: v1 stores all
+        D components; v2 repeats the pad row's entry for each pad component."""
+        block = of_rows(self._kernel)
+        if not self._pad_count:
+            return block
+        full = np.append(block, np.repeat(of_rows(self._pad_kernel), self._pad_count))
+        return full[self._order]
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """The padded Laplacian spectrum (read-only copy, ascending)."""
-        return self._eigenvalues.copy()
+        if not self._pad_count:
+            return self._eigenvalues.copy()
+        return self._padded_values()[self._order]
 
     def component_acceptance(self, accepted: np.ndarray) -> np.ndarray:
         """q_j = probability that eigencomponent j passes the readout filter.
@@ -338,13 +400,13 @@ class AnalyticQPEBackend:
         experiments use it to quantify bulk leakage versus precision.
         """
         accepted = np.asarray(accepted, dtype=int)
-        return self._kernel[:, accepted].sum(axis=1)
+        return self._per_component(lambda rows: rows[:, accepted].sum(axis=1))
 
     def quantization_errors(self) -> np.ndarray:
         """|λ̂_j − λ_j| where λ̂_j is the modal QPE readout of component j."""
-        modal_bins = self._kernel.argmax(axis=1)
+        modal_bins = self._per_component(lambda rows: rows.argmax(axis=1))
         estimates = modal_bins / 2**self.precision_bits * self.lambda_scale
-        return np.abs(estimates - self._eigenvalues)
+        return np.abs(estimates - self.eigenvalues)
 
     def node_outcome_distribution(self, node: int) -> np.ndarray:
         """Exact QPE readout distribution when the input is |e_node>."""
@@ -408,7 +470,8 @@ class AnalyticQPEBackend:
         Notes
         -----
         Replaces the per-row :meth:`project_row` loop in the pipeline hot
-        path — one (K × dim) @ (dim × dim) product instead of K matvecs.
+        path — one (K × m) @ (m × m) product instead of K matvecs, with
+        m = dim under v1 and m = num_nodes under v2.
         """
         nodes = np.asarray(nodes, dtype=int)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
@@ -426,7 +489,12 @@ class AnalyticQPEBackend:
         filtered[~alive] = 0.0
         probabilities = np.where(alive, probabilities, 0.0)
         safe = np.where(alive, norms, 1.0)
-        return filtered / safe[:, None], probabilities
+        states = filtered / safe[:, None]
+        if self._pad_count:
+            # v2 filters in the n-dim graph block; the pad columns are
+            # exact zeros because pad eigenvectors never overlap a node
+            states = np.pad(states, ((0, 0), (0, self._pad_count)))
+        return states, probabilities
 
     def project_row(
         self, node: int, accepted: np.ndarray, rng=None
@@ -502,6 +570,8 @@ class CircuitQPEBackend:
         padded = pad_laplacian(laplacian)
         self.dim = padded.shape[0]
         time = 2.0 * np.pi / self.lambda_scale
+        # the Trotterized unitary needs no eigensolve at all
+        self.eigensolver = f"eigh(D={self.dim})" if evolution == "exact" else None
         if evolution == "exact":
             # The exact evolution only needs the spectrum, so it shares the
             # content-keyed decomposition cache with the analytic backend.
@@ -782,20 +852,25 @@ def make_backend(laplacian, config) -> object:
     config:
         A :class:`repro.core.config.QSCConfig`; ``config.backend`` picks
         ``"analytic"`` or ``"circuit"``, ``config.precision_bits`` sets the
-        ancilla count, the ``evolution`` / ``trotter_*`` fields configure
-        the circuit backend's Hamiltonian simulation, and
+        ancilla count, ``config.spectral_engine`` picks the analytic
+        backend's eigensolve (padded ``"v1"`` or graph-block ``"v2"``; the
+        circuit backend always simulates the padded register), the
+        ``evolution`` / ``trotter_*`` fields configure the circuit
+        backend's Hamiltonian simulation, and
         ``config.readout_chunk_size`` (when set) can lower — never raise —
         the circuit backend's batched-pass width.
 
     Returns
     -------
     :class:`AnalyticQPEBackend` or :class:`CircuitQPEBackend` — both
-    expose ``num_nodes``, ``dim``, ``lambda_scale``,
+    expose ``num_nodes``, ``dim``, ``lambda_scale``, ``eigensolver``,
     ``eigenvalue_histogram``, ``project_rows`` / ``project_row`` and
     ``node_outcome_distribution`` with identical shape contracts.
     """
     if config.backend == "analytic":
-        return AnalyticQPEBackend(laplacian, config.precision_bits)
+        return AnalyticQPEBackend(
+            laplacian, config.precision_bits, config.spectral_engine
+        )
     if config.readout_chunk_size is None:
         max_batch_columns = None
     else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.core import QSCConfig
 from repro.experiments.common import (
+    SWEEP_SPECTRAL_ENGINE,
     TrialRecord,
     aggregate,
     evaluate_methods,
@@ -53,6 +54,7 @@ def _trial(
     readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
+    spectral_engine="v1",
 ) -> list[TrialRecord]:
     """One F1 trial: the full method panel on one cyclic-flow SBM."""
     strength = point["strength"]
@@ -74,6 +76,7 @@ def _trial(
         readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
+        spectral_engine=spectral_engine,
     )
     methods = standard_methods(num_clusters, seed, config)
     return evaluate_methods("F1", methods, graph, truth, {"strength": strength}, seed)
@@ -122,6 +125,7 @@ def spec(
             "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
+            "spectral_engine": SWEEP_SPECTRAL_ENGINE,
         },
         render=series,
     )

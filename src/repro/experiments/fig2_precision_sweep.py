@@ -35,7 +35,12 @@ import numpy as np
 
 from repro.core import QSCConfig
 from repro.core.projection import accepted_outcomes
-from repro.experiments.common import TrialRecord, aggregate, render_markdown_table
+from repro.experiments.common import (
+    SWEEP_SPECTRAL_ENGINE,
+    TrialRecord,
+    aggregate,
+    render_markdown_table,
+)
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
 from repro.graphs import ensure_connected, mixed_sbm
 from repro.metrics import adjusted_rand_index, matched_accuracy
@@ -90,6 +95,7 @@ def _trial(
     readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
+    spectral_engine="v1",
 ) -> list[TrialRecord]:
     """One F2 trial: analytic fit + filter diagnostics (+ circuit check)."""
     precision = point["p"]
@@ -111,6 +117,7 @@ def _trial(
         readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
+        spectral_engine=spectral_engine,
     )
     pipeline = QSCPipeline(num_clusters, config)
     result = pipeline.run(graph)
@@ -197,6 +204,7 @@ def spec(
             "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
+            "spectral_engine": SWEEP_SPECTRAL_ENGINE,
         },
         render=series,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict
 
 from repro.core.runtime_model import RuntimeSample, fitted_exponent, profile_graph
-from repro.experiments.common import TrialRecord
+from repro.experiments.common import SWEEP_SPECTRAL_ENGINE, TrialRecord
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
 from repro.graphs import ensure_connected, mixed_sbm
 
@@ -55,13 +55,14 @@ def _trial(
     readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
+    spectral_engine="v1",
 ) -> list[TrialRecord]:
     """Profile one sparse mixed SBM at the point's size.
 
-    ``readout_shards``, ``store_dir`` and ``linalg_backend`` are accepted
-    for CLI uniformity but inert: F3 models quantum step counts (and
-    profiles fixed explicit eigensolvers) instead of running the staged
-    pipeline.
+    ``readout_shards``, ``store_dir``, ``linalg_backend`` and
+    ``spectral_engine`` are accepted for uniformity but inert: F3 models
+    quantum step counts (and profiles fixed explicit eigensolvers) instead
+    of running the staged pipeline.
     """
     num_nodes = point["n"]
     # keep the average degree constant so edges grow linearly with n
@@ -128,6 +129,7 @@ def spec(
             "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
+            "spectral_engine": SWEEP_SPECTRAL_ENGINE,
         },
         render=render_records,
     )

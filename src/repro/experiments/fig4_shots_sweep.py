@@ -25,7 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import QSCConfig
-from repro.experiments.common import TrialRecord, aggregate, render_markdown_table
+from repro.experiments.common import (
+    SWEEP_SPECTRAL_ENGINE,
+    TrialRecord,
+    aggregate,
+    render_markdown_table,
+)
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
 from repro.graphs import ensure_connected, mixed_sbm
 from repro.metrics import adjusted_rand_index, matched_accuracy
@@ -53,6 +58,7 @@ def _trial(
     readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
+    spectral_engine="v1",
 ) -> list[TrialRecord]:
     """One F4 trial: noiseless reference fit + finite-shot fit."""
     shots = point["shots"]
@@ -75,6 +81,7 @@ def _trial(
             readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
+            spectral_engine=spectral_engine,
         ),
     )
     noiseless = reference.run(graph)
@@ -92,6 +99,7 @@ def _trial(
             readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
+            spectral_engine=spectral_engine,
         ),
     ).run(graph, resume_from="readout", upstream=reference.state)
     embedding_error = float(
@@ -141,6 +149,7 @@ def spec(
             "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
+            "spectral_engine": SWEEP_SPECTRAL_ENGINE,
         },
         render=series,
     )

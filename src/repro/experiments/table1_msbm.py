@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.core import QSCConfig
 from repro.experiments.common import (
+    SWEEP_SPECTRAL_ENGINE,
     TrialRecord,
     aggregate,
     evaluate_methods,
@@ -50,6 +51,7 @@ def _trial(
     readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
+    spectral_engine="v1",
 ) -> list[TrialRecord]:
     """One T1 trial: the full method panel on one mixed SBM instance."""
     num_nodes, num_clusters = point["n"], point["k"]
@@ -70,6 +72,7 @@ def _trial(
         readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
+        spectral_engine=spectral_engine,
     )
     methods = standard_methods(num_clusters, seed, config)
     return evaluate_methods(
@@ -114,6 +117,7 @@ def spec(
             "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
+            "spectral_engine": SWEEP_SPECTRAL_ENGINE,
         },
         render=table,
     )

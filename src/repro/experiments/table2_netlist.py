@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core import QSCConfig
 from repro.experiments.common import (
+    SWEEP_SPECTRAL_ENGINE,
     TrialRecord,
     aggregate,
     evaluate_methods,
@@ -56,6 +57,7 @@ def _trial(
     readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
+    spectral_engine="v1",
 ) -> list[TrialRecord]:
     """One T2 trial: the method panel on one synthetic netlist instance."""
     num_modules = point["modules"]
@@ -78,6 +80,7 @@ def _trial(
         readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
+        spectral_engine=spectral_engine,
     )
     methods = standard_methods(num_modules, seed, config, theta=NETLIST_THETA)
     return evaluate_methods(
@@ -126,6 +129,7 @@ def spec(
             "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
+            "spectral_engine": SWEEP_SPECTRAL_ENGINE,
         },
         render=table,
     )

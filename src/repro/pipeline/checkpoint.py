@@ -76,14 +76,18 @@ def graph_fingerprint(graph) -> str:
 def context_fingerprint(graph, config, requested_clusters, fields) -> str:
     """Digest of everything a stage's checkpointed output depends on.
 
-    ``fields`` is the stage's cumulative tuple of :class:`QSCConfig`
-    attribute names; the graph content is always included, and
-    ``requested_clusters`` (``int`` or ``"auto"``) participates unless the
-    caller passes ``None`` — the laplacian stage's output does not depend
-    on k, so changing ``--clusters`` legitimately reuses its checkpoint.
+    ``graph`` is the mixed graph or, equivalently, its
+    :func:`graph_fingerprint` digest — the pipeline hashes the graph once
+    per run and passes the digest for every stage.  ``fields`` is the
+    stage's cumulative tuple of :class:`QSCConfig` attribute names; the
+    graph content is always included, and ``requested_clusters`` (``int``
+    or ``"auto"``) participates unless the caller passes ``None`` — the
+    laplacian stage's output does not depend on k, so changing
+    ``--clusters`` legitimately reuses its checkpoint.
     """
+    graph_digest = graph if isinstance(graph, str) else graph_fingerprint(graph)
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(graph_fingerprint(graph).encode())
+    digest.update(graph_digest.encode())
     if requested_clusters is not None:
         digest.update(repr(requested_clusters).encode())
     for name in fields:

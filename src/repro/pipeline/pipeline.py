@@ -181,6 +181,7 @@ class QSCPipeline:
             rngs=dict(zip(RNG_STREAMS, streams)),
             save_dir=save_stages,
             load_dir=stages_dir,
+            graph_digest=checkpoint.graph_fingerprint(graph),
         )
         reports = []
         degraded: list[str] = []
@@ -217,7 +218,6 @@ class QSCPipeline:
     ) -> None:
         """Execute (or load) every stage, appending telemetry reports."""
         cfg = self.config
-        graph = ctx.graph
         for index, stage in enumerate(build_stages()):
             cache_before = spectral_cache_stats()
             start = time.perf_counter()
@@ -232,7 +232,7 @@ class QSCPipeline:
             # the caller explicitly hands over state it owns (the fig4
             # pattern, where only downstream fields differ).
             fingerprint = checkpoint.context_fingerprint(
-                graph,
+                ctx.graph_digest,
                 cfg,
                 self.num_clusters if stage.fingerprint_clusters else None,
                 stage.fingerprint_fields,

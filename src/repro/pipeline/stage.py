@@ -57,6 +57,10 @@ class StageContext:
         checkpoints — the sharded readout's ``readout.shard-<i>.npz``
         files — can write and resume them itself.  ``None`` when the run
         is not checkpointing.
+    graph_digest:
+        :func:`~repro.pipeline.checkpoint.graph_fingerprint` of ``graph``,
+        computed once per run by the pipeline; every stage's context
+        fingerprint is derived from it instead of re-hashing the graph.
     fingerprint:
         The executing stage's context fingerprint, set by the driver
         before each stage; sub-stage checkpoints extend it.
@@ -65,11 +69,12 @@ class StageContext:
         folds them into the stage's :class:`~repro.pipeline.telemetry.StageReport`
         and resets them between stages.
     backend_info:
-        Side channel for linalg telemetry: a stage that resolves the
-        linalg backend records ``{"linalg_backend": ..., "eigensolver":
-        ...}`` here (see :func:`repro.linalg.backends.backend_telemetry`);
-        the driver annotates the stage's report with it and resets the
-        dict between stages.
+        Side channel for linalg telemetry: the laplacian stage records
+        ``{"linalg_backend": ..., "eigensolver": ...}`` here — the
+        Laplacian's representation and the eigensolve the QPE engine ran
+        (``eigensolver`` is ``None`` when none ran); the pipeline
+        annotates the stage's report with it and resets the dict between
+        stages.
     """
 
     graph: object
@@ -79,6 +84,7 @@ class StageContext:
     state: dict = field(default_factory=dict)
     save_dir: object = None
     load_dir: object = None
+    graph_digest: str = ""
     fingerprint: str = ""
     shard_reports: tuple = ()
     incomplete_shards: tuple = ()

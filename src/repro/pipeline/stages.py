@@ -48,6 +48,7 @@ _LAPLACIAN_FIELDS = ("theta", "normalization", "linalg_backend")
 # threshold, and the master seed the histogram stream derives from.
 _THRESHOLD_FIELDS = _LAPLACIAN_FIELDS + (
     "backend",
+    "spectral_engine",
     "precision_bits",
     "evolution",
     "trotter_steps",
@@ -79,16 +80,23 @@ class LaplacianStage(Stage):
 
     def run(self, ctx: StageContext) -> dict:
         cfg = ctx.config
-        ctx.backend_info = backend_telemetry(
-            cfg.linalg_backend, ctx.graph.num_nodes
-        )
         laplacian = hermitian_laplacian(
             ctx.graph,
             theta=cfg.theta,
             normalization=cfg.normalization,
             backend=cfg.linalg_backend,
         )
-        return {"laplacian": laplacian, "backend": make_backend(laplacian, cfg)}
+        backend = make_backend(laplacian, cfg)
+        # The representation the Laplacian was built in, and the eigensolve
+        # the QPE engine actually ran on it (not the linalg backend's own
+        # eigensolver route, which the quantum path never takes).
+        ctx.backend_info = {
+            "linalg_backend": backend_telemetry(
+                cfg.linalg_backend, ctx.graph.num_nodes
+            )["linalg_backend"],
+            "eigensolver": backend.eigensolver,
+        }
+        return {"laplacian": laplacian, "backend": backend}
 
     def pack(self, values: dict) -> dict:
         laplacian = values["laplacian"]
@@ -132,9 +140,6 @@ class ThresholdStage(Stage):
 
     def run(self, ctx: StageContext) -> dict:
         cfg = ctx.config
-        ctx.backend_info = backend_telemetry(
-            cfg.linalg_backend, ctx.graph.num_nodes
-        )
         backend = ctx.require("backend")
         histogram = backend.eigenvalue_histogram(
             cfg.histogram_shots, ctx.rngs["histogram"]

@@ -196,10 +196,22 @@ class TestSweepRunner:
             "computed": 1,
             "loaded": 1,
             "linalg_backend": "dense",
-            "eigensolver": "eigh",
+            "eigensolver": "eigh(D=16)",  # sweeps pin spectral_engine v1
         }
         assert result.profile["readout"]["computed"] == 2
         assert result.profile["qmeans"]["computed"] == 2
+
+    def test_artifact_profile_reports_the_eigensolve_that_ran(self):
+        """The laplacian row names the QPE engine's eigensolve (v1 for
+        sweeps: the padded register), the threshold row carries no
+        prediction any more, and the artifact validates."""
+        spec = fig4_shots_sweep.spec(shot_budgets=(16,), num_nodes=12, trials=1)
+        artifact = SweepRunner(spec).run().to_artifact()
+        validate_artifact(artifact)
+        assert artifact["spec"]["fixed"]["spectral_engine"] == "v1"
+        assert artifact["profile"]["laplacian"]["eigensolver"] == "eigh(D=16)"
+        assert "eigensolver" not in artifact["profile"]["threshold"]
+        assert "linalg_backend" not in artifact["profile"]["threshold"]
 
     def test_counters_aggregate_across_parallel_workers(self):
         """Cache and store counters sum over worker processes.

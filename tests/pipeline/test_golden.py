@@ -26,6 +26,19 @@ GOLDEN = {
     "circuit": "25b724ec53256090a37a64d2ee5518e1",
 }
 
+#: case name -> digest of the same analytic case under
+#: ``spectral_engine="v2"`` (graph-block eigensolve), recorded when the
+#: engine landed.  v2 changes bits, not labels: these differ from GOLDEN
+#: only by rounding (the tolerance contract lives in
+#: tests/core/test_spectral_engine.py).
+GOLDEN_V2 = {
+    "analytic_shots": "f5ff35414d5790a9a7996b09937390a4",
+    "analytic_noiseless": "bead9159dae61964d4c3677bd79c0a99",
+    "explicit_threshold": "ad9b26fa85b873a0d6fc83ffdf9533a5",
+    "flow_chunked": "99df71a98794c99555bb30199f491ba0",
+    "auto_k": "7e571fb69f498dc97a97cc5a5838f565",
+}
+
 
 def result_digest(result) -> str:
     """Checksum of every numeric output field of a ``QSCResult``."""
@@ -43,16 +56,25 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
-def build_case(name):
-    """(graph, num_clusters, config) of one golden case."""
+def build_case(name, engine="v1"):
+    """(graph, num_clusters, config) of one golden case.
+
+    The analytic cases run the byte-stable ``spectral_engine="v1"`` the
+    digests were recorded under unless ``engine`` says otherwise; the
+    circuit case has no engine knob.
+    """
     if name in ("analytic_shots", "analytic_noiseless", "explicit_threshold"):
         graph, _ = mixed_sbm(40, 2, p_intra=0.5, p_inter=0.05, seed=11)
         ensure_connected(graph, seed=11)
         config = {
-            "analytic_shots": QSCConfig(precision_bits=6, shots=512, seed=5),
-            "analytic_noiseless": QSCConfig(precision_bits=7, shots=0, seed=6),
+            "analytic_shots": QSCConfig(
+                precision_bits=6, shots=512, seed=5, spectral_engine=engine
+            ),
+            "analytic_noiseless": QSCConfig(
+                precision_bits=7, shots=0, seed=6, spectral_engine=engine
+            ),
             "explicit_threshold": QSCConfig(
-                eigenvalue_threshold=0.4, shots=128, seed=7
+                eigenvalue_threshold=0.4, shots=128, seed=7, spectral_engine=engine
             ),
         }[name]
         return graph, 2, config
@@ -60,13 +82,21 @@ def build_case(name):
         graph, _ = cyclic_flow_sbm(36, 3, density=0.3, direction_strength=0.95, seed=2)
         ensure_connected(graph, seed=2)
         return graph, 3, QSCConfig(
-            precision_bits=7, shots=256, readout_chunk_size=7, seed=8
+            precision_bits=7,
+            shots=256,
+            readout_chunk_size=7,
+            seed=8,
+            spectral_engine=engine,
         )
     if name == "auto_k":
         graph, _ = mixed_sbm(36, 3, p_intra=0.7, p_inter=0.02, seed=3)
         ensure_connected(graph, seed=3)
         return graph, "auto", QSCConfig(
-            precision_bits=7, shots=256, histogram_shots=16384, seed=3
+            precision_bits=7,
+            shots=256,
+            histogram_shots=16384,
+            seed=3,
+            spectral_engine=engine,
         )
     if name == "circuit":
         graph, _ = mixed_sbm(10, 2, p_intra=0.8, p_inter=0.05, seed=4)
@@ -100,3 +130,17 @@ def test_resumed_run_matches_golden(tmp_path):
         graph, resume_from="readout", stages_dir=tmp_path
     )
     assert result_digest(resumed) == GOLDEN["analytic_shots"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_V2))
+def test_v2_engine_matches_its_golden(name):
+    graph, k, config = build_case(name, engine="v2")
+    assert result_digest(QSCPipeline(k, config).run(graph)) == GOLDEN_V2[name]
+
+
+def test_circuit_case_ignores_the_spectral_engine():
+    """The circuit backend always simulates the padded register."""
+    graph, k, config = build_case("circuit")
+    for engine in ("v1", "v2"):
+        result = QSCPipeline(k, config.with_updates(spectral_engine=engine)).run(graph)
+        assert result_digest(result) == GOLDEN["circuit"]

@@ -135,7 +135,7 @@ class TestResume:
             "computed": 1,
             "loaded": 0,
             "linalg_backend": "dense",
-            "eigensolver": "eigh",
+            "eigensolver": "eigh(n=30)",
         }
         QSCPipeline(2, CONFIG).run(graph, resume_from="readout", stages_dir=tmp_path)
         totals = stage_totals()
@@ -285,14 +285,39 @@ class TestTelemetry:
         ) == 0
 
     def test_backend_annotations_on_linalg_stages(self, graph):
-        result = QSCPipeline(2, CONFIG).run(graph)
-        by_stage = {row["stage"]: row for row in result.profile}
-        for stage in ("laplacian", "threshold"):
-            assert by_stage[stage]["linalg_backend"] == "dense"
-            assert by_stage[stage]["eigensolver"] == "eigh"
-        for stage in ("readout", "embedding", "qmeans"):
-            assert "linalg_backend" not in by_stage[stage]
-            assert "eigensolver" not in by_stage[stage]
+        """Only the laplacian stage solves, and its row names the
+        eigensolve the QPE engine actually ran: the n × n graph block
+        under v2, the D × D padded register under v1."""
+        for engine, solve in (("v2", "eigh(n=30)"), ("v1", "eigh(D=32)")):
+            config = CONFIG.with_updates(spectral_engine=engine)
+            result = QSCPipeline(2, config).run(graph)
+            by_stage = {row["stage"]: row for row in result.profile}
+            assert by_stage["laplacian"]["linalg_backend"] == "dense"
+            assert by_stage["laplacian"]["eigensolver"] == solve
+            for stage in ("threshold", "readout", "embedding", "qmeans"):
+                assert "linalg_backend" not in by_stage[stage]
+                assert "eigensolver" not in by_stage[stage]
+
+    def test_eigensolver_annotation_reads_the_backend(self):
+        """The laplacian row reports the QPE engine's eigensolve even where
+        the linalg backend alone would predict another route (a
+        300-node graph resolves to sparse LOBPCG under ``auto``)."""
+        graph, _ = mixed_sbm(300, 2, p_intra=0.1, p_inter=0.01, seed=2)
+        ensure_connected(graph, seed=2)
+        result = QSCPipeline(2, CONFIG.with_updates(shots=0)).run(graph)
+        row = result.profile[0]
+        assert row["linalg_backend"] == "sparse"
+        assert row["eigensolver"] == "eigh(n=300)"
+
+    def test_trotter_circuit_reports_no_eigensolve(self):
+        graph, _ = mixed_sbm(6, 2, p_intra=0.9, p_inter=0.1, seed=1)
+        ensure_connected(graph, seed=1)
+        config = QSCConfig(
+            backend="circuit", evolution="trotter", precision_bits=3, shots=16
+        )
+        row = QSCPipeline(2, config).run(graph).profile[0]
+        assert row["linalg_backend"] == "dense"
+        assert "eigensolver" not in row
 
     def test_backend_annotations_follow_the_configured_backend(self, graph):
         config = CONFIG.with_updates(linalg_backend="array")
@@ -312,14 +337,14 @@ class TestTelemetry:
         QSCPipeline(2, CONFIG).run(graph)
         delta = totals_delta(before, stage_totals())
         assert delta["laplacian"]["linalg_backend"] == "dense"
-        assert delta["laplacian"]["eigensolver"] == "eigh"
+        assert delta["laplacian"]["eigensolver"] == "eigh(n=30)"
         assert "linalg_backend" not in delta["qmeans"]
         merged = merge_totals({}, delta)
         assert merged["laplacian"]["linalg_backend"] == "dense"
         rows = profile_stage_rows(merged, order=STAGE_NAMES)
         lap_row = next(row for row in rows if row["stage"] == "laplacian")
         assert lap_row["linalg_backend"] == "dense"
-        assert lap_row["eigensolver"] == "eigh"
+        assert lap_row["eigensolver"] == "eigh(n=30)"
 
     def test_profile_excluded_from_result_equality(self):
         import dataclasses

@@ -156,6 +156,29 @@ class TestClusterCommand:
         for stage in ("laplacian", "threshold", "readout", "embedding", "qmeans"):
             assert stage in out
 
+    def test_profile_names_the_engine_eigensolve(self, graph_file, capsys):
+        path, _ = graph_file
+        base = ["cluster", "--input", path, "--clusters", "2", "--shots", "64",
+                "--seed", "1", "--profile"]
+        # the 24-node fixture graph pads to a 32-dimensional register
+        for engine, solve in (("v2", "eigh(n=24)"), ("v1", "eigh(D=32)")):
+            assert main(base + ["--spectral-engine", engine]) == 0
+            rows = {
+                line.split()[0]: line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  ")
+            }
+            assert rows["laplacian"].endswith(f"[dense/{solve}]")
+            assert "[" not in rows["threshold"]
+
+    def test_unknown_spectral_engine_is_a_usage_error(self, graph_file, capsys):
+        path, _ = graph_file
+        with pytest.raises(SystemExit) as info:
+            main(["cluster", "--input", path, "--clusters", "2",
+                  "--spectral-engine", "v9"])
+        assert info.value.code == 2
+        assert "--spectral-engine" in capsys.readouterr().err
+
     def test_save_stages_and_resume_match(self, graph_file, tmp_path, capsys):
         path, _ = graph_file
         stages = str(tmp_path / "stages")
