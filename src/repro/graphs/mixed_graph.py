@@ -242,17 +242,17 @@ class MixedGraph:
         """Optional node labels (copied)."""
         return None if self._node_labels is None else list(self._node_labels)
 
+    def sorted_connections(self) -> tuple[list, list]:
+        """Sorted ``((u, v), weight)`` items of the edges, then of the arcs:
+        :meth:`edges` order without building :class:`Edge` objects."""
+        return sorted(self._undirected.items()), sorted(self._directed.items())
+
     def edges(self) -> list[Edge]:
         """All connections, undirected first, in deterministic order."""
-        und = [
-            Edge(u, v, w, directed=False)
-            for (u, v), w in sorted(self._undirected.items())
+        und, dirs = self.sorted_connections()
+        return [Edge(u, v, w, directed=False) for (u, v), w in und] + [
+            Edge(u, v, w, directed=True) for (u, v), w in dirs
         ]
-        dirs = [
-            Edge(u, v, w, directed=True)
-            for (u, v), w in sorted(self._directed.items())
-        ]
-        return und + dirs
 
     def edge_arrays(
         self,
@@ -264,8 +264,7 @@ class MixedGraph:
         per-connection :class:`Edge` object construction — this is the
         construction path the sparse Hermitian matrices are built from.
         """
-        und = sorted(self._undirected.items())
-        dirs = sorted(self._directed.items())
+        und, dirs = self.sorted_connections()
         total = len(und) + len(dirs)
         u = np.empty(total, dtype=np.int64)
         v = np.empty(total, dtype=np.int64)

@@ -64,12 +64,12 @@ def store_key(stage_name: str, fingerprint: str) -> str:
 
 def graph_fingerprint(graph) -> str:
     """Content digest of a mixed graph (size + full connection list)."""
+    undirected, directed = graph.sorted_connections()
+    records = [f"{u},{v},{w},False;" for (u, v), w in undirected]
+    records += [f"{u},{v},{w},True;" for (u, v), w in directed]
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(graph.num_nodes).encode())
-    for edge in graph.edges():
-        digest.update(
-            f"{edge.u},{edge.v},{edge.weight},{edge.directed};".encode()
-        )
+    digest.update("".join(records).encode())
     return digest.hexdigest()
 
 

@@ -27,6 +27,11 @@ Failure behavior is the contract (tested in ``tests/store/``):
   directory and are published with :func:`os.replace`; a writer crashing
   mid-put leaves a stale temp file (reaped by :meth:`gc`), never a
   half-written entry;
+* **publish once** — a put of an entry already on disk only bumps its
+  ``mtime`` (the key names everything the payload depends on, so a
+  rewrite could only rewrite the same bytes); the job table is the one
+  namespace whose puts overwrite, and a corrupt entry is healed by the
+  next read, which evicts it so the recompute republishes it;
 * **integrity-checked reads** — every entry carries a blake2b digest of
   its payload bytes plus its own (namespace, key) identity; a corrupt,
   truncated or misplaced entry is detected on read, evicted, counted in
@@ -94,6 +99,13 @@ JOB_NAMESPACE = "job"
 #: temp-file + checksum path as every other entry so a job row is either
 #: fully the old version or fully the new one after any crash.
 JOBTABLE_NAMESPACE = "jobtable"
+
+
+def _overwrites(namespace: str) -> bool:
+    """Whether puts replace existing entries: only the job table's, whose
+    ``row:<id>``/``index`` keys name slots rewritten on every transition."""
+    return namespace == JOBTABLE_NAMESPACE
+
 
 #: File suffix of on-disk entries.
 _ENTRY_SUFFIX = ".cas"
@@ -191,6 +203,12 @@ def decode_json_payload(payload: dict):
         return json.loads(bytes(np.asarray(array, dtype=np.uint8)).decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:
         raise StoreError(f"store JSON payload is unreadable: {error}") from error
+
+
+def _listing(directory) -> list:
+    """The ``os.scandir`` entries of ``directory``, sorted by name."""
+    with os.scandir(directory) as entries:
+        return sorted(entries, key=lambda entry: entry.name)
 
 
 def _payload_nbytes(payload: dict) -> int:
@@ -379,25 +397,27 @@ class ContentStore:
             finally:
                 fcntl.flock(handle, fcntl.LOCK_UN)
 
+    def _bucket_files(self):
+        """Every file in a ``<root>/<namespace>/<hh>/`` bucket, in path order."""
+        for namespace_dir in _listing(self._root):
+            if namespace_dir.is_dir():
+                for bucket in _listing(namespace_dir.path):
+                    if bucket.is_dir():
+                        yield from _listing(bucket.path)
+
     def _scan_disk(self) -> list:
         """Every on-disk entry as ``(path, size, mtime)`` (stale files skipped)."""
         entries = []
         if self._root is None:
             return entries
-        for namespace_dir in sorted(self._root.iterdir()):
-            if not namespace_dir.is_dir():
+        for file in self._bucket_files():
+            if os.path.splitext(file.name)[1] != _ENTRY_SUFFIX:
                 continue
-            for bucket in sorted(namespace_dir.iterdir()):
-                if not bucket.is_dir():
-                    continue
-                for path in sorted(bucket.iterdir()):
-                    if path.suffix != _ENTRY_SUFFIX:
-                        continue
-                    try:
-                        status = path.stat()
-                    except OSError:
-                        continue
-                    entries.append((path, status.st_size, status.st_mtime))
+            try:
+                status = file.stat()
+            except OSError:
+                continue
+            entries.append((pathlib.Path(file.path), status.st_size, status.st_mtime))
         return entries
 
     def _evict_corrupt(self, path: pathlib.Path, namespace: str) -> None:
@@ -431,10 +451,16 @@ class ContentStore:
     def _disk_put(self, namespace: str, key: str, payload: dict) -> None:
         if self._root is None:
             return
+        path = self._entry_path(namespace, key)
+        if not _overwrites(namespace):
+            try:
+                os.utime(path)  # already published: refresh recency only
+                return
+            except OSError:
+                pass  # not on disk yet
         blob = encode_payload(namespace, key, payload)
         if len(blob) > self.max_disk_bytes:
             return
-        path = self._entry_path(namespace, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         handle, tmp_name = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=path.parent)
         try:
@@ -587,20 +613,14 @@ class ContentStore:
             return report
         with self._locked():
             cutoff = time.time() - tmp_grace_seconds
-            for namespace_dir in sorted(self._root.iterdir()):
-                if not namespace_dir.is_dir():
-                    continue
-                for bucket in sorted(namespace_dir.iterdir()):
-                    if not bucket.is_dir():
-                        continue
-                    for path in sorted(bucket.iterdir()):
-                        if path.name.startswith(_TMP_PREFIX):
-                            try:
-                                if path.stat().st_mtime <= cutoff:
-                                    path.unlink()
-                                    report["temp_removed"] += 1
-                            except OSError:
-                                pass
+            for file in self._bucket_files():
+                if file.name.startswith(_TMP_PREFIX):
+                    try:
+                        if file.stat().st_mtime <= cutoff:
+                            os.unlink(file.path)
+                            report["temp_removed"] += 1
+                    except OSError:
+                        pass
             for path, _, _ in self._scan_disk():
                 try:
                     decode_payload(path.read_bytes())

@@ -1,11 +1,13 @@
 """Staged-pipeline behaviour: contracts, checkpoints, resume, telemetry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import QSCConfig, QSCPipeline
 from repro.exceptions import ClusteringError
-from repro.graphs import ensure_connected, mixed_sbm
+from repro.graphs import MixedGraph, ensure_connected, mixed_sbm
 from repro.pipeline import (
     STAGE_NAMES,
     StageContext,
@@ -16,7 +18,11 @@ from repro.pipeline import (
     save_stage_payload,
     stage_totals,
 )
-from repro.pipeline.checkpoint import CHECKPOINT_VERSION, stage_path
+from repro.pipeline.checkpoint import (
+    CHECKPOINT_VERSION,
+    graph_fingerprint,
+    stage_path,
+)
 
 
 @pytest.fixture
@@ -108,6 +114,43 @@ class TestCheckpointFormat:
         )
         with pytest.raises(ClusteringError, match="version"):
             load_stage_payload(tmp_path, "embedding")
+
+
+def per_edge_fingerprint(graph) -> str:
+    """Reference: the record-at-a-time form of :func:`graph_fingerprint`."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(graph.num_nodes).encode())
+    for edge in graph.edges():
+        digest.update(f"{edge.u},{edge.v},{edge.weight},{edge.directed};".encode())
+    return digest.hexdigest()
+
+
+def fingerprint_graph(kind):
+    graph = MixedGraph(5)
+    if kind == "integer":
+        graph.add_edges([(0, 1, 2), (1, 2, 3), (3, 4, 1)])
+        graph.add_arcs([(2, 3, 4), (4, 0, 1)])
+    elif kind == "fractional":
+        graph.add_edge(0, 1, 0.1 + 0.2)
+        graph.add_edge(2, 4, 1 / 3)
+        graph.add_arc(3, 1, 2.5e-7)
+    else:  # an arc merged onto an edge by its reverse arc
+        graph.add_arc(0, 1, 0.75)
+        graph.add_arc(1, 0, 1.5)
+        graph.add_arc(2, 3, 1.0)
+        graph.add_edge(3, 4, 0.5)
+    return graph
+
+
+class TestGraphFingerprint:
+    @pytest.mark.parametrize("kind", ["integer", "fractional", "merged"])
+    def test_matches_the_per_edge_formula(self, kind):
+        graph = fingerprint_graph(kind)
+        assert graph_fingerprint(graph) == per_edge_fingerprint(graph)
+
+    def test_merged_arc_is_hashed_as_an_edge(self):
+        graph = fingerprint_graph("merged")
+        assert graph.has_edge(0, 1) and not graph.has_arc(0, 1)
 
 
 class TestResume:
