@@ -182,10 +182,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "attach the shared content-addressed compute store rooted at "
-            "DIR: spectral decompositions and stage/shard checkpoints are "
-            "served from and published to it, so repeat runs (from any "
-            "process) become disk hits; results are bit-identical either "
-            "way (default: no shared store)"
+            "DIR: spectral decompositions, pipeline stages and readout "
+            "shards are served from and published to it, so a repeat run "
+            "(from any process) reads every stage it already published "
+            "instead of recomputing it; --resume-from loads upstream "
+            "stages from it too; results are bit-identical either way "
+            "(default: no shared store)"
         ),
     )
     cluster.add_argument(
@@ -224,8 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="STAGE",
         help=(
             "resume at STAGE: load every upstream stage from the "
-            "--save-stages directory instead of recomputing it, and "
-            f"re-run STAGE onward (stages: {', '.join(STAGE_NAMES)})"
+            "--save-stages directory (or the --store-dir store) instead "
+            "of recomputing it, and re-run STAGE onward (stages: "
+            f"{', '.join(STAGE_NAMES)})"
         ),
     )
 
@@ -343,9 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "shared content-addressed store for every selected sweep: "
-            "worker processes publish spectral entries to DIR and a warm "
-            "re-run serves them as cross-process disk hits (recorded in "
-            "the artifacts' store counters; records are bit-identical "
+            "worker processes publish spectral entries and pipeline "
+            "stages to DIR, and a warm re-run serves them as cross-process "
+            "disk hits instead of recomputing (recorded in the artifacts' "
+            "store counters and stage profile; records are bit-identical "
             "either way; default: no shared store)"
         ),
     )
@@ -486,10 +490,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_cluster(args) -> int:
     graph = graph_io.load(args.input)
     if args.method == "quantum":
-        if args.resume_from is not None and args.save_stages is None:
+        if (
+            args.resume_from is not None
+            and args.save_stages is None
+            and args.store_dir is None
+        ):
             raise ReproError(
                 "--resume-from needs --save-stages DIR (the checkpoint "
-                "directory a previous run wrote)"
+                "directory a previous run wrote) or --store-dir DIR"
             )
         config = QSCConfig(
             backend=args.qpe_backend,

@@ -10,6 +10,7 @@ returning something with a ``labels`` attribute.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +124,7 @@ def aggregate(records: list[TrialRecord], group_keys: tuple[str, ...]):
         key = (record.method,) + tuple(record.parameters[k] for k in group_keys)
         groups.setdefault(key, []).append(record)
     rows = []
-    for key in sorted(groups, key=lambda k: tuple(str(part) for part in k)):
+    for key in sorted(groups, key=lambda k: tuple(_sort_part(part) for part in k)):
         bucket = groups[key]
         aris = np.array([r.ari for r in bucket])
         accs = np.array([r.accuracy for r in bucket])
@@ -140,6 +141,13 @@ def aggregate(records: list[TrialRecord], group_keys: tuple[str, ...]):
         )
         rows.append(row)
     return rows
+
+
+def _sort_part(value) -> tuple:
+    """Order key of one group-key part: numbers numerically, before text."""
+    if isinstance(value, numbers.Real):
+        return (0, float(value), "")
+    return (1, 0.0, str(value))
 
 
 def render_markdown_table(rows: list[dict], columns: list[str] | None = None) -> str:

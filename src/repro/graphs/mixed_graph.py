@@ -9,12 +9,15 @@ attached for netlist provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.linalg import resolve_backend
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -354,6 +357,10 @@ class MixedGraph:
     def to_networkx(self) -> nx.DiGraph:
         """Export as a DiGraph; undirected edges become arc pairs tagged
         ``mixed='undirected'``."""
+        # Deferred: networkx is only needed here, and importing it at
+        # module top would slow every `import repro`.
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self._num_nodes))
         for (u, v), w in self._undirected.items():

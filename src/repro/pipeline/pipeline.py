@@ -14,6 +14,9 @@ this driver runs it as five composable stages
   stages_dir=DIR)`` loads everything upstream of ``readout`` from those
   files and recomputes only ``readout`` onward.  Because each stage owns an
   independent spawned stream, a resumed run equals the full run exactly;
+* **read-through** — with a content store attached, each stage is served
+  from its published store entry when one exists (``source="store"``),
+  and computed and published otherwise;
 * **profiled** — every stage execution is timed and bracketed with
   spectral-cache counters; the per-run profile lands in
   ``QSCResult.profile`` and the process-wide totals
@@ -100,13 +103,14 @@ class QSCPipeline:
         graph:
             The mixed graph to cluster.
         save_stages:
-            Directory to checkpoint every computed stage into (created if
-            needed); ``None`` skips checkpointing.
+            Directory to checkpoint every computed or store-served stage
+            into (created if needed); ``None`` skips checkpointing.
         resume_from:
             Stage name to resume at: every stage *before* it is loaded
             from ``upstream`` / ``stages_dir`` instead of computed, and it
             plus everything downstream runs for real.  ``None`` (default)
-            computes all five stages.
+            computes all five stages, or serves them from an attached
+            store (see Notes).
         stages_dir:
             Checkpoint directory to load upstream stages from; defaults
             to ``save_stages`` when resuming.
@@ -118,13 +122,17 @@ class QSCPipeline:
         Notes
         -----
         When the config carries ``store_dir`` (or a shared content store
-        is already attached — see :mod:`repro.store`), checkpoints also
-        resolve *through the store*: every cleanly computed stage is
-        published under its context fingerprint, resuming falls back to
-        the store when the run directory lacks (or holds a corrupt copy
-        of) a stage file, and a corrupt run-dir checkpoint is evicted and
-        recomputed instead of aborting the resume.  Per-run directories
-        keep working unchanged as a compatibility alias.
+        is already attached — see :mod:`repro.store`), stages resolve
+        *through the store*: every cleanly computed stage is published
+        under its context fingerprint, and a run without ``resume_from``
+        serves each stage whose entry already exists instead of computing
+        it (``source="store"``; a served stage is still written to
+        ``save_stages``).  Nothing downstream of a degraded stage is
+        served.  Under ``resume_from`` the upstream stages load from the
+        run directory, falling back to the store when it lacks (or holds
+        a corrupt copy of) a stage file, and the resumed stage onward
+        always recomputes.  A corrupt run-dir checkpoint is evicted and
+        recomputed instead of aborting the resume.
 
         Returns
         -------
@@ -193,6 +201,7 @@ class QSCPipeline:
             self._run_stages(
                 ctx, reports, degraded, resume_index, upstream,
                 stages_dir, save_stages, store,
+                read_through=resume_from is None and store is not None,
             )
 
         if degraded:
@@ -215,6 +224,7 @@ class QSCPipeline:
         stages_dir,
         save_stages,
         store,
+        read_through: bool,
     ) -> None:
         """Execute (or load) every stage, appending telemetry reports."""
         cfg = self.config
@@ -240,47 +250,27 @@ class QSCPipeline:
             ctx.fingerprint = fingerprint
             values = None
             source = "computed"
-            if index < resume_index:
-                if upstream is not None:
-                    values = {key: upstream[key] for key in stage.provides}
-                    source = "reused"
-                else:
-                    payload = None
-                    corrupt = False
-                    if stages_dir is not None and checkpoint.has_stage_checkpoint(
-                        stages_dir, stage.name
-                    ):
-                        try:
-                            payload = checkpoint.load_stage_payload(
-                                stages_dir, stage.name, fingerprint
-                            )
-                        except checkpoint.CorruptCheckpointError:
-                            # Corrupt checkpoints are evicted and the
-                            # stage recomputed — damaged bits are never
-                            # served, and the rewrite below heals the file.
-                            checkpoint.evict_stage_checkpoint(
-                                stages_dir, stage.name
-                            )
-                            corrupt = True
-                    if payload is None and store is not None:
-                        payload = store.get(
-                            checkpoint.STAGE_NAMESPACE,
-                            checkpoint.store_key(stage.name, fingerprint),
-                        )
-                    if payload is not None:
-                        values = stage.unpack(payload, ctx)
-                        source = "checkpoint"
-                    elif not corrupt and store is None:
-                        # The classic contract: resuming over a plainly
-                        # missing run-dir checkpoint (no store attached to
-                        # fall back on) is a hard error, not a silent
-                        # recompute.  This call raises it.
-                        checkpoint.load_stage_payload(
-                            stages_dir, stage.name, fingerprint
+            resuming = index < resume_index
+            if resuming and upstream is not None:
+                values = {key: upstream[key] for key in stage.provides}
+                source = "reused"
+            elif resuming or (read_through and not degraded):
+                # Resume loads the prefix from the run directory (falling
+                # back on the store); without --resume-from every stage
+                # reads through the store first.  Nothing downstream of a
+                # degraded stage is served: its inputs carry zeroed rows.
+                payload = _load_payload(
+                    stage.name, fingerprint, stages_dir if resuming else None, store
+                )
+                if payload is not None:
+                    values = stage.unpack(payload, ctx)
+                    source = "checkpoint" if resuming else "store"
+                    if source == "store" and save_stages is not None:
+                        checkpoint.save_stage_payload(
+                            save_stages, stage.name, payload, fingerprint
                         )
             if values is None:
                 values = stage.execute(ctx)
-                source = "computed"
                 if ctx.incomplete_shards:
                     degraded.append(stage.name)
                 # A degraded sharded stage (incomplete shards) is never
@@ -333,3 +323,31 @@ class QSCPipeline:
             backend_name=ctx.state["backend"].name,
             profile=self.profile,
         )
+
+
+def _load_payload(stage_name: str, fingerprint: str, stages_dir, store):
+    """Packed payload of one stage from ``stages_dir``, else the store.
+
+    Returns ``None`` on a miss the caller should recompute.  A corrupt
+    run-dir checkpoint is evicted (the recompute rewrites it); a plainly
+    missing one with no store to fall back on is the classic hard error,
+    and a context mismatch always raises.
+    """
+    corrupt = False
+    if stages_dir is not None and checkpoint.has_stage_checkpoint(
+        stages_dir, stage_name
+    ):
+        try:
+            return checkpoint.load_stage_payload(stages_dir, stage_name, fingerprint)
+        except checkpoint.CorruptCheckpointError:
+            # Damaged bits are never served; the rewrite heals the file.
+            checkpoint.evict_stage_checkpoint(stages_dir, stage_name)
+            corrupt = True
+    if store is not None:
+        return store.get(
+            checkpoint.STAGE_NAMESPACE, checkpoint.store_key(stage_name, fingerprint)
+        )
+    if not corrupt:
+        # Raises the "no checkpoint for stage ..." error.
+        checkpoint.load_stage_payload(stages_dir, stage_name, fingerprint)
+    return None

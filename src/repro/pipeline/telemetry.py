@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Where a stage's output came from during a pipeline run.
-STAGE_SOURCES = ("computed", "checkpoint", "reused")
+STAGE_SOURCES = ("computed", "checkpoint", "store", "reused")
 
 #: Counter keys of one stage's process-wide totals entry.
 TOTAL_KEYS = ("seconds", "computed", "loaded")
@@ -106,9 +106,11 @@ class StageReport:
         Wall time of the stage (compute, checkpoint load, or in-memory
         reuse — whichever path ran).
     source:
-        ``"computed"`` (ran for real), ``"checkpoint"`` (loaded from a
-        ``--save-stages`` directory), or ``"reused"`` (taken from another
-        run's in-memory state).
+        ``"computed"`` (ran for real), ``"checkpoint"`` (loaded under
+        ``--resume-from``, from a ``--save-stages`` directory or the
+        content store), ``"store"`` (served from the content store's
+        entry for this stage context, without ``--resume-from``), or
+        ``"reused"`` (taken from another run's in-memory state).
     cache_hits / cache_misses:
         Spectral-cache delta bracketing the stage — how much of its
         spectral work was served from :data:`repro.core.qpe_engine.SPECTRAL_CACHE`.
@@ -193,7 +195,8 @@ def stage_totals() -> dict:
 
     Returns ``{stage: {"seconds": float, "computed": int, "loaded": int}}``
     — ``computed`` counts real executions, ``loaded`` counts checkpoint
-    loads and in-memory reuses (work the staged pipeline *skipped*).
+    loads, store reads and in-memory reuses (work the staged pipeline
+    *skipped*).
     """
     return {stage: dict(entry) for stage, entry in _TOTALS.items()}
 

@@ -182,3 +182,29 @@ class TestProperties:
         back = MixedGraph.from_networkx(g.to_networkx())
         assert np.allclose(back.symmetrized_adjacency(), g.symmetrized_adjacency())
         assert back.num_arcs == g.num_arcs
+
+
+class TestImportCost:
+    def test_import_repro_leaves_networkx_unloaded(self):
+        """networkx is imported only inside ``MixedGraph.to_networkx``."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, repro, repro.cli; "
+            "print(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "False"

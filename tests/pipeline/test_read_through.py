@@ -1,0 +1,156 @@
+"""Read-through stages: a run with a content store attached serves every
+stage whose entry the store already holds, instead of recomputing it."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from test_pipeline import CONFIG, results_equal
+from test_sharding import FaultyShardExecutor, _always
+
+from repro import QSCConfig, QSCPipeline
+from repro.graphs import ensure_connected, mixed_sbm
+from repro.pipeline import STAGE_NAMES, build_stages, checkpoint, sharding
+from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
+from repro.store import configure_store
+
+#: QSCConfig fields no stage output depends on, so they stay out of every
+#: stage's context fingerprint.  A field here must not change a published
+#: stage payload; a field in neither this map nor some stage's
+#: ``fingerprint_fields`` would let a warm run serve a stale stage.
+OUTPUT_INVARIANT_FIELDS = {
+    "readout_chunk_size": "chunking changes peak memory, not the readout rows",
+    "readout_shards": "the sharded readout merges bit-identically to unsharded",
+    "shard_timeout": "a supervision deadline; a timed-out shard is retried",
+    "shard_retries": "a retry budget; a degraded stage is never published",
+    "shard_failure_mode": "raise vs degrade; a degraded stage is never published",
+    "shard_workers": "a worker-pool cap over the same per-shard streams",
+    "draw_threads": "per-row draw streams are fixed before threads split them",
+    "store_dir": "where entries live, not what they hold",
+    "generator_version": "selects the graph generator; the graph is hashed itself",
+}
+
+
+@pytest.fixture
+def graph():
+    graph, _ = mixed_sbm(30, 2, p_intra=0.5, p_inter=0.05, seed=11)
+    ensure_connected(graph, seed=11)
+    return graph
+
+
+def sources(result) -> list:
+    return [row["source"] for row in result.profile]
+
+
+def delete_stage_entry(store, graph, config, k, stage_name) -> None:
+    """Remove the store entry a run published for ``stage_name``."""
+    stage = next(s for s in build_stages() if s.name == stage_name)
+    fingerprint = context_fingerprint(
+        graph_fingerprint(graph),
+        config,
+        k if stage.fingerprint_clusters else None,
+        stage.fingerprint_fields,
+    )
+    path = store._entry_path(
+        checkpoint.STAGE_NAMESPACE, checkpoint.store_key(stage_name, fingerprint)
+    )
+    path.unlink()
+
+
+class TestFingerprintCoverage:
+    def test_every_config_field_is_fingerprinted_or_output_invariant(self):
+        fingerprinted = set()
+        for stage in build_stages():
+            fingerprinted.update(stage.fingerprint_fields)
+        fields = {field.name for field in dataclasses.fields(QSCConfig)}
+        unclassified = fields - fingerprinted - set(OUTPUT_INVARIANT_FIELDS)
+        assert not unclassified, (
+            f"QSCConfig fields {sorted(unclassified)} are in no stage's "
+            "fingerprint_fields and not declared output-invariant: a warm "
+            "store run would serve stages computed under other values"
+        )
+
+    def test_invariant_fields_are_real_and_unfingerprinted(self):
+        fields = {field.name for field in dataclasses.fields(QSCConfig)}
+        assert set(OUTPUT_INVARIANT_FIELDS) <= fields
+        for stage in build_stages():
+            assert not set(OUTPUT_INVARIANT_FIELDS) & set(stage.fingerprint_fields)
+
+
+class TestReadThrough:
+    def test_warm_run_serves_every_stage_bit_identically(self, graph, tmp_store):
+        cold = QSCPipeline(2, CONFIG).run(graph)
+        warm = QSCPipeline(2, CONFIG).run(graph)
+        assert sources(cold) == ["computed"] * len(STAGE_NAMES)
+        assert sources(warm) == ["store"] * len(STAGE_NAMES)
+        assert results_equal(cold, warm)
+
+    @pytest.mark.parametrize("index", range(len(STAGE_NAMES)))
+    def test_served_prefix_leaves_downstream_streams_unshifted(
+        self, graph, tmp_store, index
+    ):
+        """Serving any prefix of stages and computing the rest lands on
+        the cold run's bits: each stage draws from its own spawned stream."""
+        cold = QSCPipeline(2, CONFIG).run(graph)
+        for name in STAGE_NAMES[index:]:
+            delete_stage_entry(tmp_store, graph, CONFIG, 2, name)
+        mixed = QSCPipeline(2, CONFIG).run(graph)
+        assert sources(mixed) == (
+            ["store"] * index + ["computed"] * (len(STAGE_NAMES) - index)
+        )
+        assert results_equal(cold, mixed)
+
+    @pytest.mark.parametrize("stage", STAGE_NAMES)
+    def test_resume_never_serves_the_resumed_stage_or_later(
+        self, graph, tmp_store, stage
+    ):
+        cold = QSCPipeline(2, CONFIG).run(graph)
+        resumed = QSCPipeline(2, CONFIG).run(graph, resume_from=stage)
+        index = STAGE_NAMES.index(stage)
+        assert sources(resumed) == (
+            ["checkpoint"] * index + ["computed"] * (len(STAGE_NAMES) - index)
+        )
+        assert results_equal(cold, resumed)
+
+    def test_degraded_stage_is_not_served_downstream(
+        self, graph, tmp_store, monkeypatch
+    ):
+        QSCPipeline(2, CONFIG).run(graph)
+        # Keep the complete embedding/qmeans entries, so serving them
+        # after the degraded readout would be possible (and wrong).
+        delete_stage_entry(tmp_store, graph, CONFIG, 2, "readout")
+        monkeypatch.setattr(
+            sharding,
+            "default_executor",
+            lambda count: FaultyShardExecutor(_always("crash", 1)),
+        )
+        config = CONFIG.with_updates(readout_shards=3, shard_failure_mode="degrade")
+        pipeline = QSCPipeline(2, config)
+        result = pipeline.run(graph)
+        assert sources(result) == [
+            "store", "store", "computed", "computed", "computed"
+        ]
+        assert pipeline.state["degraded_stages"] == ("readout",)
+        layout = sharding.shard_layout(graph.num_nodes, 3)
+        assert np.all(result.row_norms[layout[1].start : layout[1].stop] == 0.0)
+        # The degraded stage is still never published.
+        monkeypatch.undo()
+        again = QSCPipeline(2, CONFIG).run(graph)
+        assert sources(again)[2] == "computed"
+
+    def test_served_stages_are_written_to_save_stages(
+        self, graph, tmp_store, tmp_path
+    ):
+        cold = QSCPipeline(2, CONFIG).run(graph)
+        run_dir = tmp_path / "stages"
+        warm = QSCPipeline(2, CONFIG).run(graph, save_stages=run_dir)
+        assert sources(warm) == ["store"] * len(STAGE_NAMES)
+        for name in STAGE_NAMES:
+            assert checkpoint.has_stage_checkpoint(run_dir, name)
+        # The directory alone (no store) resumes the run.
+        configure_store(root=None)
+        resumed = QSCPipeline(2, CONFIG).run(
+            graph, resume_from="qmeans", stages_dir=run_dir
+        )
+        assert sources(resumed) == ["checkpoint"] * 4 + ["computed"]
+        assert results_equal(cold, resumed)

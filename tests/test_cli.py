@@ -256,6 +256,26 @@ class TestClusterCommand:
         assert code == 1
         assert "--save-stages" in capsys.readouterr().err
 
+    def test_resume_from_store_without_save_stages(
+        self, graph_file, tmp_path, capsys, pristine_store
+    ):
+        path, _ = graph_file
+        base = ["cluster", "--input", path, "--clusters", "2", "--shots",
+                "128", "--seed", "2", "--store-dir", str(tmp_path / "cas")]
+        assert main(base) == 0
+        full_out = capsys.readouterr().out
+        assert main(base + ["--resume-from", "readout", "--profile"]) == 0
+        resumed_out = capsys.readouterr().out
+        assert resumed_out.startswith(full_out)
+        rows = {
+            line.split()[0]: line
+            for line in resumed_out.split("stage profile:")[1].splitlines()
+            if line.startswith("  ")
+        }
+        assert "checkpoint" in rows["laplacian"]
+        assert "checkpoint" in rows["threshold"]
+        assert "computed" in rows["readout"]
+
     def test_stage_flags_rejected_for_classical(self, graph_file, capsys):
         path, _ = graph_file
         code = main(

@@ -54,6 +54,20 @@ class TestCommon:
         assert by_n[8]["trials"] == 2
         assert by_n[16]["ari_mean"] == 0.5
 
+    def test_aggregate_orders_numeric_groups_numerically(self):
+        shots = (1024, 16, 4096, 256, 64)
+        records = [
+            make_record(method=method, shots=value)
+            for value in shots
+            for method in ("quantum", "classical")
+        ]
+        rows = aggregate(records, ("shots",))
+        assert [(row["method"], row["shots"]) for row in rows] == [
+            (method, value)
+            for method in ("classical", "quantum")
+            for value in (16, 64, 256, 1024, 4096)
+        ]
+
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ExperimentError):
             aggregate([], ())
