@@ -28,17 +28,12 @@ from perf_gates import (
     MIN_LOBPCG_SPEEDUP,
     batch_kernel_build,
     best_seconds,
-    eigensolver_gate_enforced,
     ill_conditioned_laplacian,
     kernel_phases,
 )
 
 
 @pytest.mark.benchmark(group="linalg-backends")
-@pytest.mark.skipif(
-    not eigensolver_gate_enforced(),
-    reason="scipy build without lobpcg: nothing to gate",
-)
 def test_bench_lobpcg_vs_eigsh(benchmark):
     from repro.linalg.backends import SparseBackend
 

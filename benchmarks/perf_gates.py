@@ -30,8 +30,7 @@ READOUT_SHARD_COUNT = 4
 # Preconditioned LOBPCG vs ARPACK eigsh on the ill-conditioned midrange
 # eigenproblem (the workload the "auto" midrange band exists for).  Both
 # timings come from the same run on the same matrix, so the gate is
-# hardware-robust, but it needs a scipy build with lobpcg — hosts without
-# one record the eigsh timing as data instead (``eigensolver_gate_enforced``).
+# hardware-robust and applies everywhere (scipy >= 1.10 ships lobpcg).
 MIN_LOBPCG_SPEEDUP = 2.0
 
 # Relative trend gate of the per-PR benchmark series
@@ -70,18 +69,6 @@ def usable_cores() -> int:
 def shard_gate_enforced() -> bool:
     """Whether the sharded-readout wall-clock gate applies on this host."""
     return usable_cores() >= 2
-
-
-def eigensolver_gate_enforced() -> bool:
-    """Whether the LOBPCG-vs-eigsh gate applies on this host.
-
-    The gate compares the sparse backend's two iterative routes, so it
-    needs a scipy build that ships ``lobpcg``; anything less records the
-    available timings as data.
-    """
-    from repro.linalg.backends import HAVE_LOBPCG
-
-    return HAVE_LOBPCG
 
 
 def ill_conditioned_laplacian():

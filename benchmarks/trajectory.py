@@ -61,7 +61,6 @@ from perf_gates import (
     SHARD_SHOTS,
     batch_kernel_build,
     best_seconds,
-    eigensolver_gate_enforced,
     generator_cases,
     ill_conditioned_laplacian,
     kernel_phases,
@@ -245,10 +244,9 @@ def measure_eigensolver() -> dict:
     the two routes is asserted (an ``AssertionError`` fails the whole
     run), the LOBPCG route must actually be taken (no silent eigsh
     fallback masquerading as a win), and the wall-clock speedup gates at
-    ``MIN_LOBPCG_SPEEDUP`` wherever scipy ships lobpcg.  Hosts without
-    lobpcg record the eigsh timing as data.
+    ``MIN_LOBPCG_SPEEDUP``.
     """
-    from repro.linalg.backends import HAVE_LOBPCG, SparseBackend
+    from repro.linalg.backends import SparseBackend
 
     laplacian = ill_conditioned_laplacian()
     eigsh_backend = SparseBackend(solver="eigsh")
@@ -261,10 +259,8 @@ def measure_eigensolver() -> dict:
         "num_nodes": EIGENSOLVER_NODES,
         "k": EIGENSOLVER_K,
         "eigsh_seconds": eigsh_seconds,
-        "gate_enforced": eigensolver_gate_enforced(),
+        "gate_enforced": True,
     }
-    if not HAVE_LOBPCG:
-        return out
     lobpcg_backend = SparseBackend(solver="lobpcg")
     lobpcg_values, _ = lobpcg_backend.lowest_eigenpairs(laplacian, EIGENSOLVER_K)
     if lobpcg_backend.last_route != "lobpcg":

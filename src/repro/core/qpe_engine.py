@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.config import SPECTRAL_ENGINES
 from repro.exceptions import ClusteringError
-from repro.store import DEFAULT_MEMORY_BYTES, ContentStore, get_store
+from repro.store import DEFAULT_MEMORY_BYTES, get_store
 from repro.linalg import is_sparse_matrix, to_dense_array
 from repro.linalg.array_backend import dispatched_matmul
 from repro.quantum.hamiltonian import (
@@ -120,25 +120,8 @@ class SpectralCache:
     memory tier only.
     """
 
-    def __init__(self, store: ContentStore | None = None, max_bytes: int | None = None):
-        self._store = store if store is not None else get_store()
-        if max_bytes is not None:
-            self._store.configure(max_memory_bytes=max_bytes)
-
-    @property
-    def store(self) -> ContentStore:
-        """The backing content store."""
-        return self._store
-
-    @property
-    def max_bytes(self) -> int:
-        """Memory-tier byte budget (the store's ``max_memory_bytes``)."""
-        return self._store.max_memory_bytes
-
-    @property
-    def enabled(self) -> bool:
-        """Whether lookups are served at all (store-wide switch)."""
-        return self._store.enabled
+    def __init__(self):
+        self._store = get_store()
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -300,6 +283,9 @@ class AnalyticQPEBackend:
         differs from v1 only by floating-point rounding (eigenvalues by
         about 1e-15, filtered rows by about 1e-13 — the tolerance contract
         in ``tests/core/test_spectral_engine.py``).
+    deferred:
+        Load the spectrum on first use instead of at construction (see
+        :func:`make_backend`).
 
     Notes
     -----
@@ -325,7 +311,9 @@ class AnalyticQPEBackend:
 
     name = "analytic"
 
-    def __init__(self, laplacian, precision_bits: int, spectral_engine: str = "v1"):
+    def __init__(
+        self, laplacian, precision_bits: int, spectral_engine="v1", *, deferred=False
+    ):
         if precision_bits < 1:
             raise ClusteringError(f"precision_bits must be >= 1, got {precision_bits}")
         if spectral_engine not in SPECTRAL_ENGINES:
@@ -333,21 +321,30 @@ class AnalyticQPEBackend:
                 f"spectral_engine must be one of {SPECTRAL_ENGINES}, "
                 f"got {spectral_engine!r}"
             )
-        # read-only below (pad_laplacian copies), so skip the defensive copy
-        laplacian = to_dense_array(laplacian, dtype=complex, copy=False)
         self.num_nodes = laplacian.shape[0]
         self.precision_bits = precision_bits
         self.lambda_scale = LAMBDA_SCALE
         self.spectral_engine = spectral_engine
         self.dim = next_power_of_two(max(self.num_nodes, 2))
-        if spectral_engine == "v1":
+        v1 = spectral_engine == "v1"
+        self.eigensolver = f"eigh(D={self.dim})" if v1 else f"eigh(n={self.num_nodes})"
+        self._laplacian = laplacian
+        if not deferred:
+            self._spectrum()
+
+    def _spectrum(self) -> None:
+        """Load the decomposition and QPE kernel once and check the phase
+        window: at construction, or on first use when ``deferred``."""
+        if self._laplacian is None:
+            return
+        # read-only below (pad_laplacian copies), so skip the defensive copy
+        laplacian = to_dense_array(self._laplacian, dtype=complex, copy=False)
+        if self.spectral_engine == "v1":
             matrix = pad_laplacian(laplacian)
             fingerprint = laplacian_fingerprint(matrix)
-            self.eigensolver = f"eigh(D={self.dim})"
         else:
             matrix = laplacian
             fingerprint = BLOCK_KEY_PREFIX + laplacian_fingerprint(laplacian)
-            self.eigensolver = f"eigh(n={self.num_nodes})"
         self._eigenvalues, self._eigenvectors = SPECTRAL_CACHE.decomposition(
             fingerprint, matrix
         )
@@ -364,13 +361,14 @@ class AnalyticQPEBackend:
             )
         # kernel[j, y] = Pr[readout y | eigenvector j]; under v2 the last
         # row is the pad eigenvalue's, shared by every pad component
-        kernel = SPECTRAL_CACHE.kernel(fingerprint, precision_bits, phases)
+        kernel = SPECTRAL_CACHE.kernel(fingerprint, self.precision_bits, phases)
         self._kernel = kernel[: len(self._eigenvalues)]
         self._pad_kernel = kernel[len(self._eigenvalues) :]
         if self._pad_count:
             # graph eigenvalues may round a hair above PAD_EIGENVALUE, so
             # the D-length spectrum is merged by sort, not concatenation
             self._order = np.argsort(self._padded_values(), kind="stable")
+        self._laplacian = None
 
     def _padded_values(self) -> np.ndarray:
         """Stored eigenvalues followed by one PAD_EIGENVALUE per pad component."""
@@ -380,6 +378,7 @@ class AnalyticQPEBackend:
         """``of_rows`` applied to the kernel, one entry per component of the
         D-dimensional register in ascending eigenvalue order: v1 stores all
         D components; v2 repeats the pad row's entry for each pad component."""
+        self._spectrum()
         block = of_rows(self._kernel)
         if not self._pad_count:
             return block
@@ -389,6 +388,7 @@ class AnalyticQPEBackend:
     @property
     def eigenvalues(self) -> np.ndarray:
         """The padded Laplacian spectrum (read-only copy, ascending)."""
+        self._spectrum()
         if not self._pad_count:
             return self._eigenvalues.copy()
         return self._padded_values()[self._order]
@@ -412,6 +412,7 @@ class AnalyticQPEBackend:
         """Exact QPE readout distribution when the input is |e_node>."""
         if not 0 <= node < self.num_nodes:
             raise ClusteringError(f"node {node} out of range")
+        self._spectrum()
         weights = np.abs(self._eigenvectors[node, :]) ** 2
         return weights @ self._kernel
 
@@ -440,6 +441,7 @@ class AnalyticQPEBackend:
         """
         if shots < 1:
             raise ClusteringError(f"shots must be >= 1, got {shots}")
+        self._spectrum()
         weights = (np.abs(self._eigenvectors[: self.num_nodes, :]) ** 2).sum(axis=0)
         mixture = (weights @ self._kernel) / self.num_nodes
         return rng.multinomial(shots, mixture).astype(float)
@@ -477,6 +479,7 @@ class AnalyticQPEBackend:
         if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
             raise ClusteringError("node index out of range")
         accepted = np.asarray(accepted, dtype=int)
+        self._spectrum()
         acceptance = self._kernel[:, accepted].sum(axis=1)
         # coefficient matrix C[i, j] = conj(V[node_i, j]) * sqrt(q_j)
         coefficients = (
@@ -840,7 +843,7 @@ class CircuitQPEBackend:
         return states, probabilities
 
 
-def make_backend(laplacian, config) -> object:
+def make_backend(laplacian, config, *, deferred: bool = False) -> object:
     """Instantiate the QPE backend requested by a :class:`QSCConfig`.
 
     Parameters
@@ -859,6 +862,9 @@ def make_backend(laplacian, config) -> object:
         backend's Hamiltonian simulation, and
         ``config.readout_chunk_size`` (when set) can lower — never raise —
         the circuit backend's batched-pass width.
+    deferred:
+        Load the analytic backend's spectrum on first use, not now (a
+        served laplacian stage); the circuit backend is always eager.
 
     Returns
     -------
@@ -869,7 +875,7 @@ def make_backend(laplacian, config) -> object:
     """
     if config.backend == "analytic":
         return AnalyticQPEBackend(
-            laplacian, config.precision_bits, config.spectral_engine
+            laplacian, config.precision_bits, config.spectral_engine, deferred=deferred
         )
     if config.readout_chunk_size is None:
         max_batch_columns = None

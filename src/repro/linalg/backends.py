@@ -32,26 +32,18 @@ Backends are selected by name: ``"dense"``, ``"sparse"``, ``"array"``
 bands: dense below :data:`SPARSE_AUTO_THRESHOLD` nodes, the sparse
 backend's preconditioned LOBPCG route in the *midrange* band up to
 :data:`LOBPCG_AUTO_CEILING` (where ARPACK's Lanczos struggles on
-ill-conditioned graphs), and ARPACK ``eigsh`` above it; a SciPy-less
-host degrades every band to dense.  The ``--backend`` CLI flag and
-``QSCConfig.linalg_backend`` expose the same names.
+ill-conditioned graphs), and ARPACK ``eigsh`` above it.  The
+``--backend`` CLI flag and ``QSCConfig.linalg_backend`` expose the same
+names.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sparse
+import scipy.sparse.linalg as _sparse_linalg
 
 from repro.exceptions import ConvergenceError, ReproError
-
-try:  # SciPy is an optional dependency: the dense backend never needs it.
-    import scipy.sparse as _sparse
-    import scipy.sparse.linalg as _sparse_linalg
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised only on scipy-less hosts
-    _sparse = None
-    _sparse_linalg = None
-    HAVE_SCIPY = False
 
 BACKEND_NAMES = ("auto", "dense", "sparse", "array")
 
@@ -75,7 +67,6 @@ DENSE_FALLBACK_DIM = 64
 # sparse backend verifies residual norms itself and falls back to eigsh
 # when they exceed this relative bound.
 LOBPCG_RESIDUAL_RTOL = 1e-6
-HAVE_LOBPCG = HAVE_SCIPY and hasattr(_sparse_linalg, "lobpcg")
 
 
 class BackendError(ReproError):
@@ -84,7 +75,7 @@ class BackendError(ReproError):
 
 def is_sparse_matrix(matrix) -> bool:
     """True when ``matrix`` is any ``scipy.sparse`` container."""
-    return HAVE_SCIPY and _sparse.issparse(matrix)
+    return _sparse.issparse(matrix)
 
 
 def to_dense_array(matrix, dtype=None, copy: bool | None = None) -> np.ndarray:
@@ -246,18 +237,9 @@ class SparseBackend(LinalgBackend):
         lobpcg_tolerance: float = 1e-8,
         lobpcg_maxiter: int = 500,
     ):
-        if not HAVE_SCIPY:
-            raise BackendError(
-                "SparseBackend requires scipy; install scipy or use the "
-                "dense backend"
-            )
         if solver not in ("eigsh", "lobpcg"):
             raise BackendError(
                 f"unknown sparse solver {solver!r}; expected 'eigsh' or 'lobpcg'"
-            )
-        if solver == "lobpcg" and not HAVE_LOBPCG:
-            raise BackendError(
-                "this scipy build has no lobpcg; use solver='eigsh'"
             )
         self.dense_fallback_dim = int(dense_fallback_dim)
         self.eigsh_tolerance = float(eigsh_tolerance)
@@ -340,7 +322,7 @@ class SparseBackend(LinalgBackend):
         ill-conditioned, which is exactly the midrange failure mode this
         route exists for.
         """
-        if not HAVE_LOBPCG or 5 * k >= n:
+        if 5 * k >= n:
             # LOBPCG's Rayleigh–Ritz block needs headroom (rule of thumb
             # 5k < n) or its internal orthogonalisation degrades.
             return None
@@ -397,15 +379,12 @@ def backend_availability() -> dict[str, str | None]:
     """
     from repro.linalg import array_backend
 
-    availability: dict[str, str | None] = {"auto": None, "dense": None}
-    availability["sparse"] = (
-        None if HAVE_SCIPY else "requires scipy, which is not importable"
+    availability: dict[str, str | None] = dict.fromkeys(("auto", "dense", "sparse"))
+    availability["array"] = (
+        None
+        if array_backend.available_namespaces()
+        else "no array-API namespace importable"  # numpy always qualifies
     )
-    namespaces = array_backend.available_namespaces()
-    if namespaces:
-        availability["array"] = None
-    else:  # pragma: no cover - numpy always qualifies in practice
-        availability["array"] = "no array-API namespace importable"
     return availability
 
 
@@ -447,26 +426,21 @@ def get_backend(name: str) -> LinalgBackend:
 def resolve_backend(spec, num_nodes: int | None = None) -> LinalgBackend:
     """Resolve a backend spec (name or instance) to a backend.
 
-    ``"auto"`` picks by problem size in three bands (when SciPy is
-    available; a SciPy-less host stays dense everywhere):
+    ``"auto"`` picks by problem size in three bands:
 
     * ``num_nodes < SPARSE_AUTO_THRESHOLD`` — dense; LAPACK wins small.
     * ``SPARSE_AUTO_THRESHOLD <= num_nodes < LOBPCG_AUTO_CEILING`` — the
       sparse backend's preconditioned LOBPCG route (midrange graphs are
       where ARPACK's shiftless Lanczos struggles on ill-conditioned
       spectra; LOBPCG still falls back to eigsh if it fails to
-      converge).  A scipy build without ``lobpcg`` uses eigsh directly.
+      converge).
     * ``num_nodes >= LOBPCG_AUTO_CEILING`` — sparse with ARPACK eigsh.
     """
     if isinstance(spec, LinalgBackend):
         return spec
     if spec == "auto":
-        if (
-            HAVE_SCIPY
-            and num_nodes is not None
-            and num_nodes >= SPARSE_AUTO_THRESHOLD
-        ):
-            if num_nodes < LOBPCG_AUTO_CEILING and HAVE_LOBPCG:
+        if num_nodes is not None and num_nodes >= SPARSE_AUTO_THRESHOLD:
+            if num_nodes < LOBPCG_AUTO_CEILING:
                 return SparseBackend(solver="lobpcg")
             return SparseBackend()
         return _DENSE

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.qpe_engine import AnalyticQPEBackend
 from repro.core.readout import (
     ReadoutResult,
     canonicalize_row_phases,
@@ -302,6 +303,9 @@ def sharded_readout(
         )
 
     if tasks:
+        if isinstance(backend, AnalyticQPEBackend):
+            # A deferred spectrum loads here, once, before workers fork.
+            backend._spectrum()
         supervisor = ShardSupervisor(
             executor if executor is not None else default_executor(shard_count),
             timeout=timeout,

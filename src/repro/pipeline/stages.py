@@ -16,10 +16,10 @@ fixed seeds):
 
 Each stage checkpoints its outputs as plain arrays (see
 :mod:`repro.pipeline.checkpoint`); the Laplacian stage stores the matrix
-itself and rebuilds the QPE backend on load — in-process the rebuild is
-served by the spectral cache, across processes it recomputes the
-eigendecomposition (the graph → Laplacian construction and the histogram /
-threshold / readout draws are skipped either way).
+itself and rebuilds the QPE backend on load.  The rebuilt analytic backend
+loads its spectrum on first use — from the spectral cache or the store, or
+by recomputing the eigendecomposition — so a run whose later stages are
+all loaded never reads it.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ class LaplacianStage(Stage):
             laplacian = payload["matrix"]
         else:
             raise ClusteringError(f"unknown laplacian checkpoint format {kind!r}")
-        # The backend is rebuilt rather than stored: construction is
-        # deterministic in (laplacian, config) and — in-process — served
-        # from the spectral cache, so the rebuild is transparent.
-        return {"laplacian": laplacian, "backend": make_backend(laplacian, ctx.config)}
+        # Rebuilt, not stored (it is deterministic in laplacian and config);
+        # deferred, so a fully served run never reads the spectrum.
+        backend = make_backend(laplacian, ctx.config, deferred=True)
+        return {"laplacian": laplacian, "backend": backend}
 
 
 class ThresholdStage(Stage):

@@ -7,8 +7,8 @@ is re-exported here:
 * :func:`get_store` / :func:`active_store` / :func:`configure_store` —
   the process-wide instance the spectral cache and checkpoint paths
   share (``QSCConfig.store_dir`` / ``--store-dir`` configure it);
-* :func:`store_counters` / :func:`store_stats` — counter snapshots (the
-  sweep runner brackets :func:`store_counters` deltas per task).
+* :func:`store_counters` — counter snapshot (the sweep runner brackets
+  its deltas per task).
 """
 
 from repro.store.content_store import (
@@ -27,7 +27,6 @@ from repro.store.content_store import (
     encode_payload,
     get_store,
     store_counters,
-    store_stats,
 )
 
 __all__ = [
@@ -46,5 +45,4 @@ __all__ = [
     "encode_payload",
     "get_store",
     "store_counters",
-    "store_stats",
 ]

@@ -32,8 +32,8 @@ Failure behavior is the contract (tested in ``tests/store/``):
   rewrite could only rewrite the same bytes); the job table is the one
   namespace whose puts overwrite, and a corrupt entry is healed by the
   next read, which evicts it so the recompute republishes it;
-* **integrity-checked reads** — every entry carries a blake2b digest of
-  its payload bytes plus its own (namespace, key) identity; a corrupt,
+* **integrity-checked reads** — every entry carries a SHA-256 digest of
+  its raw-array body plus its own (namespace, key) identity; a corrupt,
   truncated or misplaced entry is detected on read, evicted, counted in
   ``corrupt_evictions`` and recomputed — wrong bits are never served;
 * **locked eviction** — byte-budget enforcement and :meth:`gc` take an
@@ -50,11 +50,12 @@ arrays handed back are bit-identical to recomputation — golden-pinned in
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
 import pathlib
 import re
+import struct
 import tempfile
 import time
 from collections import OrderedDict
@@ -70,7 +71,7 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 #: Magic prefix of every on-disk entry (8 bytes, versioned).
-MAGIC = b"RCAS0001"
+MAGIC = b"RCAS0002"
 #: Default byte budget of the in-memory LRU tier (~256 MiB).
 DEFAULT_MEMORY_BYTES = 256 << 20
 #: Default byte budget of the on-disk tier (~2 GiB).
@@ -116,7 +117,13 @@ _ENTRY_KEY = "__store_entry__"
 
 _DIGEST_BYTES = 16
 _HEADER_BYTES = len(MAGIC) + 2 * _DIGEST_BYTES
+#: Length prefix of an entry body's JSON array header.
+_HEAD_LENGTH = struct.Struct("<Q")
+#: No entry is shorter: magic, digest and the header length.
+_MIN_ENTRY_BYTES = _HEADER_BYTES + _HEAD_LENGTH.size
 _NAMESPACE_RE = re.compile(r"^[a-z0-9_-]+$")
+#: Shape of a plain numpy ``dtype.str`` (byte order, kind, item size, unit).
+_DTYPE_RE = re.compile(r"^[<>|][biufcmMSUV]\d+(\[\w+\])?$")
 
 
 def content_key(namespace: str, key: str) -> str:
@@ -137,45 +144,99 @@ def _entry_identity(namespace: str, key: str) -> str:
     return f"{namespace}\x00{key}"
 
 
+def _plain_dtype(text):
+    """The dtype ``text`` names if it is a plain, sized ``dtype.str`` (no
+    objects or fields), else ``None``: all encoder and decoder accept."""
+    if type(text) is str and _DTYPE_RE.match(text):
+        dtype = np.dtype(text)
+        if dtype.str == text and dtype.itemsize:
+            return dtype
+    return None
+
+
 def encode_payload(namespace: str, key: str, payload: dict) -> bytes:
     """Serialize a payload into the checksummed on-disk entry format.
 
-    Layout: ``MAGIC`` (8 bytes) + blake2b-16 hex digest of the body (32
-    ASCII bytes) + the body (an uncompressed ``.npz`` archive of the
-    payload arrays plus the entry's own identity).  The digest covers the
-    *entire* body, so any bit flip or truncation is detected before numpy
-    ever parses the archive.
+    Layout: ``MAGIC`` + 32 hex chars of the body's SHA-256 + the body: an
+    8-byte little-endian header length, a JSON list of
+    ``[name, dtype.str, shape, offset, nbytes]`` (offsets count from the
+    header's end), then each array's raw C-order bytes — the payload plus
+    the entry's own identity.  Object, structured and zero-size dtypes
+    raise :class:`StoreError`: there is no pickle path.
     """
     arrays = {name: np.asarray(value) for name, value in payload.items()}
     arrays[_ENTRY_KEY] = np.asarray(_entry_identity(namespace, key))
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    body = buffer.getvalue()
-    digest = hashlib.blake2b(body, digest_size=_DIGEST_BYTES)
-    return MAGIC + digest.hexdigest().encode("ascii") + body
+    header, chunks, offset = [], [], 0
+    for name, array in arrays.items():
+        dtype = _plain_dtype(array.dtype.str)
+        if dtype is None or dtype != array.dtype:
+            raise StoreError(
+                f"store payload {name!r} has unstorable dtype {array.dtype}"
+            )
+        data = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        header.append([name, dtype.str, list(array.shape), offset, data.size])
+        chunks.append(data)
+        offset += data.size
+    head = json.dumps(header).encode("utf-8")
+    body = [_HEAD_LENGTH.pack(len(head)), head, *chunks]
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
+    return b"".join([MAGIC, digest.hexdigest()[:32].encode("ascii"), *body])
+
+
+def _read_arrays(body: memoryview) -> dict:
+    """Every array of a digest-checked entry body, as independent copies.
+
+    Raises :class:`StoreError` on any header inconsistency: a length,
+    offset or size past the body, ``nbytes`` other than shape × itemsize,
+    or a dtype the encoder would not write (unknown, object, structured).
+    """
+    start = _HEAD_LENGTH.size + _HEAD_LENGTH.unpack_from(body)[0]
+    if start > len(body):
+        raise StoreError("store entry header runs past the body")
+    try:
+        header = json.loads(bytes(body[_HEAD_LENGTH.size : start]))
+        if type(header) is not list:
+            raise StoreError("store entry header is not a list of arrays")
+        arrays = {}
+        for name, dtype_str, shape, offset, nbytes in header:
+            dtype = _plain_dtype(dtype_str)
+            if dtype is None:
+                raise StoreError(f"store entry array has dtype {dtype_str!r}")
+            shape = tuple(shape)
+            if type(name) is not str or any(
+                type(n) is not int or n < 0 for n in (*shape, offset, nbytes)
+            ):
+                raise StoreError(f"store entry array {name!r} has a bad span")
+            if math.prod(shape) * dtype.itemsize != nbytes:
+                raise StoreError(f"store entry array {name!r} mismatches its shape")
+            # frombuffer refuses a span that runs past the body
+            data = np.frombuffer(body, dtype, nbytes // dtype.itemsize, start + offset)
+            arrays[name] = data.reshape(shape).copy()
+    except (TypeError, ValueError, OverflowError, RecursionError) as error:
+        # malformed JSON or rows, or a span numpy refuses: corruption
+        raise StoreError(f"store entry header is unreadable: {error}") from error
+    return arrays
 
 
 def decode_payload(blob: bytes, namespace: str | None = None, key: str | None = None) -> dict:
     """Parse and integrity-check one on-disk entry; raises :class:`StoreError`.
 
-    Verifies, in order: the magic header, the payload digest, archive
-    readability, and — when ``namespace``/``key`` are given — that the
-    entry actually belongs to the requested address (a guard against
-    renamed or cross-linked entry files).  Any failure raises
+    Verifies, in order: the magic header, the body digest (before anything
+    is parsed), the array header, and — when ``namespace``/``key`` are
+    given — that the entry belongs to the requested address (a guard
+    against renamed or cross-linked entry files).  Arrays come back as
+    writable copies sharing no memory.  Any failure raises
     :class:`~repro.exceptions.StoreError`; callers evict and recompute.
     """
-    if len(blob) < _HEADER_BYTES or blob[: len(MAGIC)] != MAGIC:
+    if len(blob) < _MIN_ENTRY_BYTES or blob[: len(MAGIC)] != MAGIC:
         raise StoreError("store entry is truncated or has a bad header")
-    stored = blob[len(MAGIC) : _HEADER_BYTES]
-    body = blob[_HEADER_BYTES:]
-    actual = hashlib.blake2b(body, digest_size=_DIGEST_BYTES).hexdigest()
-    if actual.encode("ascii") != stored:
+    body = memoryview(blob)[_HEADER_BYTES:]
+    actual = hashlib.sha256(body).hexdigest()[:32]
+    if actual.encode("ascii") != blob[len(MAGIC) : _HEADER_BYTES]:
         raise StoreError("store entry failed its integrity checksum")
-    try:
-        with np.load(io.BytesIO(body), allow_pickle=False) as archive:
-            payload = {name: archive[name] for name in archive.files}
-    except Exception as error:  # any unreadable archive is corruption
-        raise StoreError(f"store entry payload is unreadable: {error}") from error
+    payload = _read_arrays(body)
     identity = str(payload.pop(_ENTRY_KEY, ""))
     if namespace is not None and identity != _entry_identity(namespace, key):
         raise StoreError("store entry belongs to a different namespace/key")
@@ -209,10 +270,6 @@ def _listing(directory) -> list:
     """The ``os.scandir`` entries of ``directory``, sorted by name."""
     with os.scandir(directory) as entries:
         return sorted(entries, key=lambda entry: entry.name)
-
-
-def _payload_nbytes(payload: dict) -> int:
-    return int(sum(np.asarray(value).nbytes for value in payload.values()))
 
 
 class ContentStore:
@@ -363,7 +420,7 @@ class ContentStore:
             self._count(namespace, "memory_evictions")
 
     def _memory_insert(self, namespace: str, key: str, payload: dict) -> None:
-        nbytes = _payload_nbytes(payload)
+        nbytes = sum(array.nbytes for array in payload.values())
         if nbytes > self.max_memory_bytes:
             return
         previous = self._entries.pop((namespace, key), None)
@@ -548,27 +605,12 @@ class ContentStore:
         """
         if not self.enabled:
             return builder()
-        if memory:
-            cached = self._entries.get((namespace, key))
-            if cached is not None:
-                self._entries.move_to_end((namespace, key))
-                self._count(namespace, "memory_hits")
-                return cached[0]
-        payload = self._disk_get(namespace, key)
-        if payload is not None:
-            self._count(namespace, "disk_hits")
-            for array in payload.values():
-                array.setflags(write=False)
-            if memory:
-                self._memory_insert(namespace, key, payload)
-            return payload
-        self._count(namespace, "misses")
-        payload = {name: np.asarray(value) for name, value in builder().items()}
+        payload = self.get(namespace, key, memory=memory)
+        if payload is None:
+            payload = {name: np.asarray(value) for name, value in builder().items()}
+            self.put(namespace, key, payload, memory=memory)
         for array in payload.values():
             array.setflags(write=False)
-        if memory:
-            self._memory_insert(namespace, key, payload)
-        self._disk_put(namespace, key, payload)
         return payload
 
     # -- operations (the `repro store` subcommand) -------------------------
@@ -693,8 +735,3 @@ def configure_store(
 def store_counters() -> dict:
     """Flat monotonic counters of the global store (for delta bracketing)."""
     return GLOBAL_STORE.counters()
-
-
-def store_stats() -> dict:
-    """Full stats snapshot of the global store."""
-    return GLOBAL_STORE.stats()

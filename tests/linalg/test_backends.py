@@ -8,7 +8,6 @@ from repro.core.qpe_engine import PAD_EIGENVALUE, AnalyticQPEBackend, pad_laplac
 from repro.exceptions import ClusteringError, ConvergenceError
 from repro.graphs import hermitian_laplacian, mixed_sbm, sparse_mixed_sbm
 from repro.linalg import (
-    HAVE_LOBPCG,
     LOBPCG_AUTO_CEILING,
     SPARSE_AUTO_THRESHOLD,
     BackendError,
@@ -76,27 +75,12 @@ class TestResolution:
         assert below.name == "dense"
         midrange = resolve_backend("auto", SPARSE_AUTO_THRESHOLD)
         assert midrange.name == "sparse"
-        assert midrange.solver == ("lobpcg" if HAVE_LOBPCG else "eigsh")
+        assert midrange.solver == "lobpcg"
         upper = resolve_backend("auto", LOBPCG_AUTO_CEILING - 1)
-        assert upper.solver == ("lobpcg" if HAVE_LOBPCG else "eigsh")
+        assert upper.solver == "lobpcg"
         large = resolve_backend("auto", LOBPCG_AUTO_CEILING)
         assert large.name == "sparse"
         assert large.solver == "eigsh"
-
-    def test_auto_degrades_to_dense_without_scipy(self, monkeypatch):
-        import repro.linalg.backends as backends
-
-        monkeypatch.setattr(backends, "HAVE_SCIPY", False)
-        for n in (SPARSE_AUTO_THRESHOLD, LOBPCG_AUTO_CEILING, 100_000):
-            assert backends.resolve_backend("auto", n).name == "dense"
-
-    def test_auto_midrange_degrades_to_eigsh_without_lobpcg(self, monkeypatch):
-        import repro.linalg.backends as backends
-
-        monkeypatch.setattr(backends, "HAVE_LOBPCG", False)
-        midrange = backends.resolve_backend("auto", SPARSE_AUTO_THRESHOLD)
-        assert midrange.name == "sparse"
-        assert midrange.solver == "eigsh"
 
     def test_unknown_backend_error_lists_names_and_availability(self):
         with pytest.raises(BackendError) as info:
@@ -110,7 +94,7 @@ class TestResolution:
         assert set(availability) == {"auto", "dense", "sparse", "array"}
         assert availability["dense"] is None  # always available
         assert availability["auto"] is None
-        # scipy is installed in the dev environment
+        # scipy is a declared dependency
         assert availability["sparse"] is None
         assert availability["array"] is None
 
@@ -125,7 +109,7 @@ class TestResolution:
         }
         midrange = backend_telemetry("auto", SPARSE_AUTO_THRESHOLD)
         assert midrange["linalg_backend"] == "sparse"
-        assert midrange["eigensolver"] == ("lobpcg" if HAVE_LOBPCG else "eigsh")
+        assert midrange["eigensolver"] == "lobpcg"
         large = backend_telemetry("auto", LOBPCG_AUTO_CEILING)
         assert large["eigensolver"] == "eigsh"
         array_row = backend_telemetry("array")
@@ -188,7 +172,6 @@ class TestLowestEigenpairs:
         assert np.array_equal(first, second)
 
 
-@pytest.mark.skipif(not HAVE_LOBPCG, reason="scipy lobpcg unavailable")
 class TestLobpcgRoute:
     def laplacian(self, n=400, seed=9):
         graph, _ = sparse_mixed_sbm(n, 2, seed=seed)

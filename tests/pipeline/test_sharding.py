@@ -136,15 +136,12 @@ def _readout_case():
 def _shard_store_entry(store, shard_name):
     """Path of one shard's store entry, found by its embedded identity
     (the address is an opaque digest, but every entry names itself)."""
-    import io
-
-    from repro.store.content_store import _HEADER_BYTES
+    from repro.store.content_store import _HEADER_BYTES, _read_arrays
 
     root = store.root / checkpoint.SHARD_NAMESPACE
     for path in sorted(root.rglob("*.cas")):
-        body = path.read_bytes()[_HEADER_BYTES:]
-        with np.load(io.BytesIO(body), allow_pickle=False) as archive:
-            identity = str(archive["__store_entry__"])
+        body = memoryview(path.read_bytes())[_HEADER_BYTES:]
+        identity = str(_read_arrays(body)["__store_entry__"])
         if f":{shard_name}@" in identity:
             return path
     raise AssertionError(f"no store entry for {shard_name}")
