@@ -100,13 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument(
         "--spectral-engine",
         choices=SPECTRAL_ENGINES,
-        default="v2",
+        default="v3",
         help=(
-            "eigensolve of the analytic QPE engine: v2 decomposes only the "
-            "n x n graph block and appends the analytic pad eigenpairs "
-            "(default); v1 decomposes the whole power-of-two padded matrix, "
-            "the byte-stable contract the paper sweeps pin.  The two agree "
-            "to rounding, so labels match while digests differ"
+            "eigensolve of the analytic QPE engine: v3 decomposes only the "
+            "n x n graph block with LAPACK's MRRR driver and appends the "
+            "analytic pad eigenpairs (default); v2 solves the same block "
+            "with numpy's eigh; v1 decomposes the whole power-of-two padded "
+            "matrix, the byte-stable contract the paper sweeps pin.  All "
+            "three agree to rounding, so labels match while digests differ"
         ),
     )
     cluster.add_argument("--precision-bits", type=int, default=7)

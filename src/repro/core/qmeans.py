@@ -36,6 +36,7 @@ def noisy_assign_labels(
     centroids: np.ndarray,
     delta: float,
     rng: np.random.Generator,
+    x_norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Assignment under distance estimates with additive error <= δ.
 
@@ -49,9 +50,13 @@ def noisy_assign_labels(
     two forms), both forms pick the same unique minimum.  Rows inside that
     margin — near-ties, duplicate centroids, non-finite input — are
     recomputed with the broadcast.  The noise draw is the same either way.
+
+    ``x_norms`` are the rows' ‖x‖², computed here when omitted; a caller
+    assigning the same points repeatedly passes them once.
     """
     count, dim = points.shape
-    x_norms = np.einsum("ij,ij->i", points, points)
+    if x_norms is None:
+        x_norms = np.einsum("ij,ij->i", points, points)
     c_norms = np.einsum("ij,ij->i", centroids, centroids)
     distances = x_norms[:, None] - 2.0 * (points @ centroids.T) + c_norms[None, :]
     if delta > 0:
@@ -135,10 +140,11 @@ def qmeans(
     if max_iterations < 1 or num_restarts < 1 or stability_window < 1:
         raise ClusteringError("iteration parameters must be >= 1")
     rng = ensure_rng(seed)
+    x_norms = np.einsum("ij,ij->i", points, points)
     best: KMeansResult | None = None
     for _ in range(num_restarts):
         centroids = kmeans_plusplus_init(points, num_clusters, rng)
-        labels = noisy_assign_labels(points, centroids, delta, rng)
+        labels = noisy_assign_labels(points, centroids, delta, rng, x_norms)
         stable_steps = 0
         converged = False
         iterations = 0
@@ -151,7 +157,9 @@ def qmeans(
                 else:
                     centroids[cluster] = members.mean(axis=0)
             centroids = perturb_centroids(centroids, delta, rng)
-            new_labels = noisy_assign_labels(points, centroids, delta, rng)
+            new_labels = noisy_assign_labels(
+                points, centroids, delta, rng, x_norms
+            )
             if np.array_equal(new_labels, labels):
                 stable_steps += 1
                 if stable_steps >= (1 if delta == 0 else stability_window):

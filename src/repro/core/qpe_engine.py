@@ -88,10 +88,18 @@ def laplacian_fingerprint(laplacian: np.ndarray) -> str:
 
 #: Store namespace of the spectral entries (eigendecompositions, kernels).
 SPECTRAL_NAMESPACE = "spectral"
-#: Fingerprint prefix of ``spectral_engine="v2"`` entries, which are keyed
-#: by the *unpadded* Laplacian: without it a power-of-two graph (whose
-#: padded and unpadded matrices coincide) would share v1's keys.
-BLOCK_KEY_PREFIX = "block-"
+#: Per engine: the solve its ``eigensolver`` label names, the LAPACK driver
+#: of :meth:`SpectralDecomposition.of` (``None``: NumPy's ``zheevd``) and
+#: the fingerprint prefix of its spectral entries.  v1 keys the padded
+#: matrix bare; v2 and v3 key the *unpadded* Laplacian, each under its own
+#: prefix: without one a power-of-two graph (whose padded and unpadded
+#: matrices coincide) would share v1's keys, and v2 and v3 solve the same
+#: block to different bits.
+ENGINE_SOLVES = {
+    "v1": ("eigh", None, ""),
+    "v2": ("eigh", None, "block-"),
+    "v3": ("eigh-mrrr", "evr", "mrrr-"),
+}
 
 
 class SpectralCache:
@@ -158,18 +166,23 @@ class SpectralCache:
     # -- the two cached products ------------------------------------------
 
     def decomposition(
-        self, fingerprint: str, padded: np.ndarray | None = None
+        self,
+        fingerprint: str,
+        padded: np.ndarray | None = None,
+        driver: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Eigendecomposition ``(eigenvalues, eigenvectors)`` of ``padded``.
 
         ``padded`` may be ``None`` on a guaranteed hit (the caller already
-        holds the fingerprint from an earlier call this process).
+        holds the fingerprint from an earlier call this process).  A miss
+        solves with LAPACK ``driver`` (:meth:`SpectralDecomposition.of`);
+        the fingerprint must tell drivers apart, as the engine prefixes do.
         """
 
         def build():
             if padded is None:
                 raise ClusteringError("spectral cache miss with no matrix to decompose")
-            decomposition = SpectralDecomposition.of(padded)
+            decomposition = SpectralDecomposition.of(padded, driver)
             return {
                 "eigenvalues": decomposition.eigenvalues,
                 "eigenvectors": decomposition.eigenvectors,
@@ -282,7 +295,14 @@ class AnalyticQPEBackend:
         matrix is block diagonal, so both describe the same register; v2
         differs from v1 only by floating-point rounding (eigenvalues by
         about 1e-15, filtered rows by about 1e-13 — the tolerance contract
-        in ``tests/core/test_spectral_engine.py``).
+        in ``tests/core/test_spectral_engine.py``).  ``"v3"`` (the
+        ``QSCConfig`` default) is the v2 block form solved by LAPACK's MRRR
+        driver (``scipy.linalg.eigh(driver="evr")``) instead of divide and
+        conquer: about 1.7× faster at n = 600 on one thread (the gain
+        varies with the host's speed phase), little at n ≤ 300.  Its
+        eigenvector phases differ from v2's, but every consumer reads |V|²
+        or V·diag·V†, so it agrees with v2 to about 1e-14 (same tolerance
+        contract, against v2).
     deferred:
         Load the spectrum on first use instead of at construction (see
         :func:`make_backend`).
@@ -299,14 +319,14 @@ class AnalyticQPEBackend:
     a second backend for the same Laplacian (a sweep point that varies
     only shots or threshold, or a diagnostics pass after a fit) skips the
     O(n³) eigensolve and, at equal ``precision_bits``, the kernel build.
-    v2 entries are keyed by the unpadded Laplacian under their own
-    prefix, so the two engines never serve each other's entries.  The
-    cached arrays are shared read-only; hit or miss, outputs are
-    bit-identical.
+    v2 and v3 entries are keyed by the unpadded Laplacian, each under its
+    own prefix (:data:`ENGINE_SOLVES`), so no two engines ever serve each
+    other's entries.  The cached arrays are shared read-only; hit or miss,
+    outputs are bit-identical.
 
-    Under v2 the hot paths (histogram, ``project_rows``, node
-    distributions) never touch the pad components: they carry no node
-    mass.  Only the D-length per-component answers add them back.
+    Under the block forms (v2, v3) the hot paths (histogram,
+    ``project_rows``, node distributions) never touch the pad components:
+    they carry no node mass.  Only the D-length per-component answers add them back.
     """
 
     name = "analytic"
@@ -326,8 +346,9 @@ class AnalyticQPEBackend:
         self.lambda_scale = LAMBDA_SCALE
         self.spectral_engine = spectral_engine
         self.dim = next_power_of_two(max(self.num_nodes, 2))
-        v1 = spectral_engine == "v1"
-        self.eigensolver = f"eigh(D={self.dim})" if v1 else f"eigh(n={self.num_nodes})"
+        solve = ENGINE_SOLVES[spectral_engine][0]
+        size = f"D={self.dim}" if spectral_engine == "v1" else f"n={self.num_nodes}"
+        self.eigensolver = f"{solve}({size})"
         self._laplacian = laplacian
         if not deferred:
             self._spectrum()
@@ -339,16 +360,13 @@ class AnalyticQPEBackend:
             return
         # read-only below (pad_laplacian copies), so skip the defensive copy
         laplacian = to_dense_array(self._laplacian, dtype=complex, copy=False)
-        if self.spectral_engine == "v1":
-            matrix = pad_laplacian(laplacian)
-            fingerprint = laplacian_fingerprint(matrix)
-        else:
-            matrix = laplacian
-            fingerprint = BLOCK_KEY_PREFIX + laplacian_fingerprint(laplacian)
+        _, driver, prefix = ENGINE_SOLVES[self.spectral_engine]
+        matrix = pad_laplacian(laplacian) if self.spectral_engine == "v1" else laplacian
+        fingerprint = prefix + laplacian_fingerprint(matrix)
         self._eigenvalues, self._eigenvectors = SPECTRAL_CACHE.decomposition(
-            fingerprint, matrix
+            fingerprint, matrix, driver
         )
-        # the pad components, present only in the v2 block form
+        # the pad components, present only in the block forms (v2, v3)
         self._pad_count = self.dim - len(self._eigenvalues)
         kernel_values = self._eigenvalues
         if self._pad_count:
@@ -359,7 +377,7 @@ class AnalyticQPEBackend:
                 "Laplacian spectrum exceeds the QPE phase window; use the "
                 "symmetric normalization"
             )
-        # kernel[j, y] = Pr[readout y | eigenvector j]; under v2 the last
+        # kernel[j, y] = Pr[readout y | eigenvector j]; in block form the last
         # row is the pad eigenvalue's, shared by every pad component
         kernel = SPECTRAL_CACHE.kernel(fingerprint, self.precision_bits, phases)
         self._kernel = kernel[: len(self._eigenvalues)]
@@ -377,7 +395,8 @@ class AnalyticQPEBackend:
     def _per_component(self, of_rows) -> np.ndarray:
         """``of_rows`` applied to the kernel, one entry per component of the
         D-dimensional register in ascending eigenvalue order: v1 stores all
-        D components; v2 repeats the pad row's entry for each pad component."""
+        D components; v2 and v3 repeat the pad row's entry for each pad
+        component."""
         self._spectrum()
         block = of_rows(self._kernel)
         if not self._pad_count:
@@ -473,7 +492,7 @@ class AnalyticQPEBackend:
         -----
         Replaces the per-row :meth:`project_row` loop in the pipeline hot
         path — one (K × m) @ (m × m) product instead of K matvecs, with
-        m = dim under v1 and m = num_nodes under v2.
+        m = dim under v1 and m = num_nodes under v2 and v3.
         """
         nodes = np.asarray(nodes, dtype=int)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
@@ -494,7 +513,7 @@ class AnalyticQPEBackend:
         safe = np.where(alive, norms, 1.0)
         states = filtered / safe[:, None]
         if self._pad_count:
-            # v2 filters in the n-dim graph block; the pad columns are
+            # v2/v3 filter in the n-dim graph block; the pad columns are
             # exact zeros because pad eigenvectors never overlap a node
             states = np.pad(states, ((0, 0), (0, self._pad_count)))
         return states, probabilities
@@ -856,10 +875,10 @@ def make_backend(laplacian, config, *, deferred: bool = False) -> object:
         A :class:`repro.core.config.QSCConfig`; ``config.backend`` picks
         ``"analytic"`` or ``"circuit"``, ``config.precision_bits`` sets the
         ancilla count, ``config.spectral_engine`` picks the analytic
-        backend's eigensolve (padded ``"v1"`` or graph-block ``"v2"``; the
-        circuit backend always simulates the padded register), the
-        ``evolution`` / ``trotter_*`` fields configure the circuit
-        backend's Hamiltonian simulation, and
+        backend's eigensolve (padded ``"v1"``, graph-block ``"v2"`` or the
+        graph block by MRRR, ``"v3"``; the circuit backend always simulates
+        the padded register), the ``evolution`` / ``trotter_*`` fields
+        configure the circuit backend's Hamiltonian simulation, and
         ``config.readout_chunk_size`` (when set) can lower — never raise —
         the circuit backend's batched-pass width.
     deferred:

@@ -29,7 +29,7 @@ from repro.spectral import ClassicalSpectralClustering
 #: Spectral engine every paper sweep's quantum fits run.  A constant, not a
 #: factory knob: sweeps pin the byte-stable ``"v1"`` eigensolve (recorded in
 #: each spec's ``fixed``) so their artifacts stay byte-stable, while plain
-#: ``QSCConfig()`` defaults to the faster block eigensolve ``"v2"``.
+#: ``QSCConfig()`` defaults to the faster MRRR block eigensolve ``"v3"``.
 SWEEP_SPECTRAL_ENGINE = "v1"
 
 @dataclass(frozen=True)

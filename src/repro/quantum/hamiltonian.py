@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from repro.exceptions import CircuitError
 from repro.quantum.pauli import PauliTerm, pauli_decompose
@@ -32,12 +33,28 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     @classmethod
-    def of(cls, hamiltonian: np.ndarray) -> "SpectralDecomposition":
-        """Eigendecompose a Hermitian matrix (validated)."""
+    def of(
+        cls, hamiltonian: np.ndarray, driver: str | None = None
+    ) -> "SpectralDecomposition":
+        """Eigendecompose a Hermitian matrix (validated).
+
+        ``driver=None`` runs NumPy's ``eigh`` (LAPACK divide and conquer,
+        ``zheevd``); any other value names the LAPACK driver of
+        ``scipy.linalg.eigh``, e.g. ``"evr"`` for MRRR (``zheevr``), which
+        agrees with ``zheevd`` to rounding but may pick other eigenvector
+        phases; SciPy's ``check_finite`` stays on, so non-finite input
+        raises ``ValueError`` there.
+        """
         hamiltonian = np.asarray(hamiltonian, dtype=complex)
         if not is_hermitian(hamiltonian, atol=1e-8):
             raise CircuitError("Hamiltonian must be Hermitian")
-        eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian)
+        if driver is None:
+            eigenvalues, eigenvectors = np.linalg.eigh(hamiltonian)
+        else:
+            eigenvalues, eigenvectors = scipy.linalg.eigh(hamiltonian, driver=driver)
+            # SciPy returns Fortran order; NumPy and the store's disk tier
+            # give C order, and matmul bits can depend on the layout
+            eigenvectors = np.ascontiguousarray(eigenvectors)
         return cls(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
     def evolution(self, time: float) -> np.ndarray:

@@ -1,18 +1,22 @@
-"""The ``spectral_engine`` knob: v2 (graph-block eigensolve) against v1.
+"""The ``spectral_engine`` knob: v2 (graph-block eigensolve) against v1,
+and v3 (the same block by LAPACK's MRRR driver) against v2.
 
 v2 decomposes only the n × n graph block of the padded Laplacian and
-appends the analytic pad eigenpairs.  It changes bits, so the contract
-pinned here is a tolerance contract plus label parity, not identity:
+appends the analytic pad eigenpairs; v3 solves that block with
+``scipy.linalg.eigh(driver="evr")`` instead of NumPy's divide and
+conquer.  Each changes bits, so the contract pinned here is a tolerance
+contract plus label parity, not identity:
 
-* eigenvalues agree to 1e-12 and filtered rows to 1e-10;
-* thresholds and accepted readout bins are identical;
-* ARI against the planted partition matches on the golden graphs and on
-  a 600-node mixed SBM.
+* eigenvalues agree to 1e-12 and filtered rows and acceptances to 1e-10;
+* v3's eigenvectors are orthonormal to 1e-10;
+* thresholds, accepted readout bins and labels are identical on the
+  golden graphs and on a 600-node mixed SBM.
 """
 
 import numpy as np
 import pytest
-from test_golden import GOLDEN_V2, build_case
+from test_golden import GOLDEN_V2, GOLDEN_V3, build_case, result_digest
+from test_read_through import sources
 
 from repro import QSCConfig, QSCPipeline, api
 from repro.core.projection import accepted_outcomes
@@ -28,9 +32,12 @@ from repro.experiments.runner import registry
 from repro.graphs import ensure_connected, mixed_sbm
 from repro.graphs.hermitian import hermitian_laplacian
 from repro.metrics import adjusted_rand_index
+from repro.pipeline import STAGE_NAMES
+from repro.store import configure_store, get_store
 
 EIGENVALUE_TOLERANCE = 1e-12
 ROW_TOLERANCE = 1e-10
+ORTHOGONALITY_TOLERANCE = 1e-10
 
 
 def laplacian_of(num_nodes, seed=1):
@@ -39,30 +46,27 @@ def laplacian_of(num_nodes, seed=1):
     return hermitian_laplacian(graph)
 
 
-def engines(laplacian, precision_bits=6):
-    return (
-        AnalyticQPEBackend(laplacian, precision_bits, "v1"),
-        AnalyticQPEBackend(laplacian, precision_bits, "v2"),
-    )
+def engines(laplacian, precision_bits=6, names=("v1", "v2")):
+    return tuple(AnalyticQPEBackend(laplacian, precision_bits, name) for name in names)
 
 
-def assert_backends_agree(v1, v2, threshold):
-    assert v2.dim == v1.dim
-    assert np.abs(v2.eigenvalues - v1.eigenvalues).max() <= EIGENVALUE_TOLERANCE
-    accepted = accepted_outcomes(threshold, v1.precision_bits, v1.lambda_scale)
-    nodes = np.arange(v1.num_nodes)
-    rows1, probabilities1 = v1.project_rows(nodes, accepted)
-    rows2, probabilities2 = v2.project_rows(nodes, accepted)
+def assert_backends_agree(base, other, threshold):
+    assert other.dim == base.dim
+    assert np.abs(other.eigenvalues - base.eigenvalues).max() <= EIGENVALUE_TOLERANCE
+    accepted = accepted_outcomes(threshold, base.precision_bits, base.lambda_scale)
+    nodes = np.arange(base.num_nodes)
+    rows1, probabilities1 = base.project_rows(nodes, accepted)
+    rows2, probabilities2 = other.project_rows(nodes, accepted)
     assert np.abs(rows2 - rows1).max() <= ROW_TOLERANCE
     assert np.abs(probabilities2 - probabilities1).max() <= ROW_TOLERANCE
     assert np.abs(
-        v2.component_acceptance(accepted) - v1.component_acceptance(accepted)
+        other.component_acceptance(accepted) - base.component_acceptance(accepted)
     ).max() <= ROW_TOLERANCE
     assert np.abs(
-        v2.quantization_errors() - v1.quantization_errors()
+        other.quantization_errors() - base.quantization_errors()
     ).max() <= EIGENVALUE_TOLERANCE
     assert np.abs(
-        v2.node_outcome_distribution(0) - v1.node_outcome_distribution(0)
+        other.node_outcome_distribution(0) - base.node_outcome_distribution(0)
     ).max() <= ROW_TOLERANCE
 
 
@@ -94,35 +98,39 @@ class TestBlockContract:
         np.testing.assert_array_equal(v2.eigenvalues, v1.eigenvalues)
 
     def test_cache_entries_never_alias(self):
-        """v2 keys by the unpadded Laplacian under its own prefix — even
-        where padded and unpadded coincide (a power-of-two graph)."""
+        """v2 and v3 key by the unpadded Laplacian, each under its own
+        prefix — even where padded and unpadded coincide (a power-of-two
+        graph)."""
         laplacian = laplacian_of(16)
         clear_spectral_cache()
         AnalyticQPEBackend(laplacian, 5, "v1")
         AnalyticQPEBackend(laplacian, 5, "v2")
-        assert spectral_cache_stats()["misses"] == 4
+        AnalyticQPEBackend(laplacian, 5, "v3")
+        assert spectral_cache_stats()["misses"] == 6
         AnalyticQPEBackend(laplacian, 5, "v2")
-        assert spectral_cache_stats()["hits"] == 2
+        AnalyticQPEBackend(laplacian, 5, "v3")
+        assert spectral_cache_stats()["hits"] == 4
 
     def test_eigensolver_names_the_solve(self):
-        v1, v2 = engines(laplacian_of(20))
+        v1, v2, v3 = engines(laplacian_of(20), names=("v1", "v2", "v3"))
         assert v1.eigensolver == "eigh(D=32)"
         assert v2.eigensolver == "eigh(n=20)"
+        assert v3.eigensolver == "eigh-mrrr(n=20)"
 
     def test_make_backend_follows_the_config(self):
         laplacian = laplacian_of(20)
-        for engine in ("v1", "v2"):
+        for engine in ("v1", "v2", "v3"):
             backend = make_backend(laplacian, QSCConfig(spectral_engine=engine))
             assert backend.spectral_engine == engine
 
     def test_unknown_engine_is_a_typed_error(self):
         with pytest.raises(ClusteringError, match="spectral_engine"):
-            QSCConfig(spectral_engine="v3")
+            QSCConfig(spectral_engine="unknown")
         with pytest.raises(ClusteringError, match="spectral_engine"):
             AnalyticQPEBackend(laplacian_of(5), 4, "v0")
 
-    def test_default_config_runs_v2_and_sweeps_pin_v1(self):
-        assert QSCConfig().spectral_engine == "v2"
+    def test_default_config_runs_v3_and_sweeps_pin_v1(self):
+        assert QSCConfig().spectral_engine == "v3"
         for name, factory in sorted(registry().items()):
             assert factory().fixed["spectral_engine"] == "v1", name
 
@@ -153,3 +161,106 @@ class TestPipelineParity:
         assert adjusted_rand_index(truth, v2_result.labels) == adjusted_rand_index(
             truth, v1_result.labels
         )
+
+
+class TestMRRRContract:
+    """v3 against v2: the same block form, another LAPACK driver."""
+
+    @pytest.mark.parametrize("num_nodes", [5, 20, 33, 64])
+    def test_v3_agrees_with_v2_within_tolerance(self, num_nodes):
+        v2, v3 = engines(laplacian_of(num_nodes), names=("v2", "v3"))
+        assert_backends_agree(v2, v3, threshold=0.5)
+
+    @pytest.mark.parametrize("num_nodes", [5, 33, 64])
+    def test_v3_eigenvectors_are_orthonormal(self, num_nodes):
+        (v3,) = engines(laplacian_of(num_nodes), names=("v3",))
+        vectors = v3._eigenvectors
+        gram = vectors.conj().T @ vectors
+        assert np.abs(gram - np.eye(num_nodes)).max() <= ORTHOGONALITY_TOLERANCE
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
+    def test_golden_graphs(self, name):
+        graph, k, config = build_case(name, engine="v2")
+        v2 = QSCPipeline(k, config).run(graph)
+        v3 = QSCPipeline(k, config.with_updates(spectral_engine="v3")).run(graph)
+        assert v3.threshold == v2.threshold
+        np.testing.assert_array_equal(v3.accepted_bins, v2.accepted_bins)
+        np.testing.assert_array_equal(v3.labels, v2.labels)
+        assert np.abs(v3.embedding - v2.embedding).max() <= ROW_TOLERANCE
+
+    def test_600_node_mixed_sbm(self):
+        graph, truth = api.mixed_sbm(600, 4, seed=2021, generator_version="v2")
+        config = QSCConfig(spectral_engine="v2")
+        v2 = QSCPipeline(4, config)
+        v2_result = v2.run(graph)
+        v3 = QSCPipeline(4, config.with_updates(spectral_engine="v3"))
+        v3_result = v3.run(graph)
+        v2_backend, v3_backend = v2.state["backend"], v3.state["backend"]
+        assert v3_backend.eigensolver == "eigh-mrrr(n=600)"
+        assert_backends_agree(v2_backend, v3_backend, v2_result.threshold)
+        gram = v3_backend._eigenvectors.conj().T @ v3_backend._eigenvectors
+        assert np.abs(gram - np.eye(600)).max() <= ORTHOGONALITY_TOLERANCE
+        assert v3_result.threshold == v2_result.threshold
+        np.testing.assert_array_equal(v3_result.accepted_bins, v2_result.accepted_bins)
+        np.testing.assert_array_equal(v3_result.labels, v2_result.labels)
+        assert adjusted_rand_index(truth, v3_result.labels) == adjusted_rand_index(
+            truth, v2_result.labels
+        )
+
+
+class TestStoreAliasing:
+    """v2 and v3 never serve each other's store entries, on disk either."""
+
+    @pytest.mark.parametrize(
+        "warmed_by, engine",
+        [("v2", "v3"), ("v3", "v2")],
+        ids=["v2-then-v3", "v3-then-v2"],
+    )
+    def test_a_store_warmed_by_one_engine_is_cold_for_the_other(
+        self, tmp_path, pristine_store, warmed_by, engine
+    ):
+        golden = {"v2": GOLDEN_V2, "v3": GOLDEN_V3}[engine]
+        graph, k, config = build_case("analytic_shots", engine=warmed_by)
+        configure_store(root=tmp_path / "cas")
+        QSCPipeline(k, config).run(graph)
+        get_store().clear_memory()
+        result = QSCPipeline(k, config.with_updates(spectral_engine=engine)).run(graph)
+        # the Laplacian payload is engine-free, so it alone is served; the
+        # spectrum and every stage after it are the engine's own
+        assert sources(result) == ["store"] + ["computed"] * (len(STAGE_NAMES) - 1)
+        stats = spectral_cache_stats()
+        assert stats["hits"] == 0 and stats["misses"] == 2, stats
+        assert result_digest(result) == golden["analytic_shots"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
+    def test_a_disk_served_spectrum_keeps_the_golden(
+        self, tmp_path, pristine_store, name
+    ):
+        """A fresh worker reads the v3 decomposition from disk (C order);
+        a computed one must have the same layout, or the chunked readout's
+        matmuls round differently."""
+        graph, k, config = build_case(name, engine="v3")
+        configure_store(root=tmp_path / "cas")
+        QSCPipeline(k, config).run(graph, save_stages=tmp_path / "run")
+        get_store().clear_memory()
+        resumed = QSCPipeline(k, config).run(
+            graph, resume_from="threshold", stages_dir=tmp_path / "run"
+        )
+        assert spectral_cache_stats()["hits"] == 2  # decomposition + kernel
+        assert result_digest(resumed) == GOLDEN_V3[name]
+
+    def test_served_default_cluster_equals_the_direct_run(
+        self, tmp_path, pristine_store
+    ):
+        """``api.cluster`` runs v3 by default; a fully served rerun from the
+        disk store is the direct run, bit for bit."""
+        graph, k, _ = build_case("analytic_shots")
+        fields = {"precision_bits": 6, "shots": 512, "seed": 5}
+        direct = api.cluster(graph, k, **fields)
+        assert result_digest(direct) == GOLDEN_V3["analytic_shots"]
+        store_dir = str(tmp_path / "cas")
+        api.cluster(graph, k, store_dir=store_dir, **fields)
+        get_store().clear_memory()
+        served = api.cluster(graph, k, store_dir=store_dir, **fields)
+        assert sources(served) == ["store"] * len(STAGE_NAMES)
+        assert result_digest(served) == result_digest(direct)

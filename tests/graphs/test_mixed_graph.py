@@ -106,6 +106,35 @@ class TestDegreesAndMatrices:
         vec = g.degrees()
         assert all(np.isclose(vec[i], g.degree(i)) for i in range(10))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degrees_are_the_loop_sum_byte_for_byte(self, seed):
+        """``degrees`` adds each node's weights in connection order — edges,
+        then arcs, each in insertion order — exactly as a loop does, so
+        fractional weights (where float order matters) keep their bytes."""
+        rng = np.random.default_rng(seed)
+        g = MixedGraph(40)
+        for _ in range(400):
+            u, v = (int(node) for node in rng.choice(40, size=2, replace=False))
+            weight = float(rng.uniform(0.01, 3.0)) / 7.0
+            try:
+                if rng.random() < 0.5:
+                    g.add_edge(u, v, weight)
+                else:
+                    g.add_arc(u, v, weight)
+            except GraphError:  # an edge/arc clash; the graph is unchanged
+                pass
+        assert g.num_edges and g.num_arcs
+        loop = np.zeros(g.num_nodes)
+        for (u, v), w in [*g._undirected.items(), *g._directed.items()]:
+            loop[u] += w
+            loop[v] += w
+        assert g.degrees().tobytes() == loop.tobytes()
+
+    def test_degrees_of_an_edgeless_graph(self):
+        degrees = MixedGraph(3).degrees()
+        assert degrees.dtype == np.float64
+        np.testing.assert_array_equal(degrees, np.zeros(3))
+
     def test_symmetrized_adjacency_is_symmetric(self):
         g = random_mixed_graph(8, 0.5, seed=1)
         adj = g.symmetrized_adjacency()

@@ -39,6 +39,19 @@ GOLDEN_V2 = {
     "auto_k": "7e571fb69f498dc97a97cc5a5838f565",
 }
 
+#: case name -> digest of the same analytic case under
+#: ``spectral_engine="v3"`` (the graph block solved by LAPACK's MRRR
+#: driver, the ``QSCConfig`` default), recorded when the engine landed.
+#: Same labels as GOLDEN_V2, other rounding (the v3-against-v2 tolerance
+#: contract lives in tests/core/test_spectral_engine.py).
+GOLDEN_V3 = {
+    "analytic_shots": "0f00dc97bcee218fc44e6b380a048f2f",
+    "analytic_noiseless": "c2463b4fc5d73270dd34974e57b0c97c",
+    "explicit_threshold": "91600c0692ce01b89a1655945a5d97a6",
+    "flow_chunked": "491aa222c621bdac25f10cf9b58481f9",
+    "auto_k": "0995ed32a6a405ec9939ffecc45cde58",
+}
+
 
 def result_digest(result) -> str:
     """Checksum of every numeric output field of a ``QSCResult``."""
@@ -138,9 +151,15 @@ def test_v2_engine_matches_its_golden(name):
     assert result_digest(QSCPipeline(k, config).run(graph)) == GOLDEN_V2[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_V3))
+def test_v3_engine_matches_its_golden(name):
+    graph, k, config = build_case(name, engine="v3")
+    assert result_digest(QSCPipeline(k, config).run(graph)) == GOLDEN_V3[name]
+
+
 def test_circuit_case_ignores_the_spectral_engine():
     """The circuit backend always simulates the padded register."""
     graph, k, config = build_case("circuit")
-    for engine in ("v1", "v2"):
+    for engine in ("v1", "v2", "v3"):
         result = QSCPipeline(k, config.with_updates(spectral_engine=engine)).run(graph)
         assert result_digest(result) == GOLDEN["circuit"]

@@ -178,7 +178,7 @@ class TestResume:
             "computed": 1,
             "loaded": 0,
             "linalg_backend": "dense",
-            "eigensolver": "eigh(n=30)",
+            "eigensolver": "eigh-mrrr(n=30)",
         }
         QSCPipeline(2, CONFIG).run(graph, resume_from="readout", stages_dir=tmp_path)
         totals = stage_totals()
@@ -329,9 +329,14 @@ class TestTelemetry:
 
     def test_backend_annotations_on_linalg_stages(self, graph):
         """Only the laplacian stage solves, and its row names the
-        eigensolve the QPE engine actually ran: the n × n graph block
-        under v2, the D × D padded register under v1."""
-        for engine, solve in (("v2", "eigh(n=30)"), ("v1", "eigh(D=32)")):
+        eigensolve the QPE engine actually ran: the n × n graph block by
+        MRRR under v3, by divide and conquer under v2, the D × D padded
+        register under v1."""
+        for engine, solve in (
+            ("v3", "eigh-mrrr(n=30)"),
+            ("v2", "eigh(n=30)"),
+            ("v1", "eigh(D=32)"),
+        ):
             config = CONFIG.with_updates(spectral_engine=engine)
             result = QSCPipeline(2, config).run(graph)
             by_stage = {row["stage"]: row for row in result.profile}
@@ -350,7 +355,7 @@ class TestTelemetry:
         result = QSCPipeline(2, CONFIG.with_updates(shots=0)).run(graph)
         row = result.profile[0]
         assert row["linalg_backend"] == "sparse"
-        assert row["eigensolver"] == "eigh(n=300)"
+        assert row["eigensolver"] == "eigh-mrrr(n=300)"
 
     def test_trotter_circuit_reports_no_eigensolve(self):
         graph, _ = mixed_sbm(6, 2, p_intra=0.9, p_inter=0.1, seed=1)
@@ -380,14 +385,14 @@ class TestTelemetry:
         QSCPipeline(2, CONFIG).run(graph)
         delta = totals_delta(before, stage_totals())
         assert delta["laplacian"]["linalg_backend"] == "dense"
-        assert delta["laplacian"]["eigensolver"] == "eigh(n=30)"
+        assert delta["laplacian"]["eigensolver"] == "eigh-mrrr(n=30)"
         assert "linalg_backend" not in delta["qmeans"]
         merged = merge_totals({}, delta)
         assert merged["laplacian"]["linalg_backend"] == "dense"
         rows = profile_stage_rows(merged, order=STAGE_NAMES)
         lap_row = next(row for row in rows if row["stage"] == "laplacian")
         assert lap_row["linalg_backend"] == "dense"
-        assert lap_row["eigensolver"] == "eigh(n=30)"
+        assert lap_row["eigensolver"] == "eigh-mrrr(n=30)"
 
     def test_profile_excluded_from_result_equality(self):
         import dataclasses

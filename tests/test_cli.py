@@ -160,9 +160,15 @@ class TestClusterCommand:
         path, _ = graph_file
         base = ["cluster", "--input", path, "--clusters", "2", "--shots", "64",
                 "--seed", "1", "--profile"]
-        # the 24-node fixture graph pads to a 32-dimensional register
-        for engine, solve in (("v2", "eigh(n=24)"), ("v1", "eigh(D=32)")):
-            assert main(base + ["--spectral-engine", engine]) == 0
+        # the 24-node fixture graph pads to a 32-dimensional register;
+        # without the flag the default, v3, runs
+        for flag, solve in (
+            ([], "eigh-mrrr(n=24)"),
+            (["--spectral-engine", "v3"], "eigh-mrrr(n=24)"),
+            (["--spectral-engine", "v2"], "eigh(n=24)"),
+            (["--spectral-engine", "v1"], "eigh(D=32)"),
+        ):
+            assert main(base + flag) == 0
             rows = {
                 line.split()[0]: line
                 for line in capsys.readouterr().out.splitlines()
