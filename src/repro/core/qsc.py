@@ -65,7 +65,7 @@ class QuantumSpectralClustering:
         self.num_clusters = pipeline.num_clusters
         self.config = pipeline.config
 
-    def fit(self, graph: MixedGraph) -> QSCResult:
+    def fit(self, graph: MixedGraph, graph_digest: str | None = None) -> QSCResult:
         """Run the full quantum pipeline on ``graph``.
 
         With ``num_clusters="auto"`` the cluster count is selected from the
@@ -73,11 +73,14 @@ class QuantumSpectralClustering:
         (:func:`repro.core.autok.estimate_num_clusters_quantum`) inside the
         threshold stage — model selection stays end-to-end quantum.
 
-        Delegates to :meth:`repro.pipeline.QSCPipeline.run`; use the
-        pipeline directly for stage checkpointing (``save_stages``),
-        resume (``resume_from``) or stage-state reuse.
+        Delegates to :meth:`repro.pipeline.QSCPipeline.run` (which takes
+        ``graph_digest``, the graph's fingerprint if the caller holds it);
+        use the pipeline directly for stage checkpointing
+        (``save_stages``), resume (``resume_from``) or stage-state reuse.
         """
-        return QSCPipeline(self.num_clusters, self.config).run(graph)
+        return QSCPipeline(self.num_clusters, self.config).run(
+            graph, graph_digest=graph_digest
+        )
 
 
 def quantum_spectral_clustering(

@@ -5,7 +5,9 @@ sweep is declared as a :class:`~repro.experiments.runner.SweepSpec` and
 executed by :class:`~repro.experiments.runner.SweepRunner`); the helpers
 here aggregate those rows over seeds and render the same markdown tables
 EXPERIMENTS.md quotes.  A *method* is any object with a ``fit(graph)``
-returning something with a ``labels`` attribute.
+returning something with a ``labels`` attribute.  With a content store
+attached, :func:`evaluate_methods` serves each seeded baseline's labels
+from the store's ``baseline`` namespace instead of refitting it.
 """
 
 from __future__ import annotations
@@ -24,13 +26,23 @@ from repro.baselines import (
 from repro.core import QSCConfig, QuantumSpectralClustering
 from repro.exceptions import ExperimentError
 from repro.metrics import adjusted_rand_index, matched_accuracy
+from repro.pipeline import checkpoint
 from repro.spectral import ClassicalSpectralClustering
+from repro.store import attached_store
 
 #: Spectral engine every paper sweep's quantum fits run.  A constant, not a
 #: factory knob: sweeps pin the byte-stable ``"v1"`` eigensolve (recorded in
 #: each spec's ``fixed``) so their artifacts stay byte-stable, while plain
 #: ``QSCConfig()`` defaults to the faster MRRR block eigensolve ``"v3"``.
 SWEEP_SPECTRAL_ENGINE = "v1"
+
+#: Content-store namespace of the comparison panel's baseline labels.
+BASELINE_NAMESPACE = "baseline"
+#: Version leading every ``baseline`` key.  Bump it whenever a baseline's
+#: algorithm changes, so labels the old code published miss instead of
+#: being served.
+BASELINE_KEY_VERSION = 1
+
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -86,6 +98,33 @@ def standard_methods(num_clusters: int, seed, quantum_config: QSCConfig | None =
     }
 
 
+def estimator_digest(estimator) -> str:
+    """Everything but the graph that a baseline's labels depend on: the
+    estimator's class and ``name=repr(value);`` for each of its
+    attributes, sorted by name."""
+    cls = type(estimator)
+    fields = "".join(
+        f"{name}={value!r};" for name, value in sorted(vars(estimator).items())
+    )
+    return f"{cls.__module__}.{cls.__qualname__}({fields})"
+
+
+def baseline_key(tag: str, estimator, graph_digest: str) -> str | None:
+    """Store key of a baseline's labels on the graph ``graph_digest`` names.
+
+    ``None`` when the labels are not served: for an estimator whose
+    ``seed`` is not a plain ``int`` (``None`` or a ``Generator`` draws
+    fresh labels on every fit), and so for the quantum method, which has
+    no ``seed`` attribute and reads through its own stage entries.
+    """
+    if type(getattr(estimator, "seed", None)) is not int:
+        return None
+    return (
+        f"v{BASELINE_KEY_VERSION}:{tag}@{estimator_digest(estimator)}"
+        f"@{graph_digest}"
+    )
+
+
 def evaluate_methods(
     experiment: str,
     methods: dict,
@@ -93,11 +132,24 @@ def evaluate_methods(
     truth,
     parameters: dict,
     seed: int,
+    store_dir=None,
 ) -> list[TrialRecord]:
-    """Run every method on one graph instance and score against truth."""
+    """Run every method on one graph instance and score against truth.
+
+    ``store_dir`` attaches the content store as ``QSCPipeline.run`` does.
+    With a store attached, each baseline's labels are read through the
+    ``baseline`` namespace (see :func:`baseline_key`): served when
+    published, otherwise fitted and published.  The graph is hashed once;
+    the quantum fit reuses the digest for its stage keys.
+    """
+    store = attached_store(store_dir)
+    graph_digest = checkpoint.graph_fingerprint(graph)
     records = []
     for tag, estimator in methods.items():
-        labels = estimator.fit(graph).labels
+        if isinstance(estimator, QuantumSpectralClustering):
+            labels = estimator.fit(graph, graph_digest=graph_digest).labels
+        else:
+            labels = _baseline_labels(tag, estimator, graph, graph_digest, store)
         records.append(
             TrialRecord(
                 experiment=experiment,
@@ -109,6 +161,20 @@ def evaluate_methods(
             )
         )
     return records
+
+
+def _baseline_labels(tag, estimator, graph, graph_digest, store):
+    """A baseline's labels: from ``store`` when published there, else fitted
+    (and published when the labels are servable)."""
+    key = None if store is None else baseline_key(tag, estimator, graph_digest)
+    if key is not None:
+        payload = store.get(BASELINE_NAMESPACE, key)
+        if payload is not None:
+            return payload["labels"]
+    labels = estimator.fit(graph).labels
+    if key is not None:
+        store.put(BASELINE_NAMESPACE, key, {"labels": labels})
+    return labels
 
 
 def aggregate(records: list[TrialRecord], group_keys: tuple[str, ...]):

@@ -79,7 +79,9 @@ def _trial(
         spectral_engine=spectral_engine,
     )
     methods = standard_methods(num_clusters, seed, config)
-    return evaluate_methods("F1", methods, graph, truth, {"strength": strength}, seed)
+    return evaluate_methods(
+        "F1", methods, graph, truth, {"strength": strength}, seed, store_dir
+    )
 
 
 def spec(

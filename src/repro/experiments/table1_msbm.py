@@ -82,6 +82,7 @@ def _trial(
         truth,
         {"n": num_nodes, "k": num_clusters},
         seed,
+        store_dir,
     )
 
 

@@ -90,6 +90,7 @@ def _trial(
         truth,
         {"modules": num_modules, "n": graph.num_nodes},
         seed,
+        store_dir,
     )
 
 

@@ -40,7 +40,7 @@ from repro.linalg.array_backend import pipeline_dispatch
 from repro.pipeline import checkpoint, telemetry
 from repro.pipeline.stage import StageContext
 from repro.pipeline.stages import STAGE_NAMES, build_stages
-from repro.store import active_store, configure_store
+from repro.store import attached_store
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 #: Names of the per-stage RNG streams, in spawn order (the historical
@@ -95,6 +95,7 @@ class QSCPipeline:
         resume_from: str | None = None,
         stages_dir=None,
         upstream: dict | None = None,
+        graph_digest: str | None = None,
     ) -> QSCResult:
         """Execute the staged pipeline on ``graph``.
 
@@ -118,6 +119,11 @@ class QSCPipeline:
             In-memory stage state (a previous run's ``pipeline.state``) to
             reuse instead of reading checkpoints — the zero-copy resume
             the experiment sweeps use.
+        graph_digest:
+            :func:`~repro.pipeline.checkpoint.graph_fingerprint` of
+            ``graph`` when the caller already holds it (the sweeps hash
+            each trial's graph once for the quantum fit and the baselines'
+            store keys); ``None`` hashes the graph here.
 
         Notes
         -----
@@ -156,11 +162,8 @@ class QSCPipeline:
         if stages_dir is None:
             stages_dir = save_stages
         # A config carrying ``store_dir`` attaches the shared content
-        # store for this (worker) process — the mechanism that makes the
-        # store propagate under any multiprocessing start method.
-        if cfg.store_dir is not None:
-            configure_store(root=cfg.store_dir)
-        store = active_store()
+        # store for this (worker) process.
+        store = attached_store(cfg.store_dir)
         if resume_index > 0 and upstream is None and stages_dir is None and store is None:
             raise ClusteringError(
                 f"resume_from={resume_from!r} needs checkpoints: pass "
@@ -189,7 +192,7 @@ class QSCPipeline:
             rngs=dict(zip(RNG_STREAMS, streams)),
             save_dir=save_stages,
             load_dir=stages_dir,
-            graph_digest=checkpoint.graph_fingerprint(graph),
+            graph_digest=graph_digest or checkpoint.graph_fingerprint(graph),
         )
         reports = []
         degraded: list[str] = []

@@ -4,7 +4,8 @@ See :mod:`repro.store.content_store` for the design; the public surface
 is re-exported here:
 
 * :class:`ContentStore` — the two-tier store itself;
-* :func:`get_store` / :func:`active_store` / :func:`configure_store` —
+* :func:`get_store` / :func:`active_store` / :func:`attached_store` /
+  :func:`configure_store` —
   the process-wide instance the spectral cache and checkpoint paths
   share (``QSCConfig.store_dir`` / ``--store-dir`` configure it);
 * :func:`store_counters` — counter snapshot (the sweep runner brackets
@@ -19,6 +20,7 @@ from repro.store.content_store import (
     JOBTABLE_NAMESPACE,
     ContentStore,
     active_store,
+    attached_store,
     configure_store,
     content_key,
     decode_json_payload,
@@ -37,6 +39,7 @@ __all__ = [
     "JOBTABLE_NAMESPACE",
     "ContentStore",
     "active_store",
+    "attached_store",
     "configure_store",
     "content_key",
     "decode_json_payload",

@@ -288,6 +288,9 @@ class ContentStore:
         Byte budget of the on-disk tier, enforced under an exclusive
         file lock after writes (oldest-``mtime`` entries evicted first;
         reads bump ``mtime``, so this approximates cross-process LRU).
+        Writes keep a running byte total, seeded by one disk scan per
+        attach, so another process's writes are counted from the next
+        attach on.
     """
 
     def __init__(
@@ -302,6 +305,9 @@ class ContentStore:
         self._root: pathlib.Path | None = None
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._bytes = 0
+        #: Running byte total of the disk tier: seeded by one scan at the
+        #: first fresh put after each attach, ``None`` until then.
+        self._disk_bytes: int | None = None
         self._counters: dict[str, dict] = {}
         self.configure(
             max_memory_bytes=max_memory_bytes, max_disk_bytes=max_disk_bytes
@@ -321,12 +327,14 @@ class ContentStore:
         path = pathlib.Path(root)
         path.mkdir(parents=True, exist_ok=True)
         self._root = path
+        self._disk_bytes = None  # counts other processes' writes once more
         if max_disk_bytes is not None:
             self.configure(max_disk_bytes=max_disk_bytes)
 
     def detach(self) -> None:
         """Drop the on-disk tier (files stay on disk; memory tier stays)."""
         self._root = None
+        self._disk_bytes = None
 
     def configure(
         self,
@@ -518,6 +526,12 @@ class ContentStore:
         blob = encode_payload(namespace, key, payload)
         if len(blob) > self.max_disk_bytes:
             return
+        replaced = 0
+        if _overwrites(namespace):
+            try:
+                replaced = path.stat().st_size
+            except OSError:
+                pass  # a fresh slot
         path.parent.mkdir(parents=True, exist_ok=True)
         handle, tmp_name = tempfile.mkstemp(prefix=_TMP_PREFIX, dir=path.parent)
         try:
@@ -530,14 +544,25 @@ class ContentStore:
             except OSError:
                 pass
             raise
-        self._enforce_disk_budget()
+        # One scan per attach seeds the running total; after that only an
+        # over-budget total pays for the (re-seeding) evicting scan.
+        if self._disk_bytes is None:
+            self._enforce_disk_budget()
+        else:
+            self._disk_bytes += len(blob) - replaced
+            if self._disk_bytes > self.max_disk_bytes:
+                self._enforce_disk_budget()
 
     def _enforce_disk_budget(self, max_bytes: int | None = None) -> int:
-        """Evict oldest entries until the disk tier fits its budget."""
+        """Evict oldest entries until the disk tier fits its budget.
+
+        Re-seeds the running byte total of the disk tier from the scan.
+        """
         if self._root is None:
             return 0
         budget = self.max_disk_bytes if max_bytes is None else int(max_bytes)
         total = sum(size for _, size, _ in self._scan_disk())
+        self._disk_bytes = total
         if total <= budget:
             return 0
         evicted = 0
@@ -555,6 +580,7 @@ class ContentStore:
                 except OSError:
                     pass
                 total -= size
+            self._disk_bytes = total
         return evicted
 
     # -- the public entry API ----------------------------------------------
@@ -702,6 +728,18 @@ def active_store() -> ContentStore | None:
     if store.enabled and store.root is not None:
         return store
     return None
+
+
+def attached_store(store_dir=None) -> ContentStore | None:
+    """The store a run carrying ``store_dir`` reads through.
+
+    Attaches ``store_dir`` when given (so the store propagates into sweep
+    worker processes under any multiprocessing start method), then
+    returns :func:`active_store`.
+    """
+    if store_dir is not None:
+        configure_store(root=store_dir)
+    return active_store()
 
 
 def configure_store(
