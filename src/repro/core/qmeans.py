@@ -126,6 +126,12 @@ def qmeans(
     Returns
     -------
     :class:`repro.spectral.kmeans.KMeansResult`
+
+    Raises
+    ------
+    ClusteringError
+        On invalid arguments, and when ``points`` has fewer than
+        ``num_clusters`` distinct rows.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -144,6 +150,16 @@ def qmeans(
     best: KMeansResult | None = None
     for _ in range(num_restarts):
         centroids = kmeans_plusplus_init(points, num_clusters, rng)
+        # D² seeding repeats a row only once every row sits on a chosen
+        # seed (to 1e-9), so repeated seeds mean fewer than k distinct
+        # rows: a k × k × d check instead of a pass over all n rows.  Only
+        # the k diagonal pairs of distinct seeds compare equal.
+        equal = (centroids[:, None, :] == centroids[None, :, :]).all(axis=2)
+        if np.count_nonzero(equal) > num_clusters:
+            raise ClusteringError(
+                f"cannot form {num_clusters} clusters from points with fewer "
+                f"than {num_clusters} distinct rows"
+            )
         labels = noisy_assign_labels(points, centroids, delta, rng, x_norms)
         stable_steps = 0
         converged = False

@@ -6,13 +6,17 @@ executed by :class:`~repro.experiments.runner.SweepRunner`); the helpers
 here aggregate those rows over seeds and render the same markdown tables
 EXPERIMENTS.md quotes.  A *method* is any object with a ``fit(graph)``
 returning something with a ``labels`` attribute.  With a content store
-attached, :func:`evaluate_methods` serves each seeded baseline's labels
-from the store's ``baseline`` namespace instead of refitting it.
+attached, :func:`trial_graph` serves each trial's graph from the store's
+``graph`` namespace instead of regenerating it, and :func:`evaluate_methods`
+serves each seeded baseline's labels from the ``baseline`` namespace
+instead of refitting it.
 """
 
 from __future__ import annotations
 
+import inspect
 import numbers
+import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +29,11 @@ from repro.baselines import (
 )
 from repro.core import QSCConfig, QuantumSpectralClustering
 from repro.exceptions import ExperimentError
+from repro.graphs import MixedGraph, ensure_connected
 from repro.metrics import adjusted_rand_index, matched_accuracy
 from repro.pipeline import checkpoint
 from repro.spectral import ClassicalSpectralClustering
-from repro.store import attached_store
+from repro.store import active_store, attached_store
 
 #: Spectral engine every paper sweep's quantum fits run.  A constant, not a
 #: factory knob: sweeps pin the byte-stable ``"v1"`` eigensolve (recorded in
@@ -42,6 +47,13 @@ BASELINE_NAMESPACE = "baseline"
 #: algorithm changes, so labels the old code published miss instead of
 #: being served.
 BASELINE_KEY_VERSION = 1
+
+#: Content-store namespace of the sweeps' trial graphs.
+GRAPH_NAMESPACE = "graph"
+#: Version leading every ``graph`` key.  Bump it whenever a graph builder's
+#: output changes (a generator, netlist conversion or ``ensure_connected``),
+#: so graphs the old code published miss instead of being served.
+GRAPH_KEY_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -125,6 +137,87 @@ def baseline_key(tag: str, estimator, graph_digest: str) -> str | None:
     )
 
 
+def graph_key(builder, *, connect_seed, **kwargs) -> str:
+    """Store key of the graph ``builder(**kwargs)`` builds, stitched by
+    ``ensure_connected(seed=connect_seed)``.
+
+    Names the builder's module and qualified name and every argument it
+    binds, defaults included, so a default the trial does not pass still
+    reaches the key.  A ``functools.wraps`` wrapper keeps all three, so a
+    wrapped builder has the same key.
+    """
+    bound = inspect.signature(builder).bind(**kwargs)
+    bound.apply_defaults()
+    arguments = "".join(
+        f"{name}={value!r};" for name, value in bound.arguments.items()
+    )
+    return (
+        f"v{GRAPH_KEY_VERSION}:{builder.__module__}.{builder.__qualname__}"
+        f"({arguments})+ensure_connected(seed={connect_seed!r})"
+    )
+
+
+def trial_graph(store_dir, builder, *, connect_seed, **kwargs):
+    """One trial's ``(graph, truth, graph_digest)``, read through the store.
+
+    ``builder(**kwargs)`` returns ``(graph, truth)``; the graph is then
+    stitched by ``ensure_connected(seed=connect_seed)`` and hashed with
+    :func:`~repro.pipeline.checkpoint.graph_fingerprint`.  With a store
+    attached, a graph published under :func:`graph_key` is rebuilt from its
+    entry instead, and its stored digest returned: nothing is generated or
+    hashed.  A miss builds, hashes and publishes.
+    """
+    store = _store_at(store_dir)
+    if store is not None:
+        key = graph_key(builder, connect_seed=connect_seed, **kwargs)
+        payload = store.get(GRAPH_NAMESPACE, key)
+        if payload is not None:
+            return _unpack_graph(payload)
+    graph, truth = builder(**kwargs)
+    ensure_connected(graph, seed=connect_seed)
+    graph_digest = checkpoint.graph_fingerprint(graph)
+    if store is not None:
+        store.put(GRAPH_NAMESPACE, key, _pack_graph(graph, truth, graph_digest))
+    return graph, truth, graph_digest
+
+
+def _store_at(store_dir):
+    """The store ``store_dir`` names: the attached one when it is already
+    rooted there (a re-attach would re-scan the disk tier on the next put),
+    else :func:`~repro.store.attached_store`'s."""
+    store = active_store()
+    if store_dir is None or (
+        store is not None and store.root == pathlib.Path(store_dir)
+    ):
+        return store
+    return attached_store(store_dir)
+
+
+def _pack_graph(graph, truth, graph_digest) -> dict:
+    edges, arcs = graph.connection_tables()
+    payload = {
+        "num_nodes": graph.num_nodes,
+        "edges": edges,
+        "arcs": arcs,
+        "truth": np.asarray(truth),
+        "digest": graph_digest,
+    }
+    labels = graph.node_labels
+    if labels is not None:
+        payload["node_labels"] = np.asarray(labels, dtype=str)
+    return payload
+
+
+def _unpack_graph(payload):
+    labels = payload.get("node_labels")
+    graph = MixedGraph(
+        int(payload["num_nodes"]), None if labels is None else labels.tolist()
+    )
+    graph.add_edges(payload["edges"])
+    graph.add_arcs(payload["arcs"])
+    return graph, payload["truth"], str(payload["digest"])
+
+
 def evaluate_methods(
     experiment: str,
     methods: dict,
@@ -133,17 +226,22 @@ def evaluate_methods(
     parameters: dict,
     seed: int,
     store_dir=None,
+    graph_digest: str | None = None,
 ) -> list[TrialRecord]:
     """Run every method on one graph instance and score against truth.
 
     ``store_dir`` attaches the content store as ``QSCPipeline.run`` does.
     With a store attached, each baseline's labels are read through the
     ``baseline`` namespace (see :func:`baseline_key`): served when
-    published, otherwise fitted and published.  The graph is hashed once;
-    the quantum fit reuses the digest for its stage keys.
+    published, otherwise fitted and published.  ``graph_digest`` is the
+    graph's :func:`~repro.pipeline.checkpoint.graph_fingerprint` when the
+    caller holds it (:func:`trial_graph` returns it); otherwise the graph
+    is hashed here, once.  The quantum fit reuses the digest for its stage
+    keys, so a trial whose graph was served hashes nothing.
     """
     store = attached_store(store_dir)
-    graph_digest = checkpoint.graph_fingerprint(graph)
+    if graph_digest is None:
+        graph_digest = checkpoint.graph_fingerprint(graph)
     records = []
     for tag, estimator in methods.items():
         if isinstance(estimator, QuantumSpectralClustering):

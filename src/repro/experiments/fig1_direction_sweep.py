@@ -26,9 +26,10 @@ from repro.experiments.common import (
     evaluate_methods,
     render_markdown_table,
     standard_methods,
+    trial_graph,
 )
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
-from repro.graphs import cyclic_flow_sbm, ensure_connected
+from repro.graphs import cyclic_flow_sbm
 
 DEFAULT_STRENGTHS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 DEFAULT_TRIALS = 5
@@ -58,16 +59,18 @@ def _trial(
 ) -> list[TrialRecord]:
     """One F1 trial: the full method panel on one cyclic-flow SBM."""
     strength = point["strength"]
-    graph, truth = cyclic_flow_sbm(
-        num_nodes,
-        num_clusters,
+    graph, truth, graph_digest = trial_graph(
+        store_dir,
+        cyclic_flow_sbm,
+        connect_seed=seed,
+        num_nodes=num_nodes,
+        num_clusters=num_clusters,
         density=density,
         direction_strength=strength,
         intra_directed=True,  # orientation is the ONLY signal
         seed=seed,
         generator_version=generator_version,
     )
-    ensure_connected(graph, seed=seed)
     config = QSCConfig(
         precision_bits=precision_bits,
         shots=shots,
@@ -80,7 +83,14 @@ def _trial(
     )
     methods = standard_methods(num_clusters, seed, config)
     return evaluate_methods(
-        "F1", methods, graph, truth, {"strength": strength}, seed, store_dir
+        "F1",
+        methods,
+        graph,
+        truth,
+        {"strength": strength},
+        seed,
+        store_dir,
+        graph_digest=graph_digest,
     )
 
 

@@ -40,9 +40,10 @@ from repro.experiments.common import (
     TrialRecord,
     aggregate,
     render_markdown_table,
+    trial_graph,
 )
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
-from repro.graphs import ensure_connected, mixed_sbm
+from repro.graphs import mixed_sbm
 from repro.metrics import adjusted_rand_index, matched_accuracy
 from repro.pipeline import QSCPipeline
 
@@ -100,15 +101,17 @@ def _trial(
     """One F2 trial: analytic fit + filter diagnostics (+ circuit check)."""
     precision = point["p"]
     records = []
-    graph, truth = mixed_sbm(
-        num_nodes,
-        num_clusters,
+    graph, truth, graph_digest = trial_graph(
+        store_dir,
+        mixed_sbm,
+        connect_seed=seed,
+        num_nodes=num_nodes,
+        num_clusters=num_clusters,
         p_intra=SBM_P_INTRA,
         p_inter=SBM_P_INTER,
         seed=seed,
         generator_version=generator_version,
     )
-    ensure_connected(graph, seed=seed)
     config = QSCConfig(
         precision_bits=precision,
         shots=shots,
@@ -120,7 +123,7 @@ def _trial(
         spectral_engine=spectral_engine,
     )
     pipeline = QSCPipeline(num_clusters, config)
-    result = pipeline.run(graph)
+    result = pipeline.run(graph, graph_digest=graph_digest)
     rmse, leakage = _filter_diagnostics(
         pipeline.state["backend"], num_clusters, result.threshold
     )
@@ -136,15 +139,17 @@ def _trial(
         )
     )
     if include_circuit and precision <= 6:
-        small_graph, small_truth = mixed_sbm(
-            circuit_num_nodes,
-            num_clusters,
+        small_graph, small_truth, small_digest = trial_graph(
+            store_dir,
+            mixed_sbm,
+            connect_seed=seed,
+            num_nodes=circuit_num_nodes,
+            num_clusters=num_clusters,
             p_intra=0.7,
             p_inter=0.05,
             seed=seed,
             generator_version=generator_version,
         )
-        ensure_connected(small_graph, seed=seed)
         circuit_config = QSCConfig(
             backend="circuit",
             precision_bits=precision,
@@ -156,7 +161,9 @@ def _trial(
             linalg_backend=linalg_backend,
         )
         circuit_pipeline = QSCPipeline(num_clusters, circuit_config)
-        circuit_labels = circuit_pipeline.run(small_graph).labels
+        circuit_labels = circuit_pipeline.run(
+            small_graph, graph_digest=small_digest
+        ).labels
         records.append(
             TrialRecord(
                 experiment="F2",

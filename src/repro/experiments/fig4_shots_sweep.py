@@ -15,7 +15,9 @@ reference, then finite shots.  The second fit *resumes from the readout
 stage* against the first fit's in-memory stage state
 (:class:`repro.pipeline.QSCPipeline` with ``resume_from="readout"``): the
 Laplacian, backend, histogram and threshold are shared outright, so the
-noisy fit re-runs only the shot-dependent stages.  Stage RNG streams are
+noisy fit re-runs only the shot-dependent stages (with a store attached,
+an in-memory resume reads those through it, so a warm trial computes
+nothing).  Stage RNG streams are
 independent, so the resumed fit is bit-identical to a full fit at the same
 seed — the records are unchanged from the pre-staged implementation.
 """
@@ -30,9 +32,10 @@ from repro.experiments.common import (
     TrialRecord,
     aggregate,
     render_markdown_table,
+    trial_graph,
 )
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
-from repro.graphs import ensure_connected, mixed_sbm
+from repro.graphs import mixed_sbm
 from repro.metrics import adjusted_rand_index, matched_accuracy
 from repro.pipeline import QSCPipeline
 
@@ -62,15 +65,17 @@ def _trial(
 ) -> list[TrialRecord]:
     """One F4 trial: noiseless reference fit + finite-shot fit."""
     shots = point["shots"]
-    graph, truth = mixed_sbm(
-        num_nodes,
-        num_clusters,
+    graph, truth, graph_digest = trial_graph(
+        store_dir,
+        mixed_sbm,
+        connect_seed=seed,
+        num_nodes=num_nodes,
+        num_clusters=num_clusters,
         p_intra=0.4,
         p_inter=0.05,
         seed=seed,
         generator_version=generator_version,
     )
-    ensure_connected(graph, seed=seed)
     reference = QSCPipeline(
         num_clusters,
         QSCConfig(
@@ -84,7 +89,7 @@ def _trial(
             spectral_engine=spectral_engine,
         ),
     )
-    noiseless = reference.run(graph)
+    noiseless = reference.run(graph, graph_digest=graph_digest)
     # The noisy fit differs only in the shot budget, which first matters in
     # the readout stage — resume there against the reference fit's stage
     # state (same seed ⇒ identical laplacian/threshold outputs, and the
@@ -101,7 +106,12 @@ def _trial(
             linalg_backend=linalg_backend,
             spectral_engine=spectral_engine,
         ),
-    ).run(graph, resume_from="readout", upstream=reference.state)
+    ).run(
+        graph,
+        resume_from="readout",
+        upstream=reference.state,
+        graph_digest=graph_digest,
+    )
     embedding_error = float(
         np.linalg.norm(noisy.embedding - noiseless.embedding)
         / max(np.linalg.norm(noiseless.embedding), 1e-12)

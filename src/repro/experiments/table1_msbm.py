@@ -25,9 +25,10 @@ from repro.experiments.common import (
     evaluate_methods,
     render_markdown_table,
     standard_methods,
+    trial_graph,
 )
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
-from repro.graphs import ensure_connected, mixed_sbm
+from repro.graphs import mixed_sbm
 
 DEFAULT_SIZES = (32, 64, 128)
 DEFAULT_CLUSTERS = (2, 3)
@@ -55,15 +56,17 @@ def _trial(
 ) -> list[TrialRecord]:
     """One T1 trial: the full method panel on one mixed SBM instance."""
     num_nodes, num_clusters = point["n"], point["k"]
-    graph, truth = mixed_sbm(
-        num_nodes,
-        num_clusters,
+    graph, truth, graph_digest = trial_graph(
+        store_dir,
+        mixed_sbm,
+        connect_seed=seed,
+        num_nodes=num_nodes,
+        num_clusters=num_clusters,
         p_intra=0.4,
         p_inter=0.05,
         seed=seed,
         generator_version=generator_version,
     )
-    ensure_connected(graph, seed=seed)
     config = QSCConfig(
         precision_bits=precision_bits,
         shots=shots,
@@ -83,6 +86,7 @@ def _trial(
         {"n": num_nodes, "k": num_clusters},
         seed,
         store_dir,
+        graph_digest=graph_digest,
     )
 
 

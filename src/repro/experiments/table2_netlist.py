@@ -29,6 +29,7 @@ from repro.experiments.common import (
     evaluate_methods,
     render_markdown_table,
     standard_methods,
+    trial_graph,
 )
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
 from repro.graphs import ensure_connected, load_c17, synthetic_netlist
@@ -43,6 +44,31 @@ DEFAULT_BASE_SEED = 300
 def _trial_seed(point, trial, base_seed) -> int:
     """The historical T2 per-trial seed formula (records stay identical)."""
     return base_seed + 104729 * trial + point["modules"]
+
+
+def _netlist_graph(
+    num_modules,
+    gates_per_module,
+    seed,
+    internal_fanin=3,
+    cross_module_nets=2,
+    feedback_registers=3,
+):
+    """A synthetic netlist's clique-expanded mixed graph and module labels.
+
+    The netlist shape knobs are defaulted parameters, not constants, so the
+    trial graph's store key (:func:`~repro.experiments.common.graph_key`)
+    names them.
+    """
+    netlist = synthetic_netlist(
+        num_modules,
+        gates_per_module,
+        internal_fanin=internal_fanin,
+        cross_module_nets=cross_module_nets,
+        feedback_registers=feedback_registers,
+        seed=seed,
+    )
+    return netlist.to_mixed_graph(net_cliques=True), netlist.module_labels()
 
 
 def _trial(
@@ -61,17 +87,14 @@ def _trial(
 ) -> list[TrialRecord]:
     """One T2 trial: the method panel on one synthetic netlist instance."""
     num_modules = point["modules"]
-    netlist = synthetic_netlist(
-        num_modules,
-        gates_per_module,
-        internal_fanin=3,
-        cross_module_nets=2,
-        feedback_registers=3,
+    graph, truth, graph_digest = trial_graph(
+        store_dir,
+        _netlist_graph,
+        connect_seed=seed,
+        num_modules=num_modules,
+        gates_per_module=gates_per_module,
         seed=seed,
     )
-    graph = netlist.to_mixed_graph(net_cliques=True)
-    ensure_connected(graph, seed=seed)
-    truth = netlist.module_labels()
     config = QSCConfig(
         precision_bits=precision_bits,
         shots=shots,
@@ -91,6 +114,7 @@ def _trial(
         {"modules": num_modules, "n": graph.num_nodes},
         seed,
         store_dir,
+        graph_digest=graph_digest,
     )
 
 

@@ -251,6 +251,16 @@ class MixedGraph:
         :meth:`edges` order without building :class:`Edge` objects."""
         return sorted(self._undirected.items()), sorted(self._directed.items())
 
+    def connection_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(m, 3)`` float ``[u, v, weight]`` tables of the edges, then of
+        the arcs, in insertion order.
+
+        :meth:`add_edges` and :meth:`add_arcs` of an empty graph rebuild
+        this one from them, insertion order (so :meth:`degrees`' bytes)
+        included.
+        """
+        return _connection_table(self._undirected), _connection_table(self._directed)
+
     def edges(self) -> list[Edge]:
         """All connections, undirected first, in deterministic order."""
         und, dirs = self.sorted_connections()
@@ -456,3 +466,14 @@ class MixedGraph:
             f"MixedGraph(n={self._num_nodes}, edges={self.num_edges}, "
             f"arcs={self.num_arcs})"
         )
+
+
+def _connection_table(connections: dict) -> np.ndarray:
+    """``[u, v, weight]`` rows of a connection dict, in insertion order."""
+    count = len(connections)
+    table = np.empty((count, 3))
+    table[:, :2] = np.fromiter(
+        chain.from_iterable(connections), dtype=float, count=2 * count
+    ).reshape(count, 2)
+    table[:, 2] = np.fromiter(connections.values(), dtype=float, count=count)
+    return table

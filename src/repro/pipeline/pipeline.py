@@ -134,8 +134,10 @@ class QSCPipeline:
         serves each stage whose entry already exists instead of computing
         it (``source="store"``; a served stage is still written to
         ``save_stages``).  Nothing downstream of a degraded stage is
-        served.  Under ``resume_from`` the upstream stages load from the
-        run directory, falling back to the store when it lacks (or holds
+        served.  An in-memory resume (``upstream``) reuses the upstream
+        stages and reads the resumed stage onward through the store like
+        a plain run.  A resume from a run directory loads the upstream
+        stages from it, falling back to the store when it lacks (or holds
         a corrupt copy of) a stage file, and the resumed stage onward
         always recomputes.  A corrupt run-dir checkpoint is evicted and
         recomputed instead of aborting the resume.
@@ -204,7 +206,8 @@ class QSCPipeline:
             self._run_stages(
                 ctx, reports, degraded, resume_index, upstream,
                 stages_dir, save_stages, store,
-                read_through=resume_from is None and store is not None,
+                read_through=store is not None
+                and (resume_from is None or upstream is not None),
             )
 
         if degraded:

@@ -103,6 +103,15 @@ class TestQMeans:
         with pytest.raises(ClusteringError):
             qmeans(points, 2, max_iterations=0)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_fewer_distinct_rows_than_clusters_raises(self, delta):
+        points = np.repeat([[0.0, 1.0], [1.0, 0.0]], 5, axis=0)
+        with pytest.raises(ClusteringError, match="fewer than 4 distinct rows"):
+            qmeans(points, 4, delta=delta, seed=0)
+        # as many distinct rows as clusters is fine, duplicates and all
+        result = qmeans(points, 2, delta=delta, seed=0)
+        assert adjusted_rand_index(np.repeat([0, 1], 5), result.labels) == 1.0
+
     def test_noisy_assignment_reduces_to_exact_at_zero_delta(self):
         points, _ = self.blobs(3)
         centroids = np.array([[0.0, 0.0], [4.0, 4.0]])

@@ -98,6 +98,24 @@ class TestAnalyticBackend:
         with pytest.raises(ClusteringError):
             AnalyticQPEBackend(small_laplacian(), 0)
 
+    @pytest.mark.parametrize("engine", ["v1", "v2", "v3"])
+    @pytest.mark.parametrize("top", [LAMBDA_SCALE, 3.0])
+    def test_spectrum_outside_the_phase_window_raises(self, engine, top):
+        """Eagerly at construction, or on first use when deferred."""
+        laplacian = np.diag([0.0, 1.0, top]).astype(complex)
+        with pytest.raises(ClusteringError, match="phase window"):
+            AnalyticQPEBackend(laplacian, 4, engine)
+        backend = AnalyticQPEBackend(laplacian, 4, engine, deferred=True)
+        with pytest.raises(ClusteringError, match="phase window"):
+            backend.eigenvalue_histogram(16, np.random.default_rng(0))
+        with pytest.raises(ClusteringError, match="phase window"):
+            backend.eigenvalues  # still refused on a later use
+
+    def test_negative_spectrum_raises(self):
+        laplacian = np.diag([-0.5, 0.0, 1.0]).astype(complex)
+        with pytest.raises(ClusteringError, match="phase window"):
+            AnalyticQPEBackend(laplacian, 4)
+
 
 class TestCircuitBackend:
     def test_distribution_matches_analytic_exactly(self):

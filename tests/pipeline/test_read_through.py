@@ -9,6 +9,8 @@ from test_pipeline import CONFIG, results_equal
 from test_sharding import FaultyShardExecutor, _always
 
 from repro import QSCConfig, QSCPipeline
+from repro.core.qpe_engine import clear_spectral_cache
+from repro.experiments import fig4_shots_sweep
 from repro.graphs import ensure_connected, mixed_sbm
 from repro.pipeline import STAGE_NAMES, build_stages, checkpoint, sharding
 from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
@@ -111,6 +113,48 @@ class TestReadThrough:
             ["checkpoint"] * index + ["computed"] * (len(STAGE_NAMES) - index)
         )
         assert results_equal(cold, resumed)
+
+    def test_in_memory_resume_reads_through_the_store(self, graph, tmp_store):
+        """An ``upstream`` resume serves its resumed stage onward; only a
+        run-directory resume recomputes them."""
+        reference = QSCPipeline(2, CONFIG)
+        reference.run(graph)
+        noisy = CONFIG.with_updates(shots=64)
+        cold = QSCPipeline(2, noisy).run(
+            graph, resume_from="readout", upstream=reference.state
+        )
+        warm = QSCPipeline(2, noisy).run(
+            graph, resume_from="readout", upstream=reference.state
+        )
+        assert sources(cold) == ["reused"] * 2 + ["computed"] * 3
+        assert sources(warm) == ["reused"] * 2 + ["store"] * 3
+        assert results_equal(cold, warm)
+        assert results_equal(QSCPipeline(2, noisy).run(graph), warm)
+
+    def test_warm_fig4_trial_serves_its_noisy_fit(self, tmp_store, monkeypatch):
+        sweep = dict(
+            shot_budgets=(32,), num_nodes=16, trials=1, precision_bits=5,
+            store_dir=str(tmp_store.root),
+        )
+        cold = fig4_shots_sweep.run(**sweep)
+        tmp_store.clear_memory()  # a fresh worker: only the disk tier is warm
+        clear_spectral_cache()
+        profiles = []
+        run = QSCPipeline.run
+
+        def recorded(self, graph, **kwargs):
+            result = run(self, graph, **kwargs)
+            profiles.append(sources(result))
+            return result
+
+        monkeypatch.setattr(QSCPipeline, "run", recorded)
+        warm = fig4_shots_sweep.run(**sweep)
+        assert warm == cold
+        # the noiseless reference fit, then the noisy fit resumed from it
+        assert profiles == [
+            ["store"] * len(STAGE_NAMES),
+            ["reused"] * 2 + ["store"] * 3,
+        ]
 
     def test_degraded_stage_is_not_served_downstream(
         self, graph, tmp_store, monkeypatch
