@@ -60,18 +60,6 @@ def test_bench_autok_ablation(benchmark):
     assert all(r["quantum_hit_rate"] >= 0.5 for r in rows)
 
 
-@pytest.mark.benchmark(group="A5")
-def test_bench_vqe_ablation(benchmark):
-    rows = benchmark.pedantic(
-        lambda: ablations.vqe_ablation(trials=1, layers=2),
-        rounds=1,
-        iterations=1,
-    )
-    # the variational front end reaches the exact low subspace
-    assert rows[0]["eigenvalue_error"] < 0.1
-    assert rows[0]["subspace_fidelity"] > 0.9
-
-
 @pytest.mark.benchmark(group="A6")
 def test_bench_expansion_ablation(benchmark):
     rows = benchmark.pedantic(

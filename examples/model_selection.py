@@ -6,9 +6,6 @@ sampled, quantized QPE readouts.  This example shows the histogram-native
 eigengap rule (``repro.core.autok``) recovering k for several ground
 truths, then runs the full pipeline with the selected k.
 
-As a NISQ coda, it also extracts the low eigenpairs *variationally* (VQE
-with deflation) on a small graph and compares against the exact spectrum.
-
 Run:  python examples/model_selection.py
 """
 
@@ -23,7 +20,6 @@ from repro import (
 from repro.core import estimate_num_clusters_quantum
 from repro.core.qpe_engine import AnalyticQPEBackend
 from repro.graphs import ensure_connected, hermitian_laplacian
-from repro.quantum import VQESolver
 
 
 def quantum_auto_k():
@@ -46,19 +42,5 @@ def quantum_auto_k():
         )
 
 
-def vqe_front_end():
-    print("\n=== variational (VQE) extraction of the cluster subspace ===")
-    graph, _ = mixed_sbm(8, 2, p_intra=0.8, p_inter=0.05, seed=0)
-    ensure_connected(graph, seed=0)
-    laplacian = hermitian_laplacian(graph)
-    solver = VQESolver(layers=3, max_iterations=250, seed=1)
-    result = solver.solve(laplacian, k=2)
-    exact = np.linalg.eigvalsh(laplacian)[:2]
-    print(f"VQE eigenvalues:   {result.eigenvalues.round(5)}")
-    print(f"exact eigenvalues: {exact.round(5)}")
-    print(f"optimizer steps:   {result.iterations}")
-
-
 if __name__ == "__main__":
     quantum_auto_k()
-    vqe_front_end()

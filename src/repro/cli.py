@@ -104,10 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "eigensolve of the analytic QPE engine: v3 decomposes only the "
             "n x n graph block with LAPACK's MRRR driver and appends the "
-            "analytic pad eigenpairs (default); v2 solves the same block "
-            "with numpy's eigh; v1 decomposes the whole power-of-two padded "
-            "matrix, the byte-stable contract the paper sweeps pin.  All "
-            "three agree to rounding, so labels match while digests differ"
+            "analytic pad eigenpairs (default); v1 decomposes the whole "
+            "power-of-two padded matrix with numpy's eigh, the byte-stable "
+            "contract the paper sweeps pin.  Both agree to rounding, so "
+            "labels match while digests differ"
         ),
     )
     cluster.add_argument("--precision-bits", type=int, default=7)

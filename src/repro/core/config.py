@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,12 +16,30 @@ BACKENDS = ("circuit", "analytic")
 EVOLUTIONS = ("exact", "trotter")
 #: Eigensolve contracts of the analytic QPE engine (see
 #: :class:`repro.core.qpe_engine.AnalyticQPEBackend`): ``"v1"`` decomposes
-#: the padded D × D matrix, ``"v2"`` only the n × n graph block, ``"v3"``
-#: the graph block with LAPACK's MRRR driver.
-SPECTRAL_ENGINES = ("v1", "v2", "v3")
+#: the padded D × D matrix, ``"v3"`` only the n × n graph block, with
+#: LAPACK's MRRR driver.
+SPECTRAL_ENGINES = ("v1", "v3")
 #: Failure policies of the sharded-readout supervisor (the canonical
 #: vocabulary — :mod:`repro.pipeline.supervisor` re-exports it).
 SHARD_FAILURE_MODES = ("raise", "degrade")
+#: Integer fields, and those that may also be ``None``: a ``bool`` or a
+#: non-integral value is a typed error (NumPy integers from sweep axes pass).
+_INTEGER_FIELDS = (
+    "precision_bits",
+    "shots",
+    "histogram_shots",
+    "shard_retries",
+    "trotter_steps",
+    "trotter_order",
+    "qmeans_iterations",
+    "kmeans_restarts",
+)
+_OPTIONAL_INTEGER_FIELDS = (
+    "readout_chunk_size",
+    "readout_shards",
+    "shard_workers",
+    "draw_threads",
+)
 
 
 @dataclass(frozen=True)
@@ -108,15 +128,12 @@ class QSCConfig:
         (:data:`SPECTRAL_ENGINES`): ``"v3"`` (default) solves the n × n
         graph block with LAPACK's MRRR driver
         (``scipy.linalg.eigh(driver="evr")``) and appends the analytic pad
-        eigenpairs; ``"v2"`` solves the same block with NumPy's ``eigh``
-        (divide and conquer); ``"v1"`` runs ``eigh`` on the full
+        eigenpairs; ``"v1"`` runs NumPy's ``eigh`` on the full
         power-of-two padded matrix, the byte-stable legacy contract every
-        paper sweep pins, so their recorded artifacts never move.  All
-        three agree to floating-point rounding, so labels match but
-        digests differ.  v3's solve is about 1.7× faster than v2's at
-        n = 600 on one thread, little at n ≤ 300; the gain varies with the
-        host's speed phase.  The circuit backend ignores it.  Exposed on
-        the CLI as ``--spectral-engine``.
+        paper sweep pins, so their recorded artifacts never move.  Both
+        agree to floating-point rounding, so labels match but digests
+        differ.  The circuit backend ignores it.  Exposed on the CLI as
+        ``--spectral-engine``.
     linalg_backend:
         Matrix-representation backend for Laplacian construction:
         ``"auto"`` (default — dense below 256 nodes, sparse CSR with the
@@ -176,6 +193,18 @@ class QSCConfig:
     seed: int | None = 7
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS + _OPTIONAL_INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in _OPTIONAL_INTEGER_FIELDS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ClusteringError(f"{name} must be an integer, got {value!r}")
+        for name in ("theta", "qmeans_delta", "eigenvalue_threshold"):
+            value = getattr(self, name)
+            if value is None and name == "eigenvalue_threshold":
+                continue
+            if not math.isfinite(value):
+                raise ClusteringError(f"{name} must be finite, got {value!r}")
         if self.precision_bits < 1:
             raise ClusteringError(
                 f"precision_bits must be >= 1, got {self.precision_bits}"

@@ -11,9 +11,7 @@ iteration with two bounded noise sources:
 
 At δ = 0 the iteration *is* Lloyd's algorithm (property-tested against
 ``repro.spectral.kmeans``).  The closed-form noise model is used instead of
-per-distance swap-test circuits so q-means scales to thousands of rows; the
-circuit-level swap test itself lives in ``repro.quantum.swap_test`` and is
-exercised by the examples.
+per-distance swap-test circuits so q-means scales to thousands of rows.
 """
 
 from __future__ import annotations

@@ -91,13 +91,11 @@ SPECTRAL_NAMESPACE = "spectral"
 #: Per engine: the solve its ``eigensolver`` label names, the LAPACK driver
 #: of :meth:`SpectralDecomposition.of` (``None``: NumPy's ``zheevd``) and
 #: the fingerprint prefix of its spectral entries.  v1 keys the padded
-#: matrix bare; v2 and v3 key the *unpadded* Laplacian, each under its own
-#: prefix: without one a power-of-two graph (whose padded and unpadded
-#: matrices coincide) would share v1's keys, and v2 and v3 solve the same
-#: block to different bits.
+#: matrix bare; v3 keys the *unpadded* Laplacian under its own prefix:
+#: without one a power-of-two graph (whose padded and unpadded matrices
+#: coincide) would share v1's keys, and the two solve it to different bits.
 ENGINE_SOLVES = {
     "v1": ("eigh", None, ""),
-    "v2": ("eigh", None, "block-"),
     "v3": ("eigh-mrrr", "evr", "mrrr-"),
 }
 
@@ -289,20 +287,16 @@ class AnalyticQPEBackend:
         How the padded register's spectrum is obtained
         (:data:`~repro.core.config.SPECTRAL_ENGINES`).  ``"v1"`` (the
         default here, byte-stable) runs ``eigh`` on the full D × D padded
-        matrix.  ``"v2"`` runs ``eigh`` on the n × n graph block only and
-        appends the analytic pad eigenpairs: eigenvalue
-        :data:`PAD_EIGENVALUE` with basis vectors e_j, j ≥ n.  The padded
-        matrix is block diagonal, so both describe the same register; v2
-        differs from v1 only by floating-point rounding (eigenvalues by
-        about 1e-15, filtered rows by about 1e-13 — the tolerance contract
-        in ``tests/core/test_spectral_engine.py``).  ``"v3"`` (the
-        ``QSCConfig`` default) is the v2 block form solved by LAPACK's MRRR
-        driver (``scipy.linalg.eigh(driver="evr")``) instead of divide and
-        conquer: about 1.7× faster at n = 600 on one thread (the gain
-        varies with the host's speed phase), little at n ≤ 300.  Its
-        eigenvector phases differ from v2's, but every consumer reads |V|²
-        or V·diag·V†, so it agrees with v2 to about 1e-14 (same tolerance
-        contract, against v2).
+        matrix.  ``"v3"`` (the ``QSCConfig`` default) solves only the n × n
+        graph block, with LAPACK's MRRR driver
+        (``scipy.linalg.eigh(driver="evr")``), and appends the analytic pad
+        eigenpairs: eigenvalue :data:`PAD_EIGENVALUE` with basis vectors
+        e_j, j ≥ n.  The padded matrix is block diagonal, so both describe
+        the same register.  v3's eigenvector phases differ from v1's, but
+        every consumer reads |V|² or V·diag·V†, so it differs from v1 only
+        by floating-point rounding (eigenvalues within 1e-12, filtered rows
+        within 1e-10 — the tolerance contract in
+        ``tests/core/test_spectral_engine.py``).
     deferred:
         Load the spectrum on first use instead of at construction (see
         :func:`make_backend`).
@@ -319,12 +313,12 @@ class AnalyticQPEBackend:
     a second backend for the same Laplacian (a sweep point that varies
     only shots or threshold, or a diagnostics pass after a fit) skips the
     O(n³) eigensolve and, at equal ``precision_bits``, the kernel build.
-    v2 and v3 entries are keyed by the unpadded Laplacian, each under its
-    own prefix (:data:`ENGINE_SOLVES`), so no two engines ever serve each
-    other's entries.  The cached arrays are shared read-only; hit or miss,
+    v3 entries are keyed by the unpadded Laplacian under their own prefix
+    (:data:`ENGINE_SOLVES`), so the two engines never serve each other's
+    entries.  The cached arrays are shared read-only; hit or miss,
     outputs are bit-identical.
 
-    Under the block forms (v2, v3) the hot paths (histogram,
+    Under the block form (v3) the hot paths (histogram,
     ``project_rows``, node distributions) never touch the pad components:
     they carry no node mass.  Only the D-length per-component answers add them back.
     """
@@ -366,7 +360,7 @@ class AnalyticQPEBackend:
         self._eigenvalues, self._eigenvectors = SPECTRAL_CACHE.decomposition(
             fingerprint, matrix, driver
         )
-        # the pad components, present only in the block forms (v2, v3)
+        # the pad components, present only in the block form (v3)
         self._pad_count = self.dim - len(self._eigenvalues)
         kernel_values = self._eigenvalues
         if self._pad_count:
@@ -395,7 +389,7 @@ class AnalyticQPEBackend:
     def _per_component(self, of_rows) -> np.ndarray:
         """``of_rows`` applied to the kernel, one entry per component of the
         D-dimensional register in ascending eigenvalue order: v1 stores all
-        D components; v2 and v3 repeat the pad row's entry for each pad
+        D components; v3 repeats the pad row's entry for each pad
         component."""
         self._spectrum()
         block = of_rows(self._kernel)
@@ -492,7 +486,7 @@ class AnalyticQPEBackend:
         -----
         Replaces the per-row :meth:`project_row` loop in the pipeline hot
         path — one (K × m) @ (m × m) product instead of K matvecs, with
-        m = dim under v1 and m = num_nodes under v2 and v3.
+        m = dim under v1 and m = num_nodes under v3.
         """
         nodes = np.asarray(nodes, dtype=int)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
@@ -513,7 +507,7 @@ class AnalyticQPEBackend:
         safe = np.where(alive, norms, 1.0)
         states = filtered / safe[:, None]
         if self._pad_count:
-            # v2/v3 filter in the n-dim graph block; the pad columns are
+            # v3 filters in the n-dim graph block; the pad columns are
             # exact zeros because pad eigenvectors never overlap a node
             states = np.pad(states, ((0, 0), (0, self._pad_count)))
         return states, probabilities
@@ -875,9 +869,9 @@ def make_backend(laplacian, config, *, deferred: bool = False) -> object:
         A :class:`repro.core.config.QSCConfig`; ``config.backend`` picks
         ``"analytic"`` or ``"circuit"``, ``config.precision_bits`` sets the
         ancilla count, ``config.spectral_engine`` picks the analytic
-        backend's eigensolve (padded ``"v1"``, graph-block ``"v2"`` or the
-        graph block by MRRR, ``"v3"``; the circuit backend always simulates
-        the padded register), the ``evolution`` / ``trotter_*`` fields
+        backend's eigensolve (padded ``"v1"`` or the graph block by MRRR,
+        ``"v3"``; the circuit backend always simulates the padded
+        register), the ``evolution`` / ``trotter_*`` fields
         configure the circuit backend's Hamiltonian simulation, and
         ``config.readout_chunk_size`` (when set) can lower — never raise —
         the circuit backend's batched-pass width.

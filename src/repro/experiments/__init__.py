@@ -9,7 +9,7 @@ F1          ``repro.experiments.fig1_direction_sweep``
 F2          ``repro.experiments.fig2_precision_sweep``
 F3          ``repro.experiments.fig3_runtime_scaling``
 F4          ``repro.experiments.fig4_shots_sweep``
-A1–A6       ``repro.experiments.ablations``
+A1–A4, A6   ``repro.experiments.ablations``
 ==========  =============================================================
 
 Every figure/table module declares its sweep as a

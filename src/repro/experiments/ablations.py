@@ -1,4 +1,4 @@
-"""Ablations A1–A5: Trotter, θ phase, gate noise, auto-k, VQE front end.
+"""Ablations A1–A4 and A6: Trotter, θ phase, gate noise, auto-k, net expansion.
 
 * **A1** — QPE eigenvalue error and end-to-end agreement versus Trotter
   steps/order on small graphs (circuit backend).
@@ -8,14 +8,13 @@
   scanning error rates (the NISQ outlook).
 * **A4** — quantum model selection: recovering the cluster count k from
   sampled QPE histograms alone, versus the classical eigengap oracle.
-* **A5** — the variational (VQE) front end as a NISQ substitute for QPE:
-  eigenvalue accuracy and end-to-end agreement on small graphs.
 * **A6** — hypergraph-expansion ablation: clique versus star expansion of
   netlist nets and their effect on module recovery.
 
 These reproduce the paper's ablation paragraphs rather than a numbered
 figure/table; each function states the knob it varies (Trotter steps and
-order, arc phase θ, noise rates, shot budget, VQE depth, net expansion).
+order, arc phase θ, noise rates, shot budget, net expansion).  A5, the
+VQE front end, was retired with the variational solver; A6 keeps its name.
 They are deliberate one-off scans, not :class:`SweepSpec` sweeps — the
 declarative engine in :mod:`repro.experiments.runner` covers the six
 figure/table artifacts.
@@ -203,52 +202,6 @@ def autok_ablation(
     return rows
 
 
-def vqe_ablation(
-    num_nodes: int = 8,
-    num_clusters: int = 2,
-    layers: int = 3,
-    trials: int = 3,
-    base_seed: int = 1900,
-) -> list[dict]:
-    """A5: deflated-VQE eigenvalue error and embedding agreement with exact.
-
-    For each trial graph, VQE extracts the k lowest Laplacian eigenpairs;
-    rows report the worst eigenvalue error and the subspace fidelity
-    (principal-angle overlap) against the exact eigenvectors.
-    """
-    from repro.quantum import VQESolver
-
-    rows = []
-    for trial in range(trials):
-        seed = base_seed + trial
-        graph, _ = mixed_sbm(
-            num_nodes, num_clusters, p_intra=0.8, p_inter=0.05, seed=seed
-        )
-        ensure_connected(graph, seed=seed)
-        # pad to a power-of-two dimension (same convention as the QPE
-        # engine; padded eigenvalues sit at the top of the spectrum)
-        laplacian = pad_laplacian(hermitian_laplacian(graph))
-        solver = VQESolver(layers=layers, max_iterations=250, seed=seed)
-        result = solver.solve(laplacian, k=num_clusters)
-        exact_values, exact_vectors = np.linalg.eigh(laplacian)
-        value_error = float(
-            np.abs(result.eigenvalues - exact_values[:num_clusters]).max()
-        )
-        overlap_matrix = (
-            exact_vectors[:, :num_clusters].conj().T @ result.eigenvectors
-        )
-        subspace_fidelity = float(np.linalg.svd(overlap_matrix, compute_uv=False).min())
-        rows.append(
-            {
-                "seed": seed,
-                "eigenvalue_error": value_error,
-                "subspace_fidelity": subspace_fidelity,
-                "optimizer_steps": result.iterations,
-            }
-        )
-    return rows
-
-
 def expansion_ablation(
     expansions=("clique", "star"),
     num_modules: int = 3,
@@ -299,7 +252,7 @@ def expansion_ablation(
 
 
 def main() -> str:
-    """Run all six ablations and return a textual report."""
+    """Run all five ablations and return a textual report."""
     lines = ["A1 (Trotter):"]
     for row in trotter_ablation():
         lines.append(
@@ -321,12 +274,6 @@ def main() -> str:
         lines.append(
             "  k={k_true} quantum_hit={quantum_hit_rate:.2f} "
             "classical_hit={classical_hit_rate:.2f}".format(**row)
-        )
-    lines.append("A5 (VQE front end):")
-    for row in vqe_ablation():
-        lines.append(
-            "  seed={seed} eig_err={eigenvalue_error:.4f} "
-            "fidelity={subspace_fidelity:.4f} steps={optimizer_steps}".format(**row)
         )
     lines.append("A6 (net expansion):")
     for row in expansion_ablation():

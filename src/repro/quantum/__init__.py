@@ -1,10 +1,10 @@
 """From-scratch quantum-computing substrate.
 
 Statevector simulation, a circuit IR, gate library, QFT, Pauli algebra,
-Hamiltonian simulation, phase estimation, amplitude-encoding state
-preparation, measurement/tomography models, swap tests, noise channels and
-resource accounting — everything the mixed-graph quantum spectral
-clustering pipeline needs, with no external quantum SDK.
+Hamiltonian simulation, phase estimation, measurement/tomography models,
+noise channels, quantum walks and resource accounting — everything the
+mixed-graph quantum spectral clustering pipeline needs, with no external
+quantum SDK.
 """
 
 from repro.quantum.circuit import Operation, QuantumCircuit
@@ -40,22 +40,12 @@ from repro.quantum.phase_estimation import (
     qpe_outcome_distributions,
     run_qpe,
 )
-from repro.quantum.state_prep import (
-    amplitude_encode,
-    state_preparation_circuit,
-    state_prep_resources,
-)
 from repro.quantum.measurement import (
     counts_to_probabilities,
     sample_distribution,
     tomography_estimate,
     tomography_estimate_batch,
     expectation_from_counts,
-)
-from repro.quantum.swap_test import (
-    swap_test_circuit,
-    estimate_overlap,
-    estimate_distance_squared,
 )
 from repro.quantum.noise import NoiseModel, noisy_run, noisy_sample_counts
 from repro.quantum.density_matrix import (
@@ -66,32 +56,10 @@ from repro.quantum.density_matrix import (
     noisy_circuit_density,
     phase_damping_kraus,
 )
-from repro.quantum.amplitude import (
-    amplitude_amplification,
-    amplitude_estimation,
-    amplification_schedule,
-    grover_operator,
-    mle_amplitude_estimation,
-    success_probability,
-)
-from repro.quantum.transpile import (
-    TranspileCounts,
-    multi_controlled_counts,
-    transpile_counts,
-    two_level_decompose,
-    unitary_counts,
-)
-from repro.quantum.qram import KPTree, QRAM
 from repro.quantum.walks import (
     QuantumWalk,
     directed_cycle,
     directional_transport_bias,
-)
-from repro.quantum.vqe import (
-    VQEResult,
-    VQESolver,
-    ansatz_state,
-    hardware_efficient_ansatz,
 )
 from repro.quantum.resources import (
     QPEResources,
@@ -125,17 +93,11 @@ __all__ = [
     "qpe_outcome_distribution",
     "qpe_outcome_distributions",
     "run_qpe",
-    "amplitude_encode",
-    "state_preparation_circuit",
-    "state_prep_resources",
     "counts_to_probabilities",
     "sample_distribution",
     "tomography_estimate",
     "tomography_estimate_batch",
     "expectation_from_counts",
-    "swap_test_circuit",
-    "estimate_overlap",
-    "estimate_distance_squared",
     "NoiseModel",
     "noisy_run",
     "noisy_sample_counts",
@@ -145,27 +107,10 @@ __all__ = [
     "depolarizing_kraus",
     "noisy_circuit_density",
     "phase_damping_kraus",
-    "amplitude_amplification",
-    "amplitude_estimation",
-    "amplification_schedule",
-    "grover_operator",
-    "mle_amplitude_estimation",
-    "success_probability",
-    "TranspileCounts",
-    "multi_controlled_counts",
-    "transpile_counts",
-    "two_level_decompose",
-    "unitary_counts",
-    "KPTree",
-    "QRAM",
     "QPEResources",
     "qpe_resources",
     "quantum_pipeline_step_count",
     "classical_pipeline_step_count",
-    "VQEResult",
-    "VQESolver",
-    "ansatz_state",
-    "hardware_efficient_ansatz",
     "QuantumWalk",
     "directed_cycle",
     "directional_transport_bias",

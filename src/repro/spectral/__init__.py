@@ -25,14 +25,6 @@ from repro.spectral.clustering import (
     ClusteringResult,
     classical_spectral_clustering,
 )
-from repro.spectral.power_method import (
-    lowest_eigenpairs_by_power,
-    power_iteration,
-)
-from repro.spectral.recursive import (
-    fiedler_bipartition,
-    recursive_spectral_partition,
-)
 from repro.spectral.gap import (
     eigengaps,
     estimate_num_clusters,
@@ -41,10 +33,6 @@ from repro.spectral.gap import (
 )
 
 __all__ = [
-    "fiedler_bipartition",
-    "recursive_spectral_partition",
-    "lowest_eigenpairs_by_power",
-    "power_iteration",
     "eigengaps",
     "estimate_num_clusters",
     "gap_profile",

@@ -1,13 +1,12 @@
-"""Tests for quantum auto-k model selection and the VQE solver."""
+"""Tests for quantum auto-k model selection."""
 
 import numpy as np
 import pytest
 
 from repro.core import estimate_num_clusters_quantum, eigenvalues_from_histogram
 from repro.core.qpe_engine import AnalyticQPEBackend
-from repro.exceptions import ClusteringError, ConvergenceError
+from repro.exceptions import ClusteringError
 from repro.graphs import ensure_connected, hermitian_laplacian, mixed_sbm
-from repro.quantum import VQESolver, ansatz_state, hardware_efficient_ansatz
 from repro.spectral import estimate_num_clusters
 from repro.graphs import laplacian_spectrum
 
@@ -81,69 +80,3 @@ class TestAutoK:
             estimate_num_clusters_quantum(
                 histogram, graph.num_nodes, 7, backend.lambda_scale, k_min=50
             )
-
-
-class TestAnsatz:
-    def test_parameter_count_checked(self):
-        with pytest.raises(ConvergenceError):
-            hardware_efficient_ansatz(2, np.zeros(3), layers=1)
-
-    def test_state_is_normalized(self):
-        params = np.linspace(0, 1, 2 * 2 * 3)
-        state = ansatz_state(2, params, layers=2)
-        assert np.isclose(np.linalg.norm(state), 1.0)
-
-    def test_zero_parameters_give_zero_state(self):
-        params = np.zeros(2 * 2 * 2)
-        state = ansatz_state(2, params, layers=1)
-        assert np.isclose(abs(state[0]), 1.0)
-
-    def test_expressibility_reaches_entangled_states(self):
-        # some parameter settings must produce entanglement
-        rng = np.random.default_rng(0)
-        found_entangled = False
-        for _ in range(10):
-            params = rng.uniform(-np.pi, np.pi, 2 * 2 * 3)
-            state = ansatz_state(2, params, layers=2).reshape(2, 2)
-            singular_values = np.linalg.svd(state, compute_uv=False)
-            if singular_values[1] > 0.1:
-                found_entangled = True
-                break
-        assert found_entangled
-
-
-class TestVQE:
-    def test_ground_state_of_diagonal(self):
-        matrix = np.diag([3.0, -1.0, 2.0, 1.0]).astype(complex)
-        solver = VQESolver(layers=2, max_iterations=200, seed=1)
-        result = solver.solve(matrix, k=1)
-        assert abs(result.eigenvalues[0] - (-1.0)) < 0.05
-
-    def test_deflation_finds_second_state(self):
-        graph, _ = strong_sbm(2, num_nodes=4, seed=2)
-        laplacian = hermitian_laplacian(graph)
-        solver = VQESolver(layers=2, max_iterations=200, seed=3)
-        result = solver.solve(laplacian, k=2)
-        exact = np.linalg.eigvalsh(laplacian)[:2]
-        assert np.allclose(result.eigenvalues, exact, atol=0.08)
-
-    def test_vectors_near_eigenvectors(self):
-        matrix = np.diag([0.0, 1.0]).astype(complex)
-        solver = VQESolver(layers=1, max_iterations=150, seed=4)
-        result = solver.solve(matrix, k=1)
-        assert abs(result.eigenvectors[0, 0]) > 0.98
-
-    def test_validation(self):
-        solver = VQESolver(layers=1, max_iterations=10)
-        with pytest.raises(ConvergenceError):
-            solver.solve(np.array([[0, 1], [0, 0]], dtype=complex))
-        with pytest.raises(ConvergenceError):
-            solver.solve(np.eye(3))
-        with pytest.raises(ConvergenceError):
-            VQESolver(layers=0)
-
-    def test_history_recorded(self):
-        matrix = np.diag([1.0, 0.0]).astype(complex)
-        result = VQESolver(layers=1, max_iterations=50, seed=5).solve(matrix)
-        assert result.energy_history.size > 0
-        assert result.iterations >= result.energy_history.size

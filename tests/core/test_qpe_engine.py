@@ -98,7 +98,7 @@ class TestAnalyticBackend:
         with pytest.raises(ClusteringError):
             AnalyticQPEBackend(small_laplacian(), 0)
 
-    @pytest.mark.parametrize("engine", ["v1", "v2", "v3"])
+    @pytest.mark.parametrize("engine", ["v1", "v3"])
     @pytest.mark.parametrize("top", [LAMBDA_SCALE, 3.0])
     def test_spectrum_outside_the_phase_window_raises(self, engine, top):
         """Eagerly at construction, or on first use when deferred."""

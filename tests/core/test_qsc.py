@@ -41,6 +41,42 @@ class TestConfig:
         with pytest.raises(ClusteringError):
             QSCConfig(eigenvalue_threshold=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("precision_bits", True),
+            ("precision_bits", 6.0),
+            ("shots", 1.5),
+            ("histogram_shots", "4096"),
+            ("trotter_steps", np.float64(4.0)),
+            ("trotter_order", False),
+            ("qmeans_iterations", 30.0),
+            ("kmeans_restarts", np.bool_(True)),
+            ("shard_retries", 2.0),
+            ("readout_chunk_size", 8.5),
+            ("readout_shards", True),
+            ("shard_workers", 2.0),
+            ("draw_threads", 1.0),
+            ("qmeans_delta", float("nan")),
+            ("qmeans_delta", float("inf")),
+            ("eigenvalue_threshold", float("nan")),
+            ("eigenvalue_threshold", float("inf")),
+            ("theta", float("nan")),
+            ("theta", -float("inf")),
+        ],
+    )
+    def test_non_integer_counts_and_non_finite_reals_are_typed_errors(
+        self, field, value
+    ):
+        with pytest.raises(ClusteringError, match=field):
+            QSCConfig(**{field: value})
+
+    def test_numpy_integers_stay_valid(self):
+        config = QSCConfig(
+            precision_bits=np.int64(5), shots=np.int32(64), readout_shards=np.int64(2)
+        )
+        assert config.shots == 64
+
 
 class TestAnalyticPipeline:
     def test_mixed_sbm_recovery(self):

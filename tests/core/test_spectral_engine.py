@@ -1,10 +1,9 @@
-"""The ``spectral_engine`` knob: v2 (graph-block eigensolve) against v1,
-and v3 (the same block by LAPACK's MRRR driver) against v2.
+"""The ``spectral_engine`` knob: v3 (graph-block eigensolve by LAPACK's
+MRRR driver) against v1 (the padded register by NumPy's ``eigh``).
 
-v2 decomposes only the n × n graph block of the padded Laplacian and
-appends the analytic pad eigenpairs; v3 solves that block with
-``scipy.linalg.eigh(driver="evr")`` instead of NumPy's divide and
-conquer.  Each changes bits, so the contract pinned here is a tolerance
+v3 decomposes only the n × n graph block of the padded Laplacian with
+``scipy.linalg.eigh(driver="evr")`` and appends the analytic pad
+eigenpairs.  That changes bits, so the contract pinned here is a tolerance
 contract plus label parity, not identity:
 
 * eigenvalues agree to 1e-12 and filtered rows and acceptances to 1e-10;
@@ -15,7 +14,7 @@ contract plus label parity, not identity:
 
 import numpy as np
 import pytest
-from test_golden import GOLDEN_V2, GOLDEN_V3, build_case, result_digest
+from test_golden import GOLDEN, GOLDEN_V3, build_case, result_digest
 from test_read_through import sources
 
 from repro import QSCConfig, QSCPipeline, api
@@ -46,7 +45,7 @@ def laplacian_of(num_nodes, seed=1):
     return hermitian_laplacian(graph)
 
 
-def engines(laplacian, precision_bits=6, names=("v1", "v2")):
+def engines(laplacian, precision_bits=6, names=("v1", "v3")):
     return tuple(AnalyticQPEBackend(laplacian, precision_bits, name) for name in names)
 
 
@@ -73,61 +72,60 @@ def assert_backends_agree(base, other, threshold):
 class TestBlockContract:
     @pytest.mark.parametrize("num_nodes", [5, 20, 33])
     def test_padded_shapes_are_unchanged(self, num_nodes):
-        v1, v2 = engines(laplacian_of(num_nodes))
+        v1, v3 = engines(laplacian_of(num_nodes))
         dim = v1.dim
-        assert v2.dim == dim and v2.num_nodes == num_nodes
-        values = v2.eigenvalues
+        assert v3.dim == dim and v3.num_nodes == num_nodes
+        values = v3.eigenvalues
         assert values.shape == (dim,)
         assert np.all(np.diff(values) >= 0)
         assert np.sum(values == PAD_EIGENVALUE) >= dim - num_nodes
-        accepted = accepted_outcomes(0.5, 6, v2.lambda_scale)
-        rows, _ = v2.project_rows(np.arange(num_nodes), accepted)
+        accepted = accepted_outcomes(0.5, 6, v3.lambda_scale)
+        rows, _ = v3.project_rows(np.arange(num_nodes), accepted)
         assert rows.shape == (num_nodes, dim)
         assert not rows[:, num_nodes:].any()  # exact zeros in the pad columns
-        assert v2.component_acceptance(accepted).shape == (dim,)
-        assert v2.quantization_errors().shape == (dim,)
+        assert v3.component_acceptance(accepted).shape == (dim,)
+        assert v3.quantization_errors().shape == (dim,)
 
-    @pytest.mark.parametrize("num_nodes", [5, 20, 33])
-    def test_v2_agrees_with_v1_within_tolerance(self, num_nodes):
-        v1, v2 = engines(laplacian_of(num_nodes))
-        assert_backends_agree(v1, v2, threshold=0.5)
+    @pytest.mark.parametrize("num_nodes", [5, 20, 33, 64])
+    def test_v3_agrees_with_v1_within_tolerance(self, num_nodes):
+        v1, v3 = engines(laplacian_of(num_nodes))
+        assert_backends_agree(v1, v3, threshold=0.5)
 
     def test_power_of_two_graph_has_no_pad(self):
-        v1, v2 = engines(laplacian_of(16))
-        assert v2.dim == 16
-        np.testing.assert_array_equal(v2.eigenvalues, v1.eigenvalues)
+        v1, v3 = engines(laplacian_of(16))
+        assert v3.dim == 16
+        assert np.abs(v3.eigenvalues - v1.eigenvalues).max() <= EIGENVALUE_TOLERANCE
 
     def test_cache_entries_never_alias(self):
-        """v2 and v3 key by the unpadded Laplacian, each under its own
-        prefix — even where padded and unpadded coincide (a power-of-two
-        graph)."""
+        """v3 keys by the unpadded Laplacian under its own prefix — even
+        where padded and unpadded coincide (a power-of-two graph)."""
         laplacian = laplacian_of(16)
         clear_spectral_cache()
         AnalyticQPEBackend(laplacian, 5, "v1")
-        AnalyticQPEBackend(laplacian, 5, "v2")
         AnalyticQPEBackend(laplacian, 5, "v3")
-        assert spectral_cache_stats()["misses"] == 6
-        AnalyticQPEBackend(laplacian, 5, "v2")
+        assert spectral_cache_stats()["misses"] == 4
+        AnalyticQPEBackend(laplacian, 5, "v1")
         AnalyticQPEBackend(laplacian, 5, "v3")
         assert spectral_cache_stats()["hits"] == 4
 
     def test_eigensolver_names_the_solve(self):
-        v1, v2, v3 = engines(laplacian_of(20), names=("v1", "v2", "v3"))
+        v1, v3 = engines(laplacian_of(20))
         assert v1.eigensolver == "eigh(D=32)"
-        assert v2.eigensolver == "eigh(n=20)"
         assert v3.eigensolver == "eigh-mrrr(n=20)"
 
     def test_make_backend_follows_the_config(self):
         laplacian = laplacian_of(20)
-        for engine in ("v1", "v2", "v3"):
+        for engine in ("v1", "v3"):
             backend = make_backend(laplacian, QSCConfig(spectral_engine=engine))
             assert backend.spectral_engine == engine
 
     def test_unknown_engine_is_a_typed_error(self):
-        with pytest.raises(ClusteringError, match="spectral_engine"):
-            QSCConfig(spectral_engine="unknown")
-        with pytest.raises(ClusteringError, match="spectral_engine"):
-            AnalyticQPEBackend(laplacian_of(5), 4, "v0")
+        # "v2" (NumPy's eigh on the graph block) was retired
+        for engine in ("unknown", "v0", "v2"):
+            with pytest.raises(ClusteringError, match="spectral_engine"):
+                QSCConfig(spectral_engine=engine)
+            with pytest.raises(ClusteringError, match="spectral_engine"):
+                AnalyticQPEBackend(laplacian_of(5), 4, engine)
 
     def test_default_config_runs_v3_and_sweeps_pin_v1(self):
         assert QSCConfig().spectral_engine == "v3"
@@ -136,40 +134,38 @@ class TestBlockContract:
 
 
 class TestPipelineParity:
-    @pytest.mark.parametrize("name", sorted(GOLDEN_V2))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
     def test_golden_graphs(self, name):
         graph, k, config = build_case(name)
         v1 = QSCPipeline(k, config).run(graph)
-        v2 = QSCPipeline(k, config.with_updates(spectral_engine="v2")).run(graph)
-        assert v2.threshold == v1.threshold
-        np.testing.assert_array_equal(v2.accepted_bins, v1.accepted_bins)
-        np.testing.assert_array_equal(v2.labels, v1.labels)
-        assert np.abs(v2.embedding - v1.embedding).max() <= ROW_TOLERANCE
+        v3 = QSCPipeline(k, config.with_updates(spectral_engine="v3")).run(graph)
+        assert v3.threshold == v1.threshold
+        np.testing.assert_array_equal(v3.accepted_bins, v1.accepted_bins)
+        np.testing.assert_array_equal(v3.labels, v1.labels)
+        assert np.abs(v3.embedding - v1.embedding).max() <= ROW_TOLERANCE
 
     def test_600_node_mixed_sbm(self):
         graph, truth = api.mixed_sbm(600, 4, seed=2021, generator_version="v2")
         config = QSCConfig(spectral_engine="v1")
         v1 = QSCPipeline(4, config)
         v1_result = v1.run(graph)
-        v2 = QSCPipeline(4, config.with_updates(spectral_engine="v2"))
-        v2_result = v2.run(graph)
-        assert_backends_agree(
-            v1.state["backend"], v2.state["backend"], v1_result.threshold
-        )
-        assert v2_result.threshold == v1_result.threshold
-        np.testing.assert_array_equal(v2_result.accepted_bins, v1_result.accepted_bins)
-        assert adjusted_rand_index(truth, v2_result.labels) == adjusted_rand_index(
+        v3 = QSCPipeline(4, config.with_updates(spectral_engine="v3"))
+        v3_result = v3.run(graph)
+        v3_backend = v3.state["backend"]
+        assert v3_backend.eigensolver == "eigh-mrrr(n=600)"
+        assert_backends_agree(v1.state["backend"], v3_backend, v1_result.threshold)
+        gram = v3_backend._eigenvectors.conj().T @ v3_backend._eigenvectors
+        assert np.abs(gram - np.eye(600)).max() <= ORTHOGONALITY_TOLERANCE
+        assert v3_result.threshold == v1_result.threshold
+        np.testing.assert_array_equal(v3_result.accepted_bins, v1_result.accepted_bins)
+        np.testing.assert_array_equal(v3_result.labels, v1_result.labels)
+        assert adjusted_rand_index(truth, v3_result.labels) == adjusted_rand_index(
             truth, v1_result.labels
         )
 
 
 class TestMRRRContract:
-    """v3 against v2: the same block form, another LAPACK driver."""
-
-    @pytest.mark.parametrize("num_nodes", [5, 20, 33, 64])
-    def test_v3_agrees_with_v2_within_tolerance(self, num_nodes):
-        v2, v3 = engines(laplacian_of(num_nodes), names=("v2", "v3"))
-        assert_backends_agree(v2, v3, threshold=0.5)
+    """What the MRRR driver must give beyond agreeing with v1."""
 
     @pytest.mark.parametrize("num_nodes", [5, 33, 64])
     def test_v3_eigenvectors_are_orthonormal(self, num_nodes):
@@ -178,48 +174,19 @@ class TestMRRRContract:
         gram = vectors.conj().T @ vectors
         assert np.abs(gram - np.eye(num_nodes)).max() <= ORTHOGONALITY_TOLERANCE
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
-    def test_golden_graphs(self, name):
-        graph, k, config = build_case(name, engine="v2")
-        v2 = QSCPipeline(k, config).run(graph)
-        v3 = QSCPipeline(k, config.with_updates(spectral_engine="v3")).run(graph)
-        assert v3.threshold == v2.threshold
-        np.testing.assert_array_equal(v3.accepted_bins, v2.accepted_bins)
-        np.testing.assert_array_equal(v3.labels, v2.labels)
-        assert np.abs(v3.embedding - v2.embedding).max() <= ROW_TOLERANCE
-
-    def test_600_node_mixed_sbm(self):
-        graph, truth = api.mixed_sbm(600, 4, seed=2021, generator_version="v2")
-        config = QSCConfig(spectral_engine="v2")
-        v2 = QSCPipeline(4, config)
-        v2_result = v2.run(graph)
-        v3 = QSCPipeline(4, config.with_updates(spectral_engine="v3"))
-        v3_result = v3.run(graph)
-        v2_backend, v3_backend = v2.state["backend"], v3.state["backend"]
-        assert v3_backend.eigensolver == "eigh-mrrr(n=600)"
-        assert_backends_agree(v2_backend, v3_backend, v2_result.threshold)
-        gram = v3_backend._eigenvectors.conj().T @ v3_backend._eigenvectors
-        assert np.abs(gram - np.eye(600)).max() <= ORTHOGONALITY_TOLERANCE
-        assert v3_result.threshold == v2_result.threshold
-        np.testing.assert_array_equal(v3_result.accepted_bins, v2_result.accepted_bins)
-        np.testing.assert_array_equal(v3_result.labels, v2_result.labels)
-        assert adjusted_rand_index(truth, v3_result.labels) == adjusted_rand_index(
-            truth, v2_result.labels
-        )
-
 
 class TestStoreAliasing:
-    """v2 and v3 never serve each other's store entries, on disk either."""
+    """v1 and v3 never serve each other's store entries, on disk either."""
 
     @pytest.mark.parametrize(
         "warmed_by, engine",
-        [("v2", "v3"), ("v3", "v2")],
-        ids=["v2-then-v3", "v3-then-v2"],
+        [("v1", "v3"), ("v3", "v1")],
+        ids=["v1-then-v3", "v3-then-v1"],
     )
     def test_a_store_warmed_by_one_engine_is_cold_for_the_other(
         self, tmp_path, pristine_store, warmed_by, engine
     ):
-        golden = {"v2": GOLDEN_V2, "v3": GOLDEN_V3}[engine]
+        golden = {"v1": GOLDEN, "v3": GOLDEN_V3}[engine]
         graph, k, config = build_case("analytic_shots", engine=warmed_by)
         configure_store(root=tmp_path / "cas")
         QSCPipeline(k, config).run(graph)

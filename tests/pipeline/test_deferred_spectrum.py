@@ -49,7 +49,7 @@ class TestServedRun:
 
 
 class TestConsumersOfAServedSpectrum:
-    @pytest.mark.parametrize("engine", ["v1", "v2"])
+    @pytest.mark.parametrize("engine", ["v1", "v3"])
     def test_fig2_diagnostics_after_a_served_fit(self, graph, tmp_store, engine):
         config = CONFIG.with_updates(spectral_engine=engine)
         cold = QSCPipeline(2, config)

@@ -27,23 +27,10 @@ GOLDEN = {
 }
 
 #: case name -> digest of the same analytic case under
-#: ``spectral_engine="v2"`` (graph-block eigensolve), recorded when the
-#: engine landed.  v2 changes bits, not labels: these differ from GOLDEN
-#: only by rounding (the tolerance contract lives in
-#: tests/core/test_spectral_engine.py).
-GOLDEN_V2 = {
-    "analytic_shots": "f5ff35414d5790a9a7996b09937390a4",
-    "analytic_noiseless": "bead9159dae61964d4c3677bd79c0a99",
-    "explicit_threshold": "ad9b26fa85b873a0d6fc83ffdf9533a5",
-    "flow_chunked": "99df71a98794c99555bb30199f491ba0",
-    "auto_k": "7e571fb69f498dc97a97cc5a5838f565",
-}
-
-#: case name -> digest of the same analytic case under
 #: ``spectral_engine="v3"`` (the graph block solved by LAPACK's MRRR
 #: driver, the ``QSCConfig`` default), recorded when the engine landed.
-#: Same labels as GOLDEN_V2, other rounding (the v3-against-v2 tolerance
-#: contract lives in tests/core/test_spectral_engine.py).
+#: v3 changes bits, not labels: these differ from GOLDEN only by rounding
+#: (the tolerance contract lives in tests/core/test_spectral_engine.py).
 GOLDEN_V3 = {
     "analytic_shots": "0f00dc97bcee218fc44e6b380a048f2f",
     "analytic_noiseless": "c2463b4fc5d73270dd34974e57b0c97c",
@@ -145,12 +132,6 @@ def test_resumed_run_matches_golden(tmp_path):
     assert result_digest(resumed) == GOLDEN["analytic_shots"]
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_V2))
-def test_v2_engine_matches_its_golden(name):
-    graph, k, config = build_case(name, engine="v2")
-    assert result_digest(QSCPipeline(k, config).run(graph)) == GOLDEN_V2[name]
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
 def test_v3_engine_matches_its_golden(name):
     graph, k, config = build_case(name, engine="v3")
@@ -160,6 +141,6 @@ def test_v3_engine_matches_its_golden(name):
 def test_circuit_case_ignores_the_spectral_engine():
     """The circuit backend always simulates the padded register."""
     graph, k, config = build_case("circuit")
-    for engine in ("v1", "v2", "v3"):
+    for engine in ("v1", "v3"):
         result = QSCPipeline(k, config.with_updates(spectral_engine=engine)).run(graph)
         assert result_digest(result) == GOLDEN["circuit"]

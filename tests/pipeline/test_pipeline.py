@@ -330,11 +330,9 @@ class TestTelemetry:
     def test_backend_annotations_on_linalg_stages(self, graph):
         """Only the laplacian stage solves, and its row names the
         eigensolve the QPE engine actually ran: the n × n graph block by
-        MRRR under v3, by divide and conquer under v2, the D × D padded
-        register under v1."""
+        MRRR under v3, the D × D padded register under v1."""
         for engine, solve in (
             ("v3", "eigh-mrrr(n=30)"),
-            ("v2", "eigh(n=30)"),
             ("v1", "eigh(D=32)"),
         ):
             config = CONFIG.with_updates(spectral_engine=engine)

@@ -10,7 +10,6 @@ from repro.quantum.resources import (
     qpe_resources,
     quantum_pipeline_step_count,
 )
-from repro.quantum.state_prep import state_prep_resources
 
 
 class TestQPEResources:
@@ -76,25 +75,3 @@ class TestPipelineStepCounts:
     def test_classical_validation(self):
         with pytest.raises(CircuitError):
             classical_pipeline_step_count(1, 2)
-
-
-class TestStatePrepResources:
-    def test_qubit_count(self):
-        assert state_prep_resources(8)["qubits"] == 3
-        assert state_prep_resources(9)["qubits"] == 4
-
-    def test_rotation_count_linear_in_dim(self):
-        small = state_prep_resources(16)["rotation"]
-        large = state_prep_resources(64)["rotation"]
-        assert 3.0 < large / small < 5.0
-
-    def test_cnot_count_positive_beyond_one_qubit(self):
-        assert state_prep_resources(2)["cnot"] == 0
-        assert state_prep_resources(8)["cnot"] > 0
-
-    def test_crossover_with_qpe_cost(self):
-        # state prep is polynomial in dim, QPE controlled-U count is
-        # exponential in precision — sanity-check the model's shape
-        prep = state_prep_resources(64)["rotation"]
-        qpe = qpe_resources(64, 10, pauli_terms=64).elementary_gates
-        assert qpe > prep

@@ -1,8 +1,7 @@
-"""Tests for amplitude encoding, tomography, swap test, and noise."""
+"""Tests for tomography, counts helpers, and noise."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import CircuitError, EncodingError
 from repro.quantum.circuit import QuantumCircuit
@@ -13,72 +12,21 @@ from repro.quantum.measurement import (
     tomography_estimate,
 )
 from repro.quantum.noise import NoiseModel, noisy_run, noisy_sample_counts
-from repro.quantum.state_prep import (
-    amplitude_encode,
-    pad_to_power_of_two,
-    state_prep_resources,
-    state_preparation_circuit,
-)
-from repro.quantum.swap_test import (
-    ancilla_zero_probability,
-    estimate_distance_squared,
-    estimate_overlap,
-    swap_test_circuit,
-)
-
-finite_vectors = st.lists(
-    st.floats(-5, 5, allow_nan=False, allow_infinity=False), min_size=1, max_size=9
-).filter(lambda v: np.linalg.norm(v) > 1e-3)
 
 
-class TestStatePreparation:
-    @given(vector=finite_vectors)
-    @settings(max_examples=30, deadline=None)
-    def test_circuit_prepares_encoding(self, vector):
-        circuit = state_preparation_circuit(np.array(vector))
-        prepared = circuit.statevector().amplitudes
-        # atol 1e-6: components at the float32-denormal scale (~1e-8) lose
-        # a digit through the sqrt/arcsin angle path — physically irrelevant
-        assert np.allclose(prepared, amplitude_encode(vector), atol=1e-6)
-
-    def test_complex_vector_roundtrip(self):
-        rng = np.random.default_rng(0)
-        vector = rng.normal(size=5) + 1j * rng.normal(size=5)
-        circuit = state_preparation_circuit(vector)
-        assert np.allclose(
-            circuit.statevector().amplitudes, amplitude_encode(vector), atol=1e-9
-        )
-
-    def test_padding(self):
-        padded = pad_to_power_of_two(np.ones(3))
-        assert padded.size == 4 and padded[3] == 0
-
-    def test_single_element_pads_to_two(self):
-        assert pad_to_power_of_two(np.array([2.0])).size == 2
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(EncodingError):
-            amplitude_encode(np.zeros(4))
-
-    def test_empty_vector_rejected(self):
-        with pytest.raises(EncodingError):
-            pad_to_power_of_two(np.array([]))
-
-    def test_resources_scale_linearly_in_dim(self):
-        small = state_prep_resources(8)
-        large = state_prep_resources(64)
-        assert large["rotation"] > small["rotation"]
-        assert large["qubits"] == small["qubits"] + 3
+def unit(vector) -> np.ndarray:
+    vector = np.asarray(vector, dtype=complex)
+    return vector / np.linalg.norm(vector)
 
 
 class TestTomography:
     def test_zero_shots_returns_exact(self):
-        state = amplitude_encode([1.0, 2.0, 2.0])
+        state = unit([1.0, 2.0, 2.0, 0.0])
         assert np.allclose(tomography_estimate(state, 0), state)
 
     def test_error_decreases_with_shots(self):
         rng = np.random.default_rng(1)
-        state = amplitude_encode(rng.normal(size=8))
+        state = unit(rng.normal(size=8))
         errors = []
         for shots in (100, 10000, 1000000):
             estimate = tomography_estimate(state, shots, seed=42)
@@ -88,7 +36,7 @@ class TestTomography:
         assert errors[2] < 0.02
 
     def test_estimate_is_normalized(self):
-        state = amplitude_encode([1.0, 1.0, 1.0, 1.0])
+        state = unit([1.0, 1.0, 1.0, 1.0])
         estimate = tomography_estimate(state, 100, seed=7)
         assert np.isclose(np.linalg.norm(estimate), 1.0)
 
@@ -121,39 +69,6 @@ class TestCountsHelpers:
     def test_sample_distribution_validates(self):
         with pytest.raises(EncodingError):
             sample_distribution(np.array([0.5, 0.6]), 10)
-
-
-class TestSwapTest:
-    def test_identical_states_give_p0_one(self):
-        vec = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.isclose(ancilla_zero_probability(vec, vec), 1.0)
-
-    def test_orthogonal_states_give_half(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        assert np.isclose(ancilla_zero_probability(a, b), 0.5)
-
-    def test_overlap_estimate_converges(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        true = float((a @ b) ** 2 / ((a @ a) * (b @ b)))
-        estimate = estimate_overlap(a, b, shots=40000, seed=3)
-        assert abs(estimate - true) < 0.02
-
-    def test_distance_estimate_converges(self):
-        rng = np.random.default_rng(4)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        estimate = estimate_distance_squared(a, b, shots=60000, seed=5)
-        true = float(((a - b) ** 2).sum())
-        assert abs(estimate - true) / true < 0.1
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(EncodingError):
-            swap_test_circuit(np.ones(2), np.ones(8))
-
-    def test_zero_vector_distance(self):
-        d2 = estimate_distance_squared(np.zeros(2), np.array([3.0, 4.0]), shots=10)
-        assert np.isclose(d2, 25.0)
 
 
 class TestNoise:

@@ -165,7 +165,6 @@ class TestClusterCommand:
         for flag, solve in (
             ([], "eigh-mrrr(n=24)"),
             (["--spectral-engine", "v3"], "eigh-mrrr(n=24)"),
-            (["--spectral-engine", "v2"], "eigh(n=24)"),
             (["--spectral-engine", "v1"], "eigh(D=32)"),
         ):
             assert main(base + flag) == 0
@@ -179,11 +178,13 @@ class TestClusterCommand:
 
     def test_unknown_spectral_engine_is_a_usage_error(self, graph_file, capsys):
         path, _ = graph_file
-        with pytest.raises(SystemExit) as info:
-            main(["cluster", "--input", path, "--clusters", "2",
-                  "--spectral-engine", "v9"])
-        assert info.value.code == 2
-        assert "--spectral-engine" in capsys.readouterr().err
+        # "v2" (NumPy's eigh on the graph block) was retired
+        for engine in ("v9", "v2"):
+            with pytest.raises(SystemExit) as info:
+                main(["cluster", "--input", path, "--clusters", "2",
+                      "--spectral-engine", engine])
+            assert info.value.code == 2
+            assert "--spectral-engine" in capsys.readouterr().err
 
     def test_save_stages_and_resume_match(self, graph_file, tmp_path, capsys):
         path, _ = graph_file

@@ -141,10 +141,6 @@ class TestQuickRuns:
         rows = ablations.autok_ablation(cluster_counts=(2,), trials=2, shots=8192)
         assert rows[0]["quantum_hit_rate"] >= 0.5
 
-    def test_a5(self):
-        rows = ablations.vqe_ablation(trials=1, layers=2, num_nodes=6)
-        assert rows[0]["subspace_fidelity"] > 0.9
-
     def test_a6(self):
         rows = ablations.expansion_ablation(trials=2)
         by_style = {r["expansion"]: r["ari_mean"] for r in rows}

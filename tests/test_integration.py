@@ -2,9 +2,9 @@
 
 These tests pin the relationships the architecture relies on — e.g. that
 the quantum projector rows really are the isometric image of the classical
-spectral embedding, that the QRAM rotation cascade agrees with the circuit
-state-prep, and that every front end (dense, Lanczos, power, VQE, QPE)
-lands in the same low subspace.
+spectral embedding, that every front end (dense, Lanczos, QPE) lands in
+the same low subspace, and that netlists flow through the hypergraph
+expansion into a partition.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from repro import (
     adjusted_rand_index,
     mixed_sbm,
 )
-from repro.core.qpe_engine import AnalyticQPEBackend, pad_laplacian
+from repro.core.qpe_engine import AnalyticQPEBackend
 from repro.graphs import (
     Hypergraph,
     ensure_connected,
@@ -27,20 +27,7 @@ from repro.graphs import (
     synthetic_netlist,
 )
 from repro.metrics import partition_summary
-from repro.quantum import (
-    KPTree,
-    QuantumCircuit,
-    VQESolver,
-    state_preparation_circuit,
-    transpile_counts,
-)
-from repro.quantum.phase_estimation import qpe_circuit
-from repro.quantum.hamiltonian import exact_evolution
-from repro.spectral import (
-    dense_lowest_eigenpairs,
-    lanczos_lowest_eigenpairs,
-    lowest_eigenpairs_by_power,
-)
+from repro.spectral import dense_lowest_eigenpairs, lanczos_lowest_eigenpairs
 
 
 def subspace_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -63,18 +50,7 @@ class TestFrontEndAgreement:
         laplacian = hermitian_laplacian(graph)
         _, dense = dense_lowest_eigenpairs(laplacian, 2)
         _, lanczos = lanczos_lowest_eigenpairs(laplacian, 2, seed=0)
-        _, power, _ = lowest_eigenpairs_by_power(laplacian, 2, seed=0)
         assert subspace_fidelity(dense, lanczos) > 0.999
-        assert subspace_fidelity(dense, power) > 0.999
-
-    def test_vqe_reaches_the_exact_subspace(self, strong_graph):
-        graph, _ = strong_graph
-        # shrink to 8 nodes so the ansatz stays tiny
-        sub = graph.subgraph(range(8))
-        laplacian = hermitian_laplacian(sub)
-        _, dense = dense_lowest_eigenpairs(laplacian, 2)
-        result = VQESolver(layers=3, max_iterations=250, seed=2).solve(laplacian, k=2)
-        assert subspace_fidelity(dense, result.eigenvectors) > 0.98
 
     def test_qpe_filter_matches_exact_projector(self, strong_graph):
         graph, _ = strong_graph
@@ -107,28 +83,6 @@ class TestQuantumClassicalEquivalence:
         assert adjusted_rand_index(truth, quantum.labels) == 1.0
 
 
-class TestDataLoadingChain:
-    def test_kptree_angles_match_circuit_state_prep(self):
-        rng = np.random.default_rng(0)
-        vector = rng.normal(size=8)
-        tree = KPTree(vector)
-        circuit_state = state_preparation_circuit(vector).statevector()
-        assert np.allclose(
-            circuit_state.amplitudes, tree.amplitude_encoding(), atol=1e-9
-        )
-
-    def test_kptree_first_angle_matches_circuit_rotation(self):
-        vector = np.array([3.0, 0.0, 0.0, 4.0])
-        tree = KPTree(vector)
-        theta = tree.rotation_angle(0, 0)
-        qc = QuantumCircuit(2)
-        qc.ry(theta, 0)
-        probs = qc.statevector().marginal_probabilities([0])
-        # qubit-0 marginal must equal the top-level mass split (9/25, 16/25)
-        assert np.isclose(probs[0], 9 / 25)
-        assert np.isclose(probs[1], 16 / 25)
-
-
 class TestNetlistChain:
     def test_netlist_to_hypergraph_to_partition(self):
         netlist = synthetic_netlist(2, 12, internal_fanin=3, seed=0)
@@ -151,14 +105,3 @@ class TestNetlistChain:
             config = QSCConfig(precision_bits=6, shots=2048, seed=0)
             result = QuantumSpectralClustering(2, config).fit(graph)
             assert set(result.labels) == {0, 1}
-
-
-class TestResourceChain:
-    def test_qpe_circuit_transpiles_to_nontrivial_counts(self, strong_graph):
-        graph, _ = strong_graph
-        laplacian = pad_laplacian(hermitian_laplacian(graph))
-        unitary = exact_evolution(laplacian, 1.0)
-        circuit = qpe_circuit(unitary, 4)
-        counts = transpile_counts(circuit)
-        assert counts.cnot > 100  # controlled 4-qubit unitaries dominate
-        assert counts.total > counts.cnot

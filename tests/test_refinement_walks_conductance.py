@@ -1,134 +1,11 @@
-"""Tests for FM refinement, recursive bisection, quantum walks, conductance."""
+"""Tests for chiral continuous-time quantum walks on mixed graphs."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ClusteringError, GraphError
-from repro.graphs import (
-    MixedGraph,
-    cut_size,
-    ensure_connected,
-    fm_bipartition_refine,
-    mixed_sbm,
-    synthetic_netlist,
-)
-from repro.metrics import (
-    adjusted_rand_index,
-    cheeger_upper_bound,
-    normalized_cut,
-    partition_conductance,
-    set_conductance,
-)
+from repro.exceptions import GraphError
+from repro.graphs import MixedGraph
 from repro.quantum import QuantumWalk, directed_cycle, directional_transport_bias
-from repro.spectral import fiedler_bipartition, recursive_spectral_partition
-from repro.graphs import laplacian_spectrum
-
-
-def corrupted_truth(truth, num_flips, seed):
-    rng = np.random.default_rng(seed)
-    labels = np.asarray(truth).copy()
-    flips = rng.choice(labels.size, num_flips, replace=False)
-    labels[flips] ^= 1
-    return labels
-
-
-class TestFMRefinement:
-    def test_never_increases_cut(self):
-        graph, truth = mixed_sbm(40, 2, p_intra=0.5, p_inter=0.05, seed=0)
-        result = fm_bipartition_refine(graph, corrupted_truth(truth, 8, 0))
-        assert result.cut_after <= result.cut_before
-
-    def test_repairs_corrupted_truth(self):
-        graph, truth = mixed_sbm(40, 2, p_intra=0.5, p_inter=0.03, seed=1)
-        result = fm_bipartition_refine(graph, corrupted_truth(truth, 6, 1))
-        assert adjusted_rand_index(truth, result.labels) == 1.0
-
-    def test_perfect_partition_is_fixed_point(self):
-        graph, truth = mixed_sbm(40, 2, p_intra=0.6, p_inter=0.02, seed=2)
-        result = fm_bipartition_refine(graph, truth)
-        assert np.isclose(result.cut_after, result.cut_before)
-
-    def test_balance_constraint_respected(self):
-        graph, truth = mixed_sbm(40, 2, p_intra=0.5, p_inter=0.05, seed=3)
-        result = fm_bipartition_refine(
-            graph, corrupted_truth(truth, 10, 3), balance_tolerance=0.1
-        )
-        counts = np.bincount(result.labels, minlength=2)
-        assert counts.min() >= int(np.floor(0.4 * 40))
-
-    def test_cut_size_helper(self):
-        graph = MixedGraph(4)
-        graph.add_edge(0, 1, 2.0)
-        graph.add_arc(1, 2, 3.0)
-        adjacency = graph.symmetrized_adjacency()
-        assert cut_size(adjacency, np.array([0, 0, 1, 1])) == 3.0
-
-    def test_validation(self):
-        graph, truth = mixed_sbm(10, 2, seed=4)
-        with pytest.raises(ClusteringError):
-            fm_bipartition_refine(graph, truth[:5])
-        with pytest.raises(ClusteringError):
-            fm_bipartition_refine(graph, np.zeros(10, dtype=int))
-        with pytest.raises(ClusteringError):
-            fm_bipartition_refine(graph, truth, balance_tolerance=0.7)
-        with pytest.raises(ClusteringError):
-            fm_bipartition_refine(graph, truth, max_passes=0)
-
-    @given(seed=st.integers(0, 15))
-    @settings(max_examples=8, deadline=None)
-    def test_cut_monotone_property(self, seed):
-        graph, truth = mixed_sbm(24, 2, p_intra=0.5, p_inter=0.1, seed=seed)
-        start = corrupted_truth(truth, 5, seed)
-        result = fm_bipartition_refine(graph, start)
-        assert result.cut_after <= result.cut_before + 1e-9
-
-
-class TestRecursiveBisection:
-    def test_two_way(self):
-        graph, truth = mixed_sbm(40, 2, p_intra=0.5, p_inter=0.03, seed=0)
-        ensure_connected(graph, seed=0)
-        labels = recursive_spectral_partition(graph, 2, seed=0)
-        assert adjusted_rand_index(truth, labels) == 1.0
-
-    def test_four_way(self):
-        graph, truth = mixed_sbm(80, 4, p_intra=0.55, p_inter=0.02, seed=1)
-        ensure_connected(graph, seed=1)
-        labels = recursive_spectral_partition(graph, 4, seed=0)
-        assert adjusted_rand_index(truth, labels) > 0.85
-
-    def test_k_one_is_trivial(self):
-        graph, _ = mixed_sbm(10, 2, seed=2)
-        labels = recursive_spectral_partition(graph, 1, seed=0)
-        assert np.all(labels == 0)
-
-    def test_netlist_partitioning(self):
-        netlist = synthetic_netlist(2, 14, internal_fanin=3, seed=3)
-        graph = netlist.to_mixed_graph(net_cliques=True)
-        ensure_connected(graph, seed=3)
-        labels = recursive_spectral_partition(graph, 2, theta=float(np.pi / 4), seed=0)
-        truth = netlist.module_labels()
-        assert adjusted_rand_index(truth, labels) > 0.5
-
-    def test_refinement_helps_or_ties(self):
-        graph, _ = mixed_sbm(40, 2, p_intra=0.4, p_inter=0.1, seed=4)
-        ensure_connected(graph, seed=4)
-        adjacency = graph.symmetrized_adjacency()
-        refined = recursive_spectral_partition(graph, 2, refine=True, seed=0)
-        plain = recursive_spectral_partition(graph, 2, refine=False, seed=0)
-        assert cut_size(adjacency, refined) <= cut_size(adjacency, plain) + 1e-9
-
-    def test_validation(self):
-        graph, _ = mixed_sbm(10, 2, seed=5)
-        with pytest.raises(ClusteringError):
-            recursive_spectral_partition(graph, 0)
-        with pytest.raises(ClusteringError):
-            recursive_spectral_partition(graph, 11)
-
-    def test_fiedler_bipartition_labels(self):
-        graph, _ = mixed_sbm(20, 2, seed=6)
-        labels = fiedler_bipartition(graph, seed=0)
-        assert set(labels) <= {0, 1}
 
 
 class TestQuantumWalks:
@@ -186,56 +63,3 @@ class TestQuantumWalks:
             walk.evolve(np.zeros(4), 1.0)
         with pytest.raises(GraphError):
             walk.transport_probability(0, 9, 1.0)
-
-
-class TestConductance:
-    def two_blob_graph(self):
-        graph, truth = mixed_sbm(40, 2, p_intra=0.6, p_inter=0.02, seed=0)
-        ensure_connected(graph, seed=0)
-        return graph, truth
-
-    def test_truth_has_low_conductance(self):
-        graph, truth = self.two_blob_graph()
-        values = partition_conductance(graph, truth)
-        assert values.max() < 0.2
-
-    def test_random_partition_has_higher_conductance(self):
-        graph, truth = self.two_blob_graph()
-        rng = np.random.default_rng(0)
-        random_labels = rng.integers(0, 2, 40)
-        assert (
-            partition_conductance(graph, random_labels).mean()
-            > partition_conductance(graph, truth).mean()
-        )
-
-    def test_set_conductance_matches_partition(self):
-        graph, truth = self.two_blob_graph()
-        members = np.flatnonzero(truth == 0)
-        direct = set_conductance(graph, members)
-        per_cluster = partition_conductance(graph, truth)
-        assert np.isclose(direct, per_cluster[0])
-
-    def test_normalized_cut_nonnegative(self):
-        graph, truth = self.two_blob_graph()
-        assert normalized_cut(graph, truth) >= 0.0
-
-    def test_cheeger_bound_holds(self):
-        graph, truth = self.two_blob_graph()
-        values, _ = laplacian_spectrum(graph)
-        bound = cheeger_upper_bound(values[1])
-        # truth conductance cannot exceed the Cheeger bound by much more
-        # than the directional perturbation allows; check the classical
-        # inequality direction on the symmetrized spectrum instead:
-        best = partition_conductance(graph, truth).min()
-        assert best <= bound + 0.5  # generous: Hermitian lambda_2 differs
-
-    def test_validation(self):
-        graph, truth = self.two_blob_graph()
-        with pytest.raises(ClusteringError):
-            partition_conductance(graph, np.zeros(40, dtype=int))
-        with pytest.raises(ClusteringError):
-            set_conductance(graph, [])
-        with pytest.raises(ClusteringError):
-            set_conductance(graph, range(40))
-        with pytest.raises(ClusteringError):
-            cheeger_upper_bound(-1.0)
