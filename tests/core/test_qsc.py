@@ -78,6 +78,98 @@ class TestConfig:
         assert config.shots == 64
 
 
+#: Every integer field of QSCConfig, the ``None``-able ones last.
+INTEGER_FIELDS = (
+    "precision_bits",
+    "shots",
+    "histogram_shots",
+    "shard_retries",
+    "trotter_steps",
+    "trotter_order",
+    "qmeans_iterations",
+    "kmeans_restarts",
+    "readout_chunk_size",
+    "readout_shards",
+    "shard_workers",
+    "draw_threads",
+)
+
+
+class TestConfigFieldMatrix:
+    """Each field's validation, checked field by field."""
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_bool_is_not_an_integer(self, field):
+        with pytest.raises(ClusteringError, match=f"{field} must be an integer"):
+            QSCConfig(**{field: True})
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integral_float_is_not_an_integer(self, field):
+        with pytest.raises(ClusteringError, match=f"{field} must be an integer"):
+            QSCConfig(**{field: 2.0})
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_numpy_integer_is_accepted_as_is(self, field):
+        # sweep axes hand NumPy scalars straight to the config
+        config = QSCConfig(**{field: np.int32(2)})
+        assert getattr(config, field) == 2
+
+    @pytest.mark.parametrize(
+        "field, least_valid, first_invalid",
+        [
+            ("precision_bits", 1, 0),
+            ("shots", 0, -1),
+            ("histogram_shots", 1, 0),
+            ("shard_retries", 0, -1),
+            ("trotter_steps", 1, 0),
+            ("readout_chunk_size", 1, 0),
+            ("readout_shards", 1, 0),
+            ("shard_workers", 1, 0),
+            ("draw_threads", 1, 0),
+            ("shard_timeout", 1e-9, 0.0),
+            ("qmeans_delta", 0.0, -1e-9),
+            ("eigenvalue_threshold", 1e-9, 0.0),
+        ],
+    )
+    def test_lower_bound_is_exact(self, field, least_valid, first_invalid):
+        assert getattr(QSCConfig(**{field: least_valid}), field) == least_valid
+        with pytest.raises(ClusteringError):
+            QSCConfig(**{field: first_invalid})
+
+    @pytest.mark.parametrize(
+        "field, vocabulary",
+        [
+            ("shard_failure_mode", ("raise", "degrade")),
+            ("generator_version", ("v1", "v2")),
+            ("backend", ("circuit", "analytic")),
+            ("spectral_engine", ("v1", "v3")),
+            ("linalg_backend", ("auto", "dense", "sparse", "array")),
+            ("evolution", ("exact", "trotter")),
+        ],
+    )
+    def test_closed_vocabulary(self, field, vocabulary):
+        for value in vocabulary:
+            assert getattr(QSCConfig(**{field: value}), field) == value
+        with pytest.raises(ClusteringError, match=field):
+            QSCConfig(**{field: "bogus"})
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_trotter_order_is_one_or_two(self, order):
+        with pytest.raises(ClusteringError, match="Trotter"):
+            QSCConfig(trotter_order=order)
+
+    @pytest.mark.parametrize("store_dir", ["", "   "])
+    def test_blank_store_dir_is_rejected(self, store_dir):
+        with pytest.raises(ClusteringError, match="store_dir"):
+            QSCConfig(store_dir=store_dir)
+
+    @pytest.mark.parametrize("field", ["theta", "qmeans_delta", "eigenvalue_threshold"])
+    def test_every_real_field_rejects_both_infinities(self, field):
+        for value in (float("inf"), -float("inf")):
+            with pytest.raises(ClusteringError, match=f"{field} must be finite"):
+                QSCConfig(**{field: value})
+
+
 class TestAnalyticPipeline:
     def test_mixed_sbm_recovery(self):
         graph, truth = mixed_sbm(48, 2, p_intra=0.5, p_inter=0.05, seed=0)

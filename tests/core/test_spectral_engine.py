@@ -174,6 +174,23 @@ class TestMRRRContract:
         gram = vectors.conj().T @ vectors
         assert np.abs(gram - np.eye(num_nodes)).max() <= ORTHOGONALITY_TOLERANCE
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
+    def test_golden_graphs(self, name):
+        """On each golden graph v3 solves only the n × n block, keeps it
+        orthonormal and appends the analytic pad eigenvalues."""
+        graph, k, config = build_case(name, engine="v3")
+        pipeline = QSCPipeline(k, config)
+        pipeline.run(graph)
+        backend = pipeline.state["backend"]
+        num_nodes = graph.num_nodes
+        assert backend.eigensolver == f"eigh-mrrr(n={num_nodes})"
+        vectors = backend._eigenvectors
+        assert vectors.shape == (num_nodes, num_nodes)
+        gram = vectors.conj().T @ vectors
+        assert np.abs(gram - np.eye(num_nodes)).max() <= ORTHOGONALITY_TOLERANCE
+        assert backend.dim > num_nodes
+        assert np.all(backend.eigenvalues[num_nodes:] == PAD_EIGENVALUE)
+
 
 class TestStoreAliasing:
     """v1 and v3 never serve each other's store entries, on disk either."""

@@ -31,6 +31,18 @@ class TestHypergraph:
         assert hg.num_nets == 9  # 5 inputs (G1,G2,G3,G6,G7) + G10,G11,G16,G19
         assert hg.num_pins == 21
 
+    def test_nets_is_an_immutable_view_in_insertion_order(self):
+        hg = Hypergraph(4)
+        first, second = Net(driver=0, sinks=(1, 2)), Net(driver=3, sinks=(0,))
+        hg.add_net(first)
+        hg.add_net(second)
+        nets = hg.nets
+        assert nets == (first, second)
+        with pytest.raises(TypeError):
+            nets[0] = second
+        hg.add_net(Net(driver=1, sinks=(2,)))
+        assert len(nets) == 2 and hg.num_nets == 3
+
     def test_from_s27_sequential(self):
         hg = Hypergraph.from_netlist(load_s27())
         assert hg.num_cells == 17

@@ -130,6 +130,18 @@ class TestDegreesAndMatrices:
             loop[v] += w
         assert g.degrees().tobytes() == loop.tobytes()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_connection_tables_rebuild_the_graph(self, seed):
+        g = random_mixed_graph(25, 0.3, seed=seed)
+        edges, arcs = g.connection_tables()
+        assert edges.shape == (g.num_edges, 3) and arcs.shape == (g.num_arcs, 3)
+        rebuilt = MixedGraph(g.num_nodes)
+        rebuilt.add_edges(edges)
+        rebuilt.add_arcs(arcs)
+        assert rebuilt.edges() == g.edges()
+        # insertion order survives, so the degree sums keep their bytes
+        assert rebuilt.degrees().tobytes() == g.degrees().tobytes()
+
     def test_degrees_of_an_edgeless_graph(self):
         degrees = MixedGraph(3).degrees()
         assert degrees.dtype == np.float64

@@ -126,3 +126,37 @@ class TestOperations:
         qc = QuantumCircuit(1).x(0)
         ops = qc.operations
         assert isinstance(ops, tuple) and len(ops) == 1
+
+
+class TestTwoQubitGates:
+    def test_cz_is_cx_conjugated_by_hadamards(self):
+        cz = QuantumCircuit(2).cz(0, 1).to_matrix()
+        conjugated = QuantumCircuit(2).h(1).cx(0, 1).h(1).to_matrix()
+        assert np.allclose(cz, conjugated)
+
+    def test_cz_is_symmetric_in_its_qubits(self):
+        forward = QuantumCircuit(2).cz(0, 1).to_matrix()
+        backward = QuantumCircuit(2).cz(1, 0).to_matrix()
+        assert np.allclose(forward, backward)
+        assert np.allclose(forward, np.diag([1, 1, 1, -1]))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.4, np.pi / 2, np.pi, 5.0])
+    def test_cp_phases_only_the_all_ones_state(self, lam):
+        matrix = QuantumCircuit(2).cp(lam, 0, 1).to_matrix()
+        assert np.allclose(matrix, np.diag([1, 1, 1, np.exp(1j * lam)]))
+
+    def test_cp_of_pi_is_cz(self):
+        assert np.allclose(
+            QuantumCircuit(2).cp(np.pi, 1, 0).to_matrix(),
+            QuantumCircuit(2).cz(0, 1).to_matrix(),
+        )
+
+    def test_cp_composes_additively(self):
+        twice = QuantumCircuit(2).cp(0.3, 0, 1).cp(0.5, 0, 1).to_matrix()
+        assert np.allclose(twice, QuantumCircuit(2).cp(0.8, 0, 1).to_matrix())
+
+    def test_two_qubit_gates_are_counted_by_name(self):
+        qc = QuantumCircuit(3).cz(0, 1).cz(1, 2).cp(0.25, 0, 2)
+        counts = qc.gate_counts()
+        assert counts["cz"] == 2
+        assert sum(counts.values()) == 3

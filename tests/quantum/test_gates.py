@@ -119,3 +119,41 @@ class TestGateMatrixLookup:
     def test_known_names_nonempty(self):
         names = gates.known_gate_names()
         assert "h" in names and "rx" in names and "swap" in names
+
+
+#: One parameter tuple per parametric gate name.
+GATE_PARAMS = {
+    "rx": (0.7,),
+    "ry": (0.7,),
+    "rz": (0.7,),
+    "p": (0.7,),
+    "phase": (0.7,),
+    "u3": (0.3, 0.5, 0.7),
+    "gphase": (0.7,),
+}
+
+
+class TestGateTable:
+    @pytest.mark.parametrize("name", gates.known_gate_names())
+    def test_every_named_gate_is_a_unitary_on_one_or_two_qubits(self, name):
+        matrix = gates.gate_matrix(name, GATE_PARAMS.get(name, ()))
+        assert matrix.shape in ((2, 2), (4, 4))
+        assert is_unitary(matrix), name
+
+    @pytest.mark.parametrize("name", gates.known_gate_names())
+    def test_lookup_ignores_case(self, name):
+        params = GATE_PARAMS.get(name, ())
+        assert np.array_equal(
+            gates.gate_matrix(name.upper(), params), gates.gate_matrix(name, params)
+        )
+
+    def test_global_phase_is_a_scalar_identity(self):
+        gamma = 0.7
+        assert np.allclose(gates.global_phase(gamma), np.exp(1j * gamma) * np.eye(2))
+        assert np.allclose(gates.global_phase(2 * np.pi), np.eye(2))
+
+    def test_controlled_global_phase_is_a_phase_gate_on_the_control(self):
+        # the bookkeeping a controlled-U needs when U carries a global phase
+        gamma = 0.7
+        controlled = gates.controlled(gates.global_phase(gamma))
+        assert np.allclose(controlled, np.kron(gates.phase(gamma), np.eye(2)))

@@ -12,6 +12,8 @@ from repro.quantum.hamiltonian import (
     trotter_evolution,
 )
 from repro.quantum.phase_estimation import (
+    QPEResult,
+    controlled_power_unitaries,
     qpe_circuit,
     qpe_outcome_distribution,
     run_qpe,
@@ -168,3 +170,28 @@ class TestAnalyticDistribution:
     def test_precision_validation(self):
         with pytest.raises(CircuitError):
             qpe_outcome_distribution(0.5, 0)
+
+
+class TestQPEHelpers:
+    @pytest.mark.parametrize("precision", [1, 2, 5])
+    def test_controlled_powers_are_repeated_squares(self, precision):
+        unitary = exact_evolution(random_hermitian(2, 4), 0.9)
+        powers = controlled_power_unitaries(unitary, precision)
+        assert len(powers) == precision
+        for j, power in enumerate(powers):
+            assert np.allclose(power, np.linalg.matrix_power(unitary, 2**j))
+
+    def test_controlled_powers_multiply_eigenphases(self):
+        phase = 0.15
+        unitary = np.diag([1.0, np.exp(2j * np.pi * phase)])
+        powers = controlled_power_unitaries(unitary, 4)
+        for j, power in enumerate(powers):
+            assert np.isclose(power[1, 1], np.exp(2j * np.pi * phase * 2**j))
+
+    @pytest.mark.parametrize("precision", [1, 3, 6])
+    def test_phase_estimate_is_the_dyadic_fraction(self, precision):
+        result = QPEResult(precision, np.zeros(2**precision), {})
+        for outcome in range(2**precision):
+            estimate = result.phase_estimate(outcome)
+            assert 0.0 <= estimate < 1.0
+            assert estimate * 2**precision == outcome

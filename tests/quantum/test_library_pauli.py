@@ -128,3 +128,12 @@ class TestPauli:
     def test_reconstruct_size_mismatch(self):
         with pytest.raises(CircuitError):
             pauli_reconstruct([PauliTerm("X", 1.0)], 2)
+
+
+class TestPauliTerm:
+    @pytest.mark.parametrize("label", ["I", "X", "Y", "Z", "XY", "ZZI"])
+    def test_weighted_matrix_scales_the_string(self, label):
+        term = PauliTerm(label, -0.75)
+        assert term.num_qubits == len(label)
+        assert np.allclose(term.weighted_matrix(), -0.75 * pauli_matrix(label))
+        assert np.allclose(term.matrix(), pauli_matrix(label))

@@ -11,7 +11,14 @@ from repro.quantum.measurement import (
     sample_distribution,
     tomography_estimate,
 )
-from repro.quantum.noise import NoiseModel, noisy_run, noisy_sample_counts
+from repro.quantum.noise import (
+    NoiseModel,
+    apply_depolarizing,
+    flip_readout_bits,
+    noisy_run,
+    noisy_sample_counts,
+)
+from repro.quantum.statevector import basis_state
 
 
 def unit(vector) -> np.ndarray:
@@ -105,3 +112,50 @@ class TestNoise:
     def test_negative_shots_rejected(self):
         with pytest.raises(CircuitError):
             noisy_sample_counts(QuantumCircuit(1), -1, NoiseModel())
+
+
+class TestNoiseChannels:
+    @pytest.mark.parametrize("num_bits", [1, 3, 6])
+    def test_zero_readout_error_returns_the_outcome(self, num_bits):
+        rng = np.random.default_rng(0)
+        for outcome in range(2**num_bits):
+            assert flip_readout_bits(outcome, num_bits, 0.0, rng) == outcome
+
+    @pytest.mark.parametrize("num_bits", [1, 3, 6])
+    def test_certain_readout_error_flips_every_measured_bit(self, num_bits):
+        rng = np.random.default_rng(0)
+        mask = 2**num_bits - 1
+        for outcome in (0, 1, mask):
+            assert flip_readout_bits(outcome, num_bits, 1.0, rng) == outcome ^ mask
+
+    def test_readout_error_leaves_unmeasured_bits_alone(self):
+        rng = np.random.default_rng(0)
+        high = 0b1010 << 3
+        for _ in range(50):
+            assert flip_readout_bits(high, 3, 0.5, rng) >> 3 == 0b1010
+
+    def test_readout_bits_flip_independently_at_the_rate(self):
+        rng = np.random.default_rng(3)
+        draws = np.array([flip_readout_bits(0, 2, 0.2, rng) for _ in range(4000)])
+        for bit in range(2):
+            assert abs(((draws >> bit) & 1).mean() - 0.2) < 0.03
+
+    def test_zero_depolarizing_rate_leaves_the_state(self):
+        state = basis_state(2, 0b01)
+        apply_depolarizing(state, [0, 1], 0.0, np.random.default_rng(0))
+        assert np.array_equal(state.amplitudes, basis_state(2, 0b01).amplitudes)
+
+    def test_certain_depolarizing_applies_a_pauli_to_each_listed_qubit(self):
+        rng = np.random.default_rng(5)
+        flipped = 0
+        trials = 600
+        for _ in range(trials):
+            state = basis_state(2, 0)
+            apply_depolarizing(state, [1], 1.0, rng)
+            assert np.isclose(state.norm(), 1.0)
+            probabilities = state.probabilities()
+            # qubit 0 is not listed, so it stays |0>
+            assert np.isclose(probabilities[0b00] + probabilities[0b01], 1.0)
+            flipped += int(np.isclose(probabilities[0b01], 1.0))
+        # X and Y flip |0>, Z does not: two thirds of the draws flip
+        assert abs(flipped / trials - 2 / 3) < 0.06

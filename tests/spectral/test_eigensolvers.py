@@ -10,6 +10,7 @@ from repro.spectral.eigensolvers import (
     condition_number,
     dense_lowest_eigenpairs,
     lanczos_lowest_eigenpairs,
+    sparse_lowest_eigenpairs,
 )
 
 
@@ -83,6 +84,26 @@ class TestLanczos:
         # down gracefully via the invariant-subspace branch
         values, _ = lanczos_lowest_eigenpairs(np.eye(8, dtype=complex), 2, seed=1)
         assert np.allclose(values, 1.0)
+
+
+class TestSparse:
+    @pytest.mark.parametrize("num_nodes, k", [(12, 2), (40, 3), (80, 4)])
+    def test_matches_dense_on_laplacians(self, num_nodes, k):
+        graph = random_mixed_graph(num_nodes, 0.2, seed=num_nodes)
+        laplacian = hermitian_laplacian(graph)
+        dense_values, _ = dense_lowest_eigenpairs(laplacian, k)
+        values, vectors = sparse_lowest_eigenpairs(laplacian, k)
+        assert np.allclose(values, dense_values, atol=1e-8)
+        residual = laplacian @ vectors - vectors * values
+        assert np.abs(residual).max() < 1e-6
+
+    def test_accepts_a_sparse_matrix(self):
+        graph = random_mixed_graph(30, 0.2, seed=2)
+        dense = hermitian_laplacian(graph)
+        from_sparse, _ = sparse_lowest_eigenpairs(
+            hermitian_laplacian(graph, backend="sparse"), 3
+        )
+        assert np.allclose(from_sparse, dense_lowest_eigenpairs(dense, 3)[0], atol=1e-8)
 
 
 class TestConditionNumber:

@@ -17,7 +17,11 @@ from repro.spectral import (
     spectral_embedding,
 )
 from repro.spectral.eigensolvers import dense_lowest_eigenpairs
-from repro.spectral.kmeans import assign_labels, kmeans_plusplus_init
+from repro.spectral.kmeans import (
+    assign_labels,
+    kmeans_plusplus_init,
+    update_centroids,
+)
 
 
 class TestFeatureMaps:
@@ -144,6 +148,21 @@ class TestKMeans:
         points = rng.normal(size=(25, 3))
         result = kmeans(points, 4, seed=seed)
         assert set(result.labels) <= set(range(4))
+
+
+    def test_update_centroids_takes_cluster_means(self):
+        points = np.array([[0.0, 0.0], [2.0, 0.0], [10.0, 10.0], [12.0, 14.0]])
+        labels = np.array([0, 0, 1, 1])
+        centroids = update_centroids(points, labels, 2, np.random.default_rng(0))
+        assert np.allclose(centroids, [[1.0, 0.0], [11.0, 12.0]])
+
+    def test_update_centroids_respawns_an_empty_cluster_at_a_point(self):
+        points = np.random.default_rng(1).normal(size=(6, 3))
+        labels = np.zeros(6, dtype=int)
+        centroids = update_centroids(points, labels, 3, np.random.default_rng(2))
+        assert np.allclose(centroids[0], points.mean(axis=0))
+        for empty in (1, 2):
+            assert any(np.array_equal(centroids[empty], point) for point in points)
 
 
 class TestClassicalPipeline:

@@ -11,6 +11,7 @@ from repro.baselines import (
     chung_laplacian,
     disim_embedding,
     stationary_distribution,
+    stationary_distribution_sparse,
     symmetrized_laplacian,
     transition_matrix,
 )
@@ -87,6 +88,29 @@ class TestRandomWalk:
         graph = random_mixed_graph(6, 0.5, seed=5)
         with pytest.raises(ClusteringError):
             transition_matrix(graph, teleport=0.0)
+
+    @pytest.mark.parametrize("teleport", [0.05, 0.3, 0.9])
+    def test_sparse_stationary_matches_the_dense_walk(self, teleport):
+        graph = random_mixed_graph(14, 0.3, seed=6)
+        dense = stationary_distribution(transition_matrix(graph, teleport))
+        sparse = stationary_distribution_sparse(graph, teleport)
+        assert np.isclose(sparse.sum(), 1.0)
+        assert np.allclose(sparse, dense, atol=1e-10)
+
+    def test_sparse_stationary_handles_dangling_nodes(self):
+        from repro.graphs import MixedGraph
+
+        g = MixedGraph(4)
+        g.add_arc(0, 1)
+        g.add_arc(1, 2)  # nodes 2 and 3 have no out-arcs
+        dense = stationary_distribution(transition_matrix(g, teleport=0.1))
+        assert np.allclose(stationary_distribution_sparse(g, 0.1), dense, atol=1e-10)
+
+    @pytest.mark.parametrize("teleport", [0.0, 1.0])
+    def test_sparse_stationary_teleport_validation(self, teleport):
+        graph = random_mixed_graph(6, 0.5, seed=5)
+        with pytest.raises(ClusteringError, match="teleport"):
+            stationary_distribution_sparse(graph, teleport)
 
 
 class TestDiSim:
