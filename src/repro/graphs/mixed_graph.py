@@ -261,6 +261,16 @@ class MixedGraph:
         """
         return _connection_table(self._undirected), _connection_table(self._directed)
 
+    def sorted_connection_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`connection_tables` with each table's rows in
+        :meth:`sorted_connections` order (by ``u``, then ``v``)."""
+        tables = []
+        for table in self.connection_tables():
+            codes = self._encode(*table[:, :2].astype(np.int64).T)
+            # Stable: tables of generated graphs are nearly sorted already.
+            tables.append(table[np.argsort(codes, kind="stable")])
+        return tuple(tables)
+
     def edges(self) -> list[Edge]:
         """All connections, undirected first, in deterministic order."""
         und, dirs = self.sorted_connections()
@@ -274,24 +284,20 @@ class MixedGraph:
         """Vectorized view of all connections: ``(u, v, weight, directed)``.
 
         Rows follow the same deterministic order as :meth:`edges`
-        (undirected first, each group sorted by endpoint pair) but skip the
-        per-connection :class:`Edge` object construction — this is the
-        construction path the sparse Hermitian matrices are built from.
+        (undirected first, each group sorted by endpoint pair), read off
+        :meth:`sorted_connection_tables` — this is the construction path
+        the sparse Hermitian matrices are built from.
         """
-        und, dirs = self.sorted_connections()
-        total = len(und) + len(dirs)
-        u = np.empty(total, dtype=np.int64)
-        v = np.empty(total, dtype=np.int64)
-        w = np.empty(total, dtype=float)
-        directed = np.zeros(total, dtype=bool)
-        for index, ((a, b), weight) in enumerate(und):
-            u[index], v[index], w[index] = a, b, weight
-        offset = len(und)
-        for index, ((a, b), weight) in enumerate(dirs):
-            u[offset + index], v[offset + index] = a, b
-            w[offset + index] = weight
-        directed[offset:] = True
-        return u, v, w, directed
+        und, dirs = self.sorted_connection_tables()
+        table = np.concatenate([und, dirs])
+        directed = np.zeros(len(table), dtype=bool)
+        directed[len(und) :] = True
+        return (
+            table[:, 0].astype(np.int64),
+            table[:, 1].astype(np.int64),
+            np.ascontiguousarray(table[:, 2]),
+            directed,
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if an undirected edge joins u and v."""
@@ -473,7 +479,7 @@ def _connection_table(connections: dict) -> np.ndarray:
     count = len(connections)
     table = np.empty((count, 3))
     table[:, :2] = np.fromiter(
-        chain.from_iterable(connections), dtype=float, count=2 * count
+        chain.from_iterable(connections), dtype=np.int64, count=2 * count
     ).reshape(count, 2)
     table[:, 2] = np.fromiter(connections.values(), dtype=float, count=count)
     return table

@@ -1,13 +1,13 @@
 """Clustering-quality metrics: ARI, NMI, matched accuracy, confusion.
 
 All metrics are implemented from first principles on contingency tables;
-only the Hungarian assignment uses ``scipy.optimize.linear_sum_assignment``.
+only the Hungarian assignment uses ``scipy.optimize.linear_sum_assignment``,
+imported on first use so ``import repro`` does not load ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import ClusteringError
 
@@ -27,14 +27,13 @@ def _validate_pair(truth, predicted) -> tuple[np.ndarray, np.ndarray]:
 def contingency_table(truth, predicted) -> np.ndarray:
     """Counts table C[i, j] = |truth cluster i ∩ predicted cluster j|."""
     truth, predicted = _validate_pair(truth, predicted)
-    truth_ids = np.unique(truth)
-    predicted_ids = np.unique(predicted)
-    table = np.zeros((truth_ids.size, predicted_ids.size), dtype=int)
-    truth_index = {label: i for i, label in enumerate(truth_ids)}
-    predicted_index = {label: j for j, label in enumerate(predicted_ids)}
-    for t, p in zip(truth, predicted):
-        table[truth_index[t], predicted_index[p]] += 1
-    return table
+    truth_ids, truth_codes = np.unique(truth, return_inverse=True)
+    predicted_ids, predicted_codes = np.unique(predicted, return_inverse=True)
+    shape = (truth_ids.size, predicted_ids.size)
+    cells = np.bincount(
+        truth_codes * shape[1] + predicted_codes, minlength=shape[0] * shape[1]
+    )
+    return cells.reshape(shape)
 
 
 def adjusted_rand_index(truth, predicted) -> float:
@@ -79,6 +78,8 @@ def normalized_mutual_information(truth, predicted) -> float:
 
 def matched_accuracy(truth, predicted) -> float:
     """Best-case accuracy over all cluster-label permutations (Hungarian)."""
+    from scipy.optimize import linear_sum_assignment
+
     table = contingency_table(truth, predicted)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / table.sum())

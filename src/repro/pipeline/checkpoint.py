@@ -33,7 +33,7 @@ import numpy as np
 from repro.exceptions import ClusteringError
 
 #: Version tag stored inside every stage checkpoint archive.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Content-store namespaces of stage and shard checkpoint entries (see
 #: :mod:`repro.store`): the pipeline and the sharded-readout path resolve
@@ -63,14 +63,41 @@ def store_key(stage_name: str, fingerprint: str) -> str:
 
 
 def graph_fingerprint(graph) -> str:
-    """Content digest of a mixed graph (size + full connection list)."""
-    undirected, directed = graph.sorted_connections()
-    records = [f"{u},{v},{w},False;" for (u, v), w in undirected]
-    records += [f"{u},{v},{w},True;" for (u, v), w in directed]
+    """Content digest of a mixed graph (size + full connection list).
+
+    Hashes the node count, then one ``"u,v,w,directed;"`` record per
+    connection — edges, then arcs, each in sorted ``(u, v)`` order, with
+    ``w`` as its Python ``repr`` — built from the graph's sorted arrays.
+    """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(graph.num_nodes).encode())
-    digest.update("".join(records).encode())
+    node_text = np.array([f"{node}," for node in range(graph.num_nodes)], dtype=bytes)
+    for table, directed in zip(graph.sorted_connection_tables(), (False, True)):
+        if len(table):
+            digest.update(_record_bytes(table, node_text, f",{directed};"))
     return digest.hexdigest()
+
+
+def _record_bytes(table: np.ndarray, node_text: np.ndarray, suffix: str) -> np.ndarray:
+    """The ``"u,v,w" + suffix`` records of a ``[u, v, weight]`` table, as
+    one byte run.
+
+    Each record is laid out as NUL-padded byte strings looked up per node
+    id (``"u,"``) and per distinct weight (``repr(w) + suffix``), not
+    formatted per record; no record text holds a NUL, so dropping the
+    padding in row-major order leaves exactly the concatenated records.
+    """
+    weights, inverse = np.unique(table[:, 2], return_inverse=True)
+    weight_text = np.array([f"{w!r}{suffix}" for w in weights.tolist()], dtype=bytes)
+    count = len(table)
+    padded = np.concatenate(
+        [
+            node_text[table[:, :2].astype(np.intp)].view(np.uint8).reshape(count, -1),
+            weight_text[inverse].view(np.uint8).reshape(count, -1),
+        ],
+        axis=1,
+    )
+    return padded[padded != 0]
 
 
 def context_fingerprint(graph, config, requested_clusters, fields) -> str:

@@ -38,7 +38,7 @@ from repro.core.result import QSCResult
 from repro.exceptions import ClusteringError
 from repro.linalg.array_backend import pipeline_dispatch
 from repro.pipeline import checkpoint, telemetry
-from repro.pipeline.stage import StageContext
+from repro.pipeline.stage import StageContext, StageState
 from repro.pipeline.stages import STAGE_NAMES, build_stages
 from repro.store import attached_store
 from repro.utils.rng import ensure_rng, spawn_rngs
@@ -84,8 +84,8 @@ class QSCPipeline:
                 )
             self.num_clusters = int(num_clusters)
         self.config = config or QSCConfig()
-        self.state: dict = {}
-        self.profile: tuple = ()
+        self.state: StageState = StageState()
+        self._reports: list = []
 
     def run(
         self,
@@ -141,6 +141,17 @@ class QSCPipeline:
         a corrupt copy of) a stage file, and the resumed stage onward
         always recomputes.  A corrupt run-dir checkpoint is evicted and
         recomputed instead of aborting the resume.
+
+        Without ``save_stages``, a served stage resolves on first use: the
+        run only checks that its entry exists, and reads it the first time
+        a computing stage, the result, or a caller reading
+        ``pipeline.state`` asks for one of its keys.  The embedding entry
+        carries the row norms, so a fully served run never reads its
+        readout rows, and reads its Laplacian only when something asks for
+        ``state["backend"]``.  An entry found corrupt or gone at that point
+        is recomputed from the stage's untouched RNG stream and published,
+        and its profile row says ``computed`` — which is also what reading
+        ``pipeline.state`` after the store is detached does.
 
         Returns
         -------
@@ -198,41 +209,58 @@ class QSCPipeline:
         )
         reports = []
         degraded: list[str] = []
+        served: list[_ServedStage] = []
+        read_through = store is not None and (
+            resume_from is None or upstream is not None
+        )
         # Hot-path dispatch is scoped to this run: active exactly when the
         # config selects the ``array`` backend, a no-op otherwise — so
         # dense/sparse runs (including ones after an array run in the same
         # process) execute the unchanged numpy hot paths bit-exactly.
         with pipeline_dispatch(cfg.linalg_backend):
             self._run_stages(
-                ctx, reports, degraded, resume_index, upstream,
+                ctx, reports, degraded, served, resume_index, upstream,
                 stages_dir, save_stages, store,
-                read_through=store is not None
-                and (resume_from is None or upstream is not None),
+                read_through=read_through,
+                # Without a run directory to fill, a stage whose entry
+                # exists is read only when something asks for its keys.
+                lazy=read_through and save_stages is None,
             )
+            if degraded:
+                # Mark the state so reusing it in memory (``upstream=
+                # pipeline.state``) downstream of the degradation is
+                # refused — the degraded stage's outputs carry zeroed rows
+                # that are otherwise indistinguishable from complete ones.
+                ctx.state["degraded_stages"] = tuple(degraded)
+            self.state = ctx.state
+            self._reports = reports
+            outputs = _result_fields(ctx.state, cfg)
+        for report in reports:
+            telemetry.record_stage(report)
+        for stage in served:
+            stage.recorded = True
+        return QSCResult(**outputs, profile=self.profile)
 
-        if degraded:
-            # Mark the state so reusing it in memory (``upstream=
-            # pipeline.state``) downstream of the degradation is refused —
-            # the degraded stage's outputs carry zeroed rows that are
-            # otherwise indistinguishable from complete ones.
-            ctx.state["degraded_stages"] = tuple(degraded)
-        self.state = ctx.state
-        self.profile = tuple(report.as_dict() for report in reports)
-        return self._assemble(ctx)
+    @property
+    def profile(self) -> tuple:
+        """Per-stage telemetry of the most recent run (one dict per stage)."""
+        return tuple(report.as_dict() for report in self._reports)
 
     def _run_stages(
         self,
         ctx: StageContext,
         reports: list,
         degraded: list,
+        served: list,
         resume_index: int,
         upstream: dict | None,
         stages_dir,
         save_stages,
         store,
         read_through: bool,
+        lazy: bool,
     ) -> None:
-        """Execute (or load) every stage, appending telemetry reports."""
+        """Execute, load or defer every stage, appending telemetry reports."""
         cfg = self.config
         for index, stage in enumerate(build_stages()):
             cache_before = spectral_cache_stats()
@@ -260,6 +288,19 @@ class QSCPipeline:
             if resuming and upstream is not None:
                 values = {key: upstream[key] for key in stage.provides}
                 source = "reused"
+            elif (
+                lazy
+                and not degraded
+                and store.contains(
+                    checkpoint.STAGE_NAMESPACE,
+                    checkpoint.store_key(stage.name, fingerprint),
+                )
+            ):
+                deferred = _ServedStage(stage, ctx, store, reports, degraded)
+                ctx.state.defer(stage.provides, deferred)
+                served.append(deferred)
+                values = {}
+                source = "store"
             elif resuming or (read_through and not degraded):
                 # Resume loads the prefix from the run directory (falling
                 # back on the store); without --resume-from every stage
@@ -276,59 +317,124 @@ class QSCPipeline:
                             save_stages, stage.name, payload, fingerprint
                         )
             if values is None:
-                values = stage.execute(ctx)
-                if ctx.incomplete_shards:
-                    degraded.append(stage.name)
-                # A degraded sharded stage (incomplete shards) is never
-                # checkpointed whole, and neither is anything downstream
-                # of it: downstream outputs are computed from zeroed rows
-                # yet would fingerprint exactly like complete ones.  The
-                # completed shard files remain, so a later resume
-                # recomputes only what is actually missing instead of
-                # silently inheriting zero rows.
-                if not degraded and (save_stages is not None or store is not None):
-                    packed = stage.pack(values)
-                    if save_stages is not None:
-                        checkpoint.save_stage_payload(
-                            save_stages, stage.name, packed, fingerprint
-                        )
-                    if store is not None:
-                        store.put(
-                            checkpoint.STAGE_NAMESPACE,
-                            checkpoint.store_key(stage.name, fingerprint),
-                            packed,
-                        )
-            seconds = time.perf_counter() - start
-            cache_after = spectral_cache_stats()
+                values = _compute(stage, ctx, degraded, save_stages, store)
             ctx.state.update(values)
-            report = telemetry.StageReport(
-                stage=stage.name,
-                seconds=seconds,
-                source=source,
-                cache_hits=cache_after["hits"] - cache_before["hits"],
-                cache_misses=cache_after["misses"] - cache_before["misses"],
-                shards=ctx.shard_reports,
-                incomplete_shards=ctx.incomplete_shards,
-                backend=ctx.backend_info.get("linalg_backend"),
-                eigensolver=ctx.backend_info.get("eigensolver"),
-            )
-            telemetry.record_stage(report)
-            reports.append(report)
+            reports.append(_report(stage, source, start, cache_before, ctx))
 
-    def _assemble(self, ctx: StageContext) -> QSCResult:
-        """Fold the final stage state into the public result record."""
-        km = ctx.state["qmeans"]
-        return QSCResult(
-            labels=km.labels,
-            embedding=ctx.state["features"],
-            row_norms=ctx.state["norms"],
-            eigenvalue_histogram=ctx.state["histogram"],
-            threshold=ctx.state["threshold"],
-            accepted_bins=np.asarray(ctx.state["accepted"], dtype=int),
-            qmeans=km,
-            backend_name=ctx.state["backend"].name,
-            profile=self.profile,
+
+class _ServedStage:
+    """A stage the store holds, read the first time its keys are asked for.
+
+    If the entry turns out corrupt or gone by then, the stage is computed
+    from its own (still untouched) RNG stream and published instead, and
+    its report says ``computed``.  It keeps a copy of the run's inputs,
+    not the run's context or state, so no reference cycle outlives a run.
+    """
+
+    def __init__(self, stage, ctx: StageContext, store, reports: list, degraded: list):
+        self.stage = stage
+        self.inputs = {
+            "graph": ctx.graph,
+            "config": ctx.config,
+            "requested_clusters": ctx.requested_clusters,
+            "rngs": ctx.rngs,
+            "save_dir": ctx.save_dir,
+            "load_dir": ctx.load_dir,
+            "graph_digest": ctx.graph_digest,
+            "fingerprint": ctx.fingerprint,
+        }
+        self.store = store
+        self.reports = reports
+        self.index = len(reports)
+        self.degraded = degraded
+        #: Set once the run has folded its reports into the process-wide
+        #: totals; a recompute after that is recorded on its own.
+        self.recorded = False
+
+    def __call__(self, state: StageState) -> dict:
+        ctx = StageContext(state=state, **self.inputs)
+        cache_before = spectral_cache_stats()
+        # The report's time is the registration's plus this resolution's.
+        start = time.perf_counter() - self.reports[self.index].seconds
+        payload = self.store.get(
+            checkpoint.STAGE_NAMESPACE,
+            checkpoint.store_key(self.stage.name, ctx.fingerprint),
         )
+        if payload is not None:
+            values, source = self.stage.unpack(payload, ctx), "store"
+        else:
+            with pipeline_dispatch(ctx.config.linalg_backend):
+                values = _compute(self.stage, ctx, self.degraded, None, self.store)
+            source = "computed"
+            if self.degraded:
+                state["degraded_stages"] = tuple(self.degraded)
+        report = _report(self.stage, source, start, cache_before, ctx)
+        if self.recorded and source == "computed":
+            telemetry.record_stage(report)
+        self.reports[self.index] = report
+        return values
+
+
+def _compute(stage, ctx: StageContext, degraded: list, save_stages, store) -> dict:
+    """Run ``stage`` and publish its output unless the run is degraded."""
+    values = stage.execute(ctx)
+    if ctx.incomplete_shards:
+        degraded.append(stage.name)
+    # A degraded sharded stage (incomplete shards) is never checkpointed
+    # whole, and neither is anything downstream of it: downstream outputs
+    # are computed from zeroed rows yet would fingerprint exactly like
+    # complete ones.  The completed shard files remain, so a later resume
+    # recomputes only what is actually missing instead of silently
+    # inheriting zero rows.
+    if not degraded and (save_stages is not None or store is not None):
+        packed = stage.pack(values)
+        if save_stages is not None:
+            checkpoint.save_stage_payload(
+                save_stages, stage.name, packed, ctx.fingerprint
+            )
+        if store is not None:
+            store.put(
+                checkpoint.STAGE_NAMESPACE,
+                checkpoint.store_key(stage.name, ctx.fingerprint),
+                packed,
+            )
+    return values
+
+
+def _report(stage, source: str, start: float, cache_before: dict, ctx):
+    """Telemetry of one stage execution that began at ``start``."""
+    cache_after = spectral_cache_stats()
+    return telemetry.StageReport(
+        stage=stage.name,
+        seconds=time.perf_counter() - start,
+        source=source,
+        cache_hits=cache_after["hits"] - cache_before["hits"],
+        cache_misses=cache_after["misses"] - cache_before["misses"],
+        shards=ctx.shard_reports,
+        incomplete_shards=ctx.incomplete_shards,
+        backend=ctx.backend_info.get("linalg_backend"),
+        eigensolver=ctx.backend_info.get("eigensolver"),
+    )
+
+
+def _result_fields(state: StageState, config: QSCConfig) -> dict:
+    """The public result's fields from the final stage state.
+
+    Reads only what a result keeps: a fully served run reads its
+    threshold, embedding and q-means entries, never its readout rows or
+    its Laplacian (the backend's name is the config's).
+    """
+    km = state["qmeans"]
+    return {
+        "labels": km.labels,
+        "embedding": state["features"],
+        "row_norms": state["norms"],
+        "eigenvalue_histogram": state["histogram"],
+        "threshold": state["threshold"],
+        "accepted_bins": np.asarray(state["accepted"], dtype=int),
+        "qmeans": km,
+        "backend_name": config.backend,
+    }
 
 
 def _load_payload(stage_name: str, fingerprint: str, stages_dir, store):

@@ -23,11 +23,72 @@ Contract rules (enforced by the pipeline driver):
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.exceptions import ClusteringError
+
+
+class StageState(MutableMapping):
+    """Stage outputs by key, where a store-served stage's keys may resolve
+    on first read.
+
+    :meth:`defer` registers a stage's keys with a resolver — a callable
+    taking this state and returning the stage's values — that runs the
+    first time any of those keys is read.  A later stage providing the
+    same key takes it over, as a later assignment would; a resolver writes
+    only the keys nobody else holds (while it runs, its own keys are
+    released, so a recomputing stage can read an upstream stage's copy).
+    """
+
+    def __init__(self):
+        self._values: dict = {}
+        self._pending: dict = {}
+
+    def defer(self, keys, resolve) -> None:
+        """Resolve ``keys`` by ``resolve(self)`` the first time one is read."""
+        for key in keys:
+            self._values.pop(key, None)
+            self._pending[key] = resolve
+
+    def __getitem__(self, key):
+        if key in self._pending:
+            self._resolve(self._pending[key])
+        return self._values[key]
+
+    def _resolve(self, resolve) -> None:
+        keys = [key for key, owner in self._pending.items() if owner is resolve]
+        for key in keys:
+            del self._pending[key]
+        try:
+            values = resolve(self)
+        except BaseException:
+            for key in keys:
+                self._pending.setdefault(key, resolve)
+            raise
+        for key, value in values.items():
+            if key not in self._values and key not in self._pending:
+                self._values[key] = value
+
+    def __setitem__(self, key, value) -> None:
+        self._pending.pop(key, None)
+        self._values[key] = value
+
+    def __delitem__(self, key) -> None:
+        if self._pending.pop(key, None) is None:
+            del self._values[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._values or key in self._pending
+
+    def __iter__(self):
+        yield from self._values
+        yield from self._pending
+
+    def __len__(self) -> int:
+        return len(self._values) + len(self._pending)
 
 
 @dataclass
@@ -50,7 +111,8 @@ class StageContext:
         from a checkpoint simply never consumes its stream, and every
         downstream stream is unaffected.
     state:
-        The shared key → value store stages read from and write to.
+        The shared key → value :class:`StageState` stages read from and
+        write to.
     save_dir / load_dir:
         Checkpoint directories of the current run (``save_stages`` /
         ``stages_dir``), exposed so a stage that manages *sub-stage*
@@ -81,7 +143,7 @@ class StageContext:
     config: object
     requested_clusters: object
     rngs: dict
-    state: dict = field(default_factory=dict)
+    state: StageState = field(default_factory=StageState)
     save_dir: object = None
     load_dir: object = None
     graph_digest: str = ""

@@ -19,7 +19,8 @@ Each stage checkpoints its outputs as plain arrays (see
 itself and rebuilds the QPE backend on load.  The rebuilt analytic backend
 loads its spectrum on first use — from the spectral cache or the store, or
 by recomputing the eigendecomposition — so a run whose later stages are
-all loaded never reads it.
+all loaded never reads it.  The embedding stage's entry repeats the
+readout's row norms, so a run that serves it never reads the rows.
 """
 
 from __future__ import annotations
@@ -273,23 +274,34 @@ class ReadoutStage(Stage):
 
 
 class EmbeddingStage(Stage):
-    """Real feature map of the reconstructed projector rows."""
+    """Real feature map of the reconstructed projector rows.
+
+    It passes the readout's row norms through, so its entry carries
+    everything of the readout a result keeps: a run that serves this
+    stage never needs the rows themselves.
+    """
 
     name = "embedding"
-    requires = ("rows",)
-    provides = ("features",)
+    requires = ("rows", "norms")
+    provides = ("features", "norms")
     fingerprint_fields = _READOUT_FIELDS
 
     def run(self, ctx: StageContext) -> dict:
         rows = ctx.require("rows")
         features = complex_to_real_features(rows[:, : ctx.graph.num_nodes])
-        return {"features": row_normalize(features)}
+        return {"features": row_normalize(features), "norms": ctx.require("norms")}
 
     def pack(self, values: dict) -> dict:
-        return {"features": np.asarray(values["features"], dtype=float)}
+        return {
+            "features": np.asarray(values["features"], dtype=float),
+            "norms": np.asarray(values["norms"], dtype=float),
+        }
 
     def unpack(self, payload: dict, ctx: StageContext) -> dict:
-        return {"features": np.asarray(payload["features"], dtype=float)}
+        return {
+            "features": np.asarray(payload["features"], dtype=float),
+            "norms": np.asarray(payload["norms"], dtype=float),
+        }
 
 
 class QMeansStage(Stage):

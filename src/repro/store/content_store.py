@@ -446,7 +446,7 @@ class ContentStore:
                 f"namespace must match {_NAMESPACE_RE.pattern}, got {namespace!r}"
             )
         name = content_key(namespace, key)
-        return self._root / namespace / name[:2] / f"{name}{_ENTRY_SUFFIX}"
+        return self._root.joinpath(namespace, name[:2], f"{name}{_ENTRY_SUFFIX}")
 
     @contextmanager
     def _locked(self):
@@ -609,6 +609,18 @@ class ContentStore:
             return payload
         self._count(namespace, "misses")
         return None
+
+    def contains(self, namespace: str, key: str) -> bool:
+        """Whether ``(namespace, key)`` is held, without reading or counting it.
+
+        Checks the memory tier, then that the entry file exists; its bits
+        are only integrity-checked when :meth:`get` reads them.
+        """
+        if not self.enabled:
+            return False
+        if (namespace, key) in self._entries:
+            return True
+        return self._root is not None and self._entry_path(namespace, key).is_file()
 
     def put(self, namespace: str, key: str, payload: dict, memory: bool = False) -> None:
         """Publish a payload (atomic disk write; optional memory residence)."""

@@ -4,10 +4,12 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_pipeline import per_edge_fingerprint
 
 from repro.exceptions import GraphError
 from repro.graphs import MixedGraph, random_mixed_graph
 from repro.graphs.mixed_graph import Edge
+from repro.pipeline.checkpoint import graph_fingerprint
 
 
 class TestConstruction:
@@ -225,27 +227,107 @@ class TestProperties:
         assert back.num_arcs == g.num_arcs
 
 
+#: Weights with long, fractional and exponent ``repr`` forms.
+WEIGHTS = st.sampled_from([1.0, 2.0, 0.5, 0.1 + 0.2, 1 / 3, 2.5e-7, 1e16, 123.456])
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Graphs up to 3-digit node ids: empty, arcs-only or mixed, with
+    antiparallel arc pairs merged into edges of summed weight."""
+    num_nodes = draw(st.integers(1, 120))
+    kinds = ["arc"] if draw(st.booleans()) else ["edge", "arc", "pair"]
+    graph = MixedGraph(num_nodes)
+    node = st.integers(0, num_nodes - 1)
+    rows = draw(
+        st.lists(st.tuples(node, node, WEIGHTS, st.sampled_from(kinds)), max_size=60)
+    )
+    for u, v, weight, kind in rows:
+        if u == v or (kinds == ["arc"] and graph.has_arc(v, u)):
+            continue
+        try:
+            if kind == "edge":
+                graph.add_edge(u, v, weight)
+            else:
+                graph.add_arc(u, v, weight)
+                if kind == "pair":
+                    graph.add_arc(v, u, weight / 2)
+        except GraphError:  # an edge where an arc already is, or vice versa
+            pass
+    return graph
+
+
+def reference_edge_arrays(graph):
+    """``edge_arrays`` built record by record from ``sorted_connections``."""
+    und, dirs = graph.sorted_connections()
+    rows = [(u, v, w, False) for (u, v), w in und]
+    rows += [(u, v, w, True) for (u, v), w in dirs]
+    return (
+        np.array([row[0] for row in rows], dtype=np.int64),
+        np.array([row[1] for row in rows], dtype=np.int64),
+        np.array([row[2] for row in rows], dtype=float),
+        np.array([row[3] for row in rows], dtype=bool),
+    )
+
+
+class TestSortedArrays:
+    @given(graph=mixed_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_arrays_match_the_sorted_connections(self, graph):
+        for got, want in zip(graph.edge_arrays(), reference_edge_arrays(graph)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @given(graph=mixed_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_fingerprint_matches_the_per_edge_formula(self, graph):
+        assert graph_fingerprint(graph) == per_edge_fingerprint(graph)
+
+    def test_empty_and_arcs_only_graphs(self):
+        empty = MixedGraph(12)
+        assert all(array.size == 0 for array in empty.edge_arrays())
+        assert graph_fingerprint(empty) == per_edge_fingerprint(empty)
+        arcs = MixedGraph(150)
+        arcs.add_arcs(np.array([[149, 3, 0.25], [10, 100, 1.0], [3, 149, 0.5]]))
+        assert arcs.num_edges == 1 and arcs.num_arcs == 1  # 3<->149 merged
+        assert graph_fingerprint(arcs) == per_edge_fingerprint(arcs)
+        for got, want in zip(arcs.edge_arrays(), reference_edge_arrays(arcs)):
+            assert got.tobytes() == want.tobytes()
+
+
+def loaded_modules(code: str) -> str:
+    """Output of ``code`` run in a fresh interpreter on this source tree."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+
+
 class TestImportCost:
     def test_import_repro_leaves_networkx_unloaded(self):
         """networkx is imported only inside ``MixedGraph.to_networkx``."""
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        import repro
-
-        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, repro, repro.cli; "
             "print(any(m.split('.')[0] == 'networkx' for m in sys.modules))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.strip() == "False"
+        assert loaded_modules(code) == "False"
+
+    def test_import_repro_leaves_scipy_optimize_unloaded(self):
+        """scipy.optimize is imported only inside ``matched_accuracy``."""
+        code = (
+            "import sys, repro, repro.cli; "
+            "print(any(m.startswith('scipy.optimize') for m in sys.modules))"
+        )
+        assert loaded_modules(code) == "False"

@@ -1,5 +1,7 @@
 """Tests for clustering and graph-partition metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from repro.exceptions import ClusteringError
 from repro.graphs import MixedGraph, cyclic_flow_sbm, mixed_sbm
 from repro.metrics import (
     adjusted_rand_index,
+    clustering_metrics,
     clustering_report,
     contingency_table,
     cut_imbalance,
@@ -97,6 +100,58 @@ class TestNMIAccuracy:
         constant = [0] * len(labels)
         counts = np.bincount(labels)
         assert matched_accuracy(labels, constant) >= counts.max() / len(labels) - 1e-9
+
+
+def loop_contingency_table(truth, predicted) -> np.ndarray:
+    """Reference: the table counted node by node."""
+    truth = np.asarray(truth, dtype=int).ravel()
+    predicted = np.asarray(predicted, dtype=int).ravel()
+    truth_ids = np.unique(truth)
+    predicted_ids = np.unique(predicted)
+    table = np.zeros((truth_ids.size, predicted_ids.size), dtype=int)
+    truth_index = {label: i for i, label in enumerate(truth_ids)}
+    predicted_index = {label: j for j, label in enumerate(predicted_ids)}
+    for t, p in zip(truth, predicted):
+        table[truth_index[t], predicted_index[p]] += 1
+    return table
+
+
+#: Negative and non-contiguous labels.
+sparse_labels = st.integers(-4, 4).map(lambda label: 7 * label - 3)
+
+
+@st.composite
+def label_pairs(draw):
+    size = draw(st.integers(1, 60))
+    pair = st.lists(sparse_labels, min_size=size, max_size=size)
+    return draw(pair), draw(pair)
+
+
+class TestContingencyTable:
+    @given(pair=label_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_node_loop(self, pair):
+        truth, predicted = pair
+        table = contingency_table(truth, predicted)
+        expected = loop_contingency_table(truth, predicted)
+        assert table.dtype == expected.dtype
+        assert np.array_equal(table, expected)
+        scores = (
+            adjusted_rand_index(truth, predicted),
+            normalized_mutual_information(truth, predicted),
+            matched_accuracy(truth, predicted),
+        )
+        with mock.patch.object(
+            clustering_metrics, "contingency_table", loop_contingency_table
+        ):
+            reference = (
+                adjusted_rand_index(truth, predicted),
+                normalized_mutual_information(truth, predicted),
+                matched_accuracy(truth, predicted),
+            )
+        assert [np.float64(x).tobytes() for x in scores] == [
+            np.float64(x).tobytes() for x in reference
+        ]
 
 
 class TestGraphMetrics:
