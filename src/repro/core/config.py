@@ -55,20 +55,27 @@ class QSCConfig:
         readout, the asymptotic-shots limit).
     readout_chunk_size:
         Rows per block in the batched readout pipeline
-        (:mod:`repro.core.readout`).  ``None`` (default) processes all
-        rows in one readout block; the circuit backend's internal circuit
-        passes stay capped at 64 simulated columns either way, and a
-        finite chunk can only lower that cap, never raise it — so smaller
-        values strictly bound peak memory (each live filter block is
-        ``chunk × dim`` amplitudes).  Chunking never changes results.
-        Exposed on the CLI as ``--readout-chunk-size``.
+        (:mod:`repro.core.readout`).  ``None`` (default) splits the rows
+        into balanced blocks of at most ``max(64, 2^16 // dim)`` rows
+        (64 rows from dim 1024 up), so the readout holds its output plus
+        a few blocks; the
+        circuit backend's internal circuit passes stay capped at 64
+        simulated columns either way, and a finite chunk can only lower
+        that cap, never raise it (each live filter block is
+        ``chunk × dim`` amplitudes).  Chunking never changes results,
+        except that a chunk leaving a block of exactly one row moves that
+        row by float rounding (under 1e-15: its filter runs as a
+        matrix-vector product).  Exposed on the CLI as
+        ``--readout-chunk-size``.
     readout_shards:
         Split the readout stage into this many deterministic row shards
         executed by the supervised work queue
         (:mod:`repro.pipeline.sharding`).  ``None`` (default) runs the
-        classic unsharded stage; any count produces bit-identical results
-        because each shard consumes exactly the per-row RNG streams it
-        owns and shards merge in index order.  With ``save_stages`` each
+        classic unsharded stage; any count up to half the rows produces
+        bit-identical results because each shard consumes exactly the
+        per-row RNG streams it owns and shards merge in index order (a
+        larger count makes one-row shards, whose rows move by float
+        rounding, as a one-row readout block does).  With ``save_stages`` each
         shard checkpoints as ``readout.shard-<i>.npz``, so a crashed run
         resumes recomputing only the missing shards.  Exposed on the CLI
         as ``--readout-shards``.

@@ -19,7 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ClusteringError
-from repro.spectral.kmeans import KMeansResult, kmeans_plusplus_init
+from repro.spectral.kmeans import (
+    KMeansResult,
+    cluster_inertia,
+    kmeans_plusplus_init,
+    update_centroids,
+)
 from repro.utils.rng import ensure_rng
 
 
@@ -163,14 +168,9 @@ def qmeans(
         converged = False
         iterations = 0
         for iterations in range(1, max_iterations + 1):
-            centroids = np.empty((num_clusters, points.shape[1]))
-            for cluster in range(num_clusters):
-                members = points[labels == cluster]
-                if members.size == 0:
-                    centroids[cluster] = points[int(rng.integers(n))]
-                else:
-                    centroids[cluster] = members.mean(axis=0)
-            centroids = perturb_centroids(centroids, delta, rng)
+            centroids = perturb_centroids(
+                update_centroids(points, labels, num_clusters, rng), delta, rng
+            )
             new_labels = noisy_assign_labels(
                 points, centroids, delta, rng, x_norms
             )
@@ -183,11 +183,10 @@ def qmeans(
             else:
                 stable_steps = 0
             labels = new_labels
-        inertia = float(((points - centroids[labels]) ** 2).sum())
         candidate = KMeansResult(
             labels=labels,
             centroids=centroids,
-            inertia=inertia,
+            inertia=cluster_inertia(points, centroids, labels),
             iterations=iterations,
             converged=converged,
         )

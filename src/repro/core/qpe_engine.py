@@ -82,7 +82,8 @@ def laplacian_fingerprint(laplacian: np.ndarray) -> str:
     digest = hashlib.blake2b(digest_size=16)
     digest.update(str(laplacian.shape).encode())
     digest.update(str(laplacian.dtype).encode())
-    digest.update(laplacian.tobytes())
+    # the contiguous buffer itself: ``tobytes()`` would copy all n² entries
+    digest.update(laplacian)
     return digest.hexdigest()
 
 

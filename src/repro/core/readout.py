@@ -25,9 +25,21 @@ Determinism contract: per-row RNG streams are spawned with
 ``i`` consumes exactly the draws a per-row loop over the scalar APIs
 (``project_row`` + ``tomography_estimate`` + ``binomial``) would take from
 the same generator — so the batched pipeline is bit-identical to that loop
-at the same seed, regardless of ``chunk_size`` (chunking changes only how
-many rows are in flight, never which generator serves which row).  This is
-pinned in ``tests/core/test_readout.py``.
+at the same seed.  Chunking changes only how many rows are in flight, never
+which generator serves which row, and every partition of the rows into
+blocks of two or more rows gives bit-identical output.  The one exception
+is a block of exactly one row: its filter product runs as a
+matrix-vector product, whose rounding differs from the matrix-matrix
+product by a few 1e-16 per entry, under 1e-15 (an explicit ``chunk_size``
+that leaves a remainder of one row, or a shard of one row).  The default
+blocking never makes a one-row block unless the graph has one node.  This
+is pinned in ``tests/core/test_readout.py``.
+
+Memory: with ``chunk_size=None`` the rows are split into balanced blocks
+(:func:`~repro.utils.linalg.row_blocks`: at most ``max(64, 2^16 // D)``
+rows, so 64 rows from D = 1024 up), and each block's estimates are written
+straight into the preallocated ``(n, dim)`` output, so the stage's working
+set is its output plus a few block-sized temporaries.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ import numpy as np
 
 from repro.exceptions import ClusteringError
 from repro.quantum.measurement import tomography_estimate_batch
+from repro.utils.linalg import row_blocks
 from repro.utils.rng import run_per_stream, spawn_rngs
 
 
@@ -82,9 +95,16 @@ def canonicalize_row_phases(rows: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    A new ``(n, dim)`` matrix; the input is not modified.
+    A new ``(n, dim)`` matrix; the input is not modified
+    (:func:`anchor_row_phases` rotates in place).
     """
     rows = np.array(rows, copy=True)
+    anchor_row_phases(rows)
+    return rows
+
+
+def anchor_row_phases(rows: np.ndarray) -> None:
+    """:func:`canonicalize_row_phases` in place, one row at a time."""
     n = rows.shape[0]
     if rows.shape[1] < n:
         raise ClusteringError(
@@ -93,19 +113,12 @@ def canonicalize_row_phases(rows: np.ndarray) -> np.ndarray:
     # The rotation factors are computed with *scalar* abs and division on
     # purpose: NumPy's array-path complex absolute value and division round
     # differently from the scalar path by an ulp, and bit-compatibility
-    # with the historical per-row loop requires the scalar results.  Only
-    # the O(n · dim) row multiplications are vectorized.
-    fix: list[int] = []
-    rotations: list[complex] = []
+    # with the historical per-row loop requires the scalar results.
     for row in range(n):
         anchor = rows[row, row]
         magnitude = abs(anchor)
         if magnitude > 1e-12:
-            fix.append(row)
-            rotations.append(np.conj(anchor / magnitude))
-    if fix:
-        rows[fix] = rows[fix] * np.asarray(rotations)[:, None]
-    return rows
+            rows[row] *= np.conj(anchor / magnitude)
 
 
 def readout_span(
@@ -138,7 +151,9 @@ def readout_span(
         Absolute row range (``backend.project_rows`` node indices).
     chunk_size:
         Rows per filter/tomography block *within* the span; ``None``
-        processes the whole span in one block.
+        splits the span into balanced blocks
+        (:func:`~repro.utils.linalg.row_blocks`), none of them a single
+        row unless the span is one row.
 
     Returns
     -------
@@ -155,13 +170,18 @@ def readout_span(
     if span_rows == 0:
         return rows, norms, probabilities
     if chunk_size is None:
-        chunk_size = span_rows
-    if chunk_size < 1:
+        blocks = row_blocks(span_rows, backend.dim)
+    elif chunk_size < 1:
         raise ClusteringError(f"chunk_size must be >= 1, got {chunk_size}")
+    else:
+        blocks = [
+            (offset, min(offset + chunk_size, span_rows))
+            for offset in range(0, span_rows, chunk_size)
+        ]
     accepted = np.asarray(accepted, dtype=int)
-    for block_start in range(start, stop, chunk_size):
-        nodes = np.arange(block_start, min(block_start + chunk_size, stop))
-        local = nodes - start
+    for block_start, block_stop in blocks:
+        local = np.arange(block_start, block_stop)
+        nodes = local + start
         filtered, block_probabilities = backend.project_rows(nodes, accepted)
         probabilities[local] = block_probabilities
         alive = np.flatnonzero(block_probabilities > 0.0)
@@ -196,7 +216,7 @@ def readout_span(
         else:
             estimated = block_probabilities[alive]
         amplitudes = np.sqrt(estimated)
-        rows[alive_local] = amplitudes[:, None] * estimates
+        rows[alive_local] = np.multiply(amplitudes[:, None], estimates, out=estimates)
         norms[alive_local] = amplitudes
     return rows, norms, probabilities
 
@@ -228,10 +248,14 @@ def batched_readout(
         Seed or generator; per-row streams are spawned from it exactly as
         the seed loop did, so results are reproducible and chunk-invariant.
     chunk_size:
-        Rows processed per filter/tomography block.  ``None`` processes all
-        ``num_nodes`` rows in one block; smaller values bound peak memory
-        (the circuit backend materialises ``chunk × 2^(p+m)`` amplitudes
-        per block).  Chunking never changes the result.
+        Rows processed per filter/tomography block.  ``None`` (default)
+        splits the rows into balanced blocks of at most
+        ``max(64, 2^16 // dim)`` rows, so the working set is the
+        ``(n, dim)`` output plus a few blocks; an
+        explicit value fixes the block length (the circuit backend
+        materialises ``chunk × 2^(p+m)`` amplitudes per block).  Chunking
+        never changes the result, except that a block of exactly one row
+        may differ by float rounding (see the module docstring).
     canonical_phases:
         Apply :func:`canonicalize_row_phases` before returning (the
         pipeline default; disable to inspect raw tomography output).
@@ -261,5 +285,5 @@ def batched_readout(
         draw_threads=draw_threads,
     )
     if canonical_phases:
-        rows = canonicalize_row_phases(rows)
+        anchor_row_phases(rows)
     return ReadoutResult(rows=rows, norms=norms, probabilities=probabilities)

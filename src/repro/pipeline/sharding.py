@@ -12,9 +12,12 @@ a single bit of the merged result:
   the one :func:`~repro.utils.rng.spawn_rngs` layout the unsharded stage
   uses, and runs the same :func:`~repro.core.readout.readout_span` code;
 * shard payloads merge in shard-index order and the (row-local) phase
-  canonicalization runs once over the merged matrix — so **any** shard
-  count, executor, retry schedule or completion order is bit-identical to
-  the unsharded stage (golden-pinned in ``tests/pipeline/test_sharding.py``).
+  canonicalization runs once over the merged matrix — so any shard count
+  up to ``num_rows // 2``, and any executor, retry schedule or completion
+  order, is bit-identical to the unsharded stage (golden-pinned in
+  ``tests/pipeline/test_sharding.py``).  More shards than that leave
+  one-row shards, whose filter runs as a matrix-vector product and moves
+  the row by float rounding (see :mod:`repro.core.readout`).
 
 Each completed shard can be checkpointed as ``readout.shard-<i>.npz``
 next to the regular stage checkpoints, stamped with the stage's context
@@ -35,7 +38,7 @@ import numpy as np
 from repro.core.qpe_engine import AnalyticQPEBackend
 from repro.core.readout import (
     ReadoutResult,
-    canonicalize_row_phases,
+    anchor_row_phases,
     readout_span,
 )
 from repro.exceptions import ClusteringError
@@ -164,7 +167,8 @@ class ShardedReadout:
     ----------
     result:
         The merged :class:`~repro.core.readout.ReadoutResult` — bit-equal
-        to the unsharded stage when ``incomplete_shards`` is empty.
+        to the unsharded stage when ``incomplete_shards`` is empty and no
+        shard has exactly one row.
     shards:
         One :class:`~repro.pipeline.telemetry.ShardReport` per shard, in
         shard order.
@@ -206,7 +210,8 @@ def sharded_readout(
     backend, accepted, shots, rng, chunk_size, draw_threads,
     canonical_phases:
         Exactly as :func:`~repro.core.readout.batched_readout`; the merged
-        result is bit-identical to it for any ``shard_count``.
+        result is bit-identical to it for any ``shard_count`` that leaves
+        no one-row shard (at most ``num_rows // 2``).
     shard_count:
         Number of row shards (see :func:`shard_layout`).
     executor:
@@ -382,7 +387,7 @@ def sharded_readout(
     if canonical_phases:
         # Row-local (each row's anchor is its own diagonal entry), so
         # canonicalizing once after the merge equals the unsharded order.
-        rows = canonicalize_row_phases(rows)
+        anchor_row_phases(rows)
     return ShardedReadout(
         result=ReadoutResult(rows=rows, norms=norms, probabilities=probabilities),
         shards=tuple(reports[shard.index] for shard in layout),

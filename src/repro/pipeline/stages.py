@@ -36,7 +36,7 @@ from repro.exceptions import ClusteringError
 from repro.graphs.hermitian import hermitian_laplacian
 from repro.linalg import backend_telemetry, is_sparse_matrix
 from repro.pipeline.stage import Stage, StageContext, scalar
-from repro.spectral.embedding import complex_to_real_features, row_normalize
+from repro.spectral.embedding import normalized_real_features
 from repro.spectral.kmeans import KMeansResult
 
 
@@ -288,8 +288,8 @@ class EmbeddingStage(Stage):
 
     def run(self, ctx: StageContext) -> dict:
         rows = ctx.require("rows")
-        features = complex_to_real_features(rows[:, : ctx.graph.num_nodes])
-        return {"features": row_normalize(features), "norms": ctx.require("norms")}
+        features = normalized_real_features(rows[:, : ctx.graph.num_nodes])
+        return {"features": features, "norms": ctx.require("norms")}
 
     def pack(self, values: dict) -> dict:
         return {

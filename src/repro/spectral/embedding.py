@@ -16,6 +16,7 @@ from repro.graphs.hermitian import DEFAULT_THETA, hermitian_laplacian
 from repro.graphs.mixed_graph import MixedGraph
 from repro.linalg import resolve_backend
 from repro.spectral.eigensolvers import lowest_eigenpairs
+from repro.utils.linalg import row_blocks
 
 
 def complex_to_real_features(matrix: np.ndarray) -> np.ndarray:
@@ -30,13 +31,38 @@ def row_normalize(matrix: np.ndarray, epsilon: float = 1e-12) -> np.ndarray:
     """Scale each row to unit norm (Ng–Jordan–Weiss normalization).
 
     Zero rows are left as zeros rather than divided — they correspond to
-    nodes with no projection onto the cluster subspace.
+    nodes with no projection onto the cluster subspace.  Returns a new
+    array in the input's memory layout; the input is not modified.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return np.where(
-        norms > epsilon, matrix / np.where(norms > epsilon, norms, 1.0), 0.0
-    )
+    normalized = np.array(matrix, dtype=float, copy=True)
+    _normalize_rows_in_place(normalized, epsilon)
+    return normalized
+
+
+def normalized_real_features(matrix: np.ndarray) -> np.ndarray:
+    """:func:`complex_to_real_features` then :func:`row_normalize`, with
+    one allocation of the n × 2k output."""
+    features = complex_to_real_features(matrix)
+    _normalize_rows_in_place(features)
+    return features
+
+
+def _normalize_rows_in_place(matrix: np.ndarray, epsilon: float = 1e-12) -> None:
+    """Row-normalize a 2-D float array in place.
+
+    The row norms are ``np.linalg.norm(matrix, axis=1)`` bit for bit: the
+    same square-and-reduce, made one balanced row block at a time
+    (:func:`~repro.utils.linalg.row_blocks`), so only a block-sized
+    temporary is allocated.
+    """
+    norms = np.empty((matrix.shape[0], 1))
+    for start, stop in row_blocks(matrix.shape[0], matrix.shape[1]):
+        block = matrix[start:stop]
+        np.add.reduce(block * block, axis=1, keepdims=True, out=norms[start:stop])
+    np.sqrt(norms, out=norms)
+    keep = norms > epsilon
+    np.divide(matrix, np.where(keep, norms, 1.0), out=matrix)
+    matrix[~keep[:, 0]] = 0.0
 
 
 def spectral_embedding(
@@ -78,10 +104,9 @@ def spectral_embedding(
     be = resolve_backend(backend, graph.num_nodes)
     laplacian = hermitian_laplacian(graph, theta, normalization, backend=be)
     _, vectors = lowest_eigenpairs(laplacian, num_clusters, backend=be)
-    features = complex_to_real_features(vectors)
     if normalize_rows:
-        features = row_normalize(features)
-    return features
+        return normalized_real_features(vectors)
+    return complex_to_real_features(vectors)
 
 
 def projector_embedding(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ClusteringError
+from repro.utils.linalg import row_blocks
 from repro.utils.rng import ensure_rng
 
 
@@ -49,7 +50,13 @@ def kmeans_plusplus_init(
     centroids = np.empty((num_clusters, points.shape[1]))
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    blocks = row_blocks(n, points.shape[1])
+    # one block-sized buffer for every distance pass, in the memory layout
+    # NumPy gives ``points - center``, so each row sums in the same order
+    buffer = np.empty_like(points[: blocks[0][1]], dtype=float)
+    closest_sq = np.empty(n)
+    squared_distances(points, centroids[0], blocks, buffer, closest_sq)
+    distance_sq = np.empty(n)
     for index in range(1, num_clusters):
         total = closest_sq.sum()
         if total <= 1e-18:
@@ -61,9 +68,30 @@ def kmeans_plusplus_init(
         probabilities = closest_sq / total
         choice = int(rng.choice(n, p=probabilities))
         centroids[index] = points[choice]
-        distance_sq = ((points - centroids[index]) ** 2).sum(axis=1)
-        closest_sq = np.minimum(closest_sq, distance_sq)
+        squared_distances(points, centroids[index], blocks, buffer, distance_sq)
+        np.minimum(closest_sq, distance_sq, out=closest_sq)
     return centroids
+
+
+def squared_distances(
+    points: np.ndarray,
+    center: np.ndarray,
+    blocks: list[tuple[int, int]],
+    buffer: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``((points - center) ** 2).sum(axis=1)`` into ``out``, bit for bit.
+
+    Computed one row block of ``blocks`` (:func:`~repro.utils.linalg.
+    row_blocks`) at a time in ``buffer``, which holds the largest block;
+    each row's sum is a reduction over that row alone, so blocking
+    cannot change it.
+    """
+    for start, stop in blocks:
+        difference = np.subtract(points[start:stop], center, out=buffer[: stop - start])
+        np.square(difference, out=difference)
+        np.add.reduce(difference, axis=1, out=out[start:stop])
+    return out
 
 
 def assign_labels(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -87,6 +115,15 @@ def update_centroids(
         else:
             centroids[cluster] = members.mean(axis=0)
     return centroids
+
+
+def cluster_inertia(
+    points: np.ndarray, centroids: np.ndarray, labels: np.ndarray
+) -> float:
+    """``((points - centroids[labels]) ** 2).sum()`` through one temporary."""
+    residuals = centroids[labels]
+    np.subtract(points, residuals, out=residuals)
+    return float(np.square(residuals, out=residuals).sum())
 
 
 def kmeans(
@@ -133,11 +170,10 @@ def kmeans(
                 converged = True
                 break
             labels = new_labels
-        inertia = float(((points - centroids[labels]) ** 2).sum())
         candidate = KMeansResult(
             labels=labels,
             centroids=centroids,
-            inertia=inertia,
+            inertia=cluster_inertia(points, centroids, labels),
             iterations=iterations,
             converged=converged,
         )

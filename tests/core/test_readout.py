@@ -8,12 +8,14 @@ contract for both QPE backends, plus chunk-invariance and the circuit
 backend's forward-table cache.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.config import QSCConfig
 from repro.core.projection import accepted_outcomes
-from repro.core.qpe_engine import make_backend
+from repro.core.qpe_engine import LAMBDA_SCALE, make_backend
 from repro.core.qsc import QuantumSpectralClustering
 from repro.core.readout import batched_readout, canonicalize_row_phases
 from repro.exceptions import ClusteringError
@@ -23,6 +25,7 @@ from repro.quantum.measurement import (
     tomography_estimate,
     tomography_estimate_batch,
 )
+from repro.utils.linalg import BLOCK_ENTRIES, row_blocks
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 
@@ -112,32 +115,114 @@ def test_batched_matches_per_row_loop(backend_name):
     np.testing.assert_allclose(result.norms, loop_norms, atol=1e-12)
 
 
+def has_one_row_block(num_rows, chunk):
+    """Whether ``chunk``-row blocks of ``num_rows`` rows leave a block of
+    exactly one row (the matrix-vector filter path)."""
+    return num_rows > 1 and (chunk == 1 or num_rows % chunk == 1)
+
+
 @pytest.mark.parametrize("backend_name", ["analytic", "circuit"])
 def test_fit_identical_for_all_chunk_sizes(backend_name):
-    """Same seed ⇒ identical labels and row norms whatever the chunking."""
+    """Same seed ⇒ identical labels, row norms and embedding whatever the
+    chunking; a one-row block moves the embedding by float rounding only."""
     n = 16 if backend_name == "circuit" else 36
     graph, _ = mixed_sbm(n, 2, seed=5)
     base_config = QSCConfig(backend=backend_name, precision_bits=5, shots=192, seed=11)
     reference = QuantumSpectralClustering(2, base_config).fit(graph)
-    for chunk in (1, 3, n // 2, n, n + 7):
+    for chunk in (1, 3, n // 2, n - 1, n, n + 7):
         config = base_config.with_updates(readout_chunk_size=chunk)
         result = QuantumSpectralClustering(2, config).fit(graph)
         np.testing.assert_array_equal(result.labels, reference.labels)
-        np.testing.assert_allclose(result.row_norms, reference.row_norms, atol=1e-12)
-        np.testing.assert_allclose(result.embedding, reference.embedding, atol=1e-9)
+        np.testing.assert_array_equal(result.row_norms, reference.row_norms)
+        if has_one_row_block(n, chunk):
+            np.testing.assert_allclose(
+                result.embedding, reference.embedding, rtol=0, atol=1e-15
+            )
+        else:
+            np.testing.assert_array_equal(result.embedding, reference.embedding)
 
 
 def test_chunked_readout_property():
-    """Chunked vs unchunked readout: identical draws, rows equal to float
-    rounding of the chunked filter matmul, for a sweep of chunk sizes."""
-    backend, accepted, _, _ = make_case("analytic", 30, 64)
+    """Chunked vs unchunked readout: identical draws and, for every block
+    length that leaves no one-row block, identical rows; a one-row block
+    runs the filter as a matrix-vector product and moves its row by float
+    rounding only."""
+    n = 30
+    backend, accepted, _, _ = make_case("analytic", n, 64)
     reference = batched_readout(backend, accepted, 64, ensure_rng(2))
-    for chunk in range(1, 35, 3):
+    one_row_chunks = 0
+    for chunk in range(1, n + 4):
         result = batched_readout(backend, accepted, 64, ensure_rng(2), chunk_size=chunk)
-        np.testing.assert_allclose(result.rows, reference.rows, atol=1e-10)
-        np.testing.assert_array_equal(
-            result.probabilities > 0, reference.probabilities > 0
-        )
+        np.testing.assert_array_equal(result.norms, reference.norms)
+        np.testing.assert_array_equal(result.probabilities, reference.probabilities)
+        if has_one_row_block(n, chunk):
+            one_row_chunks += 1
+            np.testing.assert_allclose(result.rows, reference.rows, rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(result.rows, reference.rows)
+    assert one_row_chunks == 2  # chunk 1 and chunk 29
+
+
+class DeadRowsBackend:
+    """A backend whose listed rows have no mass in the filtered subspace."""
+
+    def __init__(self, backend, dead):
+        self._backend = backend
+        self._dead = np.asarray(dead)
+        self.num_nodes = backend.num_nodes
+        self.dim = backend.dim
+
+    def project_rows(self, nodes, accepted):
+        states, probabilities = self._backend.project_rows(nodes, accepted)
+        dead = np.isin(nodes, self._dead)
+        states[dead] = 0.0
+        probabilities[dead] = 0.0
+        return states, probabilities
+
+
+@pytest.mark.parametrize("engine", ["v1", "v3"])
+@pytest.mark.parametrize("shots", [0, 64])
+@pytest.mark.parametrize("num_nodes", [257, 300])
+def test_default_blocks_equal_one_block(engine, shots, num_nodes):
+    """The default row blocks (several here: D = 512 gives 128-row caps)
+    reproduce a single n-row block bit for bit, dead rows included."""
+    graph, _ = mixed_sbm(num_nodes, 2, seed=4)
+    laplacian = hermitian_laplacian(graph, backend="dense")
+    config = QSCConfig(precision_bits=5, shots=shots, spectral_engine=engine)
+    backend = make_backend(laplacian, config)
+    assert len(row_blocks(num_nodes, backend.dim)) > 1
+    backend = DeadRowsBackend(backend, [0, 128, 129, num_nodes - 1])
+    accepted = accepted_outcomes(0.4, 5, LAMBDA_SCALE)
+    blocked = batched_readout(backend, accepted, shots, ensure_rng(6))
+    single = batched_readout(
+        backend, accepted, shots, ensure_rng(6), chunk_size=num_nodes
+    )
+    np.testing.assert_array_equal(blocked.rows, single.rows)
+    np.testing.assert_array_equal(blocked.norms, single.norms)
+    np.testing.assert_array_equal(blocked.probabilities, single.probabilities)
+    assert not blocked.rows[[0, 128, 129, num_nodes - 1]].any()
+
+
+def test_readout_working_set_is_bounded():
+    """The readout's traced peak is its outputs plus the filter and
+    tomography temporaries of one row block (about eight block-sized
+    arrays), not several copies of the (n, dim) rows: 8.4 MiB here, where
+    a single 300-row block peaks at 17.5 MiB."""
+    num_nodes = 300
+    graph, _ = mixed_sbm(num_nodes, 2, seed=4)
+    laplacian = hermitian_laplacian(graph, backend="dense")
+    backend = make_backend(laplacian, QSCConfig(precision_bits=5, shots=256))
+    accepted = accepted_outcomes(0.4, 5, backend.lambda_scale)
+    row_bytes = num_nodes * backend.dim * 16
+    block_bytes = BLOCK_ENTRIES * 16
+    batched_readout(backend, accepted, 256, ensure_rng(1))  # warm imports
+    tracemalloc.start()
+    try:
+        batched_readout(backend, accepted, 256, ensure_rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= row_bytes + 8 * block_bytes, (peak, row_bytes)
 
 
 def test_tomography_batch_is_bitwise_per_row():

@@ -1,5 +1,7 @@
 """Tests for the content-keyed spectral cache in ``repro.core.qpe_engine``."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,42 @@ class TestFingerprint:
         flat = np.zeros(16, dtype=complex)
         square = flat.reshape(4, 4)
         assert laplacian_fingerprint(flat) != laplacian_fingerprint(square)
+
+
+def tobytes_fingerprint(laplacian):
+    """The key as first defined: a digest of ``tobytes()`` of the
+    C-contiguous copy.  Hashing the buffer in place must not change it."""
+    laplacian = np.ascontiguousarray(laplacian)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(str(laplacian.shape).encode())
+    digest.update(str(laplacian.dtype).encode())
+    digest.update(laplacian.tobytes())
+    return digest.hexdigest()
+
+
+class TestFingerprintBuffer:
+    @pytest.mark.parametrize(
+        "layout",
+        ["C", "F", "transposed", "column-slice", "empty", "empty-rows", "real"],
+    )
+    def test_equals_tobytes_digest(self, layout):
+        laplacian = make_laplacian()
+        matrix = {
+            "C": laplacian,
+            "F": np.asfortranarray(laplacian),
+            "transposed": laplacian.T,
+            "column-slice": laplacian[:, ::3],
+            "empty": np.zeros((0, 0), dtype=complex),
+            "empty-rows": laplacian[:0],
+            "real": laplacian.real,
+        }[layout]
+        assert laplacian_fingerprint(matrix) == tobytes_fingerprint(matrix)
+
+    def test_layout_never_changes_the_key(self):
+        laplacian = make_laplacian()
+        assert laplacian_fingerprint(np.asfortranarray(laplacian)) == (
+            laplacian_fingerprint(laplacian)
+        )
 
 
 class TestHitMissKeying:

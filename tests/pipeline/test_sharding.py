@@ -405,6 +405,35 @@ class TestBitIdentity:
         )
         assert sharded.incomplete_shards == ()
 
+    def test_one_row_shards_differ_by_rounding_only(self):
+        # Up to n/2 shards every shard has two or more rows and the merge
+        # is bit-identical; past that, a one-row shard runs its filter as
+        # a matrix-vector product, which rounds differently.
+        backend, accepted, config, _ = _readout_case()
+        num_rows = backend.num_nodes
+        reference = batched_readout(
+            backend, accepted, config.shots, np.random.default_rng(123)
+        )
+        for shards in (num_rows // 2, num_rows // 2 + 1, num_rows):
+            merged = sharded_readout(
+                backend,
+                accepted,
+                config.shots,
+                np.random.default_rng(123),
+                shard_count=shards,
+                executor=InlineShardExecutor(),
+            ).result
+            np.testing.assert_array_equal(merged.norms, reference.norms)
+            np.testing.assert_array_equal(
+                merged.probabilities, reference.probabilities
+            )
+            if shards <= num_rows // 2:
+                np.testing.assert_array_equal(merged.rows, reference.rows)
+            else:
+                np.testing.assert_allclose(
+                    merged.rows, reference.rows, rtol=0, atol=1e-15
+                )
+
     def test_identical_after_injected_crashes(self, monkeypatch):
         # Crashing two shards (one of them twice) changes nothing: retried
         # shards re-run on their own RNG slices.

@@ -17,10 +17,45 @@ from repro.spectral import (
     spectral_embedding,
 )
 from repro.spectral.eigensolvers import dense_lowest_eigenpairs
+from repro.spectral.embedding import normalized_real_features
 from repro.spectral.kmeans import (
     assign_labels,
+    cluster_inertia,
     kmeans_plusplus_init,
+    squared_distances,
     update_centroids,
+)
+from repro.utils.linalg import row_blocks
+
+
+def matrix_layouts(matrix):
+    """``matrix`` in the memory layouts callers pass: C order, Fortran
+    order (SciPy eigenvectors), the real view of a complex Fortran array,
+    and a strided column slice."""
+    fortran = np.asfortranarray(matrix)
+    doubled = np.asfortranarray(np.repeat(matrix, 2, axis=1))
+    return {
+        "C": np.ascontiguousarray(matrix),
+        "F": fortran,
+        "real-view": (fortran + 1j).real,
+        "strided": doubled[:, ::2],
+    }
+
+
+def reference_row_normalize(matrix, epsilon=1e-12):
+    """The one-shot normalization the in-place blocks must reproduce."""
+    matrix = np.asarray(matrix, dtype=float)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    return np.where(
+        norms > epsilon, matrix / np.where(norms > epsilon, norms, 1.0), 0.0
+    )
+
+
+block_matrices = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.integers(1, 400),
+    st.integers(1, 1 << 14),
 )
 
 
@@ -71,6 +106,108 @@ class TestFeatureMaps:
                     np.linalg.norm(coords[i] - coords[j]),
                     atol=1e-9,
                 )
+
+
+class TestBlockedRowNormalize:
+    """``row_normalize`` computes its row norms in balanced row blocks and
+    scales in place on its own copy."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(block_matrices)
+    def test_bitwise_equal_to_one_shot_normalization(self, case):
+        seed, rows, cols, _ = case
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(rows, cols)) * rng.uniform(1e-3, 1e3)
+        matrix[rng.integers(rows)] = 0.0
+        for layout, points in matrix_layouts(matrix).items():
+            expected = reference_row_normalize(points)
+            got = row_normalize(points)
+            np.testing.assert_array_equal(got, expected, err_msg=layout)
+            assert got.strides == expected.strides, layout
+
+    def test_input_is_not_modified(self):
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(size=(300, 250))
+        matrix[7] = 0.0
+        original = matrix.copy()
+        normalized = row_normalize(matrix)
+        np.testing.assert_array_equal(matrix, original)
+        assert not np.shares_memory(normalized, matrix)
+
+    def test_non_finite_rows_become_zero(self):
+        matrix = np.array([[3.0, 4.0], [np.nan, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(
+            row_normalize(matrix), reference_row_normalize(matrix)
+        )
+
+    def test_normalized_real_features_is_map_then_normalize(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(70, 90)) + 1j * rng.normal(size=(70, 90))
+        expected = row_normalize(complex_to_real_features(rows[:, :60]))
+        np.testing.assert_array_equal(normalized_real_features(rows[:, :60]), expected)
+
+
+class TestBlockedDistances:
+    """k-means++ distances and the inertia run through one block-sized
+    buffer and must equal the broadcast formulas bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(block_matrices)
+    def test_squared_distances_equal_broadcast(self, case):
+        seed, rows, cols, max_entries = case
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(rows, cols)) * rng.uniform(1e-3, 1e3)
+        center = rng.normal(size=cols)
+        blocks = row_blocks(rows, cols, max_entries)
+        for layout, points in matrix_layouts(matrix).items():
+            buffer = np.empty_like(points[: blocks[0][1]], dtype=float)
+            got = squared_distances(points, center, blocks, buffer, np.empty(rows))
+            expected = ((points - center) ** 2).sum(axis=1)
+            np.testing.assert_array_equal(got, expected, err_msg=layout)
+
+    @settings(max_examples=20, deadline=None)
+    @given(block_matrices, st.integers(1, 6))
+    def test_plusplus_seeds_equal_broadcast_seeding(self, case, clusters):
+        seed, rows, cols, _ = case
+        clusters = min(clusters, rows)
+        points = np.random.default_rng(seed).normal(size=(rows, cols))
+        got = kmeans_plusplus_init(points, clusters, np.random.default_rng(seed))
+        expected = broadcast_plusplus_init(
+            points, clusters, np.random.default_rng(seed)
+        )
+        np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(block_matrices, st.integers(1, 6))
+    def test_inertia_equals_broadcast(self, case, clusters):
+        seed, rows, cols, _ = case
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(rows, cols))
+        centroids = rng.normal(size=(clusters, cols))
+        labels = rng.integers(clusters, size=rows)
+        for layout, points in matrix_layouts(matrix).items():
+            expected = float(((points - centroids[labels]) ** 2).sum())
+            assert cluster_inertia(points, centroids, labels) == expected, layout
+
+
+def broadcast_plusplus_init(points, num_clusters, rng):
+    """k-means++ seeding with full-size broadcast distances (the reference
+    the blocked seeding must reproduce draw for draw)."""
+    n = points.shape[0]
+    centroids = np.empty((num_clusters, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    for index in range(1, num_clusters):
+        total = closest_sq.sum()
+        if total <= 1e-18:
+            for j in range(index, num_clusters):
+                centroids[j] = points[int(rng.integers(n))]
+            break
+        choice = int(rng.choice(n, p=closest_sq / total))
+        centroids[index] = points[choice]
+        distance_sq = ((points - centroids[index]) ** 2).sum(axis=1)
+        closest_sq = np.minimum(closest_sq, distance_sq)
+    return centroids
 
 
 class TestSpectralEmbedding:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.utils import (
     ensure_rng,
@@ -14,6 +14,7 @@ from repro.utils import (
     num_qubits_for,
     spawn_rngs,
 )
+from repro.utils.linalg import BLOCK_ENTRIES, MIN_BLOCK_ROWS, row_blocks
 
 
 class TestRng:
@@ -81,3 +82,92 @@ class TestLinalgPredicates:
     def test_frobenius_distance(self):
         assert frobenius_distance(np.eye(2), np.eye(2)) == 0.0
         assert np.isclose(frobenius_distance(np.zeros((2, 2)), np.eye(2)), np.sqrt(2))
+
+
+class TestRowBlocks:
+    @given(
+        num_rows=st.integers(0, 5000),
+        row_entries=st.integers(0, 5000),
+        max_entries=st.integers(1, 1 << 17),
+    )
+    def test_balanced_cover_without_one_row_blocks(
+        self, num_rows, row_entries, max_entries
+    ):
+        blocks = row_blocks(num_rows, row_entries, max_entries)
+        if num_rows == 0:
+            assert blocks == []
+            return
+        starts = [start for start, _ in blocks]
+        stops = [stop for _, stop in blocks]
+        assert [0] + stops == starts + [num_rows]
+        sizes = [stop - start for start, stop in blocks]
+        assert sizes == sorted(sizes, reverse=True)
+        assert not sizes or sizes[0] - sizes[-1] <= 1
+        if num_rows > 1:
+            assert min(sizes) >= 2
+        cap = max(MIN_BLOCK_ROWS, max_entries // max(1, row_entries))
+        assert max(sizes) <= cap
+        assert len(blocks) == -(-num_rows // cap)
+
+    def test_default_caps(self):
+        assert BLOCK_ENTRIES == 1 << 16 and MIN_BLOCK_ROWS == 64
+        # 64 rows of dimension 1024, and never fewer than 64 rows
+        assert row_blocks(600, 1024)[0] == (0, 60)
+        assert len(row_blocks(600, 1024)) == 10
+        assert len(row_blocks(300, 512)) == 3
+        assert len(row_blocks(2500, 4096)) == 40
+        assert row_blocks(1, 1 << 20) == [(0, 1)]
+
+
+def reference_is_hermitian(matrix, atol):
+    """The one-shot form the blockwise predicate must agree with."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        return False
+    return bool(np.allclose(matrix, matrix.conj().T, atol=atol))
+
+
+class TestBlockwiseHermitian:
+    """``is_hermitian`` compares row blocks against column blocks (several
+    at n = 300); its verdict must equal the full ``allclose``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([0, 1, 2, 17, 300]),
+        defect=st.sampled_from(["none", "tiny", "large", "nan", "inf", "both-inf"]),
+        atol=st.sampled_from([1e-10, 1e-8, 1e-3]),
+    )
+    def test_matches_full_allclose(self, seed, size, defect, atol):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        matrix = base + base.conj().T
+        if size and defect != "none":
+            row, col = (int(index) for index in rng.integers(size, size=2))
+            value = {
+                "tiny": matrix[row, col] + 1e-9,
+                "large": matrix[row, col] + 1.0,
+                "nan": np.nan,
+                "inf": np.inf,
+                "both-inf": np.inf,
+            }[defect]
+            matrix[row, col] = value
+            if defect == "both-inf":
+                matrix[col, row] = np.conj(value)
+        assert is_hermitian(matrix, atol=atol) == reference_is_hermitian(
+            matrix, atol
+        )
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.ones((2, 3)), np.ones((300, 301)), np.ones(4), np.ones((2, 2, 2))],
+    )
+    def test_non_square_is_not_hermitian(self, matrix):
+        assert not is_hermitian(matrix)
+
+    def test_defect_in_a_late_block_is_found(self):
+        matrix = np.eye(300, dtype=complex)
+        matrix[299, 3] = 1e-6
+        assert len(row_blocks(300, 300)) > 1
+        assert not is_hermitian(matrix)
+        assert is_hermitian(matrix, atol=1e-5)
