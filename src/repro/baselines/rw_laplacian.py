@@ -32,7 +32,6 @@ from repro.exceptions import ClusteringError
 from repro.graphs.mixed_graph import MixedGraph
 from repro.linalg import resolve_backend
 from repro.spectral.clustering import ClusteringResult
-from repro.spectral.eigensolvers import lowest_eigenpairs
 from repro.spectral.embedding import row_normalize
 from repro.spectral.kmeans import kmeans
 
@@ -176,7 +175,7 @@ class RandomWalkSpectralClustering:
         """Cluster using the walk-based directed Laplacian."""
         be = resolve_backend(self.backend, graph.num_nodes)
         laplacian = chung_laplacian(graph, self.teleport, backend=be)
-        _, vectors = lowest_eigenpairs(laplacian, self.num_clusters, backend=be)
+        _, vectors = be.lowest_eigenpairs(laplacian, self.num_clusters)
         embedding = row_normalize(vectors.real)
         km = kmeans(
             embedding,

@@ -14,7 +14,6 @@ from repro.exceptions import ClusteringError
 from repro.graphs.mixed_graph import MixedGraph
 from repro.linalg import resolve_backend
 from repro.spectral.clustering import ClusteringResult
-from repro.spectral.eigensolvers import lowest_eigenpairs
 from repro.spectral.embedding import row_normalize
 from repro.spectral.kmeans import kmeans
 
@@ -67,7 +66,7 @@ class SymmetrizedSpectralClustering:
         """Cluster the symmetrized graph."""
         be = resolve_backend(self.backend, graph.num_nodes)
         laplacian = symmetrized_laplacian(graph, backend=be)
-        _, vectors = lowest_eigenpairs(laplacian, self.num_clusters, backend=be)
+        _, vectors = be.lowest_eigenpairs(laplacian, self.num_clusters)
         embedding = row_normalize(vectors.real)
         km = kmeans(
             embedding,

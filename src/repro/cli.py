@@ -13,15 +13,13 @@ Graphs travel in the edge-list format of ``repro.graphs.io``.  Every
 subcommand prints plain text to stdout and exits non-zero on error, so the
 tool scripts cleanly.
 
-``--backend {auto,dense,sparse,array}`` selects the linear-algebra
+``--backend {auto,dense,sparse}`` selects the linear-algebra
 representation (see ``repro.linalg``): ``auto`` keeps small graphs on the
 exact dense path, routes the midrange through sparse CSR + LOBPCG with a
 Jacobi preconditioner, and switches large ones to sparse CSR + Lanczos,
 which is what lets ``cluster --method classical`` handle 10k-node graphs.
-``array`` holds matrices as array-API device arrays (CuPy/torch when
-importable, numpy fallback) and routes the dense QPE/tomography hot paths
-through the device.  The QPE statistics engine is chosen separately via
-``--qpe-backend {analytic,circuit}``.
+The QPE statistics engine is chosen separately via ``--qpe-backend
+{analytic,circuit}``.
 
 ``experiments`` drives the unified sweep engine
 (:mod:`repro.experiments.runner`): it reproduces the paper's figure/table
@@ -51,10 +49,10 @@ from repro.graphs import (
     sparse_mixed_sbm,
 )
 from repro.graphs.generators import GENERATOR_VERSIONS
-from repro.linalg import BACKEND_NAMES
+from repro.linalg import BACKEND_NAMES, resolve_backend
 from repro.metrics import partition_summary
 from repro.pipeline import QSCPipeline, STAGE_NAMES
-from repro.spectral import ClassicalSpectralClustering, lowest_eigenpairs
+from repro.spectral import ClassicalSpectralClustering
 
 BENCHES = {"c17": load_c17, "s27": load_s27}
 
@@ -86,10 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_NAMES,
         default="auto",
-        help=(
-            "linear-algebra backend: auto (size-based), dense, sparse, "
-            "or array (array-API device arrays)"
-        ),
+        help="linear-algebra backend: auto (size-based), dense or sparse",
     )
     cluster.add_argument(
         "--qpe-backend",
@@ -639,9 +634,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     graph = graph_io.load(args.input)
-    laplacian = hermitian_laplacian(graph, theta=args.theta, backend=args.backend)
+    be = resolve_backend(args.backend, graph.num_nodes)
+    laplacian = hermitian_laplacian(graph, theta=args.theta, backend=be)
     top = min(args.top, graph.num_nodes)
-    values, _ = lowest_eigenpairs(laplacian, top)
+    values, _ = be.lowest_eigenpairs(laplacian, top)
     for index in range(top):
         print(f"lambda_{index + 1} = {values[index]:.6f}")
     return 0

@@ -38,7 +38,6 @@ from repro.core.config import SPECTRAL_ENGINES
 from repro.exceptions import ClusteringError
 from repro.store import DEFAULT_MEMORY_BYTES, get_store
 from repro.linalg import is_sparse_matrix, to_dense_array
-from repro.linalg.array_backend import dispatched_matmul
 from repro.quantum.hamiltonian import (
     SpectralDecomposition,
     trotter_evolution,
@@ -694,9 +693,6 @@ class CircuitQPEBackend:
             flat = self._forward_table.reshape(
                 (2**self.precision_bits) * self.dim, self.dim
             )
-            dispatched = dispatched_matmul(flat.conj().T, masked)
-            if dispatched is not None:
-                return dispatched
             return flat.conj().T @ masked
         uncomputed = self._apply_columns(self._inverse_circuit, masked)
         return uncomputed.reshape(2**self.precision_bits, self.dim, masked.shape[1])[0]

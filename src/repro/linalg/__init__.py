@@ -1,17 +1,5 @@
-"""Pluggable dense/sparse/array linear-algebra backends (see ``backends``
-and ``array_backend``)."""
+"""Pluggable dense/sparse linear-algebra backends (see ``backends``)."""
 
-from repro.linalg.array_backend import (
-    NAMESPACE_ORDER,
-    ArrayBackend,
-    ArrayNamespace,
-    active_namespace,
-    available_namespaces,
-    default_namespace_name,
-    dispatch_scope,
-    pipeline_dispatch,
-    resolve_namespace,
-)
 from repro.linalg.backends import (
     BACKEND_NAMES,
     DENSE_FALLBACK_DIM,
@@ -22,8 +10,6 @@ from repro.linalg.backends import (
     LinalgBackend,
     SparseBackend,
     as_backend_matrix,
-    backend_availability,
-    backend_telemetry,
     get_backend,
     is_sparse_matrix,
     resolve_backend,
@@ -34,25 +20,14 @@ __all__ = [
     "BACKEND_NAMES",
     "DENSE_FALLBACK_DIM",
     "LOBPCG_AUTO_CEILING",
-    "NAMESPACE_ORDER",
     "SPARSE_AUTO_THRESHOLD",
-    "ArrayBackend",
-    "ArrayNamespace",
     "BackendError",
     "DenseBackend",
     "LinalgBackend",
     "SparseBackend",
-    "active_namespace",
     "as_backend_matrix",
-    "available_namespaces",
-    "backend_availability",
-    "backend_telemetry",
-    "default_namespace_name",
-    "dispatch_scope",
     "get_backend",
     "is_sparse_matrix",
-    "pipeline_dispatch",
     "resolve_backend",
-    "resolve_namespace",
     "to_dense_array",
 ]

@@ -25,9 +25,7 @@ matrix-consuming solver in the spectral layer goes through a
    representations, so any consumer can accept "either representation"
    through one call.
 
-Backends are selected by name: ``"dense"``, ``"sparse"``, ``"array"``
-(the array-API accelerator backend — see
-:mod:`repro.linalg.array_backend`) or ``"auto"``
+Backends are selected by name: ``"dense"``, ``"sparse"`` or ``"auto"``
 (:func:`resolve_backend`).  ``auto`` picks by problem size in three
 bands: dense below :data:`SPARSE_AUTO_THRESHOLD` nodes, the sparse
 backend's preconditioned LOBPCG route in the *midrange* band up to
@@ -44,8 +42,9 @@ import scipy.sparse as _sparse
 import scipy.sparse.linalg as _sparse_linalg
 
 from repro.exceptions import ConvergenceError, ReproError
+from repro.utils.linalg import is_hermitian
 
-BACKEND_NAMES = ("auto", "dense", "sparse", "array")
+BACKEND_NAMES = ("auto", "dense", "sparse")
 
 # "auto" switches off the dense backend at this node count: below it a
 # dense eigh on the full matrix is faster than assembling CSR + iterating.
@@ -68,6 +67,9 @@ DENSE_FALLBACK_DIM = 64
 # when they exceed this relative bound.
 LOBPCG_RESIDUAL_RTOL = 1e-6
 
+# Relative accuracy passed to eigsh (0 = machine precision).
+EIGSH_TOLERANCE = 0.0
+
 
 class BackendError(ReproError):
     """A linear-algebra backend was misconfigured or is unavailable."""
@@ -78,7 +80,7 @@ def is_sparse_matrix(matrix) -> bool:
     return _sparse.issparse(matrix)
 
 
-def to_dense_array(matrix, dtype=None, copy: bool | None = None) -> np.ndarray:
+def to_dense_array(matrix, dtype=None, copy: bool = False) -> np.ndarray:
     """Densify ``matrix``.
 
     Parameters
@@ -89,16 +91,13 @@ def to_dense_array(matrix, dtype=None, copy: bool | None = None) -> np.ndarray:
     dtype:
         Target dtype (converted only when it differs).
     copy:
-        * ``False`` — the documented read-only fast path: the result may
+        * ``False`` (default) — the read-only fast path: the result may
           *alias* ``matrix`` (it does whenever the input is already a
           dense array of the right dtype), so the caller must not write
           to it.  This is the right mode for consumers that only read —
           eigensolves, spectral decompositions, fingerprinting.
         * ``True`` — always return a fresh array the caller owns and may
           mutate freely.
-        * ``None`` (default) — legacy behaviour, identical to ``False``
-          except undocumented; kept so existing call sites keep their
-          exact no-copy semantics.
     """
     if is_sparse_matrix(matrix):
         dense = matrix.toarray()  # toarray always allocates: a fresh copy
@@ -120,7 +119,7 @@ def _require_hermitian_dense(matrix: np.ndarray) -> None:
     ``eigh`` silently reads one triangle of a non-Hermitian input and
     returns plausible-looking garbage; both backends guard against that.
     """
-    if not np.allclose(matrix, matrix.conj().T, atol=1e-8):
+    if not is_hermitian(matrix, atol=1e-8):
         raise ConvergenceError("lowest_eigenpairs requires a Hermitian matrix")
 
 
@@ -152,10 +151,6 @@ class LinalgBackend:
     def to_dense(self, matrix) -> np.ndarray:
         """Densify a backend matrix."""
         return to_dense_array(matrix)
-
-    def matvec(self, matrix, vector):
-        """matrix @ vector (both representations support ``@``)."""
-        return matrix @ vector
 
     def lowest_eigenpairs(self, matrix, k: int):
         """The k lowest eigenpairs of a Hermitian backend matrix."""
@@ -204,8 +199,6 @@ class SparseBackend(LinalgBackend):
         Below this dimension :meth:`lowest_eigenpairs` densifies and calls
         LAPACK instead of an iterative solver (also used whenever
         ``k >= n - 1``, which ARPACK cannot handle).
-    eigsh_tolerance:
-        Relative accuracy passed to ``eigsh`` (0 = machine precision).
     solver:
         ``"eigsh"`` (ARPACK Lanczos, the classic route) or ``"lobpcg"``
         (block LOBPCG with a deterministic start block and a
@@ -232,7 +225,6 @@ class SparseBackend(LinalgBackend):
     def __init__(
         self,
         dense_fallback_dim: int = DENSE_FALLBACK_DIM,
-        eigsh_tolerance: float = 0.0,
         solver: str = "eigsh",
         lobpcg_tolerance: float = 1e-8,
         lobpcg_maxiter: int = 500,
@@ -242,7 +234,6 @@ class SparseBackend(LinalgBackend):
                 f"unknown sparse solver {solver!r}; expected 'eigsh' or 'lobpcg'"
             )
         self.dense_fallback_dim = int(dense_fallback_dim)
-        self.eigsh_tolerance = float(eigsh_tolerance)
         self.solver = solver
         self.lobpcg_tolerance = float(lobpcg_tolerance)
         self.lobpcg_maxiter = int(lobpcg_maxiter)
@@ -298,7 +289,7 @@ class SparseBackend(LinalgBackend):
         v0 = np.random.default_rng(0).normal(size=n)
         try:
             values, vectors = _sparse_linalg.eigsh(
-                csr, k=k, which="SA", v0=v0, tol=self.eigsh_tolerance
+                csr, k=k, which="SA", v0=v0, tol=EIGSH_TOLERANCE
             )
         except _sparse_linalg.ArpackNoConvergence as error:
             raise ConvergenceError(
@@ -370,56 +361,17 @@ class SparseBackend(LinalgBackend):
 _DENSE = DenseBackend()
 
 
-def backend_availability() -> dict[str, str | None]:
-    """Availability of every backend name: ``None`` = usable, else why not.
-
-    The reasons feed :func:`get_backend`'s error message, so a typo'd or
-    unavailable ``--backend`` value tells the user exactly what the valid
-    choices are *on this host* and why the missing ones are missing.
-    """
-    from repro.linalg import array_backend
-
-    availability: dict[str, str | None] = dict.fromkeys(("auto", "dense", "sparse"))
-    availability["array"] = (
-        None
-        if array_backend.available_namespaces()
-        else "no array-API namespace importable"  # numpy always qualifies
-    )
-    return availability
-
-
-def _describe_backends() -> str:
-    """One-line per-name availability summary for error messages."""
-    from repro.linalg import array_backend
-
-    parts = []
-    for name, reason in backend_availability().items():
-        if reason is not None:
-            parts.append(f"{name} (unavailable: {reason})")
-        elif name == "array":
-            parts.append(
-                f"array (dispatches to {array_backend.default_namespace_name()})"
-            )
-        else:
-            parts.append(f"{name} (available)")
-    return ", ".join(parts)
-
-
 def get_backend(name: str) -> LinalgBackend:
-    """Backend instance for an explicit name (``"dense"``, ``"sparse"``,
-    or ``"array"``)."""
+    """Backend instance for an explicit name (``"dense"`` or ``"sparse"``)."""
     if isinstance(name, LinalgBackend):
         return name
     if name == "dense":
         return _DENSE
     if name == "sparse":
         return SparseBackend()
-    if name == "array":
-        from repro.linalg.array_backend import ArrayBackend
-
-        return ArrayBackend()
     raise BackendError(
-        f"unknown linalg backend {name!r}; valid backends: {_describe_backends()}"
+        f"unknown linalg backend {name!r}; valid backends: "
+        + ", ".join(BACKEND_NAMES)
     )
 
 
@@ -447,37 +399,13 @@ def resolve_backend(spec, num_nodes: int | None = None) -> LinalgBackend:
     return get_backend(spec)
 
 
-def backend_telemetry(spec, num_nodes: int | None = None) -> dict:
-    """Flat telemetry row describing what ``spec`` resolves to.
-
-    Returns ``{"linalg_backend": ..., "eigensolver": ...}`` — the
-    resolved backend name (with the dispatch namespace for the array
-    backend) and the eigensolver route its ``lowest_eigenpairs`` takes.
-    Stage telemetry and sweep artifacts carry these strings so served
-    jobs expose which backend actually ran.
-    """
-    backend = resolve_backend(spec, num_nodes)
-    if backend.name == "sparse":
-        solver = backend.solver
-        if num_nodes is not None and num_nodes <= backend.dense_fallback_dim:
-            solver = "eigh"
-        return {"linalg_backend": "sparse", "eigensolver": solver}
-    if backend.name == "array":
-        return {
-            "linalg_backend": f"array[{backend.namespace}]",
-            "eigensolver": "eigh",
-        }
-    return {"linalg_backend": backend.name, "eigensolver": "eigh"}
-
-
 def as_backend_matrix(matrix, backend) -> object:
     """Adapt ``matrix`` (dense array or scipy sparse) to ``backend``'s type.
 
     This is the single conversion point consumers use to accept either
     representation: the QPE engines densify through it, the sparse
-    eigensolvers CSR-ify through it, the array backend transfers to its
-    device through it, and it is a no-op when the matrix is already
-    native.  The dense result of the dense path may alias ``matrix``
+    eigensolvers CSR-ify through it, and it is a no-op when the matrix is
+    already native.  The dense result of the dense path may alias ``matrix``
     (the ``copy=False`` read-only fast path) — consumers of this adapter
     treat matrices as immutable.
     """
@@ -488,6 +416,4 @@ def as_backend_matrix(matrix, backend) -> object:
         if is_sparse_matrix(matrix):
             return matrix.tocsr()
         return _sparse.csr_matrix(np.asarray(matrix))
-    if backend.name == "array":
-        return backend.from_host(to_dense_array(matrix, copy=False))
     return to_dense_array(matrix, copy=False)

@@ -36,7 +36,6 @@ from repro.core.config import QSCConfig
 from repro.core.qpe_engine import spectral_cache_stats
 from repro.core.result import QSCResult
 from repro.exceptions import ClusteringError
-from repro.linalg.array_backend import pipeline_dispatch
 from repro.pipeline import checkpoint, telemetry
 from repro.pipeline.stage import StageContext, StageState
 from repro.pipeline.stages import STAGE_NAMES, build_stages
@@ -213,28 +212,23 @@ class QSCPipeline:
         read_through = store is not None and (
             resume_from is None or upstream is not None
         )
-        # Hot-path dispatch is scoped to this run: active exactly when the
-        # config selects the ``array`` backend, a no-op otherwise — so
-        # dense/sparse runs (including ones after an array run in the same
-        # process) execute the unchanged numpy hot paths bit-exactly.
-        with pipeline_dispatch(cfg.linalg_backend):
-            self._run_stages(
-                ctx, reports, degraded, served, resume_index, upstream,
-                stages_dir, save_stages, store,
-                read_through=read_through,
-                # Without a run directory to fill, a stage whose entry
-                # exists is read only when something asks for its keys.
-                lazy=read_through and save_stages is None,
-            )
-            if degraded:
-                # Mark the state so reusing it in memory (``upstream=
-                # pipeline.state``) downstream of the degradation is
-                # refused — the degraded stage's outputs carry zeroed rows
-                # that are otherwise indistinguishable from complete ones.
-                ctx.state["degraded_stages"] = tuple(degraded)
-            self.state = ctx.state
-            self._reports = reports
-            outputs = _result_fields(ctx.state, cfg)
+        self._run_stages(
+            ctx, reports, degraded, served, resume_index, upstream,
+            stages_dir, save_stages, store,
+            read_through=read_through,
+            # Without a run directory to fill, a stage whose entry
+            # exists is read only when something asks for its keys.
+            lazy=read_through and save_stages is None,
+        )
+        if degraded:
+            # Mark the state so reusing it in memory (``upstream=
+            # pipeline.state``) downstream of the degradation is
+            # refused — the degraded stage's outputs carry zeroed rows
+            # that are otherwise indistinguishable from complete ones.
+            ctx.state["degraded_stages"] = tuple(degraded)
+        self.state = ctx.state
+        self._reports = reports
+        outputs = _result_fields(ctx.state, cfg)
         for report in reports:
             telemetry.record_stage(report)
         for stage in served:
@@ -363,8 +357,7 @@ class _ServedStage:
         if payload is not None:
             values, source = self.stage.unpack(payload, ctx), "store"
         else:
-            with pipeline_dispatch(ctx.config.linalg_backend):
-                values = _compute(self.stage, ctx, self.degraded, None, self.store)
+            values = _compute(self.stage, ctx, self.degraded, None, self.store)
             source = "computed"
             if self.degraded:
                 state["degraded_stages"] = tuple(self.degraded)

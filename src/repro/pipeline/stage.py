@@ -133,8 +133,9 @@ class StageContext:
     backend_info:
         Side channel for linalg telemetry: the laplacian stage records
         ``{"linalg_backend": ..., "eigensolver": ...}`` here — the
-        Laplacian's representation and the eigensolve the QPE engine ran
-        (``eigensolver`` is ``None`` when none ran); the pipeline
+        representation of the Laplacian it built (``"dense"`` or
+        ``"sparse"``, read off the matrix) and the eigensolve the QPE
+        engine ran (``eigensolver`` is ``None`` when none ran); the pipeline
         annotates the stage's report with it and resets the dict between
         stages.
     """

@@ -34,7 +34,7 @@ from repro.core.qpe_engine import make_backend
 from repro.core.readout import batched_readout
 from repro.exceptions import ClusteringError
 from repro.graphs.hermitian import hermitian_laplacian
-from repro.linalg import backend_telemetry, is_sparse_matrix
+from repro.linalg import is_sparse_matrix
 from repro.pipeline.stage import Stage, StageContext, scalar
 from repro.spectral.embedding import normalized_real_features
 from repro.spectral.kmeans import KMeansResult
@@ -92,9 +92,7 @@ class LaplacianStage(Stage):
         # the QPE engine actually ran on it (not the linalg backend's own
         # eigensolver route, which the quantum path never takes).
         ctx.backend_info = {
-            "linalg_backend": backend_telemetry(
-                cfg.linalg_backend, ctx.graph.num_nodes
-            )["linalg_backend"],
+            "linalg_backend": "sparse" if is_sparse_matrix(laplacian) else "dense",
             "eigensolver": backend.eigensolver,
         }
         return {"laplacian": laplacian, "backend": backend}

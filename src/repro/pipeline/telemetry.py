@@ -40,10 +40,9 @@ SHARD_TOTAL_KEYS = (
 )
 
 #: String annotation keys a stage may attach to its totals entry (set by
-#: the stages that resolve the linalg backend — see
-#: :func:`repro.linalg.backends.backend_telemetry`).  Like the shard
-#: counters they appear only where recorded, so the classic totals shape
-#: is unchanged for every other stage.
+#: the laplacian stage from the matrix it built and the eigensolve its QPE
+#: engine ran).  Like the shard counters they appear only where recorded,
+#: so the classic totals shape is unchanged for every other stage.
 ANNOTATION_KEYS = ("linalg_backend", "eigensolver")
 
 
@@ -121,10 +120,10 @@ class StageReport:
         Shard indices that failed under graceful degradation — their rows
         are zero in the merged output.  Empty on complete runs.
     backend / eigensolver:
-        Resolved linalg backend (``"dense"``, ``"sparse"``,
-        ``"array[numpy]"``, …) and eigensolver route (``"eigh"``,
-        ``"eigsh"``, ``"lobpcg"``) for stages that solve — ``None`` on
-        stages that don't touch the linalg contract.
+        Representation of the Laplacian the stage built (``"dense"`` or
+        ``"sparse"``) and the eigensolve that ran on it (``"eigh(D=…)"``,
+        ``"eigh-mrrr(n=…)"``) — ``None`` on stages that don't touch the
+        linalg contract.
     """
 
     stage: str

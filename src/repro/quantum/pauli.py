@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.exceptions import CircuitError
 from repro.quantum import gates
+from repro.utils.linalg import is_hermitian
 
 _PAULI_MATRICES = {
     "I": gates.I2,
@@ -107,7 +108,7 @@ def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> list[PauliTerm]:
         raise CircuitError("pauli_decompose requires a square matrix")
     if dim & (dim - 1) or dim < 2:
         raise CircuitError(f"dimension {dim} is not a power of two")
-    if not np.allclose(matrix, matrix.conj().T, atol=1e-9):
+    if not is_hermitian(matrix, atol=1e-9):
         raise CircuitError("pauli_decompose requires a Hermitian matrix")
     num_qubits = dim.bit_length() - 1
     terms = []

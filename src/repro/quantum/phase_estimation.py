@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import CircuitError
-from repro.linalg.array_backend import dispatched_outcome_distributions
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.library import inverse_qft_circuit
 from repro.quantum.statevector import Statevector
@@ -148,9 +147,6 @@ def qpe_outcome_distributions(phases, precision: int) -> np.ndarray:
         raise CircuitError(
             f"phases must be a scalar or 1-D array, got shape {phases.shape}"
         )
-    dispatched = dispatched_outcome_distributions(phases, precision)
-    if dispatched is not None:
-        return dispatched
     y = np.arange(size)
     delta = phases[:, None] - y / size
     sin_delta = np.sin(np.pi * delta)

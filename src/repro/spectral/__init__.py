@@ -4,8 +4,6 @@ from repro.spectral.eigensolvers import (
     condition_number,
     dense_lowest_eigenpairs,
     lanczos_lowest_eigenpairs,
-    lowest_eigenpairs,
-    sparse_lowest_eigenpairs,
 )
 from repro.spectral.embedding import (
     complex_to_real_features,
@@ -40,8 +38,6 @@ __all__ = [
     "condition_number",
     "dense_lowest_eigenpairs",
     "lanczos_lowest_eigenpairs",
-    "lowest_eigenpairs",
-    "sparse_lowest_eigenpairs",
     "complex_to_real_features",
     "projector_embedding",
     "row_normalize",

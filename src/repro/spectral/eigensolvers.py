@@ -6,11 +6,10 @@ Lanczos iteration with full reorthogonalization — the "fast classical
 alternative" discussed in the papers' related-work sections, used as an
 additional baseline in the runtime figure.
 
-``sparse_lowest_eigenpairs`` routes through the ``repro.linalg`` sparse
-backend (ARPACK ``eigsh`` with automatic dense fallback for small n), and
-``lowest_eigenpairs`` is the representation-agnostic dispatcher the
-embedding and baseline layers call: dense arrays go to LAPACK, sparse
-matrices to Lanczos, with an explicit backend spec overriding either.
+Both are the runtime model's named comparators.  The embedding and
+baseline layers solve through their resolved ``repro.linalg`` backend
+instead (``LinalgBackend.lowest_eigenpairs``), the one dispatcher for the
+representation of the matrix they built.
 """
 
 from __future__ import annotations
@@ -18,11 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConvergenceError
-from repro.linalg import (
-    as_backend_matrix,
-    is_sparse_matrix,
-    resolve_backend,
-)
 from repro.utils.linalg import is_hermitian
 from repro.utils.rng import ensure_rng
 
@@ -45,47 +39,6 @@ def dense_lowest_eigenpairs(
         raise ConvergenceError(f"k must be in [1, {matrix.shape[0]}], got {k}")
     values, vectors = np.linalg.eigh(matrix)
     return values[:k], vectors[:, :k]
-
-
-def sparse_lowest_eigenpairs(matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs via the sparse backend (ARPACK Lanczos).
-
-    Accepts either representation: dense input is CSR-converted through
-    :func:`repro.linalg.as_backend_matrix`.  Small matrices and near-full
-    ``k`` fall back to a dense LAPACK solve inside the backend, so the
-    function is total over its input range.
-    """
-    backend = resolve_backend("sparse")
-    return backend.lowest_eigenpairs(as_backend_matrix(matrix, backend), k)
-
-
-def lowest_eigenpairs(matrix, k: int, backend=None) -> tuple[np.ndarray, np.ndarray]:
-    """Representation-agnostic k-lowest-eigenpairs dispatcher.
-
-    Parameters
-    ----------
-    matrix:
-        Hermitian matrix, dense ndarray or scipy sparse.
-    k:
-        Number of lowest eigenpairs.
-    backend:
-        Optional ``repro.linalg`` backend spec.  ``None`` keeps the
-        matrix's own representation: sparse input → Lanczos, dense input →
-        LAPACK.  ``"auto"``/``"dense"``/``"sparse"`` force a route (the
-        matrix is adapted as needed).
-
-    Returns
-    -------
-    (values, vectors):
-        ``values`` ascending; ``vectors[:, j]`` is a *dense* n-vector in
-        both routes, so downstream embedding code never branches.
-    """
-    if backend is None:
-        if is_sparse_matrix(matrix):
-            return sparse_lowest_eigenpairs(matrix, k)
-        return dense_lowest_eigenpairs(matrix, k)
-    be = resolve_backend(backend, matrix.shape[0])
-    return be.lowest_eigenpairs(as_backend_matrix(matrix, be), k)
 
 
 def lanczos_lowest_eigenpairs(

@@ -15,7 +15,6 @@ from repro.exceptions import ClusteringError
 from repro.graphs.hermitian import DEFAULT_THETA, hermitian_laplacian
 from repro.graphs.mixed_graph import MixedGraph
 from repro.linalg import resolve_backend
-from repro.spectral.eigensolvers import lowest_eigenpairs
 from repro.utils.linalg import row_blocks
 
 
@@ -103,7 +102,7 @@ def spectral_embedding(
         )
     be = resolve_backend(backend, graph.num_nodes)
     laplacian = hermitian_laplacian(graph, theta, normalization, backend=be)
-    _, vectors = lowest_eigenpairs(laplacian, num_clusters, backend=be)
+    _, vectors = be.lowest_eigenpairs(laplacian, num_clusters)
     if normalize_rows:
         return normalized_real_features(vectors)
     return complex_to_real_features(vectors)

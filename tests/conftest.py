@@ -28,26 +28,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "pipeline"))
 from repro.store import configure_store, get_store  # noqa: E402
 
 
-def pytest_collection_modifyitems(config, items):
-    """Skip ``requires_array_api`` tests where only numpy is importable.
-
-    The array backend's numpy fallback is covered unconditionally; tests
-    marked ``requires_array_api`` exercise a real non-numpy dispatch
-    namespace (torch/CuPy) and only run on hosts — like the dedicated CI
-    leg — that install one.
-    """
-    from repro.linalg import available_namespaces
-
-    if any(name != "numpy" for name in available_namespaces()):
-        return
-    skip = pytest.mark.skip(
-        reason="no non-numpy array-API namespace (torch/CuPy) installed"
-    )
-    for item in items:
-        if "requires_array_api" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture()
 def pristine_store():
     """The process-wide store, detached and wiped around the test."""

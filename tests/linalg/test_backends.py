@@ -14,8 +14,6 @@ from repro.linalg import (
     DenseBackend,
     SparseBackend,
     as_backend_matrix,
-    backend_availability,
-    backend_telemetry,
     get_backend,
     is_sparse_matrix,
     resolve_backend,
@@ -82,42 +80,15 @@ class TestResolution:
         assert large.name == "sparse"
         assert large.solver == "eigsh"
 
-    def test_unknown_backend_error_lists_names_and_availability(self):
+    @pytest.mark.parametrize("name", ["gpu", "array"])
+    def test_unknown_backend_error_lists_the_valid_names(self, name):
+        """An unknown name, including the retired ``array``, is a typed
+        error listing exactly the three valid names."""
         with pytest.raises(BackendError) as info:
-            get_backend("gpu")
-        message = str(info.value)
-        for name in ("auto", "dense", "sparse", "array"):
-            assert name in message
-
-    def test_backend_availability_reports_reasons(self):
-        availability = backend_availability()
-        assert set(availability) == {"auto", "dense", "sparse", "array"}
-        assert availability["dense"] is None  # always available
-        assert availability["auto"] is None
-        # scipy is a declared dependency
-        assert availability["sparse"] is None
-        assert availability["array"] is None
-
-    def test_backend_telemetry_rows(self):
-        assert backend_telemetry("dense") == {
-            "linalg_backend": "dense",
-            "eigensolver": "eigh",
-        }
-        assert backend_telemetry("auto", SPARSE_AUTO_THRESHOLD - 1) == {
-            "linalg_backend": "dense",
-            "eigensolver": "eigh",
-        }
-        midrange = backend_telemetry("auto", SPARSE_AUTO_THRESHOLD)
-        assert midrange["linalg_backend"] == "sparse"
-        assert midrange["eigensolver"] == "lobpcg"
-        large = backend_telemetry("auto", LOBPCG_AUTO_CEILING)
-        assert large["eigensolver"] == "eigsh"
-        array_row = backend_telemetry("array")
-        assert array_row["linalg_backend"].startswith("array[")
-        assert array_row["eigensolver"] == "eigh"
-        # small sparse problems fall back to the dense eigensolve
-        tiny = backend_telemetry("sparse", 8)
-        assert tiny == {"linalg_backend": "sparse", "eigensolver": "eigh"}
+            get_backend(name)
+        assert str(info.value) == (
+            f"unknown linalg backend {name!r}; valid backends: auto, dense, sparse"
+        )
 
     def test_instance_passthrough(self):
         backend = SparseBackend()

@@ -16,13 +16,9 @@ from repro.graphs import (
     random_mixed_graph,
     sparse_mixed_sbm,
 )
-from repro.linalg import SparseBackend, as_backend_matrix
+from repro.linalg import DenseBackend, SparseBackend, as_backend_matrix
 from repro.metrics import adjusted_rand_index
-from repro.spectral import (
-    ClassicalSpectralClustering,
-    lowest_eigenpairs,
-    spectral_embedding,
-)
+from repro.spectral import ClassicalSpectralClustering, spectral_embedding
 
 graph_seeds = st.integers(0, 150)
 thetas = st.floats(0.1, np.pi - 0.1)
@@ -58,7 +54,7 @@ class TestEigenpairEquivalence:
         graph, _ = mixed_sbm(40, 2, seed=seed)
         laplacian = hermitian_laplacian(graph)
         k = 3
-        dense_values, dense_vectors = lowest_eigenpairs(laplacian, k, backend="dense")
+        dense_values, dense_vectors = DenseBackend().lowest_eigenpairs(laplacian, k)
         sparse_backend = SparseBackend(dense_fallback_dim=8)
         sparse_values, sparse_vectors = sparse_backend.lowest_eigenpairs(
             as_backend_matrix(laplacian, sparse_backend), k
@@ -129,10 +125,10 @@ class TestLabelEquivalence:
 
         graph, truth = mixed_sbm(24, 2, p_intra=0.6, p_inter=0.04, seed=1)
         labels = {}
-        for name in ("auto", "dense", "sparse", "array"):
+        for name in ("auto", "dense", "sparse"):
             config = QSCConfig(linalg_backend=name, precision_bits=6, shots=0, seed=5)
             labels[name] = QuantumSpectralClustering(2, config).fit(graph).labels
-        for name in ("sparse", "auto", "array"):
+        for name in ("sparse", "auto"):
             assert adjusted_rand_index(labels["dense"], labels[name]) == (
                 pytest.approx(1.0)
             )

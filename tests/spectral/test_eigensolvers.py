@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConvergenceError
 from repro.graphs import hermitian_laplacian, random_mixed_graph
+from repro.linalg import SparseBackend
 from repro.spectral.eigensolvers import (
     condition_number,
     dense_lowest_eigenpairs,
     lanczos_lowest_eigenpairs,
-    sparse_lowest_eigenpairs,
 )
 
 
@@ -92,7 +92,7 @@ class TestSparse:
         graph = random_mixed_graph(num_nodes, 0.2, seed=num_nodes)
         laplacian = hermitian_laplacian(graph)
         dense_values, _ = dense_lowest_eigenpairs(laplacian, k)
-        values, vectors = sparse_lowest_eigenpairs(laplacian, k)
+        values, vectors = SparseBackend().lowest_eigenpairs(laplacian, k)
         assert np.allclose(values, dense_values, atol=1e-8)
         residual = laplacian @ vectors - vectors * values
         assert np.abs(residual).max() < 1e-6
@@ -100,7 +100,7 @@ class TestSparse:
     def test_accepts_a_sparse_matrix(self):
         graph = random_mixed_graph(30, 0.2, seed=2)
         dense = hermitian_laplacian(graph)
-        from_sparse, _ = sparse_lowest_eigenpairs(
+        from_sparse, _ = SparseBackend().lowest_eigenpairs(
             hermitian_laplacian(graph, backend="sparse"), 3
         )
         assert np.allclose(from_sparse, dense_lowest_eigenpairs(dense, 3)[0], atol=1e-8)

@@ -556,3 +556,20 @@ class TestSpectrumCommand:
         assert out.count("lambda_") == 4
         first = float(out.splitlines()[0].split("=")[1])
         assert first >= -1e-9
+
+
+@pytest.mark.parametrize("command", ["cluster", "spectrum", "experiments"])
+@pytest.mark.parametrize("backend", ["gpu", "array"])
+def test_unknown_backend_is_a_usage_error(graph_file, capsys, command, backend):
+    """``--backend`` accepts auto, dense and sparse only; ``array`` (the
+    array-API accelerator backend) was retired."""
+    path, _ = graph_file
+    argv = {
+        "cluster": ["cluster", "--input", path, "--clusters", "2"],
+        "spectrum": ["spectrum", "--input", path],
+        "experiments": ["experiments", "--only", "fig1"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--backend", backend])
+    assert info.value.code == 2
+    assert "--backend" in capsys.readouterr().err
