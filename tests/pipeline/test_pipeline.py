@@ -371,6 +371,15 @@ class TestTelemetry:
         by_stage = {row["stage"]: row for row in result.profile}
         assert by_stage["laplacian"]["linalg_backend"] == "sparse"
 
+    @pytest.mark.parametrize("linalg_backend", ["auto", "dense"])
+    def test_small_graph_laplacian_is_annotated_dense(self, graph, linalg_backend):
+        """The annotation names the matrix the stage built: a 30-node graph
+        stays dense under ``auto``."""
+        config = CONFIG.with_updates(linalg_backend=linalg_backend)
+        row = QSCPipeline(2, config).run(graph).profile[0]
+        assert row["stage"] == "laplacian"
+        assert row["linalg_backend"] == "dense"
+
     def test_totals_delta_copies_annotations(self, graph):
         from repro.pipeline.telemetry import (
             merge_totals,

@@ -17,6 +17,7 @@ from repro.baselines import (
 )
 from repro.exceptions import ClusteringError
 from repro.graphs import cyclic_flow_sbm, mixed_sbm, random_mixed_graph
+from repro.linalg import SparseBackend
 from repro.metrics import adjusted_rand_index
 from repro.utils.linalg import is_hermitian, is_psd
 
@@ -44,6 +45,18 @@ class TestSymmetrized:
     def test_invalid_k(self):
         with pytest.raises(ClusteringError):
             SymmetrizedSpectralClustering(0)
+
+
+@pytest.mark.parametrize(
+    "method", [SymmetrizedSpectralClustering, RandomWalkSpectralClustering]
+)
+def test_dense_and_sparse_backends_give_the_same_labels(method):
+    """Each baseline solves on the backend it built its Laplacian with; the
+    sparse ARPACK route finds the partition the dense LAPACK route does."""
+    graph, _ = mixed_sbm(60, 2, p_intra=0.5, p_inter=0.02, seed=6)
+    dense = method(2, backend="dense", seed=0).fit(graph)
+    sparse = method(2, backend=SparseBackend(dense_fallback_dim=8), seed=0).fit(graph)
+    assert adjusted_rand_index(dense.labels, sparse.labels) == 1.0
 
 
 class TestRandomWalk:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import io as graph_io
-from repro.graphs import mixed_sbm
+from repro.graphs import hermitian_laplacian, mixed_sbm
 
 
 @pytest.fixture()
@@ -556,6 +556,18 @@ class TestSpectrumCommand:
         assert out.count("lambda_") == 4
         first = float(out.splitlines()[0].split("=")[1])
         assert first >= -1e-9
+
+    @pytest.mark.parametrize("backend", ["auto", "dense", "sparse"])
+    def test_every_backend_prints_the_numpy_spectrum(
+        self, graph_file, capsys, backend
+    ):
+        path, _ = graph_file
+        code = main(["spectrum", "--input", path, "--top", "3", "--backend", backend])
+        out = capsys.readouterr().out
+        printed = [float(line.split("=")[1]) for line in out.splitlines()]
+        laplacian = hermitian_laplacian(graph_io.load(path))
+        assert code == 0
+        assert np.allclose(printed, np.linalg.eigvalsh(laplacian)[:3], atol=1e-6)
 
 
 @pytest.mark.parametrize("command", ["cluster", "spectrum", "experiments"])
