@@ -67,6 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def cluster_count(value: str):
         return "auto" if value == "auto" else int(value)
 
+    def positive_int(value: str) -> int:
+        number = int(value)
+        if number < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+        return number
+
     cluster = sub.add_parser("cluster", help="cluster an edge-list graph")
     cluster.add_argument("--input", required=True, help="edge-list file")
     cluster.add_argument(
@@ -261,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "spectrum", help="print the low Hermitian-Laplacian spectrum"
     )
     spectrum.add_argument("--input", required=True)
-    spectrum.add_argument("--top", type=int, default=8)
+    spectrum.add_argument("--top", type=positive_int, default=8)
     spectrum.add_argument("--theta", type=float, default=float(np.pi / 2))
     spectrum.add_argument(
         "--backend",

@@ -138,13 +138,21 @@ class SpectralCache:
         namespace; ``evictions`` counts memory-tier evictions (the legacy
         meaning — disk evictions appear in the store's own stats).
         """
-        stats = self._store.namespace_stats(SPECTRAL_NAMESPACE)
+        occupancy = self._store.namespace_stats(SPECTRAL_NAMESPACE)
         return {
-            "hits": stats["memory_hits"] + stats["disk_hits"],
-            "misses": stats["misses"],
-            "evictions": stats["memory_evictions"],
-            "entries": stats["entries"],
-            "bytes": stats["bytes"],
+            **self.counters(),
+            "entries": occupancy["entries"],
+            "bytes": occupancy["bytes"],
+        }
+
+    def counters(self) -> dict:
+        """The hits, misses and evictions of :meth:`stats`, without its
+        scan of the memory tier."""
+        counters = self._store.namespace_counters(SPECTRAL_NAMESPACE)
+        return {
+            "hits": counters["memory_hits"] + counters["disk_hits"],
+            "misses": counters["misses"],
+            "evictions": counters["memory_evictions"],
         }
 
     def clear(self, reset_stats: bool = True) -> None:
@@ -232,6 +240,12 @@ SPECTRAL_CACHE = SpectralCache()
 def spectral_cache_stats() -> dict:
     """Hit/miss/eviction counters of :data:`SPECTRAL_CACHE`."""
     return SPECTRAL_CACHE.stats()
+
+
+def spectral_cache_counters() -> dict:
+    """Hit/miss/eviction counters of :data:`SPECTRAL_CACHE`, without the
+    memory-tier occupancy :func:`spectral_cache_stats` scans for."""
+    return SPECTRAL_CACHE.counters()
 
 
 def clear_spectral_cache() -> None:

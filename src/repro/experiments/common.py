@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import inspect
 import numbers
-import pathlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +29,10 @@ from repro.baselines import (
 from repro.core import QSCConfig, QuantumSpectralClustering
 from repro.exceptions import ExperimentError
 from repro.graphs import MixedGraph, ensure_connected
-from repro.metrics import adjusted_rand_index, matched_accuracy
+from repro.metrics import label_scores
 from repro.pipeline import checkpoint
 from repro.spectral import ClassicalSpectralClustering
-from repro.store import active_store, attached_store
+from repro.store import attached_store
 
 #: Spectral engine every paper sweep's quantum fits run.  A constant, not a
 #: factory knob: sweeps pin the byte-stable ``"v1"`` eigensolve (recorded in
@@ -167,7 +166,7 @@ def trial_graph(store_dir, builder, *, connect_seed, **kwargs):
     entry instead, and its stored digest returned: nothing is generated or
     hashed.  A miss builds, hashes and publishes.
     """
-    store = _store_at(store_dir)
+    store = attached_store(store_dir)
     if store is not None:
         key = graph_key(builder, connect_seed=connect_seed, **kwargs)
         payload = store.get(GRAPH_NAMESPACE, key)
@@ -179,18 +178,6 @@ def trial_graph(store_dir, builder, *, connect_seed, **kwargs):
     if store is not None:
         store.put(GRAPH_NAMESPACE, key, _pack_graph(graph, truth, graph_digest))
     return graph, truth, graph_digest
-
-
-def _store_at(store_dir):
-    """The store ``store_dir`` names: the attached one when it is already
-    rooted there (a re-attach would re-scan the disk tier on the next put),
-    else :func:`~repro.store.attached_store`'s."""
-    store = active_store()
-    if store_dir is None or (
-        store is not None and store.root == pathlib.Path(store_dir)
-    ):
-        return store
-    return attached_store(store_dir)
 
 
 def _pack_graph(graph, truth, graph_digest) -> dict:
@@ -235,12 +222,14 @@ def evaluate_methods(
     ``baseline`` namespace (see :func:`baseline_key`): served when
     published, otherwise fitted and published.  ``graph_digest`` is the
     graph's :func:`~repro.pipeline.checkpoint.graph_fingerprint` when the
-    caller holds it (:func:`trial_graph` returns it); otherwise the graph
-    is hashed here, once.  The quantum fit reuses the digest for its stage
-    keys, so a trial whose graph was served hashes nothing.
+    caller holds it (:func:`trial_graph` returns it); otherwise, with a
+    store attached, the graph is hashed here, once.  The quantum fit
+    reuses the digest for its stage keys, so a trial whose graph was
+    served hashes nothing.  Each record's ARI and matched accuracy come
+    from one contingency table (:func:`~repro.metrics.label_scores`).
     """
     store = attached_store(store_dir)
-    if graph_digest is None:
+    if graph_digest is None and store is not None:
         graph_digest = checkpoint.graph_fingerprint(graph)
     records = []
     for tag, estimator in methods.items():
@@ -248,14 +237,15 @@ def evaluate_methods(
             labels = estimator.fit(graph, graph_digest=graph_digest).labels
         else:
             labels = _baseline_labels(tag, estimator, graph, graph_digest, store)
+        ari, accuracy = label_scores(truth, labels)
         records.append(
             TrialRecord(
                 experiment=experiment,
                 method=tag,
                 parameters=dict(parameters),
                 seed=seed,
-                ari=adjusted_rand_index(truth, labels),
-                accuracy=matched_accuracy(truth, labels),
+                ari=ari,
+                accuracy=accuracy,
             )
         )
     return records

@@ -44,7 +44,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
 from repro.graphs import mixed_sbm
-from repro.metrics import adjusted_rand_index, matched_accuracy
+from repro.metrics import label_scores
 from repro.pipeline import QSCPipeline
 
 DEFAULT_PRECISIONS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -127,14 +127,15 @@ def _trial(
     rmse, leakage = _filter_diagnostics(
         pipeline.state["backend"], num_clusters, result.threshold
     )
+    ari, accuracy = label_scores(truth, result.labels)
     records.append(
         TrialRecord(
             experiment="F2",
             method="quantum-analytic",
             parameters={"p": precision},
             seed=seed,
-            ari=adjusted_rand_index(truth, result.labels),
-            accuracy=matched_accuracy(truth, result.labels),
+            ari=ari,
+            accuracy=accuracy,
             extra={"eig_rmse": rmse, "bulk_leakage": leakage},
         )
     )
@@ -164,14 +165,15 @@ def _trial(
         circuit_labels = circuit_pipeline.run(
             small_graph, graph_digest=small_digest
         ).labels
+        ari, accuracy = label_scores(small_truth, circuit_labels)
         records.append(
             TrialRecord(
                 experiment="F2",
                 method="quantum-circuit",
                 parameters={"p": precision},
                 seed=seed,
-                ari=adjusted_rand_index(small_truth, circuit_labels),
-                accuracy=matched_accuracy(small_truth, circuit_labels),
+                ari=ari,
+                accuracy=accuracy,
             )
         )
     return records

@@ -36,7 +36,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
 from repro.graphs import mixed_sbm
-from repro.metrics import adjusted_rand_index, matched_accuracy
+from repro.metrics import label_scores
 from repro.pipeline import QSCPipeline
 
 DEFAULT_SHOTS = (16, 64, 256, 1024, 4096)
@@ -116,14 +116,15 @@ def _trial(
         np.linalg.norm(noisy.embedding - noiseless.embedding)
         / max(np.linalg.norm(noiseless.embedding), 1e-12)
     )
+    ari, accuracy = label_scores(truth, noisy.labels)
     return [
         TrialRecord(
             experiment="F4",
             method="quantum-analytic",
             parameters={"shots": shots},
             seed=seed,
-            ari=adjusted_rand_index(truth, noisy.labels),
-            accuracy=matched_accuracy(truth, noisy.labels),
+            ari=ari,
+            accuracy=accuracy,
             extra={"embedding_error": embedding_error},
         )
     ]

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.qpe_engine import spectral_cache_stats
+from repro.core.qpe_engine import spectral_cache_counters
 from repro.exceptions import ClusteringError, ExperimentError
 from repro.experiments.common import TrialRecord
 from repro.pipeline.telemetry import (
@@ -297,11 +297,11 @@ def _execute_task(spec: SweepSpec, task: SweepTask, rng) -> tuple:
     multiprocessing start method (fork workers inherit nonzero counters,
     spawn workers start at zero — a delta is correct either way).
     """
-    before = spectral_cache_stats()
+    before = spectral_cache_counters()
     store_before = store_counters()
     stages_before = stage_totals()
     records = list(spec.trial(task.point, task.trial, task.seed, rng, **spec.fixed))
-    after = spectral_cache_stats()
+    after = spectral_cache_counters()
     store_after = store_counters()
     stages_after = stage_totals()
     for record in records:

@@ -9,7 +9,6 @@ attached for netlist provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,8 +59,8 @@ class MixedGraph:
         if num_nodes < 1:
             raise GraphError(f"graph needs at least one node, got {num_nodes}")
         self._num_nodes = int(num_nodes)
-        self._undirected: dict[tuple[int, int], float] = {}
-        self._directed: dict[tuple[int, int], float] = {}
+        self._edges = _ConnectionTable(self._num_nodes)
+        self._arcs = _ConnectionTable(self._num_nodes)
         if node_labels is not None:
             node_labels = list(node_labels)
             if len(node_labels) != num_nodes:
@@ -87,10 +86,14 @@ class MixedGraph:
             raise GraphError(f"self-loop on node {u} is not allowed")
         if weight <= 0:
             raise GraphError(f"edge weight must be positive, got {weight}")
-        key = (min(u, v), max(u, v))
-        if (u, v) in self._directed or (v, u) in self._directed:
+        n = self._num_nodes
+        if (
+            self._arcs.row(u * n + v) is not None
+            or self._arcs.row(v * n + u) is not None
+        ):
             raise GraphError(f"nodes {u},{v} already share an arc; remove it first")
-        self._undirected[key] = float(weight)
+        lo, hi = min(u, v), max(u, v)
+        self._edges.set(lo * n + hi, lo, hi, float(weight))
 
     def add_arc(self, source: int, target: int, weight: float = 1.0) -> None:
         """Add (or overwrite) a directed arc source → target."""
@@ -99,61 +102,50 @@ class MixedGraph:
             raise GraphError(f"self-loop on node {source} is not allowed")
         if weight <= 0:
             raise GraphError(f"arc weight must be positive, got {weight}")
-        key = (min(source, target), max(source, target))
-        if key in self._undirected:
+        n = self._num_nodes
+        lo, hi = min(source, target), max(source, target)
+        if self._edges.row(lo * n + hi) is not None:
             raise GraphError(
                 f"nodes {source},{target} already share an undirected edge"
             )
-        if (target, source) in self._directed:
+        if self._arcs.row(target * n + source) is not None:
             # Antiparallel arcs merge into an undirected edge by convention:
             # flow in both directions carries no net orientation signal.
-            weight_back = self._directed.pop((target, source))
-            self._undirected[key] = float(weight) + weight_back
+            weight_back = self._arcs.pop(target * n + source)
+            self._edges.set(lo * n + hi, lo, hi, float(weight) + weight_back)
             return
-        self._directed[(source, target)] = float(weight)
+        self._arcs.set(source * n + target, source, target, float(weight))
 
     def add_edges(self, edges) -> None:
         """Add undirected edges from ``(u, v)`` or ``(u, v, weight)`` rows.
 
         The single insertion point generators and netlist conversion feed
         their accumulated edge lists through.  An ndarray of shape
-        ``(m, 2)`` or ``(m, 3)`` takes a vectorized bulk path — validation
-        and key construction in NumPy, one dict update — with the exact
+        ``(m, 2)`` or ``(m, 3)`` takes a vectorized bulk path — validation,
+        conflict checks and the table update all in NumPy — with the exact
         semantics of looping :meth:`add_edge` (later duplicates overwrite
-        earlier ones, edge/arc conflicts raise); any other iterable falls
-        back to that loop.
+        earlier ones in place, edge/arc conflicts raise) except that a bad
+        row rejects the whole batch; any other iterable falls back to that
+        loop.
         """
-        if not (
-            isinstance(edges, np.ndarray)
-            and edges.ndim == 2
-            and edges.shape[1] in (2, 3)
-        ):
+        rows = self._bulk_rows(edges)
+        if rows is None:
             for row in edges:
                 self.add_edge(*row)
             return
-        if edges.shape[0] == 0:
-            return
-        u = edges[:, 0].astype(np.int64)
-        v = edges[:, 1].astype(np.int64)
-        weights = (
-            edges[:, 2].astype(float)
-            if edges.shape[1] == 3
-            else np.ones(edges.shape[0])
-        )
-        self._check_bulk(u, v, weights)
+        u, v, weights = rows
+        n = self._num_nodes
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
-        keys = list(zip(lo.tolist(), hi.tolist()))
-        directed = self._directed
-        if directed:
-            # O(1) dict probes per batch row — never a scan of the
-            # accumulated table, so repeated block inserts stay O(edges).
-            for a, b in keys:
-                if (a, b) in directed or (b, a) in directed:
-                    raise GraphError(
-                        f"nodes {a},{b} already share an arc; remove it first"
-                    )
-        self._undirected.update(zip(keys, weights.tolist()))
+        if len(self._arcs):
+            clash = self._arcs.contains(lo * n + hi) | self._arcs.contains(hi * n + lo)
+            if clash.any():
+                first = np.argmax(clash)
+                raise GraphError(
+                    f"nodes {lo[first]},{hi[first]} already share an arc; "
+                    "remove it first"
+                )
+        self._edges.extend(lo, hi, weights)
 
     def add_arcs(self, arcs) -> None:
         """Add arcs from ``(source, target)`` or ``(source, target, weight)``
@@ -165,49 +157,49 @@ class MixedGraph:
         batch or against existing arcs) fall back to the per-row loop so
         the merge-into-undirected convention is preserved.
         """
-        if not (
-            isinstance(arcs, np.ndarray)
-            and arcs.ndim == 2
-            and arcs.shape[1] in (2, 3)
-        ):
+        rows = self._bulk_rows(arcs)
+        if rows is None:
             for row in arcs:
                 self.add_arc(*row)
             return
-        if arcs.shape[0] == 0:
-            return
-        source = arcs[:, 0].astype(np.int64)
-        target = arcs[:, 1].astype(np.int64)
-        weights = (
-            arcs[:, 2].astype(float)
-            if arcs.shape[1] == 3
-            else np.ones(arcs.shape[0])
+        source, target, weights = rows
+        n = self._num_nodes
+        if len(self._edges):
+            clash = self._edges.contains(
+                np.minimum(source, target) * n + np.maximum(source, target)
+            )
+            if clash.any():
+                first = np.argmax(clash)
+                raise GraphError(
+                    f"nodes {source[first]},{target[first]} already share an "
+                    "undirected edge"
+                )
+        reverse = target * n + source
+        antiparallel = _member(np.sort(source * n + target), reverse).any() or (
+            len(self._arcs) and self._arcs.contains(reverse).any()
         )
-        self._check_bulk(source, target, weights)
-        pairs = list(zip(source.tolist(), target.tolist()))
-        undirected = self._undirected
-        if undirected:
-            for s, t in pairs:
-                if ((s, t) if s < t else (t, s)) in undirected:
-                    raise GraphError(f"nodes {s},{t} already share an undirected edge")
-        directed = self._directed
-        # Within-batch antiparallel pairs are detected vectorially on
-        # packed codes; cross-checks against the accumulated table are
-        # O(1) dict probes per row.
-        codes = self._encode(source, target)
-        antiparallel = bool(np.isin(self._encode(target, source), codes).any())
-        if not antiparallel and directed:
-            antiparallel = any((t, s) in directed for s, t in pairs)
         if antiparallel:
             # Antiparallel pairs merge into undirected edges; the per-row
             # path implements that convention.
-            for pair, weight in zip(pairs, weights.tolist()):
-                self.add_arc(*pair, weight)
+            for row in zip(source.tolist(), target.tolist(), weights.tolist()):
+                self.add_arc(*row)
             return
-        directed.update(zip(pairs, weights.tolist()))
+        self._arcs.extend(source, target, weights)
 
-    def _encode(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pack node pairs into single int64 codes for set-style lookups."""
-        return a * np.int64(self._num_nodes) + b
+    def _bulk_rows(self, rows):
+        """``(a, b, weights)`` of a validated ``(m, 2)`` / ``(m, 3)`` ndarray
+        batch; ``None`` for any other input (the per-row path), and empty
+        columns for an empty batch."""
+        if not (
+            isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] in (2, 3)
+        ):
+            return None
+        a = rows[:, 0].astype(np.int64)
+        b = rows[:, 1].astype(np.int64)
+        weights = rows[:, 2].astype(float) if rows.shape[1] == 3 else np.ones(len(rows))
+        if len(rows):
+            self._check_bulk(a, b, weights)
+        return a, b, weights
 
     def _check_bulk(self, u: np.ndarray, v: np.ndarray, weights: np.ndarray):
         """Vectorized endpoint/weight validation shared by the bulk paths."""
@@ -234,12 +226,12 @@ class MixedGraph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return len(self._undirected)
+        return len(self._edges)
 
     @property
     def num_arcs(self) -> int:
         """Number of directed arcs."""
-        return len(self._directed)
+        return len(self._arcs)
 
     @property
     def node_labels(self) -> list[str] | None:
@@ -249,7 +241,11 @@ class MixedGraph:
     def sorted_connections(self) -> tuple[list, list]:
         """Sorted ``((u, v), weight)`` items of the edges, then of the arcs:
         :meth:`edges` order without building :class:`Edge` objects."""
-        return sorted(self._undirected.items()), sorted(self._directed.items())
+        items = []
+        for table in self.sorted_connection_tables():
+            ends = map(tuple, table[:, :2].astype(np.int64).tolist())
+            items.append(list(zip(ends, table[:, 2].tolist())))
+        return tuple(items)
 
     def connection_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``(m, 3)`` float ``[u, v, weight]`` tables of the edges, then of
@@ -259,17 +255,16 @@ class MixedGraph:
         this one from them, insertion order (so :meth:`degrees`' bytes)
         included.
         """
-        return _connection_table(self._undirected), _connection_table(self._directed)
+        return self._edges.table(), self._arcs.table()
 
     def sorted_connection_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`connection_tables` with each table's rows in
-        :meth:`sorted_connections` order (by ``u``, then ``v``)."""
-        tables = []
-        for table in self.connection_tables():
-            codes = self._encode(*table[:, :2].astype(np.int64).T)
-            # Stable: tables of generated graphs are nearly sorted already.
-            tables.append(table[np.argsort(codes, kind="stable")])
-        return tuple(tables)
+        :meth:`sorted_connections` order (by ``u``, then ``v``).
+
+        The tables are read-only and shared by every call until the graph
+        next changes: a graph is sorted at most once between mutations.
+        """
+        return self._edges.sorted_table(), self._arcs.sorted_table()
 
     def edges(self) -> list[Edge]:
         """All connections, undirected first, in deterministic order."""
@@ -302,26 +297,16 @@ class MixedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         """True if an undirected edge joins u and v."""
         u, v = self._check_node(u), self._check_node(v)
-        return (min(u, v), max(u, v)) in self._undirected
+        return self._edges.row(min(u, v) * self._num_nodes + max(u, v)) is not None
 
     def has_arc(self, source: int, target: int) -> bool:
         """True if the arc source → target exists."""
-        return (
-            self._check_node(source),
-            self._check_node(target),
-        ) in self._directed
+        source, target = self._check_node(source), self._check_node(target)
+        return self._arcs.row(source * self._num_nodes + target) is not None
 
     def degree(self, node: int) -> float:
         """Weighted degree counting both edges and arcs (in + out)."""
-        node = self._check_node(node)
-        total = 0.0
-        for (u, v), w in self._undirected.items():
-            if node in (u, v):
-                total += w
-        for (u, v), w in self._directed.items():
-            if node in (u, v):
-                total += w
-        return total
+        return float(self.degrees()[self._check_node(node)])
 
     def degrees(self) -> np.ndarray:
         """Vector of weighted degrees for all nodes.
@@ -331,17 +316,9 @@ class MixedGraph:
         order, so each degree is summed in the same order (and to the same
         bytes) as a loop over the connections would.
         """
-        count = self.num_edges + self.num_arcs
-        ends = np.fromiter(
-            chain.from_iterable(chain(self._undirected, self._directed)),
-            dtype=np.intp,
-            count=2 * count,
-        )
-        weights = np.fromiter(
-            chain(self._undirected.values(), self._directed.values()),
-            dtype=float,
-            count=count,
-        )
+        table = np.concatenate(self.connection_tables())
+        ends = table[:, :2].astype(np.intp).ravel()
+        weights = table[:, 2]
         # an edgeless graph's bincount is int64, hence the (no-op) cast
         return np.bincount(
             ends, weights=np.repeat(weights, 2), minlength=self._num_nodes
@@ -393,11 +370,12 @@ class MixedGraph:
 
         graph = nx.DiGraph()
         graph.add_nodes_from(range(self._num_nodes))
-        for (u, v), w in self._undirected.items():
-            graph.add_edge(u, v, weight=w, mixed="undirected")
-            graph.add_edge(v, u, weight=w, mixed="undirected")
-        for (u, v), w in self._directed.items():
-            graph.add_edge(u, v, weight=w, mixed="directed")
+        edges, arcs = self.connection_tables()
+        for u, v, w in edges.tolist():
+            graph.add_edge(int(u), int(v), weight=w, mixed="undirected")
+            graph.add_edge(int(v), int(u), weight=w, mixed="undirected")
+        for u, v, w in arcs.tolist():
+            graph.add_edge(int(u), int(v), weight=w, mixed="directed")
         return graph
 
     @classmethod
@@ -440,15 +418,17 @@ class MixedGraph:
         nodes = [self._check_node(n) for n in nodes]
         if len(set(nodes)) != len(nodes):
             raise GraphError("duplicate nodes in subgraph request")
-        index = {node: i for i, node in enumerate(nodes)}
+        index = np.full(self._num_nodes, -1)
+        index[nodes] = np.arange(len(nodes))
         labels = [self._node_labels[n] for n in nodes] if self._node_labels else None
         sub = MixedGraph(len(nodes), node_labels=labels)
-        for (u, v), w in self._undirected.items():
-            if u in index and v in index:
-                sub.add_edge(index[u], index[v], w)
-        for (u, v), w in self._directed.items():
-            if u in index and v in index:
-                sub.add_arc(index[u], index[v], w)
+        # Relabelling is injective, so the kept rows raise no conflict and
+        # form no antiparallel pair: the bulk inserts keep insertion order.
+        inserts = (sub.add_edges, sub.add_arcs)
+        for table, insert in zip(self.connection_tables(), inserts):
+            ends = index[table[:, :2].astype(np.intp)]
+            kept = (ends >= 0).all(axis=1)
+            insert(np.column_stack([ends[kept], table[kept, 2]]))
         return sub
 
     def is_weakly_connected(self) -> bool:
@@ -474,12 +454,150 @@ class MixedGraph:
         )
 
 
-def _connection_table(connections: dict) -> np.ndarray:
-    """``[u, v, weight]`` rows of a connection dict, in insertion order."""
-    count = len(connections)
-    table = np.empty((count, 3))
-    table[:, :2] = np.fromiter(
-        chain.from_iterable(connections), dtype=np.int64, count=2 * count
-    ).reshape(count, 2)
-    table[:, 2] = np.fromiter(connections.values(), dtype=float, count=count)
-    return table
+class _ConnectionTable:
+    """One kind of connection — the edges or the arcs of a graph — as an
+    insertion-ordered ``(m, 3)`` float ``[u, v, weight]`` table, each row
+    keyed by ``u * n + v``.
+
+    Two lookups serve it, each built only when something needs it: a
+    ``{key: row}`` index for scalar queries and mutations, and the live
+    rows' key-sorted order for bulk inserts and the sorted table.  A scalar
+    mutation drops the sorted order, a bulk insert drops the index.  A
+    removed row keeps its place with weight 0 (no connection weighs 0), so
+    row numbers never shift.
+    """
+
+    def __init__(self, num_nodes: int):
+        self._n = np.int64(num_nodes)
+        self._rows = np.empty((0, 3))
+        self._size = 0
+        self._removed = 0
+        self._index: dict | None = None
+        #: (sorted keys, their rows) of the live rows.
+        self._order: tuple | None = None
+        self._sorted: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self._size - self._removed
+
+    def table(self) -> np.ndarray:
+        """A copy of the live rows, in insertion order."""
+        rows = self._rows[: self._size]
+        return rows[rows[:, 2] != 0] if self._removed else rows.copy()
+
+    def sorted_table(self) -> np.ndarray:
+        """The live rows by key, read-only and cached until a mutation."""
+        if self._sorted is None:
+            self._sorted = self._rows[self._sorted_rows()[1]]
+            self._sorted.flags.writeable = False
+        return self._sorted
+
+    def row(self, key: int) -> int | None:
+        """The row of ``key``, or ``None``."""
+        if self._index is None:
+            live = self._live_rows()
+            keys = self._keys(self._rows[live]).tolist()
+            self._index = dict(zip(keys, live.tolist()))
+        return self._index.get(key)
+
+    def set(self, key: int, u: int, v: int, weight: float) -> None:
+        """Insert ``key``'s row, or overwrite its weight in place."""
+        row = self.row(key)
+        if row is None:
+            row = self._index[key] = self._grow(1)
+            self._rows[row, :2] = u, v
+        self._rows[row, 2] = weight
+        self._order = self._sorted = None
+
+    def pop(self, key: int) -> float:
+        """Remove ``key``'s row and return its weight."""
+        row = self.row(key)
+        del self._index[key]
+        weight = float(self._rows[row, 2])
+        self._rows[row, 2] = 0.0
+        self._removed += 1
+        self._order = self._sorted = None
+        return weight
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        """Which of ``keys`` have a live row."""
+        return _member(self._sorted_rows()[0], keys)
+
+    def extend(self, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> None:
+        """Bulk :meth:`set` of validated rows, in order: a key already held,
+        or repeated in the batch, keeps its first row and takes its last
+        weight."""
+        if not len(u):
+            return
+        keys = self._keys_of(u, v)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        repeated = sorted_keys[1:] == sorted_keys[:-1]
+        if repeated.any():
+            starts = np.flatnonzero(np.concatenate([[True], ~repeated]))
+            first = order[starts]
+            last = order[np.append(starts[1:], len(keys)) - 1]
+            by_position = np.argsort(first)
+            kept = first[by_position]
+            u, v, keys = u[kept], v[kept], keys[kept]
+            weights = weights[last[by_position]]
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+        held_keys, held_rows = self._sorted_rows()
+        held = _member(held_keys, sorted_keys)
+        if held.any():
+            at = np.searchsorted(held_keys, sorted_keys[held])
+            self._rows[held_rows[at], 2] = weights[order[held]]
+            new = np.ones(len(keys), bool)
+            new[order[held]] = False
+            u, v, keys, weights = u[new], v[new], keys[new], weights[new]
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
+        start = self._grow(len(keys))
+        added = self._rows[start : self._size]
+        added[:, 0] = u
+        added[:, 1] = v
+        added[:, 2] = weights
+        rows = np.concatenate([held_rows, start + order])
+        sorted_keys = np.concatenate([held_keys, sorted_keys])
+        # Two sorted runs: a stable (run-merging) sort is linear here.
+        merged = np.argsort(sorted_keys, kind="stable")
+        self._order = (sorted_keys[merged], rows[merged])
+        self._index = self._sorted = None
+
+    def _grow(self, count: int) -> int:
+        """Append ``count`` uninitialised rows; returns the first's number."""
+        start = self._size
+        if start + count > len(self._rows):
+            rows = np.empty((max(start + count, 2 * len(self._rows)), 3))
+            rows[:start] = self._rows[:start]
+            self._rows = rows
+        self._size = start + count
+        return start
+
+    def _live_rows(self) -> np.ndarray:
+        if self._removed:
+            return np.flatnonzero(self._rows[: self._size, 2] != 0)
+        return np.arange(self._size)
+
+    def _sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._order is None:
+            live = self._live_rows()
+            keys = self._keys(self._rows[live])
+            order = np.argsort(keys, kind="stable")
+            self._order = (keys[order], live[order])
+        return self._order
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        return self._keys_of(rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64))
+
+    def _keys_of(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return u * self._n + v
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in the sorted array ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys

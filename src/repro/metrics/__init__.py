@@ -4,6 +4,7 @@ from repro.metrics.clustering_metrics import (
     adjusted_rand_index,
     clustering_report,
     contingency_table,
+    label_scores,
     matched_accuracy,
     misclassified_count,
     normalized_mutual_information,
@@ -21,6 +22,7 @@ __all__ = [
     "adjusted_rand_index",
     "clustering_report",
     "contingency_table",
+    "label_scores",
     "matched_accuracy",
     "misclassified_count",
     "normalized_mutual_information",

@@ -25,20 +25,50 @@ def _validate_pair(truth, predicted) -> tuple[np.ndarray, np.ndarray]:
 
 
 def contingency_table(truth, predicted) -> np.ndarray:
-    """Counts table C[i, j] = |truth cluster i ∩ predicted cluster j|."""
+    """Counts table C[i, j] = |truth cluster i ∩ predicted cluster j|, over
+    the label ids present, in increasing id order.
+
+    Labels whose id spans are small together (the usual ``0..k-1``) are
+    counted by one ``bincount`` over their offsets from the smallest id,
+    and ids absent from the labels are dropped; other labels are coded by
+    ``np.unique`` first.  Both give the same table.
+    """
     truth, predicted = _validate_pair(truth, predicted)
-    truth_ids, truth_codes = np.unique(truth, return_inverse=True)
-    predicted_ids, predicted_codes = np.unique(predicted, return_inverse=True)
-    shape = (truth_ids.size, predicted_ids.size)
-    cells = np.bincount(
-        truth_codes * shape[1] + predicted_codes, minlength=shape[0] * shape[1]
-    )
-    return cells.reshape(shape)
+    truth_low, predicted_low = int(truth.min()), int(predicted.min())
+    rows = int(truth.max()) - truth_low + 1
+    cols = int(predicted.max()) - predicted_low + 1
+    if rows * cols > 4 * truth.size + 1024:
+        truth_ids, truth_codes = np.unique(truth, return_inverse=True)
+        predicted_ids, predicted_codes = np.unique(predicted, return_inverse=True)
+        rows, cols = truth_ids.size, predicted_ids.size
+    else:
+        truth_codes, predicted_codes = truth - truth_low, predicted - predicted_low
+    cells = np.bincount(truth_codes * cols + predicted_codes, minlength=rows * cols)
+    table = cells.reshape(rows, cols)
+    present_rows, present_cols = table.any(axis=1), table.any(axis=0)
+    if not (present_rows.all() and present_cols.all()):
+        table = table[present_rows][:, present_cols]
+    return table
 
 
 def adjusted_rand_index(truth, predicted) -> float:
     """ARI ∈ [−1, 1]: chance-corrected pair-counting agreement."""
+    return _table_ari(contingency_table(truth, predicted))
+
+
+def matched_accuracy(truth, predicted) -> float:
+    """Best-case accuracy over all cluster-label permutations (Hungarian)."""
+    return _table_accuracy(contingency_table(truth, predicted))
+
+
+def label_scores(truth, predicted) -> tuple[float, float]:
+    """``(adjusted_rand_index, matched_accuracy)`` from one contingency
+    table: what an experiment record keeps."""
     table = contingency_table(truth, predicted)
+    return _table_ari(table), _table_accuracy(table)
+
+
+def _table_ari(table: np.ndarray) -> float:
     n = table.sum()
 
     def comb2(x):
@@ -49,9 +79,18 @@ def adjusted_rand_index(truth, predicted) -> float:
     sum_cols = comb2(table.sum(axis=0).astype(float)).sum()
     expected = sum_rows * sum_cols / comb2(float(n)) if n > 1 else 0.0
     maximum = (sum_rows + sum_cols) / 2.0
-    if np.isclose(maximum, expected):
+    # np.isclose(maximum, expected) for two finite scalars, without its
+    # array machinery
+    if abs(maximum - expected) <= 1e-08 + 1e-05 * abs(expected):
         return 1.0  # both partitions are trivial and identical in structure
     return float((sum_cells - expected) / (maximum - expected))
+
+
+def _table_accuracy(table: np.ndarray) -> float:
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(-table)
+    return float(table[rows, cols].sum() / table.sum())
 
 
 def normalized_mutual_information(truth, predicted) -> float:
@@ -74,15 +113,6 @@ def normalized_mutual_information(truth, predicted) -> float:
     if mean_entropy < 1e-15:
         return 1.0  # both partitions trivial → identical
     return float(np.clip(mutual / mean_entropy, 0.0, 1.0))
-
-
-def matched_accuracy(truth, predicted) -> float:
-    """Best-case accuracy over all cluster-label permutations (Hungarian)."""
-    from scipy.optimize import linear_sum_assignment
-
-    table = contingency_table(truth, predicted)
-    rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum() / table.sum())
 
 
 def misclassified_count(truth, predicted) -> int:

@@ -29,11 +29,12 @@ this driver runs it as five composable stages
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro.core.config import QSCConfig
-from repro.core.qpe_engine import spectral_cache_stats
+from repro.core.qpe_engine import spectral_cache_counters
 from repro.core.result import QSCResult
 from repro.exceptions import ClusteringError
 from repro.pipeline import checkpoint, telemetry
@@ -122,7 +123,9 @@ class QSCPipeline:
             :func:`~repro.pipeline.checkpoint.graph_fingerprint` of
             ``graph`` when the caller already holds it (the sweeps hash
             each trial's graph once for the quantum fit and the baselines'
-            store keys); ``None`` hashes the graph here.
+            store keys); ``None`` hashes the graph here when something
+            keys on it: a content store or a checkpoint directory.  A run
+            with neither computes no graph or stage fingerprint.
 
         Notes
         -----
@@ -195,16 +198,19 @@ class QSCPipeline:
                     "earlier so the degraded stage is recomputed"
                 )
 
-        master = ensure_rng(cfg.seed)
-        streams = spawn_rngs(master, len(RNG_STREAMS))
+        # Fingerprints name store entries and checkpoint files; with
+        # neither in play nothing reads them, so nothing is hashed.
+        keyed = store is not None or stages_dir is not None
+        if keyed and not graph_digest:
+            graph_digest = checkpoint.graph_fingerprint(graph)
         ctx = StageContext(
             graph=graph,
             config=cfg,
             requested_clusters=self.num_clusters,
-            rngs=dict(zip(RNG_STREAMS, streams)),
+            rngs=_Streams(cfg.seed),
             save_dir=save_stages,
             load_dir=stages_dir,
-            graph_digest=graph_digest or checkpoint.graph_fingerprint(graph),
+            graph_digest=graph_digest or "",
         )
         reports = []
         degraded: list[str] = []
@@ -215,6 +221,7 @@ class QSCPipeline:
         self._run_stages(
             ctx, reports, degraded, served, resume_index, upstream,
             stages_dir, save_stages, store,
+            keyed=keyed,
             read_through=read_through,
             # Without a run directory to fill, a stage whose entry
             # exists is read only when something asks for its keys.
@@ -251,13 +258,14 @@ class QSCPipeline:
         stages_dir,
         save_stages,
         store,
+        keyed: bool,
         read_through: bool,
         lazy: bool,
     ) -> None:
         """Execute, load or defer every stage, appending telemetry reports."""
         cfg = self.config
         for index, stage in enumerate(build_stages()):
-            cache_before = spectral_cache_stats()
+            cache_before = spectral_cache_counters()
             start = time.perf_counter()
             ctx.shard_reports = ()
             ctx.incomplete_shards = ()
@@ -269,13 +277,14 @@ class QSCPipeline:
             # silently stale state.  In-memory `upstream` reuse is exempt:
             # the caller explicitly hands over state it owns (the fig4
             # pattern, where only downstream fields differ).
-            fingerprint = checkpoint.context_fingerprint(
-                ctx.graph_digest,
-                cfg,
-                self.num_clusters if stage.fingerprint_clusters else None,
-                stage.fingerprint_fields,
-            )
-            ctx.fingerprint = fingerprint
+            if keyed:
+                ctx.fingerprint = checkpoint.context_fingerprint(
+                    ctx.graph_digest,
+                    cfg,
+                    self.num_clusters if stage.fingerprint_clusters else None,
+                    stage.fingerprint_fields,
+                )
+            fingerprint = ctx.fingerprint
             values = None
             source = "computed"
             resuming = index < resume_index
@@ -316,6 +325,34 @@ class QSCPipeline:
             reports.append(_report(stage, source, start, cache_before, ctx))
 
 
+class _Streams(Mapping):
+    """The run's per-stage RNG streams (:data:`RNG_STREAMS`), spawned from
+    ``seed`` the first time a stage asks for one — a fully served run
+    spawns none.  A ``Generator`` seed spawns at once: its spawn count is
+    state shared with its other users, so the spawn keeps its place."""
+
+    def __init__(self, seed):
+        self._seed = seed
+        self._streams: dict | None = None
+        if isinstance(seed, np.random.Generator):
+            self._spawn()
+
+    def _spawn(self) -> dict:
+        if self._streams is None:
+            streams = spawn_rngs(ensure_rng(self._seed), len(RNG_STREAMS))
+            self._streams = dict(zip(RNG_STREAMS, streams))
+        return self._streams
+
+    def __getitem__(self, name):
+        return self._spawn()[name]
+
+    def __iter__(self):
+        return iter(RNG_STREAMS)
+
+    def __len__(self) -> int:
+        return len(RNG_STREAMS)
+
+
 class _ServedStage:
     """A stage the store holds, read the first time its keys are asked for.
 
@@ -347,7 +384,7 @@ class _ServedStage:
 
     def __call__(self, state: StageState) -> dict:
         ctx = StageContext(state=state, **self.inputs)
-        cache_before = spectral_cache_stats()
+        cache_before = spectral_cache_counters()
         # The report's time is the registration's plus this resolution's.
         start = time.perf_counter() - self.reports[self.index].seconds
         payload = self.store.get(
@@ -396,7 +433,7 @@ def _compute(stage, ctx: StageContext, degraded: list, save_stages, store) -> di
 
 def _report(stage, source: str, start: float, cache_before: dict, ctx):
     """Telemetry of one stage execution that began at ``start``."""
-    cache_after = spectral_cache_stats()
+    cache_after = spectral_cache_counters()
     return telemetry.StageReport(
         stage=stage.name,
         seconds=time.perf_counter() - start,

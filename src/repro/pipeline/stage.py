@@ -123,6 +123,8 @@ class StageContext:
         :func:`~repro.pipeline.checkpoint.graph_fingerprint` of ``graph``,
         computed once per run by the pipeline; every stage's context
         fingerprint is derived from it instead of re-hashing the graph.
+        Empty, like ``fingerprint``, in a run with no content store and no
+        checkpoint directory: nothing there is keyed by them.
     fingerprint:
         The executing stage's context fingerprint, set by the driver
         before each stage; sub-stage checkpoints extend it.

@@ -49,6 +49,7 @@ arrays handed back are bit-identical to recomputation — golden-pinned in
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -133,11 +134,8 @@ def content_key(namespace: str, key: str) -> str:
     forms); hashing them keeps every on-disk filename fixed-width and
     path-safe regardless of what callers embed in the key.
     """
-    digest = hashlib.blake2b(digest_size=_DIGEST_BYTES)
-    digest.update(namespace.encode())
-    digest.update(b"\x00")
-    digest.update(key.encode())
-    return digest.hexdigest()
+    text = f"{namespace}\x00{key}".encode()
+    return hashlib.blake2b(text, digest_size=_DIGEST_BYTES).hexdigest()
 
 
 def _entry_identity(namespace: str, key: str) -> str:
@@ -147,7 +145,12 @@ def _entry_identity(namespace: str, key: str) -> str:
 def _plain_dtype(text):
     """The dtype ``text`` names if it is a plain, sized ``dtype.str`` (no
     objects or fields), else ``None``: all encoder and decoder accept."""
-    if type(text) is str and _DTYPE_RE.match(text):
+    return _parse_dtype(text) if type(text) is str else None
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_dtype(text: str):
+    if _DTYPE_RE.match(text):
         dtype = np.dtype(text)
         if dtype.str == text and dtype.itemsize:
             return dtype
@@ -237,7 +240,9 @@ def decode_payload(blob: bytes, namespace: str | None = None, key: str | None = 
     if actual.encode("ascii") != blob[len(MAGIC) : _HEADER_BYTES]:
         raise StoreError("store entry failed its integrity checksum")
     payload = _read_arrays(body)
-    identity = str(payload.pop(_ENTRY_KEY, ""))
+    identity = payload.pop(_ENTRY_KEY, None)
+    # str of the 0-d array's element: the array's own str formats it first
+    identity = "" if identity is None else str(identity[()])
     if namespace is not None and identity != _entry_identity(namespace, key):
         raise StoreError("store entry belongs to a different namespace/key")
     return payload
@@ -378,10 +383,14 @@ class ContentStore:
                 totals[key] += bucket[key]
         return totals
 
+    def namespace_counters(self, namespace: str) -> dict:
+        """The counters of one namespace (no memory-tier scan)."""
+        bucket = self._counters.get(namespace)
+        return {key: 0 for key in COUNTER_KEYS} if bucket is None else dict(bucket)
+
     def namespace_stats(self, namespace: str) -> dict:
         """Counters plus memory-tier occupancy of one namespace."""
-        bucket = self._counters.get(namespace, {key: 0 for key in COUNTER_KEYS})
-        stats = dict(bucket)
+        stats = self.namespace_counters(namespace)
         entries = 0
         nbytes = 0
         for (ns, _), (_, size) in self._entries.items():
@@ -441,12 +450,17 @@ class ContentStore:
     # -- disk tier ---------------------------------------------------------
 
     def _entry_path(self, namespace: str, key: str) -> pathlib.Path:
+        return pathlib.Path(self._entry_file(namespace, key))
+
+    def _entry_file(self, namespace: str, key: str) -> str:
+        """:meth:`_entry_path` as a plain string, for the read path (a
+        ``pathlib`` join costs more than reading a small entry)."""
         if not _NAMESPACE_RE.match(namespace):
             raise StoreError(
                 f"namespace must match {_NAMESPACE_RE.pattern}, got {namespace!r}"
             )
         name = content_key(namespace, key)
-        return self._root.joinpath(namespace, name[:2], f"{name}{_ENTRY_SUFFIX}")
+        return f"{self._root}/{namespace}/{name[:2]}/{name}{_ENTRY_SUFFIX}"
 
     @contextmanager
     def _locked(self):
@@ -485,9 +499,9 @@ class ContentStore:
             entries.append((pathlib.Path(file.path), status.st_size, status.st_mtime))
         return entries
 
-    def _evict_corrupt(self, path: pathlib.Path, namespace: str) -> None:
+    def _evict_corrupt(self, path, namespace: str) -> None:
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
         self._count(namespace, "corrupt_evictions")
@@ -495,9 +509,10 @@ class ContentStore:
     def _disk_get(self, namespace: str, key: str) -> dict | None:
         if self._root is None:
             return None
-        path = self._entry_path(namespace, key)
+        path = self._entry_file(namespace, key)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError:
             return None
         try:
@@ -620,7 +635,9 @@ class ContentStore:
             return False
         if (namespace, key) in self._entries:
             return True
-        return self._root is not None and self._entry_path(namespace, key).is_file()
+        return self._root is not None and os.path.isfile(
+            self._entry_file(namespace, key)
+        )
 
     def put(self, namespace: str, key: str, payload: dict, memory: bool = False) -> None:
         """Publish a payload (atomic disk write; optional memory residence)."""
@@ -747,9 +764,11 @@ def attached_store(store_dir=None) -> ContentStore | None:
 
     Attaches ``store_dir`` when given (so the store propagates into sweep
     worker processes under any multiprocessing start method), then
-    returns :func:`active_store`.
+    returns :func:`active_store`.  A store already rooted at ``store_dir``
+    is not re-attached: a re-attach would re-scan the disk tier on the
+    next put.
     """
-    if store_dir is not None:
+    if store_dir is not None and GLOBAL_STORE.root != pathlib.Path(store_dir):
         configure_store(root=store_dir)
     return active_store()
 

@@ -127,9 +127,9 @@ class TestDegreesAndMatrices:
                 pass
         assert g.num_edges and g.num_arcs
         loop = np.zeros(g.num_nodes)
-        for (u, v), w in [*g._undirected.items(), *g._directed.items()]:
-            loop[u] += w
-            loop[v] += w
+        for u, v, w in np.concatenate(g.connection_tables()).tolist():
+            loop[int(u)] += w
+            loop[int(v)] += w
         assert g.degrees().tobytes() == loop.tobytes()
 
     @pytest.mark.parametrize("seed", range(3))

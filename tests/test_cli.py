@@ -569,6 +569,17 @@ class TestSpectrumCommand:
         assert code == 0
         assert np.allclose(printed, np.linalg.eigvalsh(laplacian)[:3], atol=1e-6)
 
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_a_top_below_one_is_a_usage_error(self, graph_file, capsys, top):
+        """``--top`` is checked at the boundary: argparse exits 2 before the
+        graph is read or the eigensolver runs."""
+        path, _ = graph_file
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--input", path, "--top", top])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--top" in err and f"must be >= 1, got {top}" in err
+
 
 @pytest.mark.parametrize("command", ["cluster", "spectrum", "experiments"])
 @pytest.mark.parametrize("backend", ["gpu", "array"])

@@ -17,6 +17,7 @@ from repro.metrics import (
     cut_weight,
     directed_cut_matrix,
     flow_ratio,
+    label_scores,
     matched_accuracy,
     misclassified_count,
     mixed_modularity,
@@ -152,6 +153,102 @@ class TestContingencyTable:
         assert [np.float64(x).tobytes() for x in scores] == [
             np.float64(x).tobytes() for x in reference
         ]
+
+
+def unique_scores(truth, predicted) -> tuple[float, float]:
+    """Reference: ARI and matched accuracy as two ``np.unique``-coded
+    tables and ``np.isclose`` compute them."""
+    from scipy.optimize import linear_sum_assignment
+
+    def table_of():
+        t = np.asarray(truth, dtype=int).ravel()
+        p = np.asarray(predicted, dtype=int).ravel()
+        t_ids, t_codes = np.unique(t, return_inverse=True)
+        p_ids, p_codes = np.unique(p, return_inverse=True)
+        shape = (t_ids.size, p_ids.size)
+        cells = np.bincount(t_codes * shape[1] + p_codes, minlength=shape[0] * shape[1])
+        return cells.reshape(shape)
+
+    table = table_of()
+    n = table.sum()
+
+    def comb2(x):
+        return x * (x - 1) / 2.0
+
+    sum_cells = comb2(table.astype(float)).sum()
+    sum_rows = comb2(table.sum(axis=1).astype(float)).sum()
+    sum_cols = comb2(table.sum(axis=0).astype(float)).sum()
+    expected = sum_rows * sum_cols / comb2(float(n)) if n > 1 else 0.0
+    maximum = (sum_rows + sum_cols) / 2.0
+    if np.isclose(maximum, expected):
+        ari = 1.0
+    else:
+        ari = float((sum_cells - expected) / (maximum - expected))
+    table = table_of()
+    rows, cols = linear_sum_assignment(-table)
+    return ari, float(table[rows, cols].sum() / table.sum())
+
+
+#: Label ids from every regime of the one-table count: small and
+#: contiguous, negative and non-contiguous, and spans too wide to offset.
+label_ids = st.one_of(
+    st.integers(0, 3),
+    st.integers(-5, 5).map(lambda label: 7 * label - 3),
+    st.sampled_from([-(2**40), -1, 0, 5, 2**31, 2**40 + 3]),
+)
+
+
+@st.composite
+def scored_pairs(draw):
+    size = draw(st.integers(1, 80))
+    ids = draw(st.lists(label_ids, min_size=1, max_size=6, unique=True))
+    pair = st.lists(st.sampled_from(ids), min_size=size, max_size=size)
+    return draw(pair), draw(pair)
+
+
+def score_bytes(scores) -> list:
+    return [np.float64(score).tobytes() for score in scores]
+
+
+class TestLabelScores:
+    @given(pair=scored_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_one_table_matches_the_unique_reference(self, pair):
+        truth, predicted = pair
+        scores = label_scores(truth, predicted)
+        assert score_bytes(scores) == score_bytes(unique_scores(truth, predicted))
+        assert score_bytes(scores) == score_bytes(
+            (adjusted_rand_index(truth, predicted), matched_accuracy(truth, predicted))
+        )
+
+    @pytest.mark.parametrize(
+        "truth, predicted",
+        [
+            ([4] * 9, [4] * 9),  # one cluster each: the isclose branch
+            ([-3] * 5, [2**40] * 5),
+            ([0], [7]),  # a single node
+            ([0, 0, 1, 1], [5, 5, 5, 5]),
+        ],
+    )
+    def test_trivial_partitions(self, truth, predicted):
+        assert score_bytes(label_scores(truth, predicted)) == score_bytes(
+            unique_scores(truth, predicted)
+        )
+
+    def test_random_labels_at_experiment_size(self):
+        rng = np.random.default_rng(0)
+        for offset in (0, -17, 10**12):
+            truth = rng.integers(0, 4, size=600) + offset
+            predicted = rng.integers(0, 6, size=600) * 3 - offset
+            assert score_bytes(label_scores(truth, predicted)) == score_bytes(
+                unique_scores(truth, predicted)
+            )
+
+    def test_wide_id_spans_are_not_counted_densely(self):
+        """Ids 2**40 apart would need a 2**80-cell offset table; they are
+        coded by ``np.unique`` instead, to the same 2 × 2 table."""
+        table = contingency_table([0, 2**40, 0], [2**40, 0, 0])
+        assert np.array_equal(table, [[1, 1], [1, 0]])
 
 
 class TestGraphMetrics:
