@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig1_direction_sweep
+from repro.experiments.runner import SweepRunner
 
 
 @pytest.mark.benchmark(group="F1")
 def test_bench_direction_sweep(benchmark, quick_trials):
     records = benchmark.pedantic(
-        lambda: fig1_direction_sweep.run(
-            strengths=(0.5, 1.0), num_nodes=48, trials=quick_trials
-        ),
+        lambda: SweepRunner(
+            fig1_direction_sweep.spec(
+                strengths=(0.5, 1.0), num_nodes=48, trials=quick_trials
+            )
+        )
+        .run()
+        .records,
         rounds=1,
         iterations=1,
     )

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.experiments import fig3_runtime_scaling
+from repro.experiments.runner import SweepRunner
 
 
 @pytest.mark.benchmark(group="F3")
 def test_bench_runtime_scaling(benchmark):
     samples = benchmark.pedantic(
-        lambda: fig3_runtime_scaling.run(sizes=(64, 128, 256, 512)),
+        lambda: fig3_runtime_scaling.samples_from_records(
+            SweepRunner(fig3_runtime_scaling.spec(sizes=(64, 128, 256, 512)))
+            .run()
+            .records
+        ),
         rounds=1,
         iterations=1,
     )

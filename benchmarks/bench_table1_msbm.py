@@ -10,6 +10,7 @@ import pytest
 
 from repro import QSCConfig, QuantumSpectralClustering, adjusted_rand_index, mixed_sbm
 from repro.experiments import table1_msbm
+from repro.experiments.runner import SweepRunner
 from repro.graphs import ensure_connected
 from repro.spectral import ClassicalSpectralClustering
 
@@ -36,7 +37,11 @@ def test_bench_classical_pipeline_single_instance(benchmark):
 @pytest.mark.benchmark(group="T1")
 def test_bench_table1_rows(benchmark, quick_trials):
     records = benchmark.pedantic(
-        lambda: table1_msbm.run(sizes=(32,), cluster_counts=(2,), trials=quick_trials),
+        lambda: SweepRunner(
+            table1_msbm.spec(sizes=(32,), cluster_counts=(2,), trials=quick_trials)
+        )
+        .run()
+        .records,
         rounds=1,
         iterations=1,
     )

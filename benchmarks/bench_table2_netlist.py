@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from repro.experiments import table2_netlist
+from repro.experiments.runner import SweepRunner
 
 
 @pytest.mark.benchmark(group="T2")
 def test_bench_netlist_partitioning(benchmark, quick_trials):
     records = benchmark.pedantic(
-        lambda: table2_netlist.run(
-            module_counts=(3,), gates_per_module=12, trials=quick_trials
-        ),
+        lambda: SweepRunner(
+            table2_netlist.spec(
+                module_counts=(3,), gates_per_module=12, trials=quick_trials
+            )
+        )
+        .run()
+        .records,
         rounds=1,
         iterations=1,
     )

@@ -52,9 +52,16 @@ def run_fig1_smoke() -> None:
     import numpy as np
 
     from repro.experiments import fig1_direction_sweep
+    from repro.experiments.runner import SweepRunner
 
-    records = fig1_direction_sweep.run(
-        strengths=(0.5, 1.0), num_nodes=36, trials=3, shots=512
+    records = (
+        SweepRunner(
+            fig1_direction_sweep.spec(
+                strengths=(0.5, 1.0), num_nodes=36, trials=3, shots=512
+            )
+        )
+        .run()
+        .records
     )
     assert records, "fig1 smoke produced no records"
 

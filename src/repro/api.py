@@ -21,6 +21,7 @@ True
 
 from __future__ import annotations
 
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from urllib.parse import urlsplit
 
@@ -74,6 +75,13 @@ def cluster(
     if method == "quantum":
         resolved = config if config is not None else QSCConfig()
         if fields:
+            accepted = [field.name for field in dataclass_fields(QSCConfig)]
+            unknown = sorted(set(fields) - set(accepted))
+            if unknown:
+                raise ClusteringError(
+                    f"unknown quantum clustering fields: {unknown} "
+                    f"(accepted QSCConfig fields: {accepted})"
+                )
             resolved = replace(resolved, **fields)
         return QuantumSpectralClustering(num_clusters, resolved).fit(graph)
     if method == "classical":

@@ -192,16 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(default: no shared store)"
         ),
     )
-    cluster.add_argument(
-        "--draw-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "threads for the per-row readout RNG draw stages (results are "
-            "bit-identical at any value; default: serial)"
-        ),
-    )
     cluster.add_argument("--theta", type=float, default=float(np.pi / 2))
     cluster.add_argument("--seed", type=int, default=0)
     cluster.add_argument(
@@ -514,7 +504,6 @@ def _cmd_cluster(args) -> int:
             shard_workers=args.shard_workers,
             shard_failure_mode=args.shard_failure_mode,
             store_dir=args.store_dir,
-            draw_threads=args.draw_threads,
             theta=args.theta,
             seed=args.seed,
         )

@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.exceptions import ClusteringError
-from repro.graphs.generators import GENERATOR_VERSIONS
 from repro.linalg import BACKEND_NAMES as LINALG_BACKENDS
 
 BACKENDS = ("circuit", "analytic")
@@ -38,8 +37,23 @@ _OPTIONAL_INTEGER_FIELDS = (
     "readout_chunk_size",
     "readout_shards",
     "shard_workers",
-    "draw_threads",
 )
+
+
+def is_deadline(value) -> bool:
+    """True for a usable deadline: ``None`` or a finite positive real.
+
+    A bool is not a number of seconds, and a NaN deadline would never
+    fire (every ``now > deadline`` comparison is false).
+    """
+    if value is None:
+        return True
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -94,11 +108,10 @@ class QSCConfig:
         stage's ``incomplete_shards`` telemetry.
     shard_workers:
         Concurrent worker processes for the sharded readout stage.
-        ``None`` (default) caps in-flight attempts at ``os.cpu_count()``
-        — each worker inherits ``draw_threads``, so launching one process
-        per shard regardless of core count would oversubscribe the host
-        at high shard counts.  Worker concurrency never changes results
-        (shards merge in index order).  Exposed as ``--shard-workers``.
+        ``None`` (default) caps in-flight attempts at ``os.cpu_count()``,
+        so high shard counts do not oversubscribe the host.  Worker
+        concurrency never changes results (shards merge in index order).
+        Exposed as ``--shard-workers``.
     store_dir:
         Root directory of the shared content-addressed compute store
         (:mod:`repro.store`).  ``None`` (default) keeps the store
@@ -108,22 +121,6 @@ class QSCConfig:
         hits.  Purely an execution knob: a warm store is bit-transparent
         (hit or miss, outputs are identical) and the field never enters
         checkpoint fingerprints.  Exposed on the CLI as ``--store-dir``.
-    draw_threads:
-        Thread count for the readout pipeline's per-row RNG draw stages
-        (tomography magnitudes/phases and amplitude estimation).  Row
-        streams are independent and NumPy generators release the GIL while
-        sampling, so any value — including ``None``/1 (serial, the
-        default) — produces bit-identical results; larger values overlap
-        the draw-bound part of the fit on multicore hosts.  Exposed on the
-        CLI as ``--draw-threads``.
-    generator_version:
-        Seed contract of the synthetic-graph generators
-        (:data:`repro.graphs.generators.GENERATOR_VERSIONS`): ``"v1"``
-        (default) is the byte-stable legacy per-pair stream, ``"v2"`` the
-        vectorized block-wise stream.  The clustering pipeline itself
-        never samples graphs — the field travels with the config so
-        experiment sweeps record which generator contract produced their
-        inputs, and is exposed on the CLI as ``--generator-version``.
     histogram_shots:
         Shots spent on the global eigenvalue histogram used to pick the
         projection threshold.
@@ -180,8 +177,6 @@ class QSCConfig:
     shard_failure_mode: str = "raise"
     shard_workers: int | None = None
     store_dir: str | None = None
-    draw_threads: int | None = None
-    generator_version: str = "v1"
     backend: str = "analytic"
     spectral_engine: str = "v3"
     linalg_backend: str = "auto"
@@ -224,9 +219,10 @@ class QSCConfig:
             raise ClusteringError(
                 f"readout_shards must be >= 1 or None, got {self.readout_shards}"
             )
-        if self.shard_timeout is not None and self.shard_timeout <= 0:
+        if not is_deadline(self.shard_timeout):
             raise ClusteringError(
-                f"shard_timeout must be positive or None, got {self.shard_timeout}"
+                f"shard_timeout must be a finite positive number or None, "
+                f"got {self.shard_timeout!r}"
             )
         if self.shard_retries < 0:
             raise ClusteringError(
@@ -244,15 +240,6 @@ class QSCConfig:
         if self.store_dir is not None and not str(self.store_dir).strip():
             raise ClusteringError(
                 "store_dir must be a non-empty path or None"
-            )
-        if self.draw_threads is not None and self.draw_threads < 1:
-            raise ClusteringError(
-                f"draw_threads must be >= 1 or None, got {self.draw_threads}"
-            )
-        if self.generator_version not in GENERATOR_VERSIONS:
-            raise ClusteringError(
-                f"generator_version must be one of {GENERATOR_VERSIONS}, "
-                f"got {self.generator_version!r}"
             )
         if self.backend not in BACKENDS:
             raise ClusteringError(

@@ -51,7 +51,7 @@ import numpy as np
 from repro.exceptions import ClusteringError
 from repro.quantum.measurement import tomography_estimate_batch
 from repro.utils.linalg import row_blocks
-from repro.utils.rng import run_per_stream, spawn_rngs
+from repro.utils.rng import spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,6 @@ def readout_span(
     stop: int,
     *,
     chunk_size: int | None = None,
-    draw_threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Filter + tomography + amplitude estimation for rows ``[start, stop)``.
 
@@ -192,27 +191,19 @@ def readout_span(
             filtered[alive],
             shots,
             [row_rngs[index] for index in alive_local],
-            draw_threads=draw_threads,
         )
         if shots > 0:
             # Amplitude estimation of the acceptance probability: binomial
             # shot noise at the same budget, one draw per row from that
             # row's own stream (after its tomography draws, as in the seed
-            # loop) — chunked/threaded like the tomography draws, which
-            # cannot change any stream's output.
+            # loop).
             estimated = np.empty(alive.size)
             clipped = np.minimum(block_probabilities[alive], 1.0)
-
-            def draw_amplitudes(draw_start: int, draw_stop: int) -> None:
-                for index in range(draw_start, draw_stop):
-                    estimated[index] = (
-                        row_rngs[alive_local[index]].binomial(
-                            shots, clipped[index]
-                        )
-                        / shots
-                    )
-
-            run_per_stream(alive.size, draw_amplitudes, threads=draw_threads)
+            for index in range(alive.size):
+                estimated[index] = (
+                    row_rngs[alive_local[index]].binomial(shots, clipped[index])
+                    / shots
+                )
         else:
             estimated = block_probabilities[alive]
         amplitudes = np.sqrt(estimated)
@@ -229,7 +220,6 @@ def batched_readout(
     *,
     chunk_size: int | None = None,
     canonical_phases: bool = True,
-    draw_threads: int | None = None,
 ) -> ReadoutResult:
     """Run the full readout stage for every node of ``backend``.
 
@@ -259,11 +249,6 @@ def batched_readout(
     canonical_phases:
         Apply :func:`canonicalize_row_phases` before returning (the
         pipeline default; disable to inspect raw tomography output).
-    draw_threads:
-        Thread count for the per-row RNG draw stages (tomography and
-        amplitude estimation).  Row streams are independent, so any value
-        produces bit-identical output; ``None`` (default) stays serial.
-        Exposed as ``QSCConfig.draw_threads`` / ``--draw-threads``.
 
     Returns
     -------
@@ -282,7 +267,6 @@ def batched_readout(
         0,
         num_nodes,
         chunk_size=chunk_size,
-        draw_threads=draw_threads,
     )
     if canonical_phases:
         anchor_row_phases(rows)

@@ -17,10 +17,11 @@ Every figure/table module declares its sweep as a
 executes it through :class:`~repro.experiments.runner.SweepRunner` — the
 unified engine providing process-parallel trials (``jobs``), the spectral
 cache and uniform JSON artifacts (see ``docs/experiments.md``).  Each
-module keeps ``run(...)`` (structured records, legacy-compatible seeds), a
-renderer (``table``/``series``), and ``main()`` which prints the markdown
-quoted in EXPERIMENTS.md.  The matching pytest-benchmark targets live in
-``benchmarks/``; the CLI front end is ``python -m repro experiments``.
+module also keeps a markdown renderer (``table``/``series``).  A sweep
+runs one of three ways: ``python -m repro experiments`` (the CLI front
+end), ``SweepRunner(module.spec(...), jobs=...).run()``, or
+:func:`repro.api.run_experiment`.  The matching pytest-benchmark targets
+live in ``benchmarks/``.
 """
 
 from repro.experiments import (

@@ -28,7 +28,7 @@ from repro.experiments.common import (
     standard_methods,
     trial_graph,
 )
-from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
+from repro.experiments.runner import SweepAxis, SweepSpec
 from repro.graphs import cyclic_flow_sbm
 
 DEFAULT_STRENGTHS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -75,7 +75,6 @@ def _trial(
         precision_bits=precision_bits,
         shots=shots,
         seed=seed,
-        generator_version=generator_version,
         readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
@@ -108,7 +107,7 @@ def spec(
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
-    """The declarative F1 sweep (same knobs as :func:`run`).
+    """The declarative F1 sweep.
 
     ``generator_version`` picks the graph-generator seed contract; it is
     recorded in the sweep's ``fixed`` parameters, so every JSON artifact
@@ -143,45 +142,6 @@ def spec(
     )
 
 
-def run(
-    strengths=DEFAULT_STRENGTHS,
-    num_nodes: int = 72,
-    num_clusters: int = 3,
-    density: float = 0.3,
-    trials: int = DEFAULT_TRIALS,
-    precision_bits: int = 7,
-    shots: int = 1024,
-    base_seed: int = DEFAULT_BASE_SEED,
-    generator_version: str = "v1",
-    readout_shards: int | None = None,
-    store_dir: str | None = None,
-    linalg_backend: str = "auto",
-    jobs: int = 1,
-) -> list[TrialRecord]:
-    """Run the F1 direction-strength sweep through the sweep engine."""
-    return (
-        SweepRunner(
-            spec(
-                strengths=strengths,
-                num_nodes=num_nodes,
-                num_clusters=num_clusters,
-                density=density,
-                trials=trials,
-                precision_bits=precision_bits,
-                shots=shots,
-                base_seed=base_seed,
-                generator_version=generator_version,
-                readout_shards=readout_shards,
-                store_dir=store_dir,
-                linalg_backend=linalg_backend,
-            ),
-            jobs=jobs,
-        )
-        .run()
-        .records
-    )
-
-
 def series(records: list[TrialRecord]) -> str:
     """Markdown rendering of the F1 curves (one row per point)."""
     rows = aggregate(records, ("strength",))
@@ -189,13 +149,3 @@ def series(records: list[TrialRecord]) -> str:
         rows, ["strength", "method", "trials", "ari_mean", "ari_std"]
     )
 
-
-def main() -> str:
-    """Run with defaults and return the rendered series."""
-    output = series(run())
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

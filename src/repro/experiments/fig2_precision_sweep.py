@@ -5,8 +5,7 @@ Swept knobs: the QPE ancilla count ``p`` (the only axis) over per-trial
 seeds; fixed knobs: graph size, cluster count, tomography shots and the
 optional small-n circuit-backend cross-check.  The sweep runs through
 :class:`repro.experiments.runner.SweepRunner` (``spec()`` builds the
-declarative description; ``run()`` is the serial-compatible wrapper) and
-reports three quantities per point:
+declarative description) and reports three quantities per point:
 
 * ``eig_rmse`` — RMS eigenvalue quantization error, which halves per added
   bit (the ε_λ precision parameter of the theory);
@@ -42,7 +41,7 @@ from repro.experiments.common import (
     render_markdown_table,
     trial_graph,
 )
-from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
+from repro.experiments.runner import SweepAxis, SweepSpec
 from repro.graphs import mixed_sbm
 from repro.metrics import label_scores
 from repro.pipeline import QSCPipeline
@@ -116,7 +115,6 @@ def _trial(
         precision_bits=precision,
         shots=shots,
         seed=seed,
-        generator_version=generator_version,
         readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
@@ -156,7 +154,6 @@ def _trial(
             precision_bits=precision,
             shots=shots,
             seed=seed,
-            generator_version=generator_version,
             readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
@@ -193,7 +190,7 @@ def spec(
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
-    """The declarative F2 sweep (same knobs as :func:`run`)."""
+    """The declarative F2 sweep."""
     return SweepSpec(
         name="fig2",
         artifact="Figure 2",
@@ -219,45 +216,6 @@ def spec(
     )
 
 
-def run(
-    precisions=DEFAULT_PRECISIONS,
-    num_nodes: int = 48,
-    num_clusters: int = 2,
-    trials: int = DEFAULT_TRIALS,
-    shots: int = 1024,
-    base_seed: int = DEFAULT_BASE_SEED,
-    include_circuit: bool = False,
-    circuit_num_nodes: int = 12,
-    generator_version: str = "v1",
-    readout_shards: int | None = None,
-    store_dir: str | None = None,
-    linalg_backend: str = "auto",
-    jobs: int = 1,
-) -> list[TrialRecord]:
-    """Run the F2 precision sweep through the sweep engine."""
-    return (
-        SweepRunner(
-            spec(
-                precisions=precisions,
-                num_nodes=num_nodes,
-                num_clusters=num_clusters,
-                trials=trials,
-                shots=shots,
-                base_seed=base_seed,
-                include_circuit=include_circuit,
-                circuit_num_nodes=circuit_num_nodes,
-                generator_version=generator_version,
-                readout_shards=readout_shards,
-                store_dir=store_dir,
-                linalg_backend=linalg_backend,
-            ),
-            jobs=jobs,
-        )
-        .run()
-        .records
-    )
-
-
 def series(records: list[TrialRecord]) -> str:
     """Markdown rendering of the F2 curves (error, leakage, ARI vs p)."""
     rows = aggregate(records, ("p",))
@@ -276,13 +234,3 @@ def series(records: list[TrialRecord]) -> str:
         ["p", "method", "trials", "ari_mean", "ari_std", "eig_rmse", "bulk_leakage"],
     )
 
-
-def main() -> str:
-    """Run with defaults (including circuit cross-check) and print."""
-    output = series(run(include_circuit=True))
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -7,7 +7,8 @@ fixed knobs: cluster count, average degree, QPE precision and shots.  The
 sweep runs through :class:`repro.experiments.runner.SweepRunner`; records
 carry no ARI/accuracy (there is no ground truth to score) — each row's
 measurements live in ``extra`` and are also available as
-:class:`~repro.core.runtime_model.RuntimeSample` via :func:`run`.
+:class:`~repro.core.runtime_model.RuntimeSample` via
+:func:`samples_from_records`.
 
 For a sweep of graph sizes, measures the classical eigensolvers (dense
 LAPACK and our Lanczos) and evaluates the modeled quantum step count (see
@@ -24,7 +25,7 @@ from dataclasses import asdict
 
 from repro.core.runtime_model import RuntimeSample, fitted_exponent, profile_graph
 from repro.experiments.common import SWEEP_SPECTRAL_ENGINE, TrialRecord
-from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
+from repro.experiments.runner import SweepAxis, SweepSpec
 from repro.graphs import ensure_connected, mixed_sbm
 
 DEFAULT_SIZES = (64, 128, 256, 512, 1024)
@@ -110,7 +111,7 @@ def spec(
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
-    """The declarative F3 sweep (same knobs as :func:`run`)."""
+    """The declarative F3 sweep."""
     return SweepSpec(
         name="fig3",
         artifact="Figure 3",
@@ -133,42 +134,6 @@ def spec(
         },
         render=render_records,
     )
-
-
-def run(
-    sizes=DEFAULT_SIZES,
-    num_clusters: int = 2,
-    average_degree: float = 8.0,
-    precision_bits: int = 6,
-    shots: int = 256,
-    base_seed: int = DEFAULT_BASE_SEED,
-    generator_version: str = "v1",
-    readout_shards: int | None = None,
-    store_dir: str | None = None,
-    linalg_backend: str = "auto",
-    jobs: int = 1,
-) -> list[RuntimeSample]:
-    """Profile one sparse mixed SBM per size (constant average degree)."""
-    records = (
-        SweepRunner(
-            spec(
-                sizes=sizes,
-                num_clusters=num_clusters,
-                average_degree=average_degree,
-                precision_bits=precision_bits,
-                shots=shots,
-                base_seed=base_seed,
-                generator_version=generator_version,
-                readout_shards=readout_shards,
-                store_dir=store_dir,
-                linalg_backend=linalg_backend,
-            ),
-            jobs=jobs,
-        )
-        .run()
-        .records
-    )
-    return samples_from_records(records)
 
 
 def exponents(samples: list[RuntimeSample]) -> dict[str, float]:
@@ -207,13 +172,3 @@ def render_records(records: list[TrialRecord]) -> str:
     """Record-level renderer used by the sweep engine and CLI artifacts."""
     return series(samples_from_records(records))
 
-
-def main() -> str:
-    """Run with defaults and return the rendered series."""
-    output = series(run())
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -34,7 +34,7 @@ from repro.experiments.common import (
     render_markdown_table,
     trial_graph,
 )
-from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
+from repro.experiments.runner import SweepAxis, SweepSpec
 from repro.graphs import mixed_sbm
 from repro.metrics import label_scores
 from repro.pipeline import QSCPipeline
@@ -82,7 +82,6 @@ def _trial(
             precision_bits=precision_bits,
             shots=0,
             seed=seed,
-            generator_version=generator_version,
             readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
@@ -100,7 +99,6 @@ def _trial(
             precision_bits=precision_bits,
             shots=shots,
             seed=seed,
-            generator_version=generator_version,
             readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
@@ -142,7 +140,7 @@ def spec(
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
-    """The declarative F4 sweep (same knobs as :func:`run`)."""
+    """The declarative F4 sweep."""
     return SweepSpec(
         name="fig4",
         artifact="Figure 4",
@@ -166,41 +164,6 @@ def spec(
     )
 
 
-def run(
-    shot_budgets=DEFAULT_SHOTS,
-    num_nodes: int = 48,
-    num_clusters: int = 2,
-    trials: int = DEFAULT_TRIALS,
-    precision_bits: int = 7,
-    base_seed: int = DEFAULT_BASE_SEED,
-    generator_version: str = "v1",
-    readout_shards: int | None = None,
-    store_dir: str | None = None,
-    linalg_backend: str = "auto",
-    jobs: int = 1,
-) -> list[TrialRecord]:
-    """Run the F4 shots sweep through the sweep engine."""
-    return (
-        SweepRunner(
-            spec(
-                shot_budgets=shot_budgets,
-                num_nodes=num_nodes,
-                num_clusters=num_clusters,
-                trials=trials,
-                precision_bits=precision_bits,
-                base_seed=base_seed,
-                generator_version=generator_version,
-                readout_shards=readout_shards,
-                store_dir=store_dir,
-                linalg_backend=linalg_backend,
-            ),
-            jobs=jobs,
-        )
-        .run()
-        .records
-    )
-
-
 def series(records: list[TrialRecord]) -> str:
     """Markdown rendering of the F4 curve with mean embedding error."""
     rows = aggregate(records, ("shots",))
@@ -216,13 +179,3 @@ def series(records: list[TrialRecord]) -> str:
         rows, ["shots", "method", "trials", "ari_mean", "ari_std", "embed_err"]
     )
 
-
-def main() -> str:
-    """Run with defaults and return the rendered series."""
-    output = series(run())
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

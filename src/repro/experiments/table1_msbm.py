@@ -27,7 +27,7 @@ from repro.experiments.common import (
     standard_methods,
     trial_graph,
 )
-from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
+from repro.experiments.runner import SweepAxis, SweepSpec
 from repro.graphs import mixed_sbm
 
 DEFAULT_SIZES = (32, 64, 128)
@@ -71,7 +71,6 @@ def _trial(
         precision_bits=precision_bits,
         shots=shots,
         seed=seed,
-        generator_version=generator_version,
         readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
@@ -102,7 +101,7 @@ def spec(
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
-    """The declarative T1 sweep (same knobs as :func:`run`)."""
+    """The declarative T1 sweep."""
     return SweepSpec(
         name="table1",
         artifact="Table 1",
@@ -128,41 +127,6 @@ def spec(
     )
 
 
-def run(
-    sizes=DEFAULT_SIZES,
-    cluster_counts=DEFAULT_CLUSTERS,
-    trials: int = DEFAULT_TRIALS,
-    precision_bits: int = 7,
-    shots: int = 1024,
-    base_seed: int = DEFAULT_BASE_SEED,
-    generator_version: str = "v1",
-    readout_shards: int | None = None,
-    store_dir: str | None = None,
-    linalg_backend: str = "auto",
-    jobs: int = 1,
-) -> list[TrialRecord]:
-    """Run the T1 sweep and return one record per (method, instance)."""
-    return (
-        SweepRunner(
-            spec(
-                sizes=sizes,
-                cluster_counts=cluster_counts,
-                trials=trials,
-                precision_bits=precision_bits,
-                shots=shots,
-                base_seed=base_seed,
-                generator_version=generator_version,
-                readout_shards=readout_shards,
-                store_dir=store_dir,
-                linalg_backend=linalg_backend,
-            ),
-            jobs=jobs,
-        )
-        .run()
-        .records
-    )
-
-
 def table(records: list[TrialRecord]) -> str:
     """Markdown rendering of the T1 table."""
     rows = aggregate(records, ("n", "k"))
@@ -171,13 +135,3 @@ def table(records: list[TrialRecord]) -> str:
         ["n", "k", "method", "trials", "ari_mean", "ari_std", "acc_mean"],
     )
 
-
-def main() -> str:
-    """Run with default parameters and return the rendered table."""
-    output = table(run())
-    print(output)
-    return output
-
-
-if __name__ == "__main__":
-    main()

@@ -31,7 +31,7 @@ from repro.experiments.common import (
     standard_methods,
     trial_graph,
 )
-from repro.experiments.runner import SweepAxis, SweepRunner, SweepSpec
+from repro.experiments.runner import SweepAxis, SweepSpec
 from repro.graphs import ensure_connected, load_c17, synthetic_netlist
 from repro.metrics import partition_summary
 
@@ -130,7 +130,7 @@ def spec(
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
-    """The declarative T2 sweep (same knobs as :func:`run`).
+    """The declarative T2 sweep.
 
     T2's graphs come from deterministic synthetic netlists, not the SBM
     generators, so ``generator_version`` changes nothing here; it is
@@ -160,33 +160,6 @@ def spec(
     )
 
 
-def run(
-    module_counts=DEFAULT_MODULES,
-    gates_per_module: int = 14,
-    trials: int = DEFAULT_TRIALS,
-    precision_bits: int = 7,
-    shots: int = 2048,
-    base_seed: int = DEFAULT_BASE_SEED,
-    jobs: int = 1,
-) -> list[TrialRecord]:
-    """Run the T2 sweep over module counts and seeds."""
-    return (
-        SweepRunner(
-            spec(
-                module_counts=module_counts,
-                gates_per_module=gates_per_module,
-                trials=trials,
-                precision_bits=precision_bits,
-                shots=shots,
-                base_seed=base_seed,
-            ),
-            jobs=jobs,
-        )
-        .run()
-        .records
-    )
-
-
 def c17_partition(num_clusters: int = 2, seed: int = 0) -> dict:
     """Cluster the embedded c17 benchmark and report its cut metrics."""
     graph = load_c17().to_mixed_graph(net_cliques=True)
@@ -213,19 +186,3 @@ def table(records: list[TrialRecord]) -> str:
         rows, ["modules", "method", "trials", "ari_mean", "ari_std", "acc_mean"]
     )
 
-
-def main() -> str:
-    """Run with defaults, print the table plus the c17 summary."""
-    output = table(run())
-    print(output)
-    summary = c17_partition()
-    line = "c17 (circuit backend): " + ", ".join(
-        f"{key}={value:.3f}" if isinstance(value, float) else f"{key}={value}"
-        for key, value in summary.items()
-    )
-    print(line)
-    return output + "\n" + line
-
-
-if __name__ == "__main__":
-    main()

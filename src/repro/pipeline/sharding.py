@@ -114,7 +114,7 @@ def shard_fingerprint(
     )
 
 
-def compute_shard(backend, accepted, shots, shard_rngs, shard, options) -> dict:
+def compute_shard(backend, accepted, shots, shard_rngs, shard, chunk_size) -> dict:
     """Worker entry point: the readout payload of one shard.
 
     ``shard_rngs`` are the shard's own per-row generators
@@ -130,8 +130,7 @@ def compute_shard(backend, accepted, shots, shard_rngs, shard, options) -> dict:
         shard_rngs,
         shard.start,
         shard.stop,
-        chunk_size=options.get("chunk_size"),
-        draw_threads=options.get("draw_threads"),
+        chunk_size=chunk_size,
     )
     return {"rows": rows, "norms": norms, "probabilities": probabilities}
 
@@ -139,9 +138,8 @@ def compute_shard(backend, accepted, shots, shard_rngs, shard, options) -> dict:
 def default_max_workers() -> int:
     """Worker cap used when the caller passes ``max_workers=None``.
 
-    One in-flight attempt per core: each worker process inherits
-    ``draw_threads``, so launching every shard at once at high shard
-    counts would oversubscribe (or exhaust) the host.
+    One in-flight attempt per core: launching every shard at once at high
+    shard counts would oversubscribe (or exhaust) the host.
     """
     return os.cpu_count() or 1
 
@@ -191,7 +189,6 @@ def sharded_readout(
     *,
     shard_count: int,
     chunk_size: int | None = None,
-    draw_threads: int | None = None,
     canonical_phases: bool = True,
     executor=None,
     timeout: float | None = None,
@@ -207,8 +204,7 @@ def sharded_readout(
 
     Parameters
     ----------
-    backend, accepted, shots, rng, chunk_size, draw_threads,
-    canonical_phases:
+    backend, accepted, shots, rng, chunk_size, canonical_phases:
         Exactly as :func:`~repro.core.readout.batched_readout`; the merged
         result is bit-identical to it for any ``shard_count`` that leaves
         no one-row shard (at most ``num_rows // 2``).
@@ -250,7 +246,6 @@ def sharded_readout(
     # hand each shard its own slice — spawning is stateful on a Generator,
     # so per-shard spawning would change the layout.
     row_rngs = spawn_rngs(rng, num_rows)
-    options = {"chunk_size": chunk_size, "draw_threads": draw_threads}
 
     store = active_store()
     payloads: dict[int, dict] = {}
@@ -303,7 +298,7 @@ def sharded_readout(
             ShardTask(
                 index=shard.index,
                 fn=compute_shard,
-                args=(backend, accepted, shots, shard_rngs, shard, options),
+                args=(backend, accepted, shots, shard_rngs, shard, chunk_size),
             )
         )
 

@@ -223,7 +223,6 @@ class ReadoutStage(Stage):
                 cfg.shots,
                 ctx.rngs["rows"],
                 chunk_size=cfg.readout_chunk_size,
-                draw_threads=cfg.draw_threads,
             )
         else:
             # Deferred import: sharding pulls in the supervisor machinery,
@@ -237,7 +236,6 @@ class ReadoutStage(Stage):
                 ctx.rngs["rows"],
                 shard_count=cfg.readout_shards,
                 chunk_size=cfg.readout_chunk_size,
-                draw_threads=cfg.draw_threads,
                 timeout=cfg.shard_timeout,
                 retries=cfg.shard_retries,
                 on_failure=cfg.shard_failure_mode,

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.config import SHARD_FAILURE_MODES as FAILURE_MODES
+from repro.core.config import is_deadline
 from repro.exceptions import ClusteringError
 
 
@@ -311,8 +312,10 @@ class ShardSupervisor:
         on_failure: str = "raise",
         poll_interval: float = 0.002,
     ):
-        if timeout is not None and timeout <= 0:
-            raise ClusteringError(f"timeout must be positive or None, got {timeout}")
+        if not is_deadline(timeout):
+            raise ClusteringError(
+                f"timeout must be a finite positive number or None, got {timeout!r}"
+            )
         if retries < 0:
             raise ClusteringError(f"retries must be >= 0, got {retries}")
         if on_failure not in FAILURE_MODES:

@@ -11,16 +11,13 @@ Kerenidis–Prakash vector-tomography guarantee the paper builds on.
 :func:`tomography_estimate_batch` is the same model vectorized across many
 states at once: all deterministic arithmetic (normalization, magnitudes,
 phase noise application) runs as whole-matrix NumPy operations, while the
-random draws are taken from one caller-supplied generator *per row*.  The
-draw stage runs in row chunks through
-:func:`repro.utils.rng.run_per_stream` — each row's magnitude multinomial
-and phase normals are back-to-back batched calls on that row's own stream,
-and chunks of independent streams can execute on a thread pool.  Because
-each row consumes exactly the draws — same distributions, same arguments,
-same order — that :func:`tomography_estimate` would take from the same
-generator, the batched path is bit-identical to a per-row loop at the same
-seeds for *any* chunk size or thread count; :func:`tomography_estimate` is
-in fact a batch of one.
+random draws are taken from one caller-supplied generator *per row*: two
+plain row loops draw every row's magnitude multinomial, then every row's
+phase normals, each from that row's own stream.  Because each row consumes
+exactly the draws — same distributions, same arguments, same order — that
+:func:`tomography_estimate` would take from the same generator, the batched
+path is bit-identical to a per-row loop at the same seeds;
+:func:`tomography_estimate` is in fact a batch of one.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import EncodingError
-from repro.utils.rng import ensure_rng, run_per_stream
+from repro.utils.rng import ensure_rng
 
 
 def counts_to_probabilities(counts: dict[int, int], dim: int) -> np.ndarray:
@@ -92,9 +89,6 @@ def tomography_estimate_batch(
     states: np.ndarray,
     shots: int,
     rngs,
-    *,
-    draw_threads: int | None = None,
-    draw_chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`tomography_estimate` across many states at once.
 
@@ -111,16 +105,6 @@ def tomography_estimate_batch(
         from ``rngs[i]``, in the same order as the scalar path, so a batch
         is bit-identical to looping :func:`tomography_estimate` over rows
         with the same generators.
-    draw_threads:
-        Thread count for the per-stream draw stage (``None``/1 = serial).
-        Row streams are independent and NumPy's generators release the GIL
-        while sampling, so the magnitude/phase draws of different rows
-        overlap on a thread pool — with output bit-identical to the serial
-        pass at any thread count.
-    draw_chunk_rows:
-        Rows per draw chunk (default
-        :data:`repro.utils.rng.DEFAULT_DRAW_CHUNK_ROWS`); chunking never
-        changes results either.
 
     Returns
     -------
@@ -151,19 +135,10 @@ def tomography_estimate_batch(
     probability = squared / squared_norms[:, None]
     counts = np.empty((num_rows, dim))
 
-    # Chunked per-stream draw pass 1: the magnitude multinomial of every
-    # row, from that row's own generator.  Chunks touch disjoint rows, so
-    # neither chunk size nor thread count can change any stream's draws.
-    def draw_magnitudes(start: int, stop: int) -> None:
-        for row in range(start, stop):
-            counts[row] = rngs[row].multinomial(magnitude_shots, probability[row])
-
-    run_per_stream(
-        num_rows,
-        draw_magnitudes,
-        threads=draw_threads,
-        chunk_rows=draw_chunk_rows,
-    )
+    # Draw pass 1: the magnitude multinomial of every row, from that row's
+    # own generator.
+    for row in range(num_rows):
+        counts[row] = rngs[row].multinomial(magnitude_shots, probability[row])
     magnitudes = np.sqrt(counts / magnitude_shots)
     # Relative-phase estimation: each component's phase is measured through
     # interference against a reference component; the phase error of
@@ -183,20 +158,12 @@ def tomography_estimate_batch(
     noise = np.empty(phase_sigma.size)
     offsets = np.concatenate([[0], np.cumsum(observed_per_row)])
 
-    # Chunked per-stream draw pass 2: each row's phase normals, drawn
-    # after its multinomial exactly as the scalar path orders them; rows
-    # write disjoint slices of the flattened noise vector.
-    def draw_phases(start: int, stop: int) -> None:
-        for row in range(start, stop):
-            low, high = offsets[row], offsets[row + 1]
-            noise[low:high] = rngs[row].normal(0.0, phase_sigma[low:high])
-
-    run_per_stream(
-        num_rows,
-        draw_phases,
-        threads=draw_threads,
-        chunk_rows=draw_chunk_rows,
-    )
+    # Draw pass 2: each row's phase normals, drawn after its multinomial
+    # exactly as the scalar path orders them; rows write disjoint slices
+    # of the flattened noise vector.
+    for row in range(num_rows):
+        low, high = offsets[row], offsets[row + 1]
+        noise[low:high] = rngs[row].normal(0.0, phase_sigma[low:high])
     phases = np.arctan2(states.imag[observed], states.real[observed]) + noise
     values = magnitudes[observed]
     estimates = np.zeros((num_rows, dim), dtype=complex)

@@ -41,9 +41,11 @@ the store without running anything (its transcript shows
 from __future__ import annotations
 
 import asyncio
+import numbers
 import threading
 from dataclasses import dataclass, field
 
+from repro.core.config import is_deadline
 from repro.exceptions import ReproError, ServiceError
 from repro.experiments.runner import job_fingerprint, normalize_job
 from repro.pipeline.supervisor import (
@@ -138,6 +140,19 @@ class JobManager:
     ):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
+        if not is_deadline(job_timeout):
+            raise ServiceError(
+                f"job_timeout must be a finite positive number or None, "
+                f"got {job_timeout!r}"
+            )
+        if (
+            isinstance(job_retries, bool)
+            or not isinstance(job_retries, numbers.Integral)
+            or job_retries < 0
+        ):
+            raise ServiceError(
+                f"job_retries must be a non-negative integer, got {job_retries!r}"
+            )
         if max_queued is not None and max_queued < 1:
             raise ServiceError(f"max_queued must be >= 1, got {max_queued}")
         if max_jobs_per_tenant is not None and max_jobs_per_tenant < 1:

@@ -49,54 +49,3 @@ def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
-
-#: Rows per chunk when per-stream draw loops are executed through
-#: :func:`run_per_stream` — large enough to amortize dispatch, small
-#: enough that a thread pool sees work to steal.
-DEFAULT_DRAW_CHUNK_ROWS = 256
-
-
-def run_per_stream(
-    num_rows: int,
-    worker,
-    *,
-    threads: int | None = None,
-    chunk_rows: int | None = None,
-) -> None:
-    """Run ``worker(start, stop)`` over contiguous row chunks.
-
-    The executor behind the batched per-stream draw loops (tomography
-    magnitude/phase draws, readout amplitude estimation): rows are split
-    into ``chunk_rows``-sized spans and each span's draws run as one
-    batched call sequence.  ``worker`` must touch only row-private state —
-    row ``i``'s own generator and row ``i``'s slices of output arrays — so
-    neither the chunk size nor the thread count can change any result:
-    every stream consumes exactly the same draws in the same order.
-
-    ``threads > 1`` executes chunks on a thread pool.  NumPy's
-    ``Generator`` releases the GIL while filling arrays, so the C-level
-    sampling of *independent* streams genuinely overlaps; output is
-    bit-identical to the serial pass.
-    """
-    if num_rows <= 0:
-        return
-    if chunk_rows is None:
-        chunk_rows = DEFAULT_DRAW_CHUNK_ROWS
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1 or None, got {threads}")
-    spans = [
-        (start, min(start + chunk_rows, num_rows))
-        for start in range(0, num_rows, chunk_rows)
-    ]
-    if threads is None or threads == 1 or len(spans) == 1:
-        for start, stop in spans:
-            worker(start, stop)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, start, stop) for start, stop in spans]
-        for future in futures:
-            future.result()

@@ -1,117 +1,67 @@
-"""Chunked/threaded per-stream draw execution: invariance guarantees.
+"""Per-row draw streams: a batch equals a per-row scalar loop.
 
-The readout pipeline's RNG draws run through
-:func:`repro.utils.rng.run_per_stream`; because every row draws only from
-its own generator, neither the chunk size nor the thread count may change
-a single output bit.  These tests pin that for the executor itself, the
-tomography batch, the full readout stage and the end-to-end fit.
+Every row of the readout draws only from its own generator, in the order
+the scalar APIs take their draws, so a batched pass must reproduce a loop
+over rows bit for bit.  These tests pin that for the tomography batch and
+for the readout stage's row spans.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import QSCConfig, QuantumSpectralClustering
 from repro.core.projection import accepted_outcomes
 from repro.core.qpe_engine import AnalyticQPEBackend
-from repro.core.readout import batched_readout
-from repro.exceptions import ClusteringError
+from repro.core.readout import batched_readout, readout_span
 from repro.graphs import hermitian_laplacian, mixed_sbm
-from repro.quantum.measurement import tomography_estimate_batch
-from repro.utils.rng import run_per_stream, spawn_rngs
+from repro.quantum.measurement import tomography_estimate, tomography_estimate_batch
+from repro.utils.rng import spawn_rngs
 
 
-class TestRunPerStream:
-    def test_covers_every_row_exactly_once(self):
-        seen = []
-        run_per_stream(10, lambda a, b: seen.extend(range(a, b)), chunk_rows=3)
-        assert seen == list(range(10))
-
-    def test_threaded_covers_every_row(self):
-        hits = np.zeros(100, dtype=int)
-
-        def worker(start, stop):
-            hits[start:stop] += 1
-
-        run_per_stream(100, worker, threads=4, chunk_rows=7)
-        assert (hits == 1).all()
-
-    def test_zero_rows_is_a_noop(self):
-        run_per_stream(0, lambda a, b: pytest.fail("should not run"))
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            run_per_stream(5, lambda a, b: None, chunk_rows=0)
-        with pytest.raises(ValueError):
-            run_per_stream(5, lambda a, b: None, threads=0)
-
-
-class TestTomographyDrawInvariance:
+class TestTomographyBatchIsAPerRowLoop:
     @pytest.fixture()
     def states(self):
         rng = np.random.default_rng(11)
         return rng.normal(size=(120, 32)) + 1j * rng.normal(size=(120, 32))
 
-    def test_thread_and_chunk_invariance(self, states):
-        reference = tomography_estimate_batch(
+    @pytest.mark.parametrize("shots", [0, 1, 128])
+    def test_batch_equals_scalar_loop(self, states, shots):
+        batch = tomography_estimate_batch(
+            states, shots, spawn_rngs(9, states.shape[0])
+        )
+        loop_rngs = spawn_rngs(9, states.shape[0])
+        loop = np.stack(
+            [
+                tomography_estimate(state, shots, seed=rng)
+                for state, rng in zip(states, loop_rngs)
+            ]
+        )
+        assert np.array_equal(batch, loop)
+
+    def test_rows_draw_only_from_their_own_stream(self, states):
+        """Reversing the rows (and their generators) reverses the output."""
+        forward = tomography_estimate_batch(
             states, 128, spawn_rngs(9, states.shape[0])
         )
-        variants = [
-            dict(draw_threads=4),
-            dict(draw_chunk_rows=1),
-            dict(draw_chunk_rows=7, draw_threads=3),
-        ]
-        for kwargs in variants:
-            result = tomography_estimate_batch(
-                states, 128, spawn_rngs(9, states.shape[0]), **kwargs
-            )
-            assert np.array_equal(reference, result), kwargs
-
-    def test_noiseless_path_ignores_draw_options(self, states):
-        reference = tomography_estimate_batch(
-            states, 0, spawn_rngs(9, states.shape[0])
+        backward = tomography_estimate_batch(
+            states[::-1], 128, spawn_rngs(9, states.shape[0])[::-1]
         )
-        threaded = tomography_estimate_batch(
-            states, 0, spawn_rngs(9, states.shape[0]), draw_threads=2
-        )
-        assert np.array_equal(reference, threaded)
+        assert np.array_equal(forward, backward[::-1])
 
 
-class TestReadoutDrawInvariance:
+class TestReadoutSpans:
     @pytest.fixture()
     def backend(self):
         graph, _ = mixed_sbm(24, 2, p_intra=0.6, p_inter=0.05, seed=2)
         return AnalyticQPEBackend(hermitian_laplacian(graph), 5)
 
-    def test_draw_threads_bit_identical(self, backend):
+    def test_spans_of_the_row_layout_rebuild_the_readout(self, backend):
         accepted = accepted_outcomes(0.5, 5, backend.lambda_scale)
-        serial = batched_readout(backend, accepted, 256, 31)
-        threaded = batched_readout(
-            backend, accepted, 256, 31, draw_threads=4
-        )
-        assert np.array_equal(serial.rows, threaded.rows)
-        assert np.array_equal(serial.norms, threaded.norms)
-        assert np.array_equal(serial.probabilities, threaded.probabilities)
-
-    def test_draw_threads_compose_with_chunking(self, backend):
-        accepted = accepted_outcomes(0.5, 5, backend.lambda_scale)
-        reference = batched_readout(backend, accepted, 128, 7)
-        chunked = batched_readout(
-            backend, accepted, 128, 7, chunk_size=5, draw_threads=3
-        )
-        assert np.array_equal(reference.rows, chunked.rows)
-
-
-class TestFitDrawThreads:
-    def test_fit_bit_identical_across_thread_counts(self):
-        graph, _ = mixed_sbm(32, 2, p_intra=0.5, p_inter=0.05, seed=6)
-        serial = QuantumSpectralClustering(2, QSCConfig(seed=8)).fit(graph)
-        threaded = QuantumSpectralClustering(
-            2, QSCConfig(seed=8, draw_threads=4)
-        ).fit(graph)
-        assert np.array_equal(serial.labels, threaded.labels)
-        assert np.array_equal(serial.embedding, threaded.embedding)
-        assert np.array_equal(serial.row_norms, threaded.row_norms)
-
-    def test_config_rejects_invalid_draw_threads(self):
-        with pytest.raises(ClusteringError):
-            QSCConfig(draw_threads=0)
+        whole = batched_readout(backend, accepted, 256, 31, canonical_phases=False)
+        rngs = spawn_rngs(31, backend.num_nodes)
+        parts = [
+            readout_span(backend, accepted, 256, rngs[start:stop], start, stop)
+            for start, stop in ((0, 10), (10, 24))
+        ]
+        for index, field in enumerate(("rows", "norms", "probabilities")):
+            merged = np.concatenate([part[index] for part in parts])
+            assert np.array_equal(merged, getattr(whole, field)), field

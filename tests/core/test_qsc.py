@@ -56,7 +56,6 @@ class TestConfig:
             ("readout_chunk_size", 8.5),
             ("readout_shards", True),
             ("shard_workers", 2.0),
-            ("draw_threads", 1.0),
             ("qmeans_delta", float("nan")),
             ("qmeans_delta", float("inf")),
             ("eigenvalue_threshold", float("nan")),
@@ -91,7 +90,6 @@ INTEGER_FIELDS = (
     "readout_chunk_size",
     "readout_shards",
     "shard_workers",
-    "draw_threads",
 )
 
 #: Values a closed-vocabulary field accepted once and now rejects.
@@ -128,7 +126,6 @@ class TestConfigFieldMatrix:
             ("readout_chunk_size", 1, 0),
             ("readout_shards", 1, 0),
             ("shard_workers", 1, 0),
-            ("draw_threads", 1, 0),
             ("shard_timeout", 1e-9, 0.0),
             ("qmeans_delta", 0.0, -1e-9),
             ("eigenvalue_threshold", 1e-9, 0.0),
@@ -143,7 +140,6 @@ class TestConfigFieldMatrix:
         "field, vocabulary",
         [
             ("shard_failure_mode", ("raise", "degrade")),
-            ("generator_version", ("v1", "v2")),
             ("backend", ("circuit", "analytic")),
             ("spectral_engine", ("v1", "v3")),
             ("linalg_backend", ("auto", "dense", "sparse")),

@@ -28,6 +28,7 @@ from repro.experiments.common import (
     evaluate_methods,
     standard_methods,
 )
+from repro.experiments.runner import SweepRunner
 from repro.graphs import ensure_connected, mixed_sbm
 from repro.pipeline import checkpoint
 from repro.spectral import ClassicalSpectralClustering
@@ -110,20 +111,18 @@ def test_key_names_every_constructor_parameter():
 
 def test_warm_panel_fits_nothing_and_matches_cold(tmp_path, monkeypatch):
     store_dir = tmp_path / "cas"
-    cold = fig1_direction_sweep.run(
+    sweep = fig1_direction_sweep.spec(
         strengths=(0.9,), num_nodes=24, num_clusters=2, trials=1,
         precision_bits=5, shots=128, store_dir=str(store_dir),
     )
+    cold = SweepRunner(sweep).run().records
     baseline_records = [r for r in cold if r.method != "quantum"]
     assert len(entries(store_dir)) == len(baseline_records) == 5
 
     get_store().clear_memory()  # a fresh worker: only the disk tier is warm
     clear_spectral_cache()
     forbid_fits(monkeypatch)
-    warm = fig1_direction_sweep.run(
-        strengths=(0.9,), num_nodes=24, num_clusters=2, trials=1,
-        precision_bits=5, shots=128, store_dir=str(store_dir),
-    )
+    warm = SweepRunner(sweep).run().records
     assert warm == cold
     stats = get_store().namespace_stats(BASELINE_NAMESPACE)
     assert stats["disk_hits"] == 5 and stats["misses"] == 0

@@ -9,8 +9,8 @@ Three guarantees are pinned here:
    stream layout: edge densities, directed fractions and the directional
    signal agree with v1 statistically, and downstream clustering recovers
    the planted structure equally well.
-3. The version knob is validated, threaded through ``QSCConfig``, and
-   recorded in sweep artifacts.
+3. The version knob is validated by the generators, taken by every sweep
+   spec, and recorded in sweep artifacts.
 """
 
 import hashlib
@@ -18,8 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import QSCConfig
-from repro.exceptions import ClusteringError, GraphError
+from repro.exceptions import GraphError
 from repro.graphs import cyclic_flow_sbm, mixed_sbm
 from repro.graphs.generators import GENERATOR_VERSIONS
 from repro.metrics import adjusted_rand_index
@@ -205,16 +204,16 @@ class TestV2StatisticalEquivalence:
 
 
 class TestVersionPlumbing:
-    def test_config_accepts_known_versions(self):
-        for version in GENERATOR_VERSIONS:
-            assert (
-                QSCConfig(generator_version=version).generator_version
-                == version
-            )
+    def test_sweep_rejects_unknown_version(self):
+        """The version reaches the generators, which reject an unknown one."""
+        from repro.experiments import fig1_direction_sweep
+        from repro.experiments.runner import SweepRunner
 
-    def test_config_rejects_unknown_version(self):
-        with pytest.raises(ClusteringError):
-            QSCConfig(generator_version="v99")
+        spec = fig1_direction_sweep.spec(
+            strengths=(1.0,), num_nodes=18, trials=1, generator_version="v99"
+        )
+        with pytest.raises(GraphError, match="v99"):
+            SweepRunner(spec).run()
 
     def test_sweep_artifact_records_version(self):
         from repro.experiments import fig1_direction_sweep

@@ -11,6 +11,7 @@ from test_sharding import FaultyShardExecutor, _always
 from repro import QSCConfig, QSCPipeline
 from repro.core.qpe_engine import clear_spectral_cache
 from repro.experiments import fig4_shots_sweep
+from repro.experiments.runner import SweepRunner
 from repro.graphs import ensure_connected, mixed_sbm
 from repro.pipeline import STAGE_NAMES, build_stages, checkpoint, sharding
 from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
@@ -27,9 +28,7 @@ OUTPUT_INVARIANT_FIELDS = {
     "shard_retries": "a retry budget; a degraded stage is never published",
     "shard_failure_mode": "raise vs degrade; a degraded stage is never published",
     "shard_workers": "a worker-pool cap over the same per-shard streams",
-    "draw_threads": "per-row draw streams are fixed before threads split them",
     "store_dir": "where entries live, not what they hold",
-    "generator_version": "selects the graph generator; the graph is hashed itself",
 }
 
 
@@ -132,11 +131,11 @@ class TestReadThrough:
         assert results_equal(QSCPipeline(2, noisy).run(graph), warm)
 
     def test_warm_fig4_trial_serves_its_noisy_fit(self, tmp_store, monkeypatch):
-        sweep = dict(
+        sweep = fig4_shots_sweep.spec(
             shot_budgets=(32,), num_nodes=16, trials=1, precision_bits=5,
             store_dir=str(tmp_store.root),
         )
-        cold = fig4_shots_sweep.run(**sweep)
+        cold = SweepRunner(sweep).run().records
         tmp_store.clear_memory()  # a fresh worker: only the disk tier is warm
         clear_spectral_cache()
         profiles = []
@@ -148,7 +147,7 @@ class TestReadThrough:
             return result
 
         monkeypatch.setattr(QSCPipeline, "run", recorded)
-        warm = fig4_shots_sweep.run(**sweep)
+        warm = SweepRunner(sweep).run().records
         assert warm == cold
         # the noiseless reference fit, then the noisy fit resumed from it
         assert profiles == [

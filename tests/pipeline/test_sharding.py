@@ -807,6 +807,25 @@ class TestConfigValidation:
         with pytest.raises(ClusteringError, match="shard_workers"):
             QSCConfig(shard_workers=0)
 
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), -1.0, True, "5"]
+    )
+    def test_shard_timeout_must_be_a_finite_positive_number(self, timeout):
+        """A NaN deadline never fires (every ``now > deadline`` is false)."""
+        with pytest.raises(ClusteringError, match="shard_timeout"):
+            QSCConfig(shard_timeout=timeout)
+
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), 0.0, -1.0, True]
+    )
+    def test_supervisor_rejects_a_deadline_that_cannot_fire(self, timeout):
+        with pytest.raises(ClusteringError, match="timeout"):
+            ShardSupervisor(timeout=timeout)
+
+    def test_integer_and_numpy_deadlines_are_accepted(self):
+        assert QSCConfig(shard_timeout=5).shard_timeout == 5
+        assert ShardSupervisor(timeout=np.float64(0.5)).timeout == 0.5
+
     def test_default_worker_cap_is_cpu_bound(self):
         """None caps in-flight workers at the core count, not shard count."""
         assert sharding.default_max_workers() == (os.cpu_count() or 1)

@@ -9,6 +9,7 @@ never a semantics change.
 
 import pytest
 
+from repro.exceptions import ServiceError
 from repro.service.errors import InvalidJobError, UnknownJobError
 from repro.experiments.runner import (
     SweepRunner,
@@ -18,11 +19,34 @@ from repro.experiments.runner import (
 )
 from repro.pipeline import STAGE_NAMES
 from repro.pipeline.supervisor import InlineShardExecutor
+from repro.service.manager import JobManager
 
 
 def _direct_records(job):
     """The records of the same job run directly, without the service."""
     return SweepRunner(spec_from_job(job), jobs=1).run().to_artifact()["records"]
+
+
+class TestManagerSettings:
+    """Job deadlines and retry budgets are checked when the manager is
+    built: a NaN deadline would never fire, and a bool is not a count."""
+
+    @pytest.mark.parametrize(
+        "timeout", [-1.0, 0.0, float("nan"), float("inf"), True]
+    )
+    def test_job_timeout_must_be_a_finite_positive_number(self, timeout):
+        with pytest.raises(ServiceError, match="job_timeout"):
+            JobManager(job_timeout=timeout)
+
+    @pytest.mark.parametrize("retries", [-1, 1.5, True, "2"])
+    def test_job_retries_must_be_a_non_negative_integer(self, retries):
+        with pytest.raises(ServiceError, match="job_retries"):
+            JobManager(job_retries=retries)
+
+    def test_valid_settings_are_kept(self):
+        manager = JobManager(job_timeout=30, job_retries=0)
+        assert (manager.job_timeout, manager.job_retries) == (30, 0)
+        assert JobManager().job_timeout is None
 
 
 class TestServedExecution:

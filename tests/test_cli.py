@@ -72,24 +72,13 @@ class TestClusterCommand:
         assert code == 1
         assert "readout_chunk_size" in capsys.readouterr().err
 
-    def test_draw_threads_matches_serial(self, graph_file, capsys):
+    def test_draw_threads_flag_is_gone(self, graph_file, capsys):
         path, _ = graph_file
-        args = [
-            "cluster",
-            "--input",
-            path,
-            "--clusters",
-            "2",
-            "--shots",
-            "128",
-            "--seed",
-            "1",
-        ]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--draw-threads", "3"]) == 0
-        threaded = capsys.readouterr().out
-        assert threaded.splitlines()[0] == serial.splitlines()[0]
+        args = ["cluster", "--input", path, "--clusters", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--draw-threads", "3"])
+        assert exit_info.value.code == 2
+        assert "--draw-threads" in capsys.readouterr().err
 
     def test_readout_shards_match_unsharded(self, graph_file, capsys):
         path, _ = graph_file
@@ -460,6 +449,30 @@ class TestGenerateCommand:
                     str(tmp_path / "x.mixed"),
                 ]
             )
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--job-timeout", "nan"], "job_timeout"),
+            (["--job-timeout", "-1"], "job_timeout"),
+            (["--job-retries", "-1"], "job_retries"),
+        ],
+    )
+    def test_bad_job_settings_fail_before_binding(
+        self, flags, field, capsys, monkeypatch
+    ):
+        from repro.service.server import JobServer
+
+        async def return_at_once(self):
+            return None
+
+        # Were the setting accepted, the server would return instead of
+        # serving forever, and the exit code would read 0.
+        monkeypatch.setattr(JobServer, "serve_forever", return_at_once)
+        assert main(["serve", "--port", "0"] + flags) == 1
+        assert field in capsys.readouterr().err
 
 
 class TestBenchCommand:

@@ -17,6 +17,12 @@ from repro.experiments import (
     table2_netlist,
 )
 from repro.experiments.common import TrialRecord
+from repro.experiments.runner import SweepRunner
+
+
+def run(module, **kwargs):
+    """Records of ``module``'s sweep, run serially from its spec."""
+    return SweepRunner(module.spec(**kwargs)).run().records
 
 
 def make_record(method="m", ari=1.0, **params):
@@ -87,37 +93,43 @@ class TestQuickRuns:
     """Tiny-parameter executions of each experiment module."""
 
     def test_t1(self):
-        records = table1_msbm.run(sizes=(24,), cluster_counts=(2,), trials=1)
+        records = run(table1_msbm, sizes=(24,), cluster_counts=(2,), trials=1)
         assert len(records) == 6  # one instance x 6 methods
         assert "quantum" in table1_msbm.table(records)
 
     def test_t2(self):
-        records = table2_netlist.run(module_counts=(2,), gates_per_module=10, trials=1)
+        records = run(
+            table2_netlist, module_counts=(2,), gates_per_module=10, trials=1
+        )
         assert any(r.method == "quantum" for r in records)
         assert "modules" in table2_netlist.table(records)
 
     def test_f1(self):
-        records = fig1_direction_sweep.run(strengths=(1.0,), num_nodes=30, trials=1)
+        records = run(fig1_direction_sweep, strengths=(1.0,), num_nodes=30, trials=1)
         quantum = [r for r in records if r.method == "quantum"]
         assert len(quantum) == 1
         assert "strength" in fig1_direction_sweep.series(records)
 
     def test_f2(self):
-        records = fig2_precision_sweep.run(precisions=(3, 7), num_nodes=24, trials=1)
+        records = run(fig2_precision_sweep, precisions=(3, 7), num_nodes=24, trials=1)
         assert all("bulk_leakage" in r.extra for r in records)
         leak = {r.parameters["p"]: r.extra["bulk_leakage"] for r in records}
         assert leak[7] <= leak[3]
         assert "eig_rmse" in fig2_precision_sweep.series(records)
 
     def test_f3(self):
-        samples = fig3_runtime_scaling.run(sizes=(32, 64))
+        samples = fig3_runtime_scaling.samples_from_records(
+            run(fig3_runtime_scaling, sizes=(32, 64))
+        )
         assert len(samples) == 2
         fits = fig3_runtime_scaling.exponents(samples)
         assert fits["classical_steps"] > 2.5
         assert "fitted exponents" in fig3_runtime_scaling.series(samples)
 
     def test_f4(self):
-        records = fig4_shots_sweep.run(shot_budgets=(64, 1024), num_nodes=24, trials=1)
+        records = run(
+            fig4_shots_sweep, shot_budgets=(64, 1024), num_nodes=24, trials=1
+        )
         errors = {r.parameters["shots"]: r.extra["embedding_error"] for r in records}
         assert errors[1024] < errors[64]
         assert "embed_err" in fig4_shots_sweep.series(records)

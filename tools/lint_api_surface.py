@@ -1,6 +1,6 @@
 """Lint the public API surface: versioned routes + non-drifting docs.
 
-Two checks, both cheap enough for every push:
+Three checks, all cheap enough for every push:
 
 1. **Generated reference** — the block between ``<!-- generated:begin -->``
    and ``<!-- generated:end -->`` in ``docs/api.md`` must be byte-identical
@@ -15,6 +15,11 @@ Two checks, both cheap enough for every push:
    a run of such lines sits between ``v1-lint: allow-begin`` and
    ``v1-lint: allow-end``.
 
+3. **CLI flags match the parser** — every ``| `--flag ...` |`` table row
+   under a ``## `<command>` `` heading of ``docs/cli.md`` must name a flag
+   of that subcommand in :func:`repro.cli._build_parser`, and every flag
+   of every subcommand (``--help`` aside) must have such a row.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/lint_api_surface.py
@@ -22,7 +27,9 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import argparse
 import pathlib
+import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -86,14 +93,90 @@ def check_versioned_routes() -> list[str]:
     return problems
 
 
+_COMMAND_HEADING = re.compile(r"^## `([a-z-]+)`")
+_FLAG_ROW = re.compile(r"^\| `(--[a-z0-9-]+)")
+
+
+def documented_flags(text: str) -> dict[str, dict[str, int]]:
+    """``{command: {flag: line}}`` of the flag rows in ``docs/cli.md``."""
+    sections: dict[str, dict[str, int]] = {}
+    command = None
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("## "):
+            heading = _COMMAND_HEADING.match(line)
+            command = heading.group(1) if heading else None
+            if command is not None:
+                sections.setdefault(command, {})
+            continue
+        row = _FLAG_ROW.match(line)
+        if command is not None and row:
+            sections[command].setdefault(row.group(1), number)
+    return sections
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """``{command: long flags}`` of every ``repro`` subcommand."""
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    commands = next(
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            option
+            for action in subparser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for name, subparser in commands.choices.items()
+    }
+
+
+def check_cli_flags() -> list[str]:
+    path = ROOT / "docs" / "cli.md"
+    if not path.exists():
+        return [f"{path}: missing (the CLI reference page must exist)"]
+    documented = documented_flags(path.read_text(encoding="utf-8"))
+    relative = path.relative_to(ROOT)
+    commands = parser_flags()
+    problems = []
+    for command, flags in sorted(commands.items()):
+        rows = documented.get(command)
+        if rows is None:
+            problems.append(f"{relative}: no ## `{command}` section")
+            continue
+        for flag, number in sorted(rows.items(), key=lambda item: item[1]):
+            if flag not in flags:
+                problems.append(
+                    f"{relative}:{number}: `{command} {flag}` is documented "
+                    "but the parser has no such flag"
+                )
+        for flag in sorted(flags - set(rows)):
+            problems.append(
+                f"{relative}: `{command} {flag}` is a parser flag with no "
+                "table row"
+            )
+    for command in sorted(set(documented) - set(commands)):
+        problems.append(f"{relative}: ## `{command}` is not a subcommand")
+    return problems
+
+
 def main() -> int:
-    problems = check_generated_block() + check_versioned_routes()
+    problems = (
+        check_generated_block() + check_versioned_routes() + check_cli_flags()
+    )
     for problem in problems:
         print(problem)
     if problems:
         print(f"api-surface lint: {len(problems)} problem(s)")
         return 1
-    print("api-surface lint OK: docs in sync, all route references are /v1")
+    print(
+        "api-surface lint OK: docs in sync, all route references are /v1, "
+        "CLI flags match the parser"
+    )
     return 0
 
 
