@@ -35,7 +35,6 @@ from repro.core import (
     QSCConfig,
     QSCResult,
     QuantumSpectralClustering,
-    quantum_spectral_clustering,
 )
 from repro.graphs import (
     MixedGraph,
@@ -56,7 +55,6 @@ from repro.linalg import (
 )
 from repro.spectral import (
     ClassicalSpectralClustering,
-    classical_spectral_clustering,
 )
 from repro.baselines import (
     AdjacencyKMeans,
@@ -81,7 +79,6 @@ __all__ = [
     "QSCPipeline",
     "QSCResult",
     "QuantumSpectralClustering",
-    "quantum_spectral_clustering",
     "MixedGraph",
     "cyclic_flow_sbm",
     "hermitian_adjacency",
@@ -96,7 +93,6 @@ __all__ = [
     "as_backend_matrix",
     "resolve_backend",
     "ClassicalSpectralClustering",
-    "classical_spectral_clustering",
     "AdjacencyKMeans",
     "DiSimClustering",
     "RandomWalkSpectralClustering",

@@ -21,7 +21,7 @@ from repro.core.readout import (
     batched_readout,
     canonicalize_row_phases,
 )
-from repro.core.qsc import QuantumSpectralClustering, quantum_spectral_clustering
+from repro.core.qsc import QuantumSpectralClustering
 from repro.core.result import QSCResult
 from repro.core.runtime_model import RuntimeSample, fitted_exponent, profile_graph
 from repro.core.autok import (
@@ -52,7 +52,6 @@ __all__ = [
     "batched_readout",
     "canonicalize_row_phases",
     "QuantumSpectralClustering",
-    "quantum_spectral_clustering",
     "QSCResult",
     "RuntimeSample",
     "fitted_exponent",

@@ -40,20 +40,32 @@ _OPTIONAL_INTEGER_FIELDS = (
 )
 
 
-def is_deadline(value) -> bool:
-    """True for a usable deadline: ``None`` or a finite positive real.
+def is_count(value, minimum: int) -> bool:
+    """True for an integral ``value`` >= ``minimum`` that is not a bool."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= minimum
+    )
 
-    A bool is not a number of seconds, and a NaN deadline would never
-    fire (every ``now > deadline`` comparison is false).
+
+def is_seconds(value, *, allow_zero: bool = False) -> bool:
+    """True for a finite real > 0 (>= 0 with ``allow_zero``).
+
+    A bool is not a number of seconds, and a NaN would poison every
+    comparison against a clock (each one is false).
     """
-    if value is None:
-        return True
     return (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and math.isfinite(value)
-        and value > 0
+        and (value >= 0 if allow_zero else value > 0)
     )
+
+
+def is_deadline(value) -> bool:
+    """True for a usable deadline: ``None`` or a finite positive real."""
+    return value is None or is_seconds(value)
 
 
 @dataclass(frozen=True)

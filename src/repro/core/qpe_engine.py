@@ -24,8 +24,8 @@ the forward QPE application of all basis inputs when the table fits in
 memory, so the forward circuit is simulated once per fit rather than once
 per node.  ``AnalyticQPEBackend`` computes the identical statistics from
 the eigendecomposition and the closed-form QPE response kernel — same
-output distribution, no 2^(m+p) state (see the substitution table in
-DESIGN.md).  Their agreement is property-tested.
+output distribution, no 2^(m+p) state (see "QPE backends" in
+docs/architecture.md).  Their agreement is property-tested.
 """
 
 from __future__ import annotations

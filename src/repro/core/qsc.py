@@ -29,8 +29,6 @@ bit-identical to the historical monolithic ``fit`` at fixed seeds
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.config import QSCConfig
 from repro.core.result import QSCResult
 from repro.graphs.mixed_graph import MixedGraph
@@ -81,10 +79,3 @@ class QuantumSpectralClustering:
         return QSCPipeline(self.num_clusters, self.config).run(
             graph, graph_digest=graph_digest
         )
-
-
-def quantum_spectral_clustering(
-    graph: MixedGraph, num_clusters: int, config: QSCConfig | None = None
-) -> np.ndarray:
-    """Functional one-shot wrapper returning only the labels."""
-    return QuantumSpectralClustering(num_clusters, config).fit(graph).labels

@@ -4,11 +4,9 @@ from repro.graphs.mixed_graph import Edge, MixedGraph
 from repro.graphs.hermitian import (
     DEFAULT_THETA,
     NORMALIZATIONS,
-    degree_matrix,
     hermitian_adjacency,
     hermitian_laplacian,
     laplacian_spectrum,
-    spectral_bounds,
 )
 from repro.graphs.generators import (
     cyclic_flow_sbm,
@@ -34,11 +32,9 @@ __all__ = [
     "MixedGraph",
     "DEFAULT_THETA",
     "NORMALIZATIONS",
-    "degree_matrix",
     "hermitian_adjacency",
     "hermitian_laplacian",
     "laplacian_spectrum",
-    "spectral_bounds",
     "cyclic_flow_sbm",
     "ensure_connected",
     "mixed_sbm",

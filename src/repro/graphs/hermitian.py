@@ -75,11 +75,6 @@ def hermitian_adjacency(
     )
 
 
-def degree_matrix(graph: MixedGraph) -> np.ndarray:
-    """Diagonal matrix of weighted degrees (edges and arcs both count)."""
-    return np.diag(graph.degrees())
-
-
 def hermitian_laplacian(
     graph: MixedGraph,
     theta: float = DEFAULT_THETA,
@@ -147,18 +142,3 @@ def laplacian_spectrum(
         return values, vectors
     lap = hermitian_laplacian(graph, theta, normalization)
     return np.linalg.eigh(lap)
-
-
-def spectral_bounds(normalization: str = "symmetric") -> tuple[float, float]:
-    """(min, max) possible Laplacian eigenvalues under a normalization.
-
-    The symmetric normalized Hermitian Laplacian has spectrum inside
-    [0, 2]; the unnormalized one inside [0, 2·d_max] (caller must supply
-    d_max, so only the normalized bound is returned here).
-    """
-    if normalization == "symmetric":
-        return (0.0, 2.0)
-    raise GraphError(
-        "spectral_bounds is only defined for the symmetric normalization; "
-        "compute bounds from the degree sequence otherwise"
-    )

@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.config import SHARD_FAILURE_MODES as FAILURE_MODES
-from repro.core.config import is_deadline
+from repro.core.config import is_count, is_deadline, is_seconds
 from repro.exceptions import ClusteringError
 
 
@@ -316,15 +316,27 @@ class ShardSupervisor:
             raise ClusteringError(
                 f"timeout must be a finite positive number or None, got {timeout!r}"
             )
-        if retries < 0:
-            raise ClusteringError(f"retries must be >= 0, got {retries}")
+        if not is_count(retries, 0):
+            raise ClusteringError(f"retries must be an integer >= 0, got {retries!r}")
+        for name, value in (
+            ("backoff_base", backoff_base),
+            ("backoff_cap", backoff_cap),
+        ):
+            if not is_seconds(value, allow_zero=True):
+                raise ClusteringError(
+                    f"{name} must be a finite number >= 0, got {value!r}"
+                )
+        if not is_seconds(poll_interval):
+            raise ClusteringError(
+                f"poll_interval must be a finite number > 0, got {poll_interval!r}"
+            )
         if on_failure not in FAILURE_MODES:
             raise ClusteringError(
                 f"on_failure must be one of {FAILURE_MODES}, got {on_failure!r}"
             )
-        if max_workers is not None and max_workers < 1:
+        if max_workers is not None and not is_count(max_workers, 1):
             raise ClusteringError(
-                f"max_workers must be >= 1 or None, got {max_workers}"
+                f"max_workers must be an integer >= 1 or None, got {max_workers!r}"
             )
         self.executor = executor if executor is not None else InlineShardExecutor()
         self.timeout = timeout

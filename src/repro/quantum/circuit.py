@@ -4,8 +4,8 @@
 operation is either a *named gate* (resolved through
 ``repro.quantum.gates.gate_matrix`` at simulation time) or a *raw unitary*
 (an explicit matrix, used for oracle-style gates such as ``exp(i L t)``).
-Circuits compose, invert, and control generically, which is everything the
-QPE construction needs.
+Circuits compose and invert, and ``cu`` controls an arbitrary unitary,
+which is everything the QPE construction needs.
 
 The class deliberately has no symbolic parameters or classical registers:
 measurement lives in the simulator (``Statevector``) and in
@@ -38,7 +38,7 @@ class Operation:
     matrix:
         Explicit unitary for raw-matrix operations (``None`` otherwise).
     label:
-        Optional human-readable tag shown by ``QuantumCircuit.draw``.
+        Optional human-readable tag, e.g. ``"cx"`` or ``"c-U^4"``.
     """
 
     name: str
@@ -146,37 +146,9 @@ class QuantumCircuit:
         """Pauli-X."""
         return self.add_gate("x", (qubit,))
 
-    def y(self, qubit: int) -> "QuantumCircuit":
-        """Pauli-Y."""
-        return self.add_gate("y", (qubit,))
-
-    def z(self, qubit: int) -> "QuantumCircuit":
-        """Pauli-Z."""
-        return self.add_gate("z", (qubit,))
-
-    def s(self, qubit: int) -> "QuantumCircuit":
-        """Phase gate S."""
-        return self.add_gate("s", (qubit,))
-
     def t(self, qubit: int) -> "QuantumCircuit":
         """T gate."""
         return self.add_gate("t", (qubit,))
-
-    def rx(self, theta: float, qubit: int) -> "QuantumCircuit":
-        """X rotation."""
-        return self.add_gate("rx", (qubit,), (theta,))
-
-    def ry(self, theta: float, qubit: int) -> "QuantumCircuit":
-        """Y rotation."""
-        return self.add_gate("ry", (qubit,), (theta,))
-
-    def rz(self, theta: float, qubit: int) -> "QuantumCircuit":
-        """Z rotation."""
-        return self.add_gate("rz", (qubit,), (theta,))
-
-    def p(self, lam: float, qubit: int) -> "QuantumCircuit":
-        """Phase gate diag(1, e^{iλ})."""
-        return self.add_gate("p", (qubit,), (lam,))
 
     def swap(self, a: int, b: int) -> "QuantumCircuit":
         """SWAP two qubits."""
@@ -185,10 +157,6 @@ class QuantumCircuit:
     def cx(self, control: int, target: int) -> "QuantumCircuit":
         """Controlled-X (CNOT)."""
         return self.add_unitary(gates.controlled(gates.X), (control, target), "cx")
-
-    def cz(self, control: int, target: int) -> "QuantumCircuit":
-        """Controlled-Z."""
-        return self.add_unitary(gates.controlled(gates.Z), (control, target), "cz")
 
     def cp(self, lam: float, control: int, target: int) -> "QuantumCircuit":
         """Controlled phase gate."""
@@ -245,28 +213,6 @@ class QuantumCircuit:
             inv.append(op.inverse())
         return inv
 
-    def controlled(self, label: str | None = None) -> "QuantumCircuit":
-        """A new circuit with one extra control qubit (index 0) gating all ops.
-
-        Every operation becomes its singly-controlled version; the original
-        qubits shift up by one.
-        """
-        ctrl = QuantumCircuit(self.num_qubits + 1, name=label or f"c-{self.name}")
-        for op in self._operations:
-            matrix = gates.controlled(op.resolve_matrix())
-            shifted = (0, *(q + 1 for q in op.qubits))
-            ctrl.add_unitary(matrix, shifted, label=f"c-{op.label or op.name}")
-        return ctrl
-
-    def power(self, exponent: int) -> "QuantumCircuit":
-        """Repeat this circuit ``exponent`` times (exponent >= 0)."""
-        if exponent < 0:
-            raise CircuitError("use inverse() for negative powers")
-        powered = QuantumCircuit(self.num_qubits, name=f"{self.name}^{exponent}")
-        for _ in range(exponent):
-            powered.compose(self)
-        return powered
-
     # -- evaluation --------------------------------------------------------
 
     def run(self, state: Statevector | None = None) -> Statevector:
@@ -302,23 +248,6 @@ class QuantumCircuit:
                 out.apply_gate(op.resolve_matrix(), op.qubits)
             result[:, column] = out._amplitudes
         return result
-
-    def gate_counts(self) -> dict[str, int]:
-        """Histogram of operation names (raw unitaries keyed by label)."""
-        counts: dict[str, int] = {}
-        for op in self._operations:
-            key = op.label or op.name
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def draw(self) -> str:
-        """A plain-text one-op-per-line rendering of the circuit."""
-        lines = [f"{self.name} ({self.num_qubits} qubits, {len(self)} ops)"]
-        for i, op in enumerate(self._operations):
-            tag = op.label or op.name
-            params = f" params={op.params}" if op.params else ""
-            lines.append(f"  {i:4d}: {tag:<16} q={list(op.qubits)}{params}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (

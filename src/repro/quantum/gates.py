@@ -141,8 +141,3 @@ def gate_matrix(name: str, params: tuple = ()) -> np.ndarray:
     if key in _PARAMETRIC_GATES:
         return _PARAMETRIC_GATES[key](*params)
     raise CircuitError(f"unknown gate {name!r}")
-
-
-def known_gate_names() -> tuple[str, ...]:
-    """All gate names :func:`gate_matrix` accepts (for documentation/tests)."""
-    return tuple(sorted(set(_FIXED_GATES) | set(_PARAMETRIC_GATES)))

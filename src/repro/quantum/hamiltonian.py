@@ -5,7 +5,7 @@ Two paths produce the unitary U = exp(i H t) needed by phase estimation:
 ``exact_evolution``
     Eigendecompose H once and exponentiate the spectrum.  This stands in for
     the fault-tolerant Hamiltonian-simulation oracle assumed by the paper
-    (see the substitution table in DESIGN.md).
+    (see "QPE backends" in docs/architecture.md).
 
 ``trotter_evolution``
     First- or second-order (Suzuki) product formula over the Pauli

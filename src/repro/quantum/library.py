@@ -1,4 +1,4 @@
-"""Reusable circuit constructions: QFT, superposition layers, basis prep.
+"""The quantum Fourier transform and its inverse.
 
 These are the building blocks the phase-estimation module assembles.  All
 constructions follow the big-endian qubit convention of the package: qubit 0
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import CircuitError
 from repro.quantum.circuit import QuantumCircuit
 
 
@@ -42,30 +41,3 @@ def inverse_qft_circuit(num_qubits: int, swap: bool = True) -> QuantumCircuit:
     inv = qft_circuit(num_qubits, swap=swap).inverse()
     inv.name = f"iqft{num_qubits}"
     return inv
-
-
-def qft_matrix(num_qubits: int) -> np.ndarray:
-    """Reference DFT matrix for validating :func:`qft_circuit`."""
-    dim = 2**num_qubits
-    omega = np.exp(2j * np.pi / dim)
-    j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    return omega ** (j * k) / np.sqrt(dim)
-
-
-def hadamard_layer(num_qubits: int, qubits=None) -> QuantumCircuit:
-    """H on every listed qubit (default: all) — prepares uniform superposition."""
-    qc = QuantumCircuit(num_qubits, name="h_layer")
-    for q in range(num_qubits) if qubits is None else qubits:
-        qc.h(q)
-    return qc
-
-
-def basis_preparation(num_qubits: int, index: int) -> QuantumCircuit:
-    """X gates preparing the computational basis state ``|index>``."""
-    if not 0 <= index < 2**num_qubits:
-        raise CircuitError(f"basis index {index} out of range for {num_qubits} qubits")
-    qc = QuantumCircuit(num_qubits, name=f"prep|{index}>")
-    for qubit in range(num_qubits):
-        if (index >> (num_qubits - 1 - qubit)) & 1:
-            qc.x(qubit)
-    return qc

@@ -1,4 +1,4 @@
-"""Measurement post-processing and state tomography models.
+"""The finite-shot state tomography model of the readout stage.
 
 :func:`tomography_estimate` is the finite-shot readout model used by the
 end-to-end pipeline: the magnitudes of a pure state are estimated from a
@@ -26,36 +26,6 @@ import numpy as np
 
 from repro.exceptions import EncodingError
 from repro.utils.rng import ensure_rng
-
-
-def counts_to_probabilities(counts: dict[int, int], dim: int) -> np.ndarray:
-    """Empirical probability vector from a counts dictionary."""
-    if dim < 1:
-        raise EncodingError(f"dim must be positive, got {dim}")
-    total = sum(counts.values())
-    if total <= 0:
-        raise EncodingError("counts dictionary is empty")
-    probs = np.zeros(dim, dtype=float)
-    for outcome, count in counts.items():
-        if not 0 <= outcome < dim:
-            raise EncodingError(f"outcome {outcome} out of range for dim {dim}")
-        if count < 0:
-            raise EncodingError("negative count")
-        probs[outcome] = count
-    return probs / total
-
-
-def sample_distribution(probs: np.ndarray, shots: int, seed=None) -> dict[int, int]:
-    """Multinomial sample from an exact distribution, as a counts dict."""
-    probs = np.asarray(probs, dtype=float)
-    if shots < 0:
-        raise EncodingError(f"shots must be non-negative, got {shots}")
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-6):
-        raise EncodingError(f"probabilities sum to {total:.4g}, expected 1")
-    rng = ensure_rng(seed)
-    draws = rng.multinomial(shots, probs / total)
-    return {index: int(count) for index, count in enumerate(draws) if count}
 
 
 def tomography_estimate(
@@ -181,17 +151,3 @@ def tomography_estimate_batch(
             estimates[row, int(np.argmax(squared[row]))] = 1.0
         estimate_norms[degenerate] = 1.0
     return estimates / estimate_norms[:, None]
-
-
-def expectation_from_counts(counts: dict[int, int], values: np.ndarray) -> float:
-    """Empirical expectation of a diagonal observable from counts."""
-    values = np.asarray(values, dtype=float)
-    total = sum(counts.values())
-    if total <= 0:
-        raise EncodingError("counts dictionary is empty")
-    acc = 0.0
-    for outcome, count in counts.items():
-        if not 0 <= outcome < values.size:
-            raise EncodingError(f"outcome {outcome} out of range")
-        acc += values[outcome] * count
-    return acc / total

@@ -40,11 +40,6 @@ class NoiseModel:
             if not 0.0 <= value <= 1.0:
                 raise CircuitError(f"{name} must be in [0, 1], got {value}")
 
-    @property
-    def is_noiseless(self) -> bool:
-        """True when both error rates are zero."""
-        return self.depolarizing_rate == 0.0 and self.readout_error == 0.0
-
 
 _PAULIS = (gates.X, gates.Y, gates.Z)
 

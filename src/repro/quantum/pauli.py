@@ -117,17 +117,3 @@ def pauli_decompose(matrix: np.ndarray, tol: float = 1e-12) -> list[PauliTerm]:
         if abs(coefficient) > tol:
             terms.append(PauliTerm(label, float(coefficient)))
     return terms
-
-
-def pauli_reconstruct(terms, num_qubits: int) -> np.ndarray:
-    """Sum of weighted Pauli terms — the inverse of :func:`pauli_decompose`."""
-    dim = 2**num_qubits
-    total = np.zeros((dim, dim), dtype=complex)
-    for term in terms:
-        if term.num_qubits != num_qubits:
-            raise CircuitError(
-                f"term {term.label!r} acts on {term.num_qubits} qubits, "
-                f"expected {num_qubits}"
-            )
-        total += term.weighted_matrix()
-    return total

@@ -9,8 +9,8 @@ Provides both:
 
       Pr[y | φ] = sin²(2^p π Δ_y) / (4^p sin²(π Δ_y)),  Δ_y = φ − y/2^p,
 
-  which the scalable ``analytic`` backend samples directly (see DESIGN.md,
-  substitution table).  Property tests assert the two agree.
+  which the scalable ``analytic`` backend samples directly (see "QPE
+  backends" in docs/architecture.md).  Property tests assert the two agree.
 * :func:`qpe_outcome_distributions` — the batched form: the full
   (phases × outcomes) response matrix in one broadcast pass, which is how
   the analytic backend's kernel cache builds its entries; the scalar
@@ -22,14 +22,11 @@ qubit 0 the most significant readout bit; system qubits follow at p..p+m−1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import CircuitError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.library import inverse_qft_circuit
-from repro.quantum.statevector import Statevector
 
 
 def controlled_power_unitaries(unitary: np.ndarray, precision: int) -> list:
@@ -161,70 +158,3 @@ def qpe_outcome_distributions(phases, precision: int) -> np.ndarray:
     if off.any():
         probs[off] = probs[off] / totals[off, None]
     return probs
-
-
-@dataclass(frozen=True)
-class QPEResult:
-    """Joint readout of a QPE execution over an arbitrary input state.
-
-    Attributes
-    ----------
-    precision:
-        Ancilla bits p.
-    outcome_probabilities:
-        Length-2^p marginal distribution of the ancilla register.
-    conditional_states:
-        Mapping readout y -> normalized system statevector conditioned on
-        reading y (only outcomes with non-negligible probability appear).
-    """
-
-    precision: int
-    outcome_probabilities: np.ndarray
-    conditional_states: dict
-
-    def phase_estimate(self, outcome: int) -> float:
-        """Convert a readout integer to an eigenphase estimate y / 2^p."""
-        return outcome / 2**self.precision
-
-
-def run_qpe(
-    unitary: np.ndarray,
-    precision: int,
-    input_state: np.ndarray,
-    min_probability: float = 1e-12,
-) -> QPEResult:
-    """Execute QPE on ``input_state`` and return exact joint statistics.
-
-    The final statevector is reshaped into (ancilla, system) blocks; the
-    ancilla marginal and each conditional system state are computed exactly,
-    with no sampling — sampling is layered on top by the caller.
-    """
-    unitary = np.asarray(unitary, dtype=complex)
-    dim = unitary.shape[0]
-    input_state = np.asarray(input_state, dtype=complex).ravel()
-    if input_state.size != dim:
-        raise CircuitError(
-            f"input state has dimension {input_state.size}, unitary needs {dim}"
-        )
-    norm = np.linalg.norm(input_state)
-    if norm < 1e-12:
-        raise CircuitError("input state has zero norm")
-    num_system = dim.bit_length() - 1
-    qc = qpe_circuit(unitary, precision)
-    total_dim = 2 ** (precision + num_system)
-    joint = np.zeros(total_dim, dtype=complex)
-    # Ancillas are the most significant qubits, so |0...0>_anc ⊗ |ψ>_sys
-    # occupies the first 2^m amplitudes.
-    joint[:dim] = input_state / norm
-    final = qc.run(Statevector(joint))
-    table = final.amplitudes.reshape(2**precision, dim)
-    outcome_probabilities = (np.abs(table) ** 2).sum(axis=1)
-    conditional_states = {}
-    for outcome, probability in enumerate(outcome_probabilities):
-        if probability > min_probability:
-            conditional_states[outcome] = table[outcome] / np.sqrt(probability)
-    return QPEResult(
-        precision=precision,
-        outcome_probabilities=outcome_probabilities,
-        conditional_states=conditional_states,
-    )

@@ -37,11 +37,6 @@ class QPEResources:
     controlled_u_applications: int
     elementary_gates: int
 
-    @property
-    def total_qubits(self) -> int:
-        """Width of the full register."""
-        return self.system_qubits + self.ancilla_qubits
-
 
 def qpe_resources(
     num_nodes: int,

@@ -86,12 +86,6 @@ class Statevector:
         """Measurement probabilities over all 2**m basis states."""
         return np.abs(self._amplitudes) ** 2
 
-    def fidelity(self, other: "Statevector") -> float:
-        """|<self|other>|^2 — overlap with another state of equal size."""
-        if other.num_qubits != self._num_qubits:
-            raise CircuitError("fidelity requires equal qubit counts")
-        return float(abs(np.vdot(self._amplitudes, other._amplitudes)) ** 2)
-
     # -- gate application --------------------------------------------------
 
     def _validate_qubits(self, qubits) -> tuple[int, ...]:
@@ -127,15 +121,6 @@ class Statevector:
         tensor = tensor.reshape((2,) * m)
         tensor = np.moveaxis(tensor, range(k), qubits)
         self._amplitudes = np.ascontiguousarray(tensor).ravel()
-
-    def apply_unitary(self, matrix: np.ndarray) -> None:
-        """Apply a full-register unitary (dimension must match exactly)."""
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (self.dim, self.dim):
-            raise CircuitError(
-                f"full unitary must be {self.dim}x{self.dim}, got {matrix.shape}"
-            )
-        self._amplitudes = matrix @ self._amplitudes
 
     # -- measurement -------------------------------------------------------
 
@@ -185,43 +170,3 @@ class Statevector:
         if norm < 1e-12:
             raise CircuitError("projection onto a zero-probability outcome")
         return Statevector(flat / norm)
-
-    def sample_counts(self, shots: int, qubits=None, seed=None) -> dict[int, int]:
-        """Sample ``shots`` measurement outcomes without collapsing the state.
-
-        Returns a dict mapping outcome integers to counts.  With ``qubits``
-        omitted the full register is measured.
-        """
-        if shots < 0:
-            raise CircuitError(f"shots must be non-negative, got {shots}")
-        rng = ensure_rng(seed)
-        if qubits is None:
-            probs = self.probabilities()
-        else:
-            probs = self.marginal_probabilities(qubits)
-        draws = rng.multinomial(shots, probs)
-        return {index: int(count) for index, count in enumerate(draws) if count}
-
-    def expectation(self, observable: np.ndarray) -> float:
-        """Real expectation value <psi|O|psi> of a Hermitian observable."""
-        observable = np.asarray(observable, dtype=complex)
-        if observable.shape != (self.dim, self.dim):
-            raise CircuitError("observable dimension mismatch")
-        value = np.vdot(self._amplitudes, observable @ self._amplitudes)
-        return float(value.real)
-
-
-def basis_state(num_qubits: int, index: int) -> Statevector:
-    """The computational basis state ``|index>`` on ``num_qubits`` qubits."""
-    dim = 2**num_qubits
-    if not 0 <= index < dim:
-        raise CircuitError(f"basis index {index} out of range for dim {dim}")
-    amplitudes = np.zeros(dim, dtype=complex)
-    amplitudes[index] = 1.0
-    return Statevector(amplitudes)
-
-
-def uniform_superposition(num_qubits: int) -> Statevector:
-    """The state H^{⊗m}|0> = uniform superposition over all basis states."""
-    dim = 2**num_qubits
-    return Statevector(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))

@@ -41,11 +41,10 @@ the store without running anything (its transcript shows
 from __future__ import annotations
 
 import asyncio
-import numbers
 import threading
 from dataclasses import dataclass, field
 
-from repro.core.config import is_deadline
+from repro.core.config import is_count, is_deadline
 from repro.exceptions import ReproError, ServiceError
 from repro.experiments.runner import job_fingerprint, normalize_job
 from repro.pipeline.supervisor import (
@@ -138,27 +137,25 @@ class JobManager:
         max_queued: int | None = None,
         max_jobs_per_tenant: int | None = None,
     ):
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {workers}")
+        if not is_count(workers, 1):
+            raise ServiceError(f"workers must be an integer >= 1, got {workers!r}")
         if not is_deadline(job_timeout):
             raise ServiceError(
                 f"job_timeout must be a finite positive number or None, "
                 f"got {job_timeout!r}"
             )
-        if (
-            isinstance(job_retries, bool)
-            or not isinstance(job_retries, numbers.Integral)
-            or job_retries < 0
-        ):
+        if not is_count(job_retries, 0):
             raise ServiceError(
                 f"job_retries must be a non-negative integer, got {job_retries!r}"
             )
-        if max_queued is not None and max_queued < 1:
-            raise ServiceError(f"max_queued must be >= 1, got {max_queued}")
-        if max_jobs_per_tenant is not None and max_jobs_per_tenant < 1:
-            raise ServiceError(
-                f"max_jobs_per_tenant must be >= 1, got {max_jobs_per_tenant}"
-            )
+        for name, value in (
+            ("max_queued", max_queued),
+            ("max_jobs_per_tenant", max_jobs_per_tenant),
+        ):
+            if value is not None and not is_count(value, 1):
+                raise ServiceError(
+                    f"{name} must be an integer >= 1 or None, got {value!r}"
+                )
         self.store_dir = None if store_dir is None else str(store_dir)
         self.job_timeout = job_timeout
         self.job_retries = job_retries

@@ -1,13 +1,11 @@
 """Classical spectral machinery: eigensolvers, embeddings, k-means."""
 
 from repro.spectral.eigensolvers import (
-    condition_number,
     dense_lowest_eigenpairs,
     lanczos_lowest_eigenpairs,
 )
 from repro.spectral.embedding import (
     complex_to_real_features,
-    projector_embedding,
     row_normalize,
     spectral_embedding,
 )
@@ -21,25 +19,20 @@ from repro.spectral.kmeans import (
 from repro.spectral.clustering import (
     ClassicalSpectralClustering,
     ClusteringResult,
-    classical_spectral_clustering,
 )
 from repro.spectral.gap import (
     eigengaps,
     estimate_num_clusters,
-    gap_profile,
     relative_eigengap,
 )
 
 __all__ = [
     "eigengaps",
     "estimate_num_clusters",
-    "gap_profile",
     "relative_eigengap",
-    "condition_number",
     "dense_lowest_eigenpairs",
     "lanczos_lowest_eigenpairs",
     "complex_to_real_features",
-    "projector_embedding",
     "row_normalize",
     "spectral_embedding",
     "KMeansResult",
@@ -49,5 +42,4 @@ __all__ = [
     "update_centroids",
     "ClassicalSpectralClustering",
     "ClusteringResult",
-    "classical_spectral_clustering",
 ]

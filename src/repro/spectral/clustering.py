@@ -116,14 +116,3 @@ class ClassicalSpectralClustering:
             kmeans=km,
             method="classical-hermitian",
         )
-
-
-def classical_spectral_clustering(
-    graph: MixedGraph, num_clusters: int, seed=None, **kwargs
-) -> np.ndarray:
-    """Functional one-shot wrapper returning only the labels."""
-    return (
-        ClassicalSpectralClustering(num_clusters, seed=seed, **kwargs)
-        .fit(graph)
-        .labels
-    )

@@ -124,12 +124,3 @@ def lanczos_lowest_eigenpairs(
     vectors = q @ ritz_vectors[:, :k]
     vectors /= np.linalg.norm(vectors, axis=0, keepdims=True)
     return ritz_values[:k], vectors
-
-
-def condition_number(matrix: np.ndarray, rank_tolerance: float = 1e-10) -> float:
-    """κ(M): ratio of largest to smallest *non-zero* singular value."""
-    singular_values = np.linalg.svd(np.asarray(matrix), compute_uv=False)
-    nonzero = singular_values[singular_values > rank_tolerance * singular_values[0]]
-    if nonzero.size == 0:
-        raise ConvergenceError("matrix is numerically zero")
-    return float(nonzero[0] / nonzero[-1])

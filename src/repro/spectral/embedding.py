@@ -106,18 +106,3 @@ def spectral_embedding(
     if normalize_rows:
         return normalized_real_features(vectors)
     return complex_to_real_features(vectors)
-
-
-def projector_embedding(
-    eigenvectors: np.ndarray,
-) -> np.ndarray:
-    """Rows of the subspace projector Π_k = U_k U_k† as embedding vectors.
-
-    This is what the *quantum* pipeline physically reconstructs: the
-    projected basis state Π_k|i> read out in the computational basis.
-    Because U_k† is an isometry on the k-dimensional subspace, pairwise
-    distances among projector rows equal those among eigenvector-coordinate
-    rows, so clustering either representation is equivalent (tested).
-    """
-    eigenvectors = np.asarray(eigenvectors)
-    return eigenvectors @ eigenvectors.conj().T

@@ -63,21 +63,3 @@ def estimate_num_clusters(
     gaps = eigengaps(eigenvalues)
     window = gaps[k_min - 1 : limit]
     return int(np.argmax(window)) + k_min
-
-
-def gap_profile(eigenvalues: np.ndarray, k_max: int | None = None) -> list[dict]:
-    """Per-k gap diagnostics for reporting (k, gap, relative gap)."""
-    eigenvalues = np.asarray(eigenvalues, dtype=float).ravel()
-    gaps = eigengaps(eigenvalues)
-    limit = k_max if k_max is not None else eigenvalues.size - 1
-    limit = min(limit, eigenvalues.size - 1)
-    profile = []
-    for k in range(1, limit + 1):
-        profile.append(
-            {
-                "k": k,
-                "gap": float(gaps[k - 1]),
-                "relative_gap": relative_eigengap(eigenvalues, k),
-            }
-        )
-    return profile

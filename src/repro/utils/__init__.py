@@ -3,20 +3,12 @@
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.linalg import (
     is_hermitian,
-    is_unitary,
-    is_psd,
     next_power_of_two,
-    num_qubits_for,
-    frobenius_distance,
 )
 
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "is_hermitian",
-    "is_unitary",
-    "is_psd",
     "next_power_of_two",
-    "num_qubits_for",
-    "frobenius_distance",
 ]

@@ -57,38 +57,8 @@ def is_hermitian(matrix: np.ndarray, atol: float = DEFAULT_ATOL) -> bool:
     return True
 
 
-def is_unitary(matrix: np.ndarray, atol: float = 1e-9) -> bool:
-    """Return ``True`` if ``matrix`` is unitary (U @ U† = I)."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        return False
-    identity = np.eye(matrix.shape[0])
-    return bool(np.allclose(matrix @ matrix.conj().T, identity, atol=atol))
-
-
-def is_psd(matrix: np.ndarray, atol: float = 1e-8) -> bool:
-    """Return ``True`` if a Hermitian ``matrix`` is positive semidefinite.
-
-    The check eigendecomposes, so reserve it for tests and validation paths.
-    """
-    if not is_hermitian(matrix, atol=max(atol, DEFAULT_ATOL)):
-        return False
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return bool(eigenvalues.min() >= -atol)
-
-
 def next_power_of_two(value: int) -> int:
     """Smallest power of two >= ``value`` (with ``value`` >= 1)."""
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
     return 1 << (value - 1).bit_length()
-
-
-def num_qubits_for(dimension: int) -> int:
-    """Number of qubits needed to index a space of size ``dimension``."""
-    return (next_power_of_two(dimension)).bit_length() - 1
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of ``a - b`` — convenient for closeness assertions."""
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))

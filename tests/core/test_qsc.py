@@ -10,7 +10,6 @@ from repro import (
     adjusted_rand_index,
     cyclic_flow_sbm,
     mixed_sbm,
-    quantum_spectral_clustering,
 )
 from repro.baselines import SymmetrizedSpectralClustering
 from repro.core.runtime_model import fitted_exponent, profile_graph
@@ -221,11 +220,6 @@ class TestAnalyticPipeline:
         config = QSCConfig(eigenvalue_threshold=0.4, shots=128, seed=10)
         result = QuantumSpectralClustering(2, config).fit(graph)
         assert result.threshold == 0.4
-
-    def test_functional_wrapper(self):
-        graph, _ = mixed_sbm(20, 2, seed=11)
-        labels = quantum_spectral_clustering(graph, 2, QSCConfig(shots=64, seed=0))
-        assert labels.shape == (20,)
 
     def test_too_many_clusters_rejected(self):
         graph, _ = mixed_sbm(8, 2, seed=12)

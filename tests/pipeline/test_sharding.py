@@ -826,6 +826,42 @@ class TestConfigValidation:
         assert QSCConfig(shard_timeout=5).shard_timeout == 5
         assert ShardSupervisor(timeout=np.float64(0.5)).timeout == 0.5
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("backoff_base", float("nan")),
+            ("backoff_base", float("inf")),
+            ("backoff_base", -0.1),
+            ("backoff_base", True),
+            ("backoff_cap", float("nan")),
+            ("backoff_cap", -1.0),
+            ("backoff_cap", None),
+            ("poll_interval", 0.0),
+            ("poll_interval", float("nan")),
+            ("poll_interval", True),
+            ("retries", 1.5),
+            ("retries", True),
+            ("max_workers", True),
+            ("max_workers", 1.5),
+        ],
+    )
+    def test_supervisor_rejects_settings_it_cannot_run_with(self, option, value):
+        """Checked at construction: with a NaN backoff a failed task's retry
+        time is NaN, so it is never retried and the run never returns."""
+        with pytest.raises(ClusteringError, match=option):
+            ShardSupervisor(**{option: value})
+
+    def test_zero_backoff_and_numpy_counts_are_accepted(self):
+        supervisor = ShardSupervisor(
+            retries=np.int64(1),
+            backoff_base=0,
+            backoff_cap=0.0,
+            max_workers=np.int64(2),
+            poll_interval=np.float64(0.01),
+        )
+        assert (supervisor.retries, supervisor.max_workers) == (1, 2)
+        assert supervisor.backoff(3) == 0.0
+
     def test_default_worker_cap_is_cpu_bound(self):
         """None caps in-flight workers at the core count, not shard count."""
         assert sharding.default_max_workers() == (os.cpu_count() or 1)

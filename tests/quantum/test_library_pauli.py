@@ -3,29 +3,25 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matrix_checks import is_unitary
 
 from repro.exceptions import CircuitError
-from repro.quantum.library import (
-    basis_preparation,
-    hadamard_layer,
-    inverse_qft_circuit,
-    qft_circuit,
-    qft_matrix,
-)
+from repro.quantum.library import inverse_qft_circuit, qft_circuit
 from repro.quantum.pauli import (
     PauliTerm,
     all_pauli_labels,
     pauli_decompose,
     pauli_matrix,
-    pauli_reconstruct,
 )
-from repro.utils.linalg import is_unitary
 
 
 class TestQFT:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_qft_matches_dft_matrix(self, m):
-        assert np.allclose(qft_circuit(m).to_matrix(), qft_matrix(m))
+        # F[j, k] = exp(+2πi jk / 2^m) / sqrt(2^m): NumPy's orthonormal
+        # inverse DFT of the identity
+        dft = np.fft.ifft(np.eye(2**m), norm="ortho")
+        assert np.allclose(qft_circuit(m).to_matrix(), dft)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_inverse_qft_is_adjoint(self, m):
@@ -51,25 +47,6 @@ class TestQFT:
     def test_qft_on_zero_state_gives_uniform(self):
         sv = qft_circuit(3).statevector()
         assert np.allclose(sv.probabilities(), 1 / 8)
-
-
-class TestLayers:
-    def test_hadamard_layer_uniform(self):
-        sv = hadamard_layer(3).statevector()
-        assert np.allclose(sv.probabilities(), 1 / 8)
-
-    def test_hadamard_layer_subset(self):
-        sv = hadamard_layer(2, qubits=[1]).statevector()
-        assert np.allclose(sv.probabilities(), [0.5, 0.5, 0, 0])
-
-    @pytest.mark.parametrize("index", [0, 3, 5, 7])
-    def test_basis_preparation(self, index):
-        sv = basis_preparation(3, index).statevector()
-        assert np.isclose(abs(sv.amplitudes[index]), 1.0)
-
-    def test_basis_preparation_range_check(self):
-        with pytest.raises(CircuitError):
-            basis_preparation(2, 4)
 
 
 class TestPauli:
@@ -102,7 +79,7 @@ class TestPauli:
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         hermitian = raw + raw.conj().T
         terms = pauli_decompose(hermitian)
-        assert np.allclose(pauli_reconstruct(terms, 2), hermitian)
+        assert np.allclose(sum(t.weighted_matrix() for t in terms), hermitian)
 
     def test_decompose_coefficients_real(self):
         rng = np.random.default_rng(4)
@@ -124,10 +101,6 @@ class TestPauli:
     def test_decompose_rejects_non_power_of_two(self):
         with pytest.raises(CircuitError):
             pauli_decompose(np.eye(3))
-
-    def test_reconstruct_size_mismatch(self):
-        with pytest.raises(CircuitError):
-            pauli_reconstruct([PauliTerm("X", 1.0)], 2)
 
 
 class TestPauliTerm:

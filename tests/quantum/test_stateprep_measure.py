@@ -1,16 +1,14 @@
-"""Tests for tomography, counts helpers, and noise."""
+"""Tests for tomography and noise."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.exceptions import CircuitError, EncodingError
+from repro.quantum import gates
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.measurement import (
-    counts_to_probabilities,
-    expectation_from_counts,
-    sample_distribution,
-    tomography_estimate,
-)
+from repro.quantum.measurement import tomography_estimate
 from repro.quantum.noise import (
     NoiseModel,
     apply_depolarizing,
@@ -18,7 +16,11 @@ from repro.quantum.noise import (
     noisy_run,
     noisy_sample_counts,
 )
-from repro.quantum.statevector import basis_state
+from repro.quantum.statevector import Statevector
+
+
+def basis_state(num_qubits, index):
+    return Statevector(np.eye(2**num_qubits)[index])
 
 
 def unit(vector) -> np.ndarray:
@@ -56,33 +58,7 @@ class TestTomography:
             tomography_estimate(np.zeros(2), 10)
 
 
-class TestCountsHelpers:
-    def test_counts_roundtrip(self):
-        probs = np.array([0.25, 0.75])
-        counts = sample_distribution(probs, 10000, seed=0)
-        recovered = counts_to_probabilities(counts, 2)
-        assert abs(recovered[1] - 0.75) < 0.02
-
-    def test_counts_validation(self):
-        with pytest.raises(EncodingError):
-            counts_to_probabilities({}, 2)
-        with pytest.raises(EncodingError):
-            counts_to_probabilities({5: 3}, 2)
-
-    def test_expectation_from_counts(self):
-        counts = {0: 50, 1: 50}
-        assert np.isclose(expectation_from_counts(counts, np.array([0.0, 1.0])), 0.5)
-
-    def test_sample_distribution_validates(self):
-        with pytest.raises(EncodingError):
-            sample_distribution(np.array([0.5, 0.6]), 10)
-
-
 class TestNoise:
-    def test_noiseless_model_flag(self):
-        assert NoiseModel().is_noiseless
-        assert not NoiseModel(depolarizing_rate=0.1).is_noiseless
-
     def test_rates_validated(self):
         with pytest.raises(CircuitError):
             NoiseModel(depolarizing_rate=1.5)
@@ -112,6 +88,36 @@ class TestNoise:
     def test_negative_shots_rejected(self):
         with pytest.raises(CircuitError):
             noisy_sample_counts(QuantumCircuit(1), -1, NoiseModel())
+
+    def test_monte_carlo_converges_to_exact_channel(self):
+        qc = QuantumCircuit(2).h(0).cx(0, 1)
+        rate = 0.15
+        # Exact reference: after each gate every touched qubit takes I with
+        # weight 1 − p or one of X, Y, Z with weight p/3; the 4 × 16 = 64
+        # branches' outcome distributions, weighted, are the channel's.
+        branches = [(1 - rate, gates.I2)] + [
+            (rate / 3, pauli) for pauli in (gates.X, gates.Y, gates.Z)
+        ]
+        touched = sum(len(op.qubits) for op in qc.operations)
+        exact = np.zeros(4)
+        for choice in itertools.product(branches, repeat=touched):
+            state, weight, draws = Statevector(2), 1.0, iter(choice)
+            for op in qc.operations:
+                state.apply_gate(op.resolve_matrix(), op.qubits)
+                for qubit in op.qubits:
+                    probability, pauli = next(draws)
+                    weight *= probability
+                    state.apply_gate(pauli, [qubit])
+            exact += weight * state.probabilities()
+        assert np.isclose(exact.sum(), 1.0)
+        trials = 3000
+        rng = np.random.default_rng(0)
+        accumulated = np.zeros(4)
+        for _ in range(trials):
+            sv = noisy_run(qc, NoiseModel(depolarizing_rate=rate), seed=rng)
+            accumulated += sv.probabilities()
+        empirical = accumulated / trials
+        assert np.abs(empirical - exact).max() < 0.03
 
 
 class TestNoiseChannels:

@@ -7,6 +7,7 @@ whose records are identical to the same sweep run directly through
 never a semantics change.
 """
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ServiceError
@@ -47,6 +48,29 @@ class TestManagerSettings:
         manager = JobManager(job_timeout=30, job_retries=0)
         assert (manager.job_timeout, manager.job_retries) == (30, 0)
         assert JobManager().job_timeout is None
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("workers", True),
+            ("workers", 1.5),
+            ("workers", 0),
+            ("max_queued", True),
+            ("max_queued", 0),
+            ("max_jobs_per_tenant", 2.5),
+            ("max_jobs_per_tenant", 0),
+        ],
+    )
+    def test_capacities_must_be_positive_integers(self, option, value):
+        with pytest.raises(ServiceError, match=option):
+            JobManager(**{option: value})
+
+    def test_integral_capacities_are_kept(self):
+        manager = JobManager(
+            workers=np.int64(3), max_queued=np.int64(4), max_jobs_per_tenant=2
+        )
+        assert (manager.max_queued, manager.max_jobs_per_tenant) == (4, 2)
+        assert JobManager(max_queued=None).max_queued is None
 
 
 class TestServedExecution:

@@ -8,7 +8,6 @@ from repro.exceptions import ConvergenceError
 from repro.graphs import hermitian_laplacian, random_mixed_graph
 from repro.linalg import SparseBackend
 from repro.spectral.eigensolvers import (
-    condition_number,
     dense_lowest_eigenpairs,
     lanczos_lowest_eigenpairs,
 )
@@ -104,19 +103,3 @@ class TestSparse:
             hermitian_laplacian(graph, backend="sparse"), 3
         )
         assert np.allclose(from_sparse, dense_lowest_eigenpairs(dense, 3)[0], atol=1e-8)
-
-
-class TestConditionNumber:
-    def test_identity_is_one(self):
-        assert np.isclose(condition_number(np.eye(4)), 1.0)
-
-    def test_diagonal(self):
-        assert np.isclose(condition_number(np.diag([4.0, 2.0, 1.0])), 4.0)
-
-    def test_ignores_zero_singular_values(self):
-        singular = np.diag([2.0, 1.0, 0.0])
-        assert np.isclose(condition_number(singular), 2.0)
-
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(ConvergenceError):
-            condition_number(np.zeros((3, 3)))

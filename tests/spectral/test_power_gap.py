@@ -8,7 +8,6 @@ from repro.graphs import laplacian_spectrum, mixed_sbm
 from repro.spectral import (
     eigengaps,
     estimate_num_clusters,
-    gap_profile,
     relative_eigengap,
 )
 
@@ -51,8 +50,3 @@ class TestEigengap:
             estimate_num_clusters([0.0, 0.5])
         with pytest.raises(ClusteringError):
             estimate_num_clusters([0.0, 0.1, 0.2, 1.0], k_min=9)
-
-    def test_gap_profile_keys(self):
-        profile = gap_profile([0.0, 0.1, 1.0, 1.2])
-        assert profile[0]["k"] == 1
-        assert {"k", "gap", "relative_gap"} <= set(profile[0])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from matrix_checks import is_psd
 
 from repro.baselines import (
     AdjacencyKMeans,
@@ -19,7 +20,7 @@ from repro.exceptions import ClusteringError
 from repro.graphs import cyclic_flow_sbm, mixed_sbm, random_mixed_graph
 from repro.linalg import SparseBackend
 from repro.metrics import adjusted_rand_index
-from repro.utils.linalg import is_hermitian, is_psd
+from repro.utils.linalg import is_hermitian
 
 
 class TestSymmetrized:

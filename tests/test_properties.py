@@ -7,6 +7,7 @@ a numerics-heavy library.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from matrix_checks import is_psd
 
 from repro.core.qpe_engine import AnalyticQPEBackend, pad_laplacian
 from repro.graphs import (
@@ -15,8 +16,8 @@ from repro.graphs import (
     laplacian_spectrum,
     random_mixed_graph,
 )
-from repro.quantum import qpe_outcome_distribution
-from repro.utils.linalg import is_hermitian, is_psd
+from repro.quantum.phase_estimation import qpe_outcome_distribution
+from repro.utils.linalg import is_hermitian
 
 graph_seeds = st.integers(0, 200)
 thetas = st.floats(0.05, np.pi)

@@ -1,19 +1,11 @@
-"""Tests for RNG and linear-algebra utilities."""
+"""Tests for RNG and linear-algebra utilities (and the tests' matrix checks)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.utils import (
-    ensure_rng,
-    frobenius_distance,
-    is_hermitian,
-    is_psd,
-    is_unitary,
-    next_power_of_two,
-    num_qubits_for,
-    spawn_rngs,
-)
+from matrix_checks import is_psd, is_unitary
+from repro.utils import ensure_rng, is_hermitian, next_power_of_two, spawn_rngs
 from repro.utils.linalg import BLOCK_ENTRIES, MIN_BLOCK_ROWS, row_blocks
 
 
@@ -73,15 +65,6 @@ class TestLinalgPredicates:
     def test_next_power_of_two_rejects_zero(self):
         with pytest.raises(ValueError):
             next_power_of_two(0)
-
-    def test_num_qubits_for(self):
-        assert num_qubits_for(2) == 1
-        assert num_qubits_for(5) == 3
-        assert num_qubits_for(8) == 3
-
-    def test_frobenius_distance(self):
-        assert frobenius_distance(np.eye(2), np.eye(2)) == 0.0
-        assert np.isclose(frobenius_distance(np.zeros((2, 2)), np.eye(2)), np.sqrt(2))
 
 
 class TestRowBlocks:
