@@ -24,3 +24,27 @@ def is_psd(matrix: np.ndarray, atol: float = 1e-8) -> bool:
         return False
     eigenvalues = np.linalg.eigvalsh(matrix)
     return bool(eigenvalues.min() >= -atol)
+
+
+def embed_gate(matrix: np.ndarray, qubits, num_qubits: int) -> np.ndarray:
+    """The full 2^m x 2^m operator of ``matrix`` acting on ``qubits``.
+
+    Built entry by entry from basis indices (qubit 0 most significant,
+    ``qubits[0]`` the most significant bit of the gate index), so it is
+    an oracle independent of the simulator's axis moves.
+    """
+    k = len(qubits)
+    shifts = [num_qubits - 1 - q for q in qubits]
+    dim = 2**num_qubits
+    full = np.zeros((dim, dim), dtype=complex)
+    for column in range(dim):
+        gate_in = 0
+        for shift in shifts:
+            gate_in = (gate_in << 1) | ((column >> shift) & 1)
+        for gate_out in range(2**k):
+            row = column
+            for position, shift in enumerate(shifts):
+                bit = (gate_out >> (k - 1 - position)) & 1
+                row = (row & ~(1 << shift)) | (bit << shift)
+            full[row, column] += matrix[gate_out, gate_in]
+    return full

@@ -2,12 +2,19 @@
 
 import numpy as np
 import pytest
-from matrix_checks import is_unitary
+from matrix_checks import embed_gate, is_unitary
 
 from repro.exceptions import CircuitError, QubitError
 from repro.quantum import gates
 from repro.quantum.circuit import Operation, QuantumCircuit
 from repro.quantum.statevector import Statevector
+
+
+#: One parameter tuple per named gate the inverse test covers.
+NAMED_GATES = {
+    "h": (), "s": (), "t": (), "y": (), "swap": (),
+    "rx": (0.7,), "rz": (-1.3,), "u3": (0.3, 0.5, 0.7),
+}
 
 
 class TestConstruction:
@@ -36,6 +43,12 @@ class TestConstruction:
         with pytest.raises(CircuitError):
             QuantumCircuit(2).add_unitary(np.eye(3), (0, 1))
 
+    def test_append_validates_qubits(self):
+        with pytest.raises(QubitError):
+            QuantumCircuit(2).append(Operation(name="x", qubits=(2,)))
+        with pytest.raises(QubitError):
+            QuantumCircuit(2).append(Operation(name="swap", qubits=(1, 1)))
+
 
 class TestExecution:
     def test_bell_statevector(self):
@@ -62,6 +75,30 @@ class TestExecution:
         assert is_unitary(qc.to_matrix())
 
 
+class TestControlledUnitary:
+    @pytest.mark.parametrize(
+        "control, targets", [(0, (1,)), (2, (0,)), (1, (2, 0)), (0, (2, 1))]
+    )
+    def test_cu_is_the_controlled_block_on_its_qubits(self, control, targets):
+        rng = np.random.default_rng(len(targets))
+        dim = 2 ** len(targets)
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        unitary = np.linalg.qr(raw)[0]
+        matrix = QuantumCircuit(3).cu(unitary, control, targets).to_matrix()
+        # identity where the control reads 0, the unitary on the targets where
+        # it reads 1
+        low = np.diag([1.0, 0.0])
+        high = np.diag([0.0, 1.0])
+        expected = embed_gate(np.kron(low, np.eye(dim)), (control, *targets), 3)
+        expected += embed_gate(np.kron(high, unitary), (control, *targets), 3)
+        assert np.allclose(matrix, expected)
+
+    def test_cu_leaves_the_control_clear_state_alone(self):
+        state = QuantumCircuit(2).h(1).statevector()
+        after = QuantumCircuit(2).cu(gates.X, 0, (1,)).run(state)
+        assert np.allclose(after.amplitudes, state.amplitudes)
+
+
 class TestAlgebra:
     def test_inverse_cancels(self):
         qc = QuantumCircuit(2).h(0).cx(0, 1).t(1).add_gate("rx", (0,), (0.7,))
@@ -73,6 +110,24 @@ class TestAlgebra:
         outer = QuantumCircuit(3).compose(inner, qubits=(2,))
         sv = outer.statevector()
         assert np.isclose(abs(sv.amplitudes[0b001]), 1.0)
+
+    def test_remapped_compose_matches_the_full_operator(self):
+        sub = QuantumCircuit(2).h(0).cx(0, 1).t(1)
+        matrix = QuantumCircuit(3).compose(sub, qubits=(2, 0)).to_matrix()
+        assert np.allclose(matrix, embed_gate(sub.to_matrix(), (2, 0), 3))
+
+    def test_compose_keeps_raw_unitaries(self):
+        unitary = gates.u3(0.2, 0.4, 0.6)
+        sub = QuantumCircuit(1).add_unitary(unitary, (0,), label="V")
+        op = QuantumCircuit(2).compose(sub, qubits=(1,)).operations[0]
+        assert op.qubits == (1,) and op.label == "V"
+        assert np.array_equal(op.resolve_matrix(), unitary)
+
+    def test_inverse_reverses_the_operation_order(self):
+        qc = QuantumCircuit(2).h(0).cx(0, 1).t(1)
+        inverse = qc.inverse()
+        assert [op.qubits for op in inverse.operations] == [(1,), (0, 1), (0,)]
+        assert np.allclose(inverse.to_matrix(), qc.to_matrix().conj().T)
 
     def test_compose_requires_matching_size_without_map(self):
         with pytest.raises(CircuitError):
@@ -87,6 +142,16 @@ class TestOperations:
     def test_operation_inverse_matrix(self):
         op = Operation(name="t", qubits=(0,))
         assert np.allclose(op.inverse().resolve_matrix(), gates.TDG)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_GATES))
+    def test_named_gate_inverse_is_its_adjoint(self, name):
+        params = NAMED_GATES[name]
+        qubits = (0, 1) if name == "swap" else (0,)
+        op = Operation(name=name, qubits=qubits, params=params)
+        matrix = gates.gate_matrix(name, params)
+        inverse = op.inverse()
+        assert inverse.qubits == qubits
+        assert np.allclose(inverse.resolve_matrix() @ matrix, np.eye(matrix.shape[0]))
 
     def test_repr(self):
         assert "num_qubits=2" in repr(QuantumCircuit(2))

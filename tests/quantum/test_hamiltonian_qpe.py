@@ -141,6 +141,12 @@ class TestQPECircuit:
         true_phase = SpectralDecomposition.of(scaled).eigenvalues[0]
         assert abs(peak_phase - true_phase) < 1 / 16
 
+    @pytest.mark.parametrize("outcome", range(8))
+    def test_every_dyadic_phase_reads_out_exactly(self, outcome):
+        unitary = np.diag([1.0, np.exp(2j * np.pi * outcome / 8)])
+        probabilities = qpe_readout(unitary, 3, np.array([0.0, 1.0]))
+        assert np.allclose(probabilities, np.eye(8)[outcome])
+
     def test_qpe_circuit_validates_inputs(self):
         with pytest.raises(CircuitError):
             qpe_circuit(np.eye(3), 2)
@@ -177,6 +183,13 @@ class TestAnalyticDistribution:
     def test_precision_validation(self):
         with pytest.raises(CircuitError):
             qpe_outcome_distribution(0.5, 0)
+
+    @pytest.mark.parametrize("shift", [-2.0, -1.0, 1.0, 3.0])
+    def test_phase_is_read_mod_one(self, shift):
+        assert np.allclose(
+            qpe_outcome_distribution(0.37 + shift, 4),
+            qpe_outcome_distribution(0.37, 4),
+        )
 
 
 class TestQPEHelpers:

@@ -29,6 +29,12 @@ class TestQFT:
         iqft = inverse_qft_circuit(m).to_matrix()
         assert np.allclose(iqft, qft.conj().T)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_inverse_qft_without_swap_is_adjoint(self, m):
+        qft = qft_circuit(m, swap=False).to_matrix()
+        iqft = inverse_qft_circuit(m, swap=False).to_matrix()
+        assert np.allclose(iqft @ qft, np.eye(2**m))
+
     def test_qft_unitary(self):
         assert is_unitary(qft_circuit(4).to_matrix())
 
@@ -93,6 +99,12 @@ class TestPauli:
         assert len(terms) == 1
         assert terms[0].label == "II"
         assert np.isclose(terms[0].coefficient, 1.0)
+
+    @pytest.mark.parametrize("label", ["X", "Y", "Z", "XZ", "YY", "IZX"])
+    def test_decompose_of_a_pauli_string_is_that_term(self, label):
+        terms = pauli_decompose(2.5 * pauli_matrix(label))
+        assert [t.label for t in terms] == [label]
+        assert np.isclose(terms[0].coefficient, 2.5)
 
     def test_decompose_rejects_non_hermitian(self):
         with pytest.raises(CircuitError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matrix_checks import embed_gate
 
 from repro.exceptions import CircuitError, QubitError
 from repro.quantum import gates
@@ -17,6 +18,22 @@ def random_state(num_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return Statevector(amps / np.linalg.norm(amps))
+
+
+def random_unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(raw)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+#: Target-qubit placements on a 3-qubit register: every single qubit, every
+#: ordered pair (adjacent, split and reversed) and two orders of all three.
+PLACEMENTS = [
+    (0,), (1,), (2,),
+    (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1),
+    (0, 1, 2), (2, 0, 1),
+]
 
 
 class TestConstruction:
@@ -37,6 +54,22 @@ class TestConstruction:
     def test_zero_qubits_rejected(self):
         with pytest.raises(CircuitError):
             Statevector(0)
+
+    def test_numpy_integer_is_a_qubit_count(self):
+        sv = Statevector(np.int64(2))
+        assert sv.num_qubits == 2 and sv.dim == 4
+        assert np.allclose(sv.probabilities(), [1, 0, 0, 0])
+
+    def test_vector_constructor_copies_its_input(self):
+        data = np.array([1.0, 0.0], dtype=complex)
+        sv = Statevector(data)
+        data[:] = [0.0, 1.0]
+        assert np.allclose(sv.amplitudes, [1.0, 0.0])
+
+    def test_amplitudes_is_a_copy(self):
+        sv = Statevector(1)
+        sv.amplitudes[0] = 0.0
+        assert sv.amplitudes[0] == 1.0
 
     def test_copy_is_independent(self):
         sv = Statevector(2)
@@ -98,6 +131,14 @@ class TestGateApplication:
         sv.apply_gate(gates.H, [0])
         assert np.allclose(sv.amplitudes, expected)
 
+    @pytest.mark.parametrize("qubits", PLACEMENTS, ids=str)
+    def test_gate_matches_its_full_operator(self, qubits):
+        unitary = random_unitary(2 ** len(qubits), seed=len(qubits))
+        sv = random_state(3, 4)
+        expected = embed_gate(unitary, qubits, 3) @ sv.amplitudes
+        sv.apply_gate(unitary, qubits)
+        assert np.allclose(sv.amplitudes, expected)
+
     def test_swap_gate_consistency(self):
         sv = random_state(3, 11)
         swapped = sv.copy()
@@ -128,6 +169,45 @@ class TestMeasurement:
         # After measuring qubit 0 of a Bell pair, qubit 1 must agree.
         other = collapsed.marginal_probabilities([1])
         assert np.isclose(other[outcome], 1.0)
+
+    @pytest.mark.parametrize("qubits", PLACEMENTS, ids=str)
+    def test_marginal_matches_a_sum_over_basis_states(self, qubits):
+        sv = random_state(3, 8)
+        expected = np.zeros(2 ** len(qubits))
+        for index, probability in enumerate(sv.probabilities()):
+            outcome = 0
+            for q in qubits:
+                outcome = (outcome << 1) | ((index >> (2 - q)) & 1)
+            expected[outcome] += probability
+        assert np.allclose(sv.marginal_probabilities(qubits), expected)
+
+    def test_outcome_frequencies_follow_the_marginal(self):
+        sv = random_state(2, 5)
+        rng = np.random.default_rng(6)
+        draws = [sv.measure_qubits([1, 0], seed=rng)[0] for _ in range(4000)]
+        frequencies = np.bincount(draws, minlength=4) / len(draws)
+        assert np.abs(frequencies - sv.marginal_probabilities([1, 0])).max() < 0.03
+
+    def test_measuring_a_definite_qubit_leaves_the_state(self):
+        sv = basis_state(2, 0b01)
+        for seed in range(5):
+            outcome, collapsed = sv.measure_qubits([1], seed=seed)
+            assert outcome == 1
+            assert np.allclose(collapsed.amplitudes, sv.amplitudes)
+
+    def test_collapsed_state_is_the_normalized_projection(self):
+        sv = random_state(3, 9)
+        outcome, collapsed = sv.measure_qubits([2, 0], seed=1)
+        # outcome packs qubit 2 (the index's low bit) above qubit 0 (its high bit)
+        kept = [((i & 1) << 1 | i >> 2) == outcome for i in range(8)]
+        projected = np.where(kept, sv.amplitudes, 0.0)
+        assert np.allclose(collapsed.amplitudes, projected / np.linalg.norm(projected))
+
+    def test_measurement_validates_qubits(self):
+        with pytest.raises(QubitError):
+            Statevector(2).measure_qubits([2])
+        with pytest.raises(QubitError):
+            Statevector(2).marginal_probabilities([0, 0])
 
     @given(seed=st.integers(0, 50))
     @settings(max_examples=20, deadline=None)
