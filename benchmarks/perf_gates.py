@@ -18,15 +18,6 @@ import numpy as np
 MIN_GENERATOR_SPEEDUP = 5.0
 MIN_KERNEL_SPEEDUP = 3.0
 
-# Sharded readout (worker processes) vs the single-process batched stage.
-# Wall-clock parallel speedup needs actual cores, so this gate is only
-# *enforced* on multi-core hosts (CI runners are; a 1-CPU container cannot
-# beat the serial stage and records the number as data instead — the same
-# policy the warm-sweep speedup follows).  The bit-identity contract of
-# the merged shards is hardware-independent and gates everywhere.
-MIN_READOUT_SHARD_SPEEDUP = 1.5
-READOUT_SHARD_COUNT = 4
-
 # Preconditioned LOBPCG vs ARPACK eigsh on the ill-conditioned midrange
 # eigenproblem (the workload the "auto" midrange band exists for).  Both
 # timings come from the same run on the same matrix, so the gate is
@@ -46,29 +37,11 @@ GENERATOR_NODES = 1000
 GENERATOR_CLUSTERS = 3
 KERNEL_PHASES = 1024
 KERNEL_PRECISION = 7
-SHARD_NODES = 512
-SHARD_SHOTS = 2048
-SHARD_SEED = 99
 EIGENSOLVER_NODES = 1024  # midrange: SPARSE_AUTO_THRESHOLD <= n < ceiling
 EIGENSOLVER_CLUSTERS = 4
 EIGENSOLVER_K = 4
 EIGENSOLVER_WEIGHT_DECADES = 6.0
 EIGENSOLVER_SEED = 7
-
-
-def usable_cores() -> int:
-    """CPU cores the process may actually use (affinity-aware)."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def shard_gate_enforced() -> bool:
-    """Whether the sharded-readout wall-clock gate applies on this host."""
-    return usable_cores() >= 2
 
 
 def ill_conditioned_laplacian():
@@ -106,26 +79,6 @@ def ill_conditioned_laplacian():
     ).tocsr()
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     return (sparse.diags(degrees) - adjacency).astype(complex).tocsr()
-
-
-def readout_shard_case():
-    """``(backend, accepted)`` of the gated sharded-readout workload.
-
-    Same shape as ``bench_readout_batch``'s analytic case but with a
-    tomography-dominated shot count, so the per-row work the shards split
-    dwarfs the per-worker process/pickle overhead.
-    """
-    from repro.core.config import QSCConfig
-    from repro.core.projection import accepted_outcomes
-    from repro.core.qpe_engine import make_backend
-    from repro.graphs import hermitian_laplacian, sparse_mixed_sbm
-
-    graph, _ = sparse_mixed_sbm(SHARD_NODES, 4, seed=1)
-    laplacian = hermitian_laplacian(graph, backend="dense")
-    config = QSCConfig(backend="analytic", precision_bits=6, shots=SHARD_SHOTS)
-    backend = make_backend(laplacian, config)
-    accepted = accepted_outcomes(0.3, 6, backend.lambda_scale)
-    return backend, accepted
 
 
 def best_seconds(fn, repeats: int = 3) -> float:

@@ -54,20 +54,13 @@ from perf_gates import (
     MIN_GENERATOR_SPEEDUP,
     MIN_KERNEL_SPEEDUP,
     MIN_LOBPCG_SPEEDUP,
-    MIN_READOUT_SHARD_SPEEDUP,
     MIN_RELATIVE_TREND,
-    READOUT_SHARD_COUNT,
-    SHARD_SEED,
-    SHARD_SHOTS,
     batch_kernel_build,
     best_seconds,
     generator_cases,
     ill_conditioned_laplacian,
     kernel_phases,
     loop_kernel_build,
-    readout_shard_case,
-    shard_gate_enforced,
-    usable_cores,
 )
 
 SCHEMA = "repro.bench/1"
@@ -177,64 +170,6 @@ def measure_store() -> dict:
     }
 
 
-def measure_readout_shards() -> dict:
-    """Shard-count scaling curve of the sharded readout stage.
-
-    Bit identity of the merged shards against the single-process stage is
-    verified for every measured count (an ``AssertionError`` here fails
-    the whole run — determinism has no hardware excuse).  The wall-clock
-    speedup at ``READOUT_SHARD_COUNT`` shards is *gated* only on
-    multi-core hosts; single-core containers record it as data.
-    """
-    from repro.core.readout import batched_readout
-    from repro.pipeline.sharding import sharded_readout
-    from repro.utils.rng import ensure_rng
-
-    backend, accepted = readout_shard_case()
-    unsharded_holder = {}
-
-    def run_unsharded():
-        unsharded_holder["result"] = batched_readout(
-            backend, accepted, SHARD_SHOTS, ensure_rng(SHARD_SEED)
-        )
-
-    unsharded = best_seconds(run_unsharded, repeats=2)
-    reference = unsharded_holder["result"]
-    curve = {}
-    for count in (2, READOUT_SHARD_COUNT):
-        sharded_holder = {}
-
-        def run_sharded(count=count):
-            sharded_holder["result"] = sharded_readout(
-                backend,
-                accepted,
-                SHARD_SHOTS,
-                ensure_rng(SHARD_SEED),
-                shard_count=count,
-            )
-
-        curve[str(count)] = best_seconds(run_sharded, repeats=2)
-        sharded = sharded_holder["result"]
-        if (
-            not np.array_equal(sharded.result.rows, reference.rows)
-            or not np.array_equal(sharded.result.norms, reference.norms)
-            or sharded.incomplete_shards
-        ):
-            raise AssertionError(
-                f"sharded readout at {count} shards differs from the "
-                "unsharded stage"
-            )
-    return {
-        "num_nodes": int(backend.num_nodes),
-        "shots": SHARD_SHOTS,
-        "cores": usable_cores(),
-        "unsharded_seconds": unsharded,
-        "sharded_seconds": curve,
-        "speedup": unsharded / curve[str(READOUT_SHARD_COUNT)],
-        "gate_enforced": shard_gate_enforced(),
-    }
-
-
 def measure_eigensolver() -> dict:
     """Preconditioned LOBPCG vs ARPACK eigsh on the midrange workload.
 
@@ -291,11 +226,6 @@ def trend_metrics(results: dict) -> dict:
         for name, row in results["generators"].items()
     }
     metrics["kernel"] = results["kernel"]["speedup"]
-    shards = results.get("readout_shards")
-    if shards is not None and shards["gate_enforced"]:
-        # Parallel speedup only trends where it is gated (multi-core
-        # hosts); a single-core container's ~1x would poison the baseline.
-        metrics["readout_shards"] = shards["speedup"]
     solver = results.get("eigensolver")
     if solver is not None and solver["gate_enforced"]:
         # Same enforced-only policy: a lobpcg-less host has no speedup
@@ -408,13 +338,6 @@ def evaluate_gates(results: dict) -> dict:
         "value": warm_store["disk_hits"],
         "passed": warm_store["disk_hits"] >= 1,
     }
-    shards = results["readout_shards"]
-    if shards["gate_enforced"]:
-        gates[f"readout_shard_speedup@{READOUT_SHARD_COUNT}"] = {
-            "threshold": MIN_READOUT_SHARD_SPEEDUP,
-            "value": shards["speedup"],
-            "passed": shards["speedup"] >= MIN_READOUT_SHARD_SPEEDUP,
-        }
     solver = results["eigensolver"]
     if solver["gate_enforced"]:
         gates["lobpcg_speedup"] = {
@@ -456,7 +379,6 @@ def main(argv=None) -> int:
         "kernel": measure_kernel(),
         "sweep_cache": measure_sweep_cache(),
         "store": measure_store(),
-        "readout_shards": measure_readout_shards(),
         "eigensolver": measure_eigensolver(),
     }
     gates = evaluate_gates(results)

@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from repro.core import QSCConfig, QuantumSpectralClustering
-from repro.core.config import SHARD_FAILURE_MODES, SPECTRAL_ENGINES
+from repro.core.config import SPECTRAL_ENGINES
 from repro.exceptions import ReproError
 from repro.graphs import (
     cyclic_flow_sbm,
@@ -124,68 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     cluster.add_argument(
-        "--readout-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "split the readout stage into N supervised row shards run in "
-            "worker processes (results are bit-identical at any count; "
-            "with --save-stages each shard checkpoints separately, so a "
-            "crashed run resumes recomputing only the missing shards; "
-            "default: unsharded)"
-        ),
-    )
-    cluster.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-attempt deadline for one readout shard; a worker past it "
-            "is killed and the shard retried (default: no deadline)"
-        ),
-    )
-    cluster.add_argument(
-        "--shard-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "extra attempts a failed or hung readout shard gets before "
-            "the run aborts (default: 2)"
-        ),
-    )
-    cluster.add_argument(
-        "--shard-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "concurrent worker processes for sharded readout; results are "
-            "identical at any value (default: one per CPU core)"
-        ),
-    )
-    cluster.add_argument(
-        "--shard-failure-mode",
-        choices=SHARD_FAILURE_MODES,
-        default="raise",
-        help=(
-            "what to do when a readout shard exhausts its retries: "
-            "'raise' aborts the run (default); 'degrade' zeroes the "
-            "failed shard's rows and keeps going — degraded stages are "
-            "not checkpointed, so a later --resume-from readout run "
-            "recomputes them completely"
-        ),
-    )
-    cluster.add_argument(
         "--store-dir",
         metavar="DIR",
         default=None,
         help=(
             "attach the shared content-addressed compute store rooted at "
-            "DIR: spectral decompositions, pipeline stages and readout "
-            "shards are served from and published to it, so a repeat run "
+            "DIR: spectral decompositions and pipeline stages are served "
+            "from and published to it, so a repeat run "
             "(from any process) reads every stage it already published "
             "instead of recomputing it; --resume-from loads upstream "
             "stages from it too; results are bit-identical either way "
@@ -312,17 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     experiments.add_argument(
-        "--readout-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "run every quantum fit's readout stage as N supervised row "
-            "shards (recorded in the artifacts; results are bit-identical "
-            "to unsharded; default: unsharded)"
-        ),
-    )
-    experiments.add_argument(
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
@@ -408,8 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help=(
-            "shared content-addressed store for every served job: shard/"
-            "stage checkpoints land there as they complete (crash-resume) "
+            "shared content-addressed store for every served job: stage "
+            "checkpoints land there as they complete (crash-resume) "
             "and finished artifacts are published under the job's content "
             "fingerprint, so identical resubmissions are served without "
             "recomputing (default: no store — jobs always compute)"
@@ -498,11 +432,6 @@ def _cmd_cluster(args) -> int:
             precision_bits=args.precision_bits,
             shots=args.shots,
             readout_chunk_size=args.readout_chunk_size,
-            readout_shards=args.readout_shards,
-            shard_timeout=args.shard_timeout,
-            shard_retries=args.shard_retries,
-            shard_workers=args.shard_workers,
-            shard_failure_mode=args.shard_failure_mode,
             store_dir=args.store_dir,
             theta=args.theta,
             seed=args.seed,
@@ -548,18 +477,6 @@ def _cmd_cluster(args) -> int:
                 f"{row['source']:10s} cache {row['cache_hits']}h/"
                 f"{row['cache_misses']}m{backend}"
             )
-            for shard in row.get("shards", ()):
-                print(
-                    f"    shard {shard['shard']} rows "
-                    f"{shard['start']}:{shard['stop']} "
-                    f"{shard['seconds']*1e3:9.2f} ms  {shard['source']:10s} "
-                    f"attempts {shard['attempts']}"
-                )
-            if row.get("incomplete_shards"):
-                print(
-                    "    incomplete shards: "
-                    + ", ".join(str(i) for i in row["incomplete_shards"])
-                )
     return 0
 
 
@@ -660,8 +577,6 @@ def _cmd_experiments(args) -> int:
         factory_kwargs = {}
         if args.generator_version is not None:
             factory_kwargs["generator_version"] = args.generator_version
-        if args.readout_shards is not None:
-            factory_kwargs["readout_shards"] = args.readout_shards
         if args.backend is not None:
             factory_kwargs["linalg_backend"] = args.backend
         if args.store_dir is not None:

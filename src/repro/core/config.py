@@ -18,26 +18,18 @@ EVOLUTIONS = ("exact", "trotter")
 #: the padded D × D matrix, ``"v3"`` only the n × n graph block, with
 #: LAPACK's MRRR driver.
 SPECTRAL_ENGINES = ("v1", "v3")
-#: Failure policies of the sharded-readout supervisor (the canonical
-#: vocabulary — :mod:`repro.pipeline.supervisor` re-exports it).
-SHARD_FAILURE_MODES = ("raise", "degrade")
 #: Integer fields, and those that may also be ``None``: a ``bool`` or a
 #: non-integral value is a typed error (NumPy integers from sweep axes pass).
 _INTEGER_FIELDS = (
     "precision_bits",
     "shots",
     "histogram_shots",
-    "shard_retries",
     "trotter_steps",
     "trotter_order",
     "qmeans_iterations",
     "kmeans_restarts",
 )
-_OPTIONAL_INTEGER_FIELDS = (
-    "readout_chunk_size",
-    "readout_shards",
-    "shard_workers",
-)
+_OPTIONAL_INTEGER_FIELDS = ("readout_chunk_size",)
 
 
 def is_count(value, minimum: int) -> bool:
@@ -93,42 +85,11 @@ class QSCConfig:
         row by float rounding (under 1e-15: its filter runs as a
         matrix-vector product).  Exposed on the CLI as
         ``--readout-chunk-size``.
-    readout_shards:
-        Split the readout stage into this many deterministic row shards
-        executed by the supervised work queue
-        (:mod:`repro.pipeline.sharding`).  ``None`` (default) runs the
-        classic unsharded stage; any count up to half the rows produces
-        bit-identical results because each shard consumes exactly the
-        per-row RNG streams it owns and shards merge in index order (a
-        larger count makes one-row shards, whose rows move by float
-        rounding, as a one-row readout block does).  With ``save_stages`` each
-        shard checkpoints as ``readout.shard-<i>.npz``, so a crashed run
-        resumes recomputing only the missing shards.  Exposed on the CLI
-        as ``--readout-shards``.
-    shard_timeout:
-        Per-attempt wall-clock deadline (seconds) for one readout shard;
-        a worker past it is killed and the shard retried.  ``None``
-        (default) disables the deadline.  Exposed as ``--shard-timeout``.
-    shard_retries:
-        Extra attempts a failed/hung shard gets before the run's
-        ``shard_failure_mode`` policy applies (default 2 → up to three
-        attempts).  Exposed as ``--shard-retries``.
-    shard_failure_mode:
-        ``"raise"`` (default) aborts the fit when a shard exhausts its
-        retries; ``"degrade"`` returns partial results with the failed
-        shards' rows zeroed and their indices recorded in the readout
-        stage's ``incomplete_shards`` telemetry.
-    shard_workers:
-        Concurrent worker processes for the sharded readout stage.
-        ``None`` (default) caps in-flight attempts at ``os.cpu_count()``,
-        so high shard counts do not oversubscribe the host.  Worker
-        concurrency never changes results (shards merge in index order).
-        Exposed as ``--shard-workers``.
     store_dir:
         Root directory of the shared content-addressed compute store
         (:mod:`repro.store`).  ``None`` (default) keeps the store
         memory-only (per process); a path attaches the on-disk tier, so
-        spectral eigendecompositions / QPE kernels and stage/shard
+        spectral eigendecompositions / QPE kernels and stage
         checkpoints written by *any* process serve later runs as disk
         hits.  Purely an execution knob: a warm store is bit-transparent
         (hit or miss, outputs are identical) and the field never enters
@@ -183,11 +144,6 @@ class QSCConfig:
     shots: int = 2048
     histogram_shots: int = 4096
     readout_chunk_size: int | None = None
-    readout_shards: int | None = None
-    shard_timeout: float | None = None
-    shard_retries: int = 2
-    shard_failure_mode: str = "raise"
-    shard_workers: int | None = None
     store_dir: str | None = None
     backend: str = "analytic"
     spectral_engine: str = "v3"
@@ -226,28 +182,6 @@ class QSCConfig:
             raise ClusteringError(
                 f"readout_chunk_size must be >= 1 or None, "
                 f"got {self.readout_chunk_size}"
-            )
-        if self.readout_shards is not None and self.readout_shards < 1:
-            raise ClusteringError(
-                f"readout_shards must be >= 1 or None, got {self.readout_shards}"
-            )
-        if not is_deadline(self.shard_timeout):
-            raise ClusteringError(
-                f"shard_timeout must be a finite positive number or None, "
-                f"got {self.shard_timeout!r}"
-            )
-        if self.shard_retries < 0:
-            raise ClusteringError(
-                f"shard_retries must be >= 0, got {self.shard_retries}"
-            )
-        if self.shard_failure_mode not in SHARD_FAILURE_MODES:
-            raise ClusteringError(
-                f"shard_failure_mode must be one of {SHARD_FAILURE_MODES}, "
-                f"got {self.shard_failure_mode!r}"
-            )
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ClusteringError(
-                f"shard_workers must be >= 1 or None, got {self.shard_workers}"
             )
         if self.store_dir is not None and not str(self.store_dir).strip():
             raise ClusteringError(

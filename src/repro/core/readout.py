@@ -31,7 +31,7 @@ blocks of two or more rows gives bit-identical output.  The one exception
 is a block of exactly one row: its filter product runs as a
 matrix-vector product, whose rounding differs from the matrix-matrix
 product by a few 1e-16 per entry, under 1e-15 (an explicit ``chunk_size``
-that leaves a remainder of one row, or a shard of one row).  The default
+that leaves a remainder of one row).  The default
 blocking never makes a one-row block unless the graph has one node.  This
 is pinned in ``tests/core/test_readout.py``.
 
@@ -121,97 +121,6 @@ def anchor_row_phases(rows: np.ndarray) -> None:
             rows[row] *= np.conj(anchor / magnitude)
 
 
-def readout_span(
-    backend,
-    accepted: np.ndarray,
-    shots: int,
-    row_rngs,
-    start: int,
-    stop: int,
-    *,
-    chunk_size: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Filter + tomography + amplitude estimation for rows ``[start, stop)``.
-
-    The chunk loop of :func:`batched_readout`, factored over an arbitrary
-    contiguous row span so the sharded readout path
-    (:mod:`repro.pipeline.sharding`) runs the *same* code per shard that
-    the unsharded stage runs over all rows.
-
-    Parameters
-    ----------
-    row_rngs:
-        Per-row generators indexed **locally**: ``row_rngs[i]`` serves
-        absolute row ``start + i``.  Callers slice the full
-        :func:`~repro.utils.rng.spawn_rngs` layout, so row ``start + i``
-        consumes exactly the stream it would in an unsharded pass —
-        the span decomposition provably cannot change any bit.
-    start, stop:
-        Absolute row range (``backend.project_rows`` node indices).
-    chunk_size:
-        Rows per filter/tomography block *within* the span; ``None``
-        splits the span into balanced blocks
-        (:func:`~repro.utils.linalg.row_blocks`), none of them a single
-        row unless the span is one row.
-
-    Returns
-    -------
-    ``(rows, norms, probabilities)`` of local length ``stop - start``,
-    **without** phase canonicalization (that is row-local and applied once
-    by the caller after any merge).
-    """
-    if shots < 0:
-        raise ClusteringError(f"shots must be non-negative, got {shots}")
-    span_rows = stop - start
-    rows = np.zeros((span_rows, backend.dim), dtype=complex)
-    norms = np.zeros(span_rows)
-    probabilities = np.zeros(span_rows)
-    if span_rows == 0:
-        return rows, norms, probabilities
-    if chunk_size is None:
-        blocks = row_blocks(span_rows, backend.dim)
-    elif chunk_size < 1:
-        raise ClusteringError(f"chunk_size must be >= 1, got {chunk_size}")
-    else:
-        blocks = [
-            (offset, min(offset + chunk_size, span_rows))
-            for offset in range(0, span_rows, chunk_size)
-        ]
-    accepted = np.asarray(accepted, dtype=int)
-    for block_start, block_stop in blocks:
-        local = np.arange(block_start, block_stop)
-        nodes = local + start
-        filtered, block_probabilities = backend.project_rows(nodes, accepted)
-        probabilities[local] = block_probabilities
-        alive = np.flatnonzero(block_probabilities > 0.0)
-        if alive.size == 0:
-            continue  # no row in this block has mass in the subspace
-        alive_local = local[alive]
-        estimates = tomography_estimate_batch(
-            filtered[alive],
-            shots,
-            [row_rngs[index] for index in alive_local],
-        )
-        if shots > 0:
-            # Amplitude estimation of the acceptance probability: binomial
-            # shot noise at the same budget, one draw per row from that
-            # row's own stream (after its tomography draws, as in the seed
-            # loop).
-            estimated = np.empty(alive.size)
-            clipped = np.minimum(block_probabilities[alive], 1.0)
-            for index in range(alive.size):
-                estimated[index] = (
-                    row_rngs[alive_local[index]].binomial(shots, clipped[index])
-                    / shots
-                )
-        else:
-            estimated = block_probabilities[alive]
-        amplitudes = np.sqrt(estimated)
-        rows[alive_local] = np.multiply(amplitudes[:, None], estimates, out=estimates)
-        norms[alive_local] = amplitudes
-    return rows, norms, probabilities
-
-
 def batched_readout(
     backend,
     accepted: np.ndarray,
@@ -255,19 +164,53 @@ def batched_readout(
     :class:`ReadoutResult` with dead rows (zero acceptance probability)
     left as zero vectors.
     """
-    num_nodes = int(backend.num_nodes)
     if shots < 0:
         raise ClusteringError(f"shots must be non-negative, got {shots}")
+    num_nodes = int(backend.num_nodes)
     row_rngs = spawn_rngs(rng, num_nodes)
-    rows, norms, probabilities = readout_span(
-        backend,
-        accepted,
-        shots,
-        row_rngs,
-        0,
-        num_nodes,
-        chunk_size=chunk_size,
-    )
+    rows = np.zeros((num_nodes, backend.dim), dtype=complex)
+    norms = np.zeros(num_nodes)
+    probabilities = np.zeros(num_nodes)
+    if chunk_size is None:
+        blocks = row_blocks(num_nodes, backend.dim)
+    elif chunk_size < 1:
+        raise ClusteringError(f"chunk_size must be >= 1, got {chunk_size}")
+    else:
+        blocks = [
+            (start, min(start + chunk_size, num_nodes))
+            for start in range(0, num_nodes, chunk_size)
+        ]
+    accepted = np.asarray(accepted, dtype=int)
+    for start, stop in blocks:
+        nodes = np.arange(start, stop)
+        filtered, block_probabilities = backend.project_rows(nodes, accepted)
+        probabilities[nodes] = block_probabilities
+        alive = np.flatnonzero(block_probabilities > 0.0)
+        if alive.size == 0:
+            continue  # no row in this block has mass in the subspace
+        alive_nodes = nodes[alive]
+        estimates = tomography_estimate_batch(
+            filtered[alive],
+            shots,
+            [row_rngs[node] for node in alive_nodes],
+        )
+        if shots > 0:
+            # Amplitude estimation of the acceptance probability: binomial
+            # shot noise at the same budget, one draw per row from that
+            # row's own stream (after its tomography draws, as in the seed
+            # loop).
+            estimated = np.empty(alive.size)
+            clipped = np.minimum(block_probabilities[alive], 1.0)
+            for index in range(alive.size):
+                estimated[index] = (
+                    row_rngs[alive_nodes[index]].binomial(shots, clipped[index])
+                    / shots
+                )
+        else:
+            estimated = block_probabilities[alive]
+        amplitudes = np.sqrt(estimated)
+        rows[alive_nodes] = np.multiply(amplitudes[:, None], estimates, out=estimates)
+        norms[alive_nodes] = amplitudes
     if canonical_phases:
         anchor_row_phases(rows)
     return ReadoutResult(rows=rows, norms=norms, probabilities=probabilities)

@@ -39,7 +39,7 @@ class ConvergenceError(ReproError):
 class StoreError(ClusteringError):
     """The content-addressed compute store was misconfigured or an entry
     is unusable.  Subclasses :class:`ClusteringError` because store-served
-    data (spectral entries, stage/shard checkpoints) flows straight into
+    data (spectral entries, stage checkpoints) flows straight into
     the clustering pipeline, whose callers already catch that domain."""
 
 

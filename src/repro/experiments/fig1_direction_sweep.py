@@ -52,7 +52,6 @@ def _trial(
     precision_bits,
     shots,
     generator_version="v1",
-    readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
     spectral_engine="v1",
@@ -75,7 +74,6 @@ def _trial(
         precision_bits=precision_bits,
         shots=shots,
         seed=seed,
-        readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
         spectral_engine=spectral_engine,
@@ -103,7 +101,6 @@ def spec(
     shots: int = 1024,
     base_seed: int = DEFAULT_BASE_SEED,
     generator_version: str = "v1",
-    readout_shards: int | None = None,
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
@@ -111,9 +108,7 @@ def spec(
 
     ``generator_version`` picks the graph-generator seed contract; it is
     recorded in the sweep's ``fixed`` parameters, so every JSON artifact
-    states which contract produced its graphs.  ``readout_shards`` runs
-    every quantum fit's readout stage sharded (bit-identical records; the
-    value is likewise recorded in ``fixed``).  ``linalg_backend`` selects
+    states which contract produced its graphs.  ``linalg_backend`` selects
     the linalg backend of every quantum fit (recorded in ``fixed`` and in
     the artifact's stage profile).
     """
@@ -133,7 +128,6 @@ def spec(
             "precision_bits": precision_bits,
             "shots": shots,
             "generator_version": generator_version,
-            "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
             "spectral_engine": SWEEP_SPECTRAL_ENGINE,

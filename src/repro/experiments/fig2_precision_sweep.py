@@ -92,7 +92,6 @@ def _trial(
     include_circuit,
     circuit_num_nodes,
     generator_version="v1",
-    readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
     spectral_engine="v1",
@@ -115,7 +114,6 @@ def _trial(
         precision_bits=precision,
         shots=shots,
         seed=seed,
-        readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
         spectral_engine=spectral_engine,
@@ -154,7 +152,6 @@ def _trial(
             precision_bits=precision,
             shots=shots,
             seed=seed,
-            readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
         )
@@ -186,7 +183,6 @@ def spec(
     include_circuit: bool = False,
     circuit_num_nodes: int = 12,
     generator_version: str = "v1",
-    readout_shards: int | None = None,
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
@@ -207,7 +203,6 @@ def spec(
             "include_circuit": include_circuit,
             "circuit_num_nodes": circuit_num_nodes,
             "generator_version": generator_version,
-            "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
             "spectral_engine": SWEEP_SPECTRAL_ENGINE,

@@ -53,14 +53,13 @@ def _trial(
     precision_bits,
     shots,
     generator_version="v1",
-    readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
     spectral_engine="v1",
 ) -> list[TrialRecord]:
     """Profile one sparse mixed SBM at the point's size.
 
-    ``readout_shards``, ``store_dir``, ``linalg_backend`` and
+    ``store_dir``, ``linalg_backend`` and
     ``spectral_engine`` are accepted for uniformity but inert: F3 models
     quantum step counts (and profiles fixed explicit eigensolvers) instead
     of running the staged pipeline.
@@ -107,7 +106,6 @@ def spec(
     shots: int = 256,
     base_seed: int = DEFAULT_BASE_SEED,
     generator_version: str = "v1",
-    readout_shards: int | None = None,
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
@@ -127,7 +125,6 @@ def spec(
             "precision_bits": precision_bits,
             "shots": shots,
             "generator_version": generator_version,
-            "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
             "spectral_engine": SWEEP_SPECTRAL_ENGINE,

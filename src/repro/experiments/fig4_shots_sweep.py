@@ -58,7 +58,6 @@ def _trial(
     num_clusters,
     precision_bits,
     generator_version="v1",
-    readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
     spectral_engine="v1",
@@ -82,7 +81,6 @@ def _trial(
             precision_bits=precision_bits,
             shots=0,
             seed=seed,
-            readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
             spectral_engine=spectral_engine,
@@ -99,7 +97,6 @@ def _trial(
             precision_bits=precision_bits,
             shots=shots,
             seed=seed,
-            readout_shards=readout_shards,
             store_dir=store_dir,
             linalg_backend=linalg_backend,
             spectral_engine=spectral_engine,
@@ -136,7 +133,6 @@ def spec(
     precision_bits: int = 7,
     base_seed: int = DEFAULT_BASE_SEED,
     generator_version: str = "v1",
-    readout_shards: int | None = None,
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
@@ -155,7 +151,6 @@ def spec(
             "num_clusters": num_clusters,
             "precision_bits": precision_bits,
             "generator_version": generator_version,
-            "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
             "spectral_engine": SWEEP_SPECTRAL_ENGINE,

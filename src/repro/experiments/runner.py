@@ -50,7 +50,6 @@ from repro.exceptions import ClusteringError, ExperimentError
 from repro.experiments.common import TrialRecord
 from repro.pipeline.telemetry import (
     ANNOTATION_KEYS as _PROFILE_ANNOTATIONS,
-    SHARD_TOTAL_KEYS as _SHARD_PROFILE_KEYS,
     TOTAL_KEYS as _PROFILE_KEYS,
     merge_totals,
     stage_totals,
@@ -228,14 +227,6 @@ class SweepResult:
                     "seconds": float(entry.get("seconds", 0.0)),
                     "computed": int(entry.get("computed", 0)),
                     "loaded": int(entry.get("loaded", 0)),
-                    # Shard counters exist only for stages that ran sharded
-                    # (``readout_shards``); unsharded profiles keep the
-                    # classic three-key shape.
-                    **{
-                        key: int(entry[key])
-                        for key in _SHARD_PROFILE_KEYS
-                        if key in entry
-                    },
                     # Backend annotations exist only for stages that
                     # resolved the linalg contract (laplacian/threshold) —
                     # served jobs can then report which backend ran.
@@ -476,12 +467,6 @@ def validate_artifact(artifact: dict) -> dict:
                 if not isinstance(value, kind):
                     raise ExperimentError(
                         f"profile stage {stage!r} field {key!r} missing or mistyped"
-                    )
-            for key in _SHARD_PROFILE_KEYS:
-                # Optional (sharded runs only), but integer when present.
-                if key in entry and not isinstance(entry[key], int):
-                    raise ExperimentError(
-                        f"profile stage {stage!r} shard counter {key!r} mistyped"
                     )
             for key in _PROFILE_ANNOTATIONS:
                 # Optional (linalg-resolving stages only), strings when

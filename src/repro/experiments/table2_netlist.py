@@ -80,7 +80,6 @@ def _trial(
     precision_bits,
     shots,
     generator_version="v1",
-    readout_shards=None,
     store_dir=None,
     linalg_backend="auto",
     spectral_engine="v1",
@@ -100,7 +99,6 @@ def _trial(
         shots=shots,
         theta=NETLIST_THETA,
         seed=seed,
-        readout_shards=readout_shards,
         store_dir=store_dir,
         linalg_backend=linalg_backend,
         spectral_engine=spectral_engine,
@@ -126,7 +124,6 @@ def spec(
     shots: int = 2048,
     base_seed: int = DEFAULT_BASE_SEED,
     generator_version: str = "v1",
-    readout_shards: int | None = None,
     store_dir: str | None = None,
     linalg_backend: str = "auto",
 ) -> SweepSpec:
@@ -151,7 +148,6 @@ def spec(
             "precision_bits": precision_bits,
             "shots": shots,
             "generator_version": generator_version,
-            "readout_shards": readout_shards,
             "store_dir": store_dir,
             "linalg_backend": linalg_backend,
             "spectral_engine": SWEEP_SPECTRAL_ENGINE,

@@ -11,9 +11,8 @@ Public surface:
 * :mod:`~repro.pipeline.telemetry` — per-stage profiling
   (``stage_totals`` feeds the sweep-artifact profile field);
 * :mod:`~repro.pipeline.checkpoint` — the ``<stage>.npz`` on-disk format;
-* :mod:`~repro.pipeline.sharding` / :mod:`~repro.pipeline.supervisor` —
-  deterministic row-sharding of the readout stage under a supervised
-  work queue (``sharded_readout``, ``ShardSupervisor``).
+* :mod:`~repro.pipeline.supervisor` — the supervised work queue the job
+  service runs each job under (``ShardSupervisor``).
 """
 
 from repro.pipeline.checkpoint import (
@@ -23,12 +22,6 @@ from repro.pipeline.checkpoint import (
     save_stage_payload,
 )
 from repro.pipeline.pipeline import QSCPipeline
-from repro.pipeline.sharding import (
-    RowShard,
-    ShardedReadout,
-    shard_layout,
-    sharded_readout,
-)
 from repro.pipeline.stage import Stage, StageContext
 from repro.pipeline.stages import STAGE_NAMES, build_stages
 from repro.pipeline.supervisor import (
@@ -39,7 +32,6 @@ from repro.pipeline.supervisor import (
     SupervisorCancelled,
 )
 from repro.pipeline.telemetry import (
-    ShardReport,
     StageReport,
     reset_stage_totals,
     stage_totals,
@@ -50,12 +42,9 @@ __all__ = [
     "InlineShardExecutor",
     "ProcessShardExecutor",
     "QSCPipeline",
-    "RowShard",
     "STAGE_NAMES",
-    "ShardReport",
     "ShardSupervisor",
     "ShardTask",
-    "ShardedReadout",
     "Stage",
     "StageContext",
     "StageReport",
@@ -65,7 +54,5 @@ __all__ = [
     "load_stage_payload",
     "reset_stage_totals",
     "save_stage_payload",
-    "shard_layout",
-    "sharded_readout",
     "stage_totals",
 ]

@@ -35,12 +35,11 @@ from repro.exceptions import ClusteringError
 #: Version tag stored inside every stage checkpoint archive.
 CHECKPOINT_VERSION = 3
 
-#: Content-store namespaces of stage and shard checkpoint entries (see
-#: :mod:`repro.store`): the pipeline and the sharded-readout path resolve
-#: checkpoints through the store when one is attached, with the per-run
-#: ``.npz`` directories kept as a compatibility alias.
+#: Content-store namespace of stage checkpoint entries (see
+#: :mod:`repro.store`): the pipeline resolves checkpoints through the
+#: store when one is attached, with the per-run ``.npz`` directories kept
+#: as a compatibility alias.
 STAGE_NAMESPACE = "stage"
-SHARD_NAMESPACE = "shard"
 
 _VERSION_KEY = "__checkpoint_version__"
 _CONTEXT_KEY = "__context_fingerprint__"
@@ -49,12 +48,12 @@ _CONTEXT_KEY = "__context_fingerprint__"
 class CorruptCheckpointError(ClusteringError):
     """A checkpoint file exists but cannot be read back (bit flips,
     truncation, a crashed writer).  Distinct from a *missing* checkpoint
-    — consumers evict the corrupt file and recompute the stage/shard
+    — consumers evict the corrupt file and recompute the stage
     instead of serving or propagating bad bits."""
 
 
 def store_key(stage_name: str, fingerprint: str) -> str:
-    """Content-store key of one stage/shard checkpoint entry.
+    """Content-store key of one stage checkpoint entry.
 
     Embeds :data:`CHECKPOINT_VERSION` so a format bump naturally misses
     every entry written under the old layout instead of misreading it.

@@ -135,8 +135,7 @@ class QSCPipeline:
         under its context fingerprint, and a run without ``resume_from``
         serves each stage whose entry already exists instead of computing
         it (``source="store"``; a served stage is still written to
-        ``save_stages``).  Nothing downstream of a degraded stage is
-        served.  An in-memory resume (``upstream``) reuses the upstream
+        ``save_stages``).  An in-memory resume (``upstream``) reuses the upstream
         stages and reads the resumed stage onward through the store like
         a plain run.  A resume from a run directory loads the upstream
         stages from it, falling back to the store when it lacks (or holds
@@ -185,18 +184,6 @@ class QSCPipeline:
                 "stages_dir/save_stages, a store_dir, or an in-memory "
                 "upstream state"
             )
-        if resume_index > 0 and upstream is not None:
-            blocked = [
-                name
-                for name in upstream.get("degraded_stages", ())
-                if name in STAGE_NAMES and STAGE_NAMES.index(name) < resume_index
-            ]
-            if blocked:
-                raise ClusteringError(
-                    "upstream state is degraded (incomplete shards in "
-                    f"{', '.join(blocked)}); resume from {blocked[0]!r} or "
-                    "earlier so the degraded stage is recomputed"
-                )
 
         # Fingerprints name store entries and checkpoint files; with
         # neither in play nothing reads them, so nothing is hashed.
@@ -208,18 +195,15 @@ class QSCPipeline:
             config=cfg,
             requested_clusters=self.num_clusters,
             rngs=_Streams(cfg.seed),
-            save_dir=save_stages,
-            load_dir=stages_dir,
             graph_digest=graph_digest or "",
         )
         reports = []
-        degraded: list[str] = []
         served: list[_ServedStage] = []
         read_through = store is not None and (
             resume_from is None or upstream is not None
         )
         self._run_stages(
-            ctx, reports, degraded, served, resume_index, upstream,
+            ctx, reports, served, resume_index, upstream,
             stages_dir, save_stages, store,
             keyed=keyed,
             read_through=read_through,
@@ -227,12 +211,6 @@ class QSCPipeline:
             # exists is read only when something asks for its keys.
             lazy=read_through and save_stages is None,
         )
-        if degraded:
-            # Mark the state so reusing it in memory (``upstream=
-            # pipeline.state``) downstream of the degradation is
-            # refused — the degraded stage's outputs carry zeroed rows
-            # that are otherwise indistinguishable from complete ones.
-            ctx.state["degraded_stages"] = tuple(degraded)
         self.state = ctx.state
         self._reports = reports
         outputs = _result_fields(ctx.state, cfg)
@@ -251,7 +229,6 @@ class QSCPipeline:
         self,
         ctx: StageContext,
         reports: list,
-        degraded: list,
         served: list,
         resume_index: int,
         upstream: dict | None,
@@ -267,8 +244,6 @@ class QSCPipeline:
         for index, stage in enumerate(build_stages()):
             cache_before = spectral_cache_counters()
             start = time.perf_counter()
-            ctx.shard_reports = ()
-            ctx.incomplete_shards = ()
             ctx.backend_info = {}
             # The context fingerprint binds a checkpoint to everything the
             # stage's output depends on (graph content, requested k, its
@@ -291,24 +266,19 @@ class QSCPipeline:
             if resuming and upstream is not None:
                 values = {key: upstream[key] for key in stage.provides}
                 source = "reused"
-            elif (
-                lazy
-                and not degraded
-                and store.contains(
-                    checkpoint.STAGE_NAMESPACE,
-                    checkpoint.store_key(stage.name, fingerprint),
-                )
+            elif lazy and store.contains(
+                checkpoint.STAGE_NAMESPACE,
+                checkpoint.store_key(stage.name, fingerprint),
             ):
-                deferred = _ServedStage(stage, ctx, store, reports, degraded)
+                deferred = _ServedStage(stage, ctx, store, reports)
                 ctx.state.defer(stage.provides, deferred)
                 served.append(deferred)
                 values = {}
                 source = "store"
-            elif resuming or (read_through and not degraded):
+            elif resuming or read_through:
                 # Resume loads the prefix from the run directory (falling
                 # back on the store); without --resume-from every stage
-                # reads through the store first.  Nothing downstream of a
-                # degraded stage is served: its inputs carry zeroed rows.
+                # reads through the store first.
                 payload = _load_payload(
                     stage.name, fingerprint, stages_dir if resuming else None, store
                 )
@@ -320,7 +290,7 @@ class QSCPipeline:
                             save_stages, stage.name, payload, fingerprint
                         )
             if values is None:
-                values = _compute(stage, ctx, degraded, save_stages, store)
+                values = _compute(stage, ctx, save_stages, store)
             ctx.state.update(values)
             reports.append(_report(stage, source, start, cache_before, ctx))
 
@@ -362,22 +332,19 @@ class _ServedStage:
     not the run's context or state, so no reference cycle outlives a run.
     """
 
-    def __init__(self, stage, ctx: StageContext, store, reports: list, degraded: list):
+    def __init__(self, stage, ctx: StageContext, store, reports: list):
         self.stage = stage
         self.inputs = {
             "graph": ctx.graph,
             "config": ctx.config,
             "requested_clusters": ctx.requested_clusters,
             "rngs": ctx.rngs,
-            "save_dir": ctx.save_dir,
-            "load_dir": ctx.load_dir,
             "graph_digest": ctx.graph_digest,
             "fingerprint": ctx.fingerprint,
         }
         self.store = store
         self.reports = reports
         self.index = len(reports)
-        self.degraded = degraded
         #: Set once the run has folded its reports into the process-wide
         #: totals; a recompute after that is recorded on its own.
         self.recorded = False
@@ -394,10 +361,8 @@ class _ServedStage:
         if payload is not None:
             values, source = self.stage.unpack(payload, ctx), "store"
         else:
-            values = _compute(self.stage, ctx, self.degraded, None, self.store)
+            values = _compute(self.stage, ctx, None, self.store)
             source = "computed"
-            if self.degraded:
-                state["degraded_stages"] = tuple(self.degraded)
         report = _report(self.stage, source, start, cache_before, ctx)
         if self.recorded and source == "computed":
             telemetry.record_stage(report)
@@ -405,18 +370,10 @@ class _ServedStage:
         return values
 
 
-def _compute(stage, ctx: StageContext, degraded: list, save_stages, store) -> dict:
-    """Run ``stage`` and publish its output unless the run is degraded."""
+def _compute(stage, ctx: StageContext, save_stages, store) -> dict:
+    """Run ``stage`` and publish its output."""
     values = stage.execute(ctx)
-    if ctx.incomplete_shards:
-        degraded.append(stage.name)
-    # A degraded sharded stage (incomplete shards) is never checkpointed
-    # whole, and neither is anything downstream of it: downstream outputs
-    # are computed from zeroed rows yet would fingerprint exactly like
-    # complete ones.  The completed shard files remain, so a later resume
-    # recomputes only what is actually missing instead of silently
-    # inheriting zero rows.
-    if not degraded and (save_stages is not None or store is not None):
+    if save_stages is not None or store is not None:
         packed = stage.pack(values)
         if save_stages is not None:
             checkpoint.save_stage_payload(
@@ -440,8 +397,6 @@ def _report(stage, source: str, start: float, cache_before: dict, ctx):
         source=source,
         cache_hits=cache_after["hits"] - cache_before["hits"],
         cache_misses=cache_after["misses"] - cache_before["misses"],
-        shards=ctx.shard_reports,
-        incomplete_shards=ctx.incomplete_shards,
         backend=ctx.backend_info.get("linalg_backend"),
         eigensolver=ctx.backend_info.get("eigensolver"),
     )

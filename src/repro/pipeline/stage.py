@@ -113,12 +113,6 @@ class StageContext:
     state:
         The shared key → value :class:`StageState` stages read from and
         write to.
-    save_dir / load_dir:
-        Checkpoint directories of the current run (``save_stages`` /
-        ``stages_dir``), exposed so a stage that manages *sub-stage*
-        checkpoints — the sharded readout's ``readout.shard-<i>.npz``
-        files — can write and resume them itself.  ``None`` when the run
-        is not checkpointing.
     graph_digest:
         :func:`~repro.pipeline.checkpoint.graph_fingerprint` of ``graph``,
         computed once per run by the pipeline; every stage's context
@@ -127,11 +121,7 @@ class StageContext:
         checkpoint directory: nothing there is keyed by them.
     fingerprint:
         The executing stage's context fingerprint, set by the driver
-        before each stage; sub-stage checkpoints extend it.
-    shard_reports / incomplete_shards:
-        Side channel a sharded stage fills during ``run``; the driver
-        folds them into the stage's :class:`~repro.pipeline.telemetry.StageReport`
-        and resets them between stages.
+        before each stage.
     backend_info:
         Side channel for linalg telemetry: the laplacian stage records
         ``{"linalg_backend": ..., "eigensolver": ...}`` here — the
@@ -147,12 +137,8 @@ class StageContext:
     requested_clusters: object
     rngs: dict
     state: StageState = field(default_factory=StageState)
-    save_dir: object = None
-    load_dir: object = None
     graph_digest: str = ""
     fingerprint: str = ""
-    shard_reports: tuple = ()
-    incomplete_shards: tuple = ()
     backend_info: dict = field(default_factory=dict)
 
     def require(self, key: str):

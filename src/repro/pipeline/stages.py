@@ -58,10 +58,9 @@ _THRESHOLD_FIELDS = _LAPLACIAN_FIELDS + (
     "eigenvalue_threshold",
     "seed",
 )
-# Readout adds the shot budget (chunking/threading/sharding provably don't
-# change output — pinned in tests/core/test_readout.py and
-# tests/pipeline/test_sharding.py — so those knobs stay out, which is what
-# lets a resume re-chunk or re-shard freely).
+# Readout adds the shot budget (chunking provably doesn't change output —
+# pinned in tests/core/test_readout.py — so that knob stays out, which is
+# what lets a resume re-chunk freely).
 _READOUT_FIELDS = _THRESHOLD_FIELDS + ("shots",)
 _QMEANS_FIELDS = _READOUT_FIELDS + (
     "qmeans_delta",
@@ -216,38 +215,13 @@ class ReadoutStage(Stage):
 
     def run(self, ctx: StageContext) -> dict:
         cfg = ctx.config
-        if cfg.readout_shards is None:
-            readout = batched_readout(
-                ctx.require("backend"),
-                ctx.require("accepted"),
-                cfg.shots,
-                ctx.rngs["rows"],
-                chunk_size=cfg.readout_chunk_size,
-            )
-        else:
-            # Deferred import: sharding pulls in the supervisor machinery,
-            # which unsharded runs never need.
-            from repro.pipeline.sharding import sharded_readout
-
-            sharded = sharded_readout(
-                ctx.require("backend"),
-                ctx.require("accepted"),
-                cfg.shots,
-                ctx.rngs["rows"],
-                shard_count=cfg.readout_shards,
-                chunk_size=cfg.readout_chunk_size,
-                timeout=cfg.shard_timeout,
-                retries=cfg.shard_retries,
-                on_failure=cfg.shard_failure_mode,
-                max_workers=cfg.shard_workers,
-                checkpoint_dir=ctx.load_dir,
-                save_dir=ctx.save_dir,
-                context_fingerprint=ctx.fingerprint,
-                stage_name=self.name,
-            )
-            ctx.shard_reports = sharded.shards
-            ctx.incomplete_shards = sharded.incomplete_shards
-            readout = sharded.result
+        readout = batched_readout(
+            ctx.require("backend"),
+            ctx.require("accepted"),
+            cfg.shots,
+            ctx.rngs["rows"],
+            chunk_size=cfg.readout_chunk_size,
+        )
         return {
             "rows": readout.rows,
             "norms": readout.norms,

@@ -1,14 +1,14 @@
-"""Supervised execution of shard tasks: timeout, retry, graceful degradation.
+"""Supervised execution of tasks: timeout, retry with backoff, cancel.
 
-The sharded readout stage (:mod:`repro.pipeline.sharding`) splits its rows
-into independent tasks and hands them to a :class:`ShardSupervisor`.  The
-supervisor is deliberately generic — it knows nothing about readout, only
-about *tasks* (a picklable function plus arguments, tagged with a shard
-index) and *executors* (how one attempt of a task actually runs):
+The job service (:mod:`repro.service.manager`) runs each job as one
+task under a :class:`ShardSupervisor`.  The supervisor is deliberately
+generic — it knows nothing about jobs, only about *tasks* (a picklable
+function plus arguments, tagged with an index) and *executors* (how one
+attempt of a task actually runs):
 
 * :class:`InlineShardExecutor` runs the attempt synchronously in the
-  calling process — zero overhead, used for ``shard_count == 1`` and for
-  deterministic fault-injection tests;
+  calling process — zero overhead, used by deterministic fault-injection
+  tests;
 * :class:`ProcessShardExecutor` runs each attempt in a dedicated
   ``multiprocessing.Process`` with a pipe carrying the result back.  A
   worker that dies without reporting (crash, OOM kill) or overruns its
@@ -17,27 +17,25 @@ index) and *executors* (how one attempt of a task actually runs):
 
 Failure policy: each task gets ``1 + retries`` attempts with capped
 exponential backoff between them (``min(backoff_base * 2**(attempt-1),
-backoff_cap)`` seconds).  When a task exhausts its attempts the supervisor
-either raises :class:`~repro.exceptions.ClusteringError` (``on_failure=
-"raise"``, the default) or records the task as failed and keeps going
-(``on_failure="degrade"`` — the caller receives partial results plus an
-explicit list of incomplete shards, the reliability-over-throughput mode).
+backoff_cap)`` seconds).  A task that exhausts its attempts aborts the
+run with :class:`~repro.exceptions.ClusteringError`.
 
-Determinism: the supervisor never influences *what* a task computes — task
-payloads are pure functions of their arguments (each readout shard owns
-its own RNG streams), and callers merge outcomes in shard-index order, so
-scheduling, concurrency, retries and even executor choice cannot change a
-single bit of the merged result.
+The supervisor never influences *what* a task computes: task payloads are
+pure functions of their arguments, so scheduling, retries and executor
+choice cannot change a single bit of a result.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.config import SHARD_FAILURE_MODES as FAILURE_MODES
 from repro.core.config import is_count, is_deadline, is_seconds
 from repro.exceptions import ClusteringError
+
+
+#: Sleep between supervision sweeps while waiting on workers.
+_POLL_SECONDS = 0.002
 
 
 class SupervisorCancelled(ClusteringError):
@@ -45,9 +43,7 @@ class SupervisorCancelled(ClusteringError):
 
     Raised by :meth:`ShardSupervisor.run` when the caller-supplied cancel
     event is observed set between supervision sweeps.  In-flight attempts
-    are killed before the exception propagates; work that already
-    completed (and was checkpointed via ``on_complete``) is untouched, so
-    a cancelled run resumes from its surviving shard checkpoints.
+    are killed before the exception propagates.
     """
 
 
@@ -58,9 +54,9 @@ class ShardTask:
     Attributes
     ----------
     index:
-        Shard index — the merge key; outcomes are reported under it.
+        Task index; outcomes are reported under it.
     fn:
-        Module-level callable computing the shard payload.  Must be
+        Module-level callable computing the task payload.  Must be
         picklable for :class:`ProcessShardExecutor`.
     args:
         Positional arguments for ``fn`` (picklable likewise).
@@ -78,28 +74,16 @@ class ShardOutcome:
     Attributes
     ----------
     index:
-        The task's shard index.
+        The task's index.
     value:
-        ``fn(*args)`` of the successful attempt, or ``None`` if the task
-        failed (``on_failure="degrade"`` only).
+        ``fn(*args)`` of the successful attempt.
     attempts:
         How many attempts ran (successful or not).
-    seconds:
-        Wall time summed over all attempts (excludes backoff sleeps).
-    failed:
-        ``True`` when every attempt failed and degradation kept the run
-        alive.
-    error:
-        Message of the last failure (timeout, crash, or raised exception);
-        ``None`` for clean successes.
     """
 
     index: int
     value: object
     attempts: int
-    seconds: float
-    failed: bool = False
-    error: str | None = None
 
 
 class ShardHandle:
@@ -142,19 +126,18 @@ class InlineShardExecutor:
 
     The degenerate executor: ``submit`` blocks until the attempt finishes,
     so timeouts cannot interrupt it (a deadline is only checked between
-    attempts).  Used when ``shard_count == 1`` — one shard gains nothing
-    from a worker process — and by fault-injection tests, which subclass
-    or wrap it to fail scheduled (shard, attempt) pairs deterministically.
+    attempts).  Fault-injection tests wrap it to fail scheduled
+    (task, attempt) pairs deterministically.
     """
 
     def submit(self, task: ShardTask, attempt: int) -> ShardHandle:
         try:
             return _CompletedHandle(value=task.fn(*task.args))
         except Exception as exc:  # noqa: BLE001 — fold into retry logic
-            return _CompletedHandle(error=f"shard {task.index}: {exc}")
+            return _CompletedHandle(error=f"task {task.index}: {exc}")
 
 
-def _process_shard_entry(connection, fn, args) -> None:
+def _process_entry(connection, fn, args) -> None:
     """Worker-process entry point: run the task, pipe back the outcome."""
     try:
         connection.send(("ok", fn(*args)))
@@ -200,12 +183,12 @@ class _ProcessHandle(ShardHandle):
             # The worker died without reporting — a hard crash (segfault,
             # kill signal, OOM), indistinguishable from pulling the plug.
             raise ClusteringError(
-                f"shard {self._index}: worker died without a result "
+                f"task {self._index}: worker died without a result "
                 f"(exit code {self._process.exitcode})"
             )
         status, payload = self._message
         if status != "ok":
-            raise ClusteringError(f"shard {self._index}: {payload}")
+            raise ClusteringError(f"task {self._index}: {payload}")
         return payload
 
     def kill(self) -> None:
@@ -222,27 +205,21 @@ class ProcessShardExecutor:
     worker can be killed and retried without poisoning shared state, which
     is exactly the supervision model the work queue needs.  Results travel
     over a ``Pipe``; a worker that exits without sending is treated as
-    crashed.
+    crashed.  Workers are daemonic, so a parent that exits normally
+    terminates them (a parent killed outright does not).
     """
 
-    def __init__(self, mp_context=None, *, daemon: bool = True):
-        if mp_context is None:
-            import multiprocessing
+    def __init__(self):
+        import multiprocessing
 
-            mp_context = multiprocessing.get_context()
-        self._context = mp_context
-        # Daemonic workers die with the parent (the safe default), but a
-        # daemonic process cannot spawn children of its own — the service
-        # layer passes ``daemon=False`` so a supervised job worker can run
-        # a sharded readout (which forks shard workers) inside itself.
-        self._daemon = daemon
+        self._context = multiprocessing.get_context()
 
     def submit(self, task: ShardTask, attempt: int) -> ShardHandle:
         parent, child = self._context.Pipe(duplex=False)
         process = self._context.Process(
-            target=_process_shard_entry,
+            target=_process_entry,
             args=(child, task.fn, task.args),
-            daemon=self._daemon,
+            daemon=True,
         )
         process.start()
         child.close()
@@ -255,9 +232,7 @@ class _TaskState:
 
     task: ShardTask
     attempts: int = 0
-    seconds: float = 0.0
     not_before: float = 0.0
-    last_error: str | None = None
 
 
 @dataclass
@@ -266,12 +241,11 @@ class _Running:
 
     state: _TaskState
     handle: ShardHandle
-    started: float
-    deadline: float | None = field(default=None)
+    deadline: float | None = None
 
 
 class ShardSupervisor:
-    """Drive a set of shard tasks to completion under a failure policy.
+    """Drive a set of tasks to completion under a retry policy.
 
     Parameters
     ----------
@@ -290,14 +264,6 @@ class ShardSupervisor:
         Capped exponential backoff between attempts of the same task:
         attempt ``a`` waits ``min(backoff_base * 2**(a-1), backoff_cap)``
         seconds after failure ``a``.
-    max_workers:
-        Concurrent in-flight attempts; ``None`` runs every pending task
-        at once.
-    on_failure:
-        ``"raise"`` aborts the whole run on the first exhausted task;
-        ``"degrade"`` records it as failed and returns partial outcomes.
-    poll_interval:
-        Sleep between supervision sweeps while waiting on workers.
     """
 
     def __init__(
@@ -308,9 +274,6 @@ class ShardSupervisor:
         retries: int = 2,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        max_workers: int | None = None,
-        on_failure: str = "raise",
-        poll_interval: float = 0.002,
     ):
         if not is_deadline(timeout):
             raise ClusteringError(
@@ -326,39 +289,18 @@ class ShardSupervisor:
                 raise ClusteringError(
                     f"{name} must be a finite number >= 0, got {value!r}"
                 )
-        if not is_seconds(poll_interval):
-            raise ClusteringError(
-                f"poll_interval must be a finite number > 0, got {poll_interval!r}"
-            )
-        if on_failure not in FAILURE_MODES:
-            raise ClusteringError(
-                f"on_failure must be one of {FAILURE_MODES}, got {on_failure!r}"
-            )
-        if max_workers is not None and not is_count(max_workers, 1):
-            raise ClusteringError(
-                f"max_workers must be an integer >= 1 or None, got {max_workers!r}"
-            )
         self.executor = executor if executor is not None else InlineShardExecutor()
         self.timeout = timeout
         self.retries = retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.max_workers = max_workers
-        self.on_failure = on_failure
-        self.poll_interval = poll_interval
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (1-based failure count)."""
         return min(self.backoff_base * 2 ** (attempt - 1), self.backoff_cap)
 
-    def run(
-        self, tasks, on_complete=None, *, on_attempt=None, cancel=None
-    ) -> dict[int, ShardOutcome]:
-        """Supervise ``tasks`` to completion; outcomes keyed by shard index.
-
-        ``on_complete(outcome)`` fires the moment a task *succeeds* — the
-        sharded readout checkpoints each shard there, so completed work
-        survives even when a later task aborts the whole run.
+    def run(self, tasks, *, on_attempt=None, cancel=None) -> dict[int, ShardOutcome]:
+        """Supervise ``tasks`` to completion; outcomes keyed by task index.
 
         ``on_attempt(index, attempt)`` fires as each attempt launches
         (``attempt >= 2`` means a crashed or expired child was restarted);
@@ -380,9 +322,9 @@ class ShardSupervisor:
                         f"and {len(running)} in-flight task(s)"
                     )
                 progressed = self._launch(pending, running, on_attempt)
-                progressed |= self._sweep(pending, running, outcomes, on_complete)
+                progressed |= self._sweep(pending, running, outcomes)
                 if not progressed and (running or pending):
-                    time.sleep(self.poll_interval)
+                    time.sleep(_POLL_SECONDS)
         except BaseException:
             for flight in running:
                 flight.handle.kill()
@@ -393,9 +335,7 @@ class ShardSupervisor:
         """Move eligible pending tasks into flight; True if any launched."""
         progressed = False
         now = time.monotonic()
-        while pending and (
-            self.max_workers is None or len(running) < self.max_workers
-        ):
+        while pending:
             eligible = next(
                 (state for state in pending if state.not_before <= now), None
             )
@@ -406,15 +346,14 @@ class ShardSupervisor:
             if on_attempt is not None:
                 on_attempt(eligible.task.index, eligible.attempts)
             handle = self.executor.submit(eligible.task, eligible.attempts)
-            started = time.monotonic()
-            deadline = None if self.timeout is None else started + self.timeout
-            running.append(_Running(eligible, handle, started, deadline))
+            deadline = (
+                None if self.timeout is None else time.monotonic() + self.timeout
+            )
+            running.append(_Running(eligible, handle, deadline))
             progressed = True
         return progressed
 
-    def _sweep(
-        self, pending: list, running: list, outcomes: dict, on_complete=None
-    ) -> bool:
+    def _sweep(self, pending: list, running: list, outcomes: dict) -> bool:
         """Collect finished/expired attempts; True if anything settled."""
         progressed = False
         now = time.monotonic()
@@ -422,55 +361,36 @@ class ShardSupervisor:
             state = flight.state
             if flight.handle.done():
                 running.remove(flight)
-                state.seconds += time.monotonic() - flight.started
                 try:
                     value = flight.handle.result()
                 except ClusteringError as exc:
-                    self._register_failure(state, str(exc), pending, outcomes)
+                    self._register_failure(state, str(exc), pending)
                 else:
-                    outcome = ShardOutcome(
+                    outcomes[state.task.index] = ShardOutcome(
                         index=state.task.index,
                         value=value,
                         attempts=state.attempts,
-                        seconds=state.seconds,
                     )
-                    outcomes[state.task.index] = outcome
-                    if on_complete is not None:
-                        on_complete(outcome)
                 progressed = True
             elif flight.deadline is not None and now > flight.deadline:
                 running.remove(flight)
-                state.seconds += time.monotonic() - flight.started
                 flight.handle.kill()
                 self._register_failure(
                     state,
-                    f"shard {state.task.index}: attempt {state.attempts} "
+                    f"task {state.task.index}: attempt {state.attempts} "
                     f"exceeded the {self.timeout:g}s timeout",
                     pending,
-                    outcomes,
                 )
                 progressed = True
         return progressed
 
-    def _register_failure(
-        self, state: _TaskState, error: str, pending: list, outcomes: dict
-    ) -> None:
-        """Requeue a failed attempt, or settle the task per ``on_failure``."""
-        state.last_error = error
+    def _register_failure(self, state: _TaskState, error: str, pending: list) -> None:
+        """Requeue a failed attempt, or abort the run once it is exhausted."""
         if state.attempts <= self.retries:
             state.not_before = time.monotonic() + self.backoff(state.attempts)
             pending.append(state)
             return
-        if self.on_failure == "raise":
-            raise ClusteringError(
-                f"shard {state.task.index} failed after {state.attempts} "
-                f"attempts: {error}"
-            )
-        outcomes[state.task.index] = ShardOutcome(
-            index=state.task.index,
-            value=None,
-            attempts=state.attempts,
-            seconds=state.seconds,
-            failed=True,
-            error=error,
+        raise ClusteringError(
+            f"task {state.task.index} failed after {state.attempts} "
+            f"attempts: {error}"
         )

@@ -26,71 +26,11 @@ STAGE_SOURCES = ("computed", "checkpoint", "store", "reused")
 #: Counter keys of one stage's process-wide totals entry.
 TOTAL_KEYS = ("seconds", "computed", "loaded")
 
-#: Where one row-shard's payload came from during a sharded stage.
-SHARD_SOURCES = ("computed", "checkpoint", "failed")
-
-#: Shard counter keys a sharded stage adds to its totals entry.  They are
-#: only present when shard activity actually occurred, so the unsharded
-#: totals shape is exactly :data:`TOTAL_KEYS` as before.
-SHARD_TOTAL_KEYS = (
-    "shards_computed",
-    "shards_loaded",
-    "shards_retried",
-    "shards_failed",
-)
-
 #: String annotation keys a stage may attach to its totals entry (set by
 #: the laplacian stage from the matrix it built and the eigensolve its QPE
-#: engine ran).  Like the shard counters they appear only where recorded,
-#: so the classic totals shape is unchanged for every other stage.
+#: engine ran).  They appear only where recorded, so the classic totals
+#: shape is unchanged for every other stage.
 ANNOTATION_KEYS = ("linalg_backend", "eigensolver")
-
-
-@dataclass(frozen=True)
-class ShardReport:
-    """Telemetry of one row shard inside a sharded stage execution.
-
-    Attributes
-    ----------
-    shard:
-        Shard index within the stage's :func:`~repro.pipeline.sharding.shard_layout`.
-    start / stop:
-        The contiguous row span the shard owns.
-    seconds:
-        Supervised wall time across all attempts (or the checkpoint load
-        time when the shard was resumed from disk).
-    attempts:
-        Worker attempts the supervisor ran (``0`` for checkpoint loads;
-        ``> 1`` means the shard was retried).
-    source:
-        ``"computed"`` (a worker produced it), ``"checkpoint"`` (loaded
-        from a shard file of a previous run), or ``"failed"`` (every
-        attempt failed and the run degraded to partial results).
-    error:
-        Last failure message for ``source == "failed"``, else ``None``.
-    """
-
-    shard: int
-    start: int
-    stop: int
-    seconds: float
-    attempts: int
-    source: str
-    error: str | None = None
-
-    def as_dict(self) -> dict:
-        """Plain-dict form used inside ``StageReport.as_dict``."""
-        row = {
-            "shard": int(self.shard),
-            "start": int(self.start),
-            "stop": int(self.stop),
-            "seconds": float(self.seconds),
-            "attempts": int(self.attempts),
-            "source": self.source,
-        }
-        if self.error is not None:
-            row["error"] = self.error
-        return row
 
 
 @dataclass(frozen=True)
@@ -113,12 +53,6 @@ class StageReport:
     cache_hits / cache_misses:
         Spectral-cache delta bracketing the stage — how much of its
         spectral work was served from :data:`repro.core.qpe_engine.SPECTRAL_CACHE`.
-    shards:
-        Per-shard :class:`ShardReport` rows when the stage ran sharded
-        (``QSCConfig.readout_shards``); empty otherwise.
-    incomplete_shards:
-        Shard indices that failed under graceful degradation — their rows
-        are zero in the merged output.  Empty on complete runs.
     backend / eigensolver:
         Representation of the Laplacian the stage built (``"dense"`` or
         ``"sparse"``) and the eigensolve that ran on it (``"eigh(D=…)"``,
@@ -131,8 +65,6 @@ class StageReport:
     source: str
     cache_hits: int
     cache_misses: int
-    shards: tuple = ()
-    incomplete_shards: tuple = ()
     backend: str | None = None
     eigensolver: str | None = None
 
@@ -145,9 +77,6 @@ class StageReport:
             "cache_hits": int(self.cache_hits),
             "cache_misses": int(self.cache_misses),
         }
-        if self.shards:
-            row["shards"] = [shard.as_dict() for shard in self.shards]
-            row["incomplete_shards"] = [int(i) for i in self.incomplete_shards]
         if self.backend is not None:
             row["linalg_backend"] = self.backend
         if self.eigensolver is not None:
@@ -168,19 +97,6 @@ def record_stage(report: StageReport) -> None:
         entry["computed"] += 1
     else:
         entry["loaded"] += 1
-    if report.shards:
-        # Shard counters appear only on stages that actually ran sharded,
-        # keeping the classic totals shape byte-for-byte for everyone else.
-        for key in SHARD_TOTAL_KEYS:
-            entry.setdefault(key, 0)
-        for shard in report.shards:
-            if shard.source == "computed":
-                entry["shards_computed"] += 1
-            elif shard.source == "checkpoint":
-                entry["shards_loaded"] += 1
-            else:
-                entry["shards_failed"] += 1
-            entry["shards_retried"] += max(0, int(shard.attempts) - 1)
     # Annotations overwrite (latest run wins) rather than accumulate —
     # they describe *which* backend ran, not how much work it did.
     if report.backend is not None:
@@ -206,17 +122,11 @@ def reset_stage_totals() -> None:
 
 
 def totals_delta(before: dict, after: dict) -> dict:
-    """Per-stage difference of two :func:`stage_totals` snapshots.
-
-    Shard counter keys (:data:`SHARD_TOTAL_KEYS`) are carried through
-    only for stages whose entries grew them — unsharded stages keep the
-    classic three-key rows.
-    """
+    """Per-stage difference of two :func:`stage_totals` snapshots."""
     delta = {}
     for stage, entry in after.items():
         base = before.get(stage, {})
-        keys = TOTAL_KEYS + tuple(k for k in SHARD_TOTAL_KEYS if k in entry)
-        row = {key: entry[key] - base.get(key, 0) for key in keys}
+        row = {key: entry[key] - base.get(key, 0) for key in TOTAL_KEYS}
         if row["computed"] or row["loaded"] or row["seconds"]:
             # String annotations are copied, not subtracted.
             for key in ANNOTATION_KEYS:
@@ -243,12 +153,11 @@ def merge_totals(accumulator: dict, delta: dict) -> dict:
 def profile_stage_rows(profile: dict, order: tuple = ()) -> list[dict]:
     """Flatten an artifact/result ``profile`` mapping into ordered rows.
 
-    ``profile`` is the ``{stage: {seconds, computed, loaded, shards_*}}``
+    ``profile`` is the ``{stage: {seconds, computed, loaded, ...}}``
     mapping a ``repro.sweep/1`` artifact (or :func:`stage_totals`) carries.
     Stages listed in ``order`` come first in that order; any extras follow
     alphabetically.  Each row is a flat event-ready dict — the service
-    layer streams these as per-stage progress events, shard counters
-    included exactly when the stage ran sharded.
+    layer streams these as per-stage progress events.
     """
     names = [stage for stage in order if stage in profile]
     names += [stage for stage in sorted(profile) if stage not in names]
@@ -261,9 +170,6 @@ def profile_stage_rows(profile: dict, order: tuple = ()) -> list[dict]:
             "computed": int(entry.get("computed", 0)),
             "loaded": int(entry.get("loaded", 0)),
         }
-        for key in SHARD_TOTAL_KEYS:
-            if key in entry:
-                row[key] = int(entry[key])
         for key in ANNOTATION_KEYS:
             if key in entry:
                 row[key] = str(entry[key])

@@ -41,7 +41,6 @@ def controlled_power_unitaries(unitary: np.ndarray, precision: int) -> list:
 def qpe_circuit(
     unitary: np.ndarray,
     precision: int,
-    state_prep: QuantumCircuit | None = None,
 ) -> QuantumCircuit:
     """Build the QPE circuit for ``unitary`` with ``precision`` ancilla bits.
 
@@ -51,9 +50,6 @@ def qpe_circuit(
         2^m x 2^m unitary whose eigenphases are estimated.
     precision:
         Number of ancilla (readout) qubits p.
-    state_prep:
-        Optional m-qubit circuit preparing the system register; composed at
-        the front so ``qpe_circuit(...).run()`` is self-contained.
 
     Returns
     -------
@@ -70,13 +66,6 @@ def qpe_circuit(
     total = precision + num_system
     qc = QuantumCircuit(total, name=f"qpe(p={precision}, m={num_system})")
     system_qubits = tuple(range(precision, total))
-    if state_prep is not None:
-        if state_prep.num_qubits != num_system:
-            raise CircuitError(
-                f"state_prep acts on {state_prep.num_qubits} qubits, "
-                f"system register has {num_system}"
-            )
-        qc.compose(state_prep, qubits=system_qubits)
     for ancilla in range(precision):
         qc.h(ancilla)
     powers = controlled_power_unitaries(unitary, precision)

@@ -10,8 +10,8 @@ The ROADMAP's service front end, built on everything PRs 5–7 laid down:
   under a :class:`~repro.pipeline.supervisor.ShardSupervisor` in a
   worker thread: per-job timeout, crashed-worker restart with backoff,
   kill-based cancellation;
-* the **content store** makes jobs restartable and repeatable — shard
-  and stage checkpoints land in the shared store as they complete,
+* the **content store** makes jobs restartable and repeatable — stage
+  checkpoints land in the shared store as they complete,
   finished artifacts are published under the job's content fingerprint
   so identical resubmissions are served without recomputing, and the
   durable **job table** (:mod:`repro.service.jobtable`) lets a rebooted
@@ -22,8 +22,8 @@ The ROADMAP's service front end, built on everything PRs 5–7 laid down:
   (:mod:`repro.service.auth`) scope every job to the tenant its token
   proves;
 * progress streams as **events** built from the pipeline's telemetry
-  profile (per-stage seconds plus ``shards_loaded`` /
-  ``shards_computed`` counters), over JSON lines, ndjson or an RFC 6455
+  profile (per-stage seconds plus ``computed`` / ``loaded``
+  counters), over JSON lines, ndjson or an RFC 6455
   WebSocket upgrade (:mod:`repro.service.websocket`).
 
 Wire protocols live in :mod:`repro.service.protocol`; the versioned

@@ -11,8 +11,8 @@ Event kinds, in the order a healthy job emits them:
 
 ``submitted`` → ``started`` → ``attempt`` (one per worker launch;
 ``attempt >= 2`` means a crashed or expired child was restarted) →
-``stage`` (one per pipeline stage, from the artifact's telemetry profile,
-shard counters included when the stage ran sharded) → ``artifact``
+``stage`` (one per pipeline stage, from the artifact's telemetry profile)
+→ ``artifact``
 (``source`` is ``"computed"`` or ``"store"`` — the latter for repeat
 submissions resolved from the content store, which skip the ``attempt``
 and ``stage`` events entirely) → ``completed``.  Failed jobs end with
@@ -61,8 +61,6 @@ def stage_event_rows(profile: dict) -> list[dict]:
 
     Pipeline stages come first in execution order (:data:`STAGE_NAMES`);
     each row carries the stage's aggregate seconds and computed/loaded
-    counts, plus the ``shards_computed`` / ``shards_loaded`` /
-    ``shards_retried`` / ``shards_failed`` counters exactly when the
-    stage ran sharded — the counters the resume tests assert on.
+    counts — the counters the resume tests assert on.
     """
     return profile_stage_rows(profile or {}, order=STAGE_NAMES)

@@ -3,18 +3,17 @@
 A job is one :class:`~repro.pipeline.supervisor.ShardTask` whose function
 is :func:`execute_job` — a module-level, picklable entry point so the
 default :class:`~repro.pipeline.supervisor.ProcessShardExecutor` can run
-it in a dedicated worker process (spawned non-daemonic, so a job whose
-sweep shards its readout stage can fork shard workers of its own).
+it in a dedicated worker process.
 
-Crash-resume falls out of the PR 5–7 substrate rather than being built
+Crash-resume falls out of the content store rather than being built
 here: the worker configures the server's shared content store before
-running, every completed readout shard checkpoints into that store the
-moment it succeeds, and stage outputs are checkpointed likewise — so a
-killed worker's restart (or a resubmission of the same job) recomputes
-only the shards that never finished.  Finished jobs additionally publish
-their whole validated artifact under the store's ``job`` namespace keyed
-by the job's content fingerprint, letting repeat submissions skip
-execution entirely.
+running, and every stage output is checkpointed into that store the
+moment it is computed — so a killed worker's restart (or a resubmission
+of the same job) serves each stage the previous run published and
+computes only the stages that never finished.  Finished jobs additionally
+publish their whole validated artifact under the store's ``job``
+namespace keyed by the job's content fingerprint, letting repeat
+submissions skip execution entirely.
 """
 
 from __future__ import annotations
@@ -47,13 +46,13 @@ def execute_job(payload: dict) -> dict:
     job = payload["job"]
     store_dir = payload.get("store_dir")
     if store_dir is not None:
-        # The worker inherits the server's shared store so stage/shard
+        # The worker inherits the server's shared store so stage
         # checkpoints land where the next attempt (or resubmission) of
         # this job will look for them.
         configure_store(root=store_dir)
     spec = spec_from_job(job, store_dir=store_dir)
-    # Parallelism comes from readout shards and from concurrent jobs —
-    # never from a nested process pool inside the worker.
+    # Parallelism comes from concurrent jobs — never from a nested
+    # process pool inside the worker.
     result = SweepRunner(spec, jobs=1).run()
     # Provenance is additive and scalar-only; deliberately no tenant —
     # artifacts are content-addressed and shared across tenants, so a

@@ -22,7 +22,7 @@ Three service-hardening layers sit on top of that core:
   (:mod:`repro.service.jobtable`); :meth:`JobManager.recover` replays
   the table at boot, re-fingerprints non-terminal jobs and re-queues
   them, so a killed server's restart finishes its in-flight work from
-  the shard checkpoints already in the store.
+  the stage checkpoints already in the store.
 * **Admission control** — ``max_queued`` bounds total queue depth and
   ``max_jobs_per_tenant`` bounds one tenant's in-flight jobs; both shed
   with a retryable :class:`~repro.service.errors.RejectedError` (HTTP
@@ -161,11 +161,7 @@ class JobManager:
         self.job_retries = job_retries
         self.max_queued = max_queued
         self.max_jobs_per_tenant = max_jobs_per_tenant
-        # Non-daemonic workers by default: a job running a sharded sweep
-        # must be able to fork shard worker processes of its own.
-        self._executor_factory = executor_factory or (
-            lambda: ProcessShardExecutor(daemon=False)
-        )
+        self._executor_factory = executor_factory or ProcessShardExecutor
         # The manager's own handle on the shared store (job namespace).
         # Deliberately not the process-global store — the server process
         # never mutates the global configuration its tests control.
@@ -356,7 +352,7 @@ class JobManager:
         recorded fingerprint settles as ``failed`` instead of silently
         computing something else — then re-queued with a ``recovered``
         event and a fresh run task, which resumes from whatever stage
-        and shard checkpoints the previous life already published.
+        checkpoints the previous life already published.
         Returns the number of jobs re-queued.
         """
         if self._table is None:
@@ -478,7 +474,6 @@ class JobManager:
             timeout=self.job_timeout,
             retries=self.job_retries,
             backoff_base=0.01,
-            on_failure="raise",
         )
         task = ShardTask(
             index=0,

@@ -3,12 +3,11 @@
 :class:`ContentStore` is the persistence tier underneath every cached
 computation in the repo: spectral eigendecompositions and QPE kernels
 (:mod:`repro.core.qpe_engine` keeps ``SPECTRAL_CACHE`` as a thin view over
-it), whole stage checkpoints, and per-shard readout checkpoints
-(:mod:`repro.pipeline.pipeline` / :mod:`repro.pipeline.sharding` resolve
-through it, with classic per-run directories kept as a compatibility
-alias).  Entries are **content-addressed**: the key of an entry is derived
-from fingerprints of everything its payload depends on (Laplacian bytes,
-run-context digests, shard layout), so a warm store can serve repeat
+it), and whole stage checkpoints (:mod:`repro.pipeline.pipeline`
+resolves through it, with classic per-run directories kept as a
+compatibility alias).  Entries are **content-addressed**: the key of an
+entry is derived from fingerprints of everything its payload depends on
+(Laplacian bytes, run-context digests), so a warm store can serve repeat
 traffic across a fleet of worker processes and never serve stale bits.
 
 Two tiers:
@@ -604,7 +603,7 @@ class ContentStore:
         """Look ``(namespace, key)`` up; ``None`` on a (counted) miss.
 
         ``memory=True`` also consults/populates the memory LRU tier —
-        the spectral path; stage/shard checkpoints stay disk-only.
+        the spectral path; stage checkpoints stay disk-only.
         """
         if not self.enabled:
             return None
@@ -736,7 +735,7 @@ class ContentStore:
 _UNSET = object()
 
 #: The process-wide store every consumer shares: ``SPECTRAL_CACHE`` is a
-#: view over it, and the pipeline/sharding checkpoint paths resolve
+#: view over it, and the pipeline's checkpoint path resolves
 #: through it once a disk root is attached (``QSCConfig.store_dir``).
 GLOBAL_STORE = ContentStore()
 
@@ -749,9 +748,9 @@ def get_store() -> ContentStore:
 def active_store() -> ContentStore | None:
     """The global store when it is enabled *and* has a disk root attached.
 
-    The pipeline and sharding checkpoint paths only consult the store in
-    that state — a memory-only store adds nothing over the per-run
-    directories they already handle.
+    The pipeline's checkpoint path only consults the store in that
+    state — a memory-only store adds nothing over the per-run
+    directories it already handles.
     """
     store = GLOBAL_STORE
     if store.enabled and store.root is not None:

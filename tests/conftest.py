@@ -5,7 +5,7 @@ pipeline, store and service harnesses agree on one set of primitives:
 
 * cross-directory imports — ``tests/pipeline`` goes on ``sys.path`` once,
   here, so any test can ``from test_golden import GOLDEN`` or reuse the
-  fault-injection doubles of ``test_sharding``;
+  fault-injection doubles of ``test_supervisor``;
 * ``pristine_store`` / ``tmp_store`` — process-global content-store
   hygiene (detached + wiped around the test) and a disk-backed store in
   a temp directory;

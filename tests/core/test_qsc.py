@@ -51,10 +51,7 @@ class TestConfig:
             ("trotter_order", False),
             ("qmeans_iterations", 30.0),
             ("kmeans_restarts", np.bool_(True)),
-            ("shard_retries", 2.0),
             ("readout_chunk_size", 8.5),
-            ("readout_shards", True),
-            ("shard_workers", 2.0),
             ("qmeans_delta", float("nan")),
             ("qmeans_delta", float("inf")),
             ("eigenvalue_threshold", float("nan")),
@@ -71,7 +68,9 @@ class TestConfig:
 
     def test_numpy_integers_stay_valid(self):
         config = QSCConfig(
-            precision_bits=np.int64(5), shots=np.int32(64), readout_shards=np.int64(2)
+            precision_bits=np.int64(5),
+            shots=np.int32(64),
+            readout_chunk_size=np.int64(2),
         )
         assert config.shots == 64
 
@@ -81,14 +80,11 @@ INTEGER_FIELDS = (
     "precision_bits",
     "shots",
     "histogram_shots",
-    "shard_retries",
     "trotter_steps",
     "trotter_order",
     "qmeans_iterations",
     "kmeans_restarts",
     "readout_chunk_size",
-    "readout_shards",
-    "shard_workers",
 )
 
 #: Values a closed-vocabulary field accepted once and now rejects.
@@ -120,12 +116,8 @@ class TestConfigFieldMatrix:
             ("precision_bits", 1, 0),
             ("shots", 0, -1),
             ("histogram_shots", 1, 0),
-            ("shard_retries", 0, -1),
             ("trotter_steps", 1, 0),
             ("readout_chunk_size", 1, 0),
-            ("readout_shards", 1, 0),
-            ("shard_workers", 1, 0),
-            ("shard_timeout", 1e-9, 0.0),
             ("qmeans_delta", 0.0, -1e-9),
             ("eigenvalue_threshold", 1e-9, 0.0),
         ],
@@ -138,7 +130,6 @@ class TestConfigFieldMatrix:
     @pytest.mark.parametrize(
         "field, vocabulary",
         [
-            ("shard_failure_mode", ("raise", "degrade")),
             ("backend", ("circuit", "analytic")),
             ("spectral_engine", ("v1", "v3")),
             ("linalg_backend", ("auto", "dense", "sparse")),

@@ -3,8 +3,8 @@
 The rebuilt analytic backend reads the eigendecomposition and QPE kernel
 only when something uses them, so a fully served run does no spectral
 work at all, while every consumer of the spectrum — a computed
-downstream stage, diagnostics after the fit, forked shard workers —
-still sees the cold run's bits.
+downstream stage or diagnostics after the fit — still sees the cold
+run's bits.
 """
 
 import pytest
@@ -62,18 +62,15 @@ class TestConsumersOfAServedSpectrum:
         served = _filter_diagnostics(warm.state["backend"], 2, warm_result.threshold)
         assert served == expected
 
-    def test_sharded_readout_on_process_workers_after_a_served_laplacian(
-        self, tmp_store
-    ):
+    def test_readout_after_a_served_laplacian(self, tmp_store):
         graph, k, config = build_case("analytic_shots")
         QSCPipeline(k, config).run(graph)
         for name in STAGE_NAMES[2:]:
             delete_stage_entry(tmp_store, graph, config, k, name)
         fresh_worker()
-        result = QSCPipeline(k, config.with_updates(readout_shards=3)).run(graph)
+        result = QSCPipeline(k, config).run(graph)
         assert sources(result) == ["store", "store"] + ["computed"] * 3
         assert result_digest(result) == GOLDEN["analytic_shots"]
-        # The parent loaded the spectrum before forking: the workers'
-        # own counters die with them, so these hits are the parent's.
+        # The readout loaded the decomposition and the kernel once each.
         stats = spectral_cache_stats()
         assert stats["hits"] == 2 and stats["misses"] == 0, stats

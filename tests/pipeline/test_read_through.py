@@ -3,17 +3,15 @@ stage whose entry the store already holds, instead of recomputing it."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 from test_pipeline import CONFIG, results_equal
-from test_sharding import FaultyShardExecutor, _always
 
 from repro import QSCConfig, QSCPipeline
 from repro.core.qpe_engine import clear_spectral_cache
 from repro.experiments import fig4_shots_sweep
 from repro.experiments.runner import SweepRunner
 from repro.graphs import ensure_connected, mixed_sbm
-from repro.pipeline import STAGE_NAMES, build_stages, checkpoint, sharding
+from repro.pipeline import STAGE_NAMES, build_stages, checkpoint
 from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
 from repro.store import configure_store
 
@@ -23,11 +21,6 @@ from repro.store import configure_store
 #: ``fingerprint_fields`` would let a warm run serve a stale stage.
 OUTPUT_INVARIANT_FIELDS = {
     "readout_chunk_size": "chunking changes peak memory, not the readout rows",
-    "readout_shards": "the sharded readout merges bit-identically to unsharded",
-    "shard_timeout": "a supervision deadline; a timed-out shard is retried",
-    "shard_retries": "a retry budget; a degraded stage is never published",
-    "shard_failure_mode": "raise vs degrade; a degraded stage is never published",
-    "shard_workers": "a worker-pool cap over the same per-shard streams",
     "store_dir": "where entries live, not what they hold",
 }
 
@@ -154,32 +147,6 @@ class TestReadThrough:
             ["store"] * len(STAGE_NAMES),
             ["reused"] * 2 + ["store"] * 3,
         ]
-
-    def test_degraded_stage_is_not_served_downstream(
-        self, graph, tmp_store, monkeypatch
-    ):
-        QSCPipeline(2, CONFIG).run(graph)
-        # Keep the complete embedding/qmeans entries, so serving them
-        # after the degraded readout would be possible (and wrong).
-        delete_stage_entry(tmp_store, graph, CONFIG, 2, "readout")
-        monkeypatch.setattr(
-            sharding,
-            "default_executor",
-            lambda count: FaultyShardExecutor(_always("crash", 1)),
-        )
-        config = CONFIG.with_updates(readout_shards=3, shard_failure_mode="degrade")
-        pipeline = QSCPipeline(2, config)
-        result = pipeline.run(graph)
-        assert sources(result) == [
-            "store", "store", "computed", "computed", "computed"
-        ]
-        assert pipeline.state["degraded_stages"] == ("readout",)
-        layout = sharding.shard_layout(graph.num_nodes, 3)
-        assert np.all(result.row_norms[layout[1].start : layout[1].stop] == 0.0)
-        # The degraded stage is still never published.
-        monkeypatch.undo()
-        again = QSCPipeline(2, CONFIG).run(graph)
-        assert sources(again)[2] == "computed"
 
     def test_served_stages_are_written_to_save_stages(
         self, graph, tmp_store, tmp_path

@@ -5,11 +5,11 @@ server's event loop on a background thread, bound to port 0 — and talks
 to it over real sockets with the blocking client, so the full wire path
 is exercised without subprocess boots or an async test framework.
 
-Fault injection composes with the PR 6 doubles: pass
-``executor_factory=lambda: InlineShardExecutor()`` to run jobs inside
-this process (where ``monkeypatch`` can reroute
-``sharding.default_executor`` through ``FaultyShardExecutor``), or a
-faulty/hanging executor to exercise the per-job supervision itself.
+Fault injection composes with the supervisor doubles of
+``test_supervisor``: pass ``executor_factory=InlineShardExecutor`` to run
+jobs inside this process (where ``monkeypatch`` can break a pipeline
+stage), or a faulty/hanging executor (``FaultyShardExecutor``) to
+exercise the per-job supervision itself.
 
 All servers run under the shared ``pristine_store`` bracket: inline job
 execution configures the process-global store, and the bracket keeps

@@ -1,22 +1,23 @@
 """Fault tolerance of the served path: kills, restarts, cancellation.
 
 The acceptance test of this suite is
-``test_killed_job_resubmits_and_recomputes_only_missing_shards``: a job
-whose worker dies mid-readout leaves its completed shards checkpointed
-in the shared store, and the resubmitted job finishes by loading those
-shards and recomputing only the one that never landed — asserted from
-the ``shards_loaded`` / ``shards_computed`` counters in the streamed
+``test_failed_job_resubmits_and_recomputes_only_missing_stages``: a job
+that fails inside its readout stage leaves the stages it completed
+checkpointed in the shared store, and the resubmitted job finishes by
+loading those stages and computing only the ones that never landed —
+asserted from the ``loaded`` / ``computed`` counters in the streamed
 stage telemetry, not from timing.
 """
 
 import pytest
 
+from repro.exceptions import ClusteringError
 from repro.service.errors import ArtifactNotReadyError
 from repro.experiments.runner import SweepRunner, spec_from_job
-from repro.pipeline import sharding
+from repro.pipeline import stages
 from repro.pipeline.supervisor import InlineShardExecutor, ShardHandle
 
-from test_sharding import FaultyShardExecutor, _always
+from test_supervisor import FaultyShardExecutor, _always
 
 
 class _HungJobHandle(ShardHandle):
@@ -47,49 +48,45 @@ class _HangingJobExecutor:
         return handle
 
 
-class TestShardCheckpointResume:
-    def test_killed_job_resubmits_and_recomputes_only_missing_shards(
+class TestStageCheckpointResume:
+    def test_failed_job_resubmits_and_recomputes_only_missing_stages(
         self, service_server, small_fig1_job, tmp_path, monkeypatch
     ):
-        """Kill the job mid-readout, resubmit, and prove the completion
-        came from shard checkpoints: 2 loaded, 1 recomputed."""
-        healthy = sharding.default_executor
+        """Fail the job inside its readout stage, resubmit, and prove the
+        completion came from the stage checkpoints the first run
+        published: laplacian and threshold loaded, readout computed."""
         server = service_server(
             store_dir=tmp_path / "store",
             executor_factory=InlineShardExecutor,
             job_retries=0,
         )
         client = server.client()
-        small_fig1_job["overrides"]["readout_shards"] = 3
 
-        # First submission: shard 1 of the readout dies on every attempt,
-        # so the job's (single) attempt fails — but shards 0 and 2 have
-        # already been persisted to the shared store by then.
-        monkeypatch.setattr(
-            sharding,
-            "default_executor",
-            lambda count: FaultyShardExecutor(_always("crash", 1)),
-        )
+        # First submission: the readout raises, so the job's (single)
+        # attempt fails — after the laplacian and threshold stages have
+        # been published to the shared store.
+        def broken_readout(*args, **kwargs):
+            raise ClusteringError("injected readout failure")
+
+        monkeypatch.setattr(stages, "batched_readout", broken_readout)
         first = client.submit(small_fig1_job)["job"]
         transcript = client.events(first)
         assert transcript[-1]["event"] == "failed"
-        assert "shard 1" in transcript[-1]["error"]
+        assert "injected readout failure" in transcript[-1]["error"]
         assert client.status(first)["state"] == "failed"
         with pytest.raises(ArtifactNotReadyError):
             client.artifact(first)
 
         # Resubmission with the fault cleared: same fingerprint, fresh
-        # job.  The readout stage must load the two surviving shards and
-        # compute exactly the missing one.
-        monkeypatch.setattr(sharding, "default_executor", healthy)
+        # job.  The upstream stages are served; the readout is computed.
+        monkeypatch.undo()
         second = client.submit(small_fig1_job)["job"]
         transcript = client.events(second)
         assert transcript[-1]["event"] == "completed"
-        stage_events = [e for e in transcript if e["event"] == "stage"]
-        readout = next(e for e in stage_events if e["stage"] == "readout")
-        assert readout["shards_loaded"] == 2
-        assert readout["shards_computed"] == 1
-        assert readout["shards_failed"] == 0
+        rows = {e["stage"]: e for e in transcript if e["event"] == "stage"}
+        for name in ("laplacian", "threshold"):
+            assert rows[name]["loaded"] >= 1 and rows[name]["computed"] == 0
+        assert rows["readout"]["computed"] >= 1 and rows["readout"]["loaded"] == 0
 
         # And the artifact is still record-identical to a direct run.
         direct = SweepRunner(spec_from_job(small_fig1_job), jobs=1).run()
@@ -99,7 +96,7 @@ class TestShardCheckpointResume:
 
 class TestJobRestart:
     def test_crashed_job_worker_is_restarted(self, service_server, small_fig1_job):
-        """The per-job supervisor treats a dead worker like a dead shard:
+        """The per-job supervisor restarts a dead worker:
         attempt 1 crashes, attempt 2 is launched with ``restarted`` set,
         and the job still completes."""
         server = service_server(

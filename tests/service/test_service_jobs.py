@@ -78,7 +78,7 @@ class TestServedExecution:
         self, service_server, small_fig1_job, tmp_path
     ):
         """End to end through a real worker process (the default
-        non-daemonic ProcessShardExecutor): the served artifact validates
+        ProcessShardExecutor): the served artifact validates
         and its records match the direct run bit for bit."""
         server = service_server(store_dir=tmp_path / "store")
         client = server.client()
@@ -191,6 +191,17 @@ class TestSubmissionValidation:
         small_fig1_job["overrides"]["warp_factor"] = 9
         with pytest.raises(InvalidJobError, match="warp_factor"):
             client.submit(small_fig1_job)
+
+    def test_retired_readout_shards_override_is_rejected_at_submit(
+        self, service_server, small_fig1_job
+    ):
+        """The readout runs in one process; its old shard count is an
+        unknown override, refused before a job is created."""
+        client = service_server(executor_factory=InlineShardExecutor).client()
+        small_fig1_job["overrides"]["readout_shards"] = 2
+        with pytest.raises(InvalidJobError, match="readout_shards"):
+            client.submit(small_fig1_job)
+        assert client.jobs() == []
 
     def test_bad_trials_and_bad_shapes_are_rejected(self, service_server):
         client = service_server(executor_factory=InlineShardExecutor).client()

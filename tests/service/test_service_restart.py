@@ -3,7 +3,7 @@
 The tentpole contract of the v1 service: job state lives in the store's
 ``jobtable`` namespace, written through on every transition, so a server
 that dies — even ``kill -9`` mid-readout — comes back, re-queues every
-non-terminal job, resumes from the shard checkpoints its previous life
+non-terminal job, resumes from the stage checkpoints its previous life
 already published, and produces record-identical artifacts.
 
 Two layers of test:
@@ -16,9 +16,10 @@ Two layers of test:
   :class:`~repro.service.jobtable.JobTable`.
 * **Process-level** (:class:`TestKillDashNine`): the acceptance test.
   A real ``python -m repro serve`` subprocess is SIGKILLed the moment the
-  first readout shard checkpoint lands, rebooted on the same store, and
-  must finish both the in-flight and the queued job with records
-  identical to a direct :class:`~repro.experiments.runner.SweepRunner`.
+  first stage checkpoint lands, rebooted on the same store, and must
+  finish both the in-flight and the queued job with records identical to
+  a direct :class:`~repro.experiments.runner.SweepRunner`, serving the
+  stages its previous life published.
 """
 
 import asyncio
@@ -190,17 +191,26 @@ class TestRunningAndDriftedRows:
         self, tmp_path, pristine_store, small_fig1_job
     ):
         store = tmp_path / "store"
-        (job_id,) = _submit_and_die(store, [small_fig1_job])
+        unknown, retired, healthy = _submit_and_die(store, [small_fig1_job] * 3)
         table = _table(store)
-        row = table.load_row(job_id)
+        row = table.load_row(unknown)
         row["spec"] = {"experiment": "fig9"}
+        table.save_row(row)
+        # The row an older server leaves for a job that set an override
+        # this one no longer has.
+        row = table.load_row(retired)
+        row["spec"]["overrides"]["readout_shards"] = 2
         table.save_row(row)
 
         manager, resumed = _recover_and_finish(store)
-        assert resumed == 0
-        record = manager.get(job_id)
-        assert record.state == "failed"
-        assert "unrecoverable job" in record.error
+        assert resumed == 1
+        for job_id in (unknown, retired):
+            record = manager.get(job_id)
+            assert record.state == "failed"
+            assert "unrecoverable job" in record.error
+        assert "readout_shards" in manager.get(retired).error
+        # The bad rows do not stop the manager: the healthy job finishes.
+        assert manager.get(healthy).state == "completed"
 
 
 class TestTerminalRecovery:
@@ -248,19 +258,18 @@ class TestTerminalRecovery:
 READY_PREFIX = "repro serve: listening on "
 RECOVERED_PREFIX = "repro serve: recovered "
 
-#: Big enough that six readout shards are still in flight when the first
-#: shard checkpoint lands (the kill trigger); small enough to finish in
-#: seconds on recovery.
+#: Twelve quantum fits: big enough that the job is still running when its
+#: first stage checkpoint lands (the kill trigger); small enough to finish
+#: in seconds on recovery.
 KILL_JOB = {
     "experiment": "fig1",
-    "trials": 1,
+    "trials": 2,
     "overrides": {
-        "strengths": [0.9],
-        "num_nodes": 24,
+        "strengths": [0.9, 0.7, 0.5, 0.3, 0.1, 0.0],
+        "num_nodes": 48,
         "num_clusters": 2,
         "shots": 256,
         "precision_bits": 6,
-        "readout_shards": 6,
     },
 }
 
@@ -312,18 +321,18 @@ class TestKillDashNine:
         self, tmp_path, pristine_store, wait_until, small_fig1_job
     ):
         store = tmp_path / "store"
-        shard_dir = store / "shard"
+        stage_dir = store / "stage"
         first, client, recovered = _boot_server(store)
         try:
             assert recovered == 0
             big = client.submit(KILL_JOB)["job"]
             queued = client.submit(small_fig1_job)["job"]  # waits behind big
-            # The instant the first readout shard checkpoint is durable,
-            # the server dies the hard way.
+            # The instant the first stage checkpoint is durable, the
+            # server dies the hard way.
             wait_until(
-                lambda: shard_dir.is_dir() and any(shard_dir.rglob("*.cas")),
+                lambda: stage_dir.is_dir() and any(stage_dir.rglob("*.cas")),
                 timeout=120.0,
-                message="first shard checkpoint to land",
+                message="first stage checkpoint to land",
             )
         finally:
             first.kill()
@@ -342,6 +351,9 @@ class TestKillDashNine:
             transcript = client.events(big)
             kinds = [event["event"] for event in transcript]
             assert "recovered" in kinds and kinds[-1] == "completed"
+            # The recovered job served what its first life published.
+            stages = {e["stage"]: e for e in transcript if e["event"] == "stage"}
+            assert stages["laplacian"]["loaded"] >= 1
             served = client.artifact(big)["records"]
             queued_served = client.artifact(queued)["records"]
         finally:

@@ -15,10 +15,22 @@ def graph():
     return graph
 
 
-@pytest.mark.parametrize("name", ["bogus", "draw_threads", "generator_version"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "bogus",
+        "draw_threads",
+        "generator_version",
+        "readout_shards",
+        "shard_timeout",
+        "shard_retries",
+        "shard_failure_mode",
+        "shard_workers",
+    ],
+)
 def test_unknown_quantum_field_is_a_typed_error(graph, name):
     with pytest.raises(ClusteringError) as error:
-        api.cluster(graph, 2, **{name: 1})
+        api.cluster(graph, 2, **{name: 2})
     message = str(error.value)
     assert repr(name) in message
     assert "precision_bits" in message  # the accepted fields are listed

@@ -80,58 +80,25 @@ class TestClusterCommand:
         assert exit_info.value.code == 2
         assert "--draw-threads" in capsys.readouterr().err
 
-    def test_readout_shards_match_unsharded(self, graph_file, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--readout-shards", "2"),
+            ("--shard-timeout", "5"),
+            ("--shard-retries", "1"),
+            ("--shard-workers", "2"),
+            ("--shard-failure-mode", "degrade"),
+        ],
+    )
+    def test_shard_flags_are_gone(self, graph_file, capsys, flag, value):
+        """The readout runs in one process: its old shard flags are usage
+        errors, not silently ignored."""
         path, _ = graph_file
-        args = [
-            "cluster",
-            "--input",
-            path,
-            "--clusters",
-            "2",
-            "--shots",
-            "128",
-            "--seed",
-            "1",
-        ]
-        assert main(args) == 0
-        unsharded = capsys.readouterr().out
-        assert main(args + ["--readout-shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded.splitlines()[0] == unsharded.splitlines()[0]
-        # Worker concurrency is pure scheduling — same labels either way.
-        assert (
-            main(args + ["--readout-shards", "2", "--shard-workers", "1"]) == 0
-        )
-        capped = capsys.readouterr().out
-        assert capped.splitlines()[0] == unsharded.splitlines()[0]
-
-    def test_readout_shards_profile_lists_shards(self, graph_file, capsys):
-        path, _ = graph_file
-        code = main(
-            ["cluster", "--input", path, "--clusters", "2", "--shots", "64",
-             "--seed", "1", "--readout-shards", "3", "--profile"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "shard 0 rows" in out
-        assert "shard 2 rows" in out
-        assert "attempts 1" in out
-
-    def test_readout_shards_rejects_zero(self, graph_file, capsys):
-        path, _ = graph_file
-        code = main(
-            [
-                "cluster",
-                "--input",
-                path,
-                "--clusters",
-                "2",
-                "--readout-shards",
-                "0",
-            ]
-        )
-        assert code == 1
-        assert "readout_shards" in capsys.readouterr().err
+        args = ["cluster", "--input", path, "--clusters", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + [flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_profile_prints_stage_table(self, graph_file, capsys):
         path, _ = graph_file
@@ -188,60 +155,6 @@ class TestClusterCommand:
         # identical labels/summary, and the upstream stages report as loaded
         assert resumed_out.startswith(full_out.split("stage profile:")[0])
         assert "checkpoint" in resumed_out
-
-    def test_degraded_shard_run_resumes_to_golden_labels(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        """Operator story for a partially-failed sharded readout: a
-        ``--shard-failure-mode degrade`` run survives a shard that dies
-        on every attempt (exit 0, degraded labels), and because degraded
-        stages are never checkpointed, the follow-up
-        ``--resume-from readout`` run recomputes the readout healthily
-        and lands on the same labels as the golden-pinned library run."""
-        from repro.pipeline import QSCPipeline, sharding
-        from test_golden import GOLDEN, build_case, result_digest
-        from test_sharding import FaultyShardExecutor, _always
-
-        graph, k, config = build_case("analytic_shots")
-        path = tmp_path / "golden.mixed"
-        graph_io.save(graph, path)
-        stages = str(tmp_path / "stages")
-        base = [
-            "cluster", "--input", str(path), "--clusters", str(k),
-            "--precision-bits", "6", "--shots", "512", "--seed", "5",
-            "--save-stages", stages,
-        ]
-
-        # The golden-pinned library result is the reference the CLI must
-        # reach after recovery.
-        reference = QSCPipeline(k, config).run(graph)
-        assert result_digest(reference) == GOLDEN["analytic_shots"]
-        golden_line = "labels: " + " ".join(
-            str(int(label)) for label in reference.labels
-        )
-
-        # Degraded run: shard 1 of 3 crashes on every attempt.
-        healthy = sharding.default_executor
-        monkeypatch.setattr(
-            sharding,
-            "default_executor",
-            lambda count: FaultyShardExecutor(_always("crash", 1)),
-        )
-        code = main(
-            base
-            + ["--readout-shards", "3", "--shard-failure-mode", "degrade"]
-        )
-        assert code == 0  # the run survived the dead shard
-        degraded_line = capsys.readouterr().out.splitlines()[0]
-        assert degraded_line.startswith("labels:")
-
-        # Recovery run: healthy executor, resume at the readout stage.
-        monkeypatch.setattr(sharding, "default_executor", healthy)
-        code = main(base + ["--resume-from", "readout", "--profile"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.splitlines()[0] == golden_line
-        assert "checkpoint" in out  # upstream stages were reused
 
     def test_resume_without_save_stages_errors(self, graph_file, capsys):
         path, _ = graph_file
@@ -531,29 +444,15 @@ class TestExperimentsCommand:
         artifact = validate_artifact_file(tmp_path / "fig1.json")
         assert artifact["spec"]["fixed"]["generator_version"] == "v2"
 
-    def test_readout_shards_recorded_with_shard_counters(self, tmp_path, capsys):
-        from repro.experiments.runner import validate_artifact_file
-
-        code = main(
-            [
-                "experiments",
-                "--only",
-                "fig1",
-                "--trials",
-                "1",
-                "--readout-shards",
-                "2",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        artifact = validate_artifact_file(tmp_path / "fig1.json")
-        assert artifact["spec"]["fixed"]["readout_shards"] == 2
-        readout = artifact["profile"]["readout"]
-        # every trial ran sharded: 2 shards per computed readout stage
-        assert readout["shards_computed"] == 2 * readout["computed"]
-        assert readout["shards_failed"] == 0
+    def test_readout_shards_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["experiments", "--only", "fig1", "--readout-shards", "2",
+                 "--out", str(tmp_path)]
+            )
+        assert exit_info.value.code == 2
+        assert "--readout-shards" in capsys.readouterr().err
+        assert not (tmp_path / "fig1.json").exists()
 
     def test_unknown_experiment_errors(self, capsys):
         assert main(["experiments", "--only", "fig9"]) == 1

@@ -13,11 +13,12 @@ check CI runs on every push:
 4. write the streamed transcript to ``service-transcript.jsonl`` (CI
    uploads it as a build artifact) and shut the server down cleanly;
 5. run the **restart drill**: a second server (``--max-queued 1``) gets
-   a sharded job plus a queued one, sheds a third submission with the
+   a twelve-fit job plus a queued one, sheds a third submission with the
    retryable 429 (``Retry-After`` intact), is SIGKILLed the moment the
-   first readout shard checkpoint lands, and is rebooted on the same
-   store — it must report ``recovered 2 job(s)``, finish both from
-   checkpoints, and serve records identical to a direct in-process
+   first stage checkpoint lands, and is rebooted on the same store — it
+   must report ``recovered 2 job(s)``, finish both, serve at least one
+   stage from the checkpoints its previous life published, and serve
+   records identical to a direct in-process
    :class:`~repro.experiments.runner.SweepRunner` run.
 
 Run from the repository root::
@@ -50,18 +51,17 @@ BOOT_TIMEOUT = 60.0
 
 SMOKE_JOB = {"experiment": "fig1", "trials": 1}
 
-#: The restart drill's in-flight job: sharded readout, sized so the
-#: SIGKILL (triggered by the first shard checkpoint) lands mid-stage.
+#: The restart drill's in-flight job: twelve quantum fits, sized so the
+#: SIGKILL (triggered by the first stage checkpoint) lands mid-job.
 DRILL_JOB = {
     "experiment": "fig1",
-    "trials": 1,
+    "trials": 2,
     "overrides": {
-        "strengths": [0.9],
-        "num_nodes": 24,
+        "strengths": [0.9, 0.7, 0.5, 0.3, 0.1, 0.0],
+        "num_nodes": 48,
         "num_clusters": 2,
         "shots": 256,
         "precision_bits": 6,
-        "readout_shards": 6,
     },
 }
 
@@ -128,9 +128,9 @@ def wait_for(predicate, timeout: float, what: str):
 
 
 def restart_drill(tmp: str) -> None:
-    """kill -9 mid-readout, reboot, finish record-identically."""
+    """kill -9 mid-job, reboot, finish record-identically."""
     store = pathlib.Path(tmp) / "drill-store"
-    shard_dir = store / "shard"
+    stage_dir = store / "stage"
     process, host, port, recovered = boot_server(
         str(store), "--workers", "1", "--max-queued", "1"
     )
@@ -157,14 +157,14 @@ def restart_drill(tmp: str) -> None:
             raise SystemExit("over-quota submission was not shed with 429")
 
         wait_for(
-            lambda: shard_dir.is_dir() and any(shard_dir.rglob("*.cas")),
+            lambda: stage_dir.is_dir() and any(stage_dir.rglob("*.cas")),
             120.0,
-            "the first shard checkpoint",
+            "the first stage checkpoint",
         )
     finally:
         process.kill()  # SIGKILL: no goodbye, no flush, no cleanup
         process.wait(30)
-    print("killed the server mid-readout (first shard checkpoint on disk)")
+    print("killed the server mid-job (first stage checkpoint on disk)")
 
     process, host, port, recovered = boot_server(str(store), "--workers", "1")
     try:
@@ -177,8 +177,17 @@ def restart_drill(tmp: str) -> None:
                 300.0,
                 f"recovered job {job_id} to complete",
             )
-        kinds = [event["event"] for event in client.events(big)]
+        transcript = client.events(big)
+        kinds = [event["event"] for event in transcript]
         assert "recovered" in kinds, f"no recovered event: {kinds}"
+        loaded = {
+            event["stage"]: event["loaded"]
+            for event in transcript
+            if event["event"] == "stage"
+        }
+        assert loaded.get("laplacian", 0) >= 1, (
+            f"the recovered job served no checkpointed stage: {loaded}"
+        )
         served = client.artifact(big)
         validate_artifact(served)
     finally:
@@ -193,7 +202,8 @@ def restart_drill(tmp: str) -> None:
         "records of the killed-and-recovered job differ from a direct run"
     )
     print(
-        f"restart drill OK: recovered 2 jobs, {len(served['records'])} "
+        f"restart drill OK: recovered 2 jobs, laplacian served "
+        f"{loaded['laplacian']} time(s), {len(served['records'])} "
         "records bit-identical to the direct run"
     )
 
