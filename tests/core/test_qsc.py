@@ -1,5 +1,7 @@
 """Integration tests for the end-to-end quantum pipeline."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro import (
     mixed_sbm,
 )
 from repro.baselines import SymmetrizedSpectralClustering
+from repro.core.config import is_count, is_deadline, is_seconds
 from repro.core.runtime_model import fitted_exponent, profile_graph
 from repro.exceptions import ClusteringError
 from repro.graphs import random_mixed_graph, synthetic_netlist
@@ -159,6 +162,59 @@ class TestConfigFieldMatrix:
         for value in (float("inf"), -float("inf")):
             with pytest.raises(ClusteringError, match=f"{field} must be finite"):
                 QSCConfig(**{field: value})
+
+
+class TestSharedValidators:
+    """The count and seconds checks the supervisor and the job manager
+    share: a bool is neither a count nor a number of seconds, and a NaN
+    or an infinity is never a usable duration."""
+
+    @pytest.mark.parametrize(
+        "value, minimum",
+        [(0, 0), (3, 1), (np.int64(2), 1), (np.uint8(0), 0)],
+    )
+    def test_is_count_accepts(self, value, minimum):
+        assert is_count(value, minimum)
+
+    @pytest.mark.parametrize(
+        "value, minimum",
+        [
+            (True, 0),
+            (False, 0),
+            (np.bool_(True), 0),
+            (2.0, 0),
+            (-1, 0),
+            (0, 1),
+            ("3", 0),
+            (None, 0),
+        ],
+    )
+    def test_is_count_rejects(self, value, minimum):
+        assert not is_count(value, minimum)
+
+    @pytest.mark.parametrize(
+        "value", [1, 0.5, np.float32(0.25), np.int64(2), Fraction(1, 4)]
+    )
+    def test_is_seconds_accepts(self, value):
+        assert is_seconds(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, 0, 0.0, -0.5, float("nan"), float("inf"), "1", None],
+    )
+    def test_is_seconds_rejects(self, value):
+        assert not is_seconds(value)
+
+    def test_allow_zero_admits_zero_and_nothing_below(self):
+        for value in (0, 0.0, np.float64(0.0)):
+            assert is_seconds(value, allow_zero=True)
+        for value in (-1e-300, False, float("nan"), -float("inf")):
+            assert not is_seconds(value, allow_zero=True)
+
+    def test_a_deadline_is_none_or_positive_seconds(self):
+        assert is_deadline(None) and is_deadline(0.01) and is_deadline(5)
+        for value in (0, -1.0, float("nan"), float("inf"), True):
+            assert not is_deadline(value)
 
 
 class TestAnalyticPipeline:

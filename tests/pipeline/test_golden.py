@@ -122,6 +122,17 @@ def test_fit_wrapper_matches_pipeline(name):
     ) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("chunk", [2, 5, 7, 16])
+def test_readout_chunking_keeps_the_golden_digest(chunk):
+    """``readout_chunk_size`` bounds peak memory only: a chunking that
+    leaves no one-row block lands on the unchunked golden digest (a
+    one-row block differs by float rounding; see ``core/readout.py``)."""
+    graph, k, config = build_case("analytic_shots")
+    assert graph.num_nodes % chunk != 1
+    result = QSCPipeline(k, config.with_updates(readout_chunk_size=chunk)).run(graph)
+    assert result_digest(result) == GOLDEN["analytic_shots"]
+
+
 def test_resumed_run_matches_golden(tmp_path):
     """A ``resume_from="readout"`` run still lands on the golden digest."""
     graph, k, config = build_case("analytic_shots")

@@ -106,6 +106,15 @@ def _hard_exit():
     os._exit(1)
 
 
+def _raise_in_worker(message):
+    """Fail inside the worker, which reports the error over the pipe."""
+    raise ValueError(message)
+
+
+def _pair(left, right):
+    return (left, right)
+
+
 class TestSupervisor:
     def test_retries_after_crash(self):
         executor = FaultyShardExecutor({(0, 1): "crash"})
@@ -175,6 +184,51 @@ class TestSupervisor:
             )
         assert executor.hung[0].killed
 
+    def test_cancel_set_before_the_run_launches_nothing(self):
+        import threading
+
+        cancel = threading.Event()
+        cancel.set()
+        executor = FaultyShardExecutor()
+        supervisor = ShardSupervisor(executor, retries=0)
+        with pytest.raises(SupervisorCancelled, match="1 pending"):
+            supervisor.run([ShardTask(0, lambda: None)], cancel=cancel)
+        assert executor.log == []
+
+    def test_a_raising_task_is_retried_like_a_crash(self):
+        calls = []
+
+        def flaky():
+            calls.append(None)
+            if len(calls) == 1:
+                raise ValueError("first call fails")
+            return "second call succeeds"
+
+        supervisor = ShardSupervisor(retries=1, backoff_base=0.0)
+        outcomes = supervisor.run([ShardTask(0, flaky)])
+        assert outcomes[0].value == "second call succeeds"
+        assert outcomes[0].attempts == 2
+
+    def test_exhaustion_reports_the_task_error(self):
+        def broken():
+            raise ValueError("bad input row")
+
+        supervisor = ShardSupervisor(retries=0, backoff_base=0.0)
+        with pytest.raises(ClusteringError, match="task 3 .*bad input row"):
+            supervisor.run([ShardTask(3, broken)])
+
+    def test_each_task_settles_under_its_own_index(self):
+        executor = FaultyShardExecutor({(1, 1): "crash"})
+        supervisor = ShardSupervisor(executor, retries=1, backoff_base=0.0)
+        outcomes = supervisor.run(
+            [ShardTask(index, lambda i=index: f"v{i}") for index in range(3)]
+        )
+        assert {i: (o.value, o.attempts) for i, o in outcomes.items()} == {
+            0: ("v0", 1),
+            1: ("v1", 2),
+            2: ("v2", 1),
+        }
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ClusteringError, match="timeout"):
             ShardSupervisor(timeout=0.0)
@@ -204,6 +258,20 @@ class TestProcessExecutorCrashes:
         )
         assert outcomes[0].value == "payload"
         assert outcomes[0].attempts == 2
+
+    def test_worker_pipes_back_the_payload(self):
+        supervisor = ShardSupervisor(ProcessShardExecutor(), retries=0)
+        outcomes = supervisor.run([ShardTask(0, _pair, ("left", [1, 2]))])
+        assert outcomes[0].value == ("left", [1, 2])
+        assert outcomes[0].attempts == 1
+
+    def test_worker_exception_is_reported_not_a_crash(self):
+        supervisor = ShardSupervisor(
+            ProcessShardExecutor(), retries=0, backoff_base=0.0
+        )
+        with pytest.raises(ClusteringError, match="raised in the worker") as info:
+            supervisor.run([ShardTask(0, _raise_in_worker, ("raised in the worker",))])
+        assert "died without a result" not in str(info.value)
 
     def test_hard_crash_exhaustion_raises_clustering_error(self):
         supervisor = ShardSupervisor(
