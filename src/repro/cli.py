@@ -148,23 +148,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     cluster.add_argument(
-        "--save-stages",
-        metavar="DIR",
-        default=None,
-        help=(
-            "checkpoint every pipeline stage into DIR (one <stage>.npz "
-            "per stage); also the directory --resume-from loads from"
-        ),
-    )
-    cluster.add_argument(
         "--resume-from",
         choices=STAGE_NAMES,
         default=None,
         metavar="STAGE",
         help=(
             "resume at STAGE: load every upstream stage from the "
-            "--save-stages directory (or the --store-dir store) instead "
-            "of recomputing it, and re-run STAGE onward (stages: "
+            "--store-dir store instead of recomputing it (a stage it "
+            "lacks is recomputed), and re-run STAGE onward (stages: "
             f"{', '.join(STAGE_NAMES)})"
         ),
     )
@@ -416,14 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_cluster(args) -> int:
     graph = graph_io.load(args.input)
     if args.method == "quantum":
-        if (
-            args.resume_from is not None
-            and args.save_stages is None
-            and args.store_dir is None
-        ):
+        if args.resume_from is not None and args.store_dir is None:
             raise ReproError(
-                "--resume-from needs --save-stages DIR (the checkpoint "
-                "directory a previous run wrote) or --store-dir DIR"
+                "--resume-from needs --store-dir DIR (the store a previous "
+                "run published its stages to)"
             )
         config = QSCConfig(
             backend=args.qpe_backend,
@@ -437,11 +424,7 @@ def _cmd_cluster(args) -> int:
             seed=args.seed,
         )
         pipeline = QSCPipeline(args.clusters, config)
-        result = pipeline.run(
-            graph,
-            save_stages=args.save_stages,
-            resume_from=args.resume_from,
-        )
+        result = pipeline.run(graph, resume_from=args.resume_from)
     else:
         if args.clusters == "auto":
             raise ReproError(
@@ -450,7 +433,6 @@ def _cmd_cluster(args) -> int:
             )
         for flag, name in (
             (args.profile, "--profile"),
-            (args.save_stages, "--save-stages"),
             (args.resume_from, "--resume-from"),
         ):
             if flag:

@@ -73,8 +73,9 @@ class QuantumSpectralClustering:
 
         Delegates to :meth:`repro.pipeline.QSCPipeline.run` (which takes
         ``graph_digest``, the graph's fingerprint if the caller holds it);
-        use the pipeline directly for stage checkpointing
-        (``save_stages``), resume (``resume_from``) or stage-state reuse.
+        use the pipeline directly to resume (``resume_from``, from the
+        content store of ``config.store_dir``) or reuse stage state
+        (``upstream``).
         """
         return QSCPipeline(self.num_clusters, self.config).run(
             graph, graph_digest=graph_digest

@@ -37,9 +37,12 @@ is pinned in ``tests/core/test_readout.py``.
 
 Memory: with ``chunk_size=None`` the rows are split into balanced blocks
 (:func:`~repro.utils.linalg.row_blocks`: at most ``max(64, 2^16 // D)``
-rows, so 64 rows from D = 1024 up), and each block's estimates are written
-straight into the preallocated ``(n, dim)`` output, so the stage's working
-set is its output plus a few block-sized temporaries.
+rows, so 64 rows from D = 1024 up), and the node columns of each block's
+estimates are written straight into the preallocated ``(n, n)`` output, so
+the stage's working set is its output plus a few block-sized temporaries.
+The ``dim - n`` pad columns are still estimated (under the v3 engine they
+are exact zeros, but the tomography draws over all ``dim`` columns fix
+each row's random stream) and then dropped: nothing downstream reads them.
 """
 
 from __future__ import annotations
@@ -61,9 +64,10 @@ class ReadoutResult:
     Attributes
     ----------
     rows:
-        ``(n, dim)`` complex matrix; row ``i`` is the tomography estimate of
-        the filtered state scaled by the estimated acceptance amplitude —
-        the noisy reconstruction of row ``i`` of the subspace projector.
+        ``(n, n)`` complex matrix; row ``i`` is the tomography estimate of
+        the filtered state, restricted to the node columns and scaled by
+        the estimated acceptance amplitude — the noisy reconstruction of
+        row ``i`` of the subspace projector on the graph's nodes.
     norms:
         ``(n,)`` estimated acceptance amplitudes ``sqrt(p̂_i)`` (amplitude-
         estimation output; becomes ``QSCResult.row_norms``).
@@ -150,7 +154,7 @@ def batched_readout(
         Rows processed per filter/tomography block.  ``None`` (default)
         splits the rows into balanced blocks of at most
         ``max(64, 2^16 // dim)`` rows, so the working set is the
-        ``(n, dim)`` output plus a few blocks; an
+        ``(n, n)`` output plus a few blocks; an
         explicit value fixes the block length (the circuit backend
         materialises ``chunk × 2^(p+m)`` amplitudes per block).  Chunking
         never changes the result, except that a block of exactly one row
@@ -168,7 +172,7 @@ def batched_readout(
         raise ClusteringError(f"shots must be non-negative, got {shots}")
     num_nodes = int(backend.num_nodes)
     row_rngs = spawn_rngs(rng, num_nodes)
-    rows = np.zeros((num_nodes, backend.dim), dtype=complex)
+    rows = np.zeros((num_nodes, num_nodes), dtype=complex)
     norms = np.zeros(num_nodes)
     probabilities = np.zeros(num_nodes)
     if chunk_size is None:
@@ -209,7 +213,10 @@ def batched_readout(
         else:
             estimated = block_probabilities[alive]
         amplitudes = np.sqrt(estimated)
-        rows[alive_nodes] = np.multiply(amplitudes[:, None], estimates, out=estimates)
+        node_columns = estimates[:, :num_nodes]
+        rows[alive_nodes] = np.multiply(
+            amplitudes[:, None], node_columns, out=node_columns
+        )
         norms[alive_nodes] = amplitudes
     if canonical_phases:
         anchor_row_phases(rows)

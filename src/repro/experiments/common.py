@@ -3,8 +3,8 @@
 Every experiment module produces a list of :class:`TrialRecord` rows (its
 sweep is declared as a :class:`~repro.experiments.runner.SweepSpec` and
 executed by :class:`~repro.experiments.runner.SweepRunner`); the helpers
-here aggregate those rows over seeds and render the same markdown tables
-EXPERIMENTS.md quotes.  A *method* is any object with a ``fit(graph)``
+here aggregate those rows over seeds and render them as markdown tables.
+A *method* is any object with a ``fit(graph)``
 returning something with a ``labels`` attribute.  With a content store
 attached, :func:`trial_graph` serves each trial's graph from the store's
 ``graph`` namespace instead of regenerating it, and :func:`evaluate_methods`

@@ -17,7 +17,7 @@ declarative description) and reports three quantities per point:
 Expected shape: error and leakage decay geometrically in p; ARI is already
 near-perfect once leakage is below ~10% — the algorithm only needs the
 filter to *separate* low from bulk, not to resolve eigenvalues finely (an
-explicit robustness finding recorded in EXPERIMENTS.md).  A circuit-backend
+explicit robustness finding).  A circuit-backend
 cross-check runs at small n for gate-level confirmation.
 
 Each trial fits the staged pipeline (:class:`repro.pipeline.QSCPipeline`)

@@ -10,7 +10,7 @@ The headline comparison table: quantum spectral clustering versus the exact
 classical Hermitian pipeline and the direction-blind / directed baselines,
 over graph sizes and cluster counts, averaged over seeds.
 
-Expected shape (see EXPERIMENTS.md): quantum ≈ classical Hermitian, both
+Expected shape: quantum ≈ classical Hermitian, both
 near-perfect; symmetrized competitive only because mixed SBMs also carry a
 density signal; the gap widens in experiment F1 where density is removed.
 """

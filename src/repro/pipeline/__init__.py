@@ -3,24 +3,20 @@
 Public surface:
 
 * :class:`~repro.pipeline.pipeline.QSCPipeline` — the staged driver
-  (``run(graph, save_stages=..., resume_from=..., ...)``);
+  (``run(graph, resume_from=..., upstream=..., ...)``);
 * :data:`~repro.pipeline.stages.STAGE_NAMES` / ``build_stages`` — the five
   concrete stages in execution order;
 * :class:`~repro.pipeline.stage.Stage` / ``StageContext`` — the contract
   for new stages;
 * :mod:`~repro.pipeline.telemetry` — per-stage profiling
   (``stage_totals`` feeds the sweep-artifact profile field);
-* :mod:`~repro.pipeline.checkpoint` — the ``<stage>.npz`` on-disk format;
+* :mod:`~repro.pipeline.checkpoint` — the content-store keys of stage
+  checkpoints;
 * :mod:`~repro.pipeline.supervisor` — the supervised work queue the job
   service runs each job under (``ShardSupervisor``).
 """
 
-from repro.pipeline.checkpoint import (
-    CHECKPOINT_VERSION,
-    has_stage_checkpoint,
-    load_stage_payload,
-    save_stage_payload,
-)
+from repro.pipeline.checkpoint import CHECKPOINT_VERSION
 from repro.pipeline.pipeline import QSCPipeline
 from repro.pipeline.stage import Stage, StageContext
 from repro.pipeline.stages import STAGE_NAMES, build_stages
@@ -50,9 +46,6 @@ __all__ = [
     "StageReport",
     "SupervisorCancelled",
     "build_stages",
-    "has_stage_checkpoint",
-    "load_stage_payload",
     "reset_stage_totals",
-    "save_stage_payload",
     "stage_totals",
 ]

@@ -9,14 +9,13 @@ this driver runs it as five composable stages
   streams from the config seed and executes the same code the monolithic
   ``fit`` did, so outputs are bit-for-bit unchanged at a fixed seed
   (golden-pinned in ``tests/pipeline/test_golden.py``);
-* **checkpointable** — ``run(graph, save_stages=DIR)`` writes one
-  ``<stage>.npz`` per stage; ``run(graph, resume_from="readout",
-  stages_dir=DIR)`` loads everything upstream of ``readout`` from those
-  files and recomputes only ``readout`` onward.  Because each stage owns an
-  independent spawned stream, a resumed run equals the full run exactly;
 * **read-through** — with a content store attached, each stage is served
   from its published store entry when one exists (``source="store"``),
   and computed and published otherwise;
+* **resumable** — ``run(graph, resume_from="readout")`` with a store
+  attached loads everything upstream of ``readout`` from the store and
+  recomputes only ``readout`` onward.  Because each stage owns an
+  independent spawned stream, a resumed run equals the full run exactly;
 * **profiled** — every stage execution is timed and bracketed with
   spectral-cache counters; the per-run profile lands in
   ``QSCResult.profile`` and the process-wide totals
@@ -91,9 +90,7 @@ class QSCPipeline:
         self,
         graph,
         *,
-        save_stages=None,
         resume_from: str | None = None,
-        stages_dir=None,
         upstream: dict | None = None,
         graph_digest: str | None = None,
     ) -> QSCResult:
@@ -103,29 +100,23 @@ class QSCPipeline:
         ----------
         graph:
             The mixed graph to cluster.
-        save_stages:
-            Directory to checkpoint every computed or store-served stage
-            into (created if needed); ``None`` skips checkpointing.
         resume_from:
-            Stage name to resume at: every stage *before* it is loaded
-            from ``upstream`` / ``stages_dir`` instead of computed, and it
-            plus everything downstream runs for real.  ``None`` (default)
-            computes all five stages, or serves them from an attached
-            store (see Notes).
-        stages_dir:
-            Checkpoint directory to load upstream stages from; defaults
-            to ``save_stages`` when resuming.
+            Stage name to resume at: every stage *before* it is taken
+            from ``upstream`` or loaded from the attached store instead of
+            computed, and it plus everything downstream runs for real.
+            ``None`` (default) computes all five stages, or serves them
+            from an attached store (see Notes).
         upstream:
             In-memory stage state (a previous run's ``pipeline.state``) to
-            reuse instead of reading checkpoints — the zero-copy resume
-            the experiment sweeps use.
+            reuse instead of reading the store — the zero-copy resume the
+            experiment sweeps use.
         graph_digest:
             :func:`~repro.pipeline.checkpoint.graph_fingerprint` of
             ``graph`` when the caller already holds it (the sweeps hash
             each trial's graph once for the quantum fit and the baselines'
             store keys); ``None`` hashes the graph here when something
-            keys on it: a content store or a checkpoint directory.  A run
-            with neither computes no graph or stage fingerprint.
+            keys on it, a content store.  A run without one computes no
+            graph or stage fingerprint.
 
         Notes
         -----
@@ -134,16 +125,16 @@ class QSCPipeline:
         *through the store*: every cleanly computed stage is published
         under its context fingerprint, and a run without ``resume_from``
         serves each stage whose entry already exists instead of computing
-        it (``source="store"``; a served stage is still written to
-        ``save_stages``).  An in-memory resume (``upstream``) reuses the upstream
-        stages and reads the resumed stage onward through the store like
-        a plain run.  A resume from a run directory loads the upstream
-        stages from it, falling back to the store when it lacks (or holds
-        a corrupt copy of) a stage file, and the resumed stage onward
-        always recomputes.  A corrupt run-dir checkpoint is evicted and
-        recomputed instead of aborting the resume.
+        it (``source="store"``).  An in-memory resume (``upstream``) reuses
+        the upstream stages and reads the resumed stage onward through the
+        store like a plain run.  A resume without ``upstream`` loads the
+        upstream stages from the store (``source="checkpoint"``), and the
+        resumed stage onward always recomputes.  One rule covers an entry
+        that is missing, one written for another context (its key differs)
+        and a corrupt one: each is a miss, and the stage is recomputed from
+        its own RNG stream and published (``source="computed"``).
 
-        Without ``save_stages``, a served stage resolves on first use: the
+        A served stage resolves on first use: the
         run only checks that its entry exists, and reads it the first time
         a computing stage, the result, or a caller reading
         ``pipeline.state`` asks for one of its keys.  The embedding entry
@@ -173,22 +164,18 @@ class QSCPipeline:
                     f"{', '.join(STAGE_NAMES)}"
                 )
             resume_index = STAGE_NAMES.index(resume_from)
-        if stages_dir is None:
-            stages_dir = save_stages
         # A config carrying ``store_dir`` attaches the shared content
         # store for this (worker) process.
         store = attached_store(cfg.store_dir)
-        if resume_index > 0 and upstream is None and stages_dir is None and store is None:
+        if resume_index > 0 and upstream is None and store is None:
             raise ClusteringError(
-                f"resume_from={resume_from!r} needs checkpoints: pass "
-                "stages_dir/save_stages, a store_dir, or an in-memory "
-                "upstream state"
+                f"resume_from={resume_from!r} needs checkpoints: pass a "
+                "store_dir or an in-memory upstream state"
             )
 
-        # Fingerprints name store entries and checkpoint files; with
-        # neither in play nothing reads them, so nothing is hashed.
-        keyed = store is not None or stages_dir is not None
-        if keyed and not graph_digest:
+        # Fingerprints name store entries; without a store nothing reads
+        # them, so nothing is hashed.
+        if store is not None and not graph_digest:
             graph_digest = checkpoint.graph_fingerprint(graph)
         ctx = StageContext(
             graph=graph,
@@ -203,13 +190,7 @@ class QSCPipeline:
             resume_from is None or upstream is not None
         )
         self._run_stages(
-            ctx, reports, served, resume_index, upstream,
-            stages_dir, save_stages, store,
-            keyed=keyed,
-            read_through=read_through,
-            # Without a run directory to fill, a stage whose entry
-            # exists is read only when something asks for its keys.
-            lazy=read_through and save_stages is None,
+            ctx, reports, served, resume_index, upstream, store, read_through
         )
         self.state = ctx.state
         self._reports = reports
@@ -232,12 +213,8 @@ class QSCPipeline:
         served: list,
         resume_index: int,
         upstream: dict | None,
-        stages_dir,
-        save_stages,
         store,
-        keyed: bool,
         read_through: bool,
-        lazy: bool,
     ) -> None:
         """Execute, load or defer every stage, appending telemetry reports."""
         cfg = self.config
@@ -245,52 +222,46 @@ class QSCPipeline:
             cache_before = spectral_cache_counters()
             start = time.perf_counter()
             ctx.backend_info = {}
-            # The context fingerprint binds a checkpoint to everything the
+            values = None
+            source = "computed"
+            # The context fingerprint binds a store entry to everything the
             # stage's output depends on (graph content, requested k, its
-            # cumulative config fields) — loading under a different graph
-            # or an upstream-relevant config change is a hard error, not
-            # silently stale state.  In-memory `upstream` reuse is exempt:
-            # the caller explicitly hands over state it owns (the fig4
-            # pattern, where only downstream fields differ).
-            if keyed:
+            # cumulative config fields) — under a different graph or an
+            # upstream-relevant config change the key differs, so stale
+            # state is a miss, never served.  In-memory `upstream` reuse
+            # is exempt: the caller explicitly hands over state it owns
+            # (the fig4 pattern, where only downstream fields differ).
+            if store is not None:
                 ctx.fingerprint = checkpoint.context_fingerprint(
                     ctx.graph_digest,
                     cfg,
                     self.num_clusters if stage.fingerprint_clusters else None,
                     stage.fingerprint_fields,
                 )
-            fingerprint = ctx.fingerprint
-            values = None
-            source = "computed"
+                entry = checkpoint.store_key(stage.name, ctx.fingerprint)
             resuming = index < resume_index
             if resuming and upstream is not None:
                 values = {key: upstream[key] for key in stage.provides}
                 source = "reused"
-            elif lazy and store.contains(
-                checkpoint.STAGE_NAMESPACE,
-                checkpoint.store_key(stage.name, fingerprint),
-            ):
+            elif read_through and store.contains(checkpoint.STAGE_NAMESPACE, entry):
+                # A stage whose entry exists is read only when something
+                # asks for its keys.
                 deferred = _ServedStage(stage, ctx, store, reports)
                 ctx.state.defer(stage.provides, deferred)
                 served.append(deferred)
                 values = {}
                 source = "store"
             elif resuming or read_through:
-                # Resume loads the prefix from the run directory (falling
-                # back on the store); without --resume-from every stage
-                # reads through the store first.
-                payload = _load_payload(
-                    stage.name, fingerprint, stages_dir if resuming else None, store
-                )
+                # A resumed prefix loads now (run() checked that a store is
+                # attached); a read-through lookup that found no entry
+                # still asks once, so the store counts the miss.  A miss
+                # recomputes.
+                payload = store.get(checkpoint.STAGE_NAMESPACE, entry)
                 if payload is not None:
                     values = stage.unpack(payload, ctx)
                     source = "checkpoint" if resuming else "store"
-                    if source == "store" and save_stages is not None:
-                        checkpoint.save_stage_payload(
-                            save_stages, stage.name, payload, fingerprint
-                        )
             if values is None:
-                values = _compute(stage, ctx, save_stages, store)
+                values = _compute(stage, ctx, store)
             ctx.state.update(values)
             reports.append(_report(stage, source, start, cache_before, ctx))
 
@@ -361,7 +332,7 @@ class _ServedStage:
         if payload is not None:
             values, source = self.stage.unpack(payload, ctx), "store"
         else:
-            values = _compute(self.stage, ctx, None, self.store)
+            values = _compute(self.stage, ctx, self.store)
             source = "computed"
         report = _report(self.stage, source, start, cache_before, ctx)
         if self.recorded and source == "computed":
@@ -370,21 +341,15 @@ class _ServedStage:
         return values
 
 
-def _compute(stage, ctx: StageContext, save_stages, store) -> dict:
-    """Run ``stage`` and publish its output."""
+def _compute(stage, ctx: StageContext, store) -> dict:
+    """Run ``stage`` and publish its output to ``store``, if any."""
     values = stage.execute(ctx)
-    if save_stages is not None or store is not None:
-        packed = stage.pack(values)
-        if save_stages is not None:
-            checkpoint.save_stage_payload(
-                save_stages, stage.name, packed, ctx.fingerprint
-            )
-        if store is not None:
-            store.put(
-                checkpoint.STAGE_NAMESPACE,
-                checkpoint.store_key(stage.name, ctx.fingerprint),
-                packed,
-            )
+    if store is not None:
+        store.put(
+            checkpoint.STAGE_NAMESPACE,
+            checkpoint.store_key(stage.name, ctx.fingerprint),
+            stage.pack(values),
+        )
     return values
 
 
@@ -420,31 +385,3 @@ def _result_fields(state: StageState, config: QSCConfig) -> dict:
         "qmeans": km,
         "backend_name": config.backend,
     }
-
-
-def _load_payload(stage_name: str, fingerprint: str, stages_dir, store):
-    """Packed payload of one stage from ``stages_dir``, else the store.
-
-    Returns ``None`` on a miss the caller should recompute.  A corrupt
-    run-dir checkpoint is evicted (the recompute rewrites it); a plainly
-    missing one with no store to fall back on is the classic hard error,
-    and a context mismatch always raises.
-    """
-    corrupt = False
-    if stages_dir is not None and checkpoint.has_stage_checkpoint(
-        stages_dir, stage_name
-    ):
-        try:
-            return checkpoint.load_stage_payload(stages_dir, stage_name, fingerprint)
-        except checkpoint.CorruptCheckpointError:
-            # Damaged bits are never served; the rewrite heals the file.
-            checkpoint.evict_stage_checkpoint(stages_dir, stage_name)
-            corrupt = True
-    if store is not None:
-        return store.get(
-            checkpoint.STAGE_NAMESPACE, checkpoint.store_key(stage_name, fingerprint)
-        )
-    if not corrupt:
-        # Raises the "no checkpoint for stage ..." error.
-        checkpoint.load_stage_payload(stages_dir, stage_name, fingerprint)
-    return None

@@ -4,8 +4,8 @@ A :class:`Stage` is one step of the paper's algorithm with declared, typed
 inputs and outputs: it reads named values from the shared
 :class:`StageContext` state (``requires``), computes and returns new ones
 (``provides``), and can round-trip its outputs through a dumb
-array-only checkpoint payload (``pack``/``unpack``) so runs support
-``save_stages`` / ``resume_from``.  The concrete five stages live in
+array-only checkpoint payload (``pack``/``unpack``) so runs can publish
+stages to the content store, serve them from it and ``resume_from`` it.  The concrete five stages live in
 :mod:`repro.pipeline.stages`; :class:`repro.pipeline.pipeline.QSCPipeline`
 chains them.
 
@@ -117,8 +117,8 @@ class StageContext:
         :func:`~repro.pipeline.checkpoint.graph_fingerprint` of ``graph``,
         computed once per run by the pipeline; every stage's context
         fingerprint is derived from it instead of re-hashing the graph.
-        Empty, like ``fingerprint``, in a run with no content store and no
-        checkpoint directory: nothing there is keyed by them.
+        Empty, like ``fingerprint``, in a run with no content store:
+        nothing there is keyed by them.
     fingerprint:
         The executing stage's context fingerprint, set by the driver
         before each stage.
@@ -159,7 +159,7 @@ class Stage:
     non-resumable).
     """
 
-    #: Stage name — the ``--resume-from`` / checkpoint-file identifier.
+    #: Stage name — the ``--resume-from`` / store-key identifier.
     name: str = ""
     #: State keys the stage reads.
     requires: tuple = ()
@@ -167,8 +167,8 @@ class Stage:
     provides: tuple = ()
     #: ``QSCConfig`` fields this stage's output depends on, cumulative
     #: with its upstream — the checkpoint context fingerprint hashes these
-    #: (plus graph content and the requested cluster count), so resuming
-    #: against state written under an incompatible run is a hard error
+    #: (plus graph content and the requested cluster count), so state
+    #: written under an incompatible run lives under another store key
     #: while fields the output provably ignores may differ freely.
     fingerprint_fields: tuple = ()
     #: Whether the output depends on the requested cluster count (only

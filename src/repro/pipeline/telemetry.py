@@ -45,9 +45,10 @@ class StageReport:
         Wall time of the stage (compute, checkpoint load, or in-memory
         reuse — whichever path ran).
     source:
-        ``"computed"`` (ran for real), ``"checkpoint"`` (loaded under
-        ``--resume-from``, from a ``--save-stages`` directory or the
-        content store), ``"store"`` (served from the content store's
+        ``"computed"`` (ran for real, also when an entry the run looked
+        for was missing or corrupt), ``"checkpoint"`` (loaded from the
+        content store under ``--resume-from``), ``"store"`` (served from
+        the content store's
         entry for this stage context, without ``--resume-from``), or
         ``"reused"`` (taken from another run's in-memory state).
     cache_hits / cache_misses:

@@ -4,8 +4,7 @@
 computation in the repo: spectral eigendecompositions and QPE kernels
 (:mod:`repro.core.qpe_engine` keeps ``SPECTRAL_CACHE`` as a thin view over
 it), and whole stage checkpoints (:mod:`repro.pipeline.pipeline`
-resolves through it, with classic per-run directories kept as a
-compatibility alias).  Entries are **content-addressed**: the key of an
+publishes, serves and resumes every stage through it).  Entries are **content-addressed**: the key of an
 entry is derived from fingerprints of everything its payload depends on
 (Laplacian bytes, run-context digests), so a warm store can serve repeat
 traffic across a fleet of worker processes and never serve stale bits.
@@ -749,8 +748,8 @@ def active_store() -> ContentStore | None:
     """The global store when it is enabled *and* has a disk root attached.
 
     The pipeline's checkpoint path only consults the store in that
-    state — a memory-only store adds nothing over the per-run
-    directories it already handles.
+    state: a memory-only store would keep each run's stages in memory
+    without sharing them with any other process.
     """
     store = GLOBAL_STORE
     if store.enabled and store.root is not None:

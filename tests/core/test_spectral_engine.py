@@ -225,11 +225,9 @@ class TestStoreAliasing:
         matmuls round differently."""
         graph, k, config = build_case(name, engine="v3")
         configure_store(root=tmp_path / "cas")
-        QSCPipeline(k, config).run(graph, save_stages=tmp_path / "run")
+        QSCPipeline(k, config).run(graph)
         get_store().clear_memory()
-        resumed = QSCPipeline(k, config).run(
-            graph, resume_from="threshold", stages_dir=tmp_path / "run"
-        )
+        resumed = QSCPipeline(k, config).run(graph, resume_from="threshold")
         assert spectral_cache_stats()["hits"] == 2  # decomposition + kernel
         assert result_digest(resumed) == GOLDEN_V3[name]
 

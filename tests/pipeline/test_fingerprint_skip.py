@@ -1,9 +1,8 @@
 """A pipeline run hashes its graph only when something keys on the digest.
 
 The graph digest and the per-stage context fingerprints name content-store
-entries and checkpoint files.  A run with no store attached and no run
-directory reads neither, so it computes neither; a run with either computes
-exactly the keys it always did.
+entries.  A run with no store attached reads none, so it computes neither;
+a run with a store computes exactly the keys it always did.
 """
 
 import hashlib
@@ -26,7 +25,7 @@ def graph():
 
 def reference_fingerprints(graph, config, k) -> dict:
     """Each stage's context fingerprint, hashed record by record and part
-    by part as the checkpoint format defines it."""
+    by part as the store keys define it."""
     graph_digest = hashlib.blake2b(digest_size=16)
     graph_digest.update(str(graph.num_nodes).encode())
     for edge in graph.edges():
@@ -96,13 +95,13 @@ class TestKeyed:
         QSCPipeline(2, CONFIG).run(graph, graph_digest=digest)
         assert calls == {"graph_fingerprint": 0, "context_fingerprint": 5}
 
-    def test_run_directory_fingerprints_are_unchanged(
-        self, graph, tmp_path, pristine_store, monkeypatch
+    def test_a_store_resume_loads_the_keys_a_cold_run_published(
+        self, graph, tmp_store, monkeypatch
     ):
+        QSCPipeline(2, CONFIG).run(graph)
         calls = count_hashing(monkeypatch)
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
+        resumed = QSCPipeline(2, CONFIG).run(graph, resume_from="qmeans")
         assert calls == {"graph_fingerprint": 1, "context_fingerprint": 5}
-        expected = reference_fingerprints(graph, CONFIG, 2)
-        for name in STAGE_NAMES:
-            with np.load(checkpoint.stage_path(tmp_path, name)) as archive:
-                assert str(archive["__context_fingerprint__"]) == expected[name]
+        assert [row["source"] for row in resumed.profile] == (
+            ["checkpoint"] * (len(STAGE_NAMES) - 1) + ["computed"]
+        )

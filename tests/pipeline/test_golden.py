@@ -133,13 +133,14 @@ def test_readout_chunking_keeps_the_golden_digest(chunk):
     assert result_digest(result) == GOLDEN["analytic_shots"]
 
 
-def test_resumed_run_matches_golden(tmp_path):
-    """A ``resume_from="readout"`` run still lands on the golden digest."""
+def test_resumed_run_matches_golden(tmp_path, pristine_store):
+    """A ``resume_from="readout"`` run from the store still lands on the
+    golden digest."""
     graph, k, config = build_case("analytic_shots")
-    QSCPipeline(k, config).run(graph, save_stages=tmp_path)
-    resumed = QSCPipeline(k, config).run(
-        graph, resume_from="readout", stages_dir=tmp_path
-    )
+    config = config.with_updates(store_dir=str(tmp_path))
+    QSCPipeline(k, config).run(graph)
+    resumed = QSCPipeline(k, config).run(graph, resume_from="readout")
+    assert [row["source"] for row in resumed.profile][:2] == ["checkpoint"] * 2
     assert result_digest(resumed) == GOLDEN["analytic_shots"]
 
 

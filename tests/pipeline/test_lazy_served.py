@@ -1,6 +1,6 @@
 """Served stages resolve on first use.
 
-Without ``save_stages``, a run with a warm store only checks that each
+A run with a warm store only checks that each
 stage's entry exists and reads it the first time something asks for one
 of its keys.  A fully served fit therefore never reads its readout rows
 (the embedding entry carries the row norms), and reads its Laplacian only
@@ -194,22 +194,17 @@ class TestLazyServedRun:
         assert reads.count("readout") == 1
         assert results_equal(cold, resumed)
 
-    def test_save_stages_after_a_served_run_resumes_from_its_readout(
-        self, graph, tmp_store, tmp_path, reads
+    def test_a_store_resume_after_a_served_run_reads_its_readout(
+        self, graph, tmp_store, reads
     ):
         _, cold = cold_run(graph)
         reads.clear()
-        QSCPipeline(2, CONFIG).run(graph)
+        served = QSCPipeline(2, CONFIG).run(graph)
+        assert sources(served) == ["store"] * len(STAGE_NAMES)
         assert "readout" not in reads
-        run_dir = tmp_path / "stages"
-        saved = QSCPipeline(2, CONFIG).run(graph, save_stages=run_dir)
-        assert sources(saved) == ["store"] * len(STAGE_NAMES)
-        assert checkpoint.has_stage_checkpoint(run_dir, "readout")
-        configure_store(root=None)
-        resumed = QSCPipeline(2, CONFIG).run(
-            graph, resume_from="embedding", stages_dir=run_dir
-        )
+        resumed = QSCPipeline(2, CONFIG).run(graph, resume_from="embedding")
         assert sources(resumed) == ["checkpoint"] * 3 + ["computed"] * 2
+        assert reads.count("readout") == 1
         assert results_equal(cold, resumed)
 
     def test_fig2_diagnostics_after_a_served_fit(self, graph, tmp_store, reads):

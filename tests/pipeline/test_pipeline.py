@@ -12,17 +12,18 @@ from repro.pipeline import (
     STAGE_NAMES,
     StageContext,
     build_stages,
-    has_stage_checkpoint,
-    load_stage_payload,
+    checkpoint,
     reset_stage_totals,
-    save_stage_payload,
     stage_totals,
 )
 from repro.pipeline.checkpoint import (
     CHECKPOINT_VERSION,
+    STAGE_NAMESPACE,
+    context_fingerprint,
     graph_fingerprint,
-    stage_path,
+    store_key,
 )
+from repro.store import ContentStore
 
 
 @pytest.fixture
@@ -33,6 +34,15 @@ def graph():
 
 
 CONFIG = QSCConfig(precision_bits=6, shots=256, seed=5)
+
+
+def stored(config, tmp_path):
+    """``config`` publishing to (and resuming from) a store in ``tmp_path``."""
+    return config.with_updates(store_dir=str(tmp_path / "cas"))
+
+
+def sources(result) -> list:
+    return [row["source"] for row in result.profile]
 
 
 def results_equal(a, b) -> bool:
@@ -73,6 +83,8 @@ class TestStageContract:
             stage.execute(ctx)
 
     def test_pack_unpack_roundtrip_every_stage(self, graph, tmp_path):
+        """Every stage's payload survives a trip through the store's disk
+        tier (a second store instance reads what the first wrote)."""
         pipeline = QSCPipeline(2, CONFIG)
         pipeline.run(graph)
         ctx = StageContext(
@@ -80,8 +92,11 @@ class TestStageContract:
         )
         for stage in build_stages():
             values = {key: pipeline.state[key] for key in stage.provides}
-            save_stage_payload(tmp_path, stage.name, stage.pack(values))
-            restored = stage.unpack(load_stage_payload(tmp_path, stage.name), ctx)
+            ContentStore(root=tmp_path).put(
+                STAGE_NAMESPACE, stage.name, stage.pack(values)
+            )
+            payload = ContentStore(root=tmp_path).get(STAGE_NAMESPACE, stage.name)
+            restored = stage.unpack(payload, ctx)
             for key in stage.provides:
                 if key == "backend":
                     assert restored[key].name == values[key].name
@@ -95,25 +110,38 @@ class TestStageContract:
                     ), key
 
 
-class TestCheckpointFormat:
-    def test_files_written_per_stage(self, graph, tmp_path):
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
-        for name in STAGE_NAMES:
-            assert has_stage_checkpoint(tmp_path, name)
-            assert stage_path(tmp_path, name).suffix == ".npz"
+@pytest.mark.usefixtures("pristine_store")
+class TestStoreCheckpoints:
+    def test_every_stage_is_published_under_its_context_key(
+        self, graph, tmp_path
+    ):
+        config = stored(CONFIG, tmp_path)
+        QSCPipeline(2, config).run(graph)
+        digest = graph_fingerprint(graph)
+        store = ContentStore(root=tmp_path / "cas")
+        for stage in build_stages():
+            fingerprint = context_fingerprint(
+                digest,
+                config,
+                2 if stage.fingerprint_clusters else None,
+                stage.fingerprint_fields,
+            )
+            assert store.contains(STAGE_NAMESPACE, store_key(stage.name, fingerprint))
 
-    def test_missing_checkpoint_errors(self, tmp_path):
-        with pytest.raises(ClusteringError, match="no checkpoint"):
-            load_stage_payload(tmp_path, "readout")
+    def test_store_key_layout_is_pinned(self):
+        """Entries written by earlier checkouts keep their keys."""
+        assert CHECKPOINT_VERSION == 3
+        assert store_key("readout", "abc") == "v3:readout@abc"
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        np.savez_compressed(
-            stage_path(tmp_path, "embedding"),
-            features=np.zeros((2, 2)),
-            __checkpoint_version__=np.asarray(CHECKPOINT_VERSION + 1),
-        )
-        with pytest.raises(ClusteringError, match="version"):
-            load_stage_payload(tmp_path, "embedding")
+    def test_a_version_bump_misses_every_old_entry(
+        self, graph, tmp_path, monkeypatch
+    ):
+        config = stored(CONFIG, tmp_path)
+        cold = QSCPipeline(2, config).run(graph)
+        monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", CHECKPOINT_VERSION + 1)
+        rerun = QSCPipeline(2, config).run(graph)
+        assert sources(rerun) == ["computed"] * len(STAGE_NAMES)
+        assert results_equal(cold, rerun)
 
 
 def per_edge_fingerprint(graph) -> str:
@@ -153,25 +181,24 @@ class TestGraphFingerprint:
         assert graph.has_edge(0, 1) and not graph.has_arc(0, 1)
 
 
+@pytest.mark.usefixtures("pristine_store")
 class TestResume:
     @pytest.mark.parametrize("stage", STAGE_NAMES[1:])
-    def test_disk_resume_is_bit_identical(self, graph, tmp_path, stage):
-        full = QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
-        resumed_pipeline = QSCPipeline(2, CONFIG)
-        resumed = resumed_pipeline.run(
-            graph, resume_from=stage, stages_dir=tmp_path
-        )
+    def test_store_resume_is_bit_identical(self, graph, tmp_path, stage):
+        config = stored(CONFIG, tmp_path)
+        full = QSCPipeline(2, config).run(graph)
+        resumed = QSCPipeline(2, config).run(graph, resume_from=stage)
         assert results_equal(full, resumed)
         index = STAGE_NAMES.index(stage)
-        sources = [row["source"] for row in resumed.profile]
-        assert sources[:index] == ["checkpoint"] * index
-        assert sources[index:] == ["computed"] * (len(STAGE_NAMES) - index)
+        assert sources(resumed)[:index] == ["checkpoint"] * index
+        assert sources(resumed)[index:] == ["computed"] * (len(STAGE_NAMES) - index)
 
     def test_resume_from_readout_skips_upstream_counters(self, graph, tmp_path):
         """The acceptance-criteria pin: checkpoint-load counters prove the
         upstream stages did not execute."""
+        config = stored(CONFIG, tmp_path)
         reset_stage_totals()
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
+        QSCPipeline(2, config).run(graph)
         after_full = stage_totals()
         assert after_full["laplacian"] == {
             "seconds": after_full["laplacian"]["seconds"],
@@ -180,7 +207,7 @@ class TestResume:
             "linalg_backend": "dense",
             "eigensolver": "eigh-mrrr(n=30)",
         }
-        QSCPipeline(2, CONFIG).run(graph, resume_from="readout", stages_dir=tmp_path)
+        QSCPipeline(2, config).run(graph, resume_from="readout")
         totals = stage_totals()
         for skipped in ("laplacian", "threshold"):
             assert totals[skipped]["computed"] == 1  # only the full run
@@ -198,10 +225,7 @@ class TestResume:
         )
         full = QSCPipeline(2, noisy_config).run(graph)
         assert results_equal(full, resumed)
-        sources = {row["stage"]: row["source"] for row in resumed.profile}
-        assert sources["laplacian"] == "reused"
-        assert sources["threshold"] == "reused"
-        assert sources["readout"] == "computed"
+        assert sources(resumed)[:3] == ["reused", "reused", "computed"]
 
     def test_resume_without_source_errors(self, graph):
         with pytest.raises(ClusteringError, match="needs checkpoints"):
@@ -209,67 +233,89 @@ class TestResume:
 
     def test_unknown_stage_errors(self, graph, tmp_path):
         with pytest.raises(ClusteringError, match="unknown stage"):
-            QSCPipeline(2, CONFIG).run(
-                graph, resume_from="tomography", stages_dir=tmp_path
+            QSCPipeline(2, stored(CONFIG, tmp_path)).run(
+                graph, resume_from="tomography"
             )
+
+    def test_resume_from_an_empty_store_recomputes_everything(
+        self, graph, tmp_path
+    ):
+        resumed = QSCPipeline(2, stored(CONFIG, tmp_path)).run(
+            graph, resume_from="qmeans"
+        )
+        assert sources(resumed) == ["computed"] * len(STAGE_NAMES)
+        assert results_equal(QSCPipeline(2, CONFIG).run(graph), resumed)
 
     def test_sparse_linalg_checkpoint_roundtrip(self, tmp_path):
         graph, _ = mixed_sbm(40, 2, p_intra=0.5, p_inter=0.05, seed=1)
         ensure_connected(graph, seed=1)
-        config = CONFIG.with_updates(linalg_backend="sparse")
+        config = stored(CONFIG.with_updates(linalg_backend="sparse"), tmp_path)
         pytest.importorskip("scipy")
-        full = QSCPipeline(2, config).run(graph, save_stages=tmp_path)
-        resumed = QSCPipeline(2, config).run(
-            graph, resume_from="threshold", stages_dir=tmp_path
-        )
+        full = QSCPipeline(2, config).run(graph)
+        resumed = QSCPipeline(2, config).run(graph, resume_from="threshold")
+        assert sources(resumed)[0] == "checkpoint"
         assert results_equal(full, resumed)
 
     def test_circuit_backend_resume(self, tmp_path):
         graph, _ = mixed_sbm(10, 2, p_intra=0.8, p_inter=0.05, seed=4)
         ensure_connected(graph, seed=4)
-        config = QSCConfig(backend="circuit", precision_bits=4, shots=128, seed=9)
-        full = QSCPipeline(2, config).run(graph, save_stages=tmp_path)
-        resumed = QSCPipeline(2, config).run(
-            graph, resume_from="readout", stages_dir=tmp_path
+        config = stored(
+            QSCConfig(backend="circuit", precision_bits=4, shots=128, seed=9),
+            tmp_path,
         )
+        full = QSCPipeline(2, config).run(graph)
+        resumed = QSCPipeline(2, config).run(graph, resume_from="readout")
+        assert sources(resumed)[:2] == ["checkpoint"] * 2
         assert results_equal(full, resumed)
 
-    def test_resume_with_different_cluster_count_rejected(self, graph, tmp_path):
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
-        with pytest.raises(ClusteringError, match="different run context"):
-            QSCPipeline(3, CONFIG).run(
-                graph, resume_from="readout", stages_dir=tmp_path
-            )
+    def test_resume_with_different_cluster_count_recomputes(self, graph, tmp_path):
+        """k is outside the laplacian's context only: its entry serves,
+        the threshold entry of k=2 is a miss for k=3."""
+        config = stored(CONFIG, tmp_path)
+        QSCPipeline(2, config).run(graph)
+        resumed = QSCPipeline(3, config).run(graph, resume_from="readout")
+        assert sources(resumed) == ["checkpoint"] + ["computed"] * 4
+        assert results_equal(QSCPipeline(3, CONFIG).run(graph), resumed)
 
-    def test_resume_with_different_graph_rejected(self, graph, tmp_path):
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
+    def test_resume_with_different_graph_recomputes(self, graph, tmp_path):
+        config = stored(CONFIG, tmp_path)
+        QSCPipeline(2, config).run(graph)
         other, _ = mixed_sbm(30, 2, p_intra=0.5, p_inter=0.05, seed=99)
         ensure_connected(other, seed=99)
-        with pytest.raises(ClusteringError, match="different run context"):
-            QSCPipeline(2, CONFIG).run(
-                other, resume_from="readout", stages_dir=tmp_path
-            )
+        resumed = QSCPipeline(2, config).run(other, resume_from="readout")
+        assert sources(resumed) == ["computed"] * len(STAGE_NAMES)
+        assert results_equal(QSCPipeline(2, CONFIG).run(other), resumed)
 
-    def test_resume_with_upstream_config_drift_rejected(self, graph, tmp_path):
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
-        for drift in (
-            CONFIG.with_updates(seed=123),
-            CONFIG.with_updates(precision_bits=4),
-            CONFIG.with_updates(theta=0.5),
-        ):
-            with pytest.raises(ClusteringError, match="different run context"):
-                QSCPipeline(2, drift).run(
-                    graph, resume_from="readout", stages_dir=tmp_path
-                )
+    @pytest.mark.parametrize(
+        "drift, laplacian_source",
+        [
+            ({"seed": 123}, "checkpoint"),
+            ({"precision_bits": 4}, "checkpoint"),
+            ({"theta": 0.5}, "computed"),
+        ],
+    )
+    def test_resume_with_upstream_config_drift_recomputes(
+        self, graph, tmp_path, drift, laplacian_source
+    ):
+        """A drifted field changes the key of every stage that depends on
+        it, so those stages miss and recompute; the others still serve."""
+        QSCPipeline(2, stored(CONFIG, tmp_path)).run(graph)
+        changed = CONFIG.with_updates(**drift)
+        resumed = QSCPipeline(2, stored(changed, tmp_path)).run(
+            graph, resume_from="readout"
+        )
+        assert sources(resumed) == [laplacian_source] + ["computed"] * 4
+        assert results_equal(QSCPipeline(2, changed).run(graph), resumed)
 
     def test_resume_with_downstream_only_drift_allowed(self, graph, tmp_path):
         """Fields the loaded stages provably ignore may differ: resuming
         the readout stage at a new shot budget is the supported pattern."""
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
+        QSCPipeline(2, stored(CONFIG, tmp_path)).run(graph)
         changed = CONFIG.with_updates(shots=64, readout_chunk_size=5)
-        resumed = QSCPipeline(2, changed).run(
-            graph, resume_from="readout", stages_dir=tmp_path
+        resumed = QSCPipeline(2, stored(changed, tmp_path)).run(
+            graph, resume_from="readout"
         )
+        assert sources(resumed)[:2] == ["checkpoint"] * 2
         full = QSCPipeline(2, changed).run(graph)
         assert results_equal(full, resumed)
 
@@ -278,10 +324,11 @@ class TestResume:
     ):
         """k first matters at the threshold stage, so resuming *there*
         with a different k legitimately reuses the laplacian checkpoint."""
-        QSCPipeline(2, CONFIG).run(graph, save_stages=tmp_path)
-        resumed = QSCPipeline(3, CONFIG).run(
-            graph, resume_from="threshold", stages_dir=tmp_path
+        QSCPipeline(2, stored(CONFIG, tmp_path)).run(graph)
+        resumed = QSCPipeline(3, stored(CONFIG, tmp_path)).run(
+            graph, resume_from="threshold"
         )
+        assert sources(resumed)[0] == "checkpoint"
         full = QSCPipeline(3, CONFIG).run(graph)
         assert results_equal(full, resumed)
         assert len(np.unique(resumed.labels)) == 3
@@ -291,15 +338,14 @@ class TestResume:
         the stage checkpoint."""
         graph, _ = mixed_sbm(36, 3, p_intra=0.7, p_inter=0.02, seed=3)
         ensure_connected(graph, seed=3)
-        config = QSCConfig(
-            precision_bits=7, shots=256, histogram_shots=16384, seed=3
+        config = stored(
+            QSCConfig(precision_bits=7, shots=256, histogram_shots=16384, seed=3),
+            tmp_path,
         )
-        full = QSCPipeline("auto", config).run(graph, save_stages=tmp_path)
+        full = QSCPipeline("auto", config).run(graph)
         assert len(np.unique(full.labels)) == 3
         resumed_pipeline = QSCPipeline("auto", config)
-        resumed = resumed_pipeline.run(
-            graph, resume_from="readout", stages_dir=tmp_path
-        )
+        resumed = resumed_pipeline.run(graph, resume_from="readout")
         assert results_equal(full, resumed)
         assert resumed_pipeline.state["num_clusters"] == 3
 

@@ -13,7 +13,6 @@ from repro.experiments.runner import SweepRunner
 from repro.graphs import ensure_connected, mixed_sbm
 from repro.pipeline import STAGE_NAMES, build_stages, checkpoint
 from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
-from repro.store import configure_store
 
 #: QSCConfig fields no stage output depends on, so they stay out of every
 #: stage's context fingerprint.  A field here must not change a published
@@ -148,19 +147,13 @@ class TestReadThrough:
             ["reused"] * 2 + ["store"] * 3,
         ]
 
-    def test_served_stages_are_written_to_save_stages(
-        self, graph, tmp_store, tmp_path
+    def test_a_fresh_process_resumes_from_what_a_served_run_left(
+        self, graph, tmp_store
     ):
         cold = QSCPipeline(2, CONFIG).run(graph)
-        run_dir = tmp_path / "stages"
-        warm = QSCPipeline(2, CONFIG).run(graph, save_stages=run_dir)
+        warm = QSCPipeline(2, CONFIG).run(graph)
         assert sources(warm) == ["store"] * len(STAGE_NAMES)
-        for name in STAGE_NAMES:
-            assert checkpoint.has_stage_checkpoint(run_dir, name)
-        # The directory alone (no store) resumes the run.
-        configure_store(root=None)
-        resumed = QSCPipeline(2, CONFIG).run(
-            graph, resume_from="qmeans", stages_dir=run_dir
-        )
+        tmp_store.clear_memory()
+        resumed = QSCPipeline(2, CONFIG).run(graph, resume_from="qmeans")
         assert sources(resumed) == ["checkpoint"] * 4 + ["computed"]
         assert results_equal(cold, resumed)

@@ -1,9 +1,8 @@
 """A stage that raises mid-run: what is published, and how a rerun resumes.
 
 A failing stage fails the whole run, but every stage that finished before
-it keeps its published output — its content-store entry and its
-``save_stages`` checkpoint file — while the failing stage and everything
-downstream publish nothing.  A rerun therefore serves (or resumes from)
+it keeps its published content-store entry, while the failing stage and
+everything downstream publish nothing.  A rerun therefore serves (or resumes from)
 exactly the finished prefix, recomputes the rest from the stages' own RNG
 streams, and lands on the golden digest.  This is the crash-resume a
 restarted job relies on, stage by stage.
@@ -47,14 +46,6 @@ def _store_entries(store, graph, config, k) -> list:
     return published
 
 
-def _run_dir_entries(directory) -> list:
-    return [
-        name
-        for name in STAGE_NAMES
-        if checkpoint.has_stage_checkpoint(directory, name)
-    ]
-
-
 def _sources(result) -> list:
     return [row["source"] for row in result.profile]
 
@@ -77,13 +68,14 @@ class TestFailedStage:
         finished = list(STAGE_NAMES[: STAGE_NAMES.index(stage)])
         assert _store_entries(tmp_store, graph, config, k) == finished
 
-    def test_run_dir_holds_only_the_finished_prefix(
-        self, stage, tmp_path, pristine_store, monkeypatch
+    def test_a_resume_that_fails_again_publishes_nothing_new(
+        self, stage, tmp_store, monkeypatch
     ):
         graph, k, config = build_case(CASE)
-        _fail_once(monkeypatch, stage, graph, k, config, save_stages=tmp_path)
+        _fail_once(monkeypatch, stage, graph, k, config)
+        _fail_once(monkeypatch, stage, graph, k, config, resume_from=stage)
         finished = list(STAGE_NAMES[: STAGE_NAMES.index(stage)])
-        assert _run_dir_entries(tmp_path) == finished
+        assert _store_entries(tmp_store, graph, config, k) == finished
 
     def test_store_rerun_serves_the_prefix_and_lands_on_golden(
         self, stage, tmp_store, monkeypatch
@@ -99,17 +91,15 @@ class TestFailedStage:
         # The rerun published the rest: the store now holds every stage.
         assert _store_entries(tmp_store, graph, config, k) == list(STAGE_NAMES)
 
-    def test_run_dir_resume_at_the_failed_stage_lands_on_golden(
-        self, stage, tmp_path, pristine_store, monkeypatch
+    def test_store_resume_at_the_failed_stage_lands_on_golden(
+        self, stage, tmp_store, monkeypatch
     ):
         graph, k, config = build_case(CASE)
-        _fail_once(monkeypatch, stage, graph, k, config, save_stages=tmp_path)
+        _fail_once(monkeypatch, stage, graph, k, config)
         index = STAGE_NAMES.index(stage)
-        result = QSCPipeline(k, config).run(
-            graph, resume_from=stage, save_stages=tmp_path
-        )
+        result = QSCPipeline(k, config).run(graph, resume_from=stage)
         assert _sources(result) == (
             ["checkpoint"] * index + ["computed"] * (len(STAGE_NAMES) - index)
         )
         assert result_digest(result) == GOLDEN[CASE]
-        assert _run_dir_entries(tmp_path) == list(STAGE_NAMES)
+        assert _store_entries(tmp_store, graph, config, k) == list(STAGE_NAMES)

@@ -14,10 +14,15 @@ inline.  The service tests import it from here.
 """
 
 import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import ClusteringError
 from repro.pipeline.supervisor import (
     InlineShardExecutor,
@@ -279,6 +284,56 @@ class TestProcessExecutorCrashes:
         )
         with pytest.raises(ClusteringError, match="died without a result"):
             supervisor.run([ShardTask(0, _hard_exit)])
+
+
+#: A server stand-in: it owns an executor whose worker sleeps, prints the
+#: worker's pid, and then waits to be killed.
+_OWNER_SCRIPT = """
+import time
+from repro.pipeline.supervisor import ProcessShardExecutor, ShardTask
+handle = ProcessShardExecutor().submit(ShardTask(0, time.sleep, (60,)), 0)
+print(handle._process.pid, flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live (not exited, not zombie) process."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestWorkerDiesWithItsParent:
+    def test_sigkilled_parent_takes_its_worker_down(self, wait_until):
+        """A SIGKILLed server cannot terminate its daemonic workers; each
+        worker must notice it was orphaned and exit by itself."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _OWNER_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            worker = int(owner.stdout.readline())
+            assert _running(worker)
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+        try:
+            wait_until(
+                lambda: not _running(worker),
+                timeout=2.0,
+                message="the orphaned worker to exit",
+            )
+        finally:
+            if _running(worker):
+                os.kill(worker, signal.SIGKILL)
 
 
 class TestConfigValidation:

@@ -203,6 +203,19 @@ class TestSubmissionValidation:
             client.submit(small_fig1_job)
         assert client.jobs() == []
 
+    def test_a_job_cannot_pick_the_store_directory(
+        self, service_server, small_fig1_job, tmp_path
+    ):
+        """A served job runs against the server's store; naming another
+        directory would let a client choose where the server writes."""
+        client = service_server(executor_factory=InlineShardExecutor).client()
+        elsewhere = tmp_path / "elsewhere"
+        small_fig1_job["overrides"]["store_dir"] = str(elsewhere)
+        with pytest.raises(InvalidJobError, match="store_dir"):
+            client.submit(small_fig1_job)
+        assert client.jobs() == []
+        assert not elsewhere.exists()
+
     def test_bad_trials_and_bad_shapes_are_rejected(self, service_server):
         client = service_server(executor_factory=InlineShardExecutor).client()
         with pytest.raises(InvalidJobError, match="trials"):

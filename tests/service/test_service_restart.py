@@ -191,7 +191,9 @@ class TestRunningAndDriftedRows:
         self, tmp_path, pristine_store, small_fig1_job
     ):
         store = tmp_path / "store"
-        unknown, retired, healthy = _submit_and_die(store, [small_fig1_job] * 3)
+        unknown, retired, pinned, healthy = _submit_and_die(
+            store, [small_fig1_job] * 4
+        )
         table = _table(store)
         row = table.load_row(unknown)
         row["spec"] = {"experiment": "fig9"}
@@ -201,14 +203,20 @@ class TestRunningAndDriftedRows:
         row = table.load_row(retired)
         row["spec"]["overrides"]["readout_shards"] = 2
         table.save_row(row)
+        # A row that names its own store directory.
+        row = table.load_row(pinned)
+        row["spec"]["overrides"]["store_dir"] = str(tmp_path / "elsewhere")
+        table.save_row(row)
 
         manager, resumed = _recover_and_finish(store)
         assert resumed == 1
-        for job_id in (unknown, retired):
+        for job_id in (unknown, retired, pinned):
             record = manager.get(job_id)
             assert record.state == "failed"
             assert "unrecoverable job" in record.error
         assert "readout_shards" in manager.get(retired).error
+        assert "store_dir" in manager.get(pinned).error
+        assert not (tmp_path / "elsewhere").exists()
         # The bad rows do not stop the manager: the healthy job finishes.
         assert manager.get(healthy).state == "completed"
 

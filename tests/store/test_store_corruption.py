@@ -1,8 +1,8 @@
 """Corruption injection: damaged entries are detected, evicted, recomputed.
 
 Covers the store layer (bit flips, truncation, cross-linked files) and
-the pipeline integration (a corrupted stage checkpoint in a resume
-directory heals instead of poisoning the run).  The invariant throughout:
+the pipeline integration (a corrupt or missing stage entry in the store
+is a miss: the stage recomputes instead of poisoning the run).  The invariant throughout:
 **wrong bits are never served** — every read either returns the exact
 original payload or recomputes it.
 """
@@ -12,7 +12,6 @@ import pytest
 from test_golden import GOLDEN, build_case, result_digest
 
 from repro import QSCPipeline
-from repro.exceptions import ClusteringError
 from repro.pipeline import checkpoint
 from repro.store import ContentStore, configure_store, get_store
 
@@ -88,23 +87,24 @@ class TestStoreCorruption:
 
 
 class TestPipelineCheckpointCorruption:
-    def test_corrupt_stage_checkpoint_recomputes_to_golden(self, tmp_path):
-        """A resume over a damaged run-dir checkpoint heals that stage."""
+    def test_corrupt_entry_read_through_recomputes_to_golden(
+        self, tmp_path, pristine_store
+    ):
+        """A plain rerun that finds a served entry damaged when it reads
+        it recomputes that stage and republishes a clean entry."""
         graph, k, config = build_case("analytic_shots")
-        QSCPipeline(k, config).run(graph, save_stages=tmp_path)
-        path = checkpoint.stage_path(tmp_path, "laplacian")
+        config = config.with_updates(store_dir=str(tmp_path / "store"))
+        QSCPipeline(k, config).run(graph)
+        path = _stage_entry_path(graph, config, k, "threshold")
         flip_byte(path, path.stat().st_size // 2)
 
-        resumed = QSCPipeline(k, config).run(
-            graph, resume_from="readout", stages_dir=tmp_path
-        )
-        assert result_digest(resumed) == GOLDEN["analytic_shots"]
-        profile = {row["stage"]: row["source"] for row in resumed.profile}
-        assert profile["laplacian"] == "computed"  # healed, not served
-        assert profile["threshold"] == "checkpoint"
-        assert not path.exists() or checkpoint.has_stage_checkpoint(
-            tmp_path, "laplacian"
-        )
+        rerun = QSCPipeline(k, config).run(graph)
+        assert result_digest(rerun) == GOLDEN["analytic_shots"]
+        profile = {row["stage"]: row["source"] for row in rerun.profile}
+        assert profile["threshold"] == "computed"  # healed, not served
+        assert profile["laplacian"] == "store"
+        assert get_store().counters()["corrupt_evictions"] >= 1
+        assert path.exists()  # the recompute republished the entry
 
     def test_corrupt_store_stage_entry_recomputes_to_golden(self, tmp_path):
         """Same healing when the damaged entry lives in the shared store."""
@@ -113,11 +113,7 @@ class TestPipelineCheckpointCorruption:
         QSCPipeline(k, config).run(graph)
 
         store = get_store()
-        fingerprint = _stage_fingerprint(graph, config, k, "laplacian")
-        path = store._entry_path(
-            checkpoint.STAGE_NAMESPACE,
-            checkpoint.store_key("laplacian", fingerprint),
-        )
+        path = _stage_entry_path(graph, config, k, "laplacian")
         flip_byte(path, path.stat().st_size // 2)
 
         from repro.core.qpe_engine import clear_spectral_cache
@@ -131,30 +127,38 @@ class TestPipelineCheckpointCorruption:
         assert store.counters()["corrupt_evictions"] >= 1
         configure_store(root=None)
 
-    def test_missing_checkpoint_without_store_stays_a_hard_error(
-        self, tmp_path
+    def test_missing_store_entry_recomputes_to_golden(
+        self, tmp_path, pristine_store
     ):
-        """Plain absence (no corruption, no store) is still the classic
-        configuration error, not a silent recompute."""
+        """Plain absence follows the same rule as corruption: a resume
+        whose upstream entry is gone recomputes that stage."""
         graph, k, config = build_case("analytic_shots")
-        QSCPipeline(k, config).run(graph, save_stages=tmp_path)
-        checkpoint.stage_path(tmp_path, "laplacian").unlink()
-        with pytest.raises(ClusteringError, match="no checkpoint"):
-            QSCPipeline(k, config).run(
-                graph, resume_from="readout", stages_dir=tmp_path
-            )
+        config = config.with_updates(store_dir=str(tmp_path / "store"))
+        QSCPipeline(k, config).run(graph)
+        _stage_entry_path(graph, config, k, "laplacian").unlink()
+
+        resumed = QSCPipeline(k, config).run(graph, resume_from="readout")
+        assert result_digest(resumed) == GOLDEN["analytic_shots"]
+        profile = {row["stage"]: row["source"] for row in resumed.profile}
+        assert profile["laplacian"] == "computed"
+        assert profile["threshold"] == "checkpoint"
+        assert _stage_entry_path(graph, config, k, "laplacian").exists()
 
 
-def _stage_fingerprint(graph, config, num_clusters, stage_name):
-    """The context fingerprint the pipeline keys ``stage_name`` under —
-    computed with the pipeline's own stage declarations, so the test
-    addresses the exact entry a run just published."""
+def _stage_entry_path(graph, config, num_clusters, stage_name):
+    """The store file of the entry the pipeline keys ``stage_name`` under —
+    its context fingerprint is computed with the pipeline's own stage
+    declarations, so the test addresses the exact entry a run just
+    published."""
     from repro.pipeline import build_stages
 
     stage = next(s for s in build_stages() if s.name == stage_name)
-    return checkpoint.context_fingerprint(
+    fingerprint = checkpoint.context_fingerprint(
         graph,
         config,
         num_clusters if stage.fingerprint_clusters else None,
         stage.fingerprint_fields,
+    )
+    return get_store()._entry_path(
+        checkpoint.STAGE_NAMESPACE, checkpoint.store_key(stage_name, fingerprint)
     )

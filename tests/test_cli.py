@@ -8,6 +8,15 @@ from repro.graphs import io as graph_io
 from repro.graphs import hermitian_laplacian, mixed_sbm
 
 
+def profile_rows(out: str) -> dict:
+    """``--profile`` rows of a ``cluster`` run's output, by stage name."""
+    return {
+        line.split()[0]: line
+        for line in out.split("stage profile:")[1].splitlines()
+        if line.startswith("  ")
+    }
+
+
 @pytest.fixture()
 def graph_file(tmp_path):
     graph, labels = mixed_sbm(24, 2, p_intra=0.6, p_inter=0.04, seed=0)
@@ -142,30 +151,27 @@ class TestClusterCommand:
             assert info.value.code == 2
             assert "--spectral-engine" in capsys.readouterr().err
 
-    def test_save_stages_and_resume_match(self, graph_file, tmp_path, capsys):
+    def test_save_stages_is_a_usage_error(self, graph_file, tmp_path, capsys):
+        """Stage checkpoints live only in the store: the run-directory
+        flag is gone, so argparse rejects it."""
         path, _ = graph_file
-        stages = str(tmp_path / "stages")
-        base = ["cluster", "--input", path, "--clusters", "2", "--shots",
-                "128", "--seed", "2", "--save-stages", stages]
-        assert main(base) == 0
-        full_out = capsys.readouterr().out
-        assert (tmp_path / "stages" / "readout.npz").exists()
-        assert main(base + ["--resume-from", "readout", "--profile"]) == 0
-        resumed_out = capsys.readouterr().out
-        # identical labels/summary, and the upstream stages report as loaded
-        assert resumed_out.startswith(full_out.split("stage profile:")[0])
-        assert "checkpoint" in resumed_out
+        with pytest.raises(SystemExit) as info:
+            main(["cluster", "--input", path, "--clusters", "2",
+                  "--save-stages", str(tmp_path / "stages")])
+        assert info.value.code == 2
+        assert "--save-stages" in capsys.readouterr().err
+        assert not (tmp_path / "stages").exists()
 
-    def test_resume_without_save_stages_errors(self, graph_file, capsys):
+    def test_resume_without_store_dir_errors(self, graph_file, capsys):
         path, _ = graph_file
         code = main(
             ["cluster", "--input", path, "--clusters", "2",
              "--resume-from", "readout"]
         )
         assert code == 1
-        assert "--save-stages" in capsys.readouterr().err
+        assert "--store-dir" in capsys.readouterr().err
 
-    def test_resume_from_store_without_save_stages(
+    def test_resume_from_store_matches_the_full_run(
         self, graph_file, tmp_path, capsys, pristine_store
     ):
         path, _ = graph_file
@@ -176,14 +182,27 @@ class TestClusterCommand:
         assert main(base + ["--resume-from", "readout", "--profile"]) == 0
         resumed_out = capsys.readouterr().out
         assert resumed_out.startswith(full_out)
-        rows = {
-            line.split()[0]: line
-            for line in resumed_out.split("stage profile:")[1].splitlines()
-            if line.startswith("  ")
-        }
+        rows = profile_rows(resumed_out)
         assert "checkpoint" in rows["laplacian"]
         assert "checkpoint" in rows["threshold"]
         assert "computed" in rows["readout"]
+
+    def test_resume_from_an_empty_store_recomputes(
+        self, graph_file, tmp_path, capsys, pristine_store
+    ):
+        """A stage the store lacks is a miss, not an error: it is
+        recomputed and the labels equal a run without a store."""
+        path, _ = graph_file
+        base = ["cluster", "--input", path, "--clusters", "2", "--shots",
+                "128", "--seed", "2"]
+        assert main(base) == 0
+        direct_out = capsys.readouterr().out
+        store = ["--store-dir", str(tmp_path / "cas")]
+        assert main(base + store + ["--resume-from", "qmeans", "--profile"]) == 0
+        resumed_out = capsys.readouterr().out
+        assert resumed_out.startswith(direct_out)
+        rows = profile_rows(resumed_out)
+        assert all("computed" in row for row in rows.values())
 
     def test_stage_flags_rejected_for_classical(self, graph_file, capsys):
         path, _ = graph_file
