@@ -619,9 +619,7 @@ def normalize_job(job: dict) -> dict:
     submissions that mean the same sweep normalize identically.
 
     Raises :class:`~repro.exceptions.ExperimentError` on unknown
-    experiments, unknown override names, a ``store_dir`` override (a
-    job runs against the server's store; it may not pick a directory
-    for the server to write), or malformed values.
+    experiments, unknown override names, or malformed values.
     """
     if not isinstance(job, dict):
         raise ExperimentError(
@@ -646,10 +644,6 @@ def normalize_job(job: dict) -> dict:
     if not isinstance(overrides, dict):
         raise ExperimentError(
             f"job overrides must be an object, got {type(overrides).__name__}"
-        )
-    if "store_dir" in overrides:
-        raise ExperimentError(
-            "a job may not set store_dir: it runs against the server's store"
         )
     allowed = set(inspect.signature(specs[experiment]).parameters)
     bad = sorted(set(overrides) - allowed)
@@ -682,10 +676,10 @@ def spec_from_job(job: dict, store_dir=None) -> SweepSpec:
     """Build the :class:`SweepSpec` a submitted job object describes.
 
     ``store_dir`` is the *server's* shared content store; it is injected
-    into the factory call when the factory supports it (a job cannot set
-    its own, see :func:`normalize_job`), so every served job checkpoints
-    into (and resumes from) the same store.  The injection deliberately
-    happens after normalization — it never changes the job's fingerprint.
+    into the factory call when the factory supports it (a served job
+    cannot set its own), so every served job checkpoints into (and
+    resumes from) the same store.  The injection deliberately happens
+    after normalization — it never changes the job's fingerprint.
     """
     job = normalize_job(job)
     factory = registry()[job["experiment"]]

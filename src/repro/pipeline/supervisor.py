@@ -27,7 +27,6 @@ choice cannot change a single bit of a result.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -38,9 +37,6 @@ from repro.exceptions import ClusteringError
 
 #: Sleep between supervision sweeps while waiting on workers.
 _POLL_SECONDS = 0.002
-
-#: How often a worker process checks that its parent is still alive.
-_PARENT_POLL_SECONDS = 0.2
 
 
 class SupervisorCancelled(ClusteringError):
@@ -142,14 +138,14 @@ class InlineShardExecutor:
             return _CompletedHandle(error=f"task {task.index}: {exc}")
 
 
-def _process_entry(connection, fn, args, parent_pid: int) -> None:
+def _process_entry(connection, fn, args) -> None:
     """Worker-process entry point: run the task, pipe back the outcome.
 
-    A watchdog thread ends the worker at once when its parent (the process
-    with pid ``parent_pid``) is gone — re-parented, ``os.getppid()``
-    changes — so a killed server leaves no worker computing behind it.
+    A watchdog thread ends the worker at once when the process that
+    started it is gone, so a killed server leaves no worker computing
+    behind it.
     """
-    threading.Thread(target=_exit_with_parent, args=(parent_pid,), daemon=True).start()
+    threading.Thread(target=_exit_with_parent, daemon=True).start()
     try:
         connection.send(("ok", fn(*args)))
     except Exception as exc:  # noqa: BLE001 — report instead of dying silent
@@ -158,9 +154,15 @@ def _process_entry(connection, fn, args, parent_pid: int) -> None:
         connection.close()
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    while os.getppid() == parent_pid:
-        time.sleep(_PARENT_POLL_SECONDS)
+def _exit_with_parent() -> None:
+    # The parent sentinel turns ready when the starting process exits, under
+    # every start method; ``os.getppid()`` would name the fork server instead
+    # under "forkserver".
+    import multiprocessing
+    import multiprocessing.connection
+    import os
+
+    multiprocessing.connection.wait([multiprocessing.parent_process().sentinel])
     os._exit(1)
 
 
@@ -223,8 +225,8 @@ class ProcessShardExecutor:
     is exactly the supervision model the work queue needs.  Results travel
     over a ``Pipe``; a worker that exits without sending is treated as
     crashed.  Workers are daemonic, so a parent that exits normally
-    terminates them, and each worker exits by itself within
-    ``_PARENT_POLL_SECONDS`` of a parent killed outright.
+    terminates them, and each worker exits by itself as soon as a parent
+    killed outright is gone.
     """
 
     def __init__(self):
@@ -236,7 +238,7 @@ class ProcessShardExecutor:
         parent, child = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_process_entry,
-            args=(child, task.fn, task.args, os.getpid()),
+            args=(child, task.fn, task.args),
             daemon=True,
         )
         process.start()

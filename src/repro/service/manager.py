@@ -45,7 +45,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.core.config import is_count, is_deadline
-from repro.exceptions import ReproError, ServiceError
+from repro.exceptions import ExperimentError, ReproError, ServiceError
 from repro.experiments.runner import job_fingerprint, normalize_job
 from repro.pipeline.supervisor import (
     ProcessShardExecutor,
@@ -64,6 +64,21 @@ from repro.service.errors import (
 from repro.service.events import build_event, stage_event_rows
 from repro.service.jobtable import JobTable
 from repro.store import ContentStore
+
+
+def _normalize_served_job(job: dict) -> dict:
+    """:func:`~repro.experiments.runner.normalize_job` for a served job.
+
+    A served job also may not override ``store_dir``: it runs against the
+    server's store, and a client may not choose where the server writes.
+    """
+    spec = normalize_job(job)
+    if "store_dir" in spec["overrides"]:
+        raise ExperimentError(
+            "a job may not set store_dir: it runs against the server's store"
+        )
+    return spec
+
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "completed", "failed", "cancelled")
@@ -189,7 +204,7 @@ class JobManager:
         in either case.
         """
         try:
-            spec = normalize_job(job)
+            spec = _normalize_served_job(job)
         except ReproError as error:
             raise as_service_error(error) from error
         self._admit(tenant)
@@ -378,7 +393,7 @@ class JobManager:
                 continue
             previous_state = record.state
             try:
-                spec = normalize_job(record.spec)
+                spec = _normalize_served_job(record.spec)
                 fingerprint = job_fingerprint(spec)
             except ReproError as error:
                 record.error = f"unrecoverable job: {error}"

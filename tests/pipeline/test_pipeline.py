@@ -19,7 +19,6 @@ from repro.pipeline import (
 from repro.pipeline.checkpoint import (
     CHECKPOINT_VERSION,
     STAGE_NAMESPACE,
-    context_fingerprint,
     graph_fingerprint,
     store_key,
 )
@@ -112,22 +111,6 @@ class TestStageContract:
 
 @pytest.mark.usefixtures("pristine_store")
 class TestStoreCheckpoints:
-    def test_every_stage_is_published_under_its_context_key(
-        self, graph, tmp_path
-    ):
-        config = stored(CONFIG, tmp_path)
-        QSCPipeline(2, config).run(graph)
-        digest = graph_fingerprint(graph)
-        store = ContentStore(root=tmp_path / "cas")
-        for stage in build_stages():
-            fingerprint = context_fingerprint(
-                digest,
-                config,
-                2 if stage.fingerprint_clusters else None,
-                stage.fingerprint_fields,
-            )
-            assert store.contains(STAGE_NAMESPACE, store_key(stage.name, fingerprint))
-
     def test_store_key_layout_is_pinned(self):
         """Entries written by earlier checkouts keep their keys."""
         assert CHECKPOINT_VERSION == 3

@@ -13,11 +13,13 @@ attempt that dies immediately, a "hang" an attempt that never finishes
 inline.  The service tests import it from here.
 """
 
+import multiprocessing
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -286,13 +288,24 @@ class TestProcessExecutorCrashes:
             supervisor.run([ShardTask(0, _hard_exit)])
 
 
-#: A server stand-in: it owns an executor whose worker sleeps, prints the
-#: worker's pid, and then waits to be killed.
+#: A server stand-in: under the start method named in ``argv[1]`` it owns
+#: an executor whose worker sleeps, prints the worker's pid once the
+#: worker's watchdog thread runs, and then waits to be killed.
 _OWNER_SCRIPT = """
-import time
+import multiprocessing, os, sys, time
 from repro.pipeline.supervisor import ProcessShardExecutor, ShardTask
+multiprocessing.set_start_method(sys.argv[1])
 handle = ProcessShardExecutor().submit(ShardTask(0, time.sleep, (60,)), 0)
-print(handle._process.pid, flush=True)
+pid = handle._process.pid
+deadline = time.monotonic() + 10
+while time.monotonic() < deadline:
+    try:
+        if len(os.listdir(f"/proc/{pid}/task")) >= 2:
+            break
+    except OSError:
+        break
+    time.sleep(0.01)
+print(pid, flush=True)
 time.sleep(60)
 """
 
@@ -308,19 +321,23 @@ def _running(pid: int) -> bool:
 
 @pytest.mark.skipif(not pathlib.Path("/proc/self/stat").exists(), reason="needs /proc")
 class TestWorkerDiesWithItsParent:
-    def test_sigkilled_parent_takes_its_worker_down(self, wait_until):
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_sigkilled_parent_takes_its_worker_down(self, method, wait_until):
         """A SIGKILLed server cannot terminate its daemonic workers; each
-        worker must notice it was orphaned and exit by itself."""
+        worker must notice it was orphaned and exit by itself — and only
+        then: a worker whose parent lives keeps running."""
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         owner = subprocess.Popen(
-            [sys.executable, "-c", _OWNER_SCRIPT],
+            [sys.executable, "-c", _OWNER_SCRIPT, method],
             env=dict(os.environ, PYTHONPATH=src),
             stdout=subprocess.PIPE,
             text=True,
         )
         try:
             worker = int(owner.stdout.readline())
-            assert _running(worker)
+            # The watchdog runs; give a wrong parent check time to fire.
+            time.sleep(0.5)
+            assert _running(worker), "the worker exited while its parent lived"
         finally:
             owner.kill()
             owner.wait()

@@ -49,3 +49,15 @@ def test_known_fields_still_override_the_config(graph):
 def test_unknown_classical_field_is_a_typed_error(graph):
     with pytest.raises(ClusteringError, match="bogus"):
         api.cluster(graph, 2, method="classical", bogus=1)
+
+
+def test_run_experiment_keeps_a_local_store(tmp_path, pristine_store):
+    """Only a served job is refused a ``store_dir``; the local facade reads
+    and fills the store it is given, with the records of a storeless run."""
+    overrides = dict(
+        strengths=[0.9], num_nodes=18, num_clusters=2, shots=64, precision_bits=5
+    )
+    store = tmp_path / "store"
+    stored = api.run_experiment("fig1", trials=1, store_dir=str(store), **overrides)
+    assert any(path.is_file() for path in store.rglob("*"))
+    assert stored.records == api.run_experiment("fig1", trials=1, **overrides).records
