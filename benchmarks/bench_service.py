@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.experiments.runner import SweepRunner, spec_from_job
-from repro.pipeline.supervisor import InlineShardExecutor
+from repro.service.supervisor import InlineJobExecutor
 from repro.service import ServerThread
 
 #: The tiny fig1 job the service tests use (tests/service/conftest.py):
@@ -43,7 +43,7 @@ def test_bench_served_job_overhead(benchmark):
     direct = SweepRunner(spec_from_job(SERVICE_JOB), jobs=1).run().to_artifact()
     direct_seconds = time.perf_counter() - start
 
-    with ServerThread(executor_factory=InlineShardExecutor) as server:
+    with ServerThread(executor_factory=InlineJobExecutor) as server:
         client = server.client()
 
         def round_trip():

@@ -2,7 +2,7 @@
 
 ``repro.api`` is the surface external code should import — everything
 here is covered by the compatibility promise of the versioned service
-API (``/v1``, protocol version 1), whereas deep imports like
+protocol (protocol version 1), whereas deep imports like
 ``repro.core.qpe_engine`` are internal and may move between releases.
 
 * :func:`cluster` — cluster one mixed graph, quantum or classical.
@@ -133,7 +133,8 @@ def connect(
     """A client for a running ``repro serve`` instance.
 
     ``url`` is anything naming the endpoint: ``"127.0.0.1:8831"``,
-    ``"localhost"`` (default port), or a ``http://host:port`` URL.  The
+    ``"localhost"`` (default port), or a ``scheme://host:port`` URL (the
+    scheme is ignored: the server speaks JSON lines only).  The
     optional bearer ``token`` identifies the tenant on an authenticated
     server.
     """

@@ -373,8 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "admission control: reject new submissions with 429 + "
-            "Retry-After while N jobs are already queued "
+            "admission control: reject new submissions with the "
+            "retryable 'rejected' error while N jobs are already queued "
             "(default: unbounded)"
         ),
     )
@@ -385,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "admission control: one tenant may have at most N jobs "
-            "queued or running; excess submissions get 429 + Retry-After "
+            "queued or running; excess submissions get the retryable "
+            "'rejected' error "
             "(default: unbounded)"
         ),
     )

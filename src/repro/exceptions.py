@@ -58,20 +58,17 @@ class ServiceError(ReproError):
     unknown jobs, artifacts requested before completion, protocol
     violations on the wire, and client-observed server errors.
 
-    Every service failure carries the same three class attributes on
+    Every service failure carries the same two class attributes on
     both sides of the wire — subclasses in :mod:`repro.service.errors`
     refine them and the client rehydrates the matching subclass from the
     ``code`` field of an error reply:
 
     ``code``
         Stable machine-readable identifier, carried on the wire.
-    ``http_status``
-        The HTTP status the server answers with for this failure.
     ``retryable``
         Whether retrying the identical request can ever succeed
         (e.g. an over-quota rejection, or an artifact not ready yet).
     """
 
     code = "service_error"
-    http_status = 400
     retryable = False

@@ -633,7 +633,7 @@ def normalize_job(job: dict) -> dict:
         )
     specs = registry()
     experiment = job.get("experiment")
-    if experiment not in specs:
+    if not isinstance(experiment, str) or experiment not in specs:
         raise ExperimentError(
             f"unknown experiment {experiment!r}; known: {', '.join(sorted(specs))}"
         )

@@ -11,22 +11,13 @@ Public surface:
 * :mod:`~repro.pipeline.telemetry` — per-stage profiling
   (``stage_totals`` feeds the sweep-artifact profile field);
 * :mod:`~repro.pipeline.checkpoint` — the content-store keys of stage
-  checkpoints;
-* :mod:`~repro.pipeline.supervisor` — the supervised work queue the job
-  service runs each job under (``ShardSupervisor``).
+  checkpoints.
 """
 
 from repro.pipeline.checkpoint import CHECKPOINT_VERSION
 from repro.pipeline.pipeline import QSCPipeline
 from repro.pipeline.stage import Stage, StageContext
 from repro.pipeline.stages import STAGE_NAMES, build_stages
-from repro.pipeline.supervisor import (
-    InlineShardExecutor,
-    ProcessShardExecutor,
-    ShardSupervisor,
-    ShardTask,
-    SupervisorCancelled,
-)
 from repro.pipeline.telemetry import (
     StageReport,
     reset_stage_totals,
@@ -35,16 +26,11 @@ from repro.pipeline.telemetry import (
 
 __all__ = [
     "CHECKPOINT_VERSION",
-    "InlineShardExecutor",
-    "ProcessShardExecutor",
     "QSCPipeline",
     "STAGE_NAMES",
-    "ShardSupervisor",
-    "ShardTask",
     "Stage",
     "StageContext",
     "StageReport",
-    "SupervisorCancelled",
     "build_stages",
     "reset_stage_totals",
     "stage_totals",

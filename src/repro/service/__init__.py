@@ -1,14 +1,12 @@
 """Clustering-as-a-service: the async job server over the staged pipeline.
 
-The ROADMAP's service front end, built on everything PRs 5–7 laid down:
-
 * one **event loop** (:class:`~repro.service.server.JobServer`) owns
   every connection and all job bookkeeping — connection handlers and
   worker callbacks are messages into the loop, never shared state;
 * one **supervising parent actor per job**
   (:class:`~repro.service.manager.JobManager`) runs each submission
-  under a :class:`~repro.pipeline.supervisor.ShardSupervisor` in a
-  worker thread: per-job timeout, crashed-worker restart with backoff,
+  under a :class:`~repro.service.supervisor.JobSupervisor` in a worker
+  thread: per-job timeout, crashed-worker restart with backoff,
   kill-based cancellation;
 * the **content store** makes jobs restartable and repeatable — stage
   checkpoints land in the shared store as they complete,
@@ -17,18 +15,18 @@ The ROADMAP's service front end, built on everything PRs 5–7 laid down:
   durable **job table** (:mod:`repro.service.jobtable`) lets a rebooted
   server re-queue whatever a kill left unfinished;
 * **admission control and tenancy** bound the damage of overload: queue
-  depth and per-tenant in-flight caps shed with retryable 429s
-  (:mod:`repro.service.errors`), and bearer tokens
+  depth and per-tenant in-flight caps shed with the retryable
+  ``rejected`` error (:mod:`repro.service.errors`), and bearer tokens
   (:mod:`repro.service.auth`) scope every job to the tenant its token
   proves;
 * progress streams as **events** built from the pipeline's telemetry
   profile (per-stage seconds plus ``computed`` / ``loaded``
-  counters), over JSON lines, ndjson or an RFC 6455
-  WebSocket upgrade (:mod:`repro.service.websocket`).
+  counters), one JSON line per event.
 
-Wire protocols live in :mod:`repro.service.protocol`; the versioned
-route/op tables (and the generated ``docs/api.md``) in
-:mod:`repro.service.routes`; ``repro serve`` is the CLI entry point.
+The wire format — JSON lines, the one protocol — lives in
+:mod:`repro.service.protocol`; the op table (and the generated
+``docs/api.md``) in :mod:`repro.service.routes`; ``repro serve`` is the
+CLI entry point.
 """
 
 from repro.service.auth import DEFAULT_TENANT, TokenAuthenticator
@@ -46,11 +44,10 @@ from repro.service.executor import execute_job, job_store_key
 from repro.service.harness import ServerThread
 from repro.service.jobtable import JobTable
 from repro.service.manager import JOB_STATES, JobManager, JobRecord
-from repro.service.routes import API_VERSION, PROTOCOL_VERSION
+from repro.service.routes import PROTOCOL_VERSION
 from repro.service.server import JobServer, serve
 
 __all__ = [
-    "API_VERSION",
     "ArtifactNotReadyError",
     "AuthError",
     "DEFAULT_TENANT",

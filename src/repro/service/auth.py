@@ -2,8 +2,8 @@
 
 A server started with ``--auth-token-file`` reads one ``tenant:token``
 pair per line (blank lines and ``#`` comments ignored) and requires
-every job-touching request to present a known token — ``Authorization:
-Bearer <token>`` over HTTP, a ``token`` field on JSON-line messages.
+every job-touching request to present a known token in the ``token``
+field of its JSON-line message.
 The tenant id is *derived from the token*, never client-asserted, and
 scopes everything: listing, status, cancel, events, artifact.
 

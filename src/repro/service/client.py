@@ -22,7 +22,6 @@ from __future__ import annotations
 import socket
 
 from repro.exceptions import ServiceError
-from repro.service import websocket
 from repro.service.errors import error_from_payload
 from repro.service.protocol import decode_line, encode_line
 
@@ -83,7 +82,7 @@ class ServiceClient:
         return bool(self._call(self._message("ping")).get("pong"))
 
     def hello(self) -> dict:
-        """Server identity: protocol/API versions, job counts, counters."""
+        """Server identity: protocol version, job counts, counters."""
         reply = self._call(self._message("hello"))
         reply.pop("ok", None)
         return reply
@@ -135,36 +134,6 @@ class ServiceClient:
                     raise error_from_payload(message)
                 if message.get("done"):
                     return transcript
-
-    def events_ws(self, job_id: str) -> list[dict]:
-        """The same transcript as :meth:`events`, over a WebSocket upgrade.
-
-        Performs the RFC 6455 client handshake against
-        ``GET /v1/jobs/<id>/events`` and reads one JSON event per text
-        frame until the ``done`` marker (the server follows it with a
-        close frame).
-        """
-        path = f"/v1/jobs/{job_id}/events"
-        key = websocket.make_client_key()
-        transcript: list[dict] = []
-        with self._connect() as sock, sock.makefile("rwb") as stream:
-            stream.write(
-                websocket.client_handshake_request(
-                    path, f"{self.host}:{self.port}", key, token=self.token
-                )
-            )
-            stream.flush()
-            websocket.check_handshake_response(stream, key)
-            for payload in websocket.read_messages(stream):
-                message = decode_line(payload)
-                if "event" in message:
-                    transcript.append(message)
-                    continue
-                if not message.get("ok"):
-                    raise error_from_payload(message)
-                if message.get("done"):
-                    return transcript
-        raise ServiceError("websocket stream ended without a done marker")
 
     def wait(self, job_id: str) -> dict:
         """Block until the job terminates; returns its final status."""

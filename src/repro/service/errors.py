@@ -1,17 +1,17 @@
 """The one service error surface, shared by server and client.
 
 Every failure the service can hand a caller is an instance of exactly
-one class below, each pinning the triple the base
+one class below, each pinning the pair the base
 :class:`~repro.exceptions.ServiceError` declares: a stable ``code``
-string (carried on the wire), the ``http_status`` the REST surface
-answers with, and a ``retryable`` flag.  The server serializes errors
-with :func:`error_payload`; the client rehydrates the matching subclass
-with :func:`error_from_payload` — so a test (or a caller) matches on the
-exception type or its ``code``, never on message substrings.
+string (carried on the wire) and a ``retryable`` flag.  The server
+serializes errors with :func:`error_payload`; the client rehydrates the
+matching subclass with :func:`error_from_payload` — so a test (or a
+caller) matches on the exception type or its ``code``, never on message
+substrings.
 
 Only :class:`RejectedError` carries extra state: ``retry_after``, the
-seconds a shedding server suggests waiting, surfaced both in the JSON
-payload and as the HTTP ``Retry-After`` header.
+seconds a shedding server suggests waiting, carried in the reply
+payload.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ class ProtocolError(ServiceError):
     """The request itself is unreadable: bad JSON, bad framing, bad op."""
 
     code = "protocol"
-    http_status = 400
     retryable = False
 
 
@@ -46,7 +45,6 @@ class InvalidJobError(ServiceError):
     """The submitted job object failed validation; nothing was created."""
 
     code = "invalid_job"
-    http_status = 400
     retryable = False
 
 
@@ -54,7 +52,6 @@ class UnknownJobError(ServiceError):
     """No job with that id is visible to this tenant."""
 
     code = "unknown_job"
-    http_status = 404
     retryable = False
 
 
@@ -62,7 +59,6 @@ class ArtifactNotReadyError(ServiceError):
     """The job exists but has not produced an artifact (yet, or ever)."""
 
     code = "artifact_not_ready"
-    http_status = 409
     retryable = True
 
 
@@ -70,7 +66,6 @@ class AuthError(ServiceError):
     """Missing or unrecognized bearer token on an authenticated server."""
 
     code = "unauthorized"
-    http_status = 401
     retryable = False
 
 
@@ -78,7 +73,6 @@ class RejectedError(ServiceError):
     """Admission control shed this submission; retry after a backoff."""
 
     code = "rejected"
-    http_status = 429
     retryable = True
 
     def __init__(self, message: str, *, retry_after: int = DEFAULT_RETRY_AFTER):
@@ -118,11 +112,9 @@ def as_service_error(error: Exception) -> ServiceError:
 
 
 def error_payload(error: ServiceError) -> dict:
-    """The wire fields of one error — shared by both protocols.
+    """The wire fields of one error.
 
-    The JSON-line reply is ``{"ok": false, **error_payload(...)}``; the
-    HTTP body is ``error_payload(...)`` with the status taken from
-    ``error.http_status``.
+    The JSON-line reply is ``{"ok": false, **error_payload(...)}``.
     """
     payload = {
         "error": str(error),

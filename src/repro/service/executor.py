@@ -1,9 +1,10 @@
 """Job execution: the supervised worker entry point and artifact storage.
 
-A job is one :class:`~repro.pipeline.supervisor.ShardTask` whose function
-is :func:`execute_job` — a module-level, picklable entry point so the
-default :class:`~repro.pipeline.supervisor.ProcessShardExecutor` can run
-it in a dedicated worker process.
+A job is one call of :func:`execute_job` under a
+:class:`~repro.service.supervisor.JobSupervisor` — a module-level,
+picklable entry point so the default
+:class:`~repro.service.supervisor.ProcessJobExecutor` can run it in a
+dedicated worker process.
 
 Crash-resume falls out of the content store rather than being built
 here: the worker configures the server's shared content store before

@@ -4,16 +4,14 @@ The manager is the single owner of all job state.  It lives on the
 server's event loop and is only ever touched from that loop — connection
 handlers call it directly, and the per-job worker threads marshal their
 callbacks back with ``loop.call_soon_threadsafe`` — so there is no lock
-anywhere in the job bookkeeping (the message-passing actor shape the
-ROADMAP's service item asks for).
+anywhere in the job bookkeeping.
 
-Per job, the manager runs one :class:`~repro.pipeline.supervisor.ShardSupervisor`
-in a worker thread (``asyncio.to_thread``), supervising a single
-:class:`~repro.pipeline.supervisor.ShardTask` that executes the job.
-That reuses the whole PR 6 supervision contract for free: per-job
-timeout, crashed-child restart with capped backoff, and kill-based
-cancellation through the supervisor's ``cancel`` event.  Job concurrency
-is bounded by a semaphore (the ``--workers`` CLI flag).
+Per job, the manager runs one
+:class:`~repro.service.supervisor.JobSupervisor` in a worker thread
+(``asyncio.to_thread``) around :func:`~repro.service.executor.execute_job`:
+per-job timeout, crashed-worker restart with capped backoff, and
+kill-based cancellation through the supervisor's ``cancel`` event.  Job
+concurrency is bounded by a semaphore (the ``--workers`` CLI flag).
 
 Three service-hardening layers sit on top of that core:
 
@@ -25,11 +23,11 @@ Three service-hardening layers sit on top of that core:
   the stage checkpoints already in the store.
 * **Admission control** — ``max_queued`` bounds total queue depth and
   ``max_jobs_per_tenant`` bounds one tenant's in-flight jobs; both shed
-  with a retryable :class:`~repro.service.errors.RejectedError` (HTTP
-  429 + ``Retry-After``) and count into :attr:`JobManager.counters`.
+  with a retryable :class:`~repro.service.errors.RejectedError` (with
+  its ``retry_after``) and count into :attr:`JobManager.counters`.
 * **Tenancy** — every record carries the tenant that submitted it, and
   every lookup is tenant-scoped when the caller passes one: a foreign
-  job id answers :class:`~repro.service.errors.UnknownJobError` (404),
+  job id answers :class:`~repro.service.errors.UnknownJobError`,
   indistinguishable from a job that never existed.
 
 Completed artifacts are published to the shared content store under the
@@ -47,12 +45,6 @@ from dataclasses import dataclass, field
 from repro.core.config import is_count, is_deadline
 from repro.exceptions import ExperimentError, ReproError, ServiceError
 from repro.experiments.runner import job_fingerprint, normalize_job
-from repro.pipeline.supervisor import (
-    ProcessShardExecutor,
-    ShardSupervisor,
-    ShardTask,
-    SupervisorCancelled,
-)
 from repro.service import executor as job_executor
 from repro.service.auth import DEFAULT_TENANT
 from repro.service.errors import (
@@ -63,6 +55,7 @@ from repro.service.errors import (
 )
 from repro.service.events import build_event, stage_event_rows
 from repro.service.jobtable import JobTable
+from repro.service.supervisor import JobCancelled, JobSupervisor, ProcessJobExecutor
 from repro.store import ContentStore
 
 
@@ -176,7 +169,7 @@ class JobManager:
         self.job_retries = job_retries
         self.max_queued = max_queued
         self.max_jobs_per_tenant = max_jobs_per_tenant
-        self._executor_factory = executor_factory or ProcessShardExecutor
+        self._executor_factory = executor_factory or ProcessJobExecutor
         # The manager's own handle on the shared store (job namespace).
         # Deliberately not the process-global store — the server process
         # never mutates the global configuration its tests control.
@@ -301,12 +294,11 @@ class JobManager:
         """Request cancellation; returns ``(record, changed)``.
 
         Idempotent: cancelling a terminal job (including an already
-        cancelled one) changes nothing and reports ``changed=False`` —
-        both wire surfaces answer 200 either way.  A queued job cancels
-        immediately.  A running job's supervisor observes the cancel
-        event between sweeps, kills the in-flight worker and raises —
-        best-effort, so a job whose worker finishes first still
-        completes.
+        cancelled one) changes nothing and reports ``changed=False``.  A
+        queued job cancels immediately.  A running job's supervisor
+        observes the cancel event, kills the in-flight worker (or cuts its
+        backoff short) and raises — best-effort, so a job whose worker
+        finishes first still completes.
         """
         record = self.get(job_id, tenant)
         if record.state in TERMINAL_JOB_STATES:
@@ -465,7 +457,7 @@ class JobManager:
                     records=len(artifact["records"]),
                 )
                 await self._publish(record, artifact)
-            except SupervisorCancelled:
+            except JobCancelled:
                 self._settle(record, "cancelled")
                 return
             except Exception as error:  # noqa: BLE001 — the actor must
@@ -480,28 +472,22 @@ class JobManager:
         """Run the job under a fresh supervisor in a worker thread."""
         loop = asyncio.get_running_loop()
 
-        def on_attempt(index: int, attempt: int) -> None:
+        def on_attempt(attempt: int) -> None:
             # Fires on the supervisor thread; marshal back to the loop.
             loop.call_soon_threadsafe(self._note_attempt, record, attempt)
 
-        supervisor = ShardSupervisor(
+        supervisor = JobSupervisor(
             self._executor_factory(),
             timeout=self.job_timeout,
             retries=self.job_retries,
-            backoff_base=0.01,
         )
-        task = ShardTask(
-            index=0,
-            fn=job_executor.execute_job,
-            args=({"job": record.spec, "store_dir": self.store_dir},),
-        )
-        outcomes = await asyncio.to_thread(
+        return await asyncio.to_thread(
             supervisor.run,
-            [task],
+            job_executor.execute_job,
+            ({"job": record.spec, "store_dir": self.store_dir},),
             on_attempt=on_attempt,
             cancel=self._cancels[record.id],
         )
-        return outcomes[0].value
 
     def _note_attempt(self, record: JobRecord, attempt: int) -> None:
         if record.state in TERMINAL_JOB_STATES:

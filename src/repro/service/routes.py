@@ -1,93 +1,35 @@
-"""The versioned service surface, declared as data.
+"""The service surface, declared as data.
 
-``API_VERSION`` prefixes every HTTP path (``/v1/...``); legacy
-unversioned paths answer ``301 Moved Permanently`` for one release.
 ``PROTOCOL_VERSION`` is the JSON-line protocol's integer version,
 carried in every ``ping``/``hello`` reply so clients can refuse a
-server they do not understand.
+server they do not understand, and stamped into each served artifact's
+provenance.
 
-The tables below are the single source of truth for the wire surface:
-the server routes against them, ``docs/api.md`` embeds the markdown
+The op table below is the single source of truth for the wire surface:
+the server dispatches on these ops, ``docs/api.md`` embeds the markdown
 :func:`render_api_reference` produces (checked generated, see
 ``tools/lint_api_surface.py``), and the tests assert the two never
-drift.  Adding a route means editing exactly one tuple here.
+drift.  Adding an op means editing exactly one tuple here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.service.errors import ERROR_CODES
-
-#: HTTP surface version; every route lives under this path prefix.
-API_VERSION = "v1"
 
 #: JSON-line protocol version, echoed by ``ping`` and ``hello``.
 PROTOCOL_VERSION = 1
 
-
-@dataclass(frozen=True)
-class Route:
-    """One HTTP route: method, versioned path, meaning, status surface."""
-
-    method: str
-    path: str
-    description: str
-    statuses: tuple[int, ...]
-
-
-#: Every HTTP route the server answers (paths already ``/v1``-prefixed).
-ROUTES = (
-    Route("POST", "/v1/jobs", "submit a job object", (202, 400, 401, 429)),
-    Route("GET", "/v1/jobs", "list this tenant's job statuses", (200, 401)),
-    Route("GET", "/v1/jobs/<id>", "one job's status", (200, 401, 404)),
-    Route(
-        "DELETE",
-        "/v1/jobs/<id>",
-        "cancel (idempotent; `cancelled` reports whether this call changed "
-        "anything)",
-        (200, 401, 404),
-    ),
-    Route(
-        "GET",
-        "/v1/jobs/<id>/artifact",
-        "the finished artifact (409 until the job completes)",
-        (200, 401, 404, 409),
-    ),
-    Route(
-        "GET",
-        "/v1/jobs/<id>/events",
-        "replay + live event stream; ndjson, or WebSocket when the request "
-        "carries an RFC 6455 upgrade",
-        (101, 200, 401, 404),
-    ),
-    Route(
-        "GET",
-        "/v1/stats",
-        "server identity, job-state counts and load-shed counters",
-        (200,),
-    ),
-)
-
-#: JSON-line ops, mirroring the routes one to one (plus liveness).
+#: Every JSON-line op the server answers.
 OPS = (
     ("ping", "liveness; replies `pong` + `protocol_version`"),
     ("hello", "server identity, job-state counts and load-shed counters"),
-    ("submit", "submit a job object (`job` field)"),
+    ("submit", "submit a job object (`spec` field)"),
     ("status", "one job's status (`job` field)"),
     ("jobs", "list this tenant's job statuses"),
-    ("artifact", "the finished artifact"),
+    ("artifact", "the finished artifact (`job` field)"),
     ("cancel", "cancel, idempotent (`cancelled` reports the transition)"),
     ("events", "stream the transcript, then live events, then a done marker"),
 )
-
-#: Legacy unversioned path roots that 301-redirect to ``/v1``.
-LEGACY_ROOTS = ("jobs",)
-
-
-def versioned(path: str) -> str:
-    """Prefix one route path with the current API version."""
-    return f"/{API_VERSION}{path}"
 
 
 def render_api_reference() -> str:
@@ -95,26 +37,10 @@ def render_api_reference() -> str:
 
     Regenerated and diffed by ``tools/lint_api_surface.py`` and pinned
     by the test suite, so the published reference cannot drift from the
-    tables the server actually routes against.
+    tables the server actually dispatches on.
     """
     lines = [
-        f"Protocol version: **{PROTOCOL_VERSION}** · "
-        f"HTTP surface: **/{API_VERSION}**. "
-        "Legacy unversioned paths answer `301 Moved Permanently` with the "
-        "`/v1` location for one release.",
-        "",
-        "### HTTP routes",
-        "",
-        "| Method | Path | Meaning | Statuses |",
-        "|---|---|---|---|",
-    ]
-    for route in ROUTES:
-        statuses = ", ".join(str(s) for s in route.statuses)
-        lines.append(
-            f"| {route.method} | `{route.path}` | {route.description} "
-            f"| {statuses} |"
-        )
-    lines += [
+        f"Protocol version: **{PROTOCOL_VERSION}**.",
         "",
         "### JSON-line ops",
         "",
@@ -127,11 +53,10 @@ def render_api_reference() -> str:
         "",
         "### Error codes",
         "",
-        "| Code | HTTP status | Retryable |",
-        "|---|---|---|",
+        "| Code | Retryable |",
+        "|---|---|",
     ]
     for code in sorted(ERROR_CODES):
-        cls = ERROR_CODES[code]
-        retryable = "yes" if cls.retryable else "no"
-        lines.append(f"| `{code}` | {cls.http_status} | {retryable} |")
+        retryable = "yes" if ERROR_CODES[code].retryable else "no"
+        lines.append(f"| `{code}` | {retryable} |")
     return "\n".join(lines) + "\n"

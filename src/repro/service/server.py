@@ -1,19 +1,16 @@
 """The asyncio job server: one event loop owning every connection.
 
-:class:`JobServer` binds a single listening socket and sniffs each
-connection's first line — a line opening with ``{`` starts a JSON-line
-session, anything else is parsed as an HTTP request (see
-:mod:`repro.service.protocol`).  All I/O and all job bookkeeping run on
-the one event loop; only job execution leaves it, into per-job
-supervisor threads managed by :class:`~repro.service.manager.JobManager`.
+:class:`JobServer` binds a single listening socket.  Every connection is
+a JSON-line session (see :mod:`repro.service.protocol`): one request
+object per line, one reply per line, many requests per connection.  All
+I/O and all job bookkeeping run on the one event loop; only job
+execution leaves it, into per-job supervisor threads managed by
+:class:`~repro.service.manager.JobManager`.
 
-The REST surface is versioned under ``/v1`` (legacy unversioned paths
-answer 301 with the new location); the JSON-line ops mirror it one to
-one.  The authoritative route/op tables live in
-:mod:`repro.service.routes` — ``docs/api.md`` is generated from them —
-and every failure is one of the typed errors in
-:mod:`repro.service.errors`, serialized with its ``code`` on both wire
-surfaces.
+The op table lives in :mod:`repro.service.routes` — ``docs/api.md`` is
+generated from it — and every failure is one of the typed errors in
+:mod:`repro.service.errors`, answered in band with its ``code``; an
+error never ends the session.
 
 On boot (before accepting connections) the server replays the durable
 job table from the store, re-queueing every job a previous life left
@@ -23,10 +20,8 @@ unfinished — see :meth:`~repro.service.manager.JobManager.recover`.
 from __future__ import annotations
 
 import asyncio
-import json
 
 from repro.exceptions import ReproError
-from repro.service import websocket
 from repro.service.auth import TokenAuthenticator
 from repro.service.errors import (
     AuthError,
@@ -35,14 +30,8 @@ from repro.service.errors import (
     error_payload,
 )
 from repro.service.manager import JobManager
-from repro.service.protocol import (
-    MAX_LINE_BYTES,
-    decode_line,
-    encode_line,
-    http_response,
-    http_stream_head,
-)
-from repro.service.routes import API_VERSION, LEGACY_ROOTS, PROTOCOL_VERSION
+from repro.service.protocol import MAX_LINE_BYTES, decode_line, encode_line
+from repro.service.routes import PROTOCOL_VERSION
 
 
 class JobServer:
@@ -106,17 +95,6 @@ class JobServer:
             await self._server.wait_closed()
         await self.manager.close()
 
-    # -- shared helpers -----------------------------------------------------
-
-    def _server_info(self) -> dict:
-        """The ``hello`` / ``GET /v1/stats`` payload."""
-        return {
-            "protocol_version": PROTOCOL_VERSION,
-            "api_version": API_VERSION,
-            "auth": self.auth.enabled,
-            **self.manager.stats(),
-        }
-
     def _authenticate(self, token: str | None) -> str:
         """Token → tenant; counts and re-raises authentication failures."""
         try:
@@ -125,29 +103,14 @@ class JobServer:
             self.manager.counters["unauthorized"] += 1
             raise
 
-    @staticmethod
-    def _error_headers(error) -> dict | None:
-        retry_after = getattr(error, "retry_after", None)
-        if retry_after is None:
-            return None
-        return {"Retry-After": str(int(retry_after))}
-
     # -- connection handling ----------------------------------------------
 
     async def _handle(self, reader, writer) -> None:
         try:
-            first = await reader.readline()
-            if not first:
-                return
-            if first.lstrip().startswith(b"{"):
-                await self._json_session(first, reader, writer)
-            else:
-                await self._http_session(first, reader, writer)
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            ValueError,  # overlong protocol line
-        ):
+            while line := await reader.readline():
+                if line.strip():
+                    await self._answer(line, writer)
+        except (ConnectionError, ValueError):  # ValueError: overlong line
             pass  # client went away or sent garbage framing; drop it
         except asyncio.CancelledError:
             # Server shutdown cancelled this connection's task; finish
@@ -160,26 +123,13 @@ class JobServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    # -- JSON-line sessions -------------------------------------------------
-
-    async def _json_session(self, first: bytes, reader, writer) -> None:
-        line = first
-        while True:
-            if line.strip():
-                await self._answer_json(line, reader, writer)
-            line = await reader.readline()
-            if not line:
-                return
-
-    async def _answer_json(self, line: bytes, reader, writer) -> None:
+    async def _answer(self, line: bytes, writer) -> None:
         try:
             message = decode_line(line)
             op = message.get("op")
             if op == "events":
                 tenant = self._authenticate(message.get("token"))
-                await self._stream_events(
-                    str(message.get("job")), writer, encode_line, tenant
-                )
+                await self._stream_events(str(message.get("job")), writer, tenant)
                 return
             reply = self._dispatch(op, message)
         except ReproError as error:
@@ -193,12 +143,17 @@ class JobServer:
         if op == "ping":
             return {"ok": True, "pong": True, "protocol_version": PROTOCOL_VERSION}
         if op == "hello":
-            return {"ok": True, **self._server_info()}
+            return {
+                "ok": True,
+                "protocol_version": PROTOCOL_VERSION,
+                "auth": self.auth.enabled,
+                **manager.stats(),
+            }
         tenant = self._authenticate(message.get("token"))
         if op == "submit":
-            record = manager.submit(
-                message.get("spec", message.get("job")), tenant
-            )
+            if "spec" not in message:
+                raise ProtocolError("submit carries its job object in a 'spec' field")
+            record = manager.submit(message["spec"], tenant)
             return {"ok": True, **record.status()}
         if op == "status":
             return {
@@ -220,186 +175,26 @@ class JobServer:
             return {"ok": True, "cancelled": changed, **record.status()}
         raise ProtocolError(f"unknown op {op!r}")
 
-    async def _stream_events(
-        self, job_id: str, writer, frame, tenant: str | None = None
-    ) -> None:
-        """Replay a job's transcript, then stream live events to terminal.
-
-        ``frame`` turns one event object into wire bytes — the same
-        streaming core serves the JSON-line op, the ndjson route and the
-        WebSocket upgrade.
-        """
+    async def _stream_events(self, job_id: str, writer, tenant: str) -> None:
+        """Replay a job's transcript, then stream live events to terminal."""
         replay, queue = self.manager.subscribe(job_id, tenant)
         try:
             for event in replay:
-                writer.write(frame(event))
+                writer.write(encode_line(event))
             await writer.drain()
             if queue is not None:
                 while True:
                     event = await queue.get()
                     if event is None:
                         break
-                    writer.write(frame(event))
+                    writer.write(encode_line(event))
                     await writer.drain()
             state = self.manager.get(job_id, tenant).state
-            writer.write(frame({"ok": True, "done": True, "state": state}))
+            writer.write(encode_line({"ok": True, "done": True, "state": state}))
             await writer.drain()
         finally:
             if queue is not None:
                 self.manager.unsubscribe(job_id, queue)
-
-    # -- HTTP sessions ------------------------------------------------------
-
-    async def _http_session(self, first: bytes, reader, writer) -> None:
-        parts = first.decode("latin-1").split()
-        if len(parts) < 2:
-            writer.write(
-                http_response(
-                    400, error_payload(ProtocolError("malformed request line"))
-                )
-            )
-            await writer.drain()
-            return
-        method, target = parts[0].upper(), parts[1]
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length") or 0)
-        if length:
-            body = await reader.readexactly(length)
-        await self._route_http(method, target, headers, body, writer)
-
-    @staticmethod
-    def _bearer_token(headers: dict) -> str | None:
-        value = headers.get("authorization", "")
-        if value.lower().startswith("bearer "):
-            return value[len("bearer ") :].strip() or None
-        return None
-
-    async def _route_http(self, method, target, headers, body, writer) -> None:
-        manager = self.manager
-        path = target.split("?", 1)[0].rstrip("/")
-        segments = [part for part in path.split("/") if part]
-        if segments and segments[0] == API_VERSION:
-            segments = segments[1:]
-        elif segments and segments[0] in LEGACY_ROOTS:
-            # One release of grace for pre-v1 clients: a permanent
-            # redirect naming the versioned location, nothing served.
-            location = f"/{API_VERSION}{path}"
-            writer.write(
-                http_response(
-                    301,
-                    {"error": "moved permanently", "location": location},
-                    headers={"Location": location},
-                )
-            )
-            await writer.drain()
-            return
-        try:
-            if segments == ["stats"] and method == "GET":
-                writer.write(http_response(200, self._server_info()))
-            elif segments == ["jobs"]:
-                tenant = self._authenticate(self._bearer_token(headers))
-                if method == "POST":
-                    try:
-                        job = json.loads(body.decode("utf-8") or "null")
-                    except ValueError as error:
-                        raise ProtocolError(
-                            f"request body is not JSON: {error}"
-                        ) from error
-                    record = manager.submit(job, tenant)
-                    writer.write(http_response(202, record.status()))
-                elif method == "GET":
-                    statuses = [
-                        record.status() for record in manager.jobs(tenant)
-                    ]
-                    writer.write(http_response(200, {"jobs": statuses}))
-                else:
-                    writer.write(
-                        http_response(
-                            405, error_payload(ProtocolError("use GET or POST"))
-                        )
-                    )
-            elif len(segments) == 2 and segments[0] == "jobs":
-                tenant = self._authenticate(self._bearer_token(headers))
-                job_id = segments[1]
-                if method == "GET":
-                    writer.write(
-                        http_response(200, manager.get(job_id, tenant).status())
-                    )
-                elif method == "DELETE":
-                    record, changed = manager.cancel(job_id, tenant)
-                    writer.write(
-                        http_response(
-                            200, {"cancelled": changed, **record.status()}
-                        )
-                    )
-                else:
-                    writer.write(
-                        http_response(
-                            405,
-                            error_payload(ProtocolError("use GET or DELETE")),
-                        )
-                    )
-            elif len(segments) == 3 and segments[0] == "jobs" and method == "GET":
-                tenant = self._authenticate(self._bearer_token(headers))
-                job_id, leaf = segments[1], segments[2]
-                if leaf == "artifact":
-                    writer.write(
-                        http_response(200, manager.artifact(job_id, tenant))
-                    )
-                elif leaf == "events":
-                    manager.get(job_id, tenant)  # 404/401 before any framing
-                    if websocket.wants_upgrade(headers):
-                        writer.write(
-                            websocket.handshake_response(
-                                headers.get("sec-websocket-key", "")
-                            )
-                        )
-                        await writer.drain()
-                        await self._stream_events(
-                            job_id,
-                            writer,
-                            lambda event: websocket.encode_text_frame(
-                                encode_line(event)
-                            ),
-                            tenant,
-                        )
-                        writer.write(websocket.close_frame())
-                    else:
-                        writer.write(http_stream_head(200))
-                        await self._stream_events(
-                            job_id, writer, encode_line, tenant
-                        )
-                    await writer.drain()
-                    return
-                else:
-                    writer.write(
-                        http_response(
-                            404, error_payload(ProtocolError("unknown route"))
-                        )
-                    )
-            else:
-                writer.write(
-                    http_response(
-                        404, error_payload(ProtocolError("unknown route"))
-                    )
-                )
-        except ReproError as error:
-            error = as_service_error(error)
-            writer.write(
-                http_response(
-                    error.http_status,
-                    error_payload(error),
-                    headers=self._error_headers(error),
-                )
-            )
-        await writer.drain()
 
 
 def serve(

@@ -4,8 +4,9 @@ Consolidates the helpers that used to be duplicated per directory so the
 pipeline, store and service harnesses agree on one set of primitives:
 
 * cross-directory imports — ``tests/pipeline`` goes on ``sys.path`` once,
-  here, so any test can ``from test_golden import GOLDEN`` or reuse the
-  fault-injection doubles of ``test_supervisor``;
+  here, so any test can ``from test_golden import GOLDEN`` (the service
+  tests reuse the fault-injection doubles of their neighbour
+  ``tests/service/test_supervisor.py``);
 * ``pristine_store`` / ``tmp_store`` — process-global content-store
   hygiene (detached + wiped around the test) and a disk-backed store in
   a temp directory;

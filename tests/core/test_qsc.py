@@ -165,9 +165,10 @@ class TestConfigFieldMatrix:
 
 
 class TestSharedValidators:
-    """The count and seconds checks the supervisor and the job manager
-    share: a bool is neither a count nor a number of seconds, and a NaN
-    or an infinity is never a usable duration."""
+    """The count and seconds checks the job supervisor
+    (``repro.service.supervisor``) and the job manager share: a bool is
+    neither a count nor a number of seconds, and a NaN or an infinity is
+    never a usable duration."""
 
     @pytest.mark.parametrize(
         "value, minimum",

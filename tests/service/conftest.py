@@ -6,9 +6,9 @@ to it over real sockets with the blocking client, so the full wire path
 is exercised without subprocess boots or an async test framework.
 
 Fault injection composes with the supervisor doubles of
-``test_supervisor``: pass ``executor_factory=InlineShardExecutor`` to run
+``test_supervisor``: pass ``executor_factory=InlineJobExecutor`` to run
 jobs inside this process (where ``monkeypatch`` can break a pipeline
-stage), or a faulty/hanging executor (``FaultyShardExecutor``) to
+stage), or a faulty/hanging executor (``FaultyJobExecutor``) to
 exercise the per-job supervision itself.
 
 All servers run under the shared ``pristine_store`` bracket: inline job

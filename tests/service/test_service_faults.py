@@ -15,12 +15,12 @@ from repro.exceptions import ClusteringError
 from repro.service.errors import ArtifactNotReadyError
 from repro.experiments.runner import SweepRunner, spec_from_job
 from repro.pipeline import stages
-from repro.pipeline.supervisor import InlineShardExecutor, ShardHandle
+from repro.service.supervisor import InlineJobExecutor, JobHandle
 
-from test_supervisor import FaultyShardExecutor, _always
+from test_supervisor import FaultyJobExecutor, _always
 
 
-class _HungJobHandle(ShardHandle):
+class _HungJobHandle(JobHandle):
     """A job attempt that never finishes; cancellation must kill it."""
 
     def __init__(self):
@@ -42,7 +42,7 @@ class _HangingJobExecutor:
     def __init__(self):
         self.hung = []
 
-    def submit(self, task, attempt):
+    def submit(self, fn, args):
         handle = _HungJobHandle()
         self.hung.append(handle)
         return handle
@@ -57,7 +57,7 @@ class TestStageCheckpointResume:
         published: laplacian and threshold loaded, readout computed."""
         server = service_server(
             store_dir=tmp_path / "store",
-            executor_factory=InlineShardExecutor,
+            executor_factory=InlineJobExecutor,
             job_retries=0,
         )
         client = server.client()
@@ -100,7 +100,7 @@ class TestJobRestart:
         attempt 1 crashes, attempt 2 is launched with ``restarted`` set,
         and the job still completes."""
         server = service_server(
-            executor_factory=lambda: FaultyShardExecutor({(0, 1): "crash"}),
+            executor_factory=lambda: FaultyJobExecutor({1: "crash"}),
             job_retries=1,
         )
         client = server.client()
@@ -119,7 +119,7 @@ class TestJobRestart:
         self, service_server, small_fig1_job
     ):
         server = service_server(
-            executor_factory=lambda: FaultyShardExecutor(_always("crash", 0)),
+            executor_factory=lambda: FaultyJobExecutor(_always("crash")),
             job_retries=1,
         )
         client = server.client()
@@ -193,7 +193,7 @@ class TestCancellation:
     def test_cancelling_a_finished_job_is_a_no_op(
         self, service_server, small_fig1_job
     ):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         job_id = client.submit(small_fig1_job)["job"]
         client.events(job_id)
         reply = client.cancel(job_id)

@@ -19,7 +19,7 @@ from repro.experiments.runner import (
     validate_artifact,
 )
 from repro.pipeline import STAGE_NAMES
-from repro.pipeline.supervisor import InlineShardExecutor
+from repro.service.supervisor import InlineJobExecutor
 from repro.service.manager import JobManager
 
 
@@ -78,7 +78,7 @@ class TestServedExecution:
         self, service_server, small_fig1_job, tmp_path
     ):
         """End to end through a real worker process (the default
-        ProcessShardExecutor): the served artifact validates
+        ProcessJobExecutor): the served artifact validates
         and its records match the direct run bit for bit."""
         server = service_server(store_dir=tmp_path / "store")
         client = server.client()
@@ -98,7 +98,7 @@ class TestServedExecution:
     ):
         """Event kinds, ordering, stage sequence and seq numbering are
         exact — the transcript is pinnable like a golden digest."""
-        server = service_server(executor_factory=InlineShardExecutor)
+        server = service_server(executor_factory=InlineJobExecutor)
         client = server.client()
         job_id = client.submit(small_fig1_job)["job"]
         transcript = client.events(job_id)
@@ -130,7 +130,7 @@ class TestServedExecution:
     def test_events_on_finished_job_replays_without_blocking(
         self, service_server, small_fig1_job
     ):
-        server = service_server(executor_factory=InlineShardExecutor)
+        server = service_server(executor_factory=InlineJobExecutor)
         client = server.client()
         job_id = client.submit(small_fig1_job)["job"]
         first = client.events(job_id)
@@ -144,7 +144,7 @@ class TestServedExecution:
         namespace of the shared store: no attempt, no stages, identical
         records, ``artifact.source == "store"``."""
         server = service_server(
-            store_dir=tmp_path / "store", executor_factory=InlineShardExecutor
+            store_dir=tmp_path / "store", executor_factory=InlineJobExecutor
         )
         client = server.client()
         first = client.submit(small_fig1_job)
@@ -165,7 +165,7 @@ class TestServedExecution:
     def test_without_a_store_every_submission_computes(
         self, service_server, small_fig1_job
     ):
-        server = service_server(executor_factory=InlineShardExecutor)
+        server = service_server(executor_factory=InlineJobExecutor)
         client = server.client()
         first = client.submit(small_fig1_job)["job"]
         client.events(first)
@@ -179,7 +179,7 @@ class TestServedExecution:
 
 class TestSubmissionValidation:
     def test_unknown_experiment_is_rejected_at_submit(self, service_server):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         with pytest.raises(InvalidJobError, match="unknown experiment"):
             client.submit({"experiment": "fig9"})
         assert client.jobs() == []  # nothing was created
@@ -187,7 +187,7 @@ class TestSubmissionValidation:
     def test_unknown_override_is_rejected_at_submit(
         self, service_server, small_fig1_job
     ):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         small_fig1_job["overrides"]["warp_factor"] = 9
         with pytest.raises(InvalidJobError, match="warp_factor"):
             client.submit(small_fig1_job)
@@ -197,7 +197,7 @@ class TestSubmissionValidation:
     ):
         """The readout runs in one process; its old shard count is an
         unknown override, refused before a job is created."""
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         small_fig1_job["overrides"]["readout_shards"] = 2
         with pytest.raises(InvalidJobError, match="readout_shards"):
             client.submit(small_fig1_job)
@@ -208,7 +208,7 @@ class TestSubmissionValidation:
     ):
         """A served job runs against the server's store; naming another
         directory would let a client choose where the server writes."""
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         elsewhere = tmp_path / "elsewhere"
         small_fig1_job["overrides"]["store_dir"] = str(elsewhere)
         with pytest.raises(InvalidJobError, match="store_dir"):
@@ -217,7 +217,7 @@ class TestSubmissionValidation:
         assert not elsewhere.exists()
 
     def test_bad_trials_and_bad_shapes_are_rejected(self, service_server):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         with pytest.raises(InvalidJobError, match="trials"):
             client.submit({"experiment": "fig1", "trials": 0})
         with pytest.raises(InvalidJobError, match="must be an object"):
@@ -226,13 +226,13 @@ class TestSubmissionValidation:
             client.submit({"experiment": "fig1", "prioritty": "high"})
 
     def test_unknown_job_queries_raise(self, service_server):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         for call in (client.status, client.artifact, client.cancel, client.events):
             with pytest.raises(UnknownJobError):
                 call("j9999-deadbeef")
 
     def test_job_listing_in_submission_order(self, service_server, small_fig1_job):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         first = client.submit(small_fig1_job)["job"]
         second = client.submit(small_fig1_job)["job"]
         client.events(second)
@@ -242,7 +242,7 @@ class TestSubmissionValidation:
     def test_fingerprint_matches_library_derivation(
         self, service_server, small_fig1_job
     ):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         submitted = client.submit(small_fig1_job)
         assert submitted["fingerprint"] == job_fingerprint(small_fig1_job)
         assert submitted["job"].endswith(submitted["fingerprint"][:8])

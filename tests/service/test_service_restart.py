@@ -31,7 +31,7 @@ import sys
 
 import repro
 from repro.experiments.runner import SweepRunner, job_fingerprint, spec_from_job
-from repro.pipeline.supervisor import InlineShardExecutor
+from repro.service.supervisor import InlineJobExecutor
 from repro.service.client import ServiceClient
 from repro.service.jobtable import JobTable
 from repro.service.manager import JobManager
@@ -39,7 +39,7 @@ from repro.store import ContentStore
 
 
 def _manager(store_dir, **kwargs):
-    kwargs.setdefault("executor_factory", InlineShardExecutor)
+    kwargs.setdefault("executor_factory", InlineJobExecutor)
     return JobManager(store_dir=store_dir, **kwargs)
 
 
@@ -256,7 +256,7 @@ class TestTerminalRecovery:
 
     def test_manager_without_store_recovers_nothing(self):
         async def main():
-            return JobManager(executor_factory=InlineShardExecutor).recover()
+            return JobManager(executor_factory=InlineJobExecutor).recover()
 
         assert asyncio.run(main()) == 0
 

@@ -1,90 +1,40 @@
-"""The versioned API surface: /v1 routes, redirects, typed errors, docs.
+"""The versioned service surface: protocol version, typed errors, docs.
 
-Pins the api_redesign contracts of this PR: every HTTP route lives under
-``/v1`` and legacy unversioned paths answer 301 with the new location
-(for one release); ``ping``/``hello`` carry ``protocol_version``; both
-wire surfaces speak the one typed error vocabulary of
-:mod:`repro.service.errors`; cancellation is idempotent 200 on both
-paths; and ``docs/api.md`` embeds exactly what the route table renders —
-the docs cannot drift from the server.
+Pins the surface contracts: ``ping``/``hello`` carry
+``protocol_version``; every failure speaks the one typed error
+vocabulary of :mod:`repro.service.errors`; cancellation is idempotent;
+every op of the table is served; and ``docs/api.md`` embeds exactly what
+the op table renders — the docs cannot drift from the server.
 """
 
-import http.client
 import json
 import pathlib
+import socket
 
 import pytest
 
-from repro.pipeline.supervisor import InlineShardExecutor
 from repro.service.errors import (
     ERROR_CODES,
-    ArtifactNotReadyError,
-    AuthError,
     InvalidJobError,
-    ProtocolError,
     RejectedError,
     ServiceError,
     UnknownJobError,
     error_from_payload,
     error_payload,
 )
-from repro.service.routes import (
-    API_VERSION,
-    PROTOCOL_VERSION,
-    ROUTES,
-    render_api_reference,
-)
+from repro.service.routes import OPS, PROTOCOL_VERSION, render_api_reference
+from repro.service.supervisor import InlineJobExecutor
 
 DOCS_API = pathlib.Path(__file__).resolve().parents[2] / "docs" / "api.md"
 
 
-def _request(server, method, path, body=None, headers=None):
-    connection = http.client.HTTPConnection(server.host, server.port, timeout=60)
-    payload = None if body is None else json.dumps(body).encode("utf-8")
-    connection.request(method, path, body=payload, headers=headers or {})
-    response = connection.getresponse()
-    raw = response.read()
-    connection.close()
-    return response.status, dict(response.getheaders()), (
-        json.loads(raw) if raw else None
-    )
-
-
-class TestLegacyRedirects:
-    def test_unversioned_paths_301_to_v1(self, service_server, small_fig1_job):
-        server = service_server(executor_factory=InlineShardExecutor)
-        job_id = server.client().submit(small_fig1_job)["job"]
-        server.client().events(job_id)
-        for method, path in (  # v1-lint: allow-begin — pinning the redirect
-            ("GET", "/jobs"),
-            ("POST", "/jobs"),
-            ("GET", f"/jobs/{job_id}"),
-            ("DELETE", f"/jobs/{job_id}"),
-            ("GET", f"/jobs/{job_id}/artifact"),
-        ):  # v1-lint: allow-end
-            status, headers, body = _request(server, method, path)
-            assert status == 301, (method, path)
-            assert headers["Location"] == f"/{API_VERSION}{path}"
-            assert body["location"] == f"/{API_VERSION}{path}"
-        # Following the redirect serves the actual resource.
-        status, _, body = _request(server, "GET", f"/v1/jobs/{job_id}")
-        assert status == 200 and body["state"] == "completed"
-
-    def test_redirect_serves_nothing(self, service_server, small_fig1_job):
-        """A legacy POST must not create a job on its way out."""
-        server = service_server(executor_factory=InlineShardExecutor)
-        status, _, _ = _request(server, "POST", "/jobs", small_fig1_job)  # v1-lint: allow
-        assert status == 301
-        assert server.client().jobs() == []
-
-
 class TestProtocolVersion:
     def test_ping_and_hello_carry_protocol_version(self, service_server):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         assert client.ping() is True
         hello = client.hello()
         assert hello["protocol_version"] == PROTOCOL_VERSION
-        assert hello["api_version"] == API_VERSION
+        assert "api_version" not in hello
         assert hello["auth"] is False
         assert hello["durable"] is False
         assert set(hello["load_shed"]) == {
@@ -94,40 +44,42 @@ class TestProtocolVersion:
             "recovered",
         }
 
-    def test_stats_route_mirrors_hello(self, service_server, small_fig1_job):
-        server = service_server(executor_factory=InlineShardExecutor)
-        client = server.client()
+    def test_hello_counts_jobs_by_state(self, service_server, small_fig1_job):
+        client = service_server(executor_factory=InlineJobExecutor).client()
         job_id = client.submit(small_fig1_job)["job"]
         client.events(job_id)
-        status, _, stats = _request(server, "GET", "/v1/stats")
-        assert status == 200
-        assert stats["protocol_version"] == PROTOCOL_VERSION
-        assert stats["jobs"]["completed"] == 1
-        assert stats == client.hello()
+        jobs = client.hello()["jobs"]
+        assert jobs == {
+            "queued": 0,
+            "running": 0,
+            "completed": 1,
+            "failed": 0,
+            "cancelled": 0,
+        }
 
 
 class TestIdempotentCancel:
-    def test_http_delete_twice_is_200_then_cancelled_false(
+    def test_cancel_twice_reports_true_then_false(
         self, service_server, small_fig1_job, wait_until
     ):
         from test_service_faults import _HangingJobExecutor
 
-        server = service_server(executor_factory=_HangingJobExecutor)
-        job_id = server.client().submit(small_fig1_job)["job"]
-        status, _, first = _request(server, "DELETE", f"/v1/jobs/{job_id}")
-        assert status == 200 and first["cancelled"] is True
+        client = service_server(executor_factory=_HangingJobExecutor).client()
+        job_id = client.submit(small_fig1_job)["job"]
+        first = client.cancel(job_id)
+        assert first["ok"] is True and first["cancelled"] is True
         wait_until(
-            lambda: server.client().status(job_id)["state"] == "cancelled",
+            lambda: client.status(job_id)["state"] == "cancelled",
             message="cancellation to land",
         )
-        status, _, second = _request(server, "DELETE", f"/v1/jobs/{job_id}")
-        assert status == 200 and second["cancelled"] is False
+        second = client.cancel(job_id)
+        assert second["ok"] is True and second["cancelled"] is False
         assert second["state"] == "cancelled"
 
-    def test_protocol_cancel_matches_http_semantics(
+    def test_cancelling_a_completed_job_twice_changes_nothing(
         self, service_server, small_fig1_job
     ):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         job_id = client.submit(small_fig1_job)["job"]
         client.events(job_id)
         first = client.cancel(job_id)
@@ -147,6 +99,7 @@ class TestErrorSurface:
             assert payload["retryable"] is cls.retryable
             back = error_from_payload(payload)
             assert type(back) is cls and str(back) == "boom"
+            assert issubclass(cls, ServiceError)
         assert error_from_payload({"code": "from_the_future"}).code == (
             "service_error"
         )
@@ -154,19 +107,10 @@ class TestErrorSurface:
     def test_rejected_error_carries_retry_after(self):
         err = error_from_payload(error_payload(RejectedError("full", retry_after=9)))
         assert isinstance(err, RejectedError)
-        assert err.retry_after == 9 and err.retryable and err.http_status == 429
-
-    def test_hierarchy_statuses_match_the_docs_table(self):
-        assert InvalidJobError.http_status == 400
-        assert UnknownJobError.http_status == 404
-        assert ArtifactNotReadyError.http_status == 409
-        assert AuthError.http_status == 401
-        assert ProtocolError.http_status == 400
-        for cls in ERROR_CODES.values():
-            assert issubclass(cls, ServiceError)
+        assert err.retry_after == 9 and err.retryable
 
     def test_client_raises_the_typed_error(self, service_server):
-        client = service_server(executor_factory=InlineShardExecutor).client()
+        client = service_server(executor_factory=InlineJobExecutor).client()
         with pytest.raises(UnknownJobError):
             client.status("j9999-cafecafe")
         with pytest.raises(InvalidJobError):
@@ -183,10 +127,15 @@ class TestApiDocsGenerated:
         block = text[begin + len("<!-- generated:begin -->") : end].strip("\n")
         assert block == render_api_reference().strip("\n")
 
-    def test_route_table_is_versioned_and_complete(self):
-        for route in ROUTES:
-            assert route.path.startswith(f"/{API_VERSION}/")
-        paths = {(r.method, r.path) for r in ROUTES}
-        assert ("POST", "/v1/jobs") in paths
-        assert ("GET", "/v1/jobs/<id>/events") in paths
-        assert ("GET", "/v1/stats") in paths
+    def test_every_documented_op_is_served(self, service_server):
+        """Each op of the table reaches its handler: none is answered as
+        an unknown op, and an op outside the table is."""
+        server = service_server(executor_factory=InlineJobExecutor)
+        with socket.create_connection((server.host, server.port), timeout=60) as sock:
+            stream = sock.makefile("rwb")
+            for op in [name for name, _ in OPS] + ["warp"]:
+                stream.write(json.dumps({"op": op, "job": "nope"}).encode() + b"\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+                unknown = "unknown op" in reply.get("error", "")
+                assert unknown == (op == "warp"), (op, reply)

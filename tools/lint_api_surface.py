@@ -1,21 +1,14 @@
-"""Lint the public API surface: versioned routes + non-drifting docs.
+"""Lint the public API surface: non-drifting docs.
 
-Three checks, all cheap enough for every push:
+Two checks, both cheap enough for every push:
 
 1. **Generated reference** — the block between ``<!-- generated:begin -->``
    and ``<!-- generated:end -->`` in ``docs/api.md`` must be byte-identical
-   to :func:`repro.service.routes.render_api_reference`.  The route table,
-   op list and error-code table documented to users are rendered from the
-   same constants the server dispatches on, so the docs cannot drift.
+   to :func:`repro.service.routes.render_api_reference`.  The op list and
+   error-code table documented to users are rendered from the same
+   constants the server dispatches on, so the docs cannot drift.
 
-2. **No unversioned routes** — README, ``docs/*.md`` and ``tests/**/*.py``
-   may not reference the legacy unversioned HTTP paths (``/jobs…``): every
-   route mention must carry the ``/v1`` prefix.  A line that *deliberately*
-   exercises the legacy 301 redirect marks itself with ``v1-lint: allow``;
-   a run of such lines sits between ``v1-lint: allow-begin`` and
-   ``v1-lint: allow-end``.
-
-3. **CLI flags match the parser** — every ``| `--flag ...` |`` table row
+2. **CLI flags match the parser** — every ``| `--flag ...` |`` table row
    under a ``## `<command>` `` heading of ``docs/cli.md`` must name a flag
    of that subcommand in :func:`repro.cli._build_parser`, and every flag
    of every subcommand (``--help`` aside) must have such a row.
@@ -36,7 +29,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 GENERATED_BEGIN = "<!-- generated:begin -->"
 GENERATED_END = "<!-- generated:end -->"
-ALLOW_MARKER = "v1-lint: allow"
 
 
 def check_generated_block() -> list[str]:
@@ -44,7 +36,7 @@ def check_generated_block() -> list[str]:
 
     path = ROOT / "docs" / "api.md"
     if not path.exists():
-        return [f"{path}: missing (the v1 reference page must exist)"]
+        return [f"{path}: missing (the API reference page must exist)"]
     text = path.read_text(encoding="utf-8")
     if GENERATED_BEGIN not in text or GENERATED_END not in text:
         return [f"{path}: generated-block markers are missing"]
@@ -57,40 +49,6 @@ def check_generated_block() -> list[str]:
             "render_api_reference() output between the markers"
         ]
     return []
-
-
-def _lint_targets() -> list[pathlib.Path]:
-    targets = [ROOT / "README.md"]
-    targets += sorted((ROOT / "docs").glob("*.md"))
-    targets += sorted((ROOT / "tests").rglob("*.py"))
-    return [path for path in targets if path.exists()]
-
-
-def check_versioned_routes() -> list[str]:
-    problems = []
-    for path in _lint_targets():
-        allowing = False
-        for number, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if ALLOW_MARKER + "-begin" in line:
-                allowing = True
-                continue
-            if ALLOW_MARKER + "-end" in line:
-                allowing = False
-                continue
-            if allowing or ALLOW_MARKER in line:
-                continue
-            # Remove the versioned mentions; whatever `/jobs` remains is
-            # a legacy unversioned route reference.
-            stripped = line.replace("/v1/jobs", "").replace("/v1/stats", "")
-            if "/jobs" in stripped or "/stats" in stripped:
-                problems.append(
-                    f"{path.relative_to(ROOT)}:{number}: unversioned route "
-                    f"reference ({line.strip()[:80]!r}) — use /v1/…, or "
-                    f"mark an intentional legacy test with {ALLOW_MARKER!r}"
-                )
-    return problems
 
 
 _COMMAND_HEADING = re.compile(r"^## `([a-z-]+)`")
@@ -165,18 +123,13 @@ def check_cli_flags() -> list[str]:
 
 
 def main() -> int:
-    problems = (
-        check_generated_block() + check_versioned_routes() + check_cli_flags()
-    )
+    problems = check_generated_block() + check_cli_flags()
     for problem in problems:
         print(problem)
     if problems:
         print(f"api-surface lint: {len(problems)} problem(s)")
         return 1
-    print(
-        "api-surface lint OK: docs in sync, all route references are /v1, "
-        "CLI flags match the parser"
-    )
+    print("api-surface lint OK: docs in sync, CLI flags match the parser")
     return 0
 
 

@@ -14,7 +14,7 @@ check CI runs on every push:
    uploads it as a build artifact) and shut the server down cleanly;
 5. run the **restart drill**: a second server (``--max-queued 1``) gets
    a twelve-fit job plus a queued one, sheds a third submission with the
-   retryable 429 (``Retry-After`` intact), is SIGKILLed the moment the
+   retryable ``rejected`` error (``retry_after`` intact), is SIGKILLed the moment the
    first stage checkpoint lands, and is rebooted on the same store — it
    must report ``recovered 2 job(s)``, finish both, serve at least one
    stage from the checkpoints its previous life published, and serve
@@ -146,7 +146,7 @@ def restart_drill(tmp: str) -> None:
         queued = client.submit(QUEUED_JOB)["job"]
 
         # Backpressure: the queue is at --max-queued, so a third
-        # submission sheds with the retryable 429 — and the two
+        # submission sheds with the retryable rejection — and the two
         # accepted jobs must still finish (proven after the restart).
         try:
             client.submit(QUEUED_JOB)
@@ -154,7 +154,7 @@ def restart_drill(tmp: str) -> None:
             assert error.retryable and error.retry_after == 5, vars(error)
             print(f"backpressure OK: shed with retry_after={error.retry_after}")
         else:
-            raise SystemExit("over-quota submission was not shed with 429")
+            raise SystemExit("over-quota submission was not shed")
 
         wait_for(
             lambda: stage_dir.is_dir() and any(stage_dir.rglob("*.cas")),
