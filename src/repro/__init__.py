@@ -25,7 +25,7 @@ Subpackages
 ``repro.core``        the quantum pipeline (QPE filtering + q-means)
 ``repro.pipeline``    staged pipeline core (checkpoints, resume, telemetry)
 ``repro.baselines``   symmetrized / random-walk / DiSim / naive baselines
-``repro.metrics``     ARI, NMI, accuracy, cut imbalance, flow ratio
+``repro.metrics``     ARI, accuracy, cut imbalance, flow ratio
 ``repro.experiments`` one module per paper table/figure
 ``repro.store``       shared content-addressed compute store
 ``repro.service``     the versioned clustering-as-a-service job server
@@ -50,7 +50,6 @@ from repro.graphs import (
 from repro.linalg import (
     DenseBackend,
     SparseBackend,
-    as_backend_matrix,
     resolve_backend,
 )
 from repro.spectral import (
@@ -64,11 +63,9 @@ from repro.baselines import (
 )
 from repro.metrics import (
     adjusted_rand_index,
-    clustering_report,
     cut_imbalance,
     flow_ratio,
     matched_accuracy,
-    normalized_mutual_information,
 )
 from repro.pipeline import QSCPipeline
 
@@ -90,7 +87,6 @@ __all__ = [
     "synthetic_netlist",
     "DenseBackend",
     "SparseBackend",
-    "as_backend_matrix",
     "resolve_backend",
     "ClassicalSpectralClustering",
     "AdjacencyKMeans",
@@ -98,10 +94,8 @@ __all__ = [
     "RandomWalkSpectralClustering",
     "SymmetrizedSpectralClustering",
     "adjusted_rand_index",
-    "clustering_report",
     "cut_imbalance",
     "flow_ratio",
     "matched_accuracy",
-    "normalized_mutual_information",
     "__version__",
 ]

@@ -9,8 +9,8 @@ protocol (protocol version 1), whereas deep imports like
 * :func:`run_experiment` — run a registered paper sweep locally,
   validated exactly like a served job.
 * :func:`connect` — a :class:`~repro.service.client.ServiceClient` for
-  a running ``repro serve`` instance (URL or ``host:port``, optional
-  bearer token).
+  a running ``repro serve`` instance (``host`` or ``host:port``,
+  optional bearer token).
 
 >>> from repro import api
 >>> graph, truth = api.mixed_sbm(24, 2, seed=0)
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from urllib.parse import urlsplit
 
 from repro.core import QSCConfig, QSCResult, QuantumSpectralClustering
 from repro.exceptions import ClusteringError, ServiceError
@@ -132,19 +131,20 @@ def connect(
 ) -> ServiceClient:
     """A client for a running ``repro serve`` instance.
 
-    ``url`` is anything naming the endpoint: ``"127.0.0.1:8831"``,
-    ``"localhost"`` (default port), or a ``scheme://host:port`` URL (the
-    scheme is ignored: the server speaks JSON lines only).  The
-    optional bearer ``token`` identifies the tenant on an authenticated
-    server.
+    ``url`` names the endpoint as ``host:port`` (``"127.0.0.1:8831"``) or
+    a bare ``host`` (``"localhost"``, default port).  The server speaks
+    JSON lines over plain TCP, so a ``scheme://`` URL is refused rather
+    than read as something it is not.  The optional bearer ``token``
+    identifies the tenant on an authenticated server.
     """
     target = url.strip()
     if "//" in target:
-        parsed = urlsplit(target)
-        host, port = parsed.hostname, parsed.port
-    else:
-        host, _, tail = target.partition(":")
-        port = tail or None
+        raise ServiceError(
+            f"service endpoint {url!r} is a URL; the server speaks JSON "
+            "lines on a bare host:port"
+        )
+    host, _, tail = target.partition(":")
+    port = tail or None
     if not host:
         raise ServiceError(f"cannot parse service endpoint from {url!r}")
     try:

@@ -41,8 +41,8 @@ def is_count(value, minimum: int) -> bool:
     )
 
 
-def is_seconds(value, *, allow_zero: bool = False) -> bool:
-    """True for a finite real > 0 (>= 0 with ``allow_zero``).
+def is_seconds(value) -> bool:
+    """True for a finite real > 0.
 
     A bool is not a number of seconds, and a NaN would poison every
     comparison against a clock (each one is false).
@@ -51,7 +51,7 @@ def is_seconds(value, *, allow_zero: bool = False) -> bool:
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and math.isfinite(value)
-        and (value >= 0 if allow_zero else value > 0)
+        and value > 0
     )
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.config import SPECTRAL_ENGINES
 from repro.exceptions import ClusteringError
-from repro.store import DEFAULT_MEMORY_BYTES, get_store
+from repro.store import get_store
 from repro.linalg import is_sparse_matrix, to_dense_array
 from repro.quantum.hamiltonian import (
     SpectralDecomposition,
@@ -61,11 +61,6 @@ DEFAULT_MAX_BATCH_COLUMNS = 64
 # Cache the joint forward table (2^p · dim · n complex entries) only below
 # this size (~64 MiB); larger tables are recomputed chunk by chunk per pass.
 FORWARD_TABLE_CACHE_MAX_ENTRIES = 1 << 22
-# Default byte budget of the process-wide spectral cache below (~256 MiB of
-# eigendecompositions and QPE kernels; a 1024-node graph costs ~16 MiB).
-# This *is* the content store's memory-tier budget: the spectral cache is a
-# view over the store, so the two budgets are one and the same knob.
-SPECTRAL_CACHE_MAX_BYTES = DEFAULT_MEMORY_BYTES
 
 
 def laplacian_fingerprint(laplacian: np.ndarray) -> str:
@@ -110,8 +105,9 @@ class SpectralCache:
     so sweep points that vary only shots, threshold or precision reuse
     the O(n³) eigendecomposition, and points that vary only
     shots/threshold additionally reuse the QPE response kernel.  The
-    memory tier is a byte-bounded LRU exactly as before (an entry larger
-    than the whole budget is simply not kept resident), and when the
+    memory tier is the store's byte-bounded LRU, whose budget
+    :func:`repro.store.configure_store` sets (an entry larger than the
+    whole budget is simply not kept resident), and when the
     store has a disk root attached (``QSCConfig.store_dir`` /
     ``--store-dir``) a fresh process serves repeat Laplacians from disk
     instead of re-decomposing — the cross-process warm path.
@@ -120,10 +116,6 @@ class SpectralCache:
     instances; callers must treat them as immutable (the backends do).
     The view is *transparent*: memory hit, disk hit or miss, the numbers
     produced are identical (golden-pinned in ``tests/store/``).
-
-    The legacy counter shape is preserved: ``stats()["hits"]`` counts
-    memory and disk hits together, ``entries``/``bytes`` describe the
-    memory tier only.
     """
 
     def __init__(self):
@@ -131,23 +123,9 @@ class SpectralCache:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def stats(self) -> dict:
-        """Counters snapshot: hits, misses, evictions, entries, bytes.
-
-        ``hits`` merges memory- and disk-tier hits of the spectral
-        namespace; ``evictions`` counts memory-tier evictions (the legacy
-        meaning — disk evictions appear in the store's own stats).
-        """
-        occupancy = self._store.namespace_stats(SPECTRAL_NAMESPACE)
-        return {
-            **self.counters(),
-            "entries": occupancy["entries"],
-            "bytes": occupancy["bytes"],
-        }
-
     def counters(self) -> dict:
-        """The hits, misses and evictions of :meth:`stats`, without its
-        scan of the memory tier."""
+        """Counters of the spectral namespace: ``hits`` (memory and disk
+        tier together), ``misses`` and ``evictions`` (memory tier)."""
         counters = self._store.namespace_counters(SPECTRAL_NAMESPACE)
         return {
             "hits": counters["memory_hits"] + counters["disk_hits"],
@@ -162,12 +140,6 @@ class SpectralCache:
         process, which then serves repeat Laplacians as disk hits.
         """
         self._store.clear_memory(reset_stats=reset_stats)
-
-    def configure(
-        self, max_bytes: int | None = None, enabled: bool | None = None
-    ) -> None:
-        """Adjust the memory byte budget and/or switch caching off."""
-        self._store.configure(max_memory_bytes=max_bytes, enabled=enabled)
 
     # -- the two cached products ------------------------------------------
 
@@ -237,14 +209,8 @@ class SpectralCache:
 SPECTRAL_CACHE = SpectralCache()
 
 
-def spectral_cache_stats() -> dict:
-    """Hit/miss/eviction counters of :data:`SPECTRAL_CACHE`."""
-    return SPECTRAL_CACHE.stats()
-
-
 def spectral_cache_counters() -> dict:
-    """Hit/miss/eviction counters of :data:`SPECTRAL_CACHE`, without the
-    memory-tier occupancy :func:`spectral_cache_stats` scans for."""
+    """Hit/miss/eviction counters of :data:`SPECTRAL_CACHE`."""
     return SPECTRAL_CACHE.counters()
 
 

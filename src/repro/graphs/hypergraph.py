@@ -9,16 +9,11 @@ standard expansions are provided, both directional-aware:
   1/(|e|−1) weight normalization so large nets don't dominate;
 * **star**  — the driver connects to each sink with an arc (no sink–sink
   coupling); lighter, preserves only the flow structure.
-
-`Hypergraph` also computes cut metrics hypergraph-natively (connectivity
-− 1), which the netlist experiment reports alongside the graph metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graphs.mixed_graph import MixedGraph
@@ -145,36 +140,6 @@ class Hypergraph:
                 continue  # the pair is already physically bidirectional
             graph.add_arc(u, v, w)  # antiparallel pairs merge to an edge
         return graph
-
-    # -- hypergraph-native metrics --------------------------------------------
-
-    def cut_nets(self, labels) -> int:
-        """Number of nets spanning more than one partition."""
-        labels = self._validate_labels(labels)
-        return sum(
-            1
-            for net in self._nets
-            if len({labels[pin] for pin in net.pins}) > 1
-        )
-
-    def connectivity_cut(self, labels) -> float:
-        """Σ_e w_e (λ_e − 1) where λ_e = number of parts net e touches.
-
-        The standard "connectivity minus one" objective of hypergraph
-        partitioners (hMETIS, KaHyPar).
-        """
-        labels = self._validate_labels(labels)
-        total = 0.0
-        for net in self._nets:
-            parts = len({labels[pin] for pin in net.pins})
-            total += net.weight * (parts - 1)
-        return total
-
-    def _validate_labels(self, labels) -> np.ndarray:
-        labels = np.asarray(labels, dtype=int).ravel()
-        if labels.size != self.num_cells:
-            raise GraphError(f"{labels.size} labels for {self.num_cells} cells")
-        return labels
 
     def __repr__(self) -> str:
         return (

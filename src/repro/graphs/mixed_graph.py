@@ -9,15 +9,11 @@ attached for netlist provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import GraphError
 from repro.linalg import resolve_backend
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -360,76 +356,6 @@ class MixedGraph:
             shape,
             dtype=float,
         )
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a DiGraph; undirected edges become arc pairs tagged
-        ``mixed='undirected'``."""
-        # Deferred: networkx is only needed here, and importing it at
-        # module top would slow every `import repro`.
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(self._num_nodes))
-        edges, arcs = self.connection_tables()
-        for u, v, w in edges.tolist():
-            graph.add_edge(int(u), int(v), weight=w, mixed="undirected")
-            graph.add_edge(int(v), int(u), weight=w, mixed="undirected")
-        for u, v, w in arcs.tolist():
-            graph.add_edge(int(u), int(v), weight=w, mixed="directed")
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph) -> "MixedGraph":
-        """Build from a NetworkX (Di)Graph.
-
-        In a DiGraph, antiparallel arc pairs collapse into undirected
-        edges; in an undirected Graph every edge is undirected.
-        """
-        nodes = sorted(graph.nodes())
-        index = {node: i for i, node in enumerate(nodes)}
-        mixed = cls(len(nodes), node_labels=[str(n) for n in nodes])
-        if not graph.is_directed():
-            for u, v, data in graph.edges(data=True):
-                if u == v:
-                    continue
-                mixed.add_edge(index[u], index[v], data.get("weight", 1.0))
-            return mixed
-        seen = set()
-        for u, v, data in graph.edges(data=True):
-            if u == v or (u, v) in seen:
-                continue
-            w = data.get("weight", 1.0)
-            if graph.has_edge(v, u):
-                seen.add((v, u))
-                if data.get("mixed") == "undirected":
-                    # Tagged by to_networkx: the pair encodes ONE undirected
-                    # edge of weight w, not two independent flows.
-                    mixed.add_edge(index[u], index[v], w)
-                else:
-                    w_back = graph[v][u].get("weight", 1.0)
-                    mixed.add_edge(index[u], index[v], w + w_back)
-            else:
-                mixed.add_arc(index[u], index[v], w)
-            seen.add((u, v))
-        return mixed
-
-    def subgraph(self, nodes) -> "MixedGraph":
-        """The induced sub-mixed-graph on ``nodes`` (relabelled 0..len-1)."""
-        nodes = [self._check_node(n) for n in nodes]
-        if len(set(nodes)) != len(nodes):
-            raise GraphError("duplicate nodes in subgraph request")
-        index = np.full(self._num_nodes, -1)
-        index[nodes] = np.arange(len(nodes))
-        labels = [self._node_labels[n] for n in nodes] if self._node_labels else None
-        sub = MixedGraph(len(nodes), node_labels=labels)
-        # Relabelling is injective, so the kept rows raise no conflict and
-        # form no antiparallel pair: the bulk inserts keep insertion order.
-        inserts = (sub.add_edges, sub.add_arcs)
-        for table, insert in zip(self.connection_tables(), inserts):
-            ends = index[table[:, :2].astype(np.intp)]
-            kept = (ends >= 0).all(axis=1)
-            insert(np.column_stack([ends[kept], table[kept, 2]]))
-        return sub
 
     def is_weakly_connected(self) -> bool:
         """Connectivity of the underlying undirected graph."""

@@ -9,7 +9,6 @@ from repro.linalg.backends import (
     DenseBackend,
     LinalgBackend,
     SparseBackend,
-    as_backend_matrix,
     get_backend,
     is_sparse_matrix,
     resolve_backend,
@@ -25,7 +24,6 @@ __all__ = [
     "DenseBackend",
     "LinalgBackend",
     "SparseBackend",
-    "as_backend_matrix",
     "get_backend",
     "is_sparse_matrix",
     "resolve_backend",

@@ -20,9 +20,8 @@ matrix-consuming solver in the spectral layer goes through a
    with a deterministic start vector and falls back to a dense solve for
    small n or near-full k, where Lanczos is either invalid (ARPACK
    requires k < n) or slower than LAPACK.
-4. **Interop** — :meth:`~LinalgBackend.to_dense` and the module-level
-   :func:`as_backend_matrix` adapter move matrices between
-   representations, so any consumer can accept "either representation"
+4. **Interop** — the module-level :func:`to_dense_array` adapter
+   densifies either representation, so any consumer can accept both
    through one call.
 
 Backends are selected by name: ``"dense"``, ``"sparse"`` or ``"auto"``
@@ -147,10 +146,6 @@ class LinalgBackend:
     def scale_columns(self, matrix, scale):
         """matrix @ diag(scale) without materializing the diagonal."""
         raise NotImplementedError
-
-    def to_dense(self, matrix) -> np.ndarray:
-        """Densify a backend matrix."""
-        return to_dense_array(matrix)
 
     def lowest_eigenpairs(self, matrix, k: int):
         """The k lowest eigenpairs of a Hermitian backend matrix."""
@@ -397,23 +392,3 @@ def resolve_backend(spec, num_nodes: int | None = None) -> LinalgBackend:
             return SparseBackend()
         return _DENSE
     return get_backend(spec)
-
-
-def as_backend_matrix(matrix, backend) -> object:
-    """Adapt ``matrix`` (dense array or scipy sparse) to ``backend``'s type.
-
-    This is the single conversion point consumers use to accept either
-    representation: the QPE engines densify through it, the sparse
-    eigensolvers CSR-ify through it, and it is a no-op when the matrix is
-    already native.  The dense result of the dense path may alias ``matrix``
-    (the ``copy=False`` read-only fast path) — consumers of this adapter
-    treat matrices as immutable.
-    """
-    backend = resolve_backend(
-        backend, matrix.shape[0] if hasattr(matrix, "shape") else None
-    )
-    if backend.name == "sparse":
-        if is_sparse_matrix(matrix):
-            return matrix.tocsr()
-        return _sparse.csr_matrix(np.asarray(matrix))
-    return to_dense_array(matrix, copy=False)

@@ -2,12 +2,9 @@
 
 from repro.metrics.clustering_metrics import (
     adjusted_rand_index,
-    clustering_report,
     contingency_table,
     label_scores,
     matched_accuracy,
-    misclassified_count,
-    normalized_mutual_information,
 )
 from repro.metrics.graph_metrics import (
     cut_imbalance,
@@ -20,12 +17,9 @@ from repro.metrics.graph_metrics import (
 
 __all__ = [
     "adjusted_rand_index",
-    "clustering_report",
     "contingency_table",
     "label_scores",
     "matched_accuracy",
-    "misclassified_count",
-    "normalized_mutual_information",
     "cut_imbalance",
     "cut_weight",
     "directed_cut_matrix",

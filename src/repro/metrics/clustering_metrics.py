@@ -1,4 +1,4 @@
-"""Clustering-quality metrics: ARI, NMI, matched accuracy, confusion.
+"""Clustering-quality metrics: ARI, matched accuracy, confusion.
 
 All metrics are implemented from first principles on contingency tables;
 only the Hungarian assignment uses ``scipy.optimize.linear_sum_assignment``,
@@ -91,41 +91,3 @@ def _table_accuracy(table: np.ndarray) -> float:
 
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / table.sum())
-
-
-def normalized_mutual_information(truth, predicted) -> float:
-    """NMI ∈ [0, 1] with arithmetic-mean normalization."""
-    table = contingency_table(truth, predicted).astype(float)
-    n = table.sum()
-    joint = table / n
-    row = joint.sum(axis=1, keepdims=True)
-    col = joint.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_term = np.where(joint > 0, np.log(joint / (row @ col)), 0.0)
-    mutual = float((joint * log_term).sum())
-
-    def entropy(p):
-        p = p[p > 0]
-        return float(-(p * np.log(p)).sum())
-
-    h_truth, h_pred = entropy(row.ravel()), entropy(col.ravel())
-    mean_entropy = (h_truth + h_pred) / 2.0
-    if mean_entropy < 1e-15:
-        return 1.0  # both partitions trivial → identical
-    return float(np.clip(mutual / mean_entropy, 0.0, 1.0))
-
-
-def misclassified_count(truth, predicted) -> int:
-    """Number of nodes misassigned under the optimal label matching."""
-    truth, _ = _validate_pair(truth, predicted)
-    return int(round((1.0 - matched_accuracy(truth, predicted)) * truth.size))
-
-
-def clustering_report(truth, predicted) -> dict[str, float]:
-    """All scalar metrics in one dictionary (used by experiment tables)."""
-    return {
-        "ari": adjusted_rand_index(truth, predicted),
-        "nmi": normalized_mutual_information(truth, predicted),
-        "accuracy": matched_accuracy(truth, predicted),
-        "misclassified": float(misclassified_count(truth, predicted)),
-    }

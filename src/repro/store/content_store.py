@@ -386,19 +386,6 @@ class ContentStore:
         bucket = self._counters.get(namespace)
         return {key: 0 for key in COUNTER_KEYS} if bucket is None else dict(bucket)
 
-    def namespace_stats(self, namespace: str) -> dict:
-        """Counters plus memory-tier occupancy of one namespace."""
-        stats = self.namespace_counters(namespace)
-        entries = 0
-        nbytes = 0
-        for (ns, _), (_, size) in self._entries.items():
-            if ns == namespace:
-                entries += 1
-                nbytes += size
-        stats["entries"] = entries
-        stats["bytes"] = nbytes
-        return stats
-
     def stats(self) -> dict:
         """Full snapshot: budgets, per-namespace counters, tier occupancy."""
         return {

@@ -206,12 +206,6 @@ class TestSharedValidators:
     def test_is_seconds_rejects(self, value):
         assert not is_seconds(value)
 
-    def test_allow_zero_admits_zero_and_nothing_below(self):
-        for value in (0, 0.0, np.float64(0.0)):
-            assert is_seconds(value, allow_zero=True)
-        for value in (-1e-300, False, float("nan"), -float("inf")):
-            assert not is_seconds(value, allow_zero=True)
-
     def test_a_deadline_is_none_or_positive_seconds(self):
         assert is_deadline(None) and is_deadline(0.01) and is_deadline(5)
         for value in (0, -1.0, float("nan"), float("inf"), True):

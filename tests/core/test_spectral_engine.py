@@ -24,7 +24,7 @@ from repro.core.qpe_engine import (
     AnalyticQPEBackend,
     clear_spectral_cache,
     make_backend,
-    spectral_cache_stats,
+    spectral_cache_counters,
 )
 from repro.exceptions import ClusteringError
 from repro.experiments.runner import registry
@@ -103,10 +103,10 @@ class TestBlockContract:
         clear_spectral_cache()
         AnalyticQPEBackend(laplacian, 5, "v1")
         AnalyticQPEBackend(laplacian, 5, "v3")
-        assert spectral_cache_stats()["misses"] == 4
+        assert spectral_cache_counters()["misses"] == 4
         AnalyticQPEBackend(laplacian, 5, "v1")
         AnalyticQPEBackend(laplacian, 5, "v3")
-        assert spectral_cache_stats()["hits"] == 4
+        assert spectral_cache_counters()["hits"] == 4
 
     def test_eigensolver_names_the_solve(self):
         v1, v3 = engines(laplacian_of(20))
@@ -212,7 +212,7 @@ class TestStoreAliasing:
         # the Laplacian payload is engine-free, so it alone is served; the
         # spectrum and every stage after it are the engine's own
         assert sources(result) == ["store"] + ["computed"] * (len(STAGE_NAMES) - 1)
-        stats = spectral_cache_stats()
+        stats = spectral_cache_counters()
         assert stats["hits"] == 0 and stats["misses"] == 2, stats
         assert result_digest(result) == golden["analytic_shots"]
 
@@ -228,7 +228,7 @@ class TestStoreAliasing:
         QSCPipeline(k, config).run(graph)
         get_store().clear_memory()
         resumed = QSCPipeline(k, config).run(graph, resume_from="threshold")
-        assert spectral_cache_stats()["hits"] == 2  # decomposition + kernel
+        assert spectral_cache_counters()["hits"] == 2  # decomposition + kernel
         assert result_digest(resumed) == GOLDEN_V3[name]
 
     def test_served_default_cluster_equals_the_direct_run(

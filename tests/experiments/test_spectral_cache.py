@@ -6,26 +6,31 @@ import numpy as np
 import pytest
 
 from repro.core.qpe_engine import (
-    SPECTRAL_CACHE,
-    SPECTRAL_CACHE_MAX_BYTES,
     AnalyticQPEBackend,
     CircuitQPEBackend,
     clear_spectral_cache,
     laplacian_fingerprint,
-    spectral_cache_stats,
+    spectral_cache_counters,
 )
 from repro.exceptions import ClusteringError
 from repro.graphs import ensure_connected, hermitian_laplacian, mixed_sbm
+from repro.store import DEFAULT_MEMORY_BYTES, configure_store, get_store
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
     """Every test starts from an empty, default-configured cache."""
     clear_spectral_cache()
-    SPECTRAL_CACHE.configure(max_bytes=SPECTRAL_CACHE_MAX_BYTES, enabled=True)
+    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES, enabled=True)
     yield
     clear_spectral_cache()
-    SPECTRAL_CACHE.configure(max_bytes=SPECTRAL_CACHE_MAX_BYTES, enabled=True)
+    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES, enabled=True)
+
+
+def cache_stats():
+    """The spectral counters plus the store's memory-tier occupancy
+    (these tests put nothing but spectral entries in the memory tier)."""
+    return {**spectral_cache_counters(), **get_store().stats()["memory"]}
 
 
 def make_laplacian(seed=3, num_nodes=20):
@@ -93,10 +98,10 @@ class TestHitMissKeying:
     def test_same_laplacian_same_precision_hits_both(self):
         laplacian = make_laplacian()
         first = AnalyticQPEBackend(laplacian, 4)
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         assert stats["hits"] == 0 and stats["misses"] == 2
         second = AnalyticQPEBackend(laplacian, 4)
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         assert stats["hits"] == 2 and stats["misses"] == 2
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first._kernel, second._kernel)
@@ -105,7 +110,7 @@ class TestHitMissKeying:
         laplacian = make_laplacian()
         AnalyticQPEBackend(laplacian, 4)
         AnalyticQPEBackend(laplacian, 5)
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         # decomposition hit, kernel miss for the second precision
         assert stats["hits"] == 1 and stats["misses"] == 3
 
@@ -116,14 +121,14 @@ class TestHitMissKeying:
         changed[0, 1] *= 1.0 + 1e-12
         changed[1, 0] = np.conj(changed[0, 1])
         AnalyticQPEBackend(changed, 4)
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         assert stats["hits"] == 0 and stats["misses"] == 4
 
     def test_circuit_backend_shares_the_decomposition(self):
         laplacian = make_laplacian(num_nodes=10)
         AnalyticQPEBackend(laplacian, 3)
         CircuitQPEBackend(laplacian, 3)
-        assert spectral_cache_stats()["hits"] == 1
+        assert cache_stats()["hits"] == 1
 
     def test_cached_arrays_are_read_only(self):
         backend = AnalyticQPEBackend(make_laplacian(), 4)
@@ -140,7 +145,7 @@ class TestTransparency:
         laplacian = make_laplacian()
         cached = AnalyticQPEBackend(laplacian, 5)
         cached_again = AnalyticQPEBackend(laplacian, 5)
-        SPECTRAL_CACHE.configure(enabled=False)
+        configure_store(enabled=False)
         uncached = AnalyticQPEBackend(laplacian, 5)
         for other in (cached_again, uncached):
             assert np.array_equal(cached._kernel, other._kernel)
@@ -148,51 +153,51 @@ class TestTransparency:
             assert np.array_equal(cached._eigenvectors, other._eigenvectors)
 
     def test_disabled_cache_stores_and_counts_nothing(self):
-        SPECTRAL_CACHE.configure(enabled=False)
+        configure_store(enabled=False)
         AnalyticQPEBackend(make_laplacian(), 4)
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
         assert stats["entries"] == 0 and stats["bytes"] == 0
 
 
 class TestMemoryBound:
     def test_lru_eviction_keeps_bytes_under_budget(self):
-        SPECTRAL_CACHE.configure(max_bytes=40_000)
+        configure_store(max_memory_bytes=40_000)
         for seed in range(6):
             AnalyticQPEBackend(make_laplacian(seed=seed, num_nodes=24), 6)
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         assert stats["bytes"] <= 40_000
         assert stats["evictions"] > 0
 
     def test_least_recently_used_goes_first(self):
-        SPECTRAL_CACHE.configure(max_bytes=40_000)
+        configure_store(max_memory_bytes=40_000)
         hot = make_laplacian(seed=0, num_nodes=24)
         AnalyticQPEBackend(hot, 6)
         for seed in range(1, 5):
             AnalyticQPEBackend(make_laplacian(seed=seed, num_nodes=24), 6)
             # keep the hot Laplacian recent so eviction takes the others
             AnalyticQPEBackend(hot, 6)
-        hits_before = spectral_cache_stats()["hits"]
+        hits_before = cache_stats()["hits"]
         AnalyticQPEBackend(hot, 6)
-        assert spectral_cache_stats()["hits"] == hits_before + 2
+        assert cache_stats()["hits"] == hits_before + 2
 
     def test_entry_larger_than_budget_is_not_stored(self):
-        SPECTRAL_CACHE.configure(max_bytes=1)
+        configure_store(max_memory_bytes=1)
         AnalyticQPEBackend(make_laplacian(), 4)
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         assert stats["entries"] == 0 and stats["bytes"] == 0
 
     def test_zero_budget_is_allowed_negative_is_not(self):
-        SPECTRAL_CACHE.configure(max_bytes=0)
+        configure_store(max_memory_bytes=0)
         with pytest.raises(ClusteringError):
-            SPECTRAL_CACHE.configure(max_bytes=-1)
+            configure_store(max_memory_bytes=-1)
 
     def test_clear_resets_entries_and_counters(self):
         laplacian = make_laplacian()
         AnalyticQPEBackend(laplacian, 4)
         AnalyticQPEBackend(laplacian, 4)
         clear_spectral_cache()
-        stats = spectral_cache_stats()
+        stats = cache_stats()
         assert stats == {
             "hits": 0,
             "misses": 0,

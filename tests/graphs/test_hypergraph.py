@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graphs import Hypergraph, Net, load_c17, load_s27, synthetic_netlist
+from repro.graphs import Hypergraph, Net, load_c17, load_s27
 
 
 class TestNet:
@@ -101,37 +101,6 @@ class TestExpansions:
         graph = hg.to_mixed_graph("star")
         assert graph.num_arcs == 0
         assert graph.has_edge(0, 1)
-
-
-class TestHypergraphMetrics:
-    def test_cut_nets(self):
-        hg = Hypergraph(4, [Net(0, (1,)), Net(2, (3,)), Net(0, (3,))])
-        labels = [0, 0, 1, 1]
-        assert hg.cut_nets(labels) == 1
-
-    def test_connectivity_cut(self):
-        hg = Hypergraph(4, [Net(0, (1, 2, 3))])
-        # one net spanning both parts: lambda = 2 -> cost 1
-        assert hg.connectivity_cut([0, 0, 1, 1]) == 1.0
-        # all in one part: cost 0
-        assert hg.connectivity_cut([0, 0, 0, 0]) == 0.0
-
-    def test_connectivity_cut_three_parts(self):
-        hg = Hypergraph(3, [Net(0, (1, 2))])
-        assert hg.connectivity_cut([0, 1, 2]) == 2.0
-
-    def test_labels_validated(self):
-        hg = Hypergraph(3, [Net(0, (1,))])
-        with pytest.raises(GraphError):
-            hg.cut_nets([0, 1])
-
-    def test_module_structure_cuts_fewer_nets(self):
-        netlist = synthetic_netlist(3, 10, seed=0)
-        hg = Hypergraph.from_netlist(netlist)
-        truth = netlist.module_labels()
-        rng = np.random.default_rng(0)
-        random_labels = rng.integers(0, 3, hg.num_cells)
-        assert hg.connectivity_cut(truth) < hg.connectivity_cut(random_labels)
 
 
 class TestS27:

@@ -1,6 +1,5 @@
 """Tests for the MixedGraph container."""
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,34 +168,6 @@ class TestDegreesAndMatrices:
 
 
 class TestConversions:
-    def test_networkx_roundtrip(self):
-        g = MixedGraph(4)
-        g.add_edge(0, 1, 2.0)
-        g.add_arc(1, 2, 3.0)
-        g.add_arc(3, 0)
-        back = MixedGraph.from_networkx(g.to_networkx())
-        assert back.num_edges == g.num_edges
-        assert back.num_arcs == g.num_arcs
-        assert np.allclose(back.symmetrized_adjacency(), g.symmetrized_adjacency())
-
-    def test_from_undirected_networkx(self):
-        nxg = nx.path_graph(4)
-        g = MixedGraph.from_networkx(nxg)
-        assert g.num_edges == 3 and g.num_arcs == 0
-
-    def test_subgraph_preserves_connections(self):
-        g = MixedGraph(5)
-        g.add_edge(0, 1)
-        g.add_arc(1, 2)
-        g.add_arc(3, 4)
-        sub = g.subgraph([0, 1, 2])
-        assert sub.num_nodes == 3
-        assert sub.has_edge(0, 1) and sub.has_arc(1, 2)
-
-    def test_subgraph_duplicate_nodes_rejected(self):
-        with pytest.raises(GraphError):
-            MixedGraph(3).subgraph([0, 0])
-
     def test_weak_connectivity(self):
         g = MixedGraph(3)
         g.add_arc(0, 1)
@@ -217,14 +188,6 @@ class TestProperties:
         assert np.allclose(adj, adj.T)
         assert np.allclose(np.diag(adj), 0.0)
         assert np.isclose(g.degrees().sum(), adj.sum())
-
-    @given(seed=st.integers(0, 20))
-    @settings(max_examples=10, deadline=None)
-    def test_roundtrip_through_networkx(self, seed):
-        g = random_mixed_graph(9, 0.4, seed=seed)
-        back = MixedGraph.from_networkx(g.to_networkx())
-        assert np.allclose(back.symmetrized_adjacency(), g.symmetrized_adjacency())
-        assert back.num_arcs == g.num_arcs
 
 
 #: Weights with long, fractional and exponent ``repr`` forms.
@@ -317,7 +280,7 @@ def loaded_modules(code: str) -> str:
 
 class TestImportCost:
     def test_import_repro_leaves_networkx_unloaded(self):
-        """networkx is imported only inside ``MixedGraph.to_networkx``."""
+        """Nothing in the package imports networkx: it is not a dependency."""
         code = (
             "import sys, repro, repro.cli; "
             "print(any(m.split('.')[0] == 'networkx' for m in sys.modules))"

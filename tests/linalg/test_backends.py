@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from matrix_checks import native_matrix
 
 from repro.core.qpe_engine import PAD_EIGENVALUE, AnalyticQPEBackend, pad_laplacian
 from repro.exceptions import ClusteringError, ConvergenceError
@@ -13,7 +14,6 @@ from repro.linalg import (
     BackendError,
     DenseBackend,
     SparseBackend,
-    as_backend_matrix,
     get_backend,
     is_sparse_matrix,
     resolve_backend,
@@ -48,7 +48,7 @@ class TestConstruction:
         matrix = random_hermitian(5, 0)
         scale = np.arange(1.0, 6.0)
         for backend in (DenseBackend(), SparseBackend()):
-            native = as_backend_matrix(matrix, backend)
+            native = native_matrix(matrix, backend)
             scaled = to_dense_array(
                 backend.scale_columns(backend.scale_rows(native, scale), scale)
             )
@@ -94,14 +94,6 @@ class TestResolution:
         backend = SparseBackend()
         assert resolve_backend(backend, 8) is backend
 
-    def test_as_backend_matrix_round_trip(self):
-        matrix = random_hermitian(6, 1)
-        csr = as_backend_matrix(matrix, "sparse")
-        assert is_sparse_matrix(csr)
-        back = as_backend_matrix(csr, "dense")
-        assert not is_sparse_matrix(back)
-        assert np.allclose(back, matrix)
-
 
 class TestLowestEigenpairs:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -111,7 +103,7 @@ class TestLowestEigenpairs:
         backend = SparseBackend(dense_fallback_dim=16)
         dense_values, dense_vectors = DenseBackend().lowest_eigenpairs(matrix, k)
         sparse_values, sparse_vectors = backend.lowest_eigenpairs(
-            as_backend_matrix(matrix, backend), k
+            native_matrix(matrix, backend), k
         )
         assert np.allclose(dense_values, sparse_values, atol=1e-8)
         # eigenvectors match up to per-column phase: compare projectors
@@ -130,9 +122,9 @@ class TestLowestEigenpairs:
         matrix = random_hermitian(6, 4)
         for backend in (DenseBackend(), SparseBackend()):
             with pytest.raises(ConvergenceError):
-                backend.lowest_eigenpairs(as_backend_matrix(matrix, backend), 0)
+                backend.lowest_eigenpairs(native_matrix(matrix, backend), 0)
             with pytest.raises(ConvergenceError):
-                backend.lowest_eigenpairs(as_backend_matrix(matrix, backend), 7)
+                backend.lowest_eigenpairs(native_matrix(matrix, backend), 7)
 
     def test_sparse_solve_is_deterministic(self):
         graph, _ = sparse_mixed_sbm(400, 2, seed=9)

@@ -9,6 +9,7 @@ the graph construction and fixed-seed cases covering the full pipeline.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matrix_checks import native_matrix
 
 from repro.graphs import (
     hermitian_laplacian,
@@ -16,7 +17,7 @@ from repro.graphs import (
     random_mixed_graph,
     sparse_mixed_sbm,
 )
-from repro.linalg import DenseBackend, SparseBackend, as_backend_matrix
+from repro.linalg import DenseBackend, SparseBackend
 from repro.metrics import adjusted_rand_index
 from repro.spectral import ClassicalSpectralClustering, spectral_embedding
 
@@ -57,7 +58,7 @@ class TestEigenpairEquivalence:
         dense_values, dense_vectors = DenseBackend().lowest_eigenpairs(laplacian, k)
         sparse_backend = SparseBackend(dense_fallback_dim=8)
         sparse_values, sparse_vectors = sparse_backend.lowest_eigenpairs(
-            as_backend_matrix(laplacian, sparse_backend), k
+            native_matrix(laplacian, sparse_backend), k
         )
         assert np.allclose(dense_values, sparse_values, atol=1e-7)
         # identical eigenpairs up to basis: compare subspace projectors

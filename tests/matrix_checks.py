@@ -5,8 +5,14 @@ Importable from any test module: ``tests/`` is on ``sys.path`` because
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 from repro.utils.linalg import DEFAULT_ATOL, is_hermitian
+
+
+def native_matrix(matrix: np.ndarray, backend):
+    """A dense test ``matrix`` in ``backend``'s own representation."""
+    return sparse.csr_matrix(matrix) if backend.name == "sparse" else matrix
 
 
 def is_unitary(matrix: np.ndarray, atol: float = 1e-9) -> bool:

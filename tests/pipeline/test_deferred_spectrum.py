@@ -13,7 +13,7 @@ from test_pipeline import CONFIG, results_equal
 from test_read_through import delete_stage_entry, graph, sources  # noqa: F401
 
 from repro import QSCPipeline, api
-from repro.core.qpe_engine import spectral_cache_stats
+from repro.core.qpe_engine import spectral_cache_counters
 from repro.experiments.fig2_precision_sweep import _filter_diagnostics
 from repro.pipeline import STAGE_NAMES
 from repro.store import get_store
@@ -31,7 +31,7 @@ class TestServedRun:
         fresh_worker()
         warm = api.cluster(graph, 2, config=CONFIG, store_dir=str(store_dir))
         assert sources(warm) == ["store"] * len(STAGE_NAMES)
-        stats = spectral_cache_stats()
+        stats = spectral_cache_counters()
         assert stats["hits"] == 0 and stats["misses"] == 0, stats
         assert results_equal(cold, warm)
 
@@ -41,11 +41,11 @@ class TestServedRun:
         pipeline = QSCPipeline(2, CONFIG)
         pipeline.run(graph)
         backend = pipeline.state["backend"]
-        assert spectral_cache_stats()["hits"] == 0
+        assert spectral_cache_counters()["hits"] == 0
         backend.eigenvalues
-        assert spectral_cache_stats()["hits"] == 2  # decomposition + kernel
+        assert spectral_cache_counters()["hits"] == 2  # decomposition + kernel
         backend.eigenvalues
-        assert spectral_cache_stats()["hits"] == 2  # loaded once
+        assert spectral_cache_counters()["hits"] == 2  # loaded once
 
 
 class TestConsumersOfAServedSpectrum:
@@ -72,5 +72,5 @@ class TestConsumersOfAServedSpectrum:
         assert sources(result) == ["store", "store"] + ["computed"] * 3
         assert result_digest(result) == GOLDEN["analytic_shots"]
         # The readout loaded the decomposition and the kernel once each.
-        stats = spectral_cache_stats()
+        stats = spectral_cache_counters()
         assert stats["hits"] == 2 and stats["misses"] == 0, stats

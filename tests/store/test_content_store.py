@@ -161,7 +161,7 @@ class TestStoreTiers:
             store.put("spectral", name, one_kib, memory=True)
         store.get("spectral", "k1", memory=True)  # bump k1: k2 now oldest
         store.put("spectral", "k4", one_kib, memory=True)
-        stats = store.namespace_stats("spectral")
+        stats = store.namespace_counters("spectral")
         assert stats["memory_evictions"] == 1
         assert store.get("spectral", "k2", memory=True) is None  # evicted
         assert store.get("spectral", "k1", memory=True) is not None

@@ -1,10 +1,11 @@
-"""``repro.api.cluster`` keyword fields: unknown names are typed errors."""
+"""The ``repro.api`` facade: ``cluster`` keyword fields (unknown names are
+typed errors), ``run_experiment``'s store and ``connect``'s endpoint form."""
 
 import pytest
 
 from repro import api
 from repro.core import QSCConfig
-from repro.exceptions import ClusteringError
+from repro.exceptions import ClusteringError, ServiceError
 from repro.graphs import ensure_connected, mixed_sbm
 
 
@@ -61,3 +62,28 @@ def test_run_experiment_keeps_a_local_store(tmp_path, pristine_store):
     stored = api.run_experiment("fig1", trials=1, store_dir=str(store), **overrides)
     assert any(path.is_file() for path in store.rglob("*"))
     assert stored.records == api.run_experiment("fig1", trials=1, **overrides).records
+
+
+def test_connect_reads_host_and_port():
+    client = api.connect("127.0.0.1:8831", token="s3cret", timeout=5.0)
+    assert (client.host, client.port) == ("127.0.0.1", 8831)
+    assert (client.token, client.timeout) == ("s3cret", 5.0)
+
+
+def test_connect_defaults_the_port():
+    client = api.connect("localhost")
+    assert (client.host, client.port) == ("localhost", api.DEFAULT_PORT)
+
+
+def test_connect_refuses_a_non_numeric_port():
+    with pytest.raises(ServiceError, match="bad port"):
+        api.connect("localhost:http")
+
+
+@pytest.mark.parametrize(
+    "url", ["http://127.0.0.1:8831", "https://example.invalid:443"]
+)
+def test_connect_refuses_a_url(url):
+    """The server speaks JSON lines on plain TCP: no scheme is dropped."""
+    with pytest.raises(ServiceError, match="JSON lines on a bare host:port"):
+        api.connect(url)

@@ -92,8 +92,6 @@ class TestNetlistChain:
         config = QSCConfig(precision_bits=7, shots=1024, theta=float(np.pi / 4), seed=1)
         result = QuantumSpectralClustering(2, config).fit(graph)
         truth = netlist.module_labels()
-        # hypergraph-native and graph metrics must both see the partition
-        assert hypergraph.connectivity_cut(result.labels) >= 0
         summary = partition_summary(graph, result.labels)
         assert summary["cut_weight"] >= 0
         assert adjusted_rand_index(truth, result.labels) > 0.3

@@ -143,11 +143,3 @@ class TestGraphContainerProperties:
         graph = random_mixed_graph(8, 0.5, directed_fraction=directed, seed=seed)
         total_weight = sum(e.weight for e in graph.edges())
         assert np.isclose(graph.degrees().sum(), 2.0 * total_weight)
-
-    @given(seed=graph_seeds)
-    @settings(max_examples=20, deadline=None)
-    def test_subgraph_of_all_nodes_is_identity(self, seed):
-        graph = random_graph(seed)
-        sub = graph.subgraph(range(graph.num_nodes))
-        assert np.allclose(sub.symmetrized_adjacency(), graph.symmetrized_adjacency())
-        assert sub.num_arcs == graph.num_arcs

@@ -1,6 +1,6 @@
-"""Lint the public API surface: non-drifting docs.
+"""Lint the public API surface: non-drifting docs, no dead code.
 
-Two checks, both cheap enough for every push:
+Three checks, all cheap enough for every push:
 
 1. **Generated reference** — the block between ``<!-- generated:begin -->``
    and ``<!-- generated:end -->`` in ``docs/api.md`` must be byte-identical
@@ -13,6 +13,15 @@ Two checks, both cheap enough for every push:
    of that subcommand in :func:`repro.cli._build_parser`, and every flag
    of every subcommand (``--help`` aside) must have such a row.
 
+3. **No uncalled definition** — every function, method and class defined
+   under ``src/repro`` (dunders aside) must be referenced, as a name or an
+   attribute, by code in ``src/``, ``benchmarks/``, ``perfbench/``,
+   ``examples/`` or ``tools/``.  References from ``tests/`` and from
+   strings do not count, except the entry points ``perfbench/tracing.py``
+   patches by dotted path.  The scan is by name, so a definition whose
+   name collides with a live one passes.  :data:`UNCALLED_ALLOWED` names
+   the definitions kept on purpose, each with its reason.
+
 Run from the repository root::
 
     PYTHONPATH=src python tools/lint_api_surface.py
@@ -21,6 +30,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
+import ast
 import pathlib
 import re
 import sys
@@ -29,6 +39,25 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 GENERATED_BEGIN = "<!-- generated:begin -->"
 GENERATED_END = "<!-- generated:end -->"
+
+#: Directories whose code counts as a caller of ``src/repro``.
+CALLER_DIRS = ("src", "benchmarks", "perfbench", "examples", "tools")
+
+#: Definitions no production code calls, kept on purpose.
+UNCALLED_ALLOWED = {
+    "run_experiment": "public entry point of repro.api",
+    "connect": "public entry point of repro.api",
+    "hello": "public ServiceClient op, the service's identity handshake",
+    "write_bench": "tests round-trip the .bench parser through it",
+    "is_weakly_connected": "tests check generator connectivity with it",
+    "cx": "tests build reference circuits with it",
+    "to_matrix": "tests compare the statevector simulator against it",
+    "weighted_matrix": "tests compare Pauli-sum Hamiltonians against it",
+    "relative_eigengap": "the planned 'eigengap' threshold option uses it",
+    "reset_stage_totals": "tests isolate the stage telemetry with it",
+    "has_arc": "graph query API, beside has_edge",
+    "degree": "graph query API, beside degrees",
+}
 
 
 def check_generated_block() -> list[str]:
@@ -122,14 +151,82 @@ def check_cli_flags() -> list[str]:
     return problems
 
 
+def referenced_names() -> set[str]:
+    """Names and attributes that non-test code refers to."""
+    names: set[str] = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if "tests" in path.relative_to(ROOT).parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names | _tracing_targets()
+
+
+def _tracing_targets() -> set[str]:
+    """Each part of the dotted paths the benchmark's tracer patches."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench import tracing
+
+    return {
+        part
+        for table in (tracing.SPAN_TARGETS, tracing.COUNT_TARGETS)
+        for _, target, *_ in table
+        for part in target.split(".")
+    }
+
+
+def definitions() -> list[tuple[str, pathlib.Path, int, int]]:
+    """``(name, path, line, length)`` of every def and class in src/repro."""
+    found = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            length = node.end_lineno - node.lineno + 1
+            found.append((node.name, path, node.lineno, length))
+    return found
+
+
+def check_uncalled_definitions() -> list[str]:
+    called = referenced_names()
+    defined = definitions()
+    problems = [
+        f"{path.relative_to(ROOT)}:{line}: `{name}` ({length} lines) is "
+        "called by nothing outside tests/; delete it, or allowlist it in "
+        "UNCALLED_ALLOWED with a reason"
+        for name, path, line, length in defined
+        if name not in called and name not in UNCALLED_ALLOWED
+    ]
+    defined_names = {name for name, *_ in defined}
+    for name in sorted(UNCALLED_ALLOWED):
+        if name not in defined_names:
+            problems.append(f"UNCALLED_ALLOWED: `{name}` is no longer defined")
+        elif name in called:
+            problems.append(f"UNCALLED_ALLOWED: `{name}` is called now")
+    return problems
+
+
 def main() -> int:
-    problems = check_generated_block() + check_cli_flags()
+    problems = (
+        check_generated_block() + check_cli_flags() + check_uncalled_definitions()
+    )
     for problem in problems:
         print(problem)
     if problems:
         print(f"api-surface lint: {len(problems)} problem(s)")
         return 1
-    print("api-surface lint OK: docs in sync, CLI flags match the parser")
+    print(
+        "api-surface lint OK: docs in sync, CLI flags match the parser, "
+        "every definition has a caller"
+    )
     return 0
 
 
