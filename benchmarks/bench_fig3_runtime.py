@@ -32,12 +32,12 @@ def test_bench_dense_eigensolve_512(benchmark):
     import numpy as np
 
     from repro.graphs import ensure_connected, hermitian_laplacian, mixed_sbm
-    from repro.spectral import dense_lowest_eigenpairs
+    from repro.linalg import DenseBackend
 
     graph, _ = mixed_sbm(512, 2, p_intra=0.03, p_inter=0.005, seed=0)
     ensure_connected(graph, seed=0)
     laplacian = hermitian_laplacian(graph)
 
-    values, vectors = benchmark(lambda: dense_lowest_eigenpairs(laplacian, 2))
+    values, vectors = benchmark(lambda: DenseBackend().lowest_eigenpairs(laplacian, 2))
     assert values.shape == (2,)
     assert np.isfinite(vectors).all()

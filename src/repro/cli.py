@@ -30,6 +30,7 @@ validated JSON artifact per sweep plus the rendered markdown.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -51,7 +52,7 @@ from repro.graphs import (
 from repro.graphs.generators import GENERATOR_VERSIONS
 from repro.linalg import BACKEND_NAMES, resolve_backend
 from repro.metrics import partition_summary
-from repro.pipeline import QSCPipeline, STAGE_NAMES
+from repro.pipeline import QSCPipeline
 from repro.spectral import ClassicalSpectralClustering
 
 BENCHES = {"c17": load_c17, "s27": load_s27}
@@ -71,6 +72,20 @@ def _build_parser() -> argparse.ArgumentParser:
         number = int(value)
         if number < 1:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+        return number
+
+    def byte_count(value: str) -> int:
+        number = int(value)
+        if number < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
+        return number
+
+    def grace_seconds(value: str) -> float:
+        number = float(value)
+        if not (math.isfinite(number) and number >= 0):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number >= 0, got {value}"
+            )
         return number
 
     cluster = sub.add_parser("cluster", help="cluster an edge-list graph")
@@ -132,8 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "DIR: spectral decompositions and pipeline stages are served "
             "from and published to it, so a repeat run "
             "(from any process) reads every stage it already published "
-            "instead of recomputing it; --resume-from loads upstream "
-            "stages from it too; results are bit-identical either way "
+            "instead of recomputing it; results are bit-identical either way "
             "(default: no shared store)"
         ),
     )
@@ -145,18 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "print per-stage wall time, data source and spectral-cache "
             "counters of the staged pipeline (quantum method only)"
-        ),
-    )
-    cluster.add_argument(
-        "--resume-from",
-        choices=STAGE_NAMES,
-        default=None,
-        metavar="STAGE",
-        help=(
-            "resume at STAGE: load every upstream stage from the "
-            "--store-dir store instead of recomputing it (a stage it "
-            "lacks is recomputed), and re-run STAGE onward (stages: "
-            f"{', '.join(STAGE_NAMES)})"
         ),
     )
 
@@ -295,14 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store.add_argument(
         "--max-bytes",
-        type=int,
+        type=byte_count,
         default=None,
         metavar="N",
         help="byte budget for gc (default: the store's configured budget)",
     )
     store.add_argument(
         "--grace-seconds",
-        type=float,
+        type=grace_seconds,
         default=60.0,
         metavar="S",
         help=(
@@ -408,11 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_cluster(args) -> int:
     graph = graph_io.load(args.input)
     if args.method == "quantum":
-        if args.resume_from is not None and args.store_dir is None:
-            raise ReproError(
-                "--resume-from needs --store-dir DIR (the store a previous "
-                "run published its stages to)"
-            )
         config = QSCConfig(
             backend=args.qpe_backend,
             spectral_engine=args.spectral_engine,
@@ -425,22 +422,18 @@ def _cmd_cluster(args) -> int:
             seed=args.seed,
         )
         pipeline = QSCPipeline(args.clusters, config)
-        result = pipeline.run(graph, resume_from=args.resume_from)
+        result = pipeline.run(graph)
     else:
         if args.clusters == "auto":
             raise ReproError(
                 "--clusters auto requires --method quantum (histogram-"
                 "native selection)"
             )
-        for flag, name in (
-            (args.profile, "--profile"),
-            (args.resume_from, "--resume-from"),
-        ):
-            if flag:
-                raise ReproError(
-                    f"{name} applies to the staged quantum pipeline "
-                    "(--method quantum)"
-                )
+        if args.profile:
+            raise ReproError(
+                "--profile applies to the staged quantum pipeline "
+                "(--method quantum)"
+            )
         result = ClassicalSpectralClustering(
             args.clusters, theta=args.theta, backend=args.backend, seed=args.seed
         ).fit(graph)

@@ -95,128 +95,66 @@ ENGINE_SOLVES = {
 }
 
 
-class SpectralCache:
-    """Content-keyed cache of eigendecompositions and QPE kernels.
+def _decomposition(
+    fingerprint: str, matrix: np.ndarray, driver: str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(eigenvalues, eigenvectors)`` of ``matrix``,
+    read through the content store's spectral namespace.
 
-    Since the shared compute tier landed this is a thin *view* over the
-    process-wide :class:`repro.store.ContentStore` (namespace
-    ``"spectral"``): entries are keyed by Laplacian content
-    (:func:`laplacian_fingerprint`) — plus the ancilla count for kernels —
-    so sweep points that vary only shots, threshold or precision reuse
-    the O(n³) eigendecomposition, and points that vary only
-    shots/threshold additionally reuse the QPE response kernel.  The
-    memory tier is the store's byte-bounded LRU, whose budget
-    :func:`repro.store.configure_store` sets (an entry larger than the
-    whole budget is simply not kept resident), and when the
-    store has a disk root attached (``QSCConfig.store_dir`` /
-    ``--store-dir``) a fresh process serves repeat Laplacians from disk
-    instead of re-decomposing — the cross-process warm path.
-
-    Cached arrays are marked read-only and shared between backend
-    instances; callers must treat them as immutable (the backends do).
-    The view is *transparent*: memory hit, disk hit or miss, the numbers
-    produced are identical (golden-pinned in ``tests/store/``).
+    Keyed by Laplacian content (:func:`laplacian_fingerprint`), so sweep
+    points that vary only shots, threshold or precision reuse the O(n³)
+    eigensolve.  A miss solves with LAPACK ``driver``
+    (:meth:`SpectralDecomposition.of`); the fingerprint must tell drivers
+    apart, as the :data:`ENGINE_SOLVES` prefixes do.  The arrays are
+    shared read-only; memory hit, disk hit or miss, they are identical.
     """
 
-    def __init__(self):
-        self._store = get_store()
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def counters(self) -> dict:
-        """Counters of the spectral namespace: ``hits`` (memory and disk
-        tier together), ``misses`` and ``evictions`` (memory tier)."""
-        counters = self._store.namespace_counters(SPECTRAL_NAMESPACE)
+    def build():
+        decomposition = SpectralDecomposition.of(matrix, driver)
         return {
-            "hits": counters["memory_hits"] + counters["disk_hits"],
-            "misses": counters["misses"],
-            "evictions": counters["memory_evictions"],
+            "eigenvalues": decomposition.eigenvalues,
+            "eigenvectors": decomposition.eigenvectors,
         }
 
-    def clear(self, reset_stats: bool = True) -> None:
-        """Drop the memory tier (and by default zero the counters).
-
-        Disk-tier entries survive — clearing simulates a fresh worker
-        process, which then serves repeat Laplacians as disk hits.
-        """
-        self._store.clear_memory(reset_stats=reset_stats)
-
-    # -- the two cached products ------------------------------------------
-
-    def decomposition(
-        self,
-        fingerprint: str,
-        padded: np.ndarray | None = None,
-        driver: str | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eigendecomposition ``(eigenvalues, eigenvectors)`` of ``padded``.
-
-        ``padded`` may be ``None`` on a guaranteed hit (the caller already
-        holds the fingerprint from an earlier call this process).  A miss
-        solves with LAPACK ``driver`` (:meth:`SpectralDecomposition.of`);
-        the fingerprint must tell drivers apart, as the engine prefixes do.
-        """
-
-        def build():
-            if padded is None:
-                raise ClusteringError("spectral cache miss with no matrix to decompose")
-            decomposition = SpectralDecomposition.of(padded, driver)
-            return {
-                "eigenvalues": decomposition.eigenvalues,
-                "eigenvectors": decomposition.eigenvectors,
-            }
-
-        payload = self._store.get_or_create(
-            SPECTRAL_NAMESPACE, f"decomposition@{fingerprint}", build
-        )
-        return payload["eigenvalues"], payload["eigenvectors"]
-
-    def kernel(
-        self,
-        fingerprint: str,
-        precision_bits: int,
-        phases: np.ndarray,
-    ) -> np.ndarray:
-        """QPE response kernel ``kernel[j, y] = Pr[readout y | eigvec j]``.
-
-        Keyed by (Laplacian content, ancilla count): a sweep point that
-        changes only shots or the acceptance threshold reuses both the
-        decomposition *and* this kernel; changing ``precision_bits`` reuses
-        the decomposition and rebuilds only the kernel.
-
-        A miss computes the full (eigenvalues × outcomes) response matrix
-        in one :func:`~repro.quantum.phase_estimation.qpe_outcome_distributions`
-        broadcast pass — there is no per-eigenvalue Python loop left on the
-        kernel-build path.
-        """
-
-        def build():
-            return {"kernel": qpe_outcome_distributions(phases, precision_bits)}
-
-        payload = self._store.get_or_create(
-            SPECTRAL_NAMESPACE,
-            f"kernel@{fingerprint}@p{int(precision_bits)}",
-            build,
-        )
-        return payload["kernel"]
+    payload = get_store().get_or_create(
+        SPECTRAL_NAMESPACE, f"decomposition@{fingerprint}", build
+    )
+    return payload["eigenvalues"], payload["eigenvectors"]
 
 
-#: The process-wide spectral cache ``AnalyticQPEBackend`` (and the circuit
-#: backend's exact-evolution construction) consult — a view over the
-#: process-wide content store, so attaching a ``store_dir`` makes repeat
-#: Laplacians cross-process disk hits.  Parallel sweep workers each own an
-#: independent memory tier but share the disk tier.
-SPECTRAL_CACHE = SpectralCache()
+def _kernel(fingerprint: str, precision_bits: int, phases: np.ndarray) -> np.ndarray:
+    """QPE response kernel ``kernel[j, y] = Pr[readout y | eigvec j]``,
+    read through the content store under (Laplacian content, ancilla
+    count): a change of only shots or threshold reuses it, a change of
+    ``precision_bits`` rebuilds only the kernel.  A miss computes it in
+    one :func:`~repro.quantum.phase_estimation.qpe_outcome_distributions`
+    broadcast pass."""
+    payload = get_store().get_or_create(
+        SPECTRAL_NAMESPACE,
+        f"kernel@{fingerprint}@p{int(precision_bits)}",
+        lambda: {"kernel": qpe_outcome_distributions(phases, precision_bits)},
+    )
+    return payload["kernel"]
 
 
 def spectral_cache_counters() -> dict:
-    """Hit/miss/eviction counters of :data:`SPECTRAL_CACHE`."""
-    return SPECTRAL_CACHE.counters()
+    """Counters of the store's spectral namespace: ``hits`` (memory and
+    disk tier together), ``misses`` and ``evictions`` (memory tier)."""
+    counters = get_store().namespace_counters(SPECTRAL_NAMESPACE)
+    return {
+        "hits": counters["memory_hits"] + counters["disk_hits"],
+        "misses": counters["misses"],
+        "evictions": counters["memory_evictions"],
+    }
 
 
 def clear_spectral_cache() -> None:
-    """Empty :data:`SPECTRAL_CACHE`'s memory tier and reset its counters."""
-    SPECTRAL_CACHE.clear()
+    """Empty the store's memory tier and reset its counters.
+
+    Disk-tier entries survive — clearing simulates a fresh worker
+    process, which then serves repeat Laplacians as disk hits.
+    """
+    get_store().clear_memory()
 
 
 def pad_laplacian(laplacian):
@@ -289,7 +227,8 @@ class AnalyticQPEBackend:
     (cross-validated in tests/core/test_qpe_engine.py).
 
     Both the eigendecomposition and the QPE response kernel are served
-    from :data:`SPECTRAL_CACHE`, keyed by Laplacian content — constructing
+    from the content store's spectral namespace, keyed by Laplacian
+    content — constructing
     a second backend for the same Laplacian (a sweep point that varies
     only shots or threshold, or a diagnostics pass after a fit) skips the
     O(n³) eigensolve and, at equal ``precision_bits``, the kernel build.
@@ -337,7 +276,7 @@ class AnalyticQPEBackend:
         _, driver, prefix = ENGINE_SOLVES[self.spectral_engine]
         matrix = pad_laplacian(laplacian) if self.spectral_engine == "v1" else laplacian
         fingerprint = prefix + laplacian_fingerprint(matrix)
-        self._eigenvalues, self._eigenvectors = SPECTRAL_CACHE.decomposition(
+        self._eigenvalues, self._eigenvectors = _decomposition(
             fingerprint, matrix, driver
         )
         # the pad components, present only in the block form (v3)
@@ -353,7 +292,7 @@ class AnalyticQPEBackend:
             )
         # kernel[j, y] = Pr[readout y | eigenvector j]; in block form the last
         # row is the pad eigenvalue's, shared by every pad component
-        kernel = SPECTRAL_CACHE.kernel(fingerprint, self.precision_bits, phases)
+        kernel = _kernel(fingerprint, self.precision_bits, phases)
         self._kernel = kernel[: len(self._eigenvalues)]
         self._pad_kernel = kernel[len(self._eigenvalues) :]
         if self._pad_count:
@@ -571,7 +510,7 @@ class CircuitQPEBackend:
         if evolution == "exact":
             # The exact evolution only needs the spectrum, so it shares the
             # content-keyed decomposition cache with the analytic backend.
-            eigenvalues, eigenvectors = SPECTRAL_CACHE.decomposition(
+            eigenvalues, eigenvectors = _decomposition(
                 laplacian_fingerprint(padded), padded
             )
             unitary = SpectralDecomposition(

@@ -73,9 +73,8 @@ class QuantumSpectralClustering:
 
         Delegates to :meth:`repro.pipeline.QSCPipeline.run` (which takes
         ``graph_digest``, the graph's fingerprint if the caller holds it);
-        use the pipeline directly to resume (``resume_from``, from the
-        content store of ``config.store_dir``) or reuse stage state
-        (``upstream``).
+        use the pipeline directly to resume from another run's stage
+        state (``resume_from`` with ``upstream``).
         """
         return QSCPipeline(self.num_clusters, self.config).run(
             graph, graph_digest=graph_digest

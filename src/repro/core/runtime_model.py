@@ -15,14 +15,12 @@ import numpy as np
 
 from repro.graphs.hermitian import hermitian_laplacian
 from repro.graphs.mixed_graph import MixedGraph
+from repro.linalg import DenseBackend
 from repro.quantum.resources import (
     classical_pipeline_step_count,
     quantum_pipeline_step_count,
 )
-from repro.spectral.eigensolvers import (
-    dense_lowest_eigenpairs,
-    lanczos_lowest_eigenpairs,
-)
+from repro.spectral.eigensolvers import lanczos_lowest_eigenpairs
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ def profile_graph(
     """Measure classical solvers and model quantum steps for one graph."""
     laplacian = hermitian_laplacian(graph)
     start = time.perf_counter()
-    dense_lowest_eigenpairs(laplacian, num_clusters)
+    DenseBackend().lowest_eigenpairs(laplacian, num_clusters)
     dense_seconds = time.perf_counter() - start
     start = time.perf_counter()
     lanczos_lowest_eigenpairs(laplacian, num_clusters, seed=0)

@@ -4,9 +4,7 @@ Every stage a keyed run computes is published to the content store's
 ``stage`` namespace (:data:`STAGE_NAMESPACE`, see :mod:`repro.store`) as
 the stage's packed payload (see ``Stage.pack``/``Stage.unpack``: arrays
 and scalars only, no pickling), under :func:`store_key`.  A later run
-serves a stage from its entry, and a run with ``resume_from=STAGE``
-loads every stage *upstream* of ``STAGE`` from the store and re-runs
-``STAGE`` and everything downstream.
+serves a stage from its entry instead of computing it.
 
 Each key carries the **context fingerprint** of the stage — a digest of
 the input graph plus exactly the config fields and the requested cluster

@@ -12,10 +12,10 @@ this driver runs it as five composable stages
 * **read-through** — with a content store attached, each stage is served
   from its published store entry when one exists (``source="store"``),
   and computed and published otherwise;
-* **resumable** — ``run(graph, resume_from="readout")`` with a store
-  attached loads everything upstream of ``readout`` from the store and
-  recomputes only ``readout`` onward.  Because each stage owns an
-  independent spawned stream, a resumed run equals the full run exactly;
+* **resumable** — ``run(graph, resume_from="readout", upstream=state)``
+  reuses a previous run's in-memory stages upstream of ``readout`` and
+  runs ``readout`` onward.  Because each stage owns an independent
+  spawned stream, a resumed run equals the full run exactly;
 * **profiled** — every stage execution is timed and bracketed with
   spectral-cache counters; the per-run profile lands in
   ``QSCResult.profile`` and the process-wide totals
@@ -70,7 +70,7 @@ class QSCPipeline:
         dicts attached to ``QSCResult.profile``.
     """
 
-    #: Stage vocabulary, in execution order (``--resume-from`` choices).
+    #: Stage vocabulary, in execution order (``resume_from`` choices).
     stage_names = STAGE_NAMES
 
     def __init__(self, num_clusters, config: QSCConfig | None = None):
@@ -102,14 +102,13 @@ class QSCPipeline:
             The mixed graph to cluster.
         resume_from:
             Stage name to resume at: every stage *before* it is taken
-            from ``upstream`` or loaded from the attached store instead of
-            computed, and it plus everything downstream runs for real.
+            from ``upstream`` instead of computed, and it plus everything
+            downstream runs (or is served from an attached store).
             ``None`` (default) computes all five stages, or serves them
-            from an attached store (see Notes).
+            from an attached store (see Notes).  Needs ``upstream``.
         upstream:
             In-memory stage state (a previous run's ``pipeline.state``) to
-            reuse instead of reading the store — the zero-copy resume the
-            experiment sweeps use.
+            reuse — the zero-copy resume the experiment sweeps use.
         graph_digest:
             :func:`~repro.pipeline.checkpoint.graph_fingerprint` of
             ``graph`` when the caller already holds it (the sweeps hash
@@ -127,9 +126,7 @@ class QSCPipeline:
         serves each stage whose entry already exists instead of computing
         it (``source="store"``).  An in-memory resume (``upstream``) reuses
         the upstream stages and reads the resumed stage onward through the
-        store like a plain run.  A resume without ``upstream`` loads the
-        upstream stages from the store (``source="checkpoint"``), and the
-        resumed stage onward always recomputes.  One rule covers an entry
+        store like a plain run.  One rule covers an entry
         that is missing, one written for another context (its key differs)
         and a corrupt one: each is a miss, and the stage is recomputed from
         its own RNG stream and published (``source="computed"``).
@@ -163,15 +160,15 @@ class QSCPipeline:
                     f"unknown stage {resume_from!r}; stages are "
                     f"{', '.join(STAGE_NAMES)}"
                 )
+            if upstream is None:
+                raise ClusteringError(
+                    f"resume_from={resume_from!r} needs an in-memory upstream "
+                    "state; a store-backed run serves stored stages without it"
+                )
             resume_index = STAGE_NAMES.index(resume_from)
         # A config carrying ``store_dir`` attaches the shared content
         # store for this (worker) process.
         store = attached_store(cfg.store_dir)
-        if resume_index > 0 and upstream is None and store is None:
-            raise ClusteringError(
-                f"resume_from={resume_from!r} needs checkpoints: pass a "
-                "store_dir or an in-memory upstream state"
-            )
 
         # Fingerprints name store entries; without a store nothing reads
         # them, so nothing is hashed.
@@ -186,12 +183,7 @@ class QSCPipeline:
         )
         reports = []
         served: list[_ServedStage] = []
-        read_through = store is not None and (
-            resume_from is None or upstream is not None
-        )
-        self._run_stages(
-            ctx, reports, served, resume_index, upstream, store, read_through
-        )
+        self._run_stages(ctx, reports, served, resume_index, upstream, store)
         self.state = ctx.state
         self._reports = reports
         outputs = _result_fields(ctx.state, cfg)
@@ -214,7 +206,6 @@ class QSCPipeline:
         resume_index: int,
         upstream: dict | None,
         store,
-        read_through: bool,
     ) -> None:
         """Execute, load or defer every stage, appending telemetry reports."""
         cfg = self.config
@@ -239,11 +230,12 @@ class QSCPipeline:
                     stage.fingerprint_fields,
                 )
                 entry = checkpoint.store_key(stage.name, ctx.fingerprint)
-            resuming = index < resume_index
-            if resuming and upstream is not None:
+            if index < resume_index:
                 values = {key: upstream[key] for key in stage.provides}
                 source = "reused"
-            elif read_through and store.contains(checkpoint.STAGE_NAMESPACE, entry):
+            elif store is not None and store.contains(
+                checkpoint.STAGE_NAMESPACE, entry
+            ):
                 # A stage whose entry exists is read only when something
                 # asks for its keys.
                 deferred = _ServedStage(stage, ctx, store, reports)
@@ -251,15 +243,13 @@ class QSCPipeline:
                 served.append(deferred)
                 values = {}
                 source = "store"
-            elif resuming or read_through:
-                # A resumed prefix loads now (run() checked that a store is
-                # attached); a read-through lookup that found no entry
-                # still asks once, so the store counts the miss.  A miss
-                # recomputes.
+            elif store is not None:
+                # A lookup that found no entry still asks once, so the
+                # store counts the miss.  A miss recomputes.
                 payload = store.get(checkpoint.STAGE_NAMESPACE, entry)
                 if payload is not None:
                     values = stage.unpack(payload, ctx)
-                    source = "checkpoint" if resuming else "store"
+                    source = "store"
             if values is None:
                 values = _compute(stage, ctx, store)
             ctx.state.update(values)

@@ -5,7 +5,7 @@ inputs and outputs: it reads named values from the shared
 :class:`StageContext` state (``requires``), computes and returns new ones
 (``provides``), and can round-trip its outputs through a dumb
 array-only checkpoint payload (``pack``/``unpack``) so runs can publish
-stages to the content store, serve them from it and ``resume_from`` it.  The concrete five stages live in
+stages to the content store and serve them from it.  The concrete five stages live in
 :mod:`repro.pipeline.stages`; :class:`repro.pipeline.pipeline.QSCPipeline`
 chains them.
 
@@ -159,7 +159,7 @@ class Stage:
     non-resumable).
     """
 
-    #: Stage name — the ``--resume-from`` / store-key identifier.
+    #: Stage name — the ``resume_from`` / store-key identifier.
     name: str = ""
     #: State keys the stage reads.
     requires: tuple = ()

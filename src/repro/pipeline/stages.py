@@ -327,5 +327,5 @@ def build_stages() -> tuple[Stage, ...]:
     )
 
 
-#: Stage names in execution order — the ``--resume-from`` vocabulary.
+#: Stage names in execution order — the ``resume_from`` vocabulary.
 STAGE_NAMES = tuple(stage.name for stage in build_stages())

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Where a stage's output came from during a pipeline run.
-STAGE_SOURCES = ("computed", "checkpoint", "store", "reused")
+STAGE_SOURCES = ("computed", "store", "reused")
 
 #: Counter keys of one stage's process-wide totals entry.
 TOTAL_KEYS = ("seconds", "computed", "loaded")
@@ -42,18 +42,17 @@ class StageReport:
     stage:
         Stage name (one of ``QSCPipeline.stage_names``).
     seconds:
-        Wall time of the stage (compute, checkpoint load, or in-memory
+        Wall time of the stage (compute, store read, or in-memory
         reuse — whichever path ran).
     source:
         ``"computed"`` (ran for real, also when an entry the run looked
-        for was missing or corrupt), ``"checkpoint"`` (loaded from the
-        content store under ``--resume-from``), ``"store"`` (served from
-        the content store's
-        entry for this stage context, without ``--resume-from``), or
-        ``"reused"`` (taken from another run's in-memory state).
+        for was missing or corrupt), ``"store"`` (served from the content
+        store's entry for this stage context), or ``"reused"`` (taken
+        from another run's in-memory state).
     cache_hits / cache_misses:
         Spectral-cache delta bracketing the stage — how much of its
-        spectral work was served from :data:`repro.core.qpe_engine.SPECTRAL_CACHE`.
+        spectral work was served from the content store's spectral
+        namespace (:func:`repro.core.qpe_engine.spectral_cache_counters`).
     backend / eigensolver:
         Representation of the Laplacian the stage built (``"dense"`` or
         ``"sparse"``) and the eigensolve that ran on it (``"eigh(D=…)"``,
@@ -110,8 +109,8 @@ def stage_totals() -> dict:
     """Snapshot of the process-wide per-stage totals.
 
     Returns ``{stage: {"seconds": float, "computed": int, "loaded": int}}``
-    — ``computed`` counts real executions, ``loaded`` counts checkpoint
-    loads, store reads and in-memory reuses (work the staged pipeline
+    — ``computed`` counts real executions, ``loaded`` counts store reads
+    and in-memory reuses (work the staged pipeline
     *skipped*).
     """
     return {stage: dict(entry) for stage, entry in _TOTALS.items()}

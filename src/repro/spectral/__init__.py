@@ -1,9 +1,6 @@
 """Classical spectral machinery: eigensolvers, embeddings, k-means."""
 
-from repro.spectral.eigensolvers import (
-    dense_lowest_eigenpairs,
-    lanczos_lowest_eigenpairs,
-)
+from repro.spectral.eigensolvers import lanczos_lowest_eigenpairs
 from repro.spectral.embedding import (
     complex_to_real_features,
     row_normalize,
@@ -30,7 +27,6 @@ __all__ = [
     "eigengaps",
     "estimate_num_clusters",
     "relative_eigengap",
-    "dense_lowest_eigenpairs",
     "lanczos_lowest_eigenpairs",
     "complex_to_real_features",
     "row_normalize",

@@ -1,15 +1,12 @@
-"""Eigensolvers for Hermitian matrices.
+"""A from-scratch Lanczos eigensolver for Hermitian matrices.
 
-``dense_lowest_eigenpairs`` wraps LAPACK (the O(n³) classical comparator in
-the runtime experiment).  ``lanczos_lowest_eigenpairs`` is a from-scratch
-Lanczos iteration with full reorthogonalization — the "fast classical
-alternative" discussed in the papers' related-work sections, used as an
-additional baseline in the runtime figure.
-
-Both are the runtime model's named comparators.  The embedding and
-baseline layers solve through their resolved ``repro.linalg`` backend
-instead (``LinalgBackend.lowest_eigenpairs``), the one dispatcher for the
-representation of the matrix they built.
+``lanczos_lowest_eigenpairs`` runs Lanczos with full reorthogonalization —
+the "fast classical alternative" discussed in the papers' related-work
+sections, used as an additional baseline in the runtime figure beside
+LAPACK (``DenseBackend.lowest_eigenpairs``).  Every other classical
+eigensolve goes through a resolved ``repro.linalg`` backend
+(``LinalgBackend.lowest_eigenpairs``), the one dispatcher for the
+representation of the matrix it built.
 """
 
 from __future__ import annotations
@@ -17,28 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConvergenceError
+from repro.linalg import DenseBackend
 from repro.utils.linalg import is_hermitian
 from repro.utils.rng import ensure_rng
-
-
-def dense_lowest_eigenpairs(
-    matrix: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest eigenvalues and eigenvectors of a Hermitian matrix.
-
-    Returns
-    -------
-    (values, vectors):
-        ``values`` ascending, ``vectors[:, j]`` the eigenvector of
-        ``values[j]``.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if not is_hermitian(matrix, atol=1e-8):
-        raise ConvergenceError("dense_lowest_eigenpairs requires a Hermitian matrix")
-    if not 1 <= k <= matrix.shape[0]:
-        raise ConvergenceError(f"k must be in [1, {matrix.shape[0]}], got {k}")
-    values, vectors = np.linalg.eigh(matrix)
-    return values[:k], vectors[:, :k]
 
 
 def lanczos_lowest_eigenpairs(
@@ -80,7 +58,7 @@ def lanczos_lowest_eigenpairs(
     if not 1 <= k <= n:
         raise ConvergenceError(f"k must be in [1, {n}], got {k}")
     if k == n:
-        return dense_lowest_eigenpairs(matrix, k)
+        return DenseBackend().lowest_eigenpairs(matrix, k)
     budget = max_iterations or min(n, max(4 * k, 40))
     budget = min(max(budget, k + 2), n)
     rng = ensure_rng(seed)

@@ -4,8 +4,7 @@ See :mod:`repro.store.content_store` for the design; the public surface
 is re-exported here:
 
 * :class:`ContentStore` — the two-tier store itself;
-* :func:`get_store` / :func:`active_store` / :func:`attached_store` /
-  :func:`configure_store` —
+* :func:`get_store` / :func:`attached_store` / :func:`configure_store` —
   the process-wide instance the spectral cache and checkpoint paths
   share (``QSCConfig.store_dir`` / ``--store-dir`` configure it);
 * :func:`store_counters` — counter snapshot (the sweep runner brackets
@@ -19,7 +18,6 @@ from repro.store.content_store import (
     JOB_NAMESPACE,
     JOBTABLE_NAMESPACE,
     ContentStore,
-    active_store,
     attached_store,
     configure_store,
     content_key,
@@ -38,7 +36,6 @@ __all__ = [
     "JOB_NAMESPACE",
     "JOBTABLE_NAMESPACE",
     "ContentStore",
-    "active_store",
     "attached_store",
     "configure_store",
     "content_key",

@@ -2,9 +2,10 @@
 
 :class:`ContentStore` is the persistence tier underneath every cached
 computation in the repo: spectral eigendecompositions and QPE kernels
-(:mod:`repro.core.qpe_engine` keeps ``SPECTRAL_CACHE`` as a thin view over
-it), and whole stage checkpoints (:mod:`repro.pipeline.pipeline`
-publishes, serves and resumes every stage through it).  Entries are **content-addressed**: the key of an
+(:mod:`repro.core.qpe_engine` reads them through
+:meth:`ContentStore.get_or_create`), and whole stage checkpoints
+(:mod:`repro.pipeline.pipeline` publishes and serves every stage through
+it).  Entries are **content-addressed**: the key of an
 entry is derived from fingerprints of everything its payload depends on
 (Laplacian bytes, run-context digests), so a warm store can serve repeat
 traffic across a fleet of worker processes and never serve stale bits.
@@ -51,6 +52,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import pathlib
 import re
@@ -62,6 +64,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.core.config import is_count
 from repro.exceptions import StoreError
 
 try:  # POSIX file locking; the store degrades to lockless on other OSes.
@@ -269,6 +272,15 @@ def decode_json_payload(payload: dict):
         raise StoreError(f"store JSON payload is unreadable: {error}") from error
 
 
+def _byte_count(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a byte count (integral, >= 0, not a
+    bool), else a :class:`StoreError` — a fraction or a bool is never
+    rounded."""
+    if not is_count(value, 0):
+        raise StoreError(f"max_bytes must be >= 0 and integral, got {name}={value!r}")
+    return int(value)
+
+
 def _listing(directory) -> list:
     """The ``os.scandir`` entries of ``directory``, sorted by name."""
     with os.scandir(directory) as entries:
@@ -302,9 +314,8 @@ class ContentStore:
         max_memory_bytes: int = DEFAULT_MEMORY_BYTES,
         max_disk_bytes: int = DEFAULT_DISK_BYTES,
     ):
-        self.max_memory_bytes = 0
-        self.max_disk_bytes = 0
-        self.enabled = True
+        self.max_memory_bytes = _byte_count("max_memory_bytes", max_memory_bytes)
+        self.max_disk_bytes = _byte_count("max_disk_bytes", max_disk_bytes)
         self._root: pathlib.Path | None = None
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._bytes = 0
@@ -312,9 +323,6 @@ class ContentStore:
         #: first fresh put after each attach, ``None`` until then.
         self._disk_bytes: int | None = None
         self._counters: dict[str, dict] = {}
-        self.configure(
-            max_memory_bytes=max_memory_bytes, max_disk_bytes=max_disk_bytes
-        )
         if root is not None:
             self.attach(root)
 
@@ -343,22 +351,13 @@ class ContentStore:
         self,
         max_memory_bytes: int | None = None,
         max_disk_bytes: int | None = None,
-        enabled: bool | None = None,
     ) -> None:
-        """Adjust byte budgets and/or switch the store off entirely."""
+        """Adjust the byte budgets (each an integral count >= 0)."""
         if max_memory_bytes is not None:
-            if max_memory_bytes < 0:
-                raise StoreError(
-                    f"max_bytes must be >= 0, got {max_memory_bytes}"
-                )
-            self.max_memory_bytes = int(max_memory_bytes)
+            self.max_memory_bytes = _byte_count("max_memory_bytes", max_memory_bytes)
             self._shrink_memory()
         if max_disk_bytes is not None:
-            if max_disk_bytes < 0:
-                raise StoreError(f"max_bytes must be >= 0, got {max_disk_bytes}")
-            self.max_disk_bytes = int(max_disk_bytes)
-        if enabled is not None:
-            self.enabled = bool(enabled)
+            self.max_disk_bytes = _byte_count("max_disk_bytes", max_disk_bytes)
 
     # -- counters ----------------------------------------------------------
 
@@ -390,7 +389,6 @@ class ContentStore:
         """Full snapshot: budgets, per-namespace counters, tier occupancy."""
         return {
             "root": None if self._root is None else str(self._root),
-            "enabled": self.enabled,
             "max_memory_bytes": self.max_memory_bytes,
             "max_disk_bytes": self.max_disk_bytes,
             "memory": {"entries": len(self._entries), "bytes": self._bytes},
@@ -560,7 +558,7 @@ class ContentStore:
         """
         if self._root is None:
             return 0
-        budget = self.max_disk_bytes if max_bytes is None else int(max_bytes)
+        budget = self.max_disk_bytes if max_bytes is None else max_bytes
         total = sum(size for _, size, _ in self._scan_disk())
         self._disk_bytes = total
         if total <= budget:
@@ -585,30 +583,12 @@ class ContentStore:
 
     # -- the public entry API ----------------------------------------------
 
-    def get(self, namespace: str, key: str, memory: bool = False) -> dict | None:
-        """Look ``(namespace, key)`` up; ``None`` on a (counted) miss.
-
-        ``memory=True`` also consults/populates the memory LRU tier —
-        the spectral path; stage checkpoints stay disk-only.
-        """
-        if not self.enabled:
-            return None
-        if memory:
-            cached = self._entries.get((namespace, key))
-            if cached is not None:
-                self._entries.move_to_end((namespace, key))
-                self._count(namespace, "memory_hits")
-                return cached[0]
+    def get(self, namespace: str, key: str) -> dict | None:
+        """Read ``(namespace, key)`` from the disk tier; ``None`` on a
+        (counted) miss.  The memory tier is :meth:`get_or_create`'s."""
         payload = self._disk_get(namespace, key)
-        if payload is not None:
-            self._count(namespace, "disk_hits")
-            if memory:
-                for array in payload.values():
-                    array.setflags(write=False)
-                self._memory_insert(namespace, key, payload)
-            return payload
-        self._count(namespace, "misses")
-        return None
+        self._count(namespace, "misses" if payload is None else "disk_hits")
+        return payload
 
     def contains(self, namespace: str, key: str) -> bool:
         """Whether ``(namespace, key)`` is held, without reading or counting it.
@@ -616,41 +596,38 @@ class ContentStore:
         Checks the memory tier, then that the entry file exists; its bits
         are only integrity-checked when :meth:`get` reads them.
         """
-        if not self.enabled:
-            return False
         if (namespace, key) in self._entries:
             return True
         return self._root is not None and os.path.isfile(
             self._entry_file(namespace, key)
         )
 
-    def put(self, namespace: str, key: str, payload: dict, memory: bool = False) -> None:
-        """Publish a payload (atomic disk write; optional memory residence)."""
-        if not self.enabled:
-            return
+    def put(self, namespace: str, key: str, payload: dict) -> None:
+        """Publish a payload to the disk tier (an atomic write)."""
         payload = {name: np.asarray(value) for name, value in payload.items()}
-        if memory:
-            for array in payload.values():
-                array.setflags(write=False)
-            self._memory_insert(namespace, key, payload)
         self._disk_put(namespace, key, payload)
 
-    def get_or_create(self, namespace: str, key: str, builder, memory: bool = True):
+    def get_or_create(self, namespace: str, key: str, builder) -> dict:
         """Serve ``(namespace, key)`` from memory, then disk, else build it.
 
-        On a miss the built payload is frozen read-only, kept resident
-        (``memory=True``) and published to the disk tier; hit or miss,
-        the arrays returned are bit-identical.  A disabled store calls
-        ``builder`` directly and stores/counts nothing.
+        A payload read from disk or built is frozen read-only and kept in
+        the memory LRU tier; a built one is also published to the disk
+        tier.  Hit or miss, the arrays returned are bit-identical.
         """
-        if not self.enabled:
-            return builder()
-        payload = self.get(namespace, key, memory=memory)
-        if payload is None:
+        cached = self._entries.get((namespace, key))
+        if cached is not None:
+            self._entries.move_to_end((namespace, key))
+            self._count(namespace, "memory_hits")
+            return cached[0]
+        payload = self.get(namespace, key)
+        built = payload is None
+        if built:
             payload = {name: np.asarray(value) for name, value in builder().items()}
-            self.put(namespace, key, payload, memory=memory)
         for array in payload.values():
             array.setflags(write=False)
+        self._memory_insert(namespace, key, payload)
+        if built:
+            self._disk_put(namespace, key, payload)
         return payload
 
     # -- operations (the `repro store` subcommand) -------------------------
@@ -689,7 +666,22 @@ class ContentStore:
         writers (older than ``tmp_grace_seconds``, so a live writer's
         in-flight file survives), then enforces the byte budget
         (``max_bytes`` overrides the configured ``max_disk_bytes``).
+        A ``max_bytes`` that is not a byte count, or a grace that is not a
+        finite number >= 0, raises :class:`StoreError` before anything is
+        removed.
         """
+        if max_bytes is not None:
+            _byte_count("max_bytes", max_bytes)
+        if not (
+            isinstance(tmp_grace_seconds, numbers.Real)
+            and not isinstance(tmp_grace_seconds, bool)
+            and math.isfinite(tmp_grace_seconds)
+            and tmp_grace_seconds >= 0
+        ):
+            raise StoreError(
+                "tmp_grace_seconds must be a finite number >= 0, "
+                f"got {tmp_grace_seconds!r}"
+            )
         report = {"corrupt_removed": 0, "temp_removed": 0, "evicted": 0}
         if self._root is None:
             return report
@@ -720,8 +712,8 @@ class ContentStore:
 
 _UNSET = object()
 
-#: The process-wide store every consumer shares: ``SPECTRAL_CACHE`` is a
-#: view over it, and the pipeline's checkpoint path resolves
+#: The process-wide store every consumer shares: the spectral engine
+#: reads through it, and the pipeline's checkpoint path resolves
 #: through it once a disk root is attached (``QSCConfig.store_dir``).
 GLOBAL_STORE = ContentStore()
 
@@ -731,38 +723,26 @@ def get_store() -> ContentStore:
     return GLOBAL_STORE
 
 
-def active_store() -> ContentStore | None:
-    """The global store when it is enabled *and* has a disk root attached.
-
-    The pipeline's checkpoint path only consults the store in that
-    state: a memory-only store would keep each run's stages in memory
-    without sharing them with any other process.
-    """
-    store = GLOBAL_STORE
-    if store.enabled and store.root is not None:
-        return store
-    return None
-
-
 def attached_store(store_dir=None) -> ContentStore | None:
     """The store a run carrying ``store_dir`` reads through.
 
     Attaches ``store_dir`` when given (so the store propagates into sweep
     worker processes under any multiprocessing start method), then
-    returns :func:`active_store`.  A store already rooted at ``store_dir``
-    is not re-attached: a re-attach would re-scan the disk tier on the
-    next put.
+    returns the global store if it has a disk root, else ``None``: a
+    memory-only store would keep each run's stages in memory without
+    sharing them with any other process.  A store already rooted at
+    ``store_dir`` is not re-attached: a re-attach would re-scan the disk
+    tier on the next put.
     """
     if store_dir is not None and GLOBAL_STORE.root != pathlib.Path(store_dir):
         configure_store(root=store_dir)
-    return active_store()
+    return GLOBAL_STORE if GLOBAL_STORE.root is not None else None
 
 
 def configure_store(
     root=_UNSET,
     max_memory_bytes: int | None = None,
     max_disk_bytes: int | None = None,
-    enabled: bool | None = None,
 ) -> ContentStore:
     """Configure the process-wide store; returns it.
 
@@ -778,11 +758,7 @@ def configure_store(
             store.detach()
         else:
             store.attach(root)
-    store.configure(
-        max_memory_bytes=max_memory_bytes,
-        max_disk_bytes=max_disk_bytes,
-        enabled=enabled,
-    )
+    store.configure(max_memory_bytes=max_memory_bytes, max_disk_bytes=max_disk_bytes)
     return store
 
 

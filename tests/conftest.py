@@ -32,10 +32,10 @@ from repro.store import configure_store, get_store  # noqa: E402
 @pytest.fixture()
 def pristine_store():
     """The process-wide store, detached and wiped around the test."""
-    configure_store(root=None, enabled=True)
+    configure_store(root=None)
     get_store().clear_memory()
     yield get_store()
-    configure_store(root=None, enabled=True)
+    configure_store(root=None)
     get_store().clear_memory()
 
 

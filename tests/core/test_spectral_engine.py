@@ -15,6 +15,7 @@ contract plus label parity, not identity:
 import numpy as np
 import pytest
 from test_golden import GOLDEN, GOLDEN_V3, build_case, result_digest
+from test_pipeline import drop_stage_entries
 from test_read_through import sources
 
 from repro import QSCConfig, QSCPipeline, api
@@ -226,8 +227,9 @@ class TestStoreAliasing:
         graph, k, config = build_case(name, engine="v3")
         configure_store(root=tmp_path / "cas")
         QSCPipeline(k, config).run(graph)
+        drop_stage_entries(graph, config, k, "threshold")
         get_store().clear_memory()
-        resumed = QSCPipeline(k, config).run(graph, resume_from="threshold")
+        resumed = QSCPipeline(k, config).run(graph)
         assert spectral_cache_counters()["hits"] == 2  # decomposition + kernel
         assert result_digest(resumed) == GOLDEN_V3[name]
 

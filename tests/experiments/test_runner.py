@@ -46,11 +46,13 @@ def counter_poking_trial(point, trial, seed, rng) -> list:
     matter which worker process ran which task."""
     import numpy as np
 
-    from repro.core.qpe_engine import SPECTRAL_CACHE
+    from repro.core.qpe_engine import SPECTRAL_NAMESPACE
+    from repro.store import get_store
 
-    fingerprint = f"counter-poke-{seed}"
-    SPECTRAL_CACHE.decomposition(fingerprint, np.eye(2) * float(seed))  # miss
-    SPECTRAL_CACHE.decomposition(fingerprint)  # guaranteed hit
+    key = f"counter-poke-{seed}"
+    build = lambda: {"eigenvalues": np.full(2, float(seed))}  # noqa: E731
+    get_store().get_or_create(SPECTRAL_NAMESPACE, key, build)  # miss
+    get_store().get_or_create(SPECTRAL_NAMESPACE, key, build)  # memory hit
     return [
         TrialRecord(
             experiment="TOY",

@@ -21,10 +21,10 @@ from repro.store import DEFAULT_MEMORY_BYTES, configure_store, get_store
 def fresh_cache():
     """Every test starts from an empty, default-configured cache."""
     clear_spectral_cache()
-    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES, enabled=True)
+    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES)
     yield
     clear_spectral_cache()
-    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES, enabled=True)
+    configure_store(max_memory_bytes=DEFAULT_MEMORY_BYTES)
 
 
 def cache_stats():
@@ -141,22 +141,25 @@ class TestHitMissKeying:
 
 
 class TestTransparency:
-    def test_disabled_cache_gives_identical_numbers(self):
+    def test_zero_memory_budget_gives_identical_numbers(self):
         laplacian = make_laplacian()
         cached = AnalyticQPEBackend(laplacian, 5)
         cached_again = AnalyticQPEBackend(laplacian, 5)
-        configure_store(enabled=False)
+        clear_spectral_cache()
+        configure_store(max_memory_bytes=0)
         uncached = AnalyticQPEBackend(laplacian, 5)
         for other in (cached_again, uncached):
             assert np.array_equal(cached._kernel, other._kernel)
             assert np.array_equal(cached.eigenvalues, other.eigenvalues)
             assert np.array_equal(cached._eigenvectors, other._eigenvectors)
 
-    def test_disabled_cache_stores_and_counts_nothing(self):
-        configure_store(enabled=False)
-        AnalyticQPEBackend(make_laplacian(), 4)
+    def test_zero_memory_budget_recomputes_every_time(self):
+        configure_store(max_memory_bytes=0)
+        laplacian = make_laplacian()
+        AnalyticQPEBackend(laplacian, 4)
+        AnalyticQPEBackend(laplacian, 4)
         stats = cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 0
+        assert stats["hits"] == 0 and stats["misses"] == 4
         assert stats["entries"] == 0 and stats["bytes"] == 0
 
 

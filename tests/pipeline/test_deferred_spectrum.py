@@ -10,7 +10,8 @@ run's bits.
 import pytest
 from test_golden import GOLDEN, build_case, result_digest
 from test_pipeline import CONFIG, results_equal
-from test_read_through import delete_stage_entry, graph, sources  # noqa: F401
+from test_pipeline import drop_stage_entries
+from test_read_through import graph, sources  # noqa: F401
 
 from repro import QSCPipeline, api
 from repro.core.qpe_engine import spectral_cache_counters
@@ -65,8 +66,7 @@ class TestConsumersOfAServedSpectrum:
     def test_readout_after_a_served_laplacian(self, tmp_store):
         graph, k, config = build_case("analytic_shots")
         QSCPipeline(k, config).run(graph)
-        for name in STAGE_NAMES[2:]:
-            delete_stage_entry(tmp_store, graph, config, k, name)
+        drop_stage_entries(graph, config, k, "readout")
         fresh_worker()
         result = QSCPipeline(k, config).run(graph)
         assert sources(result) == ["store", "store"] + ["computed"] * 3

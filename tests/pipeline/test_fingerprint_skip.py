@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from test_pipeline import CONFIG, results_equal
+from test_pipeline import CONFIG, drop_stage_entries, results_equal
 
 from repro import QSCPipeline
 from repro.graphs import ensure_connected, mixed_sbm
@@ -95,13 +95,14 @@ class TestKeyed:
         QSCPipeline(2, CONFIG).run(graph, graph_digest=digest)
         assert calls == {"graph_fingerprint": 0, "context_fingerprint": 5}
 
-    def test_a_store_resume_loads_the_keys_a_cold_run_published(
+    def test_a_rerun_serves_the_keys_a_cold_run_published(
         self, graph, tmp_store, monkeypatch
     ):
         QSCPipeline(2, CONFIG).run(graph)
+        drop_stage_entries(graph, CONFIG, 2, "qmeans")
         calls = count_hashing(monkeypatch)
-        resumed = QSCPipeline(2, CONFIG).run(graph, resume_from="qmeans")
+        rerun = QSCPipeline(2, CONFIG).run(graph)
         assert calls == {"graph_fingerprint": 1, "context_fingerprint": 5}
-        assert [row["source"] for row in resumed.profile] == (
-            ["checkpoint"] * (len(STAGE_NAMES) - 1) + ["computed"]
+        assert [row["source"] for row in rerun.profile] == (
+            ["store"] * (len(STAGE_NAMES) - 1) + ["computed"]
         )

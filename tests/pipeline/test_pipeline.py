@@ -22,7 +22,7 @@ from repro.pipeline.checkpoint import (
     graph_fingerprint,
     store_key,
 )
-from repro.store import ContentStore
+from repro.store import ContentStore, get_store
 
 
 @pytest.fixture
@@ -36,12 +36,33 @@ CONFIG = QSCConfig(precision_bits=6, shots=256, seed=5)
 
 
 def stored(config, tmp_path):
-    """``config`` publishing to (and resuming from) a store in ``tmp_path``."""
+    """``config`` publishing to (and serving from) a store in ``tmp_path``."""
     return config.with_updates(store_dir=str(tmp_path / "cas"))
 
 
 def sources(result) -> list:
     return [row["source"] for row in result.profile]
+
+
+def stage_entry_path(graph, config, num_clusters, stage_name):
+    """The store file of the entry a keyed run publishes for ``stage_name``,
+    keyed with the pipeline's own stage declarations."""
+    stage = next(s for s in build_stages() if s.name == stage_name)
+    fingerprint = checkpoint.context_fingerprint(
+        graph,
+        config,
+        num_clusters if stage.fingerprint_clusters else None,
+        stage.fingerprint_fields,
+    )
+    return get_store()._entry_path(STAGE_NAMESPACE, store_key(stage_name, fingerprint))
+
+
+def drop_stage_entries(graph, config, num_clusters, first_stage) -> None:
+    """Delete the entries of ``first_stage`` and every later stage, as if
+    the run that published them had stopped there: a rerun serves the
+    stages before ``first_stage`` and computes it onward."""
+    for name in STAGE_NAMES[STAGE_NAMES.index(first_stage) :]:
+        stage_entry_path(graph, config, num_clusters, name).unlink()
 
 
 def results_equal(a, b) -> bool:
@@ -166,18 +187,24 @@ class TestGraphFingerprint:
 
 @pytest.mark.usefixtures("pristine_store")
 class TestResume:
+    """A store-backed rerun serves each stage whose entry exists and
+    computes the rest; ``drop_stage_entries`` stands in for a run that
+    stopped before ``stage``.  A ``resume_from`` needs an in-memory
+    ``upstream``."""
+
     @pytest.mark.parametrize("stage", STAGE_NAMES[1:])
     def test_store_resume_is_bit_identical(self, graph, tmp_path, stage):
         config = stored(CONFIG, tmp_path)
         full = QSCPipeline(2, config).run(graph)
-        resumed = QSCPipeline(2, config).run(graph, resume_from=stage)
+        drop_stage_entries(graph, config, 2, stage)
+        resumed = QSCPipeline(2, config).run(graph)
         assert results_equal(full, resumed)
         index = STAGE_NAMES.index(stage)
-        assert sources(resumed)[:index] == ["checkpoint"] * index
+        assert sources(resumed)[:index] == ["store"] * index
         assert sources(resumed)[index:] == ["computed"] * (len(STAGE_NAMES) - index)
 
     def test_resume_from_readout_skips_upstream_counters(self, graph, tmp_path):
-        """The acceptance-criteria pin: checkpoint-load counters prove the
+        """The acceptance-criteria pin: store-read counters prove the
         upstream stages did not execute."""
         config = stored(CONFIG, tmp_path)
         reset_stage_totals()
@@ -190,11 +217,12 @@ class TestResume:
             "linalg_backend": "dense",
             "eigensolver": "eigh-mrrr(n=30)",
         }
-        QSCPipeline(2, config).run(graph, resume_from="readout")
+        drop_stage_entries(graph, config, 2, "readout")
+        QSCPipeline(2, config).run(graph)
         totals = stage_totals()
         for skipped in ("laplacian", "threshold"):
             assert totals[skipped]["computed"] == 1  # only the full run
-            assert totals[skipped]["loaded"] == 1  # the resumed run loaded
+            assert totals[skipped]["loaded"] == 1  # the rerun served it
         for executed in ("readout", "embedding", "qmeans"):
             assert totals[executed]["computed"] == 2
             assert totals[executed]["loaded"] == 0
@@ -210,22 +238,25 @@ class TestResume:
         assert results_equal(full, resumed)
         assert sources(resumed)[:3] == ["reused", "reused", "computed"]
 
-    def test_resume_without_source_errors(self, graph):
-        with pytest.raises(ClusteringError, match="needs checkpoints"):
-            QSCPipeline(2, CONFIG).run(graph, resume_from="readout")
+    @pytest.mark.parametrize("keyed", [False, True], ids=["no-store", "store"])
+    def test_resume_without_source_errors(self, graph, tmp_path, keyed):
+        config = stored(CONFIG, tmp_path) if keyed else CONFIG
+        with pytest.raises(ClusteringError, match="needs an in-memory upstream"):
+            QSCPipeline(2, config).run(graph, resume_from="readout")
+        assert not (tmp_path / "cas").exists() or not any(
+            (tmp_path / "cas").rglob("*.cas")
+        )
 
     def test_unknown_stage_errors(self, graph, tmp_path):
         with pytest.raises(ClusteringError, match="unknown stage"):
             QSCPipeline(2, stored(CONFIG, tmp_path)).run(
-                graph, resume_from="tomography"
+                graph, resume_from="tomography", upstream={}
             )
 
     def test_resume_from_an_empty_store_recomputes_everything(
         self, graph, tmp_path
     ):
-        resumed = QSCPipeline(2, stored(CONFIG, tmp_path)).run(
-            graph, resume_from="qmeans"
-        )
+        resumed = QSCPipeline(2, stored(CONFIG, tmp_path)).run(graph)
         assert sources(resumed) == ["computed"] * len(STAGE_NAMES)
         assert results_equal(QSCPipeline(2, CONFIG).run(graph), resumed)
 
@@ -235,8 +266,9 @@ class TestResume:
         config = stored(CONFIG.with_updates(linalg_backend="sparse"), tmp_path)
         pytest.importorskip("scipy")
         full = QSCPipeline(2, config).run(graph)
-        resumed = QSCPipeline(2, config).run(graph, resume_from="threshold")
-        assert sources(resumed)[0] == "checkpoint"
+        drop_stage_entries(graph, config, 2, "threshold")
+        resumed = QSCPipeline(2, config).run(graph)
+        assert sources(resumed)[0] == "store"
         assert results_equal(full, resumed)
 
     def test_circuit_backend_resume(self, tmp_path):
@@ -247,8 +279,9 @@ class TestResume:
             tmp_path,
         )
         full = QSCPipeline(2, config).run(graph)
-        resumed = QSCPipeline(2, config).run(graph, resume_from="readout")
-        assert sources(resumed)[:2] == ["checkpoint"] * 2
+        drop_stage_entries(graph, config, 2, "readout")
+        resumed = QSCPipeline(2, config).run(graph)
+        assert sources(resumed) == ["store"] * 2 + ["computed"] * 3
         assert results_equal(full, resumed)
 
     def test_resume_with_different_cluster_count_recomputes(self, graph, tmp_path):
@@ -256,8 +289,8 @@ class TestResume:
         the threshold entry of k=2 is a miss for k=3."""
         config = stored(CONFIG, tmp_path)
         QSCPipeline(2, config).run(graph)
-        resumed = QSCPipeline(3, config).run(graph, resume_from="readout")
-        assert sources(resumed) == ["checkpoint"] + ["computed"] * 4
+        resumed = QSCPipeline(3, config).run(graph)
+        assert sources(resumed) == ["store"] + ["computed"] * 4
         assert results_equal(QSCPipeline(3, CONFIG).run(graph), resumed)
 
     def test_resume_with_different_graph_recomputes(self, graph, tmp_path):
@@ -265,15 +298,15 @@ class TestResume:
         QSCPipeline(2, config).run(graph)
         other, _ = mixed_sbm(30, 2, p_intra=0.5, p_inter=0.05, seed=99)
         ensure_connected(other, seed=99)
-        resumed = QSCPipeline(2, config).run(other, resume_from="readout")
+        resumed = QSCPipeline(2, config).run(other)
         assert sources(resumed) == ["computed"] * len(STAGE_NAMES)
         assert results_equal(QSCPipeline(2, CONFIG).run(other), resumed)
 
     @pytest.mark.parametrize(
         "drift, laplacian_source",
         [
-            ({"seed": 123}, "checkpoint"),
-            ({"precision_bits": 4}, "checkpoint"),
+            ({"seed": 123}, "store"),
+            ({"precision_bits": 4}, "store"),
             ({"theta": 0.5}, "computed"),
         ],
     )
@@ -284,41 +317,37 @@ class TestResume:
         it, so those stages miss and recompute; the others still serve."""
         QSCPipeline(2, stored(CONFIG, tmp_path)).run(graph)
         changed = CONFIG.with_updates(**drift)
-        resumed = QSCPipeline(2, stored(changed, tmp_path)).run(
-            graph, resume_from="readout"
-        )
+        resumed = QSCPipeline(2, stored(changed, tmp_path)).run(graph)
         assert sources(resumed) == [laplacian_source] + ["computed"] * 4
         assert results_equal(QSCPipeline(2, changed).run(graph), resumed)
 
     def test_resume_with_downstream_only_drift_allowed(self, graph, tmp_path):
-        """Fields the loaded stages provably ignore may differ: resuming
-        the readout stage at a new shot budget is the supported pattern."""
+        """Fields the served stages provably ignore may differ: rerunning
+        the readout stage at a new shot budget serves the two before it."""
         QSCPipeline(2, stored(CONFIG, tmp_path)).run(graph)
         changed = CONFIG.with_updates(shots=64, readout_chunk_size=5)
-        resumed = QSCPipeline(2, stored(changed, tmp_path)).run(
-            graph, resume_from="readout"
-        )
-        assert sources(resumed)[:2] == ["checkpoint"] * 2
+        resumed = QSCPipeline(2, stored(changed, tmp_path)).run(graph)
+        assert sources(resumed) == ["store"] * 2 + ["computed"] * 3
         full = QSCPipeline(2, changed).run(graph)
         assert results_equal(full, resumed)
 
     def test_cluster_count_change_reuses_laplacian_checkpoint(
         self, graph, tmp_path
     ):
-        """k first matters at the threshold stage, so resuming *there*
-        with a different k legitimately reuses the laplacian checkpoint."""
+        """k first matters at the threshold stage, so a rerun with a
+        different k reads the laplacian entry the threshold stage needs."""
         QSCPipeline(2, stored(CONFIG, tmp_path)).run(graph)
-        resumed = QSCPipeline(3, stored(CONFIG, tmp_path)).run(
-            graph, resume_from="threshold"
-        )
-        assert sources(resumed)[0] == "checkpoint"
+        pipeline = QSCPipeline(3, stored(CONFIG, tmp_path))
+        resumed = pipeline.run(graph)
+        assert sources(resumed)[0] == "store"
         full = QSCPipeline(3, CONFIG).run(graph)
         assert results_equal(full, resumed)
         assert len(np.unique(resumed.labels)) == 3
+        assert pipeline.state["backend"].dim == 32
 
     def test_auto_k_flows_through_staged_resume(self, tmp_path):
-        """k='auto' resolves in the threshold stage and survives resume via
-        the stage checkpoint."""
+        """k='auto' resolves in the threshold stage and survives a rerun
+        via the stage's store entry."""
         graph, _ = mixed_sbm(36, 3, p_intra=0.7, p_inter=0.02, seed=3)
         ensure_connected(graph, seed=3)
         config = stored(
@@ -327,8 +356,10 @@ class TestResume:
         )
         full = QSCPipeline("auto", config).run(graph)
         assert len(np.unique(full.labels)) == 3
+        drop_stage_entries(graph, config, "auto", "readout")
         resumed_pipeline = QSCPipeline("auto", config)
-        resumed = resumed_pipeline.run(graph, resume_from="readout")
+        resumed = resumed_pipeline.run(graph)
+        assert sources(resumed) == ["store"] * 2 + ["computed"] * 3
         assert results_equal(full, resumed)
         assert resumed_pipeline.state["num_clusters"] == 3
 

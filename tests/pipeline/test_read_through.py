@@ -4,15 +4,15 @@ stage whose entry the store already holds, instead of recomputing it."""
 import dataclasses
 
 import pytest
-from test_pipeline import CONFIG, results_equal
+from test_pipeline import CONFIG, drop_stage_entries, results_equal
 
 from repro import QSCConfig, QSCPipeline
 from repro.core.qpe_engine import clear_spectral_cache
 from repro.experiments import fig4_shots_sweep
 from repro.experiments.runner import SweepRunner
 from repro.graphs import ensure_connected, mixed_sbm
-from repro.pipeline import STAGE_NAMES, build_stages, checkpoint
-from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
+from repro.exceptions import ClusteringError
+from repro.pipeline import STAGE_NAMES, build_stages
 
 #: QSCConfig fields no stage output depends on, so they stay out of every
 #: stage's context fingerprint.  A field here must not change a published
@@ -33,21 +33,6 @@ def graph():
 
 def sources(result) -> list:
     return [row["source"] for row in result.profile]
-
-
-def delete_stage_entry(store, graph, config, k, stage_name) -> None:
-    """Remove the store entry a run published for ``stage_name``."""
-    stage = next(s for s in build_stages() if s.name == stage_name)
-    fingerprint = context_fingerprint(
-        graph_fingerprint(graph),
-        config,
-        k if stage.fingerprint_clusters else None,
-        stage.fingerprint_fields,
-    )
-    path = store._entry_path(
-        checkpoint.STAGE_NAMESPACE, checkpoint.store_key(stage_name, fingerprint)
-    )
-    path.unlink()
 
 
 class TestFingerprintCoverage:
@@ -85,8 +70,7 @@ class TestReadThrough:
         """Serving any prefix of stages and computing the rest lands on
         the cold run's bits: each stage draws from its own spawned stream."""
         cold = QSCPipeline(2, CONFIG).run(graph)
-        for name in STAGE_NAMES[index:]:
-            delete_stage_entry(tmp_store, graph, CONFIG, 2, name)
+        drop_stage_entries(graph, CONFIG, 2, STAGE_NAMES[index])
         mixed = QSCPipeline(2, CONFIG).run(graph)
         assert sources(mixed) == (
             ["store"] * index + ["computed"] * (len(STAGE_NAMES) - index)
@@ -94,20 +78,18 @@ class TestReadThrough:
         assert results_equal(cold, mixed)
 
     @pytest.mark.parametrize("stage", STAGE_NAMES)
-    def test_resume_never_serves_the_resumed_stage_or_later(
-        self, graph, tmp_store, stage
-    ):
-        cold = QSCPipeline(2, CONFIG).run(graph)
-        resumed = QSCPipeline(2, CONFIG).run(graph, resume_from=stage)
-        index = STAGE_NAMES.index(stage)
-        assert sources(resumed) == (
-            ["checkpoint"] * index + ["computed"] * (len(STAGE_NAMES) - index)
-        )
-        assert results_equal(cold, resumed)
+    def test_a_store_is_no_source_for_a_resume(self, graph, tmp_store, stage):
+        """A warm store does not stand in for ``upstream``: read-through
+        already serves every stored stage, so a resume without one is
+        refused before anything is read."""
+        QSCPipeline(2, CONFIG).run(graph)
+        tmp_store.clear_memory()
+        with pytest.raises(ClusteringError, match="needs an in-memory upstream"):
+            QSCPipeline(2, CONFIG).run(graph, resume_from=stage)
+        assert tmp_store.counters()["disk_hits"] == 0
 
     def test_in_memory_resume_reads_through_the_store(self, graph, tmp_store):
-        """An ``upstream`` resume serves its resumed stage onward; only a
-        run-directory resume recomputes them."""
+        """An ``upstream`` resume serves its resumed stage onward."""
         reference = QSCPipeline(2, CONFIG)
         reference.run(graph)
         noisy = CONFIG.with_updates(shots=64)
@@ -154,6 +136,7 @@ class TestReadThrough:
         warm = QSCPipeline(2, CONFIG).run(graph)
         assert sources(warm) == ["store"] * len(STAGE_NAMES)
         tmp_store.clear_memory()
-        resumed = QSCPipeline(2, CONFIG).run(graph, resume_from="qmeans")
-        assert sources(resumed) == ["checkpoint"] * 4 + ["computed"]
+        drop_stage_entries(graph, CONFIG, 2, "qmeans")
+        resumed = QSCPipeline(2, CONFIG).run(graph)
+        assert sources(resumed) == ["store"] * 4 + ["computed"]
         assert results_equal(cold, resumed)

@@ -2,8 +2,8 @@
 
 A failing stage fails the whole run, but every stage that finished before
 it keeps its published content-store entry, while the failing stage and
-everything downstream publish nothing.  A rerun therefore serves (or resumes from)
-exactly the finished prefix, recomputes the rest from the stages' own RNG
+everything downstream publish nothing.  A rerun therefore serves exactly
+the finished prefix, recomputes the rest from the stages' own RNG
 streams, and lands on the golden digest.  This is the crash-resume a
 restarted job relies on, stage by stage.
 """
@@ -12,6 +12,7 @@ import pytest
 from test_golden import GOLDEN, build_case, result_digest
 
 from repro import QSCPipeline
+from repro.core.qpe_engine import clear_spectral_cache, spectral_cache_counters
 from repro.exceptions import ClusteringError
 from repro.pipeline import STAGE_NAMES, build_stages, checkpoint
 from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
@@ -50,11 +51,11 @@ def _sources(result) -> list:
     return [row["source"] for row in result.profile]
 
 
-def _fail_once(monkeypatch, stage, graph, k, config, **run_kwargs):
+def _fail_once(monkeypatch, stage, graph, k, config):
     """Run with ``stage`` broken, check the failure, then clear the fault."""
     _break_stage(monkeypatch, stage)
     with pytest.raises(ClusteringError, match=f"injected {stage} failure"):
-        QSCPipeline(k, config).run(graph, **run_kwargs)
+        QSCPipeline(k, config).run(graph)
     monkeypatch.undo()
 
 
@@ -68,12 +69,12 @@ class TestFailedStage:
         finished = list(STAGE_NAMES[: STAGE_NAMES.index(stage)])
         assert _store_entries(tmp_store, graph, config, k) == finished
 
-    def test_a_resume_that_fails_again_publishes_nothing_new(
+    def test_a_rerun_that_fails_again_publishes_nothing_new(
         self, stage, tmp_store, monkeypatch
     ):
         graph, k, config = build_case(CASE)
         _fail_once(monkeypatch, stage, graph, k, config)
-        _fail_once(monkeypatch, stage, graph, k, config, resume_from=stage)
+        _fail_once(monkeypatch, stage, graph, k, config)
         finished = list(STAGE_NAMES[: STAGE_NAMES.index(stage)])
         assert _store_entries(tmp_store, graph, config, k) == finished
 
@@ -91,15 +92,21 @@ class TestFailedStage:
         # The rerun published the rest: the store now holds every stage.
         assert _store_entries(tmp_store, graph, config, k) == list(STAGE_NAMES)
 
-    def test_store_resume_at_the_failed_stage_lands_on_golden(
+    def test_a_fresh_worker_rerun_at_the_failed_stage_lands_on_golden(
         self, stage, tmp_store, monkeypatch
     ):
+        """The restarted job's case: a new process, so only the disk tier
+        holds the finished prefix (and its spectral entries)."""
         graph, k, config = build_case(CASE)
         _fail_once(monkeypatch, stage, graph, k, config)
+        clear_spectral_cache()
         index = STAGE_NAMES.index(stage)
-        result = QSCPipeline(k, config).run(graph, resume_from=stage)
+        result = QSCPipeline(k, config).run(graph)
         assert _sources(result) == (
-            ["checkpoint"] * index + ["computed"] * (len(STAGE_NAMES) - index)
+            ["store"] * index + ["computed"] * (len(STAGE_NAMES) - index)
         )
+        # a served laplacian is read from disk by the stage that needs it
+        if index in (1, 2):
+            assert spectral_cache_counters()["hits"] > 0
         assert result_digest(result) == GOLDEN[CASE]
         assert _store_entries(tmp_store, graph, config, k) == list(STAGE_NAMES)

@@ -1,4 +1,4 @@
-"""Tests for dense and Lanczos eigensolvers."""
+"""Tests for the dense (LAPACK) and Lanczos eigensolvers."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConvergenceError
 from repro.graphs import hermitian_laplacian, random_mixed_graph
-from repro.linalg import SparseBackend
-from repro.spectral.eigensolvers import (
-    dense_lowest_eigenpairs,
-    lanczos_lowest_eigenpairs,
-)
+from repro.linalg import DenseBackend, SparseBackend
+from repro.spectral.eigensolvers import lanczos_lowest_eigenpairs
 
 
 def random_hermitian(dim, seed):
@@ -21,29 +18,31 @@ def random_hermitian(dim, seed):
 
 class TestDense:
     def test_values_ascending(self):
-        values, _ = dense_lowest_eigenpairs(random_hermitian(8, 0), 4)
+        values, _ = DenseBackend().lowest_eigenpairs(random_hermitian(8, 0), 4)
         assert np.all(np.diff(values) >= -1e-12)
 
     def test_eigen_equation_satisfied(self):
         matrix = random_hermitian(8, 1)
-        values, vectors = dense_lowest_eigenpairs(matrix, 3)
+        values, vectors = DenseBackend().lowest_eigenpairs(matrix, 3)
         for j in range(3):
             assert np.allclose(matrix @ vectors[:, j], values[j] * vectors[:, j])
 
     def test_vectors_orthonormal(self):
-        _, vectors = dense_lowest_eigenpairs(random_hermitian(8, 2), 5)
+        _, vectors = DenseBackend().lowest_eigenpairs(random_hermitian(8, 2), 5)
         gram = vectors.conj().T @ vectors
         assert np.allclose(gram, np.eye(5), atol=1e-10)
 
     def test_k_validation(self):
         with pytest.raises(ConvergenceError):
-            dense_lowest_eigenpairs(random_hermitian(4, 3), 0)
+            DenseBackend().lowest_eigenpairs(random_hermitian(4, 3), 0)
         with pytest.raises(ConvergenceError):
-            dense_lowest_eigenpairs(random_hermitian(4, 3), 5)
+            DenseBackend().lowest_eigenpairs(random_hermitian(4, 3), 5)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ConvergenceError):
-            dense_lowest_eigenpairs(np.array([[0, 1], [0, 0]], dtype=complex), 1)
+            DenseBackend().lowest_eigenpairs(
+                np.array([[0, 1], [0, 0]], dtype=complex), 1
+            )
 
 
 class TestLanczos:
@@ -52,7 +51,7 @@ class TestLanczos:
     def test_matches_dense_on_laplacians(self, seed):
         graph = random_mixed_graph(16, 0.4, seed=seed)
         laplacian = hermitian_laplacian(graph)
-        dense_values, _ = dense_lowest_eigenpairs(laplacian, 3)
+        dense_values, _ = DenseBackend().lowest_eigenpairs(laplacian, 3)
         lanczos_values, _ = lanczos_lowest_eigenpairs(laplacian, 3, seed=seed)
         assert np.allclose(dense_values, lanczos_values, atol=1e-5)
 
@@ -67,7 +66,7 @@ class TestLanczos:
     def test_k_equals_n_falls_back_to_dense(self):
         matrix = random_hermitian(5, 8)
         values, _ = lanczos_lowest_eigenpairs(matrix, 5, seed=0)
-        dense_values, _ = dense_lowest_eigenpairs(matrix, 5)
+        dense_values, _ = DenseBackend().lowest_eigenpairs(matrix, 5)
         assert np.allclose(values, dense_values, atol=1e-8)
 
     def test_invalid_k(self):
@@ -90,7 +89,7 @@ class TestSparse:
     def test_matches_dense_on_laplacians(self, num_nodes, k):
         graph = random_mixed_graph(num_nodes, 0.2, seed=num_nodes)
         laplacian = hermitian_laplacian(graph)
-        dense_values, _ = dense_lowest_eigenpairs(laplacian, k)
+        dense_values, _ = DenseBackend().lowest_eigenpairs(laplacian, k)
         values, vectors = SparseBackend().lowest_eigenpairs(laplacian, k)
         assert np.allclose(values, dense_values, atol=1e-8)
         residual = laplacian @ vectors - vectors * values
@@ -102,4 +101,5 @@ class TestSparse:
         from_sparse, _ = SparseBackend().lowest_eigenpairs(
             hermitian_laplacian(graph, backend="sparse"), 3
         )
-        assert np.allclose(from_sparse, dense_lowest_eigenpairs(dense, 3)[0], atol=1e-8)
+        dense_values, _ = DenseBackend().lowest_eigenpairs(dense, 3)
+        assert np.allclose(from_sparse, dense_values, atol=1e-8)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ClusteringError
 from repro.graphs import cyclic_flow_sbm, hermitian_laplacian, mixed_sbm
+from repro.linalg import DenseBackend
 from repro.metrics import adjusted_rand_index
 from repro.spectral import (
     ClassicalSpectralClustering,
@@ -14,7 +15,6 @@ from repro.spectral import (
     row_normalize,
     spectral_embedding,
 )
-from repro.spectral.eigensolvers import dense_lowest_eigenpairs
 from repro.spectral.embedding import normalized_real_features
 from repro.spectral.kmeans import (
     assign_labels,
@@ -94,7 +94,7 @@ class TestFeatureMaps:
     def test_projector_rows_preserve_distances(self):
         graph, _ = mixed_sbm(20, 2, seed=0)
         laplacian = hermitian_laplacian(graph)
-        _, vectors = dense_lowest_eigenpairs(laplacian, 2)
+        _, vectors = DenseBackend().lowest_eigenpairs(laplacian, 2)
         # rows of the subspace projector U_k U_k†, what the quantum readout
         # reconstructs, against the n x k eigenvector coordinates
         projector = vectors @ vectors.conj().T

@@ -5,9 +5,11 @@ store API, pinning the exit codes and the reaping rules an operator's
 cron jobs and CI checks rely on.
 """
 
-import numpy as np
 import os
 import time
+
+import numpy as np
+import pytest
 
 from repro.cli import main
 from repro.store import ContentStore
@@ -64,6 +66,31 @@ class TestGcGraceWindow:
         out = capsys.readouterr().out
         assert "evicted: 3" in out
         assert "entries: 0" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-bytes", "-5"),
+            ("--max-bytes", "1.5"),
+            ("--grace-seconds", "-1"),
+            ("--grace-seconds", "nan"),
+            ("--grace-seconds", "inf"),
+        ],
+    )
+    def test_a_bad_bound_is_a_usage_error_and_removes_nothing(
+        self, tmp_path, capsys, flag, value
+    ):
+        """A negative budget used to evict every entry and exit 0, and a
+        negative or NaN grace to reap live writers' files or nothing."""
+        store, root = _seeded_store(tmp_path, entries=3)
+        inflight = store._entry_path("stage", "k0").parent / ".tmp-inflight"
+        inflight.write_bytes(b"partial write")
+        with pytest.raises(SystemExit) as info:
+            main(["store", "gc", "--dir", str(root), f"{flag}={value}"])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert store.disk_report()["entries"] == 3
+        assert inflight.exists()
 
 
 class TestVerifyExitCodes:

@@ -140,10 +140,25 @@ class TestStoreTiers:
 
     def test_memory_only_store_misses_after_clear(self):
         store = ContentStore()
-        store.put("spectral", "k", PAYLOADS["float64"], memory=True)
-        assert store.get("spectral", "k", memory=True) is not None
+        calls = []
+
+        def build():
+            calls.append(True)
+            return dict(PAYLOADS["float64"])
+
+        store.get_or_create("spectral", "k", build)
+        store.get_or_create("spectral", "k", build)
+        assert len(calls) == 1
         store.clear_memory()
-        assert store.get("spectral", "k", memory=True) is None
+        store.get_or_create("spectral", "k", build)
+        assert len(calls) == 2
+
+    def test_get_reads_only_the_disk_tier(self):
+        store = ContentStore()
+        store.get_or_create("spectral", "k", lambda: dict(PAYLOADS["float64"]))
+        assert store.stats()["memory"]["entries"] == 1
+        assert store.get("spectral", "k") is None  # no disk root
+        assert store.counters()["misses"] == 2
 
     def test_disk_only_namespaces_skip_the_memory_tier(self, tmp_path):
         store = ContentStore(root=tmp_path)
@@ -157,18 +172,17 @@ class TestStoreTiers:
     def test_memory_lru_evicts_oldest_first(self):
         one_kib = {"a": np.zeros(128)}  # 1024 bytes
         store = ContentStore(max_memory_bytes=3 * 1024)
-        for name in ("k1", "k2", "k3"):
-            store.put("spectral", name, one_kib, memory=True)
-        store.get("spectral", "k1", memory=True)  # bump k1: k2 now oldest
-        store.put("spectral", "k4", one_kib, memory=True)
+        for name in ("k1", "k2", "k3", "k1", "k4"):  # k1 bumped: k2 oldest
+            store.get_or_create("spectral", name, lambda: dict(one_kib))
         stats = store.namespace_counters("spectral")
         assert stats["memory_evictions"] == 1
-        assert store.get("spectral", "k2", memory=True) is None  # evicted
-        assert store.get("spectral", "k1", memory=True) is not None
+        assert stats["memory_hits"] == 1
+        resident = {key for _, key in store._entries}
+        assert resident == {"k1", "k3", "k4"}  # k2 evicted
 
     def test_oversize_payload_is_not_kept_resident(self):
         store = ContentStore(max_memory_bytes=64)
-        store.put("spectral", "big", {"a": np.zeros(1024)}, memory=True)
+        store.get_or_create("spectral", "big", lambda: {"a": np.zeros(1024)})
         assert store.stats()["memory"]["entries"] == 0
 
     def test_disk_budget_evicts_oldest_mtime(self, tmp_path):
@@ -192,20 +206,40 @@ class TestStoreTiers:
         store.put("stage", "big", {"a": np.zeros(1024)})
         assert store.disk_report()["entries"] == 0
 
-    def test_disabled_store_calls_builder_and_counts_nothing(self, tmp_path):
+    def test_a_built_entry_is_published_and_served_from_disk(self, tmp_path):
         store = ContentStore(root=tmp_path)
-        store.configure(enabled=False)
-        calls = []
+        built = store.get_or_create("spectral", "k", lambda: dict(PAYLOADS["float64"]))
+        assert store.disk_report()["entries"] == 1
+        fresh = ContentStore(root=tmp_path)  # another worker's store
+        served = fresh.get_or_create("spectral", "k", pytest.fail)
+        assert_payloads_identical(served, built)
+        assert not served["a"].flags.writeable
+        assert fresh.counters()["disk_hits"] == 1
 
-        def build():
-            calls.append(True)
-            return dict(PAYLOADS["float64"])
+    @pytest.mark.parametrize("budget", ["max_memory_bytes", "max_disk_bytes"])
+    @pytest.mark.parametrize("value", [-1, 1.5, True, float("nan"), float("inf"), "10"])
+    def test_a_budget_that_is_not_a_byte_count_is_a_store_error(self, budget, value):
+        with pytest.raises(StoreError, match=budget):
+            ContentStore(**{budget: value})
+        store = ContentStore()
+        with pytest.raises(StoreError, match=budget):
+            store.configure(**{budget: value})
+        assert (store.max_memory_bytes, store.max_disk_bytes) == (
+            ContentStore().max_memory_bytes,
+            ContentStore().max_disk_bytes,
+        )
 
-        store.get_or_create("spectral", "k", build)
-        store.get_or_create("spectral", "k", build)
-        assert len(calls) == 2
-        assert store.counters() == {key: 0 for key in COUNTER_KEYS}
-        assert store.disk_report()["entries"] == 0
+    @pytest.mark.parametrize("budget", ["max_memory_bytes", "max_disk_bytes"])
+    def test_a_none_budget_is_refused_at_construction(self, budget):
+        """``configure`` reads ``None`` as "leave it"; a new store has no
+        budget to leave, and used to run with 0 (keeping nothing)."""
+        with pytest.raises(StoreError, match=budget):
+            ContentStore(**{budget: None})
+
+    def test_a_numpy_integer_budget_is_a_byte_count(self):
+        store = ContentStore(max_memory_bytes=np.int64(4096))
+        assert store.max_memory_bytes == 4096
+        assert type(store.max_memory_bytes) is int
 
     def test_negative_budget_raises_the_clustering_domain_error(self):
         store = ContentStore()
@@ -265,3 +299,35 @@ class TestOperations:
         report = store.gc(max_bytes=0)
         assert report["evicted"] == 3
         assert store.disk_report()["entries"] == 0
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"max_bytes": -5},
+            {"max_bytes": 1.5},
+            {"max_bytes": True},
+            {"max_bytes": float("nan")},
+            {"tmp_grace_seconds": -1.0},
+            {"tmp_grace_seconds": float("nan")},
+            {"tmp_grace_seconds": float("inf")},
+            {"tmp_grace_seconds": True},
+            {"tmp_grace_seconds": "60"},
+        ],
+        ids=lambda bounds: "-".join(f"{k}={v}" for k, v in bounds.items()),
+    )
+    def test_gc_rejects_a_bad_bound_and_removes_nothing(self, tmp_path, bounds):
+        store = ContentStore(root=tmp_path)
+        for name in ("a", "b", "c"):
+            store.put("stage", name, {"a": np.zeros(64)})
+        tmp = store._entry_path("stage", "a").parent / ".tmp-live"
+        tmp.write_bytes(b"in flight")
+        with pytest.raises(StoreError):
+            store.gc(**bounds)
+        assert store.disk_report()["entries"] == 3
+        assert tmp.exists()
+
+    def test_gc_accepts_a_zero_grace_and_a_zero_budget(self, tmp_path):
+        store = ContentStore(root=tmp_path)
+        store.put("stage", "a", {"a": np.zeros(64)})
+        report = store.gc(max_bytes=np.int64(0), tmp_grace_seconds=0)
+        assert report["evicted"] == 1

@@ -10,9 +10,10 @@ original payload or recomputes it.
 import numpy as np
 import pytest
 from test_golden import GOLDEN, build_case, result_digest
+from test_pipeline import drop_stage_entries, stage_entry_path
 
 from repro import QSCPipeline
-from repro.pipeline import checkpoint
+from repro.core.qpe_engine import clear_spectral_cache
 from repro.store import ContentStore, configure_store, get_store
 
 
@@ -39,9 +40,7 @@ class TestStoreCorruption:
         assert not path.exists()  # evicted on the spot
         assert store.counters()["corrupt_evictions"] == 1
 
-        rebuilt = store.get_or_create(
-            "stress", "k", payload, memory=False
-        )
+        rebuilt = store.get_or_create("stress", "k", payload)
         assert np.array_equal(rebuilt["rows"], payload()["rows"])
         store.clear_memory(reset_stats=False)
         assert store.get("stress", "k") is not None  # re-published
@@ -95,7 +94,7 @@ class TestPipelineCheckpointCorruption:
         graph, k, config = build_case("analytic_shots")
         config = config.with_updates(store_dir=str(tmp_path / "store"))
         QSCPipeline(k, config).run(graph)
-        path = _stage_entry_path(graph, config, k, "threshold")
+        path = stage_entry_path(graph, config, k, "threshold")
         flip_byte(path, path.stat().st_size // 2)
 
         rerun = QSCPipeline(k, config).run(graph)
@@ -107,58 +106,40 @@ class TestPipelineCheckpointCorruption:
         assert path.exists()  # the recompute republished the entry
 
     def test_corrupt_store_stage_entry_recomputes_to_golden(self, tmp_path):
-        """Same healing when the damaged entry lives in the shared store."""
+        """Same healing when the damaged entry is read by a later stage:
+        the readout onward recomputes and asks for the laplacian entry."""
         graph, k, config = build_case("analytic_shots")
         config = config.with_updates(store_dir=str(tmp_path / "store"))
         QSCPipeline(k, config).run(graph)
 
         store = get_store()
-        path = _stage_entry_path(graph, config, k, "laplacian")
+        path = stage_entry_path(graph, config, k, "laplacian")
         flip_byte(path, path.stat().st_size // 2)
-
-        from repro.core.qpe_engine import clear_spectral_cache
+        drop_stage_entries(graph, config, k, "readout")
 
         clear_spectral_cache()
-        resumed = QSCPipeline(k, config).run(graph, resume_from="readout")
+        resumed = QSCPipeline(k, config).run(graph)
         assert result_digest(resumed) == GOLDEN["analytic_shots"]
         profile = {row["stage"]: row["source"] for row in resumed.profile}
         assert profile["laplacian"] == "computed"
-        assert profile["threshold"] == "checkpoint"  # siblings still served
+        assert profile["threshold"] == "store"  # siblings still served
         assert store.counters()["corrupt_evictions"] >= 1
         configure_store(root=None)
 
     def test_missing_store_entry_recomputes_to_golden(
         self, tmp_path, pristine_store
     ):
-        """Plain absence follows the same rule as corruption: a resume
+        """Plain absence follows the same rule as corruption: a rerun
         whose upstream entry is gone recomputes that stage."""
         graph, k, config = build_case("analytic_shots")
         config = config.with_updates(store_dir=str(tmp_path / "store"))
         QSCPipeline(k, config).run(graph)
-        _stage_entry_path(graph, config, k, "laplacian").unlink()
+        stage_entry_path(graph, config, k, "laplacian").unlink()
+        drop_stage_entries(graph, config, k, "readout")
 
-        resumed = QSCPipeline(k, config).run(graph, resume_from="readout")
+        resumed = QSCPipeline(k, config).run(graph)
         assert result_digest(resumed) == GOLDEN["analytic_shots"]
         profile = {row["stage"]: row["source"] for row in resumed.profile}
         assert profile["laplacian"] == "computed"
-        assert profile["threshold"] == "checkpoint"
-        assert _stage_entry_path(graph, config, k, "laplacian").exists()
-
-
-def _stage_entry_path(graph, config, num_clusters, stage_name):
-    """The store file of the entry the pipeline keys ``stage_name`` under —
-    its context fingerprint is computed with the pipeline's own stage
-    declarations, so the test addresses the exact entry a run just
-    published."""
-    from repro.pipeline import build_stages
-
-    stage = next(s for s in build_stages() if s.name == stage_name)
-    fingerprint = checkpoint.context_fingerprint(
-        graph,
-        config,
-        num_clusters if stage.fingerprint_clusters else None,
-        stage.fingerprint_fields,
-    )
-    return get_store()._entry_path(
-        checkpoint.STAGE_NAMESPACE, checkpoint.store_key(stage_name, fingerprint)
-    )
+        assert profile["threshold"] == "store"
+        assert stage_entry_path(graph, config, k, "laplacian").exists()

@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.graphs import io as graph_io
 from repro.graphs import hermitian_laplacian, mixed_sbm
+from repro.pipeline import STAGE_NAMES
 
 
 def profile_rows(out: str) -> dict:
@@ -162,47 +163,61 @@ class TestClusterCommand:
         assert "--save-stages" in capsys.readouterr().err
         assert not (tmp_path / "stages").exists()
 
-    def test_resume_without_store_dir_errors(self, graph_file, capsys):
+    @pytest.mark.parametrize("store", [False, True], ids=["no-store", "store"])
+    def test_resume_without_store_dir_errors(self, graph_file, tmp_path, capsys, store):
+        """A store-backed run serves every stage it holds, so the resume
+        flag is gone and argparse rejects it."""
         path, _ = graph_file
-        code = main(
-            ["cluster", "--input", path, "--clusters", "2",
-             "--resume-from", "readout"]
-        )
-        assert code == 1
-        assert "--store-dir" in capsys.readouterr().err
+        argv = ["cluster", "--input", path, "--clusters", "2",
+                "--resume-from", "readout"]
+        if store:
+            argv += ["--store-dir", str(tmp_path / "cas")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--resume-from" in capsys.readouterr().err
+        assert not (tmp_path / "cas").exists()
 
     def test_resume_from_store_matches_the_full_run(
         self, graph_file, tmp_path, capsys, pristine_store
     ):
+        """A rerun at another shot budget serves the two stages shots do
+        not key and computes the rest, as a run without a store would."""
         path, _ = graph_file
-        base = ["cluster", "--input", path, "--clusters", "2", "--shots",
-                "128", "--seed", "2", "--store-dir", str(tmp_path / "cas")]
-        assert main(base) == 0
-        full_out = capsys.readouterr().out
-        assert main(base + ["--resume-from", "readout", "--profile"]) == 0
-        resumed_out = capsys.readouterr().out
-        assert resumed_out.startswith(full_out)
-        rows = profile_rows(resumed_out)
-        assert "checkpoint" in rows["laplacian"]
-        assert "checkpoint" in rows["threshold"]
-        assert "computed" in rows["readout"]
+        base = ["cluster", "--input", path, "--clusters", "2", "--seed", "2"]
+        store = ["--store-dir", str(tmp_path / "cas")]
+        assert main(base + ["--shots", "64"]) == 0
+        direct_out = capsys.readouterr().out
+        assert main(base + ["--shots", "128"] + store) == 0
+        capsys.readouterr()
+        assert main(base + ["--shots", "64", "--profile"] + store) == 0
+        rerun_out = capsys.readouterr().out
+        assert rerun_out.startswith(direct_out)
+        rows = profile_rows(rerun_out)
+        assert "store" in rows["laplacian"]
+        assert "store" in rows["threshold"]
+        assert all("computed" in rows[name] for name in STAGE_NAMES[2:])
 
     def test_resume_from_an_empty_store_recomputes(
         self, graph_file, tmp_path, capsys, pristine_store
     ):
         """A stage the store lacks is a miss, not an error: it is
-        recomputed and the labels equal a run without a store."""
+        recomputed and the labels equal a run without a store; a warm
+        rerun then serves every stage."""
         path, _ = graph_file
         base = ["cluster", "--input", path, "--clusters", "2", "--shots",
                 "128", "--seed", "2"]
         assert main(base) == 0
         direct_out = capsys.readouterr().out
-        store = ["--store-dir", str(tmp_path / "cas")]
-        assert main(base + store + ["--resume-from", "qmeans", "--profile"]) == 0
-        resumed_out = capsys.readouterr().out
-        assert resumed_out.startswith(direct_out)
-        rows = profile_rows(resumed_out)
-        assert all("computed" in row for row in rows.values())
+        store = ["--store-dir", str(tmp_path / "cas"), "--profile"]
+        assert main(base + store) == 0
+        cold_out = capsys.readouterr().out
+        assert cold_out.startswith(direct_out)
+        assert all("computed" in row for row in profile_rows(cold_out).values())
+        assert main(base + store) == 0
+        warm_out = capsys.readouterr().out
+        assert warm_out.startswith(direct_out)
+        assert all("store" in row for row in profile_rows(warm_out).values())
 
     def test_stage_flags_rejected_for_classical(self, graph_file, capsys):
         path, _ = graph_file

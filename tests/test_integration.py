@@ -26,8 +26,9 @@ from repro.graphs import (
     load_s27,
     synthetic_netlist,
 )
+from repro.linalg import DenseBackend
 from repro.metrics import partition_summary
-from repro.spectral import dense_lowest_eigenpairs, lanczos_lowest_eigenpairs
+from repro.spectral import lanczos_lowest_eigenpairs
 
 
 def subspace_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -48,14 +49,14 @@ class TestFrontEndAgreement:
     def test_all_eigensolvers_find_the_same_subspace(self, strong_graph):
         graph, _ = strong_graph
         laplacian = hermitian_laplacian(graph)
-        _, dense = dense_lowest_eigenpairs(laplacian, 2)
+        _, dense = DenseBackend().lowest_eigenpairs(laplacian, 2)
         _, lanczos = lanczos_lowest_eigenpairs(laplacian, 2, seed=0)
         assert subspace_fidelity(dense, lanczos) > 0.999
 
     def test_qpe_filter_matches_exact_projector(self, strong_graph):
         graph, _ = strong_graph
         laplacian = hermitian_laplacian(graph)
-        values, vectors = dense_lowest_eigenpairs(laplacian, 2)
+        values, vectors = DenseBackend().lowest_eigenpairs(laplacian, 2)
         projector = vectors @ vectors.conj().T
         backend = AnalyticQPEBackend(laplacian, 8)
         threshold = (values[1] + np.linalg.eigvalsh(laplacian)[2]) / 2
