@@ -49,12 +49,13 @@ def test_bench_precision_sweep(benchmark, quick_trials):
     # kernel; the diagnostics pass reuses the fit pipeline's own backend
     # (staged-state reuse — no second construction, not even a cache hit).
     # Warm, the fit's spectral work is fully cache-served.
-    benchmark.extra_info["cold_cache"] = cold.cache
-    benchmark.extra_info["warm_cache"] = warm.cache
-    assert cold.cache["misses"] == 2 * len(tasks)
-    assert cold.cache["hits"] == 0
-    assert warm.cache["misses"] == 0
-    assert warm.cache["hits"] == 2 * len(tasks)
+    # No disk tier is attached, so every hit is a memory hit.
+    benchmark.extra_info["cold_store"] = cold.store
+    benchmark.extra_info["warm_store"] = warm.store
+    assert cold.store["misses"] == 2 * len(tasks)
+    assert cold.store["memory_hits"] + cold.store["disk_hits"] == 0
+    assert warm.store["misses"] == 0
+    assert warm.store["memory_hits"] == 2 * len(tasks)
     # per-stage telemetry: every trial computed all five stages for real
     assert cold.profile["laplacian"]["computed"] == len(tasks)
     assert cold.profile["laplacian"]["loaded"] == 0

@@ -31,11 +31,11 @@ def test_bench_shots_sweep(benchmark, quick_trials):
     # kernel; the finite-shot fit resumes from the readout stage against
     # the reference fit's in-memory state, so it constructs no backend at
     # all — the upstream skip shows up in the per-stage telemetry instead
-    # of as cache hits.
-    benchmark.extra_info["cache"] = result.cache
+    # of as store hits.
+    benchmark.extra_info["store"] = result.store
     benchmark.extra_info["profile"] = result.profile
-    assert result.cache["misses"] == 2 * num_tasks
-    assert result.cache["hits"] == 0
+    assert result.store["misses"] == 2 * num_tasks
+    assert result.store["memory_hits"] + result.store["disk_hits"] == 0
     assert result.profile["laplacian"]["computed"] == num_tasks
     assert result.profile["laplacian"]["loaded"] == num_tasks
     assert result.profile["threshold"]["loaded"] == num_tasks

@@ -121,8 +121,8 @@ def measure_sweep_cache() -> dict:
         "cold_seconds": cold.elapsed_seconds,
         "warm_seconds": warm.elapsed_seconds,
         "warm_speedup": cold.elapsed_seconds / warm.elapsed_seconds,
-        "cold_cache": cold.cache,
-        "warm_cache": warm.cache,
+        "cold_store": cold.store,
+        "warm_store": warm.store,
     }
 
 
@@ -319,11 +319,11 @@ def evaluate_gates(results: dict) -> dict:
         "value": results["kernel"]["speedup"],
         "passed": results["kernel"]["speedup"] >= MIN_KERNEL_SPEEDUP,
     }
-    warm_cache = results["sweep_cache"]["warm_cache"]
+    warm_cache = results["sweep_cache"]["warm_store"]
     gates["warm_sweep_fully_cached"] = {
         "threshold": 0,
         "value": warm_cache["misses"],
-        "passed": warm_cache["misses"] == 0 and warm_cache["hits"] > 0,
+        "passed": warm_cache["misses"] == 0 and warm_cache["memory_hits"] > 0,
     }
     warm_store = results["store"]["warm_store"]
     gates["warm_store_fully_served"] = {

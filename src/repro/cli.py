@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -87,6 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
                 f"must be a finite number >= 0, got {value}"
             )
         return number
+
+    def existing_dir(value: str) -> str:
+        # A typo must not pass as a clean, empty store: nothing is created.
+        if not os.path.isdir(value):
+            raise argparse.ArgumentTypeError(f"no such directory: {value}")
+        return value
 
     cluster = sub.add_parser("cluster", help="cluster an edge-list graph")
     cluster.add_argument("--input", required=True, help="edge-list file")
@@ -293,7 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     store.add_argument(
-        "--dir", required=True, metavar="DIR", help="store root directory"
+        "--dir",
+        type=existing_dir,
+        required=True,
+        metavar="DIR",
+        help="store root directory (must exist)",
     )
     store.add_argument(
         "--max-bytes",
@@ -450,8 +461,8 @@ def _cmd_cluster(args) -> int:
             backend = f"  [{'/'.join(annotations)}]" if annotations else ""
             print(
                 f"  {row['stage']:9s} {row['seconds']*1e3:9.2f} ms  "
-                f"{row['source']:10s} cache {row['cache_hits']}h/"
-                f"{row['cache_misses']}m{backend}"
+                f"{row['source']:10s} memory_hits={row['memory_hits']} "
+                f"disk_hits={row['disk_hits']} misses={row['misses']}{backend}"
             )
     return 0
 
@@ -563,19 +574,14 @@ def _cmd_experiments(args) -> int:
         result = SweepRunner(spec, jobs=args.jobs).run()
         artifact = result.to_artifact()
         path = write_artifact(result, args.out, artifact=artifact)
-        cache = result.cache
+        store = result.store
         print(
             f"{name}: {len(result.records)} records in "
             f"{result.elapsed_seconds:.2f}s (jobs={result.jobs}, "
-            f"cache hits={cache['hits']} misses={cache['misses']}) -> {path}"
+            f"store disk_hits={store['disk_hits']} "
+            f"memory_hits={store['memory_hits']} "
+            f"misses={store['misses']}) -> {path}"
         )
-        if args.store_dir is not None:
-            store = result.store
-            print(
-                f"{'':{len(name)}s}  store disk_hits={store['disk_hits']} "
-                f"memory_hits={store['memory_hits']} "
-                f"misses={store['misses']}"
-            )
         if artifact["table"]:
             print(artifact["table"])
     return 0

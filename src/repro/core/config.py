@@ -124,9 +124,6 @@ class QSCConfig:
         Product-formula parameters when ``evolution="trotter"``.
     theta:
         Hermitian phase angle assigned to arcs.
-    normalization:
-        Laplacian normalization (the pipeline requires ``"symmetric"`` so
-        the spectrum is bounded by 2 and eigenphases fit in [0, 1)).
     eigenvalue_threshold:
         Explicit projection threshold ν; ``None`` selects it from the
         sampled eigenvalue histogram (end-to-end quantum mode).
@@ -152,7 +149,6 @@ class QSCConfig:
     trotter_steps: int = 4
     trotter_order: int = 2
     theta: float = float(np.pi / 2)
-    normalization: str = "symmetric"
     eigenvalue_threshold: float | None = None
     qmeans_delta: float = 0.05
     qmeans_iterations: int = 30
@@ -204,11 +200,6 @@ class QSCConfig:
         if self.evolution not in EVOLUTIONS:
             raise ClusteringError(
                 f"evolution must be one of {EVOLUTIONS}, got {self.evolution!r}"
-            )
-        if self.normalization != "symmetric":
-            raise ClusteringError(
-                "the quantum pipeline requires the symmetric normalization "
-                "(bounded spectrum); baselines cover the others"
             )
         if self.trotter_steps < 1 or self.trotter_order not in (1, 2):
             raise ClusteringError("invalid Trotter parameters")

@@ -137,17 +137,6 @@ def _kernel(fingerprint: str, precision_bits: int, phases: np.ndarray) -> np.nda
     return payload["kernel"]
 
 
-def spectral_cache_counters() -> dict:
-    """Counters of the store's spectral namespace: ``hits`` (memory and
-    disk tier together), ``misses`` and ``evictions`` (memory tier)."""
-    counters = get_store().namespace_counters(SPECTRAL_NAMESPACE)
-    return {
-        "hits": counters["memory_hits"] + counters["disk_hits"],
-        "misses": counters["misses"],
-        "evictions": counters["memory_evictions"],
-    }
-
-
 def clear_spectral_cache() -> None:
     """Empty the store's memory tier and reset its counters.
 

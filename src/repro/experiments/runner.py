@@ -13,16 +13,15 @@ one declarative subsystem:
   serially or across a process pool (``jobs > 1``).  Per-task RNG streams
   are spawned up front with :func:`repro.utils.rng.spawn_rngs` and results
   are reassembled in task order, so serial and parallel runs are
-  bit-identical at a fixed seed.  Workers share the process-local spectral
-  cache of :mod:`repro.core.qpe_engine`; hit/miss deltas are aggregated
-  into the result.
+  bit-identical at a fixed seed.  Each worker's content-store counter
+  deltas (:mod:`repro.store`) are aggregated into the result.
 * :func:`write_artifact` / :func:`validate_artifact` — every sweep can be
   serialized to one JSON artifact of schema :data:`ARTIFACT_SCHEMA`, which
   the ``repro experiments`` CLI emits and CI validates.  Since the staged
   pipeline core (:mod:`repro.pipeline`) the artifact carries an additive
   ``profile`` field: per-stage wall seconds and computed/loaded execution
   counts aggregated across every trial, bracketed per task exactly like
-  the spectral-cache counters.
+  the store counters.
 
 Determinism contract: a task's trial seed depends only on (point, trial,
 base_seed) via the spec's ``seed`` function, and its RNG stream only on
@@ -45,7 +44,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.qpe_engine import spectral_cache_counters
 from repro.exceptions import ClusteringError, ExperimentError
 from repro.experiments.common import TrialRecord
 from repro.pipeline.telemetry import (
@@ -55,13 +53,11 @@ from repro.pipeline.telemetry import (
     stage_totals,
     totals_delta,
 )
-from repro.store import COUNTER_KEYS as _STORE_COUNTERS, store_counters
+from repro.store import COUNTER_KEYS as _STORE_COUNTERS, get_store
 from repro.utils.rng import spawn_rngs
 
 #: Version tag of the JSON artifact layout written by :func:`write_artifact`.
 ARTIFACT_SCHEMA = "repro.sweep/1"
-
-_CACHE_COUNTERS = ("hits", "misses", "evictions")
 
 
 @dataclass(frozen=True)
@@ -175,23 +171,20 @@ class SweepResult:
 
     ``records`` is the flat list of :class:`TrialRecord` rows in task
     order — independent of ``jobs``, bit-identical between serial and
-    parallel runs.  ``cache`` holds the spectral-cache hit/miss/eviction
-    deltas accumulated across all worker processes; ``profile`` holds the
-    per-stage pipeline telemetry deltas (seconds, computed/loaded counts
-    per stage of :data:`repro.pipeline.STAGE_NAMES`) aggregated the same
-    way.
+    parallel runs.  ``store`` holds the content-store counter deltas
+    (:data:`repro.store.COUNTER_KEYS`) accumulated across all worker
+    processes — all zeros when no sweep touched the store; ``profile``
+    holds the per-stage pipeline telemetry deltas (seconds,
+    computed/loaded counts per stage of
+    :data:`repro.pipeline.STAGE_NAMES`) aggregated the same way.
     """
 
     spec: SweepSpec
     records: list
     jobs: int
     elapsed_seconds: float
-    cache: dict
+    store: dict
     profile: dict = field(default_factory=dict)
-    #: Content-store counter deltas (memory/disk hits, misses, evictions)
-    #: aggregated across all worker processes, same bracketing as ``cache``.
-    #: All zeros when no sweep touched the store.
-    store: dict = field(default_factory=dict)
 
     def rendered(self) -> str | None:
         """The spec's markdown rendering of the records (if it has one)."""
@@ -217,11 +210,10 @@ class SweepResult:
             },
             "jobs": self.jobs,
             "elapsed_seconds": float(self.elapsed_seconds),
-            "cache": {k: int(self.cache.get(k, 0)) for k in _CACHE_COUNTERS},
-            # Additive field: cross-process content-store traffic.  A warm
+            # Content-store traffic across every worker process.  A warm
             # ``--store-dir`` re-run shows nonzero ``disk_hits`` here — the
             # counter the CI smoke and the trajectory gate assert on.
-            "store": {k: int(self.store.get(k, 0)) for k in _STORE_COUNTERS},
+            "store": {k: int(self.store[k]) for k in _STORE_COUNTERS},
             "profile": {
                 stage: {
                     "seconds": float(entry.get("seconds", 0.0)),
@@ -279,21 +271,19 @@ def _record_dict(record: TrialRecord) -> dict:
 
 
 def _execute_task(spec: SweepSpec, task: SweepTask, rng) -> tuple:
-    """Run one task; returns (index, records, cache/store/profile deltas).
+    """Run one task; returns (index, records, store/profile deltas).
 
-    Module-level so process-pool workers can unpickle it.  The spectral
-    cache delta, the content-store counter delta and the per-stage
-    pipeline telemetry delta are measured *inside* the executing process,
+    Module-level so process-pool workers can unpickle it.  The
+    content-store counter delta and the per-stage pipeline telemetry
+    delta are measured *inside* the executing process,
     bracketing the trial call, so the accounting is exact regardless of
     multiprocessing start method (fork workers inherit nonzero counters,
     spawn workers start at zero — a delta is correct either way).
     """
-    before = spectral_cache_counters()
-    store_before = store_counters()
+    store_before = get_store().counters()
     stages_before = stage_totals()
     records = list(spec.trial(task.point, task.trial, task.seed, rng, **spec.fixed))
-    after = spectral_cache_counters()
-    store_after = store_counters()
+    store_after = get_store().counters()
     stages_after = stage_totals()
     for record in records:
         if not isinstance(record, TrialRecord):
@@ -301,15 +291,10 @@ def _execute_task(spec: SweepSpec, task: SweepTask, rng) -> tuple:
                 f"sweep {spec.name!r} trial returned {type(record).__name__}, "
                 "expected TrialRecord"
             )
-    delta = {key: after.get(key, 0) - before.get(key, 0) for key in _CACHE_COUNTERS}
-    store_delta = {
-        key: store_after.get(key, 0) - store_before.get(key, 0)
-        for key in _STORE_COUNTERS
-    }
+    store_delta = {key: store_after[key] - store_before[key] for key in _STORE_COUNTERS}
     return (
         task.index,
         records,
-        delta,
         store_delta,
         totals_delta(stages_before, stages_after),
     )
@@ -373,13 +358,10 @@ class SweepRunner:
                         ) from exc
         elapsed = time.perf_counter() - start
         by_index: dict[int, list] = {}
-        cache = {key: 0 for key in _CACHE_COUNTERS}
         store = {key: 0 for key in _STORE_COUNTERS}
         profile: dict = {}
-        for index, records, delta, store_delta, stage_delta in outcomes:
+        for index, records, store_delta, stage_delta in outcomes:
             by_index[index] = records
-            for key in _CACHE_COUNTERS:
-                cache[key] += delta[key]
             for key in _STORE_COUNTERS:
                 store[key] += store_delta[key]
             merge_totals(profile, stage_delta)
@@ -389,9 +371,8 @@ class SweepRunner:
             records=records,
             jobs=self.jobs,
             elapsed_seconds=elapsed,
-            cache=cache,
-            profile=profile,
             store=store,
+            profile=profile,
         )
 
 
@@ -419,7 +400,6 @@ def validate_artifact(artifact: dict) -> dict:
         ("spec", dict),
         ("jobs", int),
         ("elapsed_seconds", (int, float)),
-        ("cache", dict),
         ("records", list),
     ):
         if not isinstance(artifact.get(key), kind):
@@ -435,14 +415,12 @@ def validate_artifact(artifact: dict) -> dict:
             raise ExperimentError(f"artifact spec field {key!r} missing or mistyped")
     if not spec["axes"]:
         raise ExperimentError("artifact spec has no axes")
-    for counter in _CACHE_COUNTERS:
-        if not isinstance(artifact["cache"].get(counter), int):
-            raise ExperimentError(f"artifact cache counter {counter!r} missing")
     store = artifact.get("store")
     if store is not None:
         # Additive field (schema unchanged): content-store counter deltas.
-        # Artifacts written before the shared store stay valid; when the
-        # field is present every counter must be an integer so the CI
+        # Artifacts written before the shared store stay valid, and so do
+        # those that still carry the retired spectral ``cache`` block; when
+        # the field is present every counter must be an integer so the CI
         # warm-store assertion cannot silently read garbage.
         if not isinstance(store, dict):
             raise ExperimentError("artifact store must be an object")

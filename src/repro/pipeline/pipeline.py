@@ -17,7 +17,7 @@ this driver runs it as five composable stages
   runs ``readout`` onward.  Because each stage owns an independent
   spawned stream, a resumed run equals the full run exactly;
 * **profiled** — every stage execution is timed and bracketed with
-  spectral-cache counters; the per-run profile lands in
+  the content store's counters; the per-run profile lands in
   ``QSCResult.profile`` and the process-wide totals
   (:func:`repro.pipeline.telemetry.stage_totals`) feed the sweep runner's
   artifact field.
@@ -33,13 +33,12 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.core.config import QSCConfig
-from repro.core.qpe_engine import spectral_cache_counters
 from repro.core.result import QSCResult
 from repro.exceptions import ClusteringError
 from repro.pipeline import checkpoint, telemetry
 from repro.pipeline.stage import StageContext, StageState
 from repro.pipeline.stages import STAGE_NAMES, build_stages
-from repro.store import attached_store
+from repro.store import attached_store, get_store
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 #: Names of the per-stage RNG streams, in spawn order (the historical
@@ -119,17 +118,19 @@ class QSCPipeline:
 
         Notes
         -----
-        When the config carries ``store_dir`` (or a shared content store
-        is already attached — see :mod:`repro.store`), stages resolve
-        *through the store*: every cleanly computed stage is published
-        under its context fingerprint, and a run without ``resume_from``
-        serves each stage whose entry already exists instead of computing
-        it (``source="store"``).  An in-memory resume (``upstream``) reuses
-        the upstream stages and reads the resumed stage onward through the
-        store like a plain run.  One rule covers an entry
-        that is missing, one written for another context (its key differs)
-        and a corrupt one: each is a miss, and the stage is recomputed from
-        its own RNG stream and published (``source="computed"``).
+        When the config carries ``store_dir`` (see :mod:`repro.store`),
+        stages resolve *through the store*: every cleanly computed stage
+        is published under its context fingerprint, and a run without
+        ``resume_from`` serves each stage whose entry already exists
+        instead of computing it (``source="store"``).  A config without
+        ``store_dir`` names no store: the run reads and writes no disk
+        entry, whatever an earlier run attached.  An in-memory resume
+        (``upstream``) reuses the upstream stages and reads the resumed
+        stage onward through the store like a plain run.  One rule covers
+        an entry that is missing, one written for another context (its
+        key differs) and a corrupt one: each is a miss, and the stage is
+        recomputed from its own RNG stream and published
+        (``source="computed"``).
 
         A served stage resolves on first use: the
         run only checks that its entry exists, and reads it the first time
@@ -210,7 +211,7 @@ class QSCPipeline:
         """Execute, load or defer every stage, appending telemetry reports."""
         cfg = self.config
         for index, stage in enumerate(build_stages()):
-            cache_before = spectral_cache_counters()
+            counters_before = get_store().counters()
             start = time.perf_counter()
             ctx.backend_info = {}
             values = None
@@ -253,7 +254,7 @@ class QSCPipeline:
             if values is None:
                 values = _compute(stage, ctx, store)
             ctx.state.update(values)
-            reports.append(_report(stage, source, start, cache_before, ctx))
+            reports.append(_report(stage, source, start, counters_before, ctx))
 
 
 class _Streams(Mapping):
@@ -312,7 +313,7 @@ class _ServedStage:
 
     def __call__(self, state: StageState) -> dict:
         ctx = StageContext(state=state, **self.inputs)
-        cache_before = spectral_cache_counters()
+        counters_before = get_store().counters()
         # The report's time is the registration's plus this resolution's.
         start = time.perf_counter() - self.reports[self.index].seconds
         payload = self.store.get(
@@ -324,7 +325,7 @@ class _ServedStage:
         else:
             values = _compute(self.stage, ctx, self.store)
             source = "computed"
-        report = _report(self.stage, source, start, cache_before, ctx)
+        report = _report(self.stage, source, start, counters_before, ctx)
         if self.recorded and source == "computed":
             telemetry.record_stage(report)
         self.reports[self.index] = report
@@ -343,15 +344,16 @@ def _compute(stage, ctx: StageContext, store) -> dict:
     return values
 
 
-def _report(stage, source: str, start: float, cache_before: dict, ctx):
+def _report(stage, source: str, start: float, counters_before: dict, ctx):
     """Telemetry of one stage execution that began at ``start``."""
-    cache_after = spectral_cache_counters()
+    after = get_store().counters()
     return telemetry.StageReport(
         stage=stage.name,
         seconds=time.perf_counter() - start,
         source=source,
-        cache_hits=cache_after["hits"] - cache_before["hits"],
-        cache_misses=cache_after["misses"] - cache_before["misses"],
+        memory_hits=after["memory_hits"] - counters_before["memory_hits"],
+        disk_hits=after["disk_hits"] - counters_before["disk_hits"],
+        misses=after["misses"] - counters_before["misses"],
         backend=ctx.backend_info.get("linalg_backend"),
         eigensolver=ctx.backend_info.get("eigensolver"),
     )

@@ -43,7 +43,7 @@ from repro.spectral.kmeans import KMeansResult
 # Cumulative checkpoint-fingerprint field sets (see Stage.fingerprint_fields).
 # The laplacian *payload* depends only on the graph/Laplacian knobs — the
 # backend is rebuilt from the live config on load, so QPE fields stay out.
-_LAPLACIAN_FIELDS = ("theta", "normalization", "linalg_backend")
+_LAPLACIAN_FIELDS = ("theta", "linalg_backend")
 # Threshold output adds everything the histogram + selection consume: the
 # QPE engine construction knobs, the histogram budget, the explicit
 # threshold, and the master seed the histogram stream derives from.
@@ -83,7 +83,9 @@ class LaplacianStage(Stage):
         laplacian = hermitian_laplacian(
             ctx.graph,
             theta=cfg.theta,
-            normalization=cfg.normalization,
+            # the symmetric normalization bounds the spectrum by 2, so
+            # every eigenphase fits in [0, 1)
+            normalization="symmetric",
             backend=cfg.linalg_backend,
         )
         backend = make_backend(laplacian, cfg)

@@ -4,11 +4,11 @@ Two sinks record every stage execution:
 
 * the **run-local profile** — each :meth:`~repro.pipeline.pipeline.QSCPipeline.run`
   collects one :class:`StageReport` per stage (wall time, data source,
-  spectral-cache hit/miss delta) and attaches the tuple to
+  content-store counter delta) and attaches the tuple to
   ``QSCResult.profile``;
 * the **process-wide totals** (:func:`stage_totals`) — an accumulator the
   experiment sweep runner brackets around each trial, exactly like the
-  spectral-cache counters, so ``repro.sweep/1`` artifacts can report the
+  content-store counters, so ``repro.sweep/1`` artifacts can report the
   aggregate seconds spent per stage across a whole sweep.
 
 Totals are process-local: parallel sweep workers each accumulate their
@@ -49,10 +49,11 @@ class StageReport:
         for was missing or corrupt), ``"store"`` (served from the content
         store's entry for this stage context), or ``"reused"`` (taken
         from another run's in-memory state).
-    cache_hits / cache_misses:
-        Spectral-cache delta bracketing the stage — how much of its
-        spectral work was served from the content store's spectral
-        namespace (:func:`repro.core.qpe_engine.spectral_cache_counters`).
+    memory_hits / disk_hits / misses:
+        Delta of the content store's counters
+        (:meth:`repro.store.ContentStore.counters`, every namespace)
+        bracketing the stage: spectral entries served from memory or
+        disk, stage entries read, and lookups that found nothing.
     backend / eigensolver:
         Representation of the Laplacian the stage built (``"dense"`` or
         ``"sparse"``) and the eigensolve that ran on it (``"eigh(D=…)"``,
@@ -63,8 +64,9 @@ class StageReport:
     stage: str
     seconds: float
     source: str
-    cache_hits: int
-    cache_misses: int
+    memory_hits: int
+    disk_hits: int
+    misses: int
     backend: str | None = None
     eigensolver: str | None = None
 
@@ -74,8 +76,9 @@ class StageReport:
             "stage": self.stage,
             "seconds": float(self.seconds),
             "source": self.source,
-            "cache_hits": int(self.cache_hits),
-            "cache_misses": int(self.cache_misses),
+            "memory_hits": int(self.memory_hits),
+            "disk_hits": int(self.disk_hits),
+            "misses": int(self.misses),
         }
         if self.backend is not None:
             row["linalg_backend"] = self.backend

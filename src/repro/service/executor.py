@@ -7,8 +7,8 @@ picklable entry point so the default
 dedicated worker process.
 
 Crash-resume falls out of the content store rather than being built
-here: the worker configures the server's shared content store before
-running, and every stage output is checkpointed into that store the
+here: the job's spec names the server's shared content store, and every
+stage output is checkpointed into that store the
 moment it is computed — so a killed worker's restart (or a resubmission
 of the same job) serves each stage the previous run published and
 computes only the stages that never finished.  Finished jobs additionally
@@ -31,7 +31,6 @@ from repro.service.routes import PROTOCOL_VERSION
 from repro.store import (
     JOB_NAMESPACE,
     ContentStore,
-    configure_store,
     decode_json_payload,
     encode_json_payload,
 )
@@ -45,13 +44,10 @@ def execute_job(payload: dict) -> dict:
     supervisor hands to its executor, inline or worker-process alike.
     """
     job = payload["job"]
-    store_dir = payload.get("store_dir")
-    if store_dir is not None:
-        # The worker inherits the server's shared store so stage
-        # checkpoints land where the next attempt (or resubmission) of
-        # this job will look for them.
-        configure_store(root=store_dir)
-    spec = spec_from_job(job, store_dir=store_dir)
+    # The spec carries the server's shared store, so stage checkpoints
+    # land where the next attempt (or resubmission) of this job will
+    # look for them.
+    spec = spec_from_job(job, store_dir=payload.get("store_dir"))
     # Parallelism comes from concurrent jobs — never from a nested
     # process pool inside the worker.
     result = SweepRunner(spec, jobs=1).run()

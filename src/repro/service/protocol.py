@@ -41,7 +41,8 @@ def decode_line(raw: bytes) -> dict:
     """
     try:
         message = json.loads(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # RecursionError: nesting deeper than the parser's stack
         raise ProtocolError(f"malformed protocol line: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError(

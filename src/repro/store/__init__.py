@@ -5,10 +5,10 @@ is re-exported here:
 
 * :class:`ContentStore` — the two-tier store itself;
 * :func:`get_store` / :func:`attached_store` / :func:`configure_store` —
-  the process-wide instance the spectral cache and checkpoint paths
-  share (``QSCConfig.store_dir`` / ``--store-dir`` configure it);
-* :func:`store_counters` — counter snapshot (the sweep runner brackets
-  its deltas per task).
+  the process-wide instance the spectral engine and checkpoint paths
+  share (``QSCConfig.store_dir`` / ``--store-dir`` name its disk tier);
+  its :meth:`~ContentStore.counters` are the only cache counters (the
+  sweep runner brackets their deltas per task, the pipeline per stage).
 """
 
 from repro.store.content_store import (
@@ -26,7 +26,6 @@ from repro.store.content_store import (
     encode_json_payload,
     encode_payload,
     get_store,
-    store_counters,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "encode_json_payload",
     "encode_payload",
     "get_store",
-    "store_counters",
 ]

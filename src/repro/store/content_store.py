@@ -78,8 +78,8 @@ MAGIC = b"RCAS0002"
 DEFAULT_MEMORY_BYTES = 256 << 20
 #: Default byte budget of the on-disk tier (~2 GiB).
 DEFAULT_DISK_BYTES = 2 << 30
-#: Monotonic counters every namespace tracks (deltas are meaningful, so
-#: the sweep runner brackets them per task exactly like cache counters).
+#: Monotonic counters every namespace tracks (deltas are meaningful: the
+#: sweep runner brackets them per task, the pipeline per stage).
 COUNTER_KEYS = (
     "memory_hits",
     "disk_hits",
@@ -367,36 +367,31 @@ class ContentStore:
         )
         bucket[counter] += amount
 
-    def counters(self) -> dict:
-        """Flat monotonic counter totals across every namespace.
+    def counters(self, namespace: str | None = None) -> dict:
+        """Monotonic counter totals across every namespace, or of one.
 
         Deltas of this dict are meaningful across any code region — the
         sweep runner brackets them per task (inside the executing worker
-        process) exactly like the spectral-cache counters.
+        process) and the pipeline per stage.
         """
+        if namespace is None:
+            buckets = self._counters.values()
+        else:
+            buckets = [self._counters.get(namespace, {})]
         totals = {key: 0 for key in COUNTER_KEYS}
-        for bucket in self._counters.values():
+        for bucket in buckets:
             for key in COUNTER_KEYS:
-                totals[key] += bucket[key]
+                totals[key] += bucket.get(key, 0)
         return totals
 
-    def namespace_counters(self, namespace: str) -> dict:
-        """The counters of one namespace (no memory-tier scan)."""
-        bucket = self._counters.get(namespace)
-        return {key: 0 for key in COUNTER_KEYS} if bucket is None else dict(bucket)
-
     def stats(self) -> dict:
-        """Full snapshot: budgets, per-namespace counters, tier occupancy."""
+        """Budgets and memory-tier occupancy (the counters are
+        :meth:`counters`)."""
         return {
             "root": None if self._root is None else str(self._root),
             "max_memory_bytes": self.max_memory_bytes,
             "max_disk_bytes": self.max_disk_bytes,
             "memory": {"entries": len(self._entries), "bytes": self._bytes},
-            "namespaces": {
-                namespace: dict(bucket)
-                for namespace, bucket in sorted(self._counters.items())
-            },
-            "totals": self.counters(),
         }
 
     def clear_memory(self, reset_stats: bool = True) -> None:
@@ -724,19 +719,23 @@ def get_store() -> ContentStore:
 
 
 def attached_store(store_dir=None) -> ContentStore | None:
-    """The store a run carrying ``store_dir`` reads through.
+    """The store a run carrying ``store_dir`` reads through, or ``None``.
 
-    Attaches ``store_dir`` when given (so the store propagates into sweep
-    worker processes under any multiprocessing start method), then
-    returns the global store if it has a disk root, else ``None``: a
-    memory-only store would keep each run's stages in memory without
-    sharing them with any other process.  A store already rooted at
-    ``store_dir`` is not re-attached: a re-attach would re-scan the disk
-    tier on the next put.
+    The config is the only way to name a store: ``store_dir`` attaches
+    the global store's disk tier there (so the store propagates into
+    sweep worker processes under any multiprocessing start method) and
+    returns the store; ``None`` detaches the disk tier and returns
+    ``None``, so a run without a ``store_dir`` reads and writes no disk
+    entry, whatever an earlier run attached.  The memory tier stays
+    either way.  A store already rooted at ``store_dir`` is not
+    re-attached: a re-attach would re-scan the disk tier on the next put.
     """
-    if store_dir is not None and GLOBAL_STORE.root != pathlib.Path(store_dir):
-        configure_store(root=store_dir)
-    return GLOBAL_STORE if GLOBAL_STORE.root is not None else None
+    if store_dir is None:
+        GLOBAL_STORE.detach()
+        return None
+    if GLOBAL_STORE.root != pathlib.Path(store_dir):
+        GLOBAL_STORE.attach(store_dir)
+    return GLOBAL_STORE
 
 
 def configure_store(
@@ -747,10 +746,9 @@ def configure_store(
     """Configure the process-wide store; returns it.
 
     ``root`` attaches the shared on-disk tier (``None`` detaches it);
-    omit it to leave the current attachment alone.  Worker processes call
-    this from ``QSCPipeline.run`` whenever a config carries
-    ``store_dir``, so the store propagates under any multiprocessing
-    start method.
+    omit it to leave the current attachment alone.  A run still reads
+    through the disk tier only when its config names it: see
+    :func:`attached_store`.
     """
     store = GLOBAL_STORE
     if root is not _UNSET:
@@ -761,7 +759,3 @@ def configure_store(
     store.configure(max_memory_bytes=max_memory_bytes, max_disk_bytes=max_disk_bytes)
     return store
 
-
-def store_counters() -> dict:
-    """Flat monotonic counters of the global store (for delta bracketing)."""
-    return GLOBAL_STORE.counters()

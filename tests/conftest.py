@@ -41,7 +41,12 @@ def pristine_store():
 
 @pytest.fixture()
 def tmp_store(tmp_path, pristine_store):
-    """A disk-backed process-wide store rooted in the test's tmp dir."""
+    """A disk-backed process-wide store rooted in the test's tmp dir.
+
+    A run reads through it only when its config names the root
+    (``store_dir=str(tmp_store.root)``): a config without ``store_dir``
+    detaches the disk tier.
+    """
     return configure_store(root=tmp_path / "cas-store")
 
 

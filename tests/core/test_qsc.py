@@ -34,8 +34,8 @@ class TestConfig:
             QSCConfig(precision_bits=0)
         with pytest.raises(ClusteringError):
             QSCConfig(backend="qiskit")
-        with pytest.raises(ClusteringError):
-            QSCConfig(normalization="none")
+        with pytest.raises(TypeError):  # the pipeline is symmetric-only
+            QSCConfig(normalization="symmetric")
         with pytest.raises(ClusteringError):
             QSCConfig(qmeans_delta=-0.1)
         with pytest.raises(ClusteringError):

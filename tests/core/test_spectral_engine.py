@@ -23,9 +23,9 @@ from repro.core.projection import accepted_outcomes
 from repro.core.qpe_engine import (
     PAD_EIGENVALUE,
     AnalyticQPEBackend,
+    SPECTRAL_NAMESPACE,
     clear_spectral_cache,
     make_backend,
-    spectral_cache_counters,
 )
 from repro.exceptions import ClusteringError
 from repro.experiments.runner import registry
@@ -33,11 +33,16 @@ from repro.graphs import ensure_connected, mixed_sbm
 from repro.graphs.hermitian import hermitian_laplacian
 from repro.metrics import adjusted_rand_index
 from repro.pipeline import STAGE_NAMES
-from repro.store import configure_store, get_store
+from repro.store import get_store
 
 EIGENVALUE_TOLERANCE = 1e-12
 ROW_TOLERANCE = 1e-10
 ORTHOGONALITY_TOLERANCE = 1e-10
+
+
+def spectral_counters():
+    """The content store's counters of its spectral namespace."""
+    return get_store().counters(SPECTRAL_NAMESPACE)
 
 
 def laplacian_of(num_nodes, seed=1):
@@ -104,10 +109,10 @@ class TestBlockContract:
         clear_spectral_cache()
         AnalyticQPEBackend(laplacian, 5, "v1")
         AnalyticQPEBackend(laplacian, 5, "v3")
-        assert spectral_cache_counters()["misses"] == 4
+        assert spectral_counters()["misses"] == 4
         AnalyticQPEBackend(laplacian, 5, "v1")
         AnalyticQPEBackend(laplacian, 5, "v3")
-        assert spectral_cache_counters()["hits"] == 4
+        assert spectral_counters()["memory_hits"] == 4
 
     def test_eigensolver_names_the_solve(self):
         v1, v3 = engines(laplacian_of(20))
@@ -206,15 +211,16 @@ class TestStoreAliasing:
     ):
         golden = {"v1": GOLDEN, "v3": GOLDEN_V3}[engine]
         graph, k, config = build_case("analytic_shots", engine=warmed_by)
-        configure_store(root=tmp_path / "cas")
+        config = config.with_updates(store_dir=str(tmp_path / "cas"))
         QSCPipeline(k, config).run(graph)
         get_store().clear_memory()
         result = QSCPipeline(k, config.with_updates(spectral_engine=engine)).run(graph)
         # the Laplacian payload is engine-free, so it alone is served; the
         # spectrum and every stage after it are the engine's own
         assert sources(result) == ["store"] + ["computed"] * (len(STAGE_NAMES) - 1)
-        stats = spectral_cache_counters()
-        assert stats["hits"] == 0 and stats["misses"] == 2, stats
+        stats = spectral_counters()
+        assert stats["memory_hits"] + stats["disk_hits"] == 0, stats
+        assert stats["misses"] == 2, stats
         assert result_digest(result) == golden["analytic_shots"]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_V3))
@@ -225,12 +231,12 @@ class TestStoreAliasing:
         a computed one must have the same layout, or the chunked readout's
         matmuls round differently."""
         graph, k, config = build_case(name, engine="v3")
-        configure_store(root=tmp_path / "cas")
+        config = config.with_updates(store_dir=str(tmp_path / "cas"))
         QSCPipeline(k, config).run(graph)
         drop_stage_entries(graph, config, k, "threshold")
         get_store().clear_memory()
         resumed = QSCPipeline(k, config).run(graph)
-        assert spectral_cache_counters()["hits"] == 2  # decomposition + kernel
+        assert spectral_counters()["disk_hits"] == 2  # decomposition + kernel
         assert result_digest(resumed) == GOLDEN_V3[name]
 
     def test_served_default_cluster_equals_the_direct_run(

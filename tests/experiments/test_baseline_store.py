@@ -124,7 +124,7 @@ def test_warm_panel_fits_nothing_and_matches_cold(tmp_path, monkeypatch):
     forbid_fits(monkeypatch)
     warm = SweepRunner(sweep).run().records
     assert warm == cold
-    stats = get_store().namespace_counters(BASELINE_NAMESPACE)
+    stats = get_store().counters(BASELINE_NAMESPACE)
     assert stats["disk_hits"] == 5 and stats["misses"] == 0
 
 
@@ -170,7 +170,7 @@ def test_unseeded_baselines_are_neither_served_nor_published(
     run_panel(methods, graph, truth, store_dir)
     assert len(calls) == 10
     assert entries(store_dir) == []
-    assert get_store().namespace_counters(BASELINE_NAMESPACE)["misses"] == 0
+    assert get_store().counters(BASELINE_NAMESPACE)["misses"] == 0
 
 
 def test_a_corrupt_entry_is_evicted_and_recomputed(tmp_path, monkeypatch):
@@ -190,5 +190,5 @@ def test_a_corrupt_entry_is_evicted_and_recomputed(tmp_path, monkeypatch):
     warm = run_panel(baselines(), graph, truth, store_dir)
     assert warm == cold
     assert calls == ["DiSimClustering"]
-    assert get_store().namespace_counters(BASELINE_NAMESPACE)["corrupt_evictions"] == 1
+    assert get_store().counters(BASELINE_NAMESPACE)["corrupt_evictions"] == 1
     assert get_store().verify()["corrupt"] == []  # republished whole

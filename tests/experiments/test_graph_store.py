@@ -143,7 +143,7 @@ def test_a_served_graph_is_the_built_graph(name, tmp_path):
     rebuilt, served_truth, served_digest = trial_graph(
         store_dir, builder, connect_seed=7, **kwargs
     )
-    assert get_store().namespace_counters(GRAPH_NAMESPACE)["disk_hits"] == 1
+    assert get_store().counters(GRAPH_NAMESPACE)["disk_hits"] == 1
     assert served_digest == digest == graph_fingerprint(rebuilt)
     assert rebuilt.num_nodes == built.num_nodes
     assert rebuilt.sorted_connections() == built.sorted_connections()
@@ -162,7 +162,7 @@ def test_without_a_store_the_graph_is_built_and_hashed():
     builder, kwargs = BUILDERS["mixed_sbm"]
     graph, truth, digest = trial_graph(None, builder, connect_seed=7, **kwargs)
     assert digest == graph_fingerprint(graph)
-    assert get_store().namespace_counters(GRAPH_NAMESPACE)["misses"] == 0
+    assert get_store().counters(GRAPH_NAMESPACE)["misses"] == 0
 
 
 def test_a_corrupt_entry_is_evicted_and_regenerated(tmp_path):
@@ -185,7 +185,7 @@ def test_a_corrupt_entry_is_evicted_and_regenerated(tmp_path):
     assert calls == [1]
     assert warm[2] == cold[2]
     assert warm[0].sorted_connections() == cold[0].sorted_connections()
-    stats = get_store().namespace_counters(GRAPH_NAMESPACE)
+    stats = get_store().counters(GRAPH_NAMESPACE)
     assert stats["corrupt_evictions"] == 1
     assert get_store().verify()["corrupt"] == []  # republished whole
 
@@ -264,5 +264,5 @@ def test_warm_panel_generates_and_hashes_nothing(tmp_path, monkeypatch):
     forbid_graph_work(monkeypatch)
     warm = run_panel(store_dir)
     assert warm == cold
-    stats = get_store().namespace_counters(GRAPH_NAMESPACE)
+    stats = get_store().counters(GRAPH_NAMESPACE)
     assert stats["disk_hits"] == graphs and stats["misses"] == 0

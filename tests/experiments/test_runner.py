@@ -19,6 +19,7 @@ from repro.experiments.runner import (
     validate_artifact_file,
     write_artifact,
 )
+from repro.store import COUNTER_KEYS
 
 
 def tiny_trial(point, trial, seed, rng, scale=1.0) -> list:
@@ -190,9 +191,9 @@ class TestSweepRunner:
         # noiseless fit misses (decomposition + kernel); the finite-shot
         # fit resumes from the readout stage against the reference fit's
         # in-memory state — no second backend construction, so the skip
-        # shows up in the per-stage profile rather than as cache hits.
-        assert result.cache["hits"] == 0
-        assert result.cache["misses"] == 2
+        # shows up in the per-stage profile rather than as store hits.
+        assert result.store["memory_hits"] + result.store["disk_hits"] == 0
+        assert result.store["misses"] == 2
         assert result.profile["laplacian"] == {
             "seconds": result.profile["laplacian"]["seconds"],
             "computed": 1,
@@ -216,7 +217,7 @@ class TestSweepRunner:
         assert "linalg_backend" not in artifact["profile"]["threshold"]
 
     def test_counters_aggregate_across_parallel_workers(self):
-        """Cache and store counters sum over worker processes.
+        """Store counters sum over worker processes.
 
         Each task makes exactly one miss and one hit under a task-unique
         key, so the aggregated totals must equal the task count for any
@@ -226,7 +227,6 @@ class TestSweepRunner:
         process-local cache.
         """
         from repro.core.qpe_engine import clear_spectral_cache
-        from repro.store import COUNTER_KEYS
 
         spec = tiny_spec(trial=counter_poking_trial, fixed={})
         tasks = len(spec.tasks())
@@ -236,8 +236,6 @@ class TestSweepRunner:
         parallel = SweepRunner(spec, jobs=3).run()
         clear_spectral_cache()
         for result in (serial, parallel):
-            assert result.cache["hits"] == tasks
-            assert result.cache["misses"] == tasks
             assert set(result.store) == set(COUNTER_KEYS)
             assert result.store["memory_hits"] == tasks
             assert result.store["misses"] == tasks
@@ -315,7 +313,8 @@ class TestArtifacts:
         for mutation in (
             {"schema": "nope"},
             {"records": []},
-            {"cache": {}},
+            {"store": {}},
+            {"store": {"misses": 1}},
             {"spec": {}},
             {"table": 7},
         ):
@@ -324,6 +323,14 @@ class TestArtifacts:
                 validate_artifact(broken)
         with pytest.raises(ExperimentError):
             validate_artifact([])
+
+    def test_store_block_is_the_only_counter_block(self):
+        artifact = SweepRunner(tiny_spec()).run().to_artifact()
+        assert "cache" not in artifact
+        assert set(artifact["store"]) == set(COUNTER_KEYS)
+        # an artifact written before the spectral cache block was retired
+        older = {**artifact, "cache": {"hits": 0, "misses": 2, "evictions": 0}}
+        assert validate_artifact(older) is older
 
     def test_rendered_table_lands_in_artifact(self):
         spec = tiny_spec(render=lambda records: f"{len(records)} rows")

@@ -8,9 +8,9 @@ import pytest
 from repro.core.qpe_engine import (
     AnalyticQPEBackend,
     CircuitQPEBackend,
+    SPECTRAL_NAMESPACE,
     clear_spectral_cache,
     laplacian_fingerprint,
-    spectral_cache_counters,
 )
 from repro.exceptions import ClusteringError
 from repro.graphs import ensure_connected, hermitian_laplacian, mixed_sbm
@@ -28,9 +28,11 @@ def fresh_cache():
 
 
 def cache_stats():
-    """The spectral counters plus the store's memory-tier occupancy
-    (these tests put nothing but spectral entries in the memory tier)."""
-    return {**spectral_cache_counters(), **get_store().stats()["memory"]}
+    """The store's spectral-namespace counters plus its memory-tier
+    occupancy (these tests put nothing but spectral entries in the memory
+    tier, and attach no disk tier, so every hit is a memory hit)."""
+    store = get_store()
+    return {**store.counters(SPECTRAL_NAMESPACE), **store.stats()["memory"]}
 
 
 def make_laplacian(seed=3, num_nodes=20):
@@ -99,10 +101,10 @@ class TestHitMissKeying:
         laplacian = make_laplacian()
         first = AnalyticQPEBackend(laplacian, 4)
         stats = cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 2
+        assert stats["memory_hits"] == 0 and stats["misses"] == 2
         second = AnalyticQPEBackend(laplacian, 4)
         stats = cache_stats()
-        assert stats["hits"] == 2 and stats["misses"] == 2
+        assert stats["memory_hits"] == 2 and stats["misses"] == 2
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first._kernel, second._kernel)
 
@@ -112,7 +114,7 @@ class TestHitMissKeying:
         AnalyticQPEBackend(laplacian, 5)
         stats = cache_stats()
         # decomposition hit, kernel miss for the second precision
-        assert stats["hits"] == 1 and stats["misses"] == 3
+        assert stats["memory_hits"] == 1 and stats["misses"] == 3
 
     def test_laplacian_change_invalidates(self):
         laplacian = make_laplacian(seed=3)
@@ -122,13 +124,13 @@ class TestHitMissKeying:
         changed[1, 0] = np.conj(changed[0, 1])
         AnalyticQPEBackend(changed, 4)
         stats = cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 4
+        assert stats["memory_hits"] == 0 and stats["misses"] == 4
 
     def test_circuit_backend_shares_the_decomposition(self):
         laplacian = make_laplacian(num_nodes=10)
         AnalyticQPEBackend(laplacian, 3)
         CircuitQPEBackend(laplacian, 3)
-        assert cache_stats()["hits"] == 1
+        assert cache_stats()["memory_hits"] == 1
 
     def test_cached_arrays_are_read_only(self):
         backend = AnalyticQPEBackend(make_laplacian(), 4)
@@ -159,7 +161,7 @@ class TestTransparency:
         AnalyticQPEBackend(laplacian, 4)
         AnalyticQPEBackend(laplacian, 4)
         stats = cache_stats()
-        assert stats["hits"] == 0 and stats["misses"] == 4
+        assert stats["memory_hits"] == 0 and stats["misses"] == 4
         assert stats["entries"] == 0 and stats["bytes"] == 0
 
 
@@ -170,7 +172,7 @@ class TestMemoryBound:
             AnalyticQPEBackend(make_laplacian(seed=seed, num_nodes=24), 6)
         stats = cache_stats()
         assert stats["bytes"] <= 40_000
-        assert stats["evictions"] > 0
+        assert stats["memory_evictions"] > 0
 
     def test_least_recently_used_goes_first(self):
         configure_store(max_memory_bytes=40_000)
@@ -180,9 +182,9 @@ class TestMemoryBound:
             AnalyticQPEBackend(make_laplacian(seed=seed, num_nodes=24), 6)
             # keep the hot Laplacian recent so eviction takes the others
             AnalyticQPEBackend(hot, 6)
-        hits_before = cache_stats()["hits"]
+        hits_before = cache_stats()["memory_hits"]
         AnalyticQPEBackend(hot, 6)
-        assert cache_stats()["hits"] == hits_before + 2
+        assert cache_stats()["memory_hits"] == hits_before + 2
 
     def test_entry_larger_than_budget_is_not_stored(self):
         configure_store(max_memory_bytes=1)
@@ -202,9 +204,12 @@ class TestMemoryBound:
         clear_spectral_cache()
         stats = cache_stats()
         assert stats == {
-            "hits": 0,
+            "memory_hits": 0,
+            "disk_hits": 0,
             "misses": 0,
-            "evictions": 0,
+            "memory_evictions": 0,
+            "disk_evictions": 0,
+            "corrupt_evictions": 0,
             "entries": 0,
             "bytes": 0,
         }

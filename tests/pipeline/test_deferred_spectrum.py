@@ -9,12 +9,11 @@ run's bits.
 
 import pytest
 from test_golden import GOLDEN, build_case, result_digest
-from test_pipeline import CONFIG, results_equal
-from test_pipeline import drop_stage_entries
+from test_pipeline import CONFIG, drop_stage_entries, keyed, results_equal
 from test_read_through import graph, sources  # noqa: F401
 
 from repro import QSCPipeline, api
-from repro.core.qpe_engine import spectral_cache_counters
+from repro.core.qpe_engine import SPECTRAL_NAMESPACE
 from repro.experiments.fig2_precision_sweep import _filter_diagnostics
 from repro.pipeline import STAGE_NAMES
 from repro.store import get_store
@@ -25,6 +24,11 @@ def fresh_worker() -> None:
     get_store().clear_memory()
 
 
+def spectral_counters() -> dict:
+    """The content store's counters of its spectral namespace."""
+    return get_store().counters(SPECTRAL_NAMESPACE)
+
+
 class TestServedRun:
     def test_warm_cluster_does_no_spectral_work(self, graph, tmp_path, pristine_store):
         store_dir = tmp_path / "cas"
@@ -32,27 +36,29 @@ class TestServedRun:
         fresh_worker()
         warm = api.cluster(graph, 2, config=CONFIG, store_dir=str(store_dir))
         assert sources(warm) == ["store"] * len(STAGE_NAMES)
-        stats = spectral_cache_counters()
-        assert stats["hits"] == 0 and stats["misses"] == 0, stats
+        stats = spectral_counters()
+        assert stats["memory_hits"] + stats["disk_hits"] == 0, stats
+        assert stats["misses"] == 0, stats
         assert results_equal(cold, warm)
 
     def test_served_backend_loads_its_spectrum_on_first_use(self, graph, tmp_store):
-        QSCPipeline(2, CONFIG).run(graph)
+        QSCPipeline(2, keyed(tmp_store)).run(graph)
         fresh_worker()
-        pipeline = QSCPipeline(2, CONFIG)
+        pipeline = QSCPipeline(2, keyed(tmp_store))
         pipeline.run(graph)
         backend = pipeline.state["backend"]
-        assert spectral_cache_counters()["hits"] == 0
+        assert spectral_counters()["disk_hits"] == 0
         backend.eigenvalues
-        assert spectral_cache_counters()["hits"] == 2  # decomposition + kernel
+        assert spectral_counters()["disk_hits"] == 2  # decomposition + kernel
         backend.eigenvalues
-        assert spectral_cache_counters()["hits"] == 2  # loaded once
+        assert spectral_counters()["disk_hits"] == 2  # loaded once
+        assert spectral_counters()["memory_hits"] == 0
 
 
 class TestConsumersOfAServedSpectrum:
     @pytest.mark.parametrize("engine", ["v1", "v3"])
     def test_fig2_diagnostics_after_a_served_fit(self, graph, tmp_store, engine):
-        config = CONFIG.with_updates(spectral_engine=engine)
+        config = keyed(tmp_store).with_updates(spectral_engine=engine)
         cold = QSCPipeline(2, config)
         cold_result = cold.run(graph)
         expected = _filter_diagnostics(cold.state["backend"], 2, cold_result.threshold)
@@ -65,6 +71,7 @@ class TestConsumersOfAServedSpectrum:
 
     def test_readout_after_a_served_laplacian(self, tmp_store):
         graph, k, config = build_case("analytic_shots")
+        config = keyed(tmp_store, config)
         QSCPipeline(k, config).run(graph)
         drop_stage_entries(graph, config, k, "readout")
         fresh_worker()
@@ -72,5 +79,6 @@ class TestConsumersOfAServedSpectrum:
         assert sources(result) == ["store", "store"] + ["computed"] * 3
         assert result_digest(result) == GOLDEN["analytic_shots"]
         # The readout loaded the decomposition and the kernel once each.
-        stats = spectral_cache_counters()
-        assert stats["hits"] == 2 and stats["misses"] == 0, stats
+        stats = spectral_counters()
+        assert stats["memory_hits"] + stats["disk_hits"] == 2, stats
+        assert stats["misses"] == 0, stats

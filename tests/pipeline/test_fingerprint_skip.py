@@ -9,7 +9,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from test_pipeline import CONFIG, drop_stage_entries, results_equal
+from test_pipeline import CONFIG, drop_stage_entries, keyed, results_equal
 
 from repro import QSCPipeline
 from repro.graphs import ensure_connected, mixed_sbm
@@ -61,11 +61,11 @@ def count_hashing(monkeypatch, refuse=False) -> dict:
 
 class TestNothingKeyed:
     def test_a_plain_run_hashes_nothing(self, graph, tmp_store, monkeypatch):
-        keyed = QSCPipeline(2, CONFIG).run(graph)
-        tmp_store.detach()
+        stored_run = QSCPipeline(2, keyed(tmp_store)).run(graph)
         count_hashing(monkeypatch, refuse=True)
+        # a config without store_dir names no store, so nothing is keyed
         plain = QSCPipeline(2, CONFIG).run(graph)
-        assert results_equal(plain, keyed)
+        assert results_equal(plain, stored_run)
         assert [row["source"] for row in plain.profile] == ["computed"] * 5
 
     def test_an_in_memory_resume_hashes_nothing(
@@ -83,7 +83,7 @@ class TestNothingKeyed:
 class TestKeyed:
     def test_store_keys_are_unchanged(self, graph, tmp_store, monkeypatch):
         calls = count_hashing(monkeypatch)
-        QSCPipeline(2, CONFIG).run(graph)
+        QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert calls == {"graph_fingerprint": 1, "context_fingerprint": 5}
         for name, fingerprint in reference_fingerprints(graph, CONFIG, 2).items():
             key = checkpoint.store_key(name, fingerprint)
@@ -92,16 +92,16 @@ class TestKeyed:
     def test_a_held_digest_is_not_recomputed(self, graph, tmp_store, monkeypatch):
         digest = checkpoint.graph_fingerprint(graph)
         calls = count_hashing(monkeypatch)
-        QSCPipeline(2, CONFIG).run(graph, graph_digest=digest)
+        QSCPipeline(2, keyed(tmp_store)).run(graph, graph_digest=digest)
         assert calls == {"graph_fingerprint": 0, "context_fingerprint": 5}
 
     def test_a_rerun_serves_the_keys_a_cold_run_published(
         self, graph, tmp_store, monkeypatch
     ):
-        QSCPipeline(2, CONFIG).run(graph)
+        QSCPipeline(2, keyed(tmp_store)).run(graph)
         drop_stage_entries(graph, CONFIG, 2, "qmeans")
         calls = count_hashing(monkeypatch)
-        rerun = QSCPipeline(2, CONFIG).run(graph)
+        rerun = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert calls == {"graph_fingerprint": 1, "context_fingerprint": 5}
         assert [row["source"] for row in rerun.profile] == (
             ["store"] * (len(STAGE_NAMES) - 1) + ["computed"]

@@ -13,7 +13,7 @@ import gc
 
 import numpy as np
 import pytest
-from test_pipeline import CONFIG, drop_stage_entries, results_equal
+from test_pipeline import CONFIG, drop_stage_entries, keyed, results_equal
 from test_read_through import graph, sources  # noqa: F401
 
 from repro import QSCPipeline, api
@@ -128,11 +128,11 @@ class TestLazyServedRun:
     def test_corrupt_embedding_recomputes_from_lazily_read_rows(
         self, graph, tmp_store, reads
     ):
-        _, cold = cold_run(graph)
+        _, cold = cold_run(graph, keyed(tmp_store))
         path = entry_path(tmp_store, graph, "embedding")
         corrupt(path)
         reads.clear()
-        warm = QSCPipeline(2, CONFIG).run(graph)
+        warm = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(warm) == ["store", "store", "store", "computed", "store"]
         assert results_equal(cold, warm)
         # The rows are read because the embedding recomputes, not before.
@@ -145,11 +145,11 @@ class TestLazyServedRun:
     def test_corrupt_readout_and_embedding_recompute_together(
         self, graph, tmp_store, reads
     ):
-        cold_pipeline, cold = cold_run(graph)
+        cold_pipeline, cold = cold_run(graph, keyed(tmp_store))
         for name in ("readout", "embedding"):
             corrupt(entry_path(tmp_store, graph, name))
         reads.clear()
-        pipeline = QSCPipeline(2, CONFIG)
+        pipeline = QSCPipeline(2, keyed(tmp_store))
         warm = pipeline.run(graph)
         assert sources(warm) == ["store", "store", "computed", "computed", "store"]
         assert results_equal(cold, warm)
@@ -160,9 +160,9 @@ class TestLazyServedRun:
     def test_rows_resolve_when_state_is_read_after_the_run(
         self, graph, tmp_store, reads
     ):
-        cold_pipeline, _ = cold_run(graph)
+        cold_pipeline, _ = cold_run(graph, keyed(tmp_store))
         reads.clear()
-        pipeline = QSCPipeline(2, CONFIG)
+        pipeline = QSCPipeline(2, keyed(tmp_store))
         pipeline.run(graph)
         assert "readout" not in reads
         rows = pipeline.state["rows"]
@@ -174,20 +174,20 @@ class TestLazyServedRun:
         assert sources(pipeline) == ["store"] * len(STAGE_NAMES)
 
     def test_state_recomputes_after_the_store_is_detached(self, graph, tmp_store):
-        cold_pipeline, _ = cold_run(graph)
-        pipeline = QSCPipeline(2, CONFIG)
+        cold_pipeline, _ = cold_run(graph, keyed(tmp_store))
+        pipeline = QSCPipeline(2, keyed(tmp_store))
         pipeline.run(graph)
         configure_store(root=None)
         assert np.array_equal(pipeline.state["rows"], cold_pipeline.state["rows"])
         assert sources(pipeline)[2] == "computed"
 
     def test_in_memory_resume_from_a_served_state(self, graph, tmp_store, reads):
-        _, cold = cold_run(graph)
+        _, cold = cold_run(graph, keyed(tmp_store))
         reads.clear()
-        served = QSCPipeline(2, CONFIG)
+        served = QSCPipeline(2, keyed(tmp_store))
         served.run(graph)
         assert "readout" not in reads and "laplacian" not in reads
-        resumed = QSCPipeline(2, CONFIG).run(
+        resumed = QSCPipeline(2, keyed(tmp_store)).run(
             graph, resume_from="embedding", upstream=served.state
         )
         assert sources(resumed) == ["reused"] * 3 + ["store"] * 2
@@ -197,22 +197,22 @@ class TestLazyServedRun:
     def test_a_rerun_after_a_served_run_reads_its_readout(
         self, graph, tmp_store, reads
     ):
-        _, cold = cold_run(graph)
+        _, cold = cold_run(graph, keyed(tmp_store))
         reads.clear()
-        served = QSCPipeline(2, CONFIG).run(graph)
+        served = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(served) == ["store"] * len(STAGE_NAMES)
         assert "readout" not in reads
         drop_stage_entries(graph, CONFIG, 2, "embedding")
-        resumed = QSCPipeline(2, CONFIG).run(graph)
+        resumed = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(resumed) == ["store"] * 3 + ["computed"] * 2
         assert reads.count("readout") == 1
         assert results_equal(cold, resumed)
 
     def test_fig2_diagnostics_after_a_served_fit(self, graph, tmp_store, reads):
-        cold_pipeline, cold = cold_run(graph)
+        cold_pipeline, cold = cold_run(graph, keyed(tmp_store))
         expected = _filter_diagnostics(cold_pipeline.state["backend"], 2, cold.threshold)
         reads.clear()
-        pipeline = QSCPipeline(2, CONFIG)
+        pipeline = QSCPipeline(2, keyed(tmp_store))
         warm = pipeline.run(graph)
         assert "laplacian" not in reads
         served = _filter_diagnostics(pipeline.state["backend"], 2, warm.threshold)
@@ -225,23 +225,23 @@ class TestLazyServedRun:
         version = checkpoint.CHECKPOINT_VERSION
         assert version == 3
         monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", 2)
-        QSCPipeline(2, CONFIG).run(graph)
+        QSCPipeline(2, keyed(tmp_store)).run(graph)
         monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", version)
         configure_store().clear_memory()
-        upgraded = QSCPipeline(2, CONFIG).run(graph)
+        upgraded = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(upgraded) == ["computed"] * len(STAGE_NAMES)
         assert tmp_store.counters()["misses"] > 0
         configure_store().clear_memory()
         reads.clear()
-        warm = QSCPipeline(2, CONFIG).run(graph)
+        warm = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(warm) == ["store"] * len(STAGE_NAMES)
         assert tmp_store.counters()["misses"] == 0
         assert "readout" not in reads
         assert results_equal(upgraded, warm)
 
     def test_a_served_run_leaves_no_context_alive(self, graph, tmp_store):
-        cold_run(graph)
-        pipeline = QSCPipeline(2, CONFIG)
+        cold_run(graph, keyed(tmp_store))
+        pipeline = QSCPipeline(2, keyed(tmp_store))
         gc.collect()
         gc.disable()
         try:

@@ -40,6 +40,11 @@ def stored(config, tmp_path):
     return config.with_updates(store_dir=str(tmp_path / "cas"))
 
 
+def keyed(store, config=CONFIG):
+    """``config`` naming the disk tier of ``store`` (a ``tmp_store``)."""
+    return config.with_updates(store_dir=str(store.root))
+
+
 def sources(result) -> list:
     return [row["source"] for row in result.profile]
 
@@ -371,8 +376,8 @@ class TestTelemetry:
         for row in result.profile:
             assert row["seconds"] >= 0.0
             assert row["source"] == "computed"
-            assert isinstance(row["cache_hits"], int)
-            assert isinstance(row["cache_misses"], int)
+            for key in ("memory_hits", "disk_hits", "misses"):
+                assert isinstance(row[key], int)
 
     def test_laplacian_stage_owns_the_spectral_work(self, graph):
         from repro.core.qpe_engine import clear_spectral_cache
@@ -380,9 +385,9 @@ class TestTelemetry:
         clear_spectral_cache()
         result = QSCPipeline(2, CONFIG).run(graph)
         by_stage = {row["stage"]: row for row in result.profile}
-        assert by_stage["laplacian"]["cache_misses"] == 2
+        assert by_stage["laplacian"]["misses"] == 2
         assert sum(
-            row["cache_misses"]
+            row["misses"]
             for name, row in by_stage.items()
             if name != "laplacian"
         ) == 0

@@ -4,7 +4,7 @@ stage whose entry the store already holds, instead of recomputing it."""
 import dataclasses
 
 import pytest
-from test_pipeline import CONFIG, drop_stage_entries, results_equal
+from test_pipeline import CONFIG, drop_stage_entries, keyed, results_equal
 
 from repro import QSCConfig, QSCPipeline
 from repro.core.qpe_engine import clear_spectral_cache
@@ -57,8 +57,8 @@ class TestFingerprintCoverage:
 
 class TestReadThrough:
     def test_warm_run_serves_every_stage_bit_identically(self, graph, tmp_store):
-        cold = QSCPipeline(2, CONFIG).run(graph)
-        warm = QSCPipeline(2, CONFIG).run(graph)
+        cold = QSCPipeline(2, keyed(tmp_store)).run(graph)
+        warm = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(cold) == ["computed"] * len(STAGE_NAMES)
         assert sources(warm) == ["store"] * len(STAGE_NAMES)
         assert results_equal(cold, warm)
@@ -69,9 +69,9 @@ class TestReadThrough:
     ):
         """Serving any prefix of stages and computing the rest lands on
         the cold run's bits: each stage draws from its own spawned stream."""
-        cold = QSCPipeline(2, CONFIG).run(graph)
+        cold = QSCPipeline(2, keyed(tmp_store)).run(graph)
         drop_stage_entries(graph, CONFIG, 2, STAGE_NAMES[index])
-        mixed = QSCPipeline(2, CONFIG).run(graph)
+        mixed = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(mixed) == (
             ["store"] * index + ["computed"] * (len(STAGE_NAMES) - index)
         )
@@ -82,17 +82,17 @@ class TestReadThrough:
         """A warm store does not stand in for ``upstream``: read-through
         already serves every stored stage, so a resume without one is
         refused before anything is read."""
-        QSCPipeline(2, CONFIG).run(graph)
+        QSCPipeline(2, keyed(tmp_store)).run(graph)
         tmp_store.clear_memory()
         with pytest.raises(ClusteringError, match="needs an in-memory upstream"):
-            QSCPipeline(2, CONFIG).run(graph, resume_from=stage)
+            QSCPipeline(2, keyed(tmp_store)).run(graph, resume_from=stage)
         assert tmp_store.counters()["disk_hits"] == 0
 
     def test_in_memory_resume_reads_through_the_store(self, graph, tmp_store):
         """An ``upstream`` resume serves its resumed stage onward."""
-        reference = QSCPipeline(2, CONFIG)
+        reference = QSCPipeline(2, keyed(tmp_store))
         reference.run(graph)
-        noisy = CONFIG.with_updates(shots=64)
+        noisy = keyed(tmp_store).with_updates(shots=64)
         cold = QSCPipeline(2, noisy).run(
             graph, resume_from="readout", upstream=reference.state
         )
@@ -132,11 +132,11 @@ class TestReadThrough:
     def test_a_fresh_process_resumes_from_what_a_served_run_left(
         self, graph, tmp_store
     ):
-        cold = QSCPipeline(2, CONFIG).run(graph)
-        warm = QSCPipeline(2, CONFIG).run(graph)
+        cold = QSCPipeline(2, keyed(tmp_store)).run(graph)
+        warm = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(warm) == ["store"] * len(STAGE_NAMES)
         tmp_store.clear_memory()
         drop_stage_entries(graph, CONFIG, 2, "qmeans")
-        resumed = QSCPipeline(2, CONFIG).run(graph)
+        resumed = QSCPipeline(2, keyed(tmp_store)).run(graph)
         assert sources(resumed) == ["store"] * 4 + ["computed"]
         assert results_equal(cold, resumed)

@@ -14,7 +14,12 @@ from repro.core.projection import accepted_outcomes, select_threshold
 from repro.exceptions import ClusteringError
 from repro.graphs import MixedGraph, ensure_connected, mixed_sbm
 from repro.pipeline.stage import StageContext
-from repro.pipeline.stages import LaplacianStage, ThresholdStage
+from repro.pipeline.stages import (
+    EmbeddingStage,
+    LaplacianStage,
+    ReadoutStage,
+    ThresholdStage,
+)
 from repro.utils.rng import ensure_rng
 
 
@@ -118,3 +123,55 @@ class TestThresholdStageExtremes:
         values = ThresholdStage().execute(ctx)
         assert values["num_clusters"] == 3
         assert values["accepted"].size > 0
+
+
+class _ZeroAcceptanceBackend:
+    """A QPE backend whose eigenvalue filter passes no mass for any row."""
+
+    def __init__(self, backend):
+        self.num_nodes = backend.num_nodes
+        self.dim = backend.dim
+
+    def project_rows(self, nodes, accepted):
+        return np.zeros((len(nodes), self.dim), dtype=complex), np.zeros(len(nodes))
+
+
+class TestZeroAcceptance:
+    """Every row's acceptance is 0: the fit fails with a typed error
+    instead of clustering NaN or all-zero features."""
+
+    @pytest.fixture
+    def upstream(self):
+        graph, _ = mixed_sbm(16, 2, p_intra=0.8, p_inter=0.05, seed=0)
+        ensure_connected(graph, seed=0)
+        pipeline = QSCPipeline(2, QSCConfig(precision_bits=5, shots=0, seed=1))
+        pipeline.run(graph)
+        state = {
+            key: pipeline.state[key]
+            for key in ("laplacian", "histogram", "num_clusters", "threshold")
+        }
+        state["accepted"] = pipeline.state["accepted"]
+        state["backend"] = _ZeroAcceptanceBackend(pipeline.state["backend"])
+        return graph, state
+
+    @pytest.mark.parametrize("shots", [0, 64])
+    def test_the_fit_raises_a_clustering_error(self, upstream, shots):
+        graph, state = upstream
+        config = QSCConfig(precision_bits=5, shots=shots, seed=1)
+        with pytest.raises(ClusteringError, match="distinct rows"):
+            QSCPipeline(2, config).run(graph, resume_from="readout", upstream=state)
+
+    def test_the_stages_before_q_means_stay_finite(self, upstream):
+        graph, state = upstream
+        ctx = StageContext(
+            graph=graph,
+            config=QSCConfig(precision_bits=5, shots=64, seed=1),
+            requested_clusters=2,
+            rngs={"rows": ensure_rng(0)},
+        )
+        ctx.state.update(state)
+        readout = ReadoutStage().execute(ctx)
+        assert not readout["probabilities"].any() and not readout["norms"].any()
+        ctx.state.update(readout)
+        features = EmbeddingStage().execute(ctx)["features"]
+        assert np.isfinite(features).all() and not features.any()

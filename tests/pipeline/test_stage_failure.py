@@ -10,9 +10,10 @@ restarted job relies on, stage by stage.
 
 import pytest
 from test_golden import GOLDEN, build_case, result_digest
+from test_pipeline import keyed
 
 from repro import QSCPipeline
-from repro.core.qpe_engine import clear_spectral_cache, spectral_cache_counters
+from repro.core.qpe_engine import SPECTRAL_NAMESPACE, clear_spectral_cache
 from repro.exceptions import ClusteringError
 from repro.pipeline import STAGE_NAMES, build_stages, checkpoint
 from repro.pipeline.checkpoint import context_fingerprint, graph_fingerprint
@@ -65,6 +66,7 @@ class TestFailedStage:
         self, stage, tmp_store, monkeypatch
     ):
         graph, k, config = build_case(CASE)
+        config = keyed(tmp_store, config)
         _fail_once(monkeypatch, stage, graph, k, config)
         finished = list(STAGE_NAMES[: STAGE_NAMES.index(stage)])
         assert _store_entries(tmp_store, graph, config, k) == finished
@@ -73,6 +75,7 @@ class TestFailedStage:
         self, stage, tmp_store, monkeypatch
     ):
         graph, k, config = build_case(CASE)
+        config = keyed(tmp_store, config)
         _fail_once(monkeypatch, stage, graph, k, config)
         _fail_once(monkeypatch, stage, graph, k, config)
         finished = list(STAGE_NAMES[: STAGE_NAMES.index(stage)])
@@ -82,6 +85,7 @@ class TestFailedStage:
         self, stage, tmp_store, monkeypatch
     ):
         graph, k, config = build_case(CASE)
+        config = keyed(tmp_store, config)
         _fail_once(monkeypatch, stage, graph, k, config)
         index = STAGE_NAMES.index(stage)
         result = QSCPipeline(k, config).run(graph)
@@ -98,6 +102,7 @@ class TestFailedStage:
         """The restarted job's case: a new process, so only the disk tier
         holds the finished prefix (and its spectral entries)."""
         graph, k, config = build_case(CASE)
+        config = keyed(tmp_store, config)
         _fail_once(monkeypatch, stage, graph, k, config)
         clear_spectral_cache()
         index = STAGE_NAMES.index(stage)
@@ -107,6 +112,7 @@ class TestFailedStage:
         )
         # a served laplacian is read from disk by the stage that needs it
         if index in (1, 2):
-            assert spectral_cache_counters()["hits"] > 0
+            spectral = tmp_store.counters(SPECTRAL_NAMESPACE)
+            assert spectral["memory_hits"] + spectral["disk_hits"] > 0
         assert result_digest(result) == GOLDEN[CASE]
         assert _store_entries(tmp_store, graph, config, k) == list(STAGE_NAMES)

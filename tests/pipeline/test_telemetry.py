@@ -34,8 +34,9 @@ def _report(source="computed", stage="readout", seconds=0.5, **annotations):
         stage=stage,
         seconds=seconds,
         source=source,
-        cache_hits=1,
-        cache_misses=2,
+        memory_hits=1,
+        disk_hits=3,
+        misses=2,
         **annotations,
     )
 
@@ -57,8 +58,9 @@ def test_report_dict_carries_annotations_only_when_set():
         "stage": "readout",
         "seconds": 0.5,
         "source": "computed",
-        "cache_hits": 1,
-        "cache_misses": 2,
+        "memory_hits": 1,
+        "disk_hits": 3,
+        "misses": 2,
     }
     annotated = _report(
         stage="laplacian", backend="sparse", eigensolver="eigh-mrrr(n=40)"

@@ -13,8 +13,12 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.service.errors import ArtifactNotReadyError
+from repro.exceptions import ExperimentError
+from repro.experiments.runner import JOB_KEYS, normalize_job, registry
+from repro.service.errors import ArtifactNotReadyError, ProtocolError
+from repro.service.protocol import decode_line
 from repro.service.supervisor import InlineJobExecutor
 
 from test_service_faults import _HangingJobExecutor
@@ -33,6 +37,8 @@ MALFORMED_LINES = {
     "missing-op": b"{}\n",
     "null-op": b'{"op": null}\n',
     "unknown-op": b'{"op": "warp"}\n',
+    # deeper than the JSON parser's recursion limit
+    "deep-nesting": b"[" * 20000 + b"\n",
 }
 
 #: ``spec`` values that are not a job object, each answered ``invalid_job``.
@@ -247,3 +253,55 @@ class TestJsonLineProtocol:
         assert done == {"ok": True, "done": True, "state": "completed"}
         assert rest and rest[-1]["event"] == "completed"
         assert client.events(job_id) == held + rest
+
+
+#: Any JSON value (no NaN or infinity: JSON has none).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=16,
+)
+#: Job-shaped objects: real top-level and override names as well as
+#: arbitrary ones, so generated jobs reach every check of ``normalize_job``.
+OVERRIDE_NAMES = st.sampled_from(
+    ["trials", "num_nodes", "shots", "store_dir", "strengths", "bogus"]
+)
+JOBS = st.dictionaries(
+    st.sampled_from(JOB_KEYS) | st.text(max_size=8),
+    st.sampled_from(sorted(registry()))
+    | st.dictionaries(OVERRIDE_NAMES | st.text(max_size=8), JSON_VALUES, max_size=3)
+    | JSON_VALUES,
+    max_size=4,
+)
+
+
+class TestBoundaryProperties:
+    """Whatever arrives, the boundary answers with a value or its own
+    typed error; no other exception type escapes."""
+
+    @given(
+        raw=st.binary(max_size=64)
+        | st.integers(1, 30000).map(lambda depth: b"[" * depth)
+        | JSON_VALUES.map(lambda value: json.dumps(value).encode())
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decode_line_gives_a_message_or_a_protocol_error(self, raw):
+        try:
+            message = decode_line(raw)
+        except ProtocolError:
+            return
+        assert isinstance(message, dict)
+
+    @given(job=JSON_VALUES | JOBS)
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_job_gives_a_job_or_an_experiment_error(self, job):
+        try:
+            normalized = normalize_job(job)
+        except ExperimentError:
+            return
+        assert set(normalized) == set(JOB_KEYS)

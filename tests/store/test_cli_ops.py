@@ -126,3 +126,27 @@ class TestVerifyExitCodes:
 
         assert main(["store", "verify", "--dir", str(root)]) == 0
         assert "checked: 1  ok: 1" in capsys.readouterr().out
+
+
+class TestMissingDir:
+    @pytest.mark.parametrize("action", ["stats", "verify", "gc"])
+    def test_a_missing_dir_is_a_usage_error_and_creates_nothing(
+        self, tmp_path, capsys, action
+    ):
+        """A typo in ``--dir`` used to create an empty store that then
+        verified clean (``checked: 0  ok: 0``, exit 0)."""
+        missing = tmp_path / "cas-typo"
+        with pytest.raises(SystemExit) as info:
+            main(["store", action, "--dir", str(missing)])
+        assert info.value.code == 2
+        assert "--dir" in capsys.readouterr().err
+        assert not missing.exists()
+
+    @pytest.mark.parametrize("action", ["stats", "verify", "gc"])
+    def test_a_file_is_no_store_dir(self, tmp_path, capsys, action):
+        path = tmp_path / "not-a-store"
+        path.write_bytes(b"data")
+        with pytest.raises(SystemExit) as info:
+            main(["store", action, "--dir", str(path)])
+        assert info.value.code == 2
+        assert path.read_bytes() == b"data"

@@ -174,7 +174,7 @@ class TestStoreTiers:
         store = ContentStore(max_memory_bytes=3 * 1024)
         for name in ("k1", "k2", "k3", "k1", "k4"):  # k1 bumped: k2 oldest
             store.get_or_create("spectral", name, lambda: dict(one_kib))
-        stats = store.namespace_counters("spectral")
+        stats = store.counters("spectral")
         assert stats["memory_evictions"] == 1
         assert stats["memory_hits"] == 1
         resident = {key for _, key in store._entries}

@@ -27,6 +27,7 @@ def graph():
         "shard_retries",
         "shard_failure_mode",
         "shard_workers",
+        "normalization",
     ],
 )
 def test_unknown_quantum_field_is_a_typed_error(graph, name):
@@ -50,6 +51,52 @@ def test_known_fields_still_override_the_config(graph):
 def test_unknown_classical_field_is_a_typed_error(graph):
     with pytest.raises(ClusteringError, match="bogus"):
         api.cluster(graph, 2, method="classical", bogus=1)
+
+
+def test_the_classical_method_keeps_its_normalization(graph):
+    symmetric = api.cluster(graph, 2, method="classical", normalization="symmetric")
+    unnormalized = api.cluster(graph, 2, method="classical", normalization="none")
+    assert symmetric.labels.shape == unnormalized.labels.shape == (16,)
+
+
+def disk_state(root) -> dict:
+    """Every file under ``root`` with its size and modification time."""
+    return {
+        path: (path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+def test_a_cluster_without_store_dir_uses_no_disk_store(
+    graph, tmp_path, pristine_store
+):
+    """A config without ``store_dir`` names no store, whatever an earlier
+    run in the same process attached."""
+    store = tmp_path / "store"
+    keyed = api.cluster(graph, 2, store_dir=str(store))
+    before = disk_state(store)
+    assert before
+    plain = api.cluster(graph, 2)
+    assert [row["source"] for row in plain.profile] == ["computed"] * 5
+    assert sum(row["disk_hits"] for row in plain.profile) == 0
+    assert disk_state(store) == before
+    assert (plain.labels == keyed.labels).all()
+
+
+def test_a_sweep_without_store_dir_uses_no_disk_store(tmp_path, pristine_store):
+    """Graph, baseline, stage and spectral entries all follow the config."""
+    overrides = dict(
+        strengths=[0.9], num_nodes=18, num_clusters=2, shots=64, precision_bits=5
+    )
+    store = tmp_path / "store"
+    keyed = api.run_experiment("fig1", trials=1, store_dir=str(store), **overrides)
+    before = disk_state(store)
+    plain = api.run_experiment("fig1", trials=1, **overrides)
+    assert plain.store["disk_hits"] == 0
+    assert all(entry["loaded"] == 0 for entry in plain.profile.values())
+    assert disk_state(store) == before
+    assert plain.records == keyed.records
 
 
 def test_run_experiment_keeps_a_local_store(tmp_path, pristine_store):

@@ -198,6 +198,23 @@ class TestClusterCommand:
         assert "store" in rows["threshold"]
         assert all("computed" in rows[name] for name in STAGE_NAMES[2:])
 
+    def test_a_run_without_store_dir_uses_no_store(
+        self, graph_file, tmp_path, capsys, pristine_store
+    ):
+        """``--store-dir`` names the store of its own run only: a later run
+        without it, in the same process, computes every stage."""
+        path, _ = graph_file
+        base = ["cluster", "--input", path, "--clusters", "2", "--shots",
+                "64", "--seed", "2", "--profile"]
+        assert main(base + ["--store-dir", str(tmp_path / "cas")]) == 0
+        capsys.readouterr()
+        assert main(base) == 0
+        rows = profile_rows(capsys.readouterr().out)
+        assert [rows[name].split()[3] for name in STAGE_NAMES] == (
+            ["computed"] * len(STAGE_NAMES)
+        )
+        assert all("disk_hits=0" in rows[name] for name in STAGE_NAMES)
+
     def test_resume_from_an_empty_store_recomputes(
         self, graph_file, tmp_path, capsys, pristine_store
     ):
@@ -453,7 +470,7 @@ class TestExperimentsCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "fig1:" in out and "cache hits=" in out
+        assert "fig1:" in out and "store disk_hits=" in out
         artifact = validate_artifact_file(tmp_path / "fig1.json")
         assert artifact["name"] == "fig1"
         assert artifact["spec"]["trials"] == 1
